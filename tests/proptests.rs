@@ -617,16 +617,24 @@ fn availability_surface_is_monotone_and_thread_invariant() {
 /// pricing loop (objective, columns seeded/priced, rounds, most negative
 /// reduced cost) is bit-identical at 1, 2 and 4 solver threads, because
 /// the oracle walks the universe in a fixed order and truncates with a
-/// stable sort (DESIGN.md §12).
+/// stable sort (DESIGN.md §12). Each instance then runs the restoration
+/// side of the same loop for one cut: CG restores exactly what the
+/// enumerated §8 MIP restores, with thread-invariant pricing counters
+/// and `restore_count` dual bits.
 #[test]
 fn colgen_equals_enumeration_and_is_thread_invariant() {
     use flexwan::core::planning::{
-        canonical_objective, solve_exact, solve_exact_colgen, PlannerConfig,
+        canonical_objective, plan, solve_exact, solve_exact_colgen, PlannerConfig,
+    };
+    use flexwan::core::restore::{
+        restoration_count_duals, solve_restoration_exact, solve_restoration_exact_colgen,
+        FailureScenario,
     };
     use flexwan::solver::SolveOptions;
 
     let mut rng = ChaCha8Rng::seed_from_u64(0xC601);
     let mut compared = 0usize;
+    let mut restored = 0usize;
     for _case in 0..16 {
         // Small triangle instances (the planning_exact_vs_heuristic
         // family): big enough to exercise pricing and conflict
@@ -695,11 +703,66 @@ fn colgen_equals_enumeration_and_is_thread_invariant() {
             "pricing loop must be bit-identical across thread counts: {sigs:?}"
         );
         compared += 1;
+
+        // The restoration side of the same loop: cut the first fiber the
+        // heuristic plan lights, restore by CG and by enumeration.
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let Some(cut_fiber) = p.wavelengths.first().map(|w| w.path.edges[0]) else {
+            continue;
+        };
+        let cut = FailureScenario {
+            id: 0,
+            cuts: vec![cut_fiber],
+            probability: 1.0,
+        };
+        let Some(exact) = solve_restoration_exact(&p, &g, &ip, &cut, &[], &cfg, &opts) else {
+            continue;
+        };
+        if exact.stats.nodes >= opts.max_nodes as u64 {
+            continue;
+        }
+        let mut rsigs = Vec::new();
+        let mut dual_bits = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let topts = SolveOptions {
+                threads,
+                max_nodes: 50_000,
+                ..Default::default()
+            };
+            let cg = solve_restoration_exact_colgen(&p, &g, &ip, &cut, &[], &cfg, &topts)
+                .expect("enumeration-solvable restoration must solve via CG");
+            assert!(!cg.colgen.fell_back, "restoration pricing must converge");
+            assert_eq!(cg.restoration.restored_gbps, exact.restored_gbps);
+            assert_eq!(cg.restoration.affected_gbps, exact.affected_gbps);
+            rsigs.push((
+                cg.colgen.columns_seeded,
+                cg.colgen.columns_priced_in,
+                cg.colgen.pricing_rounds,
+                cg.colgen.gap_rounds,
+                cg.colgen.reduced_cost_min.to_bits(),
+            ));
+            dual_bits.push(
+                restoration_count_duals(&p, &g, &ip, &cut, &cfg, &topts)
+                    .into_iter()
+                    .map(|(li, kappa)| (li, kappa.to_bits()))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        assert!(
+            rsigs.windows(2).all(|w| w[0] == w[1]),
+            "restoration pricing loop must be thread-invariant: {rsigs:?}"
+        );
+        assert!(
+            dual_bits.windows(2).all(|w| w[0] == w[1]),
+            "restore_count duals must be thread-invariant: {dual_bits:?}"
+        );
+        restored += 1;
     }
     assert!(
         compared >= 6,
         "only {compared} feasible comparisons — fixtures too tight"
     );
+    assert!(restored >= 6, "only {restored} restoration comparisons");
 }
 
 /// The dual-priced FlexWAN+ spare pool spends exactly the uniform
