@@ -1,8 +1,7 @@
 //! Ablation (DESIGN.md §5.5): FlexWAN+ spare fraction — how much of the
 //! transponder saving to reinvest as restoration spares — plus the
 //! uniform-vs-dual-priced placement A/B at the full budget
-//! (`flexwan_core::restore::spares`). Set `FLEXWAN_SPARES_UNIFORM=1` to
-//! skip the dual-priced arm and reproduce the paper's uniform-only
+//! (`flexwan_core::restore::spares`); the `uniform` row is the paper's
 //! baseline.
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
@@ -64,10 +63,6 @@ fn main() {
         )
     );
 
-    if std::env::var_os("FLEXWAN_SPARES_UNIFORM").is_some() {
-        println!("dual-priced arm skipped (FLEXWAN_SPARES_UNIFORM set)");
-        return;
-    }
     // A/B at the full budget: the paper's uniform spread vs the pool
     // priced by restore_count duals from the CG restorer. Same total
     // transponder count; the chosen pool is never worse by construction.

@@ -306,8 +306,7 @@ pub fn restoration_results(
     let ip = backbone.ip.scaled(scale);
     let p = plan_cached(scheme, &backbone.optical, &ip, cfg, cache);
     // The FlexWAN+ pool is the A/B winner (dual-priced vs uniform, see
-    // `restore::spares`); FLEXWAN_SPARES_UNIFORM=1 forces the paper's
-    // uniform rule.
+    // `restore::spares`).
     let extra = if plus {
         extra_spares(&p, &backbone.optical, &ip, cfg, &Default::default())
     } else {

@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod defrag;
+mod master;
 pub mod observe;
 pub mod opt;
 pub mod planning;

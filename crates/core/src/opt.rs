@@ -439,6 +439,11 @@ pub struct LazyWavelengthVarSpace {
     flat: Vec<Vec<usize>>,
 }
 
+/// Bit `i` of a start bitset.
+fn bit(bits: &[u64], i: u32) -> bool {
+    bits[i as usize / 64] >> (i % 64) & 1 == 1
+}
+
 impl LazyWavelengthVarSpace {
     /// Builds the lazy space over `paths_per_slot` with an empty admitted
     /// set. No solver variables are created; `num_fibers`/`pixels` size
@@ -515,10 +520,54 @@ impl LazyWavelengthVarSpace {
         total
     }
 
-    /// Whether `(slot, ki, format-index, start)` is already admitted.
-    fn is_admitted(&self, slot: usize, ki: usize, fi: usize, start: u32) -> bool {
-        let bits = &self.admitted[self.flat[slot][ki] + fi];
-        bits[start as usize / 64] >> (start % 64) & 1 == 1
+    /// The reachable formats of the slot's `ki`-th path, in enumeration
+    /// order.
+    pub(crate) fn menu(&self, slot: usize, ki: usize) -> &[TransponderFormat] {
+        &self.menus[slot][ki]
+    }
+
+    /// Whether the column `(slot, ki, format, start)` is already admitted
+    /// (an off-menu format never is).
+    pub(crate) fn is_admitted(
+        &self,
+        slot: usize,
+        ki: usize,
+        format: TransponderFormat,
+        start: u32,
+    ) -> bool {
+        self.menus[slot][ki]
+            .iter()
+            .position(|f| *f == format)
+            .is_some_and(|fi| bit(&self.admitted[self.flat[slot][ki] + fi], start))
+    }
+
+    /// The candidate-path index under which wavelength `w` is a
+    /// not-yet-admitted column of `slot`'s universe — same path by edge
+    /// identity, aligned in-grid start, on-menu format — the test a
+    /// seeder applies before admitting another planner's wavelength.
+    pub(crate) fn unadmitted_column(&self, slot: usize, w: &Wavelength) -> Option<usize> {
+        let paths = &self.space.paths_per_slot[slot];
+        let ki = paths.iter().position(|p| p.edges == w.path.edges)?;
+        let start = w.channel.start;
+        (start.is_multiple_of(self.scheme.alignment_pixels())
+            && start + u32::from(w.format.spacing.pixels()) <= self.space.pixels
+            && self.menus[slot][ki].contains(&w.format)
+            && !self.is_admitted(slot, ki, w.format, start))
+        .then_some(ki)
+    }
+
+    /// The dense `cell_duals` buffer [`price`](Self::price) reads, zero
+    /// except for the given `((fiber, pixel), contribution)` cells.
+    pub(crate) fn dense_cell_duals(
+        &self,
+        cells: impl IntoIterator<Item = ((EdgeId, u32), f64)>,
+    ) -> Vec<f64> {
+        let pixels = self.space.pixels as usize;
+        let mut dense = vec![0.0f64; self.space.by_fiber_pixel.len()];
+        for ((e, px), dual) in cells {
+            dense[e.0 as usize * pixels + px as usize] = dual;
+        }
+        dense
     }
 
     /// Marks the column admitted and registers its γ (whose solver
@@ -539,9 +588,8 @@ impl LazyWavelengthVarSpace {
             .position(|f| *f == format)
             .expect("admitted format must be on the (slot, path) menu");
         let bits = &mut self.admitted[self.flat[slot][ki] + fi];
-        let (word, bit) = (start as usize / 64, start % 64);
-        assert!(bits[word] >> bit & 1 == 0, "column admitted twice");
-        bits[word] |= 1 << bit;
+        assert!(!bit(bits, start), "column admitted twice");
+        bits[start as usize / 64] |= 1 << (start % 64);
         self.space.push_gamma_var(slot, ki, format, start, var)
     }
 
@@ -603,14 +651,18 @@ impl LazyWavelengthVarSpace {
                         continue;
                     }
                     let b = base(slot, ki, format);
+                    let admitted = &self.admitted[self.flat[slot][ki] + fi];
                     let mut q = 0u32;
                     while q + w <= pixels {
-                        if !self.is_admitted(slot, ki, fi, q) {
+                        if !bit(admitted, q) {
                             let range = PixelRange::new(q, format.spacing);
                             if admit_start(path, &range) {
                                 scanned += 1;
                                 let reduced = b + prefix[(q + w) as usize] - prefix[q as usize];
-                                if reduced < threshold {
+                                // Non-finite reduced costs (poisoned duals)
+                                // are dropped here, so the sorts downstream
+                                // only ever order finite values.
+                                if reduced < threshold && reduced.is_finite() {
                                     reduced_min = reduced_min.min(reduced);
                                     slot_best.push(PricedColumn {
                                         slot,
@@ -630,7 +682,7 @@ impl LazyWavelengthVarSpace {
                 // Keep the cap's most negative candidates. The push order
                 // is the universe order, so a stable sort on reduced cost
                 // alone leaves ties universe-ordered.
-                slot_best.sort_by(|a, b| a.reduced.partial_cmp(&b.reduced).unwrap());
+                slot_best.sort_by(|a, b| a.reduced.total_cmp(&b.reduced));
                 slot_best.truncate(per_slot_cap);
             }
             candidates.append(&mut slot_best);

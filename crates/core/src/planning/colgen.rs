@@ -10,86 +10,51 @@
 //! the restricted master's LP duals, admitting only columns with
 //! negative reduced cost.
 //!
-//! The loop (DESIGN.md §12):
+//! The loop itself — price to LP optimality, branch, close the gap,
+//! spectrum-`conflict` rows separated lazily — is the crate's one
+//! column-generation driver (`master.rs`, DESIGN.md §12), shared with
+//! the §8 restoration MIP. This module fills in what is Algorithm 1's
+//! own:
 //!
-//! 1. **Seed.** The heuristic plan's wavelengths plus the 1+1 protection
-//!    wavelengths that live on the master's K candidate paths enter as
-//!    the initial columns — an integer-feasible start, so the RMP LP is
-//!    feasible from round one.
-//! 2. **Price.** Solve the RMP LP relaxation warm
-//!    ([`IncrementalSolver::solve_relaxation_with_duals`]), read the
-//!    `capacity` duals `μ_e ≥ 0`, the valid-cut duals `κ_e, σ_e ≥ 0`
-//!    and the spectrum-`conflict` duals `ν ≤ 0`
-//!    ([`flexwan_solver::Model::group_duals`]), and scan the
-//!    not-yet-admitted universe for columns with reduced cost
-//!    `(1+εY)(1−σ_e) − μ_e·d_j − κ_e + Σ_cells(−ν) < 0`. Admit the best
-//!    per slot, re-solve warm off the stored basis, repeat until no
-//!    column prices in — the RMP LP value now equals the full LP bound.
-//! 3. **Branch.** Solve the RMP as a MIP.
-//! 4. **Close the gap.** If the integer value `Z_IP` exceeds the LP
-//!    bound `Z_LP`, any excluded column that could participate in a
-//!    better integer solution must have reduced cost ≤ `Z_IP − Z_LP`;
-//!    admit all such columns (capped per round) and go back to 2. When
-//!    none remain, the RMP optimum *is* the full-model optimum.
-//!
-//! Two families of valid inequalities keep branch & bound shallow on
-//! full-topology instances without changing the integer optimum: per
-//! link, a transponder-count cut `Σγ ≥ ⌈c_e / d_max⌉` and a cost cut
-//! `Σ(1+εY)γ ≥ LB_e` with `LB_e` the exact min-cost demand cover over
-//! the link's union format menu (small unbounded-knapsack DP). Spectrum
-//! `conflict` rows are created lazily, only when a second admitted
-//! column covers a `(fiber, pixel)` cell — a single-term `γ ≤ 1` row is
-//! vacuous for a binary.
+//! * **Rows.** Per link the `capacity` row `Σ d_j·γ ≥ c_e` plus two
+//!   valid inequalities that keep branch & bound shallow on
+//!   full-topology instances without changing the integer optimum: a
+//!   transponder-count cut `Σγ ≥ ⌈c_e / d_max⌉` and a cost cut
+//!   `Σ(1+εY)γ ≥ LB_e`, `LB_e` the exact min-cost demand cover over the
+//!   link's union format menu (small unbounded-knapsack DP).
+//! * **Reduced cost.** Under the `capacity` duals `μ_e ≥ 0`, the
+//!   valid-cut duals `κ_e, σ_e ≥ 0` and the `conflict` duals `ν ≤ 0` a
+//!   column prices at `(1+εY)(1−σ_e) − μ_e·d_j − κ_e + Σ_cells(−ν)`.
+//! * **Seed.** The heuristic plan's wavelengths plus the 1+1 protection
+//!   wavelengths that live on the master's K candidate paths — an
+//!   integer-feasible start, so the RMP LP is feasible from round one.
+//! * **Certificate.** Canonical objectives live on a grid of pitch
+//!   `ε·12.5`; an LP/IP gap under 0.4 of it cannot hide a better plan.
+//! * **Failure policy.** A seed that cannot cover demand, or a solve
+//!   that dies, falls back to the enumerated [`super::mip`] model.
 //!
 //! Everything is deterministic at any thread count: the pricing scan
 //! ties-breaks by universe order, admissions are sequential, and the
 //! branch & bound is the repo's deterministic solver.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use flexwan_optical::format::TransponderFormat;
-use flexwan_solver::{
-    Cmp, GroupId, IncrementalSolver, LinExpr, Model, RowId, Sense, Solution, SolveOptions,
-    SolverStats, Status, Var, VarKind,
-};
+use flexwan_optical::spectrum::PixelRange;
+use flexwan_solver::{LinExpr, Model, Sense, SolveOptions};
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::IpTopology;
 use flexwan_topo::ksp::k_shortest_paths;
 use flexwan_topo::path::Path;
 
+use crate::master::{Outcome, Problem, RestrictedMaster, StopAt};
 use crate::opt::LazyWavelengthVarSpace;
-use crate::planning::format_dp::{reachable_formats, select_formats};
+use crate::planning::format_dp::select_formats;
 use crate::planning::heuristic::{plan, PlannerConfig};
 use crate::planning::mip::{solve_exact, ExactPlan};
 use crate::protect::plan_protected;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
-
-/// Columns admitted per slot per pricing round. Small batches keep the
-/// warm LP re-solves cheap; the loop runs until nothing prices in, so
-/// the cap trades rounds for columns, never correctness.
-const PRICE_CAP: usize = 8;
-/// Columns admitted per *round* across all slots (most negative reduced
-/// cost first). The master's LP grows conflict rows as admitted columns
-/// overlap, and simplex time grows superlinearly in rows — a global cap
-/// keeps each warm re-solve a small delta while the loop still runs to
-/// exhaustion.
-const GLOBAL_CAP: usize = 96;
-/// Per-slot cap during gap-closing rounds (threshold > 0 can match many
-/// equal-reduced-cost starts; the outer loop re-prices after each batch).
-const GAP_CAP: usize = 64;
-/// Global per-round cap for gap-closing admissions.
-const GAP_GLOBAL_CAP: usize = 256;
-/// A column must beat the threshold by this much to be admitted — floats
-/// hovering at zero reduced cost must not spin the loop.
-const TOL: f64 = 1e-9;
-/// Consecutive pricing rounds without LP improvement before the loop
-/// declares a degenerate stall. On spectrum-saturated instances the
-/// oracle's optimistic reduced costs (`ν = 0` on latent rows) can admit
-/// columns forever while separation pins the LP in place; past this cap
-/// the run returns the restricted master's integer optimum flagged
-/// `fell_back` instead of looping.
-const STALL_CAP: u64 = 48;
 
 /// One pricing round of the convergence trace.
 #[derive(Debug, Clone)]
@@ -171,162 +136,43 @@ fn objective_quantum(epsilon: f64) -> f64 {
     }
 }
 
-/// Keeps the `cap` most negative candidates of a scan across all slots.
-/// The input arrives slot-ordered with per-slot reduced-cost order, so a
-/// stable sort on reduced cost alone leaves ties in universe order —
-/// the admission sequence stays deterministic.
-fn truncate_global(candidates: &mut Vec<crate::opt::PricedColumn>, cap: usize) {
-    if candidates.len() > cap {
-        candidates.sort_by(|a, b| a.reduced.partial_cmp(&b.reduced).unwrap());
-        candidates.truncate(cap);
-    }
-}
-
-/// The restricted master: admitted columns + their rows, kept standing
-/// across pricing rounds so every re-solve is warm.
-struct Master {
-    inc: IncrementalSolver,
-    lazy: LazyWavelengthVarSpace,
+/// Algorithm 1 as the shared driver sees it: minimize `Σ (1+εY)γ` over
+/// `capacity` (rate, `≥ c_e`), `count_lb` (1) and `cost_lb` (`1+εY`)
+/// rows, every start admissible.
+struct Planning {
     epsilon: f64,
-    pixels: u32,
-    num_fibers: usize,
-    capacity_rows: Vec<RowId>,
-    count_rows: Vec<RowId>,
-    costlb_rows: Vec<RowId>,
-    capacity_gid: GroupId,
-    count_gid: GroupId,
-    costlb_gid: GroupId,
-    conflict_gid: GroupId,
-    /// `(fiber, pixel)` cells with a materialized conflict row.
-    cell_row: HashMap<(EdgeId, u32), RowId>,
-    /// Every admitted column covering each cell, in admission order —
-    /// the separation oracle's input (BTreeMap: deterministic cut order).
-    cell_cover: BTreeMap<(EdgeId, u32), Vec<Var>>,
-    /// Objective terms `(γ, 1+εY)`, in admission order.
-    obj_terms: Vec<(Var, f64)>,
+    /// Largest LP/IP gap that cannot hide a better canonical objective.
+    gap_break: f64,
 }
 
-impl Master {
-    /// Admits one column of the universe: the variable enters every
-    /// *materialized* row it covers plus the slot rows, and the objective
-    /// gains its `1 + εY` term (pushed; the caller re-sets the objective
-    /// once per admission batch). Conflict rows for its other cells stay
-    /// latent until [`Master::separate`] catches a solution double-booking
-    /// one — eager rows would block the column the moment it enters,
-    /// stalling the LP, and most pairwise overlaps never bind anyway.
-    fn admit(&mut self, slot: usize, ki: usize, format: TransponderFormat, start: u32) -> Var {
-        let cost = 1.0 + self.epsilon * format.spacing.ghz();
-        let rate = f64::from(format.data_rate_gbps);
-        let w = u32::from(format.spacing.pixels());
-        let edges = self.lazy.space().paths(slot)[ki].edges.clone();
+impl Problem for Planning {
+    const SENSE: Sense = Sense::Minimize;
+    const PREFIX: &'static str = "cg_e";
 
-        let mut entries = vec![
-            (self.capacity_rows[slot], rate),
-            (self.count_rows[slot], 1.0),
-            (self.costlb_rows[slot], cost),
-        ];
-        for &e in &edges {
-            for px in start..start + w {
-                if let Some(&row) = self.cell_row.get(&(e, px)) {
-                    entries.push((row, 1.0));
-                }
-            }
-        }
-        let name = format!(
-            "cg_e{slot}_k{ki}_d{}_y{}_q{start}",
-            format.data_rate_gbps,
-            format.spacing.pixels()
-        );
-        let var = self
-            .inc
-            .add_column(name, VarKind::Binary, 0.0, 1.0, &entries);
-        self.lazy.admit(slot, ki, format, start, var);
-        for &e in &edges {
-            for px in start..start + w {
-                self.cell_cover.entry((e, px)).or_default().push(var);
-            }
-        }
-        self.obj_terms.push((var, cost));
-        var
+    fn objective(&self, f: &TransponderFormat) -> f64 {
+        1.0 + self.epsilon * f.spacing.ghz()
     }
 
-    /// Separation oracle over the latent conflict rows: materializes
-    /// `Σ γ ≤ 1` for every cell the solution books beyond `1 + tol`,
-    /// with **all** covering columns as terms. Returns the number of
-    /// rows cut; the caller re-solves until clean. Row-and-column
-    /// generation needs separation rather than eager rows so a freshly
-    /// priced column can actually improve the LP before the spectrum
-    /// clash it might cause ever binds.
-    fn separate(&mut self, sol: &Solution, tol: f64) -> usize {
-        let mut cuts: Vec<((EdgeId, u32), LinExpr)> = Vec::new();
-        for (&cell, vars) in &self.cell_cover {
-            if vars.len() < 2 || self.cell_row.contains_key(&cell) {
-                continue;
-            }
-            let booked: f64 = vars.iter().map(|&v| sol.value(v)).sum();
-            if booked > 1.0 + tol {
-                cuts.push((cell, LinExpr::sum(vars.iter().map(|&v| 1.0 * v))));
-            }
-        }
-        let n = cuts.len();
-        if n > 0 {
-            self.inc.model_mut().group("conflict");
-            for (cell, expr) in cuts {
-                let row = self.inc.add_constraint(expr, Cmp::Le, 1.0);
-                self.cell_row.insert(cell, row);
-            }
-            self.inc.model_mut().end_group();
-        }
-        n
+    fn row_coefficients(&self, f: &TransponderFormat) -> Vec<f64> {
+        vec![f64::from(f.data_rate_gbps), 1.0, self.objective(f)]
     }
 
-    /// Re-asserts the minimization objective over every admitted column.
-    fn set_objective(&mut self) {
-        let expr = LinExpr::sum(self.obj_terms.iter().map(|&(v, c)| c * v));
-        self.inc.set_objective(Sense::Minimize, expr);
+    /// `(1+εY)(1−σ_e) − μ_e·d_j − κ_e` under the `capacity` dual `μ`, the
+    /// `count_lb` dual `κ` and the `cost_lb` dual `σ`.
+    fn reduced_base(&self, f: &TransponderFormat, duals: &[f64]) -> f64 {
+        let (mu, kappa, sigma) = (duals[0], duals[1], duals[2]);
+        let cost = self.objective(f);
+        cost * (1.0 - sigma) - mu * f64::from(f.data_rate_gbps) - kappa
     }
 
-    /// One pricing scan under `duals` (indexed by `RowId`, straight from
-    /// [`IncrementalSolver::solve_relaxation_with_duals`]): reads the
-    /// slot-row duals and the conflict duals through the model's named
-    /// groups, then walks the implicit universe.
-    fn price_round(
-        &self,
-        duals: &[f64],
-        threshold: f64,
-        per_slot_cap: usize,
-    ) -> crate::opt::PricingScan {
-        let model = self.inc.model();
-        let slot_duals = |gid: GroupId, rows: &[RowId]| -> Vec<f64> {
-            let by_row: HashMap<RowId, f64> = model.group_duals(gid, duals).into_iter().collect();
-            rows.iter().map(|r| by_row[r]).collect()
-        };
-        let mu = slot_duals(self.capacity_gid, &self.capacity_rows);
-        let kappa = slot_duals(self.count_gid, &self.count_rows);
-        let sigma = slot_duals(self.costlb_gid, &self.costlb_rows);
-        // Dense per-(fiber, pixel) conflict contribution, oriented for a
-        // minimization master: `ν ≤ 0` on its `≤ 1` rows, the oracle
-        // adds `−ν ≥ 0` per covered cell.
-        let pixels = self.pixels as usize;
-        let mut cell_duals = vec![0.0f64; self.num_fibers * pixels];
-        let nu: HashMap<RowId, f64> = model
-            .group_duals(self.conflict_gid, duals)
-            .into_iter()
-            .collect();
-        for (&(e, px), row) in &self.cell_row {
-            cell_duals[e.0 as usize * pixels + px as usize] = -nu[row];
-        }
-        let epsilon = self.epsilon;
-        self.lazy.price(
-            |slot, _ki, f| {
-                let cost = 1.0 + epsilon * f.spacing.ghz();
-                cost * (1.0 - sigma[slot]) - mu[slot] * f64::from(f.data_rate_gbps) - kappa[slot]
-            },
-            &cell_duals,
-            |_, _| true,
-            threshold,
-            per_slot_cap,
-        )
+    fn admits(&self, _: &Path, _: &PixelRange) -> bool {
+        true
+    }
+
+    /// Gaps below one objective quantum cannot hide a better integer
+    /// point at all.
+    fn certifies(&self, gap: f64) -> bool {
+        gap <= self.gap_break
     }
 }
 
@@ -358,8 +204,8 @@ fn cover_lower_bound(menu: &[TransponderFormat], demand_gbps: u64, epsilon: f64)
 /// across warm/cold paths and thread counts.
 ///
 /// Falls back to the enumerated model when the heuristic seed leaves the
-/// restricted master infeasible (a sized-down pathological instance);
-/// `colgen.fell_back` records it.
+/// restricted master infeasible (a sized-down pathological instance) or
+/// a solve dies; `colgen.fell_back` records it.
 pub fn solve_exact_colgen(
     scheme: Scheme,
     optical: &Graph,
@@ -367,9 +213,6 @@ pub fn solve_exact_colgen(
     cfg: &PlannerConfig,
     opts: &SolveOptions,
 ) -> Option<ColGenPlan> {
-    let trace = std::env::var_os("FLEXWAN_CG_TRACE").is_some();
-    macro_rules! ck { ($($a:tt)*) => { if trace { eprintln!($($a)*); } } }
-    ck!("cg: start");
     let pixels = cfg.grid.pixels();
     let none = HashSet::new();
     let paths_per_link: Vec<Vec<Path>> = ip
@@ -378,31 +221,21 @@ pub fn solve_exact_colgen(
         .map(|link| k_shortest_paths(optical, link.src, link.dst, cfg.k_paths, &none))
         .collect();
     let model_t = scheme.transponder();
-    let menus: Vec<Vec<Vec<TransponderFormat>>> = paths_per_link
-        .iter()
-        .map(|paths| {
-            paths
-                .iter()
-                .map(|p| reachable_formats(model_t, p.length_km))
-                .collect()
-        })
-        .collect();
+    let lazy = LazyWavelengthVarSpace::new(scheme, pixels, optical.num_edges(), paths_per_link);
 
     // Master skeleton: capacity rows plus the two valid-cut rows per
     // link, over the union format menu of the link's candidate paths.
     let mut m = Model::new();
-    let capacity_gid = m.group("capacity");
-    let capacity_rows: Vec<RowId> = ip
-        .links()
-        .iter()
-        .map(|link| m.ge(LinExpr::zero(), link.demand_gbps as f64))
-        .collect();
+    let capacity = m.group("capacity");
+    for link in ip.links() {
+        m.ge(LinExpr::zero(), link.demand_gbps as f64);
+    }
     let mut count_rhs = Vec::with_capacity(ip.links().len());
     let mut costlb_rhs = Vec::with_capacity(ip.links().len());
     for (li, link) in ip.links().iter().enumerate() {
         let mut union: Vec<TransponderFormat> = Vec::new();
-        for path_menu in &menus[li] {
-            for f in path_menu {
+        for ki in 0..lazy.space().paths(li).len() {
+            for f in lazy.menu(li, ki) {
                 if !union.contains(f) {
                     union.push(*f);
                 }
@@ -413,48 +246,26 @@ pub fn solve_exact_colgen(
             costlb_rhs.push(0.0);
             continue;
         }
-        if union.is_empty() {
-            // Demand with no reachable format on any candidate path: the
-            // enumerated model is just as infeasible.
-            return None;
-        }
+        // Demand with no reachable format on any candidate path (an
+        // empty union): the enumerated model is just as infeasible.
         let d_max = union.iter().map(|f| u64::from(f.data_rate_gbps)).max()?;
         count_rhs.push(link.demand_gbps.div_ceil(d_max) as f64);
         costlb_rhs.push(cover_lower_bound(&union, link.demand_gbps, cfg.epsilon));
     }
-    let count_gid = m.group("count_lb");
-    let count_rows: Vec<RowId> = count_rhs
-        .iter()
-        .map(|&rhs| m.ge(LinExpr::zero(), rhs))
-        .collect();
-    let costlb_gid = m.group("cost_lb");
-    let costlb_rows: Vec<RowId> = costlb_rhs
-        .iter()
-        .map(|&rhs| m.ge(LinExpr::zero(), rhs))
-        .collect();
-    let conflict_gid = m.group("conflict");
+    let count_lb = m.group("count_lb");
+    for &rhs in &count_rhs {
+        m.ge(LinExpr::zero(), rhs);
+    }
+    let cost_lb = m.group("cost_lb");
+    for &rhs in &costlb_rhs {
+        m.ge(LinExpr::zero(), rhs);
+    }
     m.end_group();
-    m.set_objective(Sense::Minimize, LinExpr::zero());
-
-    let mut master = Master {
-        inc: IncrementalSolver::new(m),
-        lazy: LazyWavelengthVarSpace::new(scheme, pixels, optical.num_edges(), paths_per_link),
+    let problem = Planning {
         epsilon: cfg.epsilon,
-        pixels,
-        num_fibers: optical.num_edges(),
-        capacity_rows,
-        count_rows,
-        costlb_rows,
-        capacity_gid,
-        count_gid,
-        costlb_gid,
-        conflict_gid,
-        cell_row: HashMap::new(),
-        cell_cover: BTreeMap::new(),
-        obj_terms: Vec::new(),
+        gap_break: (objective_quantum(cfg.epsilon) * 0.4).max(1e-6),
     };
-    let universe_size = master.lazy.universe_size();
-    ck!("cg: master built, universe {universe_size}");
+    let mut master = RestrictedMaster::new(problem, m, lazy, vec![capacity, count_lb, cost_lb]);
 
     // Seed phase. Three passes build an integer-feasible restricted
     // master so the very first RMP LP is feasible:
@@ -496,63 +307,38 @@ pub fn solve_exact_colgen(
             }
         }
     };
-    let member = |master: &Master, w: &Wavelength, slot: usize| -> Option<usize> {
-        let ki = master
-            .lazy
-            .space()
-            .paths(slot)
-            .iter()
-            .position(|p| p.edges == w.path.edges)?;
-        let start = w.channel.start;
-        let width = u32::from(w.format.spacing.pixels());
-        (start.is_multiple_of(align)
-            && start + width <= pixels
-            && menus[slot][ki].contains(&w.format))
-        .then_some(ki)
+    // Slot, candidate path and fibers of a wavelength that is a
+    // not-yet-admitted column of the master's universe.
+    let member = |lazy: &LazyWavelengthVarSpace, w: &Wavelength| {
+        let slot = *slot_of.get(&w.link)?;
+        let ki = lazy.unadmitted_column(slot, w)?;
+        Some((slot, ki, lazy.space().paths(slot)[ki].edges.clone()))
     };
-    let mut seen: HashSet<(usize, usize, u32, u16, u32)> = HashSet::new();
     let mut covered = vec![0u64; ip.links().len()];
-    let mut columns_seeded = 0usize;
 
     // Pass 1: matched heuristic wavelengths.
     for w in &heuristic.wavelengths {
-        let Some(&slot) = slot_of.get(&w.link) else {
+        let Some((slot, ki, edges)) = member(master.lazy(), w) else {
             continue;
         };
-        let Some(ki) = member(&master, w, slot) else {
-            continue;
-        };
-        let key = (
-            slot,
-            ki,
-            w.format.data_rate_gbps,
-            w.format.spacing.pixels(),
-            w.channel.start,
-        );
-        if !seen.insert(key) {
-            continue;
-        }
         let width = u32::from(w.format.spacing.pixels());
-        let edges = master.lazy.space().paths(slot)[ki].edges.clone();
-        master.admit(slot, ki, w.format, w.channel.start);
+        master.seed(slot, ki, w.format, w.channel.start);
         mark(&mut occ, &edges, w.channel.start, width);
         covered[slot] += u64::from(w.format.data_rate_gbps);
-        columns_seeded += 1;
     }
-    ck!("cg: pass 1 matched {columns_seeded} heuristic columns");
 
     // Pass 2: greedy first-fit repair of under-covered links.
     let mut seed_feasible = true;
     // `covered[slot]` is mutated mid-iteration — an enumerate() borrow
-    // would fight the admit/mark updates below.
+    // would fight the seed/mark updates below.
     #[allow(clippy::needless_range_loop)]
     'slots: for slot in 0..ip.links().len() {
         let demand = ip.links()[slot].demand_gbps;
         'cover: while covered[slot] < demand {
             let need = (demand - covered[slot]).div_ceil(100) * 100;
-            let num_paths = master.lazy.space().paths(slot).len();
+            let num_paths = master.lazy().space().paths(slot).len();
             for ki in 0..num_paths {
-                let path = &master.lazy.space().paths(slot)[ki];
+                let path = &master.lazy().space().paths(slot)[ki];
                 let Some(formats) = select_formats(model_t, need, path.length_km, cfg.epsilon)
                 else {
                     continue;
@@ -565,13 +351,10 @@ pub fn solve_exact_colgen(
                     }
                     let mut q = 0u32;
                     while q + w <= pixels {
-                        let key = (slot, ki, f.data_rate_gbps, f.spacing.pixels(), q);
-                        if free(&occ, &edges, q, w) && !seen.contains(&key) {
-                            seen.insert(key);
-                            master.admit(slot, ki, *f, q);
+                        if free(&occ, &edges, q, w) && !master.lazy().is_admitted(slot, ki, *f, q) {
+                            master.seed(slot, ki, *f, q);
                             mark(&mut occ, &edges, q, w);
                             covered[slot] += u64::from(f.data_rate_gbps);
-                            columns_seeded += 1;
                             continue 'cover;
                         }
                         q += align;
@@ -584,7 +367,6 @@ pub fn solve_exact_colgen(
             break 'slots;
         }
     }
-    ck!("cg: pass 2 done, {columns_seeded} columns, feasible {seed_feasible}");
 
     // Pass 3: matched protection wavelengths (optional extras). Only
     // those conflict-free against every column already admitted enter —
@@ -593,225 +375,63 @@ pub fn solve_exact_colgen(
     // instances, materializing thousands of conflict rows that bloat the
     // very first RMP LP for columns the LP would zero anyway.
     for w in &protected.protection {
-        let Some(&slot) = slot_of.get(&w.link) else {
+        let Some((slot, ki, edges)) = member(master.lazy(), w) else {
             continue;
         };
-        let Some(ki) = member(&master, w, slot) else {
-            continue;
-        };
-        let key = (
-            slot,
-            ki,
-            w.format.data_rate_gbps,
-            w.format.spacing.pixels(),
-            w.channel.start,
-        );
         let width = u32::from(w.format.spacing.pixels());
-        let edges = master.lazy.space().paths(slot)[ki].edges.clone();
-        if !free(&occ, &edges, w.channel.start, width) || !seen.insert(key) {
+        if !free(&occ, &edges, w.channel.start, width) {
             continue;
         }
-        master.admit(slot, ki, w.format, w.channel.start);
+        master.seed(slot, ki, w.format, w.channel.start);
         mark(&mut occ, &edges, w.channel.start, width);
-        columns_seeded += 1;
     }
-    master.set_objective();
-    ck!(
-        "cg: seeded {columns_seeded} columns, {} conflict rows",
-        master.cell_row.len()
-    );
 
-    let fallback = |stats_base: ColGenStats| -> Option<ColGenPlan> {
+    // A seed that could not certify coverage, or a solve that died on
+    // the restricted master, hands the instance to the enumerated
+    // reference (small instances only; full-topology heuristics always
+    // seed).
+    let run = if seed_feasible {
+        master.run(opts, StopAt::IntegerOptimum)
+    } else {
+        None
+    };
+    let Some(Outcome {
+        incumbent: Some(ip_sol),
+        solver,
+        colgen,
+        ..
+    }) = run
+    else {
         let plan = solve_exact(scheme, optical, ip, cfg, opts)?;
         let objective = canonical_objective(&plan.wavelengths, cfg.epsilon);
-        Some(ColGenPlan {
+        return Some(ColGenPlan {
             plan: ExactPlan { objective, ..plan },
             colgen: ColGenStats {
                 fell_back: true,
-                ..stats_base
+                ..master.unpriced_stats()
             },
-        })
-    };
-    let base_stats = |master: &Master| ColGenStats {
-        columns_seeded,
-        columns_priced_in: 0,
-        pricing_rounds: 0,
-        gap_rounds: 0,
-        reduced_cost_min: f64::INFINITY,
-        lp_objective: f64::NAN,
-        universe_size,
-        columns_in_master: master.lazy.num_admitted(),
-        conflict_rows: master.cell_row.len(),
-        rounds: Vec::new(),
-        fell_back: false,
-    };
-    if !seed_feasible {
-        // The repair could not certify coverage — hand the instance to
-        // the enumerated reference (small instances only; full-topology
-        // heuristics always seed).
-        return fallback(base_stats(&master));
-    }
-
-    let mut agg = SolverStats::default();
-    let mut pricing_rounds = 0u64;
-    let mut gap_rounds = 0u64;
-    let mut columns_priced_in = 0usize;
-    let mut reduced_cost_min = f64::INFINITY;
-    let mut rounds: Vec<PricingRound> = Vec::new();
-    let gap_break = (objective_quantum(cfg.epsilon) * 0.4).max(1e-6);
-    let mut best_lp = f64::INFINITY;
-    let mut stalled = 0u64;
-    let mut proved_optimal = true;
-
-    let (ip_sol, z_lp) = 'outer: loop {
-        // Price to LP optimality.
-        let (z_lp, lp_duals) = loop {
-            ck!("cg: lp solve over {} cols...", master.lazy.num_admitted());
-            let t_lp = std::time::Instant::now();
-            let (sol, duals, st) = master.inc.solve_relaxation_with_duals();
-            ck!(
-                "cg: lp took {:?} (cold {} warm {})",
-                t_lp.elapsed(),
-                st.cold_solves,
-                st.warm_solves
-            );
-            agg.merge(&st);
-            if sol.status != Status::Optimal {
-                // Seed left the restricted master infeasible.
-                return fallback(base_stats(&master));
-            }
-            // Materialize any conflict row this LP point violates and
-            // re-solve: pricing duals must reflect the rows that bind.
-            let cuts = master.separate(&sol, 1e-9);
-            if cuts > 0 {
-                ck!("cg: lp separation cut {cuts} conflict rows");
-                continue;
-            }
-            let duals = duals.expect("optimal relaxation yields duals");
-            pricing_rounds += 1;
-            let t_scan = std::time::Instant::now();
-            let mut scan = master.price_round(&duals, -TOL, PRICE_CAP);
-            truncate_global(&mut scan.candidates, GLOBAL_CAP);
-            ck!("cg: scan took {:?}", t_scan.elapsed());
-            if trace {
-                eprintln!(
-                    "cg round {pricing_rounds}: lp {:.4}, {} candidates (min red {:.4}), {} cols",
-                    sol.objective,
-                    scan.candidates.len(),
-                    scan.reduced_min,
-                    master.lazy.num_admitted(),
-                );
-            }
-            reduced_cost_min = reduced_cost_min.min(scan.reduced_min);
-            rounds.push(PricingRound {
-                lp_objective: sol.objective,
-                admitted: scan.candidates.len(),
-                reduced_min: scan.reduced_min,
-            });
-            if scan.candidates.is_empty() {
-                break (sol.objective, duals);
-            }
-            if sol.objective < best_lp - 1e-7 {
-                best_lp = sol.objective;
-                stalled = 0;
-            } else {
-                stalled += 1;
-                if stalled >= STALL_CAP {
-                    proved_optimal = false;
-                    break (sol.objective, duals);
-                }
-            }
-            for c in &scan.candidates {
-                master.admit(c.slot, c.path_index, c.format, c.start);
-            }
-            columns_priced_in += scan.candidates.len();
-            master.set_objective();
-        };
-
-        // Integer solve of the restricted master, warm off the converged
-        // LP basis. An integer point may still double-book cells whose
-        // rows stayed latent — separate and re-solve until clean, so the
-        // incumbent is a genuine wavelength assignment.
-        let sol = loop {
-            ck!("cg: mip solve over {} cols...", master.lazy.num_admitted());
-            let (sol, st) = master.inc.solve(opts);
-            agg.merge(&st);
-            match sol.status {
-                Status::Optimal => {}
-                Status::NodeLimit if !sol.objective.is_nan() => {}
-                _ => return fallback(base_stats(&master)),
-            }
-            let cuts = master.separate(&sol, 0.5);
-            if cuts == 0 {
-                break sol;
-            }
-            ck!("cg: mip separation cut {cuts} conflict rows");
-        };
-
-        // A stalled LP never certified `z_lp` as the full-model bound —
-        // return the restricted optimum as a flagged upper bound.
-        if !proved_optimal {
-            break 'outer (sol, z_lp);
-        }
-
-        // Exactness: any integer solution using an excluded column costs
-        // at least `Z_LP + reduced`, so only columns with reduced cost
-        // within the integrality gap can improve on the incumbent. Admit
-        // them all (capped per round — the loop re-prices) and repeat;
-        // when none remain, the RMP optimum is the full-model optimum.
-        // Gaps below one objective quantum cannot hide a better integer
-        // point at all.
-        let gap = sol.objective - z_lp;
-        if gap <= gap_break {
-            break 'outer (sol, z_lp);
-        }
-        // Rows separated during the integer phase postdate `lp_duals`;
-        // padding with zeros is exactly the `ν = 0` dual extension the
-        // bound argument already relies on.
-        let mut lp_duals = lp_duals;
-        lp_duals.resize(master.inc.model().num_constraints(), 0.0);
-        let mut scan = master.price_round(&lp_duals, gap + TOL, GAP_CAP);
-        truncate_global(&mut scan.candidates, GAP_GLOBAL_CAP);
-        if scan.candidates.is_empty() {
-            break 'outer (sol, z_lp);
-        }
-        for c in &scan.candidates {
-            master.admit(c.slot, c.path_index, c.format, c.start);
-        }
-        columns_priced_in += scan.candidates.len();
-        gap_rounds += 1;
-        master.set_objective();
+        });
     };
 
-    let link_ids: Vec<_> = ip.links().iter().map(|l| l.id).collect();
-    let wavelengths = master.lazy.space().extract(&ip_sol, |slot| link_ids[slot]);
+    let wavelengths = master
+        .lazy()
+        .space()
+        .extract(&ip_sol, |slot| ip.links()[slot].id);
     let objective = canonical_objective(&wavelengths, cfg.epsilon);
-    agg.pricing_rounds = pricing_rounds + gap_rounds;
     Some(ColGenPlan {
         plan: ExactPlan {
             objective,
             wavelengths,
-            stats: agg,
+            stats: solver,
         },
-        colgen: ColGenStats {
-            columns_seeded,
-            columns_priced_in,
-            pricing_rounds,
-            gap_rounds,
-            reduced_cost_min,
-            lp_objective: z_lp,
-            universe_size,
-            columns_in_master: master.lazy.num_admitted(),
-            conflict_rows: master.cell_row.len(),
-            rounds,
-            fell_back: !proved_optimal,
-        },
+        colgen,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planning::format_dp::reachable_formats;
     use flexwan_optical::spectrum::SpectrumGrid;
 
     fn cfg(pixels: u32) -> PlannerConfig {

@@ -10,19 +10,19 @@
 //! restorer on small instances; the *mutation* route to the same optimum
 //! lives on [`crate::planning::PlanModel`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use flexwan_solver::{
-    Cmp, GroupId, IncrementalSolver, LinExpr, Model, RowId, Sense, Solution, SolveOptions,
-    SolverStats, Status, Var, VarKind,
-};
-use flexwan_topo::graph::{EdgeId, Graph};
+use flexwan_optical::format::TransponderFormat;
+use flexwan_optical::spectrum::PixelRange;
+use flexwan_solver::{LinExpr, Model, Sense, SolveOptions, SolverStats, Status};
+use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::IpTopology;
 use flexwan_topo::ksp::k_shortest_paths;
 use flexwan_topo::path::Path;
 
+use crate::master::{Problem, RestrictedMaster, StopAt};
 use crate::opt::{LazyWavelengthVarSpace, WavelengthVarSpace};
-use crate::planning::colgen::{ColGenStats, PricingRound};
+use crate::planning::colgen::ColGenStats;
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::planning::spectrum::SpectrumState;
 use crate::restore::heuristic::restore;
@@ -208,168 +208,52 @@ pub struct RestorationColGen {
     pub count_duals: Vec<(usize, f64)>,
 }
 
-/// Columns admitted per slot per pricing round (see planning's colgen).
-const PRICE_CAP: usize = 8;
-/// Global per-round admission cap across slots.
-const GLOBAL_CAP: usize = 96;
-/// Per-slot / global caps for gap-closing rounds.
-const GAP_CAP: usize = 64;
-const GAP_GLOBAL_CAP: usize = 256;
-/// Reduced-cost admission slack.
-const TOL: f64 = 1e-9;
-/// Pricing rounds without LP improvement before declaring a stall.
-const STALL_CAP: u64 = 48;
-const LP_ONLY_ROUND_CAP: u64 = 3;
 /// Restored capacity moves in whole transponder rates — every format is
 /// a multiple of 100 Gbps — so an LP/IP gap under 100 certifies the
 /// incumbent (with margin for LP roundoff).
 const RATE_QUANTUM: f64 = 100.0;
 
-/// The restricted restoration master: maximize restored rate over
-/// admitted γ' columns under `restore_rate` (≤ c'_e), `restore_count`
-/// (≤ N_e) and separated spectrum-conflict rows. The residual spectrum
-/// stays an *admission filter* exactly as in the enumerated reference —
-/// the pricing oracle never proposes a start overlapping surviving
-/// wavelengths, so conflicts can only arise between restored columns.
-struct RestoreMaster {
-    inc: IncrementalSolver,
-    lazy: LazyWavelengthVarSpace,
-    pixels: u32,
-    num_fibers: usize,
-    rate_rows: Vec<RowId>,
-    count_rows: Vec<RowId>,
-    rate_gid: GroupId,
-    count_gid: GroupId,
-    conflict_gid: GroupId,
-    cell_row: HashMap<(EdgeId, u32), RowId>,
-    cell_cover: BTreeMap<(EdgeId, u32), Vec<Var>>,
-    obj_terms: Vec<(Var, f64)>,
+/// The §8 MIP as the shared driver sees it: maximize restored rate over
+/// `restore_rate` (rate, `≤ c'_e`) and `restore_count` (1, `≤ N_e`) rows.
+/// The residual spectrum stays an *admission filter* exactly as in the
+/// enumerated reference — the pricing oracle never proposes a start
+/// overlapping surviving wavelengths, so conflicts can only arise
+/// between restored columns.
+struct Restoring {
+    spectrum: SpectrumState,
 }
 
-impl RestoreMaster {
-    fn admit(
-        &mut self,
-        slot: usize,
-        ki: usize,
-        format: flexwan_optical::format::TransponderFormat,
-        start: u32,
-    ) -> Var {
-        let rate = f64::from(format.data_rate_gbps);
-        let w = u32::from(format.spacing.pixels());
-        let edges = self.lazy.space().paths(slot)[ki].edges.clone();
-        let mut entries = vec![(self.rate_rows[slot], rate), (self.count_rows[slot], 1.0)];
-        for &e in &edges {
-            for px in start..start + w {
-                if let Some(&row) = self.cell_row.get(&(e, px)) {
-                    entries.push((row, 1.0));
-                }
-            }
-        }
-        let name = format!(
-            "rcg_e{slot}_k{ki}_d{}_y{}_q{start}",
-            format.data_rate_gbps,
-            format.spacing.pixels()
-        );
-        let var = self
-            .inc
-            .add_column(name, VarKind::Binary, 0.0, 1.0, &entries);
-        self.lazy.admit(slot, ki, format, start, var);
-        for &e in &edges {
-            for px in start..start + w {
-                self.cell_cover.entry((e, px)).or_default().push(var);
-            }
-        }
-        self.obj_terms.push((var, rate));
-        var
+impl Problem for Restoring {
+    const SENSE: Sense = Sense::Maximize;
+    const PREFIX: &'static str = "rcg_e";
+
+    fn objective(&self, f: &TransponderFormat) -> f64 {
+        f64::from(f.data_rate_gbps)
     }
 
-    fn set_objective(&mut self) {
-        let expr = LinExpr::sum(self.obj_terms.iter().map(|&(v, c)| c * v));
-        self.inc.set_objective(Sense::Maximize, expr);
+    fn row_coefficients(&self, f: &TransponderFormat) -> Vec<f64> {
+        vec![f64::from(f.data_rate_gbps), 1.0]
     }
 
-    /// Separation oracle, identical in shape to planning's: materialize
-    /// `Σ γ' ≤ 1` for every cell booked beyond `1 + tol`.
-    fn separate(&mut self, sol: &Solution, tol: f64) -> usize {
-        let mut cuts: Vec<((EdgeId, u32), LinExpr)> = Vec::new();
-        for (&cell, vars) in &self.cell_cover {
-            if vars.len() < 2 || self.cell_row.contains_key(&cell) {
-                continue;
-            }
-            let booked: f64 = vars.iter().map(|&v| sol.value(v)).sum();
-            if booked > 1.0 + tol {
-                cuts.push((cell, LinExpr::sum(vars.iter().map(|&v| 1.0 * v))));
-            }
-        }
-        let n = cuts.len();
-        if n > 0 {
-            self.inc.model_mut().group("conflict");
-            for (cell, expr) in cuts {
-                let row = self.inc.add_constraint(expr, Cmp::Le, 1.0);
-                self.cell_row.insert(cell, row);
-            }
-            self.inc.model_mut().end_group();
-        }
-        n
+    /// Maximization orientation: the `≤` rows carry duals `μ, κ, ν ≥ 0`
+    /// and a column improves when its profit `rate·(1−μ) − κ − Σν` is
+    /// positive, so the min-oriented oracle prices its negation.
+    fn reduced_base(&self, f: &TransponderFormat, duals: &[f64]) -> f64 {
+        let (mu, kappa) = (duals[0], duals[1]);
+        let rate = f64::from(f.data_rate_gbps);
+        -(rate * (1.0 - mu)) + kappa
     }
 
-    /// The `restore_count` duals per slot under a full dual vector.
-    fn count_duals(&self, duals: &[f64]) -> Vec<f64> {
-        let by_row: HashMap<RowId, f64> = self
-            .inc
-            .model()
-            .group_duals(self.count_gid, duals)
-            .into_iter()
-            .collect();
-        self.count_rows.iter().map(|r| by_row[r]).collect()
+    fn admits(&self, path: &Path, range: &PixelRange) -> bool {
+        path.edges
+            .iter()
+            .all(|e| self.spectrum.mask(*e).is_free(range))
     }
 
-    /// One pricing scan. Maximization orientation: `≤` rows carry duals
-    /// `μ, κ, ν ≥ 0`; a column improves when its profit-reduced cost
-    /// `rate·(1−μ) − κ − Σν` is positive, so the oracle prices its
-    /// negation through the min-oriented [`LazyWavelengthVarSpace::price`].
-    fn price_round(
-        &self,
-        duals: &[f64],
-        spectrum: &SpectrumState,
-        threshold: f64,
-        per_slot_cap: usize,
-    ) -> crate::opt::PricingScan {
-        let model = self.inc.model();
-        let slot_duals = |gid: GroupId, rows: &[RowId]| -> Vec<f64> {
-            let by_row: HashMap<RowId, f64> = model.group_duals(gid, duals).into_iter().collect();
-            rows.iter().map(|r| by_row[r]).collect()
-        };
-        let mu = slot_duals(self.rate_gid, &self.rate_rows);
-        let kappa = slot_duals(self.count_gid, &self.count_rows);
-        let pixels = self.pixels as usize;
-        let mut cell_duals = vec![0.0f64; self.num_fibers * pixels];
-        let nu: HashMap<RowId, f64> = model
-            .group_duals(self.conflict_gid, duals)
-            .into_iter()
-            .collect();
-        for (&(e, px), row) in &self.cell_row {
-            cell_duals[e.0 as usize * pixels + px as usize] = nu[row];
-        }
-        self.lazy.price(
-            |slot, _ki, f| {
-                let rate = f64::from(f.data_rate_gbps);
-                -(rate * (1.0 - mu[slot])) + kappa[slot]
-            },
-            &cell_duals,
-            |path, range| path.edges.iter().all(|e| spectrum.mask(*e).is_free(range)),
-            threshold,
-            per_slot_cap,
-        )
-    }
-}
-
-/// Keeps the `cap` most improving candidates across all slots (stable on
-/// the min-oriented reduced cost — ties stay in universe order).
-fn truncate_global(candidates: &mut Vec<crate::opt::PricedColumn>, cap: usize) {
-    if candidates.len() > cap {
-        candidates.sort_by(|a, b| a.reduced.partial_cmp(&b.reduced).unwrap());
-        candidates.truncate(cap);
+    /// Restored rates move in whole format quanta, so a gap under one
+    /// quantum pins the optimum.
+    fn certifies(&self, gap: f64) -> bool {
+        gap < RATE_QUANTUM - 1e-3
     }
 }
 
@@ -391,7 +275,16 @@ pub fn solve_exact_colgen(
     cfg: &PlannerConfig,
     opts: &SolveOptions,
 ) -> Option<RestorationColGen> {
-    solve_impl(plan, optical, ip, scenario, extra_spares, cfg, opts, false)
+    solve_impl(
+        plan,
+        optical,
+        ip,
+        scenario,
+        extra_spares,
+        cfg,
+        opts,
+        StopAt::IntegerOptimum,
+    )
 }
 
 /// The converged restricted-master **LP** duals of the `restore_count`
@@ -407,7 +300,7 @@ pub fn restoration_count_duals(
     cfg: &PlannerConfig,
     opts: &SolveOptions,
 ) -> Vec<(usize, f64)> {
-    solve_impl(plan, optical, ip, scenario, &[], cfg, opts, true)
+    solve_impl(plan, optical, ip, scenario, &[], cfg, opts, StopAt::LpDuals)
         .map(|cg| cg.count_duals)
         .unwrap_or_default()
 }
@@ -421,255 +314,74 @@ fn solve_impl(
     extra_spares: &[u32],
     cfg: &PlannerConfig,
     opts: &SolveOptions,
-    lp_only: bool,
+    stop: StopAt,
 ) -> Option<RestorationColGen> {
     let pixels = cfg.grid.pixels();
-    let inst = build_instance(plan, optical, ip, scenario, extra_spares, cfg);
-    let zero_stats = |universe: usize| ColGenStats {
-        columns_seeded: 0,
-        columns_priced_in: 0,
-        pricing_rounds: 0,
-        gap_rounds: 0,
-        reduced_cost_min: f64::INFINITY,
-        lp_objective: 0.0,
-        universe_size: universe,
-        columns_in_master: 0,
-        conflict_rows: 0,
-        rounds: Vec::new(),
-        fell_back: false,
-    };
-    if inst.affected_gbps == 0 {
+    let RestorationInstance {
+        spectrum,
+        per_link,
+        affected_gbps,
+        paths_per_slot,
+    } = build_instance(plan, optical, ip, scenario, extra_spares, cfg);
+    // Master skeleton: (7) restored ≤ c'_e and (8) transponders ≤ N_e,
+    // interleaved per affected link.
+    let mut m = Model::new();
+    let (rate, count) = (m.group("restore_rate"), m.group("restore_count"));
+    for &(_, c, n) in &per_link {
+        m.group("restore_rate");
+        m.le(LinExpr::zero(), c as f64);
+        m.group("restore_count");
+        m.le(LinExpr::zero(), f64::from(n));
+    }
+    m.end_group();
+    let lazy =
+        LazyWavelengthVarSpace::new(plan.scheme, pixels, optical.num_edges(), paths_per_slot);
+    let mut master = RestrictedMaster::new(Restoring { spectrum }, m, lazy, vec![rate, count]);
+    if affected_gbps == 0 {
+        // Nothing lost: an empty universe, no solve.
         return Some(RestorationColGen {
             restoration: ExactRestoration {
                 restored_gbps: 0,
                 affected_gbps: 0,
                 stats: SolverStats::default(),
             },
-            colgen: zero_stats(0),
+            colgen: ColGenStats {
+                lp_objective: 0.0,
+                ..master.unpriced_stats()
+            },
             count_duals: Vec::new(),
         });
     }
-
-    let mut master = RestoreMaster {
-        inc: IncrementalSolver::new(Model::new()),
-        lazy: LazyWavelengthVarSpace::new(
-            plan.scheme,
-            pixels,
-            optical.num_edges(),
-            inst.paths_per_slot.clone(),
-        ),
-        pixels,
-        num_fibers: optical.num_edges(),
-        rate_rows: Vec::new(),
-        count_rows: Vec::new(),
-        rate_gid: GroupId(0),
-        count_gid: GroupId(0),
-        conflict_gid: GroupId(0),
-        cell_row: HashMap::new(),
-        cell_cover: BTreeMap::new(),
-        obj_terms: Vec::new(),
-    };
-    for &(_, c, n) in &inst.per_link {
-        master.inc.model_mut().group("restore_rate");
-        let r = master
-            .inc
-            .add_constraint(LinExpr::zero(), Cmp::Le, c as f64);
-        master.rate_rows.push(r);
-        master.inc.model_mut().group("restore_count");
-        let r = master
-            .inc
-            .add_constraint(LinExpr::zero(), Cmp::Le, f64::from(n));
-        master.count_rows.push(r);
-        master.inc.model_mut().end_group();
-    }
-    master.rate_gid = master.inc.model_mut().group("restore_rate");
-    master.count_gid = master.inc.model_mut().group("restore_count");
-    master.conflict_gid = master.inc.model_mut().group("conflict");
-    master.inc.model_mut().end_group();
-    let universe_size = master.lazy.universe_size();
 
     // Seed: the greedy restorer's wavelengths that live on candidate
     // paths with on-menu formats. The all-zero point is feasible (every
     // row is `≤`), so unmatched wavelengths cost pricing rounds, never
     // correctness.
-    let slot_of: HashMap<usize, usize> = inst
-        .per_link
-        .iter()
-        .enumerate()
-        .map(|(slot, &(li, _, _))| (li, slot))
-        .collect();
     let greedy = restore(plan, optical, ip, scenario, extra_spares, cfg);
-    let align = plan.scheme.alignment_pixels();
-    let mut columns_seeded = 0usize;
     for r in &greedy.restored {
         let w = &r.wavelength;
-        let Some(&slot) = slot_of.get(&(w.link.0 as usize)) else {
+        let li = w.link.0 as usize;
+        let Some(slot) = per_link.iter().position(|&(l, _, _)| l == li) else {
             continue;
         };
-        let ki = master
-            .lazy
-            .space()
-            .paths(slot)
-            .iter()
-            .position(|p| p.edges == w.path.edges);
-        let Some(ki) = ki else { continue };
-        let width = u32::from(w.format.spacing.pixels());
-        let on_menu = crate::planning::format_dp::reachable_formats(
-            plan.scheme.transponder(),
-            master.lazy.space().paths(slot)[ki].length_km,
-        )
-        .contains(&w.format);
-        if !on_menu
-            || w.channel.start % align != 0
-            || w.channel.start + width > pixels
-            || master.lazy.space().gammas().iter().any(|g| {
-                g.slot == slot
-                    && g.path_index == ki
-                    && g.format == w.format
-                    && g.start == w.channel.start
-            })
-        {
-            continue;
+        if let Some(ki) = master.lazy().unadmitted_column(slot, w) {
+            master.seed(slot, ki, w.format, w.channel.start);
         }
-        master.admit(slot, ki, w.format, w.channel.start);
-        columns_seeded += 1;
     }
-    master.set_objective();
 
-    let mut agg = SolverStats::default();
-    let mut pricing_rounds = 0u64;
-    let mut gap_rounds = 0u64;
-    let mut columns_priced_in = 0usize;
-    let mut reduced_cost_min = f64::INFINITY;
-    let mut rounds: Vec<PricingRound> = Vec::new();
-    let mut best_lp = f64::NEG_INFINITY;
-    let mut stalled = 0u64;
-    let mut proved_optimal = true;
-    let mut last_count_duals = vec![0.0f64; inst.per_link.len()];
-
-    let (ip_sol, z_lp) = 'outer: loop {
-        let (z_lp, lp_duals) = loop {
-            let (sol, duals, st) = master.inc.solve_relaxation_with_duals();
-            agg.merge(&st);
-            if sol.status != Status::Optimal {
-                return None;
-            }
-            let cuts = master.separate(&sol, 1e-9);
-            if cuts > 0 {
-                continue;
-            }
-            let duals = duals.expect("optimal relaxation yields duals");
-            last_count_duals = master.count_duals(&duals);
-            pricing_rounds += 1;
-            let mut scan = master.price_round(&duals, &inst.spectrum, -TOL, PRICE_CAP);
-            truncate_global(&mut scan.candidates, GLOBAL_CAP);
-            reduced_cost_min = reduced_cost_min.min(scan.reduced_min);
-            rounds.push(PricingRound {
-                lp_objective: sol.objective,
-                admitted: scan.candidates.len(),
-                reduced_min: scan.reduced_min,
-            });
-            if scan.candidates.is_empty() {
-                break (sol.objective, duals);
-            }
-            // Duals-only callers want a price signal, not a certificate:
-            // a few pricing rounds sharpen the seed duals enough, and
-            // grinding a saturated master to convergence (the stall cap)
-            // costs minutes per scenario across a whole cut suite.
-            if lp_only && pricing_rounds >= LP_ONLY_ROUND_CAP {
-                break (sol.objective, duals);
-            }
-            if sol.objective > best_lp + 1e-7 {
-                best_lp = sol.objective;
-                stalled = 0;
-            } else {
-                stalled += 1;
-                if stalled >= STALL_CAP {
-                    proved_optimal = false;
-                    break (sol.objective, duals);
-                }
-            }
-            for c in &scan.candidates {
-                master.admit(c.slot, c.path_index, c.format, c.start);
-            }
-            columns_priced_in += scan.candidates.len();
-            master.set_objective();
-        };
-
-        // Duals-only callers stop at LP convergence: the count duals are
-        // already captured and branch-and-bound would only cost time.
-        if lp_only {
-            break 'outer (None, z_lp);
-        }
-
-        // Integer solve; separate latent conflicts until the incumbent is
-        // a genuine spectrum assignment.
-        let sol = loop {
-            let (sol, st) = master.inc.solve(opts);
-            agg.merge(&st);
-            match sol.status {
-                Status::Optimal => {}
-                Status::NodeLimit if !sol.objective.is_nan() => {}
-                _ => return None,
-            }
-            let cuts = master.separate(&sol, 0.5);
-            if cuts == 0 {
-                break sol;
-            }
-        };
-
-        if !proved_optimal {
-            break 'outer (Some(sol), z_lp);
-        }
-
-        // Certify or close the gap: restored rates move in whole format
-        // quanta, so a gap under one quantum pins the optimum; otherwise
-        // every column within the gap (min-oriented reduced cost below
-        // `gap + TOL`) gets its chance.
-        let gap = z_lp - sol.objective;
-        if gap < RATE_QUANTUM - 1e-3 {
-            break 'outer (Some(sol), z_lp);
-        }
-        let mut lp_duals = lp_duals;
-        lp_duals.resize(master.inc.model().num_constraints(), 0.0);
-        let mut scan = master.price_round(&lp_duals, &inst.spectrum, gap + TOL, GAP_CAP);
-        truncate_global(&mut scan.candidates, GAP_GLOBAL_CAP);
-        if scan.candidates.is_empty() {
-            break 'outer (Some(sol), z_lp);
-        }
-        for c in &scan.candidates {
-            master.admit(c.slot, c.path_index, c.format, c.start);
-        }
-        columns_priced_in += scan.candidates.len();
-        gap_rounds += 1;
-        master.set_objective();
-    };
-
-    agg.pricing_rounds = pricing_rounds + gap_rounds;
+    let out = master.run(opts, stop)?;
+    let count_duals = master.model().group_duals(count, &out.lp_duals);
     Some(RestorationColGen {
         restoration: ExactRestoration {
-            restored_gbps: ip_sol.map_or(0, |s| s.objective.round() as u64),
-            affected_gbps: inst.affected_gbps,
-            stats: agg,
+            restored_gbps: out.incumbent.map_or(0, |s| s.objective.round() as u64),
+            affected_gbps,
+            stats: out.solver,
         },
-        colgen: ColGenStats {
-            columns_seeded,
-            columns_priced_in,
-            pricing_rounds,
-            gap_rounds,
-            reduced_cost_min,
-            lp_objective: z_lp,
-            universe_size,
-            columns_in_master: master.lazy.num_admitted(),
-            conflict_rows: master.cell_row.len(),
-            rounds,
-            fell_back: !proved_optimal,
-        },
-        count_duals: inst
-            .per_link
+        colgen: out.colgen,
+        count_duals: per_link
             .iter()
-            .enumerate()
-            .map(|(slot, &(li, _, _))| (li, last_count_duals[slot]))
+            .zip(count_duals)
+            .map(|(&(li, _, _), (_, kappa))| (li, kappa))
             .collect(),
     })
 }

@@ -97,9 +97,7 @@ pub fn dual_priced_extra_spares(
 /// The production FlexWAN+ spare pool: the A/B winner from
 /// [`choose_spare_pool`] — dual-priced when it restores strictly more on
 /// the conduit-cut suite, the paper's uniform ⌈saved/2⌉ rule otherwise,
-/// so the result is never worse than uniform. Setting
-/// `FLEXWAN_SPARES_UNIFORM=1` forces the uniform rule unconditionally
-/// (the old behavior), kept for ablation A/Bs.
+/// so the result is never worse than uniform.
 pub fn extra_spares(
     plan: &Plan,
     optical: &Graph,
@@ -107,9 +105,6 @@ pub fn extra_spares(
     cfg: &PlannerConfig,
     opts: &SolveOptions,
 ) -> Vec<u32> {
-    if std::env::var_os("FLEXWAN_SPARES_UNIFORM").is_some() {
-        return flexwan_plus_extra_spares(optical, ip, cfg);
-    }
     choose_spare_pool(plan, optical, ip, cfg, opts)
         .chosen()
         .to_vec()

@@ -182,3 +182,56 @@ fn restoration_invariants_hold() {
         }
     }
 }
+
+/// Drives the column-generation loop into its stall rung. One IP link
+/// rides a short two-hop route; cutting it leaves a single 4000 km detour
+/// fiber on which only 100 G @ 75 GHz (6 px) reaches, and the greedy
+/// seed tiles its 480 px exactly — the restricted LP already sits at the
+/// full-model optimum. Every other start still prices in while its
+/// conflict rows are latent, separation pins the LP where it is, and
+/// after 48 flat rounds the loop returns the restricted master's
+/// optimum flagged `fell_back`: a lower bound on the enumerated optimum
+/// of this maximization, here equal to it.
+#[test]
+fn saturated_restoration_stalls_onto_the_restricted_optimum() {
+    use flexwan::core::restore::{solve_restoration_exact_colgen, FailureScenario};
+    use flexwan::topo::graph::EdgeId;
+
+    let mut g = Graph::new();
+    let a = g.add_node("a");
+    let m = g.add_node("m");
+    let b = g.add_node("b");
+    g.add_edge(a, m, 50);
+    g.add_edge(m, b, 50);
+    g.add_edge(a, b, 4000);
+    let mut ip = IpTopology::new();
+    ip.add_link(a, b, 20_000);
+    let cfg = PlannerConfig {
+        grid: SpectrumGrid::new(480),
+        k_paths: 2,
+        ..Default::default()
+    };
+    let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+    assert!(p.is_feasible());
+    let cut = FailureScenario {
+        id: 0,
+        cuts: vec![EdgeId(0)],
+        probability: 1.0,
+    };
+    // Spares beyond any tiling, so spectrum — not transponders — binds.
+    let spares = [300];
+    let opts = SolveOptions::default();
+    let cg = solve_restoration_exact_colgen(&p, &g, &ip, &cut, &spares, &cfg, &opts)
+        .expect("the restricted master stays solvable");
+    assert!(cg.colgen.fell_back, "pricing must stall, not certify");
+    assert_eq!(cg.colgen.pricing_rounds, 49, "first round + 48 flat ones");
+    assert_eq!(cg.colgen.gap_rounds, 0, "a stalled LP closes no gap");
+    // The incumbent is the restricted master's own optimum: it meets the
+    // restricted LP bound (80 tiles of 100 G).
+    assert_eq!(cg.restoration.restored_gbps, 8_000);
+    assert_eq!(cg.colgen.lp_objective.round() as u64, 8_000);
+    let exact = solve_restoration_exact(&p, &g, &ip, &cut, &spares, &cfg, &opts)
+        .expect("enumerated reference solves");
+    assert_eq!(exact.affected_gbps, cg.restoration.affected_gbps);
+    assert!(cg.restoration.restored_gbps <= exact.restored_gbps);
+}
