@@ -145,6 +145,7 @@ pub(crate) struct RestrictedMaster<P> {
     cell_cover: BTreeMap<(EdgeId, u32), Vec<Var>>,
     /// Objective terms `(γ, coefficient)`, in admission order.
     obj_terms: Vec<(Var, f64)>,
+    /// Columns admitted through [`seed`](Self::seed).
     columns_seeded: usize,
 }
 

@@ -535,10 +535,15 @@ impl LazyWavelengthVarSpace {
         format: TransponderFormat,
         start: u32,
     ) -> bool {
-        self.menus[slot][ki]
-            .iter()
-            .position(|f| *f == format)
-            .is_some_and(|fi| bit(&self.admitted[self.flat[slot][ki] + fi], start))
+        self.start_bits(slot, ki, format)
+            .is_some_and(|bits| bit(&self.admitted[bits], start))
+    }
+
+    /// Index of the `(slot, ki, format)` admitted-start bitset; `None`
+    /// for a format off the `(slot, ki)` menu.
+    fn start_bits(&self, slot: usize, ki: usize, format: TransponderFormat) -> Option<usize> {
+        let fi = self.menus[slot][ki].iter().position(|f| *f == format)?;
+        Some(self.flat[slot][ki] + fi)
     }
 
     /// The candidate-path index under which wavelength `w` is a
@@ -548,11 +553,11 @@ impl LazyWavelengthVarSpace {
     pub(crate) fn unadmitted_column(&self, slot: usize, w: &Wavelength) -> Option<usize> {
         let paths = &self.space.paths_per_slot[slot];
         let ki = paths.iter().position(|p| p.edges == w.path.edges)?;
+        let bits = self.start_bits(slot, ki, w.format)?;
         let start = w.channel.start;
         (start.is_multiple_of(self.scheme.alignment_pixels())
             && start + u32::from(w.format.spacing.pixels()) <= self.space.pixels
-            && self.menus[slot][ki].contains(&w.format)
-            && !self.is_admitted(slot, ki, w.format, start))
+            && !bit(&self.admitted[bits], start))
         .then_some(ki)
     }
 
@@ -583,11 +588,10 @@ impl LazyWavelengthVarSpace {
         start: u32,
         var: Var,
     ) -> GammaId {
-        let fi = self.menus[slot][ki]
-            .iter()
-            .position(|f| *f == format)
+        let bits = self
+            .start_bits(slot, ki, format)
             .expect("admitted format must be on the (slot, path) menu");
-        let bits = &mut self.admitted[self.flat[slot][ki] + fi];
+        let bits = &mut self.admitted[bits];
         assert!(!bit(bits, start), "column admitted twice");
         bits[start as usize / 64] |= 1 << (start % 64);
         self.space.push_gamma_var(slot, ki, format, start, var)
