@@ -345,6 +345,160 @@ fn breaker_fast_fails_while_open() {
     );
 }
 
+/// One seeded run that mixes every device verdict in a single
+/// [`FaultPlan`] — request drops, delayed replies, a rejecting boot, stale
+/// state reads, an immediate crash and a mid-life crash — through
+/// `apply_plan` → `converge` → a cut/repair cycle → `converge`, rendered
+/// as text: controller and injector counters, the journal's length and
+/// last revision per device, the apply report, every tick outcome and
+/// the passbands left on the devices. The other tests exercise each
+/// verdict alone; this one pins their interleaving.
+fn interleaved_chaos_run() -> String {
+    use std::fmt::Write;
+
+    let (g, ip, cfg) = backbone();
+    let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+    let primary = p.wavelengths[0].path.edges[0];
+    let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+    let mixed = DeviceFaults {
+        drop_prob: 0.25,
+        delay_reply_prob: 0.2,
+        stale_state_prob: 0.2,
+        ..Default::default()
+    };
+    let fault_plan = FaultPlan::uniform(0x5AFE_7E5B, mixed.clone())
+        // MUX a boots slow: its first two edit-configs bounce.
+        .device(
+            DeviceId(0),
+            DeviceFaults {
+                reject_first: 2,
+                ..mixed.clone()
+            },
+        )
+        // ROADM b crashes on its first express edit…
+        .device(
+            DeviceId(3),
+            DeviceFaults {
+                crash_after: Some(0),
+                ..mixed.clone()
+            },
+        )
+        // …and MUX c after it already holds configuration, so the
+        // restart has journaled history to roll forward.
+        .device(
+            DeviceId(4),
+            DeviceFaults {
+                crash_after: Some(3),
+                ..mixed
+            },
+        );
+    let injector = Arc::new(FaultInjector::new(fault_plan));
+    ctrl.arm_faults(injector.clone());
+
+    let applied = ctrl.apply_plan(&p, &g);
+    let first = ctrl.converge(&p, 64);
+
+    let mut orch = Orchestrator::new(&g, &ip, p.clone(), cfg.clone(), Vec::new());
+    let mut store = TelemetryStore::new(30);
+    let sim = TelemetrySim::new(&g);
+    let mut ticks = Vec::new();
+    for (t, cuts) in [
+        (1, vec![]),
+        (2, vec![primary]),
+        (3, vec![]),
+        (4, vec![primary]),
+        (5, vec![]),
+    ] {
+        sim.tick(&mut store, t, &cuts);
+        ticks.push(orch.tick(&store, &mut ctrl));
+    }
+    let second = ctrl.converge(&p, 64);
+    // Read the plane back as it is, not as the injector would show it.
+    injector.lift();
+
+    let mut out = String::new();
+    writeln!(out, "ctrl {:?}", ctrl.stats()).unwrap();
+    writeln!(out, "faults {:?}", injector.stats()).unwrap();
+    let mut last: Vec<(DeviceId, u64)> = Vec::new();
+    for e in ctrl.journal().entries() {
+        match last.iter_mut().find(|(d, _)| *d == e.device) {
+            Some(slot) => slot.1 = e.revision,
+            None => last.push((e.device, e.revision)),
+        }
+    }
+    last.sort();
+    writeln!(out, "journal len {} last {last:?}", ctrl.journal().len()).unwrap();
+    writeln!(
+        out,
+        "apply transponders {} mux {} express {} rejections {:?}",
+        applied.transponders_configured,
+        applied.mux_ports_configured,
+        applied.expresses_configured,
+        applied.rejections
+    )
+    .unwrap();
+    for c in [&first, &second] {
+        writeln!(
+            out,
+            "converge passes {} repaired {} restarted {:?} converged {}",
+            c.passes, c.repaired, c.restarted, c.converged
+        )
+        .unwrap();
+    }
+    for t in &ticks {
+        writeln!(out, "tick {t:?}").unwrap();
+    }
+    let mut live: Vec<(NodeId, Vec<(u32, u16)>)> = live_passbands(&ctrl)
+        .into_iter()
+        .map(|(site, pbs)| {
+            let mut pbs: Vec<(u32, u16)> =
+                pbs.iter().map(|r| (r.start, r.width.pixels())).collect();
+            pbs.sort();
+            (site, pbs)
+        })
+        .collect();
+    live.sort();
+    writeln!(out, "live {live:?}").unwrap();
+    out
+}
+
+#[test]
+fn interleaved_verdicts_replay_the_pinned_run() {
+    let run = interleaved_chaos_run();
+    assert_eq!(run, interleaved_chaos_run(), "same seed, same run");
+    let faults = run.lines().nth(1).unwrap();
+    for fired in [
+        "drops",
+        "delayed_replies",
+        "rejects",
+        "crashes",
+        "stale_reads",
+    ] {
+        assert!(
+            !faults.contains(&format!("{fired}: 0,")),
+            "{fired} never fired: {faults}"
+        );
+    }
+    assert_eq!(run, PINNED_INTERLEAVED_RUN, "\n{run}");
+}
+
+/// What [`interleaved_chaos_run`] produced when it was recorded against
+/// the thread-per-device plane; any device-plane change must reproduce it.
+const PINNED_INTERLEAVED_RUN: &str = "\
+ctrl CtrlStats { sends: 79, retries: 64, read_repairs: 3, breaker_trips: 2, devices_restarted: 2 }\n\
+faults FaultStats { delivered: 268, drops: 100, delayed_replies: 22, rejects: 2, crashes: 2, stale_reads: 39, events_dropped: 0, events_duplicated: 0, events_reordered: 0, events_stale: 0 }\n\
+journal len 62 last [(DeviceId(0), 141), (DeviceId(2), 132), (DeviceId(3), 143), (DeviceId(4), 90), (DeviceId(5), 134), (DeviceId(6), 137), (DeviceId(8), 1), (DeviceId(9), 4), (DeviceId(10), 8), (DeviceId(11), 9), (DeviceId(12), 16), (DeviceId(13), 18), (DeviceId(14), 117), (DeviceId(15), 116), (DeviceId(16), 128), (DeviceId(17), 129)]\n\
+apply transponders 6 mux 4 express 0 rejections [(DeviceId(0), \"injected fault: edit-config rejected\"), (DeviceId(3), \"device unreachable after 4 attempts\"), (DeviceId(0), \"injected fault: edit-config rejected\")]\n\
+converge passes 22 repaired 30 restarted [DeviceId(3), DeviceId(4)] converged true\n\
+converge passes 6 repaired 4 restarted [] converged true\n\
+tick Quiet\n\
+tick Restored { cuts: [EdgeId(4)], lost_gbps: 500, revived_gbps: 500, apply_rejections: 1 }\n\
+tick Repaired { fibers: [EdgeId(4)], retired: 0, re_restored: 0 }\n\
+tick Restored { cuts: [EdgeId(4)], lost_gbps: 500, revived_gbps: 500, apply_rejections: 0 }\n\
+tick Repaired { fibers: [EdgeId(4)], retired: 1, re_restored: 0 }\n\
+live [(NodeId(0), [(0, 8), (0, 8), (0, 8), (0, 8), (0, 8), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6)]), (NodeId(1), [(0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 8), (0, 8), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6)]), (NodeId(2), [(0, 8), (0, 8), (0, 8)]), (NodeId(3), [(0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 7)])]\n\
+";
+
 // ---- Cluster-level chaos: heartbeat loss and region partitions ----
 
 #[test]
