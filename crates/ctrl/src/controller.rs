@@ -13,14 +13,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flexwan_core::planning::Plan;
+use flexwan_core::Wavelength;
 use flexwan_obs::Obs;
 use flexwan_optical::devices::{Mux, Roadm};
-use flexwan_optical::spectrum::SpectrumGrid;
+use flexwan_optical::spectrum::{PixelRange, SpectrumGrid};
 use flexwan_optical::WssKind;
 use flexwan_topo::graph::{EdgeId, Graph, NodeId};
 use flexwan_util::rng::ChaCha8Rng;
 
-use crate::config::{ConfigDocument, StandardConfig};
+use crate::config::StandardConfig;
 use crate::device::{config_in_effect, spawn_device, DeviceHandle, Hardware};
 use crate::faults::FaultInjector;
 use crate::journal::ConfigJournal;
@@ -55,7 +56,8 @@ impl DevMgr {
         }
     }
 
-    /// Spawns and registers a device, remembering its factory hardware.
+    /// Stands a device up and registers it, remembering its factory
+    /// hardware.
     pub fn register(
         &mut self,
         vendor: Vendor,
@@ -68,10 +70,10 @@ impl DevMgr {
         self.factory.insert(id, hw.clone());
         let mut handle = spawn_device(descriptor, hw);
         if let Some(inj) = &self.injector {
-            handle.session.arm(id, inj.clone());
+            handle.session.arm(inj.clone());
         }
         if let Some(obs) = &self.obs {
-            handle.session.observe(id, obs.clone());
+            handle.session.observe(obs.clone());
         }
         self.devices.insert(id, handle);
         id
@@ -80,8 +82,8 @@ impl DevMgr {
     /// Arms every session (present and future) with a fault injector: all
     /// requests to the device plane then pass through it.
     pub fn arm_faults(&mut self, injector: Arc<FaultInjector>) {
-        for (id, handle) in self.devices.iter_mut() {
-            handle.session.arm(*id, injector.clone());
+        for handle in self.devices.values_mut() {
+            handle.session.arm(injector.clone());
         }
         self.injector = Some(injector);
     }
@@ -89,33 +91,27 @@ impl DevMgr {
     /// Arms every session (present and future) with an observability
     /// bundle: per-device NETCONF attempts and failures are counted.
     pub fn arm_obs(&mut self, obs: Obs) {
-        for (id, handle) in self.devices.iter_mut() {
-            handle.session.observe(*id, obs.clone());
+        for handle in self.devices.values_mut() {
+            handle.session.observe(obs.clone());
         }
         self.obs = Some(obs);
     }
 
     /// Simulates a field replacement: the device at `id` is swapped for a
     /// factory-fresh unit (same identity, empty configuration) — the
-    /// configuration-drift scenario [`Controller::reconcile`] repairs.
+    /// configuration-drift scenario [`Controller::reconcile`] repairs, and
+    /// how a crashed device comes back.
     pub fn reset_device(&mut self, id: DeviceId) {
-        let old = self.devices.remove(&id).expect("unknown device");
-        let descriptor = old.descriptor.clone();
-        drop(old); // shuts the old device thread down
+        let handle = self.devices.get(&id).expect("unknown device");
         let hw = self
             .factory
             .get(&id)
             .expect("factory image recorded")
             .clone();
-        let mut handle = spawn_device(descriptor, hw);
+        handle.session.install(handle.descriptor.clone(), hw);
         if let Some(inj) = &self.injector {
-            handle.session.arm(id, inj.clone());
             inj.device_restarted(id);
         }
-        if let Some(obs) = &self.obs {
-            handle.session.observe(id, obs.clone());
-        }
-        self.devices.insert(id, handle);
     }
 
     /// The handle for `id`.
@@ -167,6 +163,14 @@ impl ReconcileReport {
     /// Whether the plane is fully reconciled.
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// Books the outcome of one repair send.
+    fn note(&mut self, sent: Result<(), (DeviceId, String)>) {
+        match sent {
+            Ok(()) => self.repaired += 1,
+            Err(e) => self.failures.push(e),
+        }
     }
 }
 
@@ -256,7 +260,7 @@ pub struct ConvergeReport {
 /// [`Controller::release_wavelength_atomic`] can undo exactly what the
 /// apply did (which transponders were spawned, which MUX ports were
 /// claimed — the ROADM expresses are re-derivable from the wavelength).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct LightpathAlloc {
     transponders: Vec<DeviceId>,
     mux_ports: Vec<(NodeId, u16)>,
@@ -266,7 +270,7 @@ struct LightpathAlloc {
 /// spectrum ⇒ same footprint shape (allocations stack for duplicates).
 type LightpathKey = (Vec<EdgeId>, u32, u16);
 
-fn lightpath_key(w: &flexwan_core::Wavelength) -> LightpathKey {
+fn lightpath_key(w: &Wavelength) -> LightpathKey {
     (
         w.path.edges.clone(),
         w.channel.start,
@@ -486,12 +490,8 @@ impl Controller {
             self.revision += 1;
             let revision = self.revision;
             let handle = &self.devmgr.devices[&id];
-            // The controller logs the standard document; the device
+            // The controller journals the standard document; the device
             // receives its native dialect.
-            let _doc = ConfigDocument {
-                revision,
-                config: cfg.clone(),
-            };
             let native = vendor::encode(handle.descriptor.vendor, &cfg);
             match handle.session.edit_config(revision, native) {
                 Ok(_) => {
@@ -518,10 +518,8 @@ impl Controller {
                     }
                     return Err((id, cause));
                 }
-                Err(e @ (SessionError::Unreachable | SessionError::ProtocolViolation)) => {
-                    if matches!(e, SessionError::Unreachable) {
-                        saw_timeout = true;
-                    }
+                Err(e @ SessionError::Unreachable) => {
+                    saw_timeout = true;
                     if attempt >= self.retry.max_attempts {
                         if self.breaker_fail(id) {
                             return Err((
@@ -539,8 +537,80 @@ impl Controller {
         }
     }
 
+    /// Claims the per-lightpath resources of `w`: a transponder at each
+    /// end (vendor follows the site; registered up front, a rollback
+    /// disables it) and a filter port on each endpoint MUX.
+    fn claim_lightpath(&mut self, w: &Wavelength) -> LightpathAlloc {
+        let ends = [w.path.source(), w.path.destination()];
+        LightpathAlloc {
+            transponders: ends
+                .iter()
+                .map(|&site| {
+                    let vendor = Vendor::ALL[site.0 as usize % Vendor::ALL.len()];
+                    self.devmgr.register(
+                        vendor,
+                        DeviceKind::Transponder,
+                        site,
+                        Hardware::Transponder(None),
+                    )
+                })
+                .collect(),
+            mux_ports: ends
+                .iter()
+                .map(|&site| (site, self.alloc_port(site)))
+                .collect(),
+        }
+    }
+
+    /// The device-plane footprint of `w` over the resources in `alloc`,
+    /// in push order: line-configs on its transponders, the channel as
+    /// passband on its endpoint MUX ports, and one express per
+    /// intermediate ROADM between the degrees the route enters and leaves
+    /// by. Each step is the device, the config that lights it and the
+    /// config that darkens it again — "the same configuration parameters
+    /// as the wavelength's spectrum" (§4.3), written down once.
+    fn footprint(
+        &self,
+        w: &Wavelength,
+        alloc: &LightpathAlloc,
+    ) -> Vec<(DeviceId, StandardConfig, StandardConfig)> {
+        let mut steps = Vec::new();
+        for &t in &alloc.transponders {
+            let line = |enabled| StandardConfig::Transponder {
+                format: w.format,
+                channel: w.channel,
+                enabled,
+            };
+            steps.push((t, line(true), line(false)));
+        }
+        for &(site, port) in &alloc.mux_ports {
+            let filter = |passband| StandardConfig::MuxPort { port, passband };
+            steps.push((self.mux_at[&site], filter(Some(w.channel)), filter(None)));
+        }
+        for i in 1..w.path.nodes.len().saturating_sub(1) {
+            let node = w.path.nodes[i];
+            let from_degree = self.degree_of[&(node, w.path.edges[i - 1])];
+            let to_degree = self.degree_of[&(node, w.path.edges[i])];
+            let passband = w.channel;
+            steps.push((
+                self.roadm_at[&node],
+                StandardConfig::RoadmExpress {
+                    from_degree,
+                    to_degree,
+                    passband,
+                },
+                StandardConfig::RoadmRelease {
+                    from_degree,
+                    to_degree,
+                    passband,
+                },
+            ));
+        }
+        steps
+    }
+
     /// Pushes every wavelength of `plan` to the device plane.
-    pub fn apply_plan(&mut self, plan: &Plan, optical: &Graph) -> ApplyReport {
+    pub fn apply_plan(&mut self, plan: &Plan, _optical: &Graph) -> ApplyReport {
         let span = self.obs.as_ref().map(|o| {
             let s = o.span("ctrl.apply_plan");
             s.field("wavelengths", plan.wavelengths.len());
@@ -549,68 +619,26 @@ impl Controller {
         let start = self.obs.as_ref().map(|o| o.now_ns());
         let mut report = ApplyReport::default();
         for w in &plan.wavelengths {
-            // 1. Transponders at both ends (vendor follows the site).
-            for site in [w.path.source(), w.path.destination()] {
-                let vendor = Vendor::ALL[site.0 as usize % Vendor::ALL.len()];
-                let t = self.devmgr.register(
-                    vendor,
-                    DeviceKind::Transponder,
-                    site,
-                    Hardware::Transponder(None),
-                );
-                match self.send(
-                    t,
-                    StandardConfig::Transponder {
-                        format: w.format,
-                        channel: w.channel,
-                        enabled: true,
-                    },
-                ) {
-                    Ok(()) => report.transponders_configured += 1,
-                    Err(r) => report.rejections.push(r),
-                }
-            }
-            // 2. MUX filter ports at both ends, passband = the channel.
-            for site in [w.path.source(), w.path.destination()] {
-                let mux = self.mux_at[&site];
-                let port = self.alloc_port(site);
-                if port >= MUX_PORTS {
-                    report
-                        .rejections
-                        .push((mux, format!("site {site:?} out of filter ports")));
-                    continue;
-                }
-                match self.send(
-                    mux,
-                    StandardConfig::MuxPort {
-                        port,
-                        passband: Some(w.channel),
-                    },
-                ) {
-                    Ok(()) => report.mux_ports_configured += 1,
-                    Err(r) => report.rejections.push(r),
-                }
-            }
-            // 3. Express passbands at intermediate ROADMs.
-            for i in 1..w.path.nodes.len().saturating_sub(1) {
-                let node = w.path.nodes[i];
-                let from = self.degree_of[&(node, w.path.edges[i - 1])];
-                let to = self.degree_of[&(node, w.path.edges[i])];
-                let roadm = self.roadm_at[&node];
-                match self.send(
-                    roadm,
-                    StandardConfig::RoadmExpress {
-                        from_degree: from,
-                        to_degree: to,
-                        passband: w.channel,
-                    },
-                ) {
-                    Ok(()) => report.expresses_configured += 1,
+            let alloc = self.claim_lightpath(w);
+            for (device, up, _) in self.footprint(w, &alloc) {
+                let configured = match up {
+                    StandardConfig::Transponder { .. } => &mut report.transponders_configured,
+                    StandardConfig::MuxPort { port, .. } if port >= MUX_PORTS => {
+                        let site = self.devmgr.devices[&device].descriptor.site;
+                        report
+                            .rejections
+                            .push((device, format!("site {site:?} out of filter ports")));
+                        continue;
+                    }
+                    StandardConfig::MuxPort { .. } => &mut report.mux_ports_configured,
+                    _ => &mut report.expresses_configured,
+                };
+                match self.send(device, up) {
+                    Ok(()) => *configured += 1,
                     Err(r) => report.rejections.push(r),
                 }
             }
         }
-        let _ = optical;
         if let Some(s) = &span {
             s.field("rejections", report.rejections.len());
         }
@@ -627,11 +655,38 @@ impl Controller {
     /// line-configs, endpoint MUX passbands and intermediate ROADM
     /// expresses either all land or none do (first rejection rolls the
     /// applied prefix back). See [`crate::transaction`].
-    pub fn apply_wavelength_atomic(
-        &mut self,
-        w: &flexwan_core::Wavelength,
-    ) -> Result<usize, TxError> {
-        self.apply_wavelength_atomic_with_budget(w, usize::MAX)
+    pub fn apply_wavelength_atomic(&mut self, w: &Wavelength) -> Result<usize, TxError> {
+        let alloc = self.claim_lightpath(w);
+        let mut tx = Transaction::new();
+        for (device, up, down) in self.footprint(w, &alloc) {
+            tx.step(device, up, down);
+        }
+        let result = self.execute(tx);
+        match &result {
+            // Remember the footprint so the lightpath can be released.
+            Ok(_) => self
+                .live_paths
+                .entry(lightpath_key(w))
+                .or_default()
+                .push(alloc),
+            // Rolled back: the claimed ports go straight back to the
+            // free list (the rollback already cleared them on-device).
+            Err(_) => {
+                for (site, port) in alloc.mux_ports {
+                    self.release_port(site, port);
+                }
+            }
+        }
+        result
+    }
+
+    /// Runs `tx` against the device plane, every step through
+    /// [`Self::send`].
+    fn execute(&mut self, tx: Transaction) -> Result<usize, TxError> {
+        let obs = self.obs.clone();
+        tx.execute(obs.as_ref(), |d, cfg| {
+            self.send(d, cfg.clone()).map_err(|(_, e)| e)
+        })
     }
 
     /// Tears one wavelength's configuration down **atomically**: disables
@@ -642,70 +697,20 @@ impl Controller {
     /// lightpath is either fully up or fully down. On success the MUX
     /// ports return to the site free list for reuse. Releasing a
     /// wavelength this controller never applied is a counted no-op.
-    pub fn release_wavelength_atomic(
-        &mut self,
-        w: &flexwan_core::Wavelength,
-    ) -> Result<usize, TxError> {
+    pub fn release_wavelength_atomic(&mut self, w: &Wavelength) -> Result<usize, TxError> {
         let key = lightpath_key(w);
         let Some(alloc) = self.live_paths.get_mut(&key).and_then(|v| v.pop()) else {
             self.count("ctrl_release_untracked_total");
             return Ok(0);
         };
         let mut tx = Transaction::new();
-        // Inverse step list: every forward config is the apply's undo and
-        // vice versa, so a failed release rolls back to fully-applied.
-        for &t in &alloc.transponders {
-            tx.step(
-                t,
-                StandardConfig::Transponder {
-                    format: w.format,
-                    channel: w.channel,
-                    enabled: false,
-                },
-                StandardConfig::Transponder {
-                    format: w.format,
-                    channel: w.channel,
-                    enabled: true,
-                },
-            );
+        // The apply's steps with the roles swapped: what darkens a device
+        // is the step, what lights it the undo, so a failed release rolls
+        // back to fully-applied.
+        for (device, up, down) in self.footprint(w, &alloc) {
+            tx.step(device, down, up);
         }
-        for &(site, port) in &alloc.mux_ports {
-            tx.step(
-                self.mux_at[&site],
-                StandardConfig::MuxPort {
-                    port,
-                    passband: None,
-                },
-                StandardConfig::MuxPort {
-                    port,
-                    passband: Some(w.channel),
-                },
-            );
-        }
-        for i in 1..w.path.nodes.len().saturating_sub(1) {
-            let node = w.path.nodes[i];
-            let from = self.degree_of[&(node, w.path.edges[i - 1])];
-            let to = self.degree_of[&(node, w.path.edges[i])];
-            tx.step(
-                self.roadm_at[&node],
-                StandardConfig::RoadmRelease {
-                    from_degree: from,
-                    to_degree: to,
-                    passband: w.channel,
-                },
-                StandardConfig::RoadmExpress {
-                    from_degree: from,
-                    to_degree: to,
-                    passband: w.channel,
-                },
-            );
-        }
-        let result = match self.obs.clone() {
-            Some(obs) => tx.execute_observed(&obs, usize::MAX, |d, cfg| {
-                self.send(d, cfg.clone()).map_err(|(_, e)| e)
-            }),
-            None => tx.execute(|d, cfg| self.send(d, cfg.clone()).map_err(|(_, e)| e)),
-        };
+        let result = self.execute(tx);
         match &result {
             Ok(_) => {
                 for (site, port) in alloc.mux_ports {
@@ -719,148 +724,42 @@ impl Controller {
         result
     }
 
-    /// Builds the transactional step list lighting wavelength `w`, plus
-    /// the footprint record a later release needs.
-    fn wavelength_transaction(
-        &mut self,
-        w: &flexwan_core::Wavelength,
-    ) -> (Transaction, LightpathAlloc) {
-        let mut tx = Transaction::new();
-        let mut alloc = LightpathAlloc {
-            transponders: Vec::new(),
-            mux_ports: Vec::new(),
-        };
-        // 1. Transponders (registered up front; rollback disables them).
-        for site in [w.path.source(), w.path.destination()] {
-            let vendor = Vendor::ALL[site.0 as usize % Vendor::ALL.len()];
-            let t = self.devmgr.register(
-                vendor,
-                DeviceKind::Transponder,
-                site,
-                Hardware::Transponder(None),
-            );
-            alloc.transponders.push(t);
-            tx.step(
-                t,
-                StandardConfig::Transponder {
-                    format: w.format,
-                    channel: w.channel,
-                    enabled: true,
-                },
-                StandardConfig::Transponder {
-                    format: w.format,
-                    channel: w.channel,
-                    enabled: false,
-                },
-            );
-        }
-        // 2. Endpoint MUX filter ports.
-        for site in [w.path.source(), w.path.destination()] {
-            let mux = self.mux_at[&site];
-            let port = self.alloc_port(site);
-            alloc.mux_ports.push((site, port));
-            tx.step(
-                mux,
-                StandardConfig::MuxPort {
-                    port,
-                    passband: Some(w.channel),
-                },
-                StandardConfig::MuxPort {
-                    port,
-                    passband: None,
-                },
-            );
-        }
-        // 3. Intermediate ROADM expresses.
-        for i in 1..w.path.nodes.len().saturating_sub(1) {
-            let node = w.path.nodes[i];
-            let from = self.degree_of[&(node, w.path.edges[i - 1])];
-            let to = self.degree_of[&(node, w.path.edges[i])];
-            tx.step(
-                self.roadm_at[&node],
-                StandardConfig::RoadmExpress {
-                    from_degree: from,
-                    to_degree: to,
-                    passband: w.channel,
-                },
-                StandardConfig::RoadmRelease {
-                    from_degree: from,
-                    to_degree: to,
-                    passband: w.channel,
-                },
-            );
-        }
-        (tx, alloc)
+    /// Whether the MUX at `site` passes `channel` on any filter port.
+    fn mux_passes(&self, site: NodeId, channel: &PixelRange) -> Result<bool, SessionError> {
+        let state = self.devmgr.device(self.mux_at[&site]).session.get_state()?;
+        Ok(matches!(state.hardware, Hardware::Mux(m)
+            if (0..MUX_PORTS).any(|p| m.passes(p, channel).unwrap_or(false))))
     }
 
     /// Repairs configuration drift: re-audits `plan` against live device
     /// state and re-issues the missing passbands/expresses (e.g. after a
     /// device was swapped for a factory-fresh unit in the field).
     pub fn reconcile(&mut self, plan: &Plan) -> ReconcileReport {
-        let mut repaired = 0;
-        let mut failures = Vec::new();
+        let mut report = ReconcileReport::default();
         for w in &plan.wavelengths {
+            // Which port an endpoint was given is not on record, so any
+            // port passing the channel will do; a missing passband is
+            // re-lit on a freshly claimed port.
             for site in [w.path.source(), w.path.destination()] {
-                let mux_id = self.mux_at[&site];
-                let passes = {
-                    let mux = self.devmgr.device(mux_id);
-                    match mux.session.get_state() {
-                        Ok(state) => match state.hardware {
-                            crate::device::Hardware::Mux(m) => {
-                                (0..MUX_PORTS).any(|p| m.passes(p, &w.channel).unwrap_or(false))
-                            }
-                            _ => false,
-                        },
-                        Err(_) => false,
-                    }
+                if self.mux_passes(site, &w.channel).unwrap_or(false) {
+                    continue;
+                }
+                let relit = LightpathAlloc {
+                    transponders: Vec::new(),
+                    mux_ports: vec![(site, self.alloc_port(site))],
                 };
-                if !passes {
-                    let port = self.alloc_port(site);
-                    match self.send(
-                        mux_id,
-                        StandardConfig::MuxPort {
-                            port,
-                            passband: Some(w.channel),
-                        },
-                    ) {
-                        Ok(()) => repaired += 1,
-                        Err(e) => failures.push(e),
-                    }
+                if let Some((mux, up, _)) = self.footprint(w, &relit).into_iter().next() {
+                    report.note(self.send(mux, up));
                 }
             }
-            for i in 1..w.path.nodes.len().saturating_sub(1) {
-                let node = w.path.nodes[i];
-                let from = self.degree_of[&(node, w.path.edges[i - 1])];
-                let to = self.degree_of[&(node, w.path.edges[i])];
-                let roadm_id = self.roadm_at[&node];
-                let expressed = {
-                    let roadm = self.devmgr.device(roadm_id);
-                    match roadm.session.get_state() {
-                        Ok(state) => match state.hardware {
-                            crate::device::Hardware::Roadm(r) => {
-                                r.expresses(from, to, &w.channel).unwrap_or(false)
-                            }
-                            _ => false,
-                        },
-                        Err(_) => false,
-                    }
-                };
-                if !expressed {
-                    match self.send(
-                        roadm_id,
-                        StandardConfig::RoadmExpress {
-                            from_degree: from,
-                            to_degree: to,
-                            passband: w.channel,
-                        },
-                    ) {
-                        Ok(()) => repaired += 1,
-                        Err(e) => failures.push(e),
-                    }
+            for (roadm, up, _) in self.footprint(w, &LightpathAlloc::default()) {
+                let expressed = self.devmgr.device(roadm).session.get_state();
+                if !expressed.is_ok_and(|state| config_in_effect(&state, &up)) {
+                    report.note(self.send(roadm, up));
                 }
             }
         }
-        ReconcileReport { repaired, failures }
+        report
     }
 
     /// End-to-end audit: re-reads device state and verifies that every
@@ -868,46 +767,27 @@ impl Controller {
     /// by every intermediate ROADM (the §4.3 channel-consistency check).
     pub fn audit_plan(&self, plan: &Plan) -> Vec<String> {
         let mut findings = Vec::new();
-        // Collect endpoint passbands per site once.
         for (wi, w) in plan.wavelengths.iter().enumerate() {
             for site in [w.path.source(), w.path.destination()] {
-                let mux = self.devmgr.device(self.mux_at[&site]);
-                let state = match mux.session.get_state() {
-                    Ok(s) => s,
-                    Err(e) => {
-                        findings.push(format!("wavelength {wi}: mux at {site:?} unreachable: {e}"));
-                        continue;
-                    }
-                };
-                let crate::device::Hardware::Mux(m) = state.hardware else {
-                    findings.push(format!("device at {site:?} is not a MUX"));
-                    continue;
-                };
-                let passed = (0..MUX_PORTS).any(|p| m.passes(p, &w.channel).unwrap_or(false));
-                if !passed {
-                    findings.push(format!(
+                match self.mux_passes(site, &w.channel) {
+                    Ok(true) => {}
+                    Ok(false) => findings.push(format!(
                         "wavelength {wi}: channel {} not passed by any filter port at {site:?} (channel inconsistency)",
                         w.channel
-                    ));
+                    )),
+                    Err(e) => findings.push(format!("wavelength {wi}: mux at {site:?} unreachable: {e}")),
                 }
             }
-            for i in 1..w.path.nodes.len().saturating_sub(1) {
-                let node = w.path.nodes[i];
-                let roadm = self.devmgr.device(self.roadm_at[&node]);
-                let Ok(state) = roadm.session.get_state() else {
-                    findings.push(format!("wavelength {wi}: roadm at {node:?} unreachable"));
-                    continue;
-                };
-                let crate::device::Hardware::Roadm(r) = state.hardware else {
-                    continue;
-                };
-                let from = self.degree_of[&(node, w.path.edges[i - 1])];
-                let to = self.degree_of[&(node, w.path.edges[i])];
-                if !r.expresses(from, to, &w.channel).unwrap_or(false) {
-                    findings.push(format!(
+            for (roadm, up, _) in self.footprint(w, &LightpathAlloc::default()) {
+                let handle = self.devmgr.device(roadm);
+                let node = handle.descriptor.site;
+                match handle.session.get_state() {
+                    Ok(state) if config_in_effect(&state, &up) => {}
+                    Ok(_) => findings.push(format!(
                         "wavelength {wi}: channel {} not expressed at {node:?} (channel inconsistency)",
                         w.channel
-                    ));
+                    )),
+                    Err(_) => findings.push(format!("wavelength {wi}: roadm at {node:?} unreachable")),
                 }
             }
         }
@@ -918,47 +798,36 @@ impl Controller {
     /// greater than `after` — rolling a replaced or lagging device forward
     /// to its journaled state. Returns false if any replay send failed
     /// (the device stays quarantined for the next pass).
-    fn roll_forward(&mut self, id: DeviceId, after: u64) -> bool {
-        let pending: Vec<(u64, StandardConfig)> = self
-            .journal
+    fn roll_forward(&self, id: DeviceId, after: u64) -> bool {
+        let handle = &self.devmgr.devices[&id];
+        // Replays go through the session directly: the entries are
+        // already journaled, so journaling them again would duplicate
+        // the ledger.
+        self.journal
             .history(id)
             .filter(|e| e.revision > after)
-            .map(|e| (e.revision, e.config.clone()))
-            .collect();
-        let handle = &self.devmgr.devices[&id];
-        let vendor_kind = handle.descriptor.vendor;
-        for (rev, cfg) in pending {
-            let native = vendor::encode(vendor_kind, &cfg);
-            // Replays go through the session directly: the entries are
-            // already journaled, so journaling them again would duplicate
-            // the ledger.
-            if self.devmgr.devices[&id]
-                .session
-                .edit_config(rev, native)
-                .is_err()
-            {
-                return false;
-            }
-        }
-        true
+            .all(|e| {
+                let native = vendor::encode(handle.descriptor.vendor, &e.config);
+                handle.session.edit_config(e.revision, native).is_ok()
+            })
+    }
+
+    /// Moves `id`'s breaker to `state` and publishes the transition.
+    fn set_breaker(&mut self, id: DeviceId, state: BreakerState) {
+        self.breakers.entry(id).or_default().state = state;
+        self.note_breaker(id, state);
     }
 
     /// Half-open probe of one quarantined device: if it answers, close the
     /// breaker (rolling it forward if its revision lags the journal); if
-    /// it does not, assume the thread crashed, replace it with a
-    /// factory-fresh unit and replay its journaled history.
+    /// it does not, assume it crashed, replace it with a factory-fresh
+    /// unit and replay its journaled history.
     fn probe_quarantined(&mut self, id: DeviceId, report: &mut ConvergeReport) {
-        self.breakers.entry(id).or_default().state = BreakerState::HalfOpen;
-        self.note_breaker(id, BreakerState::HalfOpen);
+        self.set_breaker(id, BreakerState::HalfOpen);
         let latest = self.journal.latest(id).map_or(0, |e| e.revision);
-        match self.devmgr.devices[&id].session.get_state() {
+        let caught_up = match self.devmgr.devices[&id].session.get_state() {
             Ok(state) => {
-                if state.last_revision >= latest || self.roll_forward(id, state.last_revision) {
-                    self.breaker_ok(id);
-                } else {
-                    self.breakers.entry(id).or_default().state = BreakerState::Open;
-                    self.note_breaker(id, BreakerState::Open);
-                }
+                state.last_revision >= latest || self.roll_forward(id, state.last_revision)
             }
             Err(_) => {
                 // Dead or still unreachable: restart from the factory
@@ -967,13 +836,13 @@ impl Controller {
                 self.stats.devices_restarted += 1;
                 self.count("ctrl_devices_restarted_total");
                 report.restarted.push(id);
-                if self.roll_forward(id, 0) {
-                    self.breaker_ok(id);
-                } else {
-                    self.breakers.entry(id).or_default().state = BreakerState::Open;
-                    self.note_breaker(id, BreakerState::Open);
-                }
+                self.roll_forward(id, 0)
             }
+        };
+        if caught_up {
+            self.breaker_ok(id);
+        } else {
+            self.set_breaker(id, BreakerState::Open);
         }
     }
 
@@ -1018,42 +887,6 @@ impl Controller {
             obs.observe_since("ctrl_converge_seconds", start);
         }
         report
-    }
-
-    /// [`Controller::apply_wavelength_atomic`] with a per-transaction
-    /// budget: at most `budget` apply-steps are attempted before the
-    /// transaction gives up and rolls back (rollback sends are not
-    /// budgeted — partial state must never leak).
-    pub fn apply_wavelength_atomic_with_budget(
-        &mut self,
-        w: &flexwan_core::Wavelength,
-        budget: usize,
-    ) -> Result<usize, TxError> {
-        let (tx, alloc) = self.wavelength_transaction(w);
-        let result = match self.obs.clone() {
-            Some(obs) => tx.execute_observed(&obs, budget, |d, cfg| {
-                self.send(d, cfg.clone()).map_err(|(_, e)| e)
-            }),
-            None => tx.execute_with_budget(budget, |d, cfg| {
-                self.send(d, cfg.clone()).map_err(|(_, e)| e)
-            }),
-        };
-        match &result {
-            // Remember the footprint so the lightpath can be released.
-            Ok(_) => self
-                .live_paths
-                .entry(lightpath_key(w))
-                .or_default()
-                .push(alloc),
-            // Rolled back: the claimed ports go straight back to the
-            // free list (the rollback already cleared them on-device).
-            Err(_) => {
-                for (site, port) in alloc.mux_ports {
-                    self.release_port(site, port);
-                }
-            }
-        }
-        result
     }
 }
 

@@ -1,14 +1,12 @@
-//! Simulated optical devices: one thread per device, speaking its vendor's
-//! native dialect over a NETCONF-style session.
+//! Simulated optical devices: plain state behind a NETCONF-style session,
+//! each speaking its vendor's native dialect.
 //!
 //! A device validates configuration against its *hardware* model from
 //! `flexwan-optical` — a fixed-grid MUX rejects off-grid passbands exactly
 //! like the real device would — so controller logic is exercised against
-//! honest failure modes.
-
-use std::thread::JoinHandle;
-
-use flexwan_util::sync::unbounded;
+//! honest failure modes. A device is state, not a thread: a request is a
+//! call on the controller's thread, and a crash is the session dropping
+//! that state ([`crate::netconf`]).
 
 use flexwan_optical::devices::{Mux, Roadm};
 use flexwan_optical::format::TransponderFormat;
@@ -16,8 +14,7 @@ use flexwan_optical::spectrum::PixelRange;
 
 use crate::config::StandardConfig;
 use crate::model::DeviceDescriptor;
-use crate::netconf::{NetconfReply, NetconfRequest, NetconfSession};
-use crate::vendor;
+use crate::netconf::NetconfSession;
 
 /// The line-side state of a transponder device.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +27,7 @@ pub struct TransponderState {
     pub enabled: bool,
 }
 
-/// The hardware behind a device thread.
+/// The hardware inside a device.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Hardware {
     /// A transponder (unconfigured until the first line-config).
@@ -58,7 +55,8 @@ pub struct DeviceState {
 }
 
 impl DeviceState {
-    fn apply(&mut self, cfg: &StandardConfig) -> Result<(), String> {
+    /// Validates `cfg` against the hardware and puts it into effect.
+    pub(crate) fn apply(&mut self, cfg: &StandardConfig) -> Result<(), String> {
         match (&mut self.hardware, cfg) {
             (
                 Hardware::Transponder(state),
@@ -132,105 +130,30 @@ impl DeviceState {
     }
 }
 
-/// Renders an error with its full `source()` chain, so a rejection cause
-/// carries the root failure (e.g. the optical-layer grid violation behind
-/// a dialect decode error) and not just the outermost message.
-fn error_chain(e: &dyn std::error::Error) -> String {
-    let mut cause = e.to_string();
-    let mut src = e.source();
-    while let Some(s) = src {
-        cause.push_str(": ");
-        cause.push_str(&s.to_string());
-        src = s.source();
-    }
-    cause
-}
-
-/// A running simulated device: descriptor + session; the thread exits when
-/// the handle is dropped.
+/// A simulated device: its descriptor and the session that reaches it.
 #[derive(Debug)]
 pub struct DeviceHandle {
     /// Identity and placement.
     pub descriptor: DeviceDescriptor,
     /// The controller's session to the device.
     pub session: NetconfSession,
-    join: Option<JoinHandle<()>>,
 }
 
-impl Drop for DeviceHandle {
-    fn drop(&mut self) {
-        self.session.shutdown();
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-/// Spawns a device thread with the given hardware.
+/// Stands a factory-fresh device up with the given hardware.
 pub fn spawn_device(descriptor: DeviceDescriptor, hardware: Hardware) -> DeviceHandle {
-    let (req_tx, req_rx) = unbounded::<NetconfRequest>();
-    let (rep_tx, rep_rx) = unbounded::<NetconfReply>();
-    let vendor_kind = descriptor.vendor;
-    let mut state = DeviceState {
-        descriptor: descriptor.clone(),
-        hardware,
-        last_revision: 0,
-    };
-    let join = std::thread::spawn(move || {
-        while let Ok(req) = req_rx.recv() {
-            match req {
-                NetconfRequest::Shutdown => break,
-                NetconfRequest::GetState => {
-                    if rep_tx
-                        .send(NetconfReply::State(Box::new(state.clone())))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                NetconfRequest::EditConfig { revision, native } => {
-                    // The device only understands its own dialect.
-                    let reply = match vendor::decode(vendor_kind, &native) {
-                        Err(e) => NetconfReply::Rejected {
-                            revision,
-                            cause: error_chain(&e),
-                        },
-                        Ok(cfg) => match state.apply(&cfg) {
-                            Ok(()) => {
-                                state.last_revision = revision;
-                                NetconfReply::Ok { revision }
-                            }
-                            Err(cause) => NetconfReply::Rejected { revision, cause },
-                        },
-                    };
-                    if rep_tx.send(reply).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-    });
-    let session = NetconfSession {
-        req: req_tx,
-        rep: rep_rx,
-        device: descriptor.id,
-        injector: None,
-        obs: None,
-    };
     DeviceHandle {
+        session: NetconfSession::new(descriptor.clone(), hardware),
         descriptor,
-        session,
-        join: Some(join),
     }
 }
 
 /// Whether `state` already reflects `cfg`.
 ///
 /// The retry layer needs this to disambiguate "rejected because already
-/// applied": after a reply is lost past the session timeout, the config
-/// may well be in effect, and a blind re-send of a non-idempotent config
-/// (a ROADM express self-conflicts with its own passband) is rejected even
-/// though the intent holds.
+/// applied": after a reply is lost, the config may well be in effect, and
+/// a blind re-send of a non-idempotent config (a ROADM express
+/// self-conflicts with its own passband) is rejected even though the
+/// intent holds.
 pub fn config_in_effect(state: &DeviceState, cfg: &StandardConfig) -> bool {
     match (&state.hardware, cfg) {
         (
@@ -280,6 +203,7 @@ pub fn config_in_effect(state: &DeviceState, cfg: &StandardConfig) -> bool {
 mod tests {
     use super::*;
     use crate::model::{DeviceId, DeviceKind, Vendor};
+    use crate::vendor;
     use flexwan_optical::spectrum::{PixelWidth, SpectrumGrid};
     use flexwan_optical::WssKind;
     use flexwan_topo::graph::NodeId;

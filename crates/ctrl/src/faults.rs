@@ -3,20 +3,20 @@
 //! Production controllers earn their resilience claims against injected
 //! failure, not clean-room tests. [`FaultInjector`] interposes at the
 //! NETCONF session boundary ([`crate::netconf::NetconfSession`]) and can,
-//! per device and per request, drop a request on the floor, delay the
-//! reply past [`crate::netconf::SESSION_TIMEOUT`], reject the first N
-//! edit-configs, crash the device thread outright, or serve stale state —
-//! all driven by a seeded [`ChaCha8Rng`] so every chaos run replays
-//! exactly. Two companion pieces cover the other layers:
+//! per device and per request, drop a request on the floor, lose the
+//! reply to an edit-config the device applied, reject the first N
+//! edit-configs, crash the device outright, or serve stale state — all
+//! driven by a seeded [`ChaCha8Rng`] so every chaos run replays exactly. Two companion pieces cover the other layers:
 //! [`ClusterFaultSchedule`] scripts heartbeat loss and region partitions
 //! against [`crate::ha::ControllerCluster`], and [`PhysicalFault`] maps
 //! fiber cuts and amplifier failures through the `flexwan-physim` testbed
 //! into the [`FailureScenario`]s the restoration path consumes.
 //!
 //! Faults are *verdicts*, not wall-clock sleeps: a "delayed" reply is
-//! modeled as delivered-then-discarded (the device applies the config, the
-//! controller times out), so chaos tests stay fast and fully
-//! deterministic.
+//! delivered-then-discarded (the device applies the config, the controller
+//! sees a timeout) and a crash drops the device's state until the
+//! controller reinstalls the factory image, so chaos tests stay fast and
+//! fully deterministic.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
@@ -41,7 +41,7 @@ pub struct DeviceFaults {
     /// is **not** applied).
     pub drop_prob: f64,
     /// Probability the device applies an edit-config but its reply is
-    /// delayed past [`crate::netconf::SESSION_TIMEOUT`] and discarded (the
+    /// delayed past the controller's patience and discarded (the
     /// controller times out; the config **is** applied — the
     /// applied-but-unacknowledged drift every retry layer must survive).
     pub delay_reply_prob: f64,
@@ -51,8 +51,8 @@ pub struct DeviceFaults {
     /// Probability a get-state reply is served from a stale snapshot of an
     /// earlier state read instead of the live device.
     pub stale_state_prob: f64,
-    /// Crash the device thread on the edit-config attempt after this many
-    /// attempts have been observed (one-shot; the thread exits and every
+    /// Crash the device on the edit-config attempt after this many
+    /// attempts have been observed (one-shot; its state is gone and every
     /// later request fails until the controller restarts the device).
     pub crash_after: Option<u32>,
 }
@@ -152,7 +152,7 @@ pub enum EditVerdict {
     Reject,
     /// Deliver the request but discard the (late) reply.
     DelayReply,
-    /// Crash the device thread.
+    /// Crash the device.
     Crash,
 }
 
@@ -178,7 +178,7 @@ pub struct FaultStats {
     pub delayed_replies: u64,
     /// Edit-configs rejected by injection.
     pub rejects: u64,
-    /// Device threads crashed.
+    /// Devices crashed.
     pub crashes: u64,
     /// Stale state snapshots served.
     pub stale_reads: u64,
@@ -200,7 +200,7 @@ struct Inner {
     attempts: HashMap<DeviceId, u32>,
     /// Injected rejections issued per device (drives `reject_first`).
     rejected: HashMap<DeviceId, u32>,
-    /// Devices whose thread we crashed and that have not been restarted.
+    /// Devices we crashed and that have not been restarted.
     crashed_pending: HashSet<DeviceId>,
     /// Devices that already consumed their one-shot crash.
     crash_done: HashSet<DeviceId>,
@@ -211,9 +211,10 @@ struct Inner {
 
 /// The seeded fault injector shared by every armed session.
 ///
-/// Thread-safe (sessions live on the controller thread, but handles are
-/// cloneable); all decisions come from one seeded RNG consumed in request
-/// order, so a single-threaded controller replays bit-identically.
+/// Shared behind an `Arc` by the sessions and the harness that reads its
+/// stats, hence the mutex; all decisions come from one seeded RNG consumed
+/// in request order, and every request is made on the controller's
+/// thread, so a run replays bit-identically.
 #[derive(Debug)]
 pub struct FaultInjector {
     inner: Mutex<Inner>,
@@ -241,7 +242,7 @@ impl FaultInjector {
     pub fn on_edit_config(&self, dev: DeviceId) -> EditVerdict {
         let mut g = self.inner.lock().expect("injector poisoned");
         if g.crashed_pending.contains(&dev) {
-            // The thread is already dead; let the send fail naturally.
+            // The device is already down; the request fails on its own.
             return EditVerdict::Deliver;
         }
         let faults = g.plan.faults_for(dev).clone();
@@ -355,7 +356,7 @@ impl FaultInjector {
         g.snapshots.insert(dev, state);
     }
 
-    /// Notes that the controller restarted `dev` (a crashed thread was
+    /// Notes that the controller restarted `dev` (a crashed device was
     /// replaced); the crash stays consumed — it is one-shot.
     pub fn device_restarted(&self, dev: DeviceId) {
         let mut g = self.inner.lock().expect("injector poisoned");
@@ -586,7 +587,7 @@ mod tests {
         let inj = FaultInjector::new(plan);
         assert_eq!(inj.on_edit_config(DeviceId(3)), EditVerdict::Deliver);
         assert_eq!(inj.on_edit_config(DeviceId(3)), EditVerdict::Crash);
-        // Dead thread: verdicts pass through until the restart is noted…
+        // Dead device: verdicts pass through until the restart is noted…
         assert_eq!(inj.on_edit_config(DeviceId(3)), EditVerdict::Deliver);
         inj.device_restarted(DeviceId(3));
         // …and the crash never re-fires after the restart.

@@ -6,8 +6,8 @@
 //!   stand-in; see DESIGN.md §1);
 //! * [`vendor`] — lossless adapters to three distinct vendor dialects;
 //! * [`netconf`] — the edit-config/get-state session layer;
-//! * [`device`] — simulated device actors (one thread each) that validate
-//!   configuration against their hardware models;
+//! * [`device`] — simulated devices: plain state behind a session,
+//!   validating configuration against their hardware models;
 //! * [`controller`] — global manager + DevMgr: pushes a plan to the
 //!   device plane and audits end-to-end channel consistency;
 //! * [`issues`] — the spectrum-issue finders and the uncoordinated

@@ -1,7 +1,10 @@
 //! The configuration session layer (NETCONF stand-in).
 //!
-//! Each managed device holds a session: a request/reply channel pair with
-//! edit-config / get-state semantics and timeouts. The wire payload is the
+//! Each managed device is reached through a session with edit-config /
+//! get-state semantics. The device at the far end is plain state the
+//! session owns: a request is a synchronous call on the controller's
+//! thread, because what this crate reproduces is the coordination logic
+//! above the session, not a transport (DESIGN.md §1). The payload is the
 //! vendor-*native* document — translation to the standard model happens at
 //! the controller edge ([`crate::vendor`]), so a device only ever sees its
 //! own dialect, exactly as in a real multi-vendor backbone.
@@ -9,67 +12,26 @@
 //! A session may be *armed* with a [`FaultInjector`]
 //! ([`crate::faults`]): every request then passes through the injector,
 //! which can drop it, reject it, discard the reply, serve stale state, or
-//! crash the device thread — the chaos harness's interposition point.
+//! crash the device — the chaos harness's interposition point.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 use flexwan_obs::Obs;
 use flexwan_util::json::Value;
-use flexwan_util::sync::{Receiver, RecvTimeoutError, Sender};
 
-use crate::device::DeviceState;
+use crate::device::{DeviceState, Hardware};
 use crate::faults::{EditVerdict, FaultInjector, StateVerdict};
-use crate::model::DeviceId;
-
-/// Default session timeout. Devices are in-process; anything slower than
-/// this is a wedged device thread.
-pub const SESSION_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// A request sent to a device.
-#[derive(Debug)]
-pub enum NetconfRequest {
-    /// Apply a vendor-native configuration document.
-    EditConfig {
-        /// Controller revision stamp.
-        revision: u64,
-        /// Vendor-native payload.
-        native: Value,
-    },
-    /// Read the device's current state.
-    GetState,
-    /// Terminate the device thread.
-    Shutdown,
-}
-
-/// A reply from a device.
-#[derive(Debug)]
-pub enum NetconfReply {
-    /// Configuration applied; echoes the revision.
-    Ok {
-        /// The applied revision.
-        revision: u64,
-    },
-    /// Configuration rejected.
-    Rejected {
-        /// The failed revision.
-        revision: u64,
-        /// Human-readable cause.
-        cause: String,
-    },
-    /// State snapshot.
-    State(Box<DeviceState>),
-}
+use crate::model::{DeviceDescriptor, DeviceId};
+use crate::vendor;
 
 /// Session errors at the controller edge.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
     /// The device rejected the configuration.
     Rejected(String),
-    /// The device did not answer within the timeout (or disconnected).
+    /// The device did not answer (request or reply lost, or the device
+    /// is down).
     Unreachable,
-    /// The device answered with the wrong reply kind (protocol bug).
-    ProtocolViolation,
 }
 
 impl std::fmt::Display for SessionError {
@@ -77,35 +39,73 @@ impl std::fmt::Display for SessionError {
         match self {
             SessionError::Rejected(c) => write!(f, "device rejected configuration: {c}"),
             SessionError::Unreachable => write!(f, "device unreachable"),
-            SessionError::ProtocolViolation => write!(f, "protocol violation"),
         }
     }
 }
 
 impl std::error::Error for SessionError {}
 
-/// The controller's end of a device session.
-#[derive(Debug, Clone)]
+/// Renders an error with its full `source()` chain, so a rejection cause
+/// carries the root failure (e.g. the optical-layer grid violation behind
+/// a dialect decode error) and not just the outermost message.
+fn error_chain(e: &dyn std::error::Error) -> String {
+    let mut cause = e.to_string();
+    let mut src = e.source();
+    while let Some(s) = src {
+        cause.push_str(": ");
+        cause.push_str(&s.to_string());
+        src = s.source();
+    }
+    cause
+}
+
+/// The controller's end of a device session, and the device behind it.
+#[derive(Debug)]
 pub struct NetconfSession {
-    pub(crate) req: Sender<NetconfRequest>,
-    pub(crate) rep: Receiver<NetconfReply>,
-    pub(crate) device: DeviceId,
-    pub(crate) injector: Option<Arc<FaultInjector>>,
-    pub(crate) obs: Option<Obs>,
+    /// The device's state; `None` while it is crashed. Behind a mutex
+    /// because requests take `&self`, as they would over a transport.
+    state: Mutex<Option<DeviceState>>,
+    device: DeviceId,
+    injector: Option<Arc<FaultInjector>>,
+    obs: Option<Obs>,
 }
 
 impl NetconfSession {
+    /// A session to a factory-fresh device running `hardware`.
+    pub(crate) fn new(descriptor: DeviceDescriptor, hardware: Hardware) -> Self {
+        let session = NetconfSession {
+            state: Mutex::new(None),
+            device: descriptor.id,
+            injector: None,
+            obs: None,
+        };
+        session.install(descriptor, hardware);
+        session
+    }
+
+    /// Swaps the device for a factory-fresh unit running `hardware`
+    /// (revision 0, no configuration); a crashed device answers again.
+    pub(crate) fn install(&self, descriptor: DeviceDescriptor, hardware: Hardware) {
+        *self.device_state() = Some(DeviceState {
+            descriptor,
+            hardware,
+            last_revision: 0,
+        });
+    }
+
+    fn device_state(&self) -> std::sync::MutexGuard<'_, Option<DeviceState>> {
+        self.state.lock().expect("device state poisoned")
+    }
+
     /// Arms the session with a fault injector; every subsequent request
     /// consults it.
-    pub(crate) fn arm(&mut self, device: DeviceId, injector: Arc<FaultInjector>) {
-        self.device = device;
+    pub(crate) fn arm(&mut self, injector: Arc<FaultInjector>) {
         self.injector = Some(injector);
     }
 
     /// Arms the session with an observability bundle: every edit-config /
     /// get-state attempt is counted per device from here on.
-    pub(crate) fn observe(&mut self, device: DeviceId, obs: Obs) {
-        self.device = device;
+    pub(crate) fn observe(&mut self, obs: Obs) {
         self.obs = Some(obs);
     }
 
@@ -126,7 +126,6 @@ impl NetconfSession {
             let kind = match err {
                 SessionError::Rejected(_) => "rejected",
                 SessionError::Unreachable => "unreachable",
-                SessionError::ProtocolViolation => "protocol",
             };
             obs.registry()
                 .counter_with(metric, &[("device", &device), ("kind", kind)])
@@ -134,27 +133,18 @@ impl NetconfSession {
         }
     }
 
-    fn recv(&self) -> Result<NetconfReply, SessionError> {
-        match self.rep.recv_timeout(SESSION_TIMEOUT) {
-            Ok(r) => Ok(r),
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                Err(SessionError::Unreachable)
-            }
-        }
-    }
-
     /// Sends a native configuration document; returns the acknowledged
     /// revision.
     pub fn edit_config(&self, revision: u64, native: Value) -> Result<u64, SessionError> {
         self.count("netconf_edit_attempts_total");
-        let result = self.edit_config_inner(revision, native);
+        let result = self.edit_config_inner(revision, &native);
         if let Err(e) = &result {
             self.count_failure("netconf_edit_failures_total", e);
         }
         result
     }
 
-    fn edit_config_inner(&self, revision: u64, native: Value) -> Result<u64, SessionError> {
+    fn edit_config_inner(&self, revision: u64, native: &Value) -> Result<u64, SessionError> {
         if let Some(inj) = &self.injector {
             match inj.on_edit_config(self.device) {
                 EditVerdict::Deliver => {}
@@ -165,29 +155,30 @@ impl NetconfSession {
                     ))
                 }
                 EditVerdict::DelayReply => {
-                    // The device applies the config, but its reply lands
-                    // after SESSION_TIMEOUT: deliver, then discard the
-                    // (late) reply so it cannot poison the next exchange.
-                    self.req
-                        .send(NetconfRequest::EditConfig { revision, native })
-                        .map_err(|_| SessionError::Unreachable)?;
-                    let _ = self.rep.recv_timeout(SESSION_TIMEOUT);
+                    // The device applies the config, but the controller
+                    // never sees the reply.
+                    let _ = self.deliver(revision, native);
                     return Err(SessionError::Unreachable);
                 }
                 EditVerdict::Crash => {
-                    let _ = self.req.send(NetconfRequest::Shutdown);
+                    *self.device_state() = None;
                     return Err(SessionError::Unreachable);
                 }
             }
         }
-        self.req
-            .send(NetconfRequest::EditConfig { revision, native })
-            .map_err(|_| SessionError::Unreachable)?;
-        match self.recv()? {
-            NetconfReply::Ok { revision } => Ok(revision),
-            NetconfReply::Rejected { cause, .. } => Err(SessionError::Rejected(cause)),
-            NetconfReply::State(_) => Err(SessionError::ProtocolViolation),
-        }
+        self.deliver(revision, native)
+    }
+
+    /// The device's side of an edit-config: decode its own dialect,
+    /// validate against the hardware, stamp the revision.
+    fn deliver(&self, revision: u64, native: &Value) -> Result<u64, SessionError> {
+        let mut guard = self.device_state();
+        let state = guard.as_mut().ok_or(SessionError::Unreachable)?;
+        let cfg = vendor::decode(state.descriptor.vendor, native)
+            .map_err(|e| SessionError::Rejected(error_chain(&e)))?;
+        state.apply(&cfg).map_err(SessionError::Rejected)?;
+        state.last_revision = revision;
+        Ok(revision)
     }
 
     /// Reads the device state.
@@ -208,24 +199,13 @@ impl NetconfSession {
                 StateVerdict::Stale(s) => return Ok(*s),
             }
         }
-        self.req
-            .send(NetconfRequest::GetState)
-            .map_err(|_| SessionError::Unreachable)?;
-        match self.recv()? {
-            NetconfReply::State(s) => {
-                if let Some(inj) = &self.injector {
-                    inj.record_state(self.device, (*s).clone());
-                }
-                Ok(*s)
-            }
-            NetconfReply::Ok { .. } | NetconfReply::Rejected { .. } => {
-                Err(SessionError::ProtocolViolation)
-            }
+        let state = self
+            .device_state()
+            .clone()
+            .ok_or(SessionError::Unreachable)?;
+        if let Some(inj) = &self.injector {
+            inj.record_state(self.device, state.clone());
         }
-    }
-
-    /// Asks the device thread to exit (best-effort).
-    pub fn shutdown(&self) {
-        let _ = self.req.send(NetconfRequest::Shutdown);
+        Ok(state)
     }
 }

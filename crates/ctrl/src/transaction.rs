@@ -82,38 +82,21 @@ impl Transaction {
     }
 
     /// Executes the steps in order through `send`; on the first rejection,
-    /// rolls the applied prefix back in reverse order.
-    pub fn execute<F>(self, send: F) -> Result<usize, TxError>
+    /// rolls the applied prefix back in reverse order. With an `obs` the
+    /// transaction lifecycle is recorded into it: a `tx.execute` span
+    /// carrying the step count and outcome, plus commit/rollback counters
+    /// — the §4.3 all-or-nothing guarantee made observable.
+    pub fn execute<F>(self, obs: Option<&Obs>, send: F) -> Result<usize, TxError>
     where
         F: FnMut(DeviceId, &StandardConfig) -> Result<(), String>,
     {
-        self.execute_with_budget(usize::MAX, send)
-    }
-
-    /// [`Transaction::execute`] with a deadline budget: at most `budget`
-    /// apply-steps are attempted. A transaction that runs out of budget
-    /// mid-apply fails and rolls back its applied prefix — rollback sends
-    /// are **not** budgeted, because leaking partial state is worse than
-    /// overrunning the deadline.
-    pub fn execute_with_budget<F>(self, budget: usize, send: F) -> Result<usize, TxError>
-    where
-        F: FnMut(DeviceId, &StandardConfig) -> Result<(), String>,
-    {
-        self.run(budget, send)
-    }
-
-    /// [`Transaction::execute_with_budget`] with the transaction lifecycle
-    /// recorded into `obs`: a `tx.execute` span carrying the step count
-    /// and outcome, plus commit/rollback counters — the §4.3
-    /// all-or-nothing guarantee made observable.
-    pub fn execute_observed<F>(self, obs: &Obs, budget: usize, send: F) -> Result<usize, TxError>
-    where
-        F: FnMut(DeviceId, &StandardConfig) -> Result<(), String>,
-    {
+        let Some(obs) = obs else {
+            return self.run(send);
+        };
         let span = obs.span("tx.execute");
         span.field("steps", self.len());
         let start = obs.now_ns();
-        let result = self.run(budget, send);
+        let result = self.run(send);
         let reg = obs.registry();
         match &result {
             Ok(applied) => {
@@ -136,18 +119,13 @@ impl Transaction {
         result
     }
 
-    fn run<F>(self, budget: usize, mut send: F) -> Result<usize, TxError>
+    fn run<F>(self, mut send: F) -> Result<usize, TxError>
     where
         F: FnMut(DeviceId, &StandardConfig) -> Result<(), String>,
     {
         let mut applied: Vec<&Step> = Vec::with_capacity(self.steps.len());
         for step in &self.steps {
-            let result = if applied.len() >= budget {
-                Err("transaction deadline budget exhausted".to_string())
-            } else {
-                send(step.device, &step.apply)
-            };
-            match result {
+            match send(step.device, &step.apply) {
                 Ok(()) => applied.push(step),
                 Err(cause) => {
                     let mut rollback_failures = Vec::new();
@@ -213,8 +191,11 @@ mod tests {
                 port_cfg(i as u16, false),
             );
         }
-        let n = tx.execute(|d, c| plane.send(d, c)).unwrap();
+        let obs = Obs::new();
+        let n = tx.execute(Some(&obs), |d, c| plane.send(d, c)).unwrap();
         assert_eq!(n, 3);
+        assert_eq!(obs.registry().counter("tx_commits_total").get(), 1);
+        assert_eq!(obs.registry().counter("tx_rollbacks_total").get(), 0);
         assert_eq!(plane.state.len(), 3);
         for i in 0..3 {
             assert_eq!(plane.state[&DeviceId(i)], port_cfg(i as u16, true));
@@ -235,10 +216,14 @@ mod tests {
                 port_cfg(i as u16, false),
             );
         }
-        let err = tx.execute(|d, c| plane.send(d, c)).unwrap_err();
+        let obs = Obs::new();
+        let err = tx.execute(Some(&obs), |d, c| plane.send(d, c)).unwrap_err();
         assert_eq!(err.failed_device, DeviceId(2));
         assert_eq!(err.rolled_back, 2);
         assert!(err.rollback_failures.is_empty());
+        assert_eq!(obs.registry().counter("tx_commits_total").get(), 0);
+        assert_eq!(obs.registry().counter("tx_rollbacks_total").get(), 1);
+        assert_eq!(obs.registry().counter("tx_rollback_steps_total").get(), 2);
         // Devices 0 and 1 ended on their undo configs; 3 never touched.
         assert_eq!(plane.state[&DeviceId(0)], port_cfg(0, false));
         assert_eq!(plane.state[&DeviceId(1)], port_cfg(1, false));
@@ -256,7 +241,7 @@ mod tests {
         tx.step(DeviceId(0), port_cfg(0, true), port_cfg(0, false));
         tx.step(DeviceId(1), port_cfg(1, true), port_cfg(1, false));
         let err = tx
-            .execute(|d, c| {
+            .execute(None, |d, c| {
                 calls.push((d, c.clone()));
                 match (d, c) {
                     (DeviceId(1), _) => Err("apply rejected".into()),
@@ -272,37 +257,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_rolls_back_prefix() {
-        let mut plane = FakePlane {
-            state: HashMap::new(),
-            reject: DeviceId(99),
-        };
-        let mut tx = Transaction::new();
-        for i in 0..4 {
-            tx.step(
-                DeviceId(i),
-                port_cfg(i as u16, true),
-                port_cfg(i as u16, false),
-            );
-        }
-        let err = tx
-            .execute_with_budget(2, |d, c| plane.send(d, c))
-            .unwrap_err();
-        assert_eq!(err.failed_device, DeviceId(2));
-        assert!(err.cause.contains("budget"), "{}", err.cause);
-        assert_eq!(err.rolled_back, 2);
-        assert!(err.rollback_failures.is_empty());
-        // The applied prefix ended on its undo configs.
-        assert_eq!(plane.state[&DeviceId(0)], port_cfg(0, false));
-        assert_eq!(plane.state[&DeviceId(1)], port_cfg(1, false));
-        assert!(!plane.state.contains_key(&DeviceId(3)));
-    }
-
-    #[test]
     fn empty_transaction_is_noop() {
         let tx = Transaction::new();
         assert!(tx.is_empty());
-        let n = tx.execute(|_, _| panic!("no sends expected")).unwrap();
+        let n = tx
+            .execute(None, |_, _| panic!("no sends expected"))
+            .unwrap();
         assert_eq!(n, 0);
     }
 }

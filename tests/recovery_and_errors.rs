@@ -17,7 +17,6 @@ fn all_errors() -> Vec<Box<dyn Error>> {
     vec![
         Box::new(SessionError::Rejected("slot busy".into())),
         Box::new(SessionError::Unreachable),
-        Box::new(SessionError::ProtocolViolation),
         Box::new(TxError {
             failed_device: DeviceId(4),
             cause: "simulated".into(),
@@ -46,10 +45,10 @@ fn every_subsystem_error_composes_behind_dyn_error() {
 fn dyn_errors_downcast_to_their_concrete_types() {
     let errs = all_errors();
     assert!(errs[0].downcast_ref::<SessionError>().is_some());
-    assert!(errs[3].downcast_ref::<TxError>().is_some());
-    assert!(errs[4].downcast_ref::<ClusterError>().is_some());
-    assert!(errs[5].downcast_ref::<OpticalError>().is_some());
-    assert!(errs[6].downcast_ref::<LoadError>().is_some());
+    assert!(errs[2].downcast_ref::<TxError>().is_some());
+    assert!(errs[3].downcast_ref::<ClusterError>().is_some());
+    assert!(errs[4].downcast_ref::<OpticalError>().is_some());
+    assert!(errs[5].downcast_ref::<LoadError>().is_some());
     assert!(
         errs[0].downcast_ref::<TxError>().is_none(),
         "downcast is type-exact"
