@@ -36,6 +36,10 @@ const MUX_PORTS: u16 = 64;
 /// The device manager: registry plus live sessions.
 #[derive(Debug, Default)]
 pub struct DevMgr {
+    /// Registered devices. The controller indexes this directly, but only
+    /// with ids it holds itself — site MUX/ROADM maps, live lightpath
+    /// allocations, breakers — and those are all dropped in the same step
+    /// that retires the device ([`Controller::retire`]).
     devices: HashMap<DeviceId, DeviceHandle>,
     factory: HashMap<DeviceId, Hardware>,
     next_id: u32,
@@ -100,23 +104,39 @@ impl DevMgr {
     /// Simulates a field replacement: the device at `id` is swapped for a
     /// factory-fresh unit (same identity, empty configuration) — the
     /// configuration-drift scenario [`Controller::reconcile`] repairs, and
-    /// how a crashed device comes back.
-    pub fn reset_device(&mut self, id: DeviceId) {
-        let handle = self.devices.get(&id).expect("unknown device");
-        let hw = self
-            .factory
-            .get(&id)
-            .expect("factory image recorded")
-            .clone();
-        handle.session.install(handle.descriptor.clone(), hw);
+    /// how a crashed device comes back. An `id` nothing is registered
+    /// under is [`SessionError::Unreachable`]: there is no device to reset.
+    pub fn reset_device(&mut self, id: DeviceId) -> Result<(), SessionError> {
+        let (Some(handle), Some(hw)) = (self.devices.get(&id), self.factory.get(&id)) else {
+            return Err(SessionError::Unreachable);
+        };
+        handle
+            .session
+            .install(handle.descriptor.clone(), hw.clone());
         if let Some(inj) = &self.injector {
             inj.device_restarted(id);
         }
+        Ok(())
     }
 
-    /// The handle for `id`.
-    pub fn device(&self, id: DeviceId) -> &DeviceHandle {
-        &self.devices[&id]
+    /// Retires a device: its session and factory image are dropped and
+    /// its id is never reused.
+    fn unregister(&mut self, id: DeviceId) {
+        self.devices.remove(&id);
+        self.factory.remove(&id);
+    }
+
+    /// The handle for `id`, if a device is registered under it.
+    pub fn device(&self, id: DeviceId) -> Option<&DeviceHandle> {
+        self.devices.get(&id)
+    }
+
+    /// The ids of the managed devices, ascending. Ids are not dense:
+    /// retired transponders leave gaps.
+    pub fn ids(&self) -> Vec<DeviceId> {
+        let mut ids: Vec<DeviceId> = self.devices.keys().copied().collect();
+        ids.sort();
+        ids
     }
 
     /// Number of managed devices.
@@ -669,15 +689,24 @@ impl Controller {
                 .entry(lightpath_key(w))
                 .or_default()
                 .push(alloc),
-            // Rolled back: the claimed ports go straight back to the
-            // free list (the rollback already cleared them on-device).
-            Err(_) => {
-                for (site, port) in alloc.mux_ports {
-                    self.release_port(site, port);
-                }
-            }
+            // Rolled back: the rollback already darkened the devices.
+            Err(_) => self.retire(alloc),
         }
         result
+    }
+
+    /// Hands back what [`Self::claim_lightpath`] claimed once the devices
+    /// hold nothing for the lightpath any more: the filter ports return to
+    /// the site free lists and the transponders leave the registry, with
+    /// their breakers — so nothing ever probes a retired id.
+    fn retire(&mut self, alloc: LightpathAlloc) {
+        for (site, port) in alloc.mux_ports {
+            self.release_port(site, port);
+        }
+        for t in alloc.transponders {
+            self.devmgr.unregister(t);
+            self.breakers.remove(&t);
+        }
     }
 
     /// Runs `tx` against the device plane, every step through
@@ -695,8 +724,9 @@ impl Controller {
     /// [`apply_wavelength_atomic`](Self::apply_wavelength_atomic). A
     /// mid-path rejection rolls the already-released prefix back, so the
     /// lightpath is either fully up or fully down. On success the MUX
-    /// ports return to the site free list for reuse. Releasing a
-    /// wavelength this controller never applied is a counted no-op.
+    /// ports return to the site free list for reuse and the transponders
+    /// are retired. Releasing a wavelength this controller never applied
+    /// is a counted no-op.
     pub fn release_wavelength_atomic(&mut self, w: &Wavelength) -> Result<usize, TxError> {
         let key = lightpath_key(w);
         let Some(alloc) = self.live_paths.get_mut(&key).and_then(|v| v.pop()) else {
@@ -713,9 +743,7 @@ impl Controller {
         let result = self.execute(tx);
         match &result {
             Ok(_) => {
-                for (site, port) in alloc.mux_ports {
-                    self.release_port(site, port);
-                }
+                self.retire(alloc);
                 self.count("ctrl_releases_total");
             }
             // Rolled back to fully-applied: the footprint is still live.
@@ -726,7 +754,9 @@ impl Controller {
 
     /// Whether the MUX at `site` passes `channel` on any filter port.
     fn mux_passes(&self, site: NodeId, channel: &PixelRange) -> Result<bool, SessionError> {
-        let state = self.devmgr.device(self.mux_at[&site]).session.get_state()?;
+        let state = self.devmgr.devices[&self.mux_at[&site]]
+            .session
+            .get_state()?;
         Ok(matches!(state.hardware, Hardware::Mux(m)
             if (0..MUX_PORTS).any(|p| m.passes(p, channel).unwrap_or(false))))
     }
@@ -753,7 +783,7 @@ impl Controller {
                 }
             }
             for (roadm, up, _) in self.footprint(w, &LightpathAlloc::default()) {
-                let expressed = self.devmgr.device(roadm).session.get_state();
+                let expressed = self.devmgr.devices[&roadm].session.get_state();
                 if !expressed.is_ok_and(|state| config_in_effect(&state, &up)) {
                     report.note(self.send(roadm, up));
                 }
@@ -779,7 +809,7 @@ impl Controller {
                 }
             }
             for (roadm, up, _) in self.footprint(w, &LightpathAlloc::default()) {
-                let handle = self.devmgr.device(roadm);
+                let handle = &self.devmgr.devices[&roadm];
                 let node = handle.descriptor.site;
                 match handle.session.get_state() {
                     Ok(state) if config_in_effect(&state, &up) => {}
@@ -832,11 +862,13 @@ impl Controller {
             Err(_) => {
                 // Dead or still unreachable: restart from the factory
                 // image and roll the whole journaled history forward.
-                self.devmgr.reset_device(id);
-                self.stats.devices_restarted += 1;
-                self.count("ctrl_devices_restarted_total");
-                report.restarted.push(id);
-                self.roll_forward(id, 0)
+                let reset = self.devmgr.reset_device(id);
+                if reset.is_ok() {
+                    self.stats.devices_restarted += 1;
+                    self.count("ctrl_devices_restarted_total");
+                    report.restarted.push(id);
+                }
+                reset.is_ok() && self.roll_forward(id, 0)
             }
         };
         if caught_up {
@@ -985,16 +1017,20 @@ mod tests {
         let err = ctrl.apply_wavelength_atomic(off_grid).unwrap_err();
         assert!(err.rollback_failures.is_empty(), "{err:?}");
         assert!(err.rolled_back >= 2, "transponders were applied first");
-        // The registered transponders exist but are administratively down.
-        assert_eq!(ctrl.devmgr.len(), before_devices + 2);
-        for id in (0..ctrl.devmgr.len() as u32).map(DeviceId) {
-            let Ok(state) = ctrl.devmgr.device(id).session.get_state() else {
-                continue;
-            };
-            if let crate::device::Hardware::Transponder(Some(t)) = state.hardware {
-                assert!(!t.enabled, "rolled-back transponder still enabled");
-            }
+        // The registered transponders were retired with the rollback…
+        assert_eq!(ctrl.devmgr.len(), before_devices);
+        for id in ctrl.devmgr.ids() {
+            let state = ctrl.devmgr.device(id).unwrap().session.get_state().unwrap();
+            assert!(
+                !matches!(state.hardware, Hardware::Transponder(_)),
+                "transponder {id:?} outlived its rolled-back lightpath"
+            );
         }
+        // …after being administratively downed again.
+        let downed = |e: &&crate::journal::JournalEntry| {
+            matches!(e.config, StandardConfig::Transponder { enabled: false, .. })
+        };
+        assert_eq!(ctrl.journal().entries().iter().filter(downed).count(), 2);
     }
 
     #[test]
@@ -1026,7 +1062,7 @@ mod tests {
         assert!(ctrl.audit_plan(&p).is_empty());
         // A MUX is swapped for a factory-fresh unit: drift appears…
         let mux0 = ctrl.mux_at[&p.wavelengths[0].path.source()];
-        ctrl.devmgr.reset_device(mux0);
+        ctrl.devmgr.reset_device(mux0).unwrap();
         assert!(!ctrl.audit_plan(&p).is_empty(), "drift must be visible");
         // …and reconcile repairs it.
         let rep = ctrl.reconcile(&p);
@@ -1112,6 +1148,52 @@ mod tests {
         for site in [w.path.source(), w.path.destination()] {
             assert!(ctrl.next_port[&site] <= 1, "ports leaked at {site:?}");
         }
+    }
+
+    #[test]
+    fn lightpath_churn_leaves_no_device_registered() {
+        let (g, ip) = backbone();
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let w = &p.wavelengths[0];
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        let built = ctrl.devmgr.len();
+        for _ in 0..200 {
+            ctrl.apply_wavelength_atomic(w).unwrap();
+            ctrl.release_wavelength_atomic(w).unwrap();
+        }
+        assert_eq!(ctrl.devmgr.len(), built, "released transponders leaked");
+        // Ids are never reused, so the first transponder's is now a gap.
+        let retired = DeviceId(built as u32);
+        assert!(ctrl.devmgr.device(retired).is_none());
+        assert_eq!(
+            ctrl.devmgr.reset_device(retired),
+            Err(SessionError::Unreachable)
+        );
+
+        // A fixed-grid plane rejects the off-grid channel at the first
+        // MUX: every apply rolls back.
+        let off_grid = p
+            .wavelengths
+            .iter()
+            .find(|w| w.channel.start % 6 != 0 || w.channel.width.pixels() != 6)
+            .expect("plan contains an off-75GHz-grid channel");
+        let mut legacy = Controller::build(&g, Scheme::Radwan.wss(), cfg.grid);
+        for _ in 0..50 {
+            legacy.apply_wavelength_atomic(off_grid).unwrap_err();
+        }
+        assert_eq!(
+            legacy.devmgr.len(),
+            built,
+            "rolled-back transponders leaked"
+        );
+        assert!(legacy
+            .breakers
+            .keys()
+            .all(|id| legacy.devmgr.device(*id).is_some()));
     }
 
     #[test]

@@ -52,8 +52,13 @@ fn backbone() -> (Graph, IpTopology, PlannerConfig) {
 /// the passbands actually in effect per site.
 fn live_passbands(ctrl: &Controller) -> HashMap<NodeId, Vec<PixelRange>> {
     let mut at: HashMap<NodeId, Vec<PixelRange>> = HashMap::new();
-    for id in (0..ctrl.devmgr.len() as u32).map(DeviceId) {
-        let Ok(state) = ctrl.devmgr.device(id).session.get_state() else {
+    for handle in ctrl
+        .devmgr
+        .ids()
+        .into_iter()
+        .filter_map(|id| ctrl.devmgr.device(id))
+    {
+        let Ok(state) = handle.session.get_state() else {
             continue;
         };
         let site = state.descriptor.site;
@@ -167,6 +172,7 @@ fn chaos_run(seed: u64) -> (bool, usize, Vec<DeviceId>, CtrlStats, FaultStats, V
         let state = ctrl
             .devmgr
             .device(e.device)
+            .expect("apply_plan retires nothing")
             .session
             .get_state()
             .expect("converged plane");
