@@ -41,7 +41,6 @@ pub struct DevMgr {
     /// allocations, breakers — and those are all dropped in the same step
     /// that retires the device ([`Controller::retire`]).
     devices: HashMap<DeviceId, DeviceHandle>,
-    factory: HashMap<DeviceId, Hardware>,
     next_id: u32,
     injector: Option<Arc<FaultInjector>>,
     obs: Option<Obs>,
@@ -60,8 +59,7 @@ impl DevMgr {
         }
     }
 
-    /// Stands a device up and registers it, remembering its factory
-    /// hardware.
+    /// Stands a factory-fresh device up and registers it.
     pub fn register(
         &mut self,
         vendor: Vendor,
@@ -71,7 +69,6 @@ impl DevMgr {
     ) -> DeviceId {
         let descriptor = self.allocate(vendor, kind, site);
         let id = descriptor.id;
-        self.factory.insert(id, hw.clone());
         let mut handle = spawn_device(descriptor, hw);
         if let Some(inj) = &self.injector {
             handle.session.arm(inj.clone());
@@ -107,23 +104,12 @@ impl DevMgr {
     /// how a crashed device comes back. An `id` nothing is registered
     /// under is [`SessionError::Unreachable`]: there is no device to reset.
     pub fn reset_device(&mut self, id: DeviceId) -> Result<(), SessionError> {
-        let (Some(handle), Some(hw)) = (self.devices.get(&id), self.factory.get(&id)) else {
-            return Err(SessionError::Unreachable);
-        };
-        handle
-            .session
-            .install(handle.descriptor.clone(), hw.clone());
+        let handle = self.devices.get(&id).ok_or(SessionError::Unreachable)?;
+        handle.session.factory_reset();
         if let Some(inj) = &self.injector {
             inj.device_restarted(id);
         }
         Ok(())
-    }
-
-    /// Retires a device: its session and factory image are dropped and
-    /// its id is never reused.
-    fn unregister(&mut self, id: DeviceId) {
-        self.devices.remove(&id);
-        self.factory.remove(&id);
     }
 
     /// The handle for `id`, if a device is registered under it.
@@ -704,7 +690,7 @@ impl Controller {
             self.release_port(site, port);
         }
         for t in alloc.transponders {
-            self.devmgr.unregister(t);
+            self.devmgr.devices.remove(&t);
             self.breakers.remove(&t);
         }
     }

@@ -65,7 +65,8 @@ pub struct NetconfSession {
     /// The device's state; `None` while it is crashed. Behind a mutex
     /// because requests take `&self`, as they would over a transport.
     state: Mutex<Option<DeviceState>>,
-    device: DeviceId,
+    /// What a factory-fresh unit of this device looks like.
+    factory: DeviceState,
     injector: Option<Arc<FaultInjector>>,
     obs: Option<Obs>,
 }
@@ -73,28 +74,31 @@ pub struct NetconfSession {
 impl NetconfSession {
     /// A session to a factory-fresh device running `hardware`.
     pub(crate) fn new(descriptor: DeviceDescriptor, hardware: Hardware) -> Self {
-        let session = NetconfSession {
-            state: Mutex::new(None),
-            device: descriptor.id,
-            injector: None,
-            obs: None,
-        };
-        session.install(descriptor, hardware);
-        session
-    }
-
-    /// Swaps the device for a factory-fresh unit running `hardware`
-    /// (revision 0, no configuration); a crashed device answers again.
-    pub(crate) fn install(&self, descriptor: DeviceDescriptor, hardware: Hardware) {
-        *self.device_state() = Some(DeviceState {
+        let factory = DeviceState {
             descriptor,
             hardware,
             last_revision: 0,
-        });
+        };
+        NetconfSession {
+            state: Mutex::new(Some(factory.clone())),
+            factory,
+            injector: None,
+            obs: None,
+        }
+    }
+
+    /// Swaps the device for a factory-fresh unit (revision 0, no
+    /// configuration); a crashed device answers again.
+    pub(crate) fn factory_reset(&self) {
+        *self.device_state() = Some(self.factory.clone());
     }
 
     fn device_state(&self) -> std::sync::MutexGuard<'_, Option<DeviceState>> {
         self.state.lock().expect("device state poisoned")
+    }
+
+    fn device(&self) -> DeviceId {
+        self.factory.descriptor.id
     }
 
     /// Arms the session with a fault injector; every subsequent request
@@ -112,7 +116,7 @@ impl NetconfSession {
     /// Counts one per-device session event.
     fn count(&self, metric: &str) {
         if let Some(obs) = &self.obs {
-            let device = self.device.0.to_string();
+            let device = self.device().0.to_string();
             obs.registry()
                 .counter_with(metric, &[("device", &device)])
                 .inc();
@@ -122,7 +126,7 @@ impl NetconfSession {
     /// Counts one per-device session failure, tagged with the error kind.
     fn count_failure(&self, metric: &str, err: &SessionError) {
         if let Some(obs) = &self.obs {
-            let device = self.device.0.to_string();
+            let device = self.device().0.to_string();
             let kind = match err {
                 SessionError::Rejected(_) => "rejected",
                 SessionError::Unreachable => "unreachable",
@@ -146,7 +150,7 @@ impl NetconfSession {
 
     fn edit_config_inner(&self, revision: u64, native: &Value) -> Result<u64, SessionError> {
         if let Some(inj) = &self.injector {
-            match inj.on_edit_config(self.device) {
+            match inj.on_edit_config(self.device()) {
                 EditVerdict::Deliver => {}
                 EditVerdict::Drop => return Err(SessionError::Unreachable),
                 EditVerdict::Reject => {
@@ -193,7 +197,7 @@ impl NetconfSession {
 
     fn get_state_inner(&self) -> Result<DeviceState, SessionError> {
         if let Some(inj) = &self.injector {
-            match inj.on_get_state(self.device) {
+            match inj.on_get_state(self.device()) {
                 StateVerdict::Deliver => {}
                 StateVerdict::Drop => return Err(SessionError::Unreachable),
                 StateVerdict::Stale(s) => return Ok(*s),
@@ -204,7 +208,7 @@ impl NetconfSession {
             .clone()
             .ok_or(SessionError::Unreachable)?;
         if let Some(inj) = &self.injector {
-            inj.record_state(self.device, state.clone());
+            inj.record_state(self.device(), state.clone());
         }
         Ok(state)
     }
