@@ -426,6 +426,12 @@ impl Controller {
         q
     }
 
+    /// Moves `id`'s breaker to `state` and publishes the transition.
+    fn set_breaker(&mut self, id: DeviceId, state: BreakerState) {
+        self.breakers.entry(id).or_default().state = state;
+        self.note_breaker(id, state);
+    }
+
     fn breaker_ok(&mut self, id: DeviceId) {
         let b = self.breakers.entry(id).or_default();
         let was_closed = b.state == BreakerState::Closed;
@@ -440,14 +446,13 @@ impl Controller {
     fn breaker_fail(&mut self, id: DeviceId) -> bool {
         let b = self.breakers.entry(id).or_default();
         b.consecutive_failures += 1;
-        if b.consecutive_failures >= BREAKER_THRESHOLD && b.state != BreakerState::Open {
-            b.state = BreakerState::Open;
-            self.stats.breaker_trips += 1;
-            self.count("ctrl_breaker_trips_total");
-            self.note_breaker(id, BreakerState::Open);
-            return true;
+        if b.consecutive_failures < BREAKER_THRESHOLD || b.state == BreakerState::Open {
+            return false;
         }
-        false
+        self.stats.breaker_trips += 1;
+        self.count("ctrl_breaker_trips_total");
+        self.set_breaker(id, BreakerState::Open);
+        true
     }
 
     /// Sleeps the jittered exponential backoff before retry `attempt`.
@@ -826,12 +831,6 @@ impl Controller {
                 let native = vendor::encode(handle.descriptor.vendor, &e.config);
                 handle.session.edit_config(e.revision, native).is_ok()
             })
-    }
-
-    /// Moves `id`'s breaker to `state` and publishes the transition.
-    fn set_breaker(&mut self, id: DeviceId, state: BreakerState) {
-        self.breakers.entry(id).or_default().state = state;
-        self.note_breaker(id, state);
     }
 
     /// Half-open probe of one quarantined device: if it answers, close the

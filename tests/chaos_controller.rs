@@ -4,7 +4,7 @@
 //! injector's RNG is consumed in the controller's (single-threaded)
 //! request order.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use flexwan::core::planning::{plan, Plan, PlannerConfig};
@@ -425,14 +425,13 @@ fn interleaved_chaos_run() -> String {
     let mut out = String::new();
     writeln!(out, "ctrl {:?}", ctrl.stats()).unwrap();
     writeln!(out, "faults {:?}", injector.stats()).unwrap();
-    let mut last: Vec<(DeviceId, u64)> = Vec::new();
-    for e in ctrl.journal().entries() {
-        match last.iter_mut().find(|(d, _)| *d == e.device) {
-            Some(slot) => slot.1 = e.revision,
-            None => last.push((e.device, e.revision)),
-        }
-    }
-    last.sort();
+    let last: BTreeMap<DeviceId, u64> = ctrl
+        .journal()
+        .entries()
+        .iter()
+        .map(|e| (e.device, e.revision))
+        .collect();
+    let last: Vec<(DeviceId, u64)> = last.into_iter().collect();
     writeln!(out, "journal len {} last {last:?}", ctrl.journal().len()).unwrap();
     writeln!(
         out,
