@@ -161,10 +161,7 @@ fn try_window(
             let w = &wavelengths[bi];
             (w.path.clone(), w.channel, w.channel.width)
         };
-        let masks: Vec<&flexwan_optical::spectrum::SpectrumMask> =
-            path.edges.iter().map(|e| spectrum.mask(*e)).collect();
-        let target = flexwan_optical::spectrum::SpectrumMask::first_fit_joint(&masks, w_width);
-        let Some(to) = target else {
+        let Some(to) = spectrum.find(&path, w_width, 1) else {
             rollback(spectrum, wavelengths, &steps, &guards);
             return None;
         };

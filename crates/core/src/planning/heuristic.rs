@@ -14,11 +14,12 @@
 //! supportable capacity (Figure 12).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use flexwan_optical::spectrum::SpectrumGrid;
+use flexwan_optical::spectrum::{PixelWidth, SpectrumGrid};
 use flexwan_topo::cache::RouteCache;
-use flexwan_topo::graph::Graph;
-use flexwan_topo::ip::{IpLinkId, IpTopology};
+use flexwan_topo::graph::{EdgeId, Graph};
+use flexwan_topo::ip::{IpLink, IpLinkId, IpTopology};
 use flexwan_topo::ksp::DijkstraScratch;
 use flexwan_topo::route::{k_shortest_routes_scratch, Route};
 
@@ -89,9 +90,6 @@ pub struct Plan {
     pub unmet: Vec<(IpLinkId, u64)>,
     /// Final per-fiber spectrum occupancy.
     pub spectrum: SpectrumState,
-    /// The candidate routes computed per link (indexed by `IpLinkId.0`),
-    /// kept for restoration and reporting.
-    pub candidate_routes: Vec<Vec<Route>>,
 }
 
 impl Plan {
@@ -134,20 +132,41 @@ impl Plan {
     }
 }
 
+/// Each link's candidate routes, shared with whoever enumerated them
+/// (`routes[i]` serves `ip.links()[i]`).
+pub(crate) type LinkRoutes = Vec<Arc<Vec<Route>>>;
+
+/// Candidate node-distinct routes per link (parallel fibers become
+/// per-hop alternatives; see `flexwan_topo::route`), enumerated over one
+/// shared Dijkstra scratch arena.
+pub(crate) fn fresh_routes(optical: &Graph, ip: &IpTopology, k: usize) -> LinkRoutes {
+    let none = HashSet::new();
+    let mut scratch = DijkstraScratch::new();
+    let mut routes =
+        |l: &IpLink| k_shortest_routes_scratch(optical, l.src, l.dst, k, &none, &mut scratch);
+    ip.links().iter().map(|l| Arc::new(routes(l))).collect()
+}
+
+/// [`fresh_routes`] served by `cache`, avoiding `banned` fibers: the
+/// planner borrows the cache's own lists, it copies no route.
+pub(crate) fn cached_routes(
+    optical: &Graph,
+    ip: &IpTopology,
+    k: usize,
+    cache: &RouteCache,
+    banned: &HashSet<EdgeId>,
+) -> LinkRoutes {
+    ip.links()
+        .iter()
+        .map(|l| cache.routes(optical, l.src, l.dst, k, banned))
+        .collect()
+}
+
 /// Plans `scheme` over the backbone: the scalable counterpart of
 /// Algorithm 1 (validated against the exact MIP in tests).
 pub fn plan(scheme: Scheme, optical: &Graph, ip: &IpTopology, cfg: &PlannerConfig) -> Plan {
-    // Candidate node-distinct routes per link (parallel fibers become
-    // per-hop alternatives; see `flexwan_topo::route`), enumerated over
-    // one shared Dijkstra scratch arena.
-    let none = HashSet::new();
-    let mut scratch = DijkstraScratch::new();
-    let candidate_routes: Vec<Vec<Route>> = ip
-        .links()
-        .iter()
-        .map(|l| k_shortest_routes_scratch(optical, l.src, l.dst, cfg.k_paths, &none, &mut scratch))
-        .collect();
-    plan_with_routes(scheme, optical, ip, cfg, candidate_routes)
+    let routes = fresh_routes(optical, ip, cfg.k_paths);
+    plan_with_routes(scheme, optical, ip, cfg, &routes)
 }
 
 /// [`plan`] with the candidate routes served by `cache`: routes depend
@@ -161,13 +180,7 @@ pub fn plan_cached(
     cfg: &PlannerConfig,
     cache: &RouteCache,
 ) -> Plan {
-    let none = HashSet::new();
-    let candidate_routes: Vec<Vec<Route>> = ip
-        .links()
-        .iter()
-        .map(|l| (*cache.routes(optical, l.src, l.dst, cfg.k_paths, &none)).clone())
-        .collect();
-    plan_with_routes(scheme, optical, ip, cfg, candidate_routes)
+    plan_cached_banned(scheme, optical, ip, cfg, cache, &HashSet::new())
 }
 
 /// [`plan_cached`] with candidate routes constrained to avoid `banned`
@@ -182,63 +195,89 @@ pub fn plan_cached_banned(
     ip: &IpTopology,
     cfg: &PlannerConfig,
     cache: &RouteCache,
-    banned: &HashSet<flexwan_topo::graph::EdgeId>,
+    banned: &HashSet<EdgeId>,
 ) -> Plan {
-    let candidate_routes: Vec<Vec<Route>> = ip
-        .links()
-        .iter()
-        .map(|l| (*cache.routes(optical, l.src, l.dst, cfg.k_paths, banned)).clone())
-        .collect();
-    plan_with_routes(scheme, optical, ip, cfg, candidate_routes)
+    let routes = cached_routes(optical, ip, cfg.k_paths, cache, banned);
+    plan_with_routes(scheme, optical, ip, cfg, &routes)
 }
 
-/// The planning pipeline proper, over pre-enumerated candidate routes
-/// (`candidate_routes[i]` serves `ip.links()[i]`).
+/// Link indices with the longest first route first, then the largest
+/// demand (ties by index): the most-constrained links pick their spectrum
+/// while it is plentiful.
+pub(crate) fn most_constrained_first(ip: &IpTopology, routes: &LinkRoutes) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..ip.num_links()).collect();
+    order.sort_by_key(|&i| {
+        let len = routes[i].first().map_or(u32::MAX, |r| r.length_km);
+        (
+            std::cmp::Reverse(len),
+            std::cmp::Reverse(ip.links()[i].demand_gbps),
+            i,
+        )
+    });
+    order
+}
+
+/// The planning pipeline proper, over pre-enumerated candidate routes.
 fn plan_with_routes(
     scheme: Scheme,
     optical: &Graph,
     ip: &IpTopology,
     cfg: &PlannerConfig,
-    candidate_routes: Vec<Vec<Route>>,
+    routes: &LinkRoutes,
 ) -> Plan {
     assert!(cfg.k_paths >= 1, "need at least one candidate path");
     assert!(cfg.min_alignment >= 1, "alignment is at least one pixel");
+    place_deficits(scheme, optical, ip, cfg, routes, cfg.order, Vec::new())
+}
+
+/// Phase 1 + 2 for every link, in `order`: covers what the `live`
+/// wavelengths leave unprovisioned of each link's demand, placing new
+/// wavelengths around them. The one placement loop of the fresh and the
+/// incremental planner.
+pub(crate) fn place_deficits(
+    scheme: Scheme,
+    optical: &Graph,
+    ip: &IpTopology,
+    cfg: &PlannerConfig,
+    routes: &LinkRoutes,
+    order: LinkOrder,
+    live: Vec<Wavelength>,
+) -> Plan {
     let model = scheme.transponder();
     let align = scheme.alignment_pixels().max(cfg.min_alignment);
 
-    let mut order: Vec<usize> = (0..ip.num_links()).collect();
-    match cfg.order {
-        LinkOrder::MostConstrainedFirst => order.sort_by_key(|&i| {
-            let len = candidate_routes[i]
-                .first()
-                .map_or(u32::MAX, |p| p.length_km);
-            (
-                std::cmp::Reverse(len),
-                std::cmp::Reverse(ip.links()[i].demand_gbps),
-                i,
-            )
-        }),
-        LinkOrder::ShortestFirst => order.sort_by_key(|&i| {
-            let len = candidate_routes[i]
-                .first()
-                .map_or(u32::MAX, |p| p.length_km);
+    let mut links: Vec<usize> = (0..ip.num_links()).collect();
+    match order {
+        LinkOrder::MostConstrainedFirst => links = most_constrained_first(ip, routes),
+        LinkOrder::ShortestFirst => links.sort_by_key(|&i| {
+            let len = routes[i].first().map_or(u32::MAX, |p| p.length_km);
             (len, ip.links()[i].demand_gbps, i)
         }),
         LinkOrder::InputOrder => {}
         LinkOrder::Random(seed) => {
             let mut rng = flexwan_util::rng::ChaCha8Rng::seed_from_u64(seed);
-            rng.shuffle(&mut order);
+            rng.shuffle(&mut links);
         }
     }
 
+    // Replay the live spectrum and tally what it already provisions.
     let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
-    let mut wavelengths = Vec::new();
+    let mut provisioned = vec![0u64; ip.num_links()];
+    for w in &live {
+        spectrum
+            .occupy_exact(&w.path, &w.channel)
+            .expect("live wavelengths are conflict-free");
+        if let Some(p) = provisioned.get_mut(w.link.0 as usize) {
+            *p += u64::from(w.format.data_rate_gbps);
+        }
+    }
+    let mut wavelengths = live;
     let mut unmet = Vec::new();
 
-    for &i in &order {
+    for i in links {
         let link = &ip.links()[i];
-        let mut remaining = link.demand_gbps;
-        for (k, route) in candidate_routes[i].iter().enumerate() {
+        let mut remaining = link.demand_gbps.saturating_sub(provisioned[i]);
+        for (k, route) in routes[i].iter().enumerate() {
             if remaining == 0 {
                 break;
             }
@@ -246,14 +285,23 @@ fn plan_with_routes(
             else {
                 continue; // no format reaches over this route
             };
+            // Without defragmentation occupancy only grows during a plan,
+            // so once a width finds no channel on this route no width at
+            // least as large can: those searches are skipped. A retune
+            // frees pixels, so with a defrag budget nothing is skipped.
+            let mut failed: Option<PixelWidth> = None;
             for format in formats {
                 if remaining == 0 {
                     break;
+                }
+                if failed.is_some_and(|w| format.spacing >= w) {
+                    continue;
                 }
                 let placed = spectrum
                     .allocate_route(route, format.spacing, align)
                     .or_else(|| {
                         if cfg.defrag_moves == 0 {
+                            failed = Some(format.spacing);
                             return None;
                         }
                         crate::defrag::make_room(
@@ -291,7 +339,6 @@ fn plan_with_routes(
         wavelengths,
         unmet,
         spectrum,
-        candidate_routes,
     }
 }
 
@@ -556,7 +603,6 @@ mod tests {
             let plain = plan(scheme, &g, &ip, &small_cfg(64));
             assert_eq!(cached.wavelengths, plain.wavelengths);
             assert_eq!(cached.unmet, plain.unmet);
-            assert_eq!(cached.candidate_routes, plain.candidate_routes);
         }
         // One link, one key: scheme 1 misses, schemes 2 and 3 hit.
         assert_eq!(cache.misses(), 1);

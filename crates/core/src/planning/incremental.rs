@@ -17,14 +17,10 @@
 use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::IpTopology;
-use flexwan_topo::ksp::DijkstraScratch;
-use flexwan_topo::route::{k_shortest_routes_scratch, Route};
 
-use crate::planning::format_dp::select_formats;
-use crate::planning::heuristic::{Plan, PlannerConfig};
-use crate::planning::spectrum::SpectrumState;
-use crate::scheme::Scheme;
-use crate::wavelength::Wavelength;
+use crate::planning::heuristic::{
+    cached_routes, fresh_routes, place_deficits, LinkOrder, LinkRoutes, Plan, PlannerConfig,
+};
 
 /// Extends `base` to cover `ip` (the *full* demand set: existing links,
 /// possibly with grown demands, plus any new links appended). Existing
@@ -38,14 +34,8 @@ pub fn plan_incremental(
     ip: &IpTopology,
     cfg: &PlannerConfig,
 ) -> Plan {
-    let none = std::collections::HashSet::new();
-    let mut scratch = DijkstraScratch::new();
-    let candidate_routes: Vec<Vec<Route>> = ip
-        .links()
-        .iter()
-        .map(|l| k_shortest_routes_scratch(optical, l.src, l.dst, cfg.k_paths, &none, &mut scratch))
-        .collect();
-    plan_incremental_with_routes(base, optical, ip, cfg, candidate_routes)
+    let routes = fresh_routes(optical, ip, cfg.k_paths);
+    plan_incremental_with_routes(base, optical, ip, cfg, &routes)
 }
 
 /// [`plan_incremental`] with candidate routes served by `cache` (shared
@@ -59,12 +49,8 @@ pub fn plan_incremental_cached(
     cache: &RouteCache,
 ) -> Plan {
     let none = std::collections::HashSet::new();
-    let candidate_routes: Vec<Vec<Route>> = ip
-        .links()
-        .iter()
-        .map(|l| (*cache.routes(optical, l.src, l.dst, cfg.k_paths, &none)).clone())
-        .collect();
-    plan_incremental_with_routes(base, optical, ip, cfg, candidate_routes)
+    let routes = cached_routes(optical, ip, cfg.k_paths, cache, &none);
+    plan_incremental_with_routes(base, optical, ip, cfg, &routes)
 }
 
 fn plan_incremental_with_routes(
@@ -72,105 +58,19 @@ fn plan_incremental_with_routes(
     optical: &Graph,
     ip: &IpTopology,
     cfg: &PlannerConfig,
-    candidate_routes: Vec<Vec<Route>>,
+    routes: &LinkRoutes,
 ) -> Plan {
-    let scheme: Scheme = base.scheme;
-    let model = scheme.transponder();
-    let align = scheme.alignment_pixels().max(cfg.min_alignment);
-
-    // Replay the live spectrum.
-    let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
-    let mut wavelengths = base.wavelengths.clone();
-    for w in &wavelengths {
-        spectrum
-            .occupy_exact(&w.path, &w.channel)
-            .expect("base plan is conflict-free");
-    }
-
     // Deficits, most-constrained first (same discipline as fresh planning).
-    let mut order: Vec<usize> = (0..ip.num_links()).collect();
-    order.sort_by_key(|&i| {
-        let len = candidate_routes[i]
-            .first()
-            .map_or(u32::MAX, |r| r.length_km);
-        (
-            std::cmp::Reverse(len),
-            std::cmp::Reverse(ip.links()[i].demand_gbps),
-            i,
-        )
-    });
-
-    let mut unmet = Vec::new();
-    for &i in &order {
-        let link = &ip.links()[i];
-        let provisioned: u64 = wavelengths
-            .iter()
-            .filter(|w| w.link == link.id)
-            .map(|w| u64::from(w.format.data_rate_gbps))
-            .sum();
-        let mut remaining = link.demand_gbps.saturating_sub(provisioned);
-        if remaining == 0 {
-            continue;
-        }
-        for (k, route) in candidate_routes[i].iter().enumerate() {
-            if remaining == 0 {
-                break;
-            }
-            let Some(formats) = select_formats(model, remaining, route.length_km, cfg.epsilon)
-            else {
-                continue;
-            };
-            for format in formats {
-                if remaining == 0 {
-                    break;
-                }
-                let placed = spectrum
-                    .allocate_route(route, format.spacing, align)
-                    .or_else(|| {
-                        if cfg.defrag_moves == 0 {
-                            return None;
-                        }
-                        crate::defrag::make_room(
-                            &mut spectrum,
-                            &mut wavelengths,
-                            route,
-                            format.spacing,
-                            align,
-                            cfg.defrag_moves,
-                            optical,
-                        )
-                        .map(|out| (out.channel, out.chosen_fibers))
-                    });
-                if let Some((channel, chosen)) = placed {
-                    remaining = remaining.saturating_sub(u64::from(format.data_rate_gbps));
-                    wavelengths.push(Wavelength {
-                        link: link.id,
-                        path_index: k,
-                        path: route.realize(optical, &chosen),
-                        format,
-                        channel,
-                    });
-                }
-            }
-        }
-        if remaining > 0 {
-            unmet.push((link.id, remaining));
-        }
-    }
-
-    Plan {
-        scheme,
-        wavelengths,
-        unmet,
-        spectrum,
-        candidate_routes,
-    }
+    let order = LinkOrder::MostConstrainedFirst;
+    let live = base.wavelengths.clone();
+    place_deficits(base.scheme, optical, ip, cfg, routes, order, live)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::planning::heuristic::plan;
+    use crate::scheme::Scheme;
     use flexwan_optical::spectrum::SpectrumGrid;
     use flexwan_topo::graph::NodeId;
 
@@ -259,6 +159,52 @@ mod tests {
         for (i, w) in base.wavelengths.iter().enumerate() {
             assert_eq!(&inc.wavelengths[i], w);
         }
+    }
+
+    /// The planner skips a width that already failed on a route only when
+    /// nothing can free pixels. With a defrag budget every failed search
+    /// must still reach `make_room`: here both new 800 G wavelengths need
+    /// the same 9 px, neither fits the fragmented fiber as it stands, and
+    /// each is placed by retuning — the second would be lost if the first
+    /// failure had pruned it.
+    #[test]
+    fn a_defrag_budget_turns_the_failed_width_prune_off() {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let fiber = g.add_edge(a, b, 100);
+        let mut ip = IpTopology::new();
+        let link = ip.add_link(a, b, 100);
+        ip.add_link(a, b, 100);
+        let tight = PlannerConfig {
+            grid: SpectrumGrid::new(28),
+            ..Default::default()
+        };
+        // Two live 100 G channels at [6,10) and [16,20): free runs of 6, 6
+        // and 8 px, 20 px in all.
+        let mut base = plan(Scheme::FlexWan, &g, &ip, &tight);
+        assert_eq!(base.wavelengths.len(), 2);
+        for (w, start) in base.wavelengths.iter_mut().zip([6, 16]) {
+            assert_eq!(w.channel.width.pixels(), 4);
+            w.channel.start = start;
+        }
+        let mut grown = ip.clone();
+        grown.set_demand(link, 1700); // 100 live + 2 × 800 new
+        let stuck = plan_incremental(&base, &g, &grown, &tight);
+        assert_eq!(stuck.unmet, vec![(link, 1600)], "no 9 px run is free");
+        let with = PlannerConfig {
+            defrag_moves: 2,
+            ..tight
+        };
+        let freed = plan_incremental(&base, &g, &grown, &with);
+        assert!(freed.is_feasible(), "unmet {:?}", freed.unmet);
+        let new: Vec<_> = freed.wavelengths[2..].iter().collect();
+        assert_eq!(new.len(), 2);
+        for w in &new {
+            assert_eq!(w.channel.width.pixels(), 9);
+            assert_eq!(w.path.edges, vec![fiber]);
+        }
+        assert_ne!(freed.wavelengths[0].channel, base.wavelengths[0].channel);
     }
 
     #[test]

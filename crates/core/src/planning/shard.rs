@@ -476,9 +476,15 @@ fn per_link_provisioned(ws: &[Wavelength], num_links: usize) -> Vec<u64> {
     out
 }
 
-fn finish_heuristic(p: Plan, epsilon: f64, lifted: Vec<Wavelength>, fell_back: bool) -> ShardSolve {
+fn finish_heuristic(
+    p: Plan,
+    num_links: usize,
+    epsilon: f64,
+    lifted: Vec<Wavelength>,
+    fell_back: bool,
+) -> ShardSolve {
     ShardSolve {
-        provisioned: per_link_provisioned(&lifted, p.candidate_routes.len()),
+        provisioned: per_link_provisioned(&lifted, num_links),
         unmet_gbps: p.unmet_gbps(),
         objective: canonical_objective(&lifted, epsilon),
         fell_back,
@@ -509,7 +515,7 @@ fn solve_on_subgraph(
         (ShardSolver::Heuristic, _) => {
             let p = plan(scheme, &sub.graph, ip_local, cfg);
             let lifted = lift_wavelengths(sub, optical, &p.wavelengths);
-            finish_heuristic(p, cfg.epsilon, lifted, false)
+            finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, false)
         }
         (_, Some((ws, _))) => {
             let lifted = lift_wavelengths(sub, optical, &ws);
@@ -526,7 +532,7 @@ fn solve_on_subgraph(
             // heuristic and flag the fallback.
             let p = plan(scheme, &sub.graph, ip_local, cfg);
             let lifted = lift_wavelengths(sub, optical, &p.wavelengths);
-            finish_heuristic(p, cfg.epsilon, lifted, true)
+            finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, true)
         }
     }
 }
@@ -669,7 +675,7 @@ pub fn solve_sharded(
                 ShardSolver::Heuristic => {
                     let p = plan_cached_banned(scheme, optical, &ip_r, cfg, cache, &banned[r]);
                     let lifted = p.wavelengths.clone();
-                    finish_heuristic(p, cfg.epsilon, lifted, false)
+                    finish_heuristic(p, ip_r.num_links(), cfg.epsilon, lifted, false)
                 }
                 _ => {
                     let sub = subgraph(optical, &part.region_nodes[r], &part.region_fibers[r]);

@@ -44,12 +44,8 @@ impl SpectrumState {
     /// Finds the lowest `align`-aligned channel of `width` jointly free on
     /// every fiber of `path`, without allocating it.
     pub fn find(&self, path: &Path, width: PixelWidth, align: u32) -> Option<PixelRange> {
-        let masks: Vec<&SpectrumMask> = path
-            .edges
-            .iter()
-            .map(|e| &self.masks[e.0 as usize])
-            .collect();
-        SpectrumMask::first_fit_joint_aligned(&masks, width, align)
+        let fibers = path.edges.iter().map(|&e| [self.mask(e)]);
+        SpectrumMask::first_fit_any_of_each(self.grid, fibers, width, align)
     }
 
     /// Finds and occupies a channel along `path`; `None` (state unchanged)
@@ -107,34 +103,18 @@ impl SpectrumState {
         width: PixelWidth,
         align: u32,
     ) -> Option<(PixelRange, Vec<EdgeId>)> {
-        assert!(align >= 1);
-        let pixels = self.grid.pixels();
-        let need = u32::from(width.pixels());
-        if need > pixels {
-            return None;
-        }
-        let mut start = 0u32;
-        while start + need <= pixels {
-            let range = PixelRange::new(start, width);
-            let mut chosen = Vec::with_capacity(route.hops.len());
-            let ok = route.hops.iter().all(|hop| {
-                match hop
-                    .iter()
-                    .find(|e| self.masks[e.0 as usize].is_free(&range))
-                {
-                    Some(e) => {
-                        chosen.push(*e);
-                        true
-                    }
-                    None => false,
-                }
-            });
-            if ok {
-                return Some((range, chosen));
-            }
-            start += align;
-        }
-        None
+        let hops = route
+            .hops
+            .iter()
+            .map(|hop| hop.iter().map(|&e| self.mask(e)));
+        let range = SpectrumMask::first_fit_any_of_each(self.grid, hops, width, align)?;
+        let chosen = route
+            .hops
+            .iter()
+            .map(|hop| hop.iter().copied().find(|&e| self.mask(e).is_free(&range)))
+            .collect::<Option<Vec<EdgeId>>>()
+            .expect("a start in the set fits on one parallel of every hop");
+        Some((range, chosen))
     }
 
     /// [`SpectrumState::find_route`] + allocation on the chosen fibers.
@@ -171,7 +151,9 @@ impl SpectrumState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexwan_topo::graph::Graph;
+    use flexwan_topo::graph::{Graph, NodeId};
+    use flexwan_topo::route::Route;
+    use flexwan_util::rng::ChaCha8Rng;
 
     fn chain() -> (Graph, Path) {
         let mut g = Graph::new();
@@ -295,6 +277,122 @@ mod tests {
         let (range, chosen) = s.find_route(&routes[0], w(8), 1).unwrap();
         assert_eq!(range.start, 0);
         assert_eq!(chosen, vec![EdgeId(1), EdgeId(2)]);
+    }
+
+    /// The per-pixel route search the bitmap kernel replaced, kept as the
+    /// reference `find_route` is tested against: try every aligned start
+    /// from pixel 0, per hop take the first parallel free at every pixel
+    /// of the window.
+    fn find_route_reference(
+        s: &SpectrumState,
+        route: &Route,
+        width: PixelWidth,
+        align: u32,
+    ) -> Option<(PixelRange, Vec<EdgeId>)> {
+        let pixels = s.grid.pixels();
+        let need = u32::from(width.pixels());
+        let mut start = 0u32;
+        while start + need <= pixels {
+            let range = PixelRange::new(start, width);
+            let free = |e: &&EdgeId| range.pixels().all(|p| !s.mask(**e).is_occupied(p));
+            let chosen: Vec<EdgeId> = route
+                .hops
+                .iter()
+                .map_while(|hop| hop.iter().find(free).copied())
+                .collect();
+            if chosen.len() == route.hops.len() {
+                return Some((range, chosen));
+            }
+            start += align;
+        }
+        None
+    }
+
+    /// A state over `pixels` and a route of 0–4 hops with 1–3 parallel
+    /// fibers each, every fiber filled to a random density with short
+    /// runs (the last, partial word included).
+    fn random_state_and_route(rng: &mut ChaCha8Rng, pixels: u32) -> (SpectrumState, Route) {
+        let hops: Vec<Vec<EdgeId>> = (0..rng.gen_range(0u32..5))
+            .scan(0u32, |next, _| {
+                let hop = (*next..*next + rng.gen_range(1u32..4))
+                    .map(EdgeId)
+                    .collect();
+                *next += 3;
+                Some(hop)
+            })
+            .collect();
+        let mut s = SpectrumState::new(SpectrumGrid::new(pixels), 3 * hops.len());
+        for mask in &mut s.masks {
+            let density = rng.gen_range(0.0f64..0.8);
+            let mut p = 0;
+            while p < pixels {
+                let run = rng.gen_range(1u32..12).min(pixels - p);
+                if rng.gen_bool(density) {
+                    mask.occupy(&PixelRange::new(p, w(run as u16))).unwrap();
+                }
+                p += run;
+            }
+        }
+        let route = Route {
+            nodes: (0..=hops.len() as u32).map(NodeId).collect(),
+            hops,
+            length_km: 0,
+        };
+        (s, route)
+    }
+
+    #[test]
+    fn find_route_matches_per_pixel_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x20F7);
+        for pixels in [8u32, 63, 64, 65, 100, 384, 400, 600] {
+            for _case in 0..16 {
+                let (s, route) = random_state_and_route(&mut rng, pixels);
+                for width in 1..=70u16 {
+                    for align in [1u32, 4, 6] {
+                        assert_eq!(
+                            s.find_route(&route, w(width), align),
+                            find_route_reference(&s, &route, w(width), align),
+                            "{pixels} px, hops {:?}, width {width}, align {align}",
+                            route.hops
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// What lets the planner skip a width at least as wide as one that
+    /// already failed on a route: while pixels are only ever occupied, a
+    /// search that failed keeps failing, for that width and every wider.
+    #[test]
+    fn a_failed_width_stays_failed_while_occupancy_grows() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0CC0);
+        for _case in 0..40 {
+            let pixels = [64u32, 100, 384][rng.gen_range(0usize..3)];
+            let (mut s, route) = random_state_and_route(&mut rng, pixels);
+            let align = [1u32, 4, 6][rng.gen_range(0usize..3)];
+            let mut failed: Option<u16> = None;
+            for _step in 0..60 {
+                let width = rng.gen_range(1u16..40);
+                let found = s.find_route(&route, w(width), align).is_some();
+                if failed.is_some_and(|f| width >= f) {
+                    assert!(!found, "width {width} fits after {failed:?} failed");
+                } else if !found {
+                    failed = Some(width);
+                }
+                // Occupy more: on the route when the search found room,
+                // anywhere free otherwise.
+                if found {
+                    s.allocate_route(&route, w(width), align).unwrap();
+                } else {
+                    let r = PixelRange::new(rng.gen_range(0..pixels), w(1));
+                    let fiber = rng.gen_range(0..s.masks.len().max(1));
+                    if let Some(mask) = s.masks.get_mut(fiber) {
+                        let _ = mask.occupy(&r);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

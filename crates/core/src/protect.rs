@@ -14,11 +14,12 @@
 use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::{Graph, NodeId};
 use flexwan_topo::ip::{IpLinkId, IpTopology};
-use flexwan_topo::ksp::DijkstraScratch;
-use flexwan_topo::route::{k_shortest_routes_scratch, Route};
+use flexwan_topo::route::Route;
 
 use crate::planning::format_dp::select_formats;
-use crate::planning::heuristic::PlannerConfig;
+use crate::planning::heuristic::{
+    cached_routes, fresh_routes, most_constrained_first, LinkRoutes, PlannerConfig,
+};
 use crate::planning::spectrum::SpectrumState;
 use crate::restore::scenario::FailureScenario;
 use crate::scheme::Scheme;
@@ -133,23 +134,8 @@ pub fn plan_protected(
     ip: &IpTopology,
     cfg: &PlannerConfig,
 ) -> ProtectedPlan {
-    let none = std::collections::HashSet::new();
-    let mut scratch = DijkstraScratch::new();
-    let routes_per_link: Vec<Vec<Route>> = ip
-        .links()
-        .iter()
-        .map(|l| {
-            k_shortest_routes_scratch(
-                optical,
-                l.src,
-                l.dst,
-                cfg.k_paths.max(4),
-                &none,
-                &mut scratch,
-            )
-        })
-        .collect();
-    plan_protected_with_routes(scheme, optical, ip, cfg, routes_per_link)
+    let routes_per_link = fresh_routes(optical, ip, cfg.k_paths.max(4));
+    plan_protected_with_routes(scheme, optical, ip, cfg, &routes_per_link)
 }
 
 /// [`plan_protected`] with candidate routes served by `cache` (note the
@@ -163,12 +149,8 @@ pub fn plan_protected_cached(
     cache: &RouteCache,
 ) -> ProtectedPlan {
     let none = std::collections::HashSet::new();
-    let routes_per_link: Vec<Vec<Route>> = ip
-        .links()
-        .iter()
-        .map(|l| (*cache.routes(optical, l.src, l.dst, cfg.k_paths.max(4), &none)).clone())
-        .collect();
-    plan_protected_with_routes(scheme, optical, ip, cfg, routes_per_link)
+    let routes_per_link = cached_routes(optical, ip, cfg.k_paths.max(4), cache, &none);
+    plan_protected_with_routes(scheme, optical, ip, cfg, &routes_per_link)
 }
 
 fn plan_protected_with_routes(
@@ -176,7 +158,7 @@ fn plan_protected_with_routes(
     optical: &Graph,
     ip: &IpTopology,
     cfg: &PlannerConfig,
-    routes_per_link: Vec<Vec<Route>>,
+    routes_per_link: &LinkRoutes,
 ) -> ProtectedPlan {
     let model = scheme.transponder();
     let align = scheme.alignment_pixels().max(cfg.min_alignment);
@@ -187,15 +169,7 @@ fn plan_protected_with_routes(
     let mut unmet = Vec::new();
 
     // Most-constrained first, as in the unprotected planner.
-    let mut order: Vec<usize> = (0..ip.num_links()).collect();
-    order.sort_by_key(|&i| {
-        let len = routes_per_link[i].first().map_or(u32::MAX, |r| r.length_km);
-        (
-            std::cmp::Reverse(len),
-            std::cmp::Reverse(ip.links()[i].demand_gbps),
-            i,
-        )
-    });
+    let order = most_constrained_first(ip, routes_per_link);
 
     for &i in &order {
         let link = &ip.links()[i];

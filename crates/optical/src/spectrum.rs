@@ -217,7 +217,7 @@ impl SpectrumMask {
 
     /// Whether every pixel in `range` is free.
     pub fn is_free(&self, range: &PixelRange) -> bool {
-        range.end() <= self.pixels && range.pixels().all(|p| !self.is_occupied(p))
+        range.end() <= self.pixels && spans(range).all(|(w, m)| self.words[w] & m == 0)
     }
 
     /// Marks every pixel in `range` occupied; fails if any is already
@@ -227,8 +227,8 @@ impl SpectrumMask {
         if !self.is_free(range) {
             return Err(OpticalError::SpectrumConflict { range: *range });
         }
-        for p in range.pixels() {
-            self.words[(p / 64) as usize] |= 1u64 << (p % 64);
+        for (w, m) in spans(range) {
+            self.words[w] |= m;
         }
         Ok(())
     }
@@ -237,11 +237,11 @@ impl SpectrumMask {
     /// release indicates a bookkeeping bug) or out of band.
     pub fn release(&mut self, range: &PixelRange) -> Result<(), OpticalError> {
         self.check_range(range)?;
-        if range.pixels().any(|p| !self.is_occupied(p)) {
+        if spans(range).any(|(w, m)| self.words[w] & m != m) {
             return Err(OpticalError::DoubleRelease { range: *range });
         }
-        for p in range.pixels() {
-            self.words[(p / 64) as usize] &= !(1u64 << (p % 64));
+        for (w, m) in spans(range) {
+            self.words[w] &= !m;
         }
         Ok(())
     }
@@ -282,31 +282,114 @@ impl SpectrumMask {
     /// `align = 1` is the pixel-wise WSS of FlexWAN; `align = grid width`
     /// models the rigid-grid OLS of the 100G-WAN and RADWAN baselines,
     /// where every passband must sit on the fixed grid.
+    ///
+    /// # Panics
+    /// When the masks do not share one grid.
     pub fn first_fit_joint_aligned(
         masks: &[&SpectrumMask],
         width: PixelWidth,
         align: u32,
     ) -> Option<PixelRange> {
+        let grid = SpectrumGrid::new(masks.first()?.pixels);
+        Self::first_fit_any_of_each(grid, masks.iter().map(|&m| [m]), width, align)
+    }
+
+    /// Lowest `align`-aligned channel of `width` that, in every group of
+    /// `groups`, is free on at least one mask: the groups are the hops of a
+    /// route, the masks of a group that hop's parallel fibers.
+    ///
+    /// Works on whole bitmaps, 64 pixels a word: the fit-starts bitmaps of
+    /// the masks (bit `i` set iff pixels `i..i + width` are free) are ORed
+    /// within a group and ANDed across groups, and the answer is the first
+    /// aligned bit left.
+    ///
+    /// # Panics
+    /// When a mask is not over `grid`.
+    pub fn first_fit_any_of_each<'a, G>(
+        grid: SpectrumGrid,
+        groups: G,
+        width: PixelWidth,
+        align: u32,
+    ) -> Option<PixelRange>
+    where
+        G: IntoIterator,
+        G::Item: IntoIterator<Item = &'a SpectrumMask>,
+    {
         assert!(align >= 1, "alignment must be at least one pixel");
-        let pixels = masks.first()?.pixels;
-        debug_assert!(
-            masks.iter().all(|m| m.pixels == pixels),
-            "masks must share a grid"
-        );
-        let need = u32::from(width.pixels());
-        if need > pixels {
+        if u32::from(width.pixels()) > grid.pixels {
             return None;
         }
-        let mut start = 0u32;
-        while start + need <= pixels {
-            // Scan the candidate window; on collision jump past it (to the
-            // next aligned start after the colliding pixel).
-            match (start..start + need).find(|&p| masks.iter().any(|m| m.is_occupied(p))) {
-                Some(p) => start = (p + 1).div_ceil(align) * align,
-                None => return Some(PixelRange::new(start, width)),
+        // Three bitmaps — the route's starts, one hop's, one fiber's — on
+        // the stack up to 512 pixels (the C-band has 384).
+        const STACK_WORDS: usize = 8;
+        let n = grid.pixels.div_ceil(64) as usize;
+        let mut stack = [0u64; 3 * STACK_WORDS];
+        let mut heap = Vec::new();
+        let buf = if n <= STACK_WORDS {
+            &mut stack[..3 * n]
+        } else {
+            heap.resize(3 * n, 0);
+            &mut heap[..]
+        };
+        let (route, rest) = buf.split_at_mut(n);
+        let (hop, fiber) = rest.split_at_mut(n);
+        // Every start until a group says otherwise; with no group at all,
+        // pixel 0 — in band, by the check above.
+        route.fill(!0);
+        for group in groups {
+            hop.fill(0);
+            for mask in group {
+                assert_eq!(mask.pixels, grid.pixels, "masks must share a grid");
+                mask.fit_starts(width, fiber);
+                hop.iter_mut().zip(&*fiber).for_each(|(h, f)| *h |= f);
+            }
+            route.iter_mut().zip(&*hop).for_each(|(r, h)| *r &= h);
+            if route.iter().all(|&r| r == 0) {
+                return None;
+            }
+        }
+        for (i, &word) in route.iter().enumerate() {
+            let mut left = word;
+            while left != 0 {
+                let start = i as u32 * 64 + left.trailing_zeros();
+                if start.is_multiple_of(align) {
+                    return Some(PixelRange::new(start, width));
+                }
+                left &= left - 1;
             }
         }
         None
+    }
+
+    /// Writes this fiber's fit-starts bitmap for `width`: bit `i` of
+    /// `starts` is set iff pixels `i..i + width` are all in band and free.
+    fn fit_starts(&self, width: PixelWidth, starts: &mut [u64]) {
+        for (s, occupied) in starts.iter_mut().zip(&self.words) {
+            *s = !occupied;
+        }
+        // Pixels past the band count as occupied.
+        if !self.pixels.is_multiple_of(64) {
+            starts[self.words.len() - 1] &= !(!0 << (self.pixels % 64));
+        }
+        // Shift-doubling: with `starts` marking the free runs of `have`
+        // pixels, `starts & (starts >> step)` marks those of `have + step`
+        // for any `step <= have` (the two windows overlap or abut).
+        let need = u32::from(width.pixels());
+        let mut have = 1;
+        while have < need {
+            let step = have.min(need - have);
+            let (skip, shift) = ((step / 64) as usize, step % 64);
+            for i in 0..starts.len() {
+                let lo = starts.get(i + skip).copied().unwrap_or(0);
+                let hi = starts.get(i + skip + 1).copied().unwrap_or(0);
+                starts[i] &= if shift == 0 {
+                    lo
+                } else {
+                    (lo >> shift) | (hi << (64 - shift))
+                };
+            }
+            have += step;
+        }
     }
 
     /// All maximal free runs as (start, length-in-pixels) pairs, in order.
@@ -338,6 +421,17 @@ impl SpectrumMask {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// The (word index, bit mask) pieces of `range` in a 64-pixels-per-word
+/// bitmap.
+fn spans(range: &PixelRange) -> impl Iterator<Item = (usize, u64)> {
+    let (start, end) = (range.start, range.end());
+    ((start / 64)..end.div_ceil(64)).map(move |w| {
+        let lo = start.max(w * 64) - w * 64;
+        let hi = end.min((w + 1) * 64) - w * 64;
+        (w as usize, (!0u64 >> (64 - (hi - lo))) << lo)
+    })
 }
 
 // ---- JSON wire encoding (same shapes the former serde derives produced) ----
@@ -382,6 +476,7 @@ impl FromJson for PixelRange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexwan_util::rng::ChaCha8Rng;
 
     fn w(px: u16) -> PixelWidth {
         PixelWidth::new(px)
@@ -546,6 +641,184 @@ mod tests {
             SpectrumMask::first_fit_joint_aligned(&[&m], w(6), 6),
             Some(PixelRange::new(12, w(6)))
         );
+    }
+
+    /// The per-pixel first-fit the bitmap kernel replaced, kept as the
+    /// reference the kernel is tested against: scan the candidate window,
+    /// on a collision jump to the next aligned start past it.
+    fn first_fit_reference(
+        masks: &[&SpectrumMask],
+        width: PixelWidth,
+        align: u32,
+    ) -> Option<PixelRange> {
+        let pixels = masks.first()?.pixels;
+        let need = u32::from(width.pixels());
+        let mut start = 0u32;
+        while start + need <= pixels {
+            match (start..start + need).find(|&p| masks.iter().any(|m| m.is_occupied(p))) {
+                Some(p) => start = (p + 1).div_ceil(align) * align,
+                None => return Some(PixelRange::new(start, width)),
+            }
+        }
+        None
+    }
+
+    /// Grids around the word boundaries, the C-band, a partial last word,
+    /// and one past the kernel's stack buffers.
+    const GRIDS: [u32; 8] = [8, 63, 64, 65, 100, 384, 400, 600];
+
+    /// A mask filled to a random density with short runs, the last
+    /// (partial) word included.
+    fn random_mask(rng: &mut ChaCha8Rng, pixels: u32) -> SpectrumMask {
+        let mut m = SpectrumMask::new(SpectrumGrid::new(pixels));
+        let density = rng.gen_range(0.0f64..0.9);
+        let mut p = 0;
+        while p < pixels {
+            let run = rng.gen_range(1u32..12).min(pixels - p);
+            if rng.gen_bool(density) {
+                m.occupy(&PixelRange::new(p, w(run as u16))).unwrap();
+            }
+            p += run;
+        }
+        if rng.gen_bool(0.5) && !m.is_occupied(pixels - 1) {
+            m.occupy(&PixelRange::new(pixels - 1, w(1))).unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn kernel_matches_per_pixel_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EC7);
+        for pixels in GRIDS {
+            for _case in 0..24 {
+                let masks: Vec<SpectrumMask> = (0..rng.gen_range(1usize..4))
+                    .map(|_| random_mask(&mut rng, pixels))
+                    .collect();
+                let views: Vec<&SpectrumMask> = masks.iter().collect();
+                for width in 1..=70u16 {
+                    for align in [1u32, 4, 6] {
+                        assert_eq!(
+                            SpectrumMask::first_fit_joint_aligned(&views, w(width), align),
+                            first_fit_reference(&views, w(width), align),
+                            "{pixels} px, {} masks, width {width}, align {align}",
+                            masks.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_starts_marks_exactly_the_free_windows() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xF175);
+        for pixels in GRIDS {
+            let m = random_mask(&mut rng, pixels);
+            for width in [1u16, 2, 5, 12, 63, 64, 65, 70, 130] {
+                let mut starts = vec![!0u64; m.words.len()];
+                m.fit_starts(w(width), &mut starts);
+                for i in 0..m.words.len() as u32 * 64 {
+                    let fits = i + u32::from(width) <= pixels
+                        && (i..i + u32::from(width)).all(|p| !m.is_occupied(p));
+                    let bit = starts[(i / 64) as usize] >> (i % 64) & 1 == 1;
+                    assert_eq!(bit, fits, "{pixels} px, width {width}, start {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_of_each_takes_one_mask_per_group() {
+        let grid = SpectrumGrid::new(130);
+        let full = {
+            let mut m = SpectrumMask::new(grid);
+            m.occupy(&PixelRange::new(0, w(130))).unwrap();
+            m
+        };
+        let mut low = SpectrumMask::new(grid);
+        low.occupy(&PixelRange::new(0, w(60))).unwrap();
+        let empty = SpectrumMask::new(grid);
+        let fit = |groups: &[&[&SpectrumMask]], width, align| {
+            let groups = groups.iter().map(|g| g.iter().copied());
+            SpectrumMask::first_fit_any_of_each(grid, groups, w(width), align)
+        };
+        // One free parallel is enough; the full one never helps.
+        assert_eq!(
+            fit(&[&[&full, &low], &[&empty]], 8, 1),
+            Some(PixelRange::new(60, w(8)))
+        );
+        assert_eq!(
+            fit(&[&[&full, &low], &[&empty]], 8, 6),
+            Some(PixelRange::new(60, w(8)))
+        );
+        assert_eq!(
+            fit(&[&[&full, &low], &[&empty]], 8, 64),
+            Some(PixelRange::new(64, w(8)))
+        );
+        // A group with no free mask, or with no mask, blocks the route.
+        assert_eq!(fit(&[&[&low], &[&full]], 1, 1), None);
+        assert_eq!(fit(&[&[&low], &[]], 1, 1), None);
+        // No group at all constrains nothing; the band still does.
+        assert_eq!(fit(&[], 130, 1), Some(PixelRange::new(0, w(130))));
+        assert_eq!(fit(&[], 131, 1), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "masks must share a grid")]
+    fn joint_first_fit_refuses_mixed_grids() {
+        let a = SpectrumMask::new(SpectrumGrid::new(128));
+        let b = SpectrumMask::new(SpectrumGrid::new(64));
+        let _ = SpectrumMask::first_fit_joint(&[&a, &b], w(4));
+    }
+
+    #[test]
+    fn ranges_spanning_two_and_three_words() {
+        let mut m = SpectrumMask::new(SpectrumGrid::new(400));
+        // (start, width): inside one word, across one boundary, ending on
+        // a boundary, covering a whole middle word, into the partial tail.
+        for (start, width) in [
+            (3u32, 7u16),
+            (60, 8),
+            (120, 8),
+            (190, 70),
+            (250, 140),
+            (390, 10),
+        ] {
+            let r = PixelRange::new(start, w(width));
+            assert!(m.is_free(&r));
+            m.occupy(&r).unwrap();
+            for p in 0..400 {
+                assert_eq!(
+                    m.is_occupied(p),
+                    r.pixels().any(|q| q == p),
+                    "pixel {p} after occupying {r}"
+                );
+            }
+            assert_eq!(m.occupied_pixels(), u32::from(width));
+            // A probe is free iff it misses the range — one pixel either
+            // side included.
+            for probe_start in start.saturating_sub(2)..=r.end().min(398) {
+                let probe = PixelRange::new(probe_start, w(2));
+                assert_eq!(m.is_free(&probe), !probe.overlaps(&r), "{probe} vs {r}");
+            }
+            assert!(matches!(
+                m.occupy(&PixelRange::new(r.end() - 1, w(1))),
+                Err(OpticalError::SpectrumConflict { .. })
+            ));
+            // Releasing a range only partly occupied is a double release
+            // and changes nothing.
+            if r.end() < 400 {
+                let over = PixelRange::new(start, w(width + 1));
+                assert!(matches!(
+                    m.release(&over),
+                    Err(OpticalError::DoubleRelease { .. })
+                ));
+                assert_eq!(m.occupied_pixels(), u32::from(width));
+            }
+            m.release(&r).unwrap();
+            assert_eq!(m.occupied_pixels(), 0);
+        }
+        assert!(!m.is_free(&PixelRange::new(396, w(5))), "past the band");
     }
 
     #[test]

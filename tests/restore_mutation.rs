@@ -162,7 +162,6 @@ fn mutation_agrees_with_exact_restoration_model() {
             wavelengths: exact_plan.wavelengths.clone(),
             unmet: Vec::new(),
             spectrum: SpectrumState::new(cfg.grid, g.num_edges()),
-            candidate_routes: Vec::new(),
         };
         let spares = vec![1u32; ip.links().len()];
         for scenario in one_fiber_scenarios(&g) {
