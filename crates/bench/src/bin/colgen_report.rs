@@ -62,12 +62,14 @@ fn main() {
             c.reduced_cost_min,
         );
         // The pinned reference: objective bits and the deterministic
-        // column/round counters (timings stay out — machine-dependent).
+        // column/universe/round counters (timings stay out —
+        // machine-dependent).
         out.push_str(&format!(
-            "{name} objective {} ({:.4}) columns {} rounds {} gap_rounds {}\n",
+            "{name} objective {} ({:.4}) columns {} universe {} rounds {} gap_rounds {}\n",
             cg.plan.objective.to_bits(),
             cg.plan.objective,
             c.columns_in_master,
+            c.universe_size,
             c.pricing_rounds,
             c.gap_rounds,
         ));

@@ -305,6 +305,57 @@ fn soak_bursts_replay_and_record_ladder_slos() {
     );
 }
 
+/// The work one seeded stream costs the service, exact: 40 canonical
+/// events in batches of 4 over a faulty transport, on an unlimited
+/// budget so nothing depends on the machine. A moved counter means
+/// event classification or the ladder changed; the failure prints the
+/// new tuple. Re-record only for a deliberate behaviour change.
+#[test]
+fn seeded_stream_work_counters_are_pinned() {
+    let (g, ip, cfg) = backbone();
+    let mut svc =
+        ChurnService::new(&g, &ip, Scheme::FlexWan, cfg, ServiceConfig::default()).unwrap();
+    let mut log = EventLog::new();
+    let stamped: Vec<SeqEvent> = churn_stream(40, 7)
+        .into_iter()
+        .map(|e| log.append(e))
+        .collect();
+    let injector = FaultInjector::new(
+        FaultPlan {
+            seed: 316,
+            ..FaultPlan::none()
+        }
+        .with_stream(StreamFaults {
+            drop_prob: 0.10,
+            duplicate_prob: 0.10,
+            reorder_prob: 0.10,
+            stale_prob: 0.05,
+        }),
+    );
+    let mut restored_gbps = 0u64;
+    for batch in stamped.chunks(4) {
+        restored_gbps += svc
+            .deliver(&log, &injector.perturb_stream(batch))
+            .restored_gbps;
+    }
+    restored_gbps += svc.flush(&log).restored_gbps;
+    assert_eq!(svc.state().next_seq, log.len(), "no event left behind");
+
+    let stats = svc.stats();
+    assert_eq!(
+        (
+            svc.journal().len(),
+            stats.events_applied,
+            stats.warm_mutations,
+            stats.rebuilds,
+            stats.level_ticks,
+            restored_gbps,
+        ),
+        (12, 41, 17, 0, [12, 0, 0], 2300),
+        "(ticks, events applied, warm mutations, rebuilds, ticks per ladder level, Gbps restored)"
+    );
+}
+
 /// Simultaneous cuts must take the warm-mutation path of the standing
 /// model — banned-path columns are generated on demand, the model is
 /// never rebuilt — observable as warm solver starts and a zero rebuild

@@ -18,9 +18,17 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use flexwan::core::planning::{percent_saved, plan, PlannerConfig};
-use flexwan::core::restore::{choose_spare_pool, conduit_cut_scenarios, restore, restore_report};
+use flexwan::core::planning::{percent_saved, plan, plan_cached, PlanModel, PlannerConfig};
+use flexwan::core::restore::{
+    choose_spare_pool, conduit_cut_scenarios, one_fiber_scenarios, restore, restore_cached,
+    restore_report,
+};
 use flexwan::core::Scheme;
+use flexwan::optical::spectrum::SpectrumGrid;
+use flexwan::solver::SolveOptions;
+use flexwan::topo::cache::RouteCache;
+use flexwan::topo::graph::Graph;
+use flexwan::topo::ip::IpTopology;
 use flexwan::topo::tbackbone::{t_backbone, Backbone, TBackboneConfig};
 
 fn instance() -> (Backbone, PlannerConfig) {
@@ -150,13 +158,16 @@ fn headline_numbers_match_golden() {
     }
 
     // §8 / Figure 15(a): restored paths are longer than the originals
-    // (scale 1, FlexWAN).
+    // (scale 1, FlexWAN). Plan and sweep share one route cache, whose
+    // counters are pinned below.
+    let cache = RouteCache::new();
+    let flex = plan_cached(Scheme::FlexWan, &b.optical, &b.ip, &cfg, &cache);
     let results: Vec<_> = scenarios
         .iter()
         .map(|s| {
             (
                 s.probability,
-                restore(flex, &b.optical, &b.ip, s, &[], &cfg),
+                restore_cached(&flex, &b.optical, &b.ip, s, &[], &cfg, &cache),
             )
         })
         .collect();
@@ -181,7 +192,61 @@ fn headline_numbers_match_golden() {
     )
     .unwrap();
 
+    // Deterministic work counters: a moved count means the route-cache
+    // keying or the exact model's γ enumeration changed, not the machine.
+    writeln!(
+        out,
+        "conduit_sweep_route_cache = {} hits / {} misses / {} entries",
+        cache.hits(),
+        cache.misses(),
+        cache.len()
+    )
+    .unwrap();
+    // The standing Algorithm 1 model on the 4-node ring-plus-chord
+    // instance, and its single-fiber restoration sweep as warm mutations.
+    let (g, ip, ecfg) = exact_instance();
+    let opts = SolveOptions {
+        max_nodes: 200_000,
+        ..Default::default()
+    };
+    let mut pm = PlanModel::build_restorable(Scheme::FlexWan, &g, &ip, &ecfg);
+    pm.solve(&opts).expect("exact instance is feasible");
+    let restored: u64 = one_fiber_scenarios(&g)
+        .iter()
+        .map(|s| {
+            pm.restore_after_cut(&g, s, &[], &opts)
+                .expect("mutated re-solve")
+                .restored_gbps
+        })
+        .sum();
+    writeln!(out, "exact_model_gammas = {}", pm.space().gammas().len()).unwrap();
+    writeln!(out, "exact_model_restored_gbps_total = {restored}").unwrap();
+
     assert_golden("headline_numbers.txt", &out);
+}
+
+/// 4-node ring plus chord on a 12-pixel grid: small enough that exact
+/// branch & bound over the restorable model stays fast in debug builds.
+fn exact_instance() -> (Graph, IpTopology, PlannerConfig) {
+    let mut g = Graph::new();
+    let a = g.add_node("a");
+    let b = g.add_node("b");
+    let c = g.add_node("c");
+    let d = g.add_node("d");
+    g.add_edge(a, b, 420);
+    g.add_edge(b, c, 360);
+    g.add_edge(c, d, 510);
+    g.add_edge(d, a, 280);
+    g.add_edge(a, c, 760);
+    let mut ip = IpTopology::new();
+    ip.add_link(a, b, 300);
+    ip.add_link(a, c, 200);
+    let cfg = PlannerConfig {
+        grid: SpectrumGrid::new(12),
+        k_paths: 2,
+        ..Default::default()
+    };
+    (g, ip, cfg)
 }
 
 /// The availability surface on the suite backbone, exact: a scenario
@@ -192,7 +257,6 @@ fn headline_numbers_match_golden() {
 #[test]
 fn availability_surface_matches_golden() {
     use flexwan::core::scenario::{demand_scenarios, scenario_suite, EngineConfig, ScenarioEngine};
-    use flexwan::topo::cache::RouteCache;
 
     let (b, cfg) = instance();
     // The §8 overloaded regime — same 5x scaling as the headline
@@ -277,13 +341,7 @@ fn spare_pool_ab_matches_golden() {
         ..PlannerConfig::default()
     };
     let p = plan(Scheme::FlexWan, &b.optical, &b.ip, &cfg);
-    let choice = choose_spare_pool(
-        &p,
-        &b.optical,
-        &b.ip,
-        &cfg,
-        &flexwan::solver::SolveOptions::default(),
-    );
+    let choice = choose_spare_pool(&p, &b.optical, &b.ip, &cfg, &SolveOptions::default());
     let mut out = String::new();
     writeln!(
         out,
