@@ -3,12 +3,11 @@
 //!
 //! A thin harness over [`flexwan_core::scenario`]: it generates the
 //! scenario suite (exhaustive k-cuts where they fit, seeded samples
-//! past the limit), the demand-perturbation set, optionally stands up
-//! the exact model as the ladder's top rung, and runs the engine. The
-//! output is byte-stable — the regeneration binary and the CI sweep
-//! gate diff the rendered surface verbatim.
+//! past the limit) and the demand-perturbation set, and runs the engine
+//! over them. The output is byte-stable — the regeneration binary and
+//! the CI sweep gate diff the rendered surface verbatim.
 
-use flexwan_core::planning::{PlanModel, PlannerConfig};
+use flexwan_core::planning::PlannerConfig;
 use flexwan_core::scenario::{
     demand_scenarios, scenario_suite, AvailabilitySurface, EngineConfig, ScenarioEngine,
 };
@@ -34,9 +33,6 @@ pub struct AvailabilityConfig {
     /// Engine knobs: spare budgets, threads, warm-solve options,
     /// protection rung.
     pub engine: EngineConfig,
-    /// Stand up the exact model ([`PlanModel::build_restorable`]) as
-    /// the ladder's top rung for nominal-demand scenarios.
-    pub exact: bool,
 }
 
 impl Default for AvailabilityConfig {
@@ -49,15 +45,14 @@ impl Default for AvailabilityConfig {
             demand_scenarios: 2,
             demand_spread: 0.2,
             engine: EngineConfig::default(),
-            exact: false,
         }
     }
 }
 
 /// Runs one availability sweep: suite generation, demand perturbation,
-/// optional exact-rung attach, engine evaluation. Deterministic for a
-/// given `(backbone, cfg, scheme, acfg)`; `cache` is shared memoization
-/// and never changes results.
+/// engine evaluation. Deterministic for a given
+/// `(backbone, cfg, scheme, acfg)`; `cache` is shared memoization and
+/// never changes results.
 pub fn availability_surface(
     backbone: &Backbone,
     cfg: &PlannerConfig,
@@ -78,24 +73,15 @@ pub fn availability_surface(
         acfg.demand_spread,
         acfg.seed,
     );
-    let mut engine = ScenarioEngine::new(
+    ScenarioEngine::new(
         scheme,
         &backbone.optical,
         &backbone.ip,
         cfg,
         cache,
         acfg.engine.clone(),
-    );
-    if acfg.exact {
-        // Warm mutations pin survivors of the *standing* solution, so
-        // the model must hold a solved baseline before it is attached.
-        let mut model = PlanModel::build_restorable(scheme, &backbone.optical, &backbone.ip, cfg);
-        model
-            .solve(&acfg.engine.solve)
-            .expect("exact baseline plan is feasible");
-        engine.attach_exact(model);
-    }
-    engine.evaluate(&suite, &demands)
+    )
+    .evaluate(&suite, &demands)
 }
 
 #[cfg(test)]

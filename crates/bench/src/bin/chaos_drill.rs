@@ -1,11 +1,12 @@
 //! Chaos drill: convergence time and retry counts vs injected fault rate.
 //!
-//! Not a statistical microbenchmark — a drill. For each fault rate it
-//! pushes a full plan through a faulted device plane, runs the
-//! self-healing loop to convergence, and reports how long the plane took
-//! to become audited-clean and how much retry work that cost.
+//! A drill, not a measurement. For each fault rate it pushes a full plan
+//! through a faulted device plane, runs the self-healing loop to
+//! convergence, and reports how long the plane took to become
+//! audited-clean and how much retry work that cost. Every counter column
+//! is deterministic per (fault rate, seed); only `converge_ms` varies.
 //!
-//! Run with `cargo bench --features bench --bench chaos_drill`.
+//! Run with `cargo run --release -p flexwan-bench --bin chaos_drill`.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -2,7 +2,7 @@
 //! capacity scale, for 100G-WAN, RADWAN and FlexWAN — plus the §7
 //! headline savings and maximum supported scales.
 
-use flexwan_bench::experiments::{cost_vs_scale_threads, headline};
+use flexwan_bench::experiments::{cost_vs_scale, headline};
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
 use flexwan_util::pool;
@@ -16,7 +16,7 @@ fn main() {
     let cfg = default_config();
     // Thread-count-invariant: the deterministic pool makes this table
     // byte-identical whatever FLEXWAN_THREADS says.
-    let rows: Vec<Vec<String>> = cost_vs_scale_threads(&b, &cfg, 10, pool::default_threads())
+    let rows: Vec<Vec<String>> = cost_vs_scale(&b, &cfg, 10, pool::default_threads())
         .into_iter()
         .map(|(s, costs)| {
             let mut row = vec![format!("{s}x")];

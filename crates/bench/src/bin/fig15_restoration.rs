@@ -1,7 +1,7 @@
 //! Figure 15: (a) distribution of restored-vs-original path lengths and
 //! (b) mean restoration capability vs capacity scale, per scheme.
 
-use flexwan_bench::experiments::{restoration_report_threads, restoration_vs_scale_threads};
+use flexwan_bench::experiments::{restoration_report, restoration_vs_scale};
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
 use flexwan_core::Scheme;
@@ -17,7 +17,7 @@ fn main() {
     let cfg = default_config();
     let threads = pool::default_threads();
 
-    let rep = restoration_report_threads(
+    let rep = restoration_report(
         &b,
         &cfg,
         Scheme::FlexWan,
@@ -36,7 +36,7 @@ fn main() {
     );
     println!();
 
-    let rows: Vec<Vec<String>> = restoration_vs_scale_threads(&b, &cfg, &[1, 2, 3, 4, 5], threads)
+    let rows: Vec<Vec<String>> = restoration_vs_scale(&b, &cfg, &[1, 2, 3, 4, 5], threads)
         .into_iter()
         .map(|(s, caps)| {
             vec![

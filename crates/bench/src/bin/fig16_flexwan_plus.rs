@@ -7,6 +7,7 @@ use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
 use flexwan_core::planning::cdf;
 use flexwan_core::Scheme;
+use flexwan_topo::cache::RouteCache;
 
 fn main() {
     table::banner(
@@ -24,7 +25,7 @@ fn main() {
             ("FlexWAN", Scheme::FlexWan, false),
             ("FlexWAN+", Scheme::FlexWan, true),
         ] {
-            let rep = restoration_report(&b, &cfg, scheme, scale, plus);
+            let rep = restoration_report(&b, &cfg, scheme, scale, plus, &RouteCache::new(), 1);
             let c = cdf(&rep.capabilities);
             let q = |q: f64| {
                 let idx = ((c.len() as f64 * q).ceil() as usize).clamp(1, c.len()) - 1;

@@ -36,16 +36,10 @@ pub struct SchemeCost {
 ///
 /// Candidate routes depend only on the optical graph and the IP link
 /// endpoints — not on the scheme or the demand scale — so they are
-/// enumerated once (first scheme) and reused (remaining schemes) through
-/// a per-call [`RouteCache`] instead of re-running Yen per scheme.
-pub fn plan_costs(backbone: &Backbone, cfg: &PlannerConfig, scale: u64) -> Vec<SchemeCost> {
-    plan_costs_cached(backbone, cfg, scale, &RouteCache::new())
-}
-
-/// [`plan_costs`] sharing `cache` with the caller's wider sweep (e.g. the
-/// full scale ladder of [`cost_vs_scale`], where every scale reuses the
-/// same candidate routes).
-pub fn plan_costs_cached(
+/// enumerated once (first scheme) and reused (remaining schemes, and the
+/// caller's wider sweep) through `cache` instead of re-running Yen per
+/// scheme.
+pub fn plan_costs(
     backbone: &Backbone,
     cfg: &PlannerConfig,
     scale: u64,
@@ -67,21 +61,12 @@ pub fn plan_costs_cached(
         .collect()
 }
 
-/// Figure 12: cost vs capacity scale for every scheme, `1..=max_scale`.
+/// Figure 12: cost vs capacity scale for every scheme, `1..=max_scale`,
+/// fanned out over the scale ladder on `threads` workers (0 = auto,
+/// 1 = serial). Each scale is an independent planning problem; one
+/// shared [`RouteCache`] serves all of them, and the deterministic pool
+/// keeps the output bit-identical at any thread count.
 pub fn cost_vs_scale(
-    backbone: &Backbone,
-    cfg: &PlannerConfig,
-    max_scale: u64,
-) -> Vec<(u64, Vec<SchemeCost>)> {
-    cost_vs_scale_threads(backbone, cfg, max_scale, 1)
-}
-
-/// [`cost_vs_scale`] fanned out over the scale ladder on `threads`
-/// workers (0 = auto). Each scale is an independent planning problem;
-/// one shared [`RouteCache`] serves all of them, and the deterministic
-/// pool keeps the output bit-identical to the serial run at any thread
-/// count.
-pub fn cost_vs_scale_threads(
     backbone: &Backbone,
     cfg: &PlannerConfig,
     max_scale: u64,
@@ -89,9 +74,7 @@ pub fn cost_vs_scale_threads(
 ) -> Vec<(u64, Vec<SchemeCost>)> {
     let cache = RouteCache::new();
     let scales: Vec<u64> = (1..=max_scale).collect();
-    let costs = pool::par_map(&scales, threads, |&s| {
-        plan_costs_cached(backbone, cfg, s, &cache)
-    });
+    let costs = pool::par_map(&scales, threads, |&s| plan_costs(backbone, cfg, s, &cache));
     scales.into_iter().zip(costs).collect()
 }
 
@@ -111,7 +94,7 @@ pub fn headline(backbone: &Backbone, cfg: &PlannerConfig, scale_cap: u64) -> Hea
     // Every planning run below shares one candidate-route set: routes are
     // scale- and scheme-independent, so the cache misses once per IP link.
     let cache = RouteCache::new();
-    let at1 = plan_costs_cached(backbone, cfg, 1, &cache);
+    let at1 = plan_costs(backbone, cfg, 1, &cache);
     let find = |s: Scheme| {
         at1.iter()
             .find(|c| c.scheme == s)
@@ -261,22 +244,11 @@ pub fn gap_and_sse(
 
 /// Runs every conduit-cut scenario against a scheme's plan at `scale` and
 /// reports. `plus` enables the FlexWAN+ spare pool (only meaningful for
-/// [`Scheme::FlexWan`]).
-pub fn restoration_report(
-    backbone: &Backbone,
-    cfg: &PlannerConfig,
-    scheme: Scheme,
-    scale: u64,
-    plus: bool,
-) -> RestoreReport {
-    restoration_report_threads(backbone, cfg, scheme, scale, plus, &RouteCache::new(), 1)
-}
-
-/// [`restoration_report`] with the scenario sweep fanned out on `threads`
-/// workers (0 = auto), sharing `cache` across scenarios and with the
+/// [`Scheme::FlexWan`]). The scenario sweep fans out on `threads` workers
+/// (0 = auto, 1 = serial), sharing `cache` across scenarios and with the
 /// caller's wider sweep. Restoration routes are keyed by the scenario's
 /// cut set, so a cut fiber can never be served a cached uncut route.
-pub fn restoration_report_threads(
+pub fn restoration_report(
     backbone: &Backbone,
     cfg: &PlannerConfig,
     scheme: Scheme,
@@ -323,20 +295,12 @@ pub fn restoration_results(
         .collect()
 }
 
-/// Figure 15(b): mean restoration capability per scheme per scale.
+/// Figure 15(b): mean restoration capability per scheme per scale, with
+/// every scenario sweep on `threads` workers (0 = auto, 1 = serial) and
+/// one [`RouteCache`] shared across all scales × schemes — the planner's
+/// uncut routes miss once total, and each cut set's detour routes miss
+/// once across the whole figure.
 pub fn restoration_vs_scale(
-    backbone: &Backbone,
-    cfg: &PlannerConfig,
-    scales: &[u64],
-) -> Vec<(u64, [f64; 3])> {
-    restoration_vs_scale_threads(backbone, cfg, scales, 1)
-}
-
-/// [`restoration_vs_scale`] with every scenario sweep on `threads`
-/// workers (0 = auto) and one [`RouteCache`] shared across all
-/// scales × schemes — the planner's uncut routes miss once total, and
-/// each cut set's detour routes miss once across the whole figure.
-pub fn restoration_vs_scale_threads(
     backbone: &Backbone,
     cfg: &PlannerConfig,
     scales: &[u64],
@@ -347,7 +311,7 @@ pub fn restoration_vs_scale_threads(
         .iter()
         .map(|&s| {
             let report = |scheme| {
-                restoration_report_threads(backbone, cfg, scheme, s, false, &cache, threads)
+                restoration_report(backbone, cfg, scheme, s, false, &cache, threads)
                     .mean_capability()
             };
             let caps = [
@@ -446,7 +410,7 @@ mod tests {
         let b = tbackbone_instance();
         let cfg = default_config();
         let cache = RouteCache::new();
-        let cached = plan_costs_cached(&b, &cfg, 1, &cache);
+        let cached = plan_costs(&b, &cfg, 1, &cache);
         // The hoist: Yen runs once per distinct endpoint pair (parallel
         // IP links share a candidate-route set), everything else —
         // including schemes 2–3 wholesale — is a cache hit.
@@ -456,7 +420,7 @@ mod tests {
             (cache.hits() + cache.misses()) as usize,
             3 * b.ip.num_links()
         );
-        assert_eq!(cached, plan_costs(&b, &cfg, 1));
+        assert_eq!(cached, plan_costs(&b, &cfg, 1, &RouteCache::new()));
     }
 
     #[test]

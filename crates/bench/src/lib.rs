@@ -1,7 +1,7 @@
 //! Experiment harness: one function per paper table/figure, shared by the
-//! regeneration binaries (`src/bin/fig*.rs`), the criterion benches, and
-//! the workspace integration tests that assert the paper's claims hold in
-//! shape.
+//! regeneration binaries (`src/bin/fig*.rs`) and the workspace integration
+//! tests that assert the paper's claims hold in shape. Nothing here times
+//! code: measuring is `benchmark/`'s job.
 //!
 //! Every experiment is deterministic: fixed topology seeds, fixed planner
 //! configuration, no wall-clock or RNG ambient state.
@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod availability;
-pub mod churn;
 pub mod experiments;
 pub mod instances;
 pub mod table;

@@ -5,10 +5,7 @@
 
 use std::collections::HashSet;
 
-use flexwan_bench::experiments::{
-    cost_vs_scale, cost_vs_scale_threads, restoration_report, restoration_report_threads,
-    restoration_results,
-};
+use flexwan_bench::experiments::{cost_vs_scale, restoration_report, restoration_results};
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_core::restore::conduit_cut_scenarios;
 use flexwan_core::Scheme;
@@ -18,9 +15,9 @@ use flexwan_topo::cache::RouteCache;
 fn cost_vs_scale_is_bit_identical_across_thread_counts() {
     let b = tbackbone_instance();
     let cfg = default_config();
-    let serial = cost_vs_scale(&b, &cfg, 4);
+    let serial = cost_vs_scale(&b, &cfg, 4, 1);
     for threads in [1, 2, 4] {
-        let par = cost_vs_scale_threads(&b, &cfg, 4, threads);
+        let par = cost_vs_scale(&b, &cfg, 4, threads);
         assert_eq!(
             serial, par,
             "SchemeCost ladder diverged at {threads} threads"
@@ -54,10 +51,10 @@ fn restoration_sweep_is_bit_identical_across_thread_counts() {
     }
     // The aggregated report built from a shared warm cache agrees too.
     let cache = RouteCache::new();
-    let warm = restoration_report_threads(&b, &cfg, Scheme::FlexWan, 2, false, &cache, 2);
-    let rewarmed = restoration_report_threads(&b, &cfg, Scheme::FlexWan, 2, false, &cache, 4);
+    let warm = restoration_report(&b, &cfg, Scheme::FlexWan, 2, false, &cache, 2);
+    let rewarmed = restoration_report(&b, &cfg, Scheme::FlexWan, 2, false, &cache, 4);
     assert_eq!(
-        restoration_report(&b, &cfg, Scheme::FlexWan, 2, false),
+        restoration_report(&b, &cfg, Scheme::FlexWan, 2, false, &RouteCache::new(), 1),
         warm
     );
     assert_eq!(warm, rewarmed, "a warm cache must not change the report");

@@ -87,8 +87,9 @@ pub struct MutatedRestoration {
 ///
 /// Construction is a single pass over the γ variable space: every
 /// constraint row is a bucket lookup in [`WavelengthVarSpace`], so build
-/// time is linear in the model's nonzero count (the pre-refactor builder
-/// re-scanned all γ per row — quadratic; `bench_eval` gates the win).
+/// time is linear in the model's nonzero count (a builder that re-scans
+/// all γ per row is quadratic; the `exact_build_scaling` test in
+/// `crates/bench/tests` gates the linearity).
 pub struct PlanModel {
     solver: IncrementalSolver,
     space: WavelengthVarSpace,

@@ -463,11 +463,14 @@ impl<'a> ChurnService<'a> {
     /// Delivers one (possibly perturbed) batch. The batch is a doorbell:
     /// canonical events are applied from `log` strictly in order up to
     /// the highest delivered sequence number, so drops inside the batch
-    /// are filled and duplicates are ignored. Returns what the tick did.
+    /// are filled and duplicates are ignored. A sequence number past the
+    /// end of `log` (a corrupted or early doorbell) rings for what the
+    /// log holds; its event is applied once the log has it. Returns what
+    /// the tick did.
     pub fn deliver(&mut self, log: &EventLog, batch: &[SeqEvent]) -> TickReport {
         let target = batch
             .iter()
-            .map(|e| e.seq + 1)
+            .map(|e| e.seq.saturating_add(1))
             .max()
             .unwrap_or(self.next_seq);
         let mut seen: BTreeSet<u64> = BTreeSet::new();
@@ -487,9 +490,9 @@ impl<'a> ChurnService<'a> {
         self.advance(log, log.len(), 0, &all, None)
     }
 
-    /// Core tick: apply canonical events `next_seq..target`, coalesce,
-    /// react under the deadline budget (or under `forced`, during
-    /// journal replay).
+    /// Core tick: apply canonical events `next_seq..target` (as far as
+    /// `log` reaches), coalesce, react under the deadline budget (or
+    /// under `forced`, during journal replay).
     fn advance(
         &mut self,
         log: &EventLog,
@@ -504,11 +507,12 @@ impl<'a> ChurnService<'a> {
 
         // 1. Canonical ingest: strictly in order, gaps filled from the
         // log. The applied stream is independent of delivery order.
+        let target = target.min(log.len());
         let mut net = NetChange::default();
         let mut applied = 0usize;
         while self.next_seq < target {
             let seq = self.next_seq;
-            let ev = log.get(seq).expect("target beyond log").clone();
+            let ev = log.get(seq).expect("seq < target <= log.len()").clone();
             if !delivered.contains(&seq) {
                 self.stats.gap_fills += 1;
             }
@@ -827,7 +831,8 @@ impl<'a> ChurnService<'a> {
     /// Reconstructs a service by rolling the journal forward over the
     /// canonical log: each journaled tick re-executes at its recorded
     /// ladder levels (no clock, no budget measurement). The result is
-    /// bit-for-bit the live service's state.
+    /// bit-for-bit the live service's state. A record whose `upto_seq`
+    /// outruns `log` replays as far as the log reaches.
     pub fn replay(
         optical: &'a Graph,
         ip: &IpTopology,
@@ -839,8 +844,9 @@ impl<'a> ChurnService<'a> {
     ) -> Option<Self> {
         let mut s = ChurnService::new(optical, ip, scheme, cfg, svc)?;
         for rec in journal {
-            let delivered: BTreeSet<u64> = (s.next_seq..rec.upto_seq).collect();
-            s.advance(log, rec.upto_seq, 0, &delivered, Some(rec));
+            let upto = rec.upto_seq.min(log.len());
+            let delivered: BTreeSet<u64> = (s.next_seq..upto).collect();
+            s.advance(log, upto, 0, &delivered, Some(rec));
         }
         Some(s)
     }
@@ -1166,5 +1172,52 @@ mod tests {
         let rep = svc.deliver(&log, &[ev]);
         assert_eq!(rep.affected_gbps, 0);
         assert_eq!(rep.restored_gbps, 0);
+    }
+
+    #[test]
+    fn sequence_number_past_the_log_rings_for_what_the_log_holds() {
+        let (g, ip, cfg) = world();
+        let mut svc =
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg, ServiceConfig::default()).unwrap();
+        let mut log = EventLog::new();
+        let ev = log.append(ChurnEvent::FiberCut(EdgeId(0)));
+        for seq in [7, u64::MAX] {
+            let future = SeqEvent {
+                seq,
+                event: ev.event.clone(),
+            };
+            svc.deliver(&log, &[future]);
+            assert_eq!(svc.state().next_seq, log.len());
+        }
+        assert_eq!(svc.stats().events_applied, 1);
+        assert!(svc.active_cuts().contains(&EdgeId(0)));
+    }
+
+    #[test]
+    fn replay_stops_where_a_shorter_log_ends() {
+        let (g, ip, cfg) = world();
+        let svc_cfg = ServiceConfig::default();
+        let mut live =
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg.clone(), svc_cfg.clone()).unwrap();
+        let mut log = EventLog::new();
+        let cut = log.append(ChurnEvent::FiberCut(EdgeId(0)));
+        let repair = log.append(ChurnEvent::FiberRepair(EdgeId(0)));
+        live.deliver(&log, std::slice::from_ref(&cut));
+        live.deliver(&log, &[repair]);
+
+        let mut short = EventLog::new();
+        short.append(cut.event);
+        let replayed = ChurnService::replay(
+            &g,
+            &ip,
+            Scheme::FlexWan,
+            cfg,
+            svc_cfg,
+            &short,
+            live.journal(),
+        )
+        .unwrap();
+        assert_eq!(replayed.state().next_seq, short.len());
+        assert!(replayed.active_cuts().contains(&EdgeId(0)));
     }
 }

@@ -17,15 +17,17 @@
 //!    current factorization is reused verbatim (no basis copy at all) —
 //!    emitting the unexplored sibling of each dive step back to the heap.
 //! 3. **Deterministic parallelism.** Open nodes are popped in batches of
-//!    `BATCH` and processed by worker threads over the `flexwan-util`
-//!    channels. Each node is evaluated against the *same* incumbent
-//!    snapshot and results are applied in pop order, so the search — and
-//!    therefore the reported solution — is identical for any thread
-//!    count, including 1.
+//!    `BATCH` and processed on the `flexwan-util` worker pool. Each
+//!    node is evaluated against the *same* incumbent snapshot and
+//!    results are applied in pop order, so the search — and therefore
+//!    the reported solution — is identical for any thread count,
+//!    including 1.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+
+use flexwan_util::pool;
 
 use crate::model::{Model, Sense, Solution, SolveOptions, SolverStats, Status, VarKind};
 use crate::simplex::{relax, solve_lp_collecting, BasisState, Ctx, Instance, LpOutcome};
@@ -39,7 +41,6 @@ const DIVE_CAP: usize = 24;
 
 /// A search node: tightened bounds over the base model plus the parent's
 /// final basis for warm-starting.
-#[derive(Clone)]
 struct Node {
     /// LP bound of the parent (priority).
     bound: f64,
@@ -373,15 +374,15 @@ pub(crate) fn solve_mip_with_root(
         }
         let snapshot = incumbent.as_ref().map(|s| s.objective);
 
-        let results: Vec<NodeResult> = if threads <= 1 || batch.len() == 1 {
-            let mut ctx = Ctx::new(Arc::clone(&sh.inst));
-            batch
-                .iter()
-                .map(|node| process_node(&mut ctx, &sh, node, snapshot))
-                .collect()
-        } else {
-            run_batch_parallel(&sh, &batch, snapshot, threads)
-        };
+        // One `Ctx` per worker, reused across the nodes it claims;
+        // `process_node` resets it fully, so which worker solved a node
+        // never shows in the result.
+        let (results, _) = pool::par_map_init(
+            &batch,
+            threads,
+            || Ctx::new(Arc::clone(&sh.inst)),
+            |ctx, _, node| process_node(ctx, &sh, node, snapshot),
+        );
 
         // Apply results in pop order — identical to the sequential search.
         for res in results {
@@ -442,45 +443,6 @@ pub(crate) fn solve_mip_with_root(
         None if errored => Solution::sentinel(Status::Error, n_model),
         None => Solution::sentinel(Status::Infeasible, n_model),
     }
-}
-
-/// Fans a batch out over worker threads via the `flexwan-util` channels
-/// and returns results ordered by batch index.
-fn run_batch_parallel(
-    sh: &Shared,
-    batch: &[Node],
-    snapshot: Option<f64>,
-    threads: usize,
-) -> Vec<NodeResult> {
-    let workers = threads.min(batch.len());
-    let (task_tx, task_rx) = flexwan_util::sync::unbounded::<(usize, Node)>();
-    let (res_tx, res_rx) = flexwan_util::sync::unbounded::<(usize, NodeResult)>();
-    for (i, node) in batch.iter().enumerate() {
-        let _ = task_tx.send((i, node.clone()));
-    }
-    drop(task_tx);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                let mut ctx = Ctx::new(Arc::clone(&sh.inst));
-                for (i, node) in task_rx.iter() {
-                    let res = process_node(&mut ctx, sh, &node, snapshot);
-                    let _ = res_tx.send((i, res));
-                }
-            });
-        }
-    });
-    drop(res_tx);
-    let mut slots: Vec<Option<NodeResult>> = (0..batch.len()).map(|_| None).collect();
-    for (i, res) in res_rx.iter() {
-        slots[i] = Some(res);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker returned every batch slot"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -18,8 +18,6 @@
 //! * [`incremental`] — an [`IncrementalSolver`]
 //!   that re-solves a mutated model (rhs changes, row de/activation,
 //!   appended rows) warm from the previous basis instead of cold;
-//! * [`mod@presolve`] — model reductions (singleton rows, fixings, bound
-//!   tightening) applied before the heavy machinery;
 //! * [`cuts`] — knapsack cover cuts separated at the branch & bound root
 //!   (cut-and-branch);
 //! * [`observe`] — bridge mirroring [`SolverStats`]
@@ -38,7 +36,6 @@ pub mod expr;
 pub mod incremental;
 pub mod model;
 pub mod observe;
-pub mod presolve;
 pub mod simplex;
 
 pub use expr::{LinExpr, Var};
@@ -47,5 +44,4 @@ pub use model::{
     Cmp, GroupId, Model, RowId, Sense, Solution, SolveOptions, SolverStats, Status, VarKind,
 };
 pub use observe::record_solver_stats;
-pub use presolve::{presolve, solve_presolved, Presolved, Reduction};
 pub use simplex::{solve_lp, solve_lp_with_duals, solve_lp_with_stats};

@@ -8,8 +8,6 @@
 //! * [`mod@json`] — a small JSON value model, parser and writer with
 //!   [`json::ToJson`]/[`json::FromJson`] traits replacing
 //!   `serde`/`serde_json`;
-//! * [`sync`] — an unbounded MPMC channel with clonable receivers and
-//!   `recv_timeout`, replacing `crossbeam::channel`;
 //! * [`pool`] — a scoped worker pool with deterministic `par_map`
 //!   (fixed chunking, input-order results, thread-count-invariant
 //!   output) for the evaluation sweeps.
@@ -20,4 +18,3 @@
 pub mod json;
 pub mod pool;
 pub mod rng;
-pub mod sync;

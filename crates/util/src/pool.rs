@@ -4,11 +4,11 @@
 //! embarrassingly parallel, but the repo's contract — byte-identical
 //! output for any thread count, the same discipline as the solver's
 //! batch-parallel branch & bound — rules out naive work stealing with
-//! order-dependent reduction. [`par_map`] and [`par_map_indexed`] give
-//! the safe shape:
+//! order-dependent reduction. [`par_map`], [`par_map_indexed`] and
+//! [`par_map_init`] give the safe shape:
 //!
-//! * work items are split into **fixed contiguous chunks** handed to
-//!   workers over the in-tree MPMC channel;
+//! * work items are split into **fixed contiguous chunks** that workers
+//!   claim by index from one atomic counter;
 //! * each item is mapped by a pure function of the item (never of the
 //!   thread or of other in-flight items);
 //! * results are returned **in input order**, whatever order workers
@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on auto-detected worker threads (sweeps are memory-light;
-/// beyond this the channel coordination dominates).
+/// beyond this the coordination dominates).
 pub const MAX_AUTO_THREADS: usize = 8;
 
 /// Environment variable overriding the auto-detected thread count
@@ -78,6 +78,26 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    par_map_init(items, threads, || (), |(), i, item| f(i, item))
+}
+
+/// [`par_map_indexed`] with per-worker scratch state: every worker
+/// thread calls `init` once and hands the value to each of its `f`
+/// calls (the serial path makes one state for all items). `f` must
+/// return the same result whatever the state has been used for before,
+/// or the output stops being invariant to `threads`.
+pub fn par_map_init<T, S, R, I, F>(
+    items: &[T],
+    threads: usize,
+    init: I,
+    f: F,
+) -> (Vec<R>, PoolStats)
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let threads = if threads == 0 {
         default_threads()
     } else {
@@ -85,10 +105,11 @@ where
     };
     let workers = threads.min(items.len());
     if workers <= 1 {
+        let mut state = init();
         let out: Vec<R> = items
             .iter()
             .enumerate()
-            .map(|(i, item)| f(i, item))
+            .map(|(i, item)| f(&mut state, i, item))
             .collect();
         let stats = PoolStats {
             threads: 1,
@@ -102,46 +123,43 @@ where
     // straggler chunk cannot idle the rest of the pool for long while
     // chunk boundaries stay cheap to coordinate.
     let chunk = items.len().div_ceil(workers * 4).max(1);
-    let (task_tx, task_rx) = crate::sync::unbounded::<std::ops::Range<usize>>();
-    let (res_tx, res_rx) = crate::sync::unbounded::<(usize, R)>();
-    let mut chunks = 0usize;
-    let mut start = 0usize;
-    while start < items.len() {
-        let end = (start + chunk).min(items.len());
-        let _ = task_tx.send(start..end);
-        chunks += 1;
-        start = end;
-    }
-    drop(task_tx);
-
-    let busy = AtomicUsize::new(0);
-    let peak = AtomicUsize::new(0);
+    let chunks = items.len().div_ceil(chunk);
+    // Workers claim chunk indices from this ticket counter. `Relaxed`
+    // suffices: the counter publishes no data — the items are borrowed
+    // from before the scope and results come back through `join`.
+    let next = AtomicUsize::new(0);
+    // Reassemble in input order: scheduling decided only *who* mapped
+    // each item, never *where* its result goes.
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let res_tx = res_tx.clone();
-            let (f, busy, peak) = (&f, &busy, &peak);
-            scope.spawn(move || {
-                for range in task_rx.iter() {
-                    let now = busy.fetch_add(1, Ordering::Relaxed) + 1;
-                    peak.fetch_max(now, Ordering::Relaxed);
-                    for i in range {
-                        let _ = res_tx.send((i, f(i, &items[i])));
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut mapped = Vec::new();
+                    loop {
+                        let start = next.fetch_add(1, Ordering::Relaxed) * chunk;
+                        if start >= items.len() {
+                            return mapped;
+                        }
+                        let end = (start + chunk).min(items.len());
+                        for (i, item) in (start..end).zip(&items[start..end]) {
+                            mapped.push((i, f(&mut state, i, item)));
+                        }
                     }
-                    busy.fetch_sub(1, Ordering::Relaxed);
-                }
-            });
+                })
+            })
+            .collect();
+        for handle in handles {
+            let mapped = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, r) in mapped {
+                debug_assert!(slots[i].is_none(), "item {i} mapped twice");
+                slots[i] = Some(r);
+            }
         }
     });
-    drop(res_tx);
-
-    // Reassemble in input order: scheduling decided only *when* each
-    // result arrived, never *where* it goes.
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    while let Some((i, r)) = res_rx.try_recv() {
-        debug_assert!(slots[i].is_none(), "item {i} mapped twice");
-        slots[i] = Some(r);
-    }
     let out = slots
         .into_iter()
         .map(|s| s.expect("every item mapped exactly once"))
@@ -208,6 +226,28 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         assert_eq!(par_map(&items, 0, |&x| x + 1), (1..=10).collect::<Vec<_>>());
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn worker_state_is_made_once_per_worker_not_per_item() {
+        let items: Vec<u64> = (0..100).collect();
+        for threads in [1usize, 4] {
+            let inits = AtomicU64::new(0);
+            let (out, stats) = par_map_init(
+                &items,
+                threads,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::new()
+                },
+                |seen: &mut Vec<u64>, _, &x| {
+                    seen.push(x);
+                    x + 1
+                },
+            );
+            assert_eq!(out, (1..=100).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(inits.load(Ordering::Relaxed), stats.threads as u64);
+        }
     }
 
     #[test]
