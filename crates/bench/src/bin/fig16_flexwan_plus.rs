@@ -16,6 +16,7 @@ fn main() {
     );
     let b = tbackbone_instance();
     let cfg = default_config();
+    let cache = RouteCache::new();
     for scale in [1u64, 5] {
         println!("--- scale {scale}x ---");
         let mut rows = Vec::new();
@@ -25,7 +26,7 @@ fn main() {
             ("FlexWAN", Scheme::FlexWan, false),
             ("FlexWAN+", Scheme::FlexWan, true),
         ] {
-            let rep = restoration_report(&b, &cfg, scheme, scale, plus, &RouteCache::new(), 1);
+            let rep = restoration_report(&b, &cfg, scheme, scale, plus, &cache, 1);
             let c = cdf(&rep.capabilities);
             let q = |q: f64| {
                 let idx = ((c.len() as f64 * q).ceil() as usize).clamp(1, c.len()) - 1;

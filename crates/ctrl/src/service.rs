@@ -480,25 +480,26 @@ impl<'a> ChurnService<'a> {
                 duplicates += 1;
             }
         }
-        self.advance(log, target, duplicates, &seen, None)
+        self.advance(log, target, duplicates, Some(&seen), None)
     }
 
     /// Applies every canonical event not yet applied (the tail a lossy
     /// transport may never re-signal). Call at end of stream.
     pub fn flush(&mut self, log: &EventLog) -> TickReport {
-        let all: BTreeSet<u64> = (self.next_seq..log.len()).collect();
-        self.advance(log, log.len(), 0, &all, None)
+        self.advance(log, log.len(), 0, None, None)
     }
 
     /// Core tick: apply canonical events `next_seq..target` (as far as
     /// `log` reaches), coalesce, react under the deadline budget (or
-    /// under `forced`, during journal replay).
+    /// under `forced`, during journal replay). An applied event missing
+    /// from `delivered` counts as a gap fill; `None` means nothing was
+    /// dropped.
     fn advance(
         &mut self,
         log: &EventLog,
         target: u64,
         duplicates: usize,
-        delivered: &BTreeSet<u64>,
+        delivered: Option<&BTreeSet<u64>>,
         forced: Option<&TickRecord>,
     ) -> TickReport {
         self.tick += 1;
@@ -513,7 +514,7 @@ impl<'a> ChurnService<'a> {
         while self.next_seq < target {
             let seq = self.next_seq;
             let ev = log.get(seq).expect("seq < target <= log.len()").clone();
-            if !delivered.contains(&seq) {
+            if delivered.is_some_and(|d| !d.contains(&seq)) {
                 self.stats.gap_fills += 1;
             }
             self.coalesce(&mut net, ev);
@@ -844,9 +845,7 @@ impl<'a> ChurnService<'a> {
     ) -> Option<Self> {
         let mut s = ChurnService::new(optical, ip, scheme, cfg, svc)?;
         for rec in journal {
-            let upto = rec.upto_seq.min(log.len());
-            let delivered: BTreeSet<u64> = (s.next_seq..upto).collect();
-            s.advance(log, upto, 0, &delivered, Some(rec));
+            s.advance(log, rec.upto_seq, 0, None, Some(rec));
         }
         Some(s)
     }

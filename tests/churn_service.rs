@@ -143,6 +143,23 @@ fn churn_stream(n: usize, seed: u64) -> Vec<ChurnEvent> {
     events
 }
 
+/// The lossy transport every soak delivers through: drops, duplicates,
+/// reorders and stale redeliveries, seeded.
+fn faulty_transport(seed: u64) -> FaultInjector {
+    FaultInjector::new(
+        FaultPlan {
+            seed,
+            ..FaultPlan::none()
+        }
+        .with_stream(StreamFaults {
+            drop_prob: 0.10,
+            duplicate_prob: 0.10,
+            reorder_prob: 0.10,
+            stale_prob: 0.05,
+        }),
+    )
+}
+
 fn soak_events() -> usize {
     std::env::var("FLEXWAN_SOAK_EVENTS")
         .ok()
@@ -166,18 +183,7 @@ fn soak_faulty_delivery_replays_bit_for_bit() {
     let mut log = EventLog::new();
     let stamped: Vec<SeqEvent> = events.into_iter().map(|e| log.append(e)).collect();
 
-    let injector = FaultInjector::new(
-        FaultPlan {
-            seed: 99,
-            ..FaultPlan::none()
-        }
-        .with_stream(StreamFaults {
-            drop_prob: 0.10,
-            duplicate_prob: 0.10,
-            reorder_prob: 0.10,
-            stale_prob: 0.05,
-        }),
-    );
+    let injector = faulty_transport(99);
 
     for batch in stamped.chunks(5) {
         let perturbed = injector.perturb_stream(batch);
@@ -255,18 +261,7 @@ fn soak_bursts_replay_and_record_ladder_slos() {
     let mut log = EventLog::new();
     let stamped: Vec<SeqEvent> = events.into_iter().map(|e| log.append(e)).collect();
 
-    let injector = FaultInjector::new(
-        FaultPlan {
-            seed: 4242,
-            ..FaultPlan::none()
-        }
-        .with_stream(StreamFaults {
-            drop_prob: 0.10,
-            duplicate_prob: 0.10,
-            reorder_prob: 0.10,
-            stale_prob: 0.05,
-        }),
-    );
+    let injector = faulty_transport(4242);
     for batch in stamped.chunks(4) {
         let perturbed = injector.perturb_stream(batch);
         let rep = live.deliver(&log, &perturbed);
@@ -320,18 +315,7 @@ fn seeded_stream_work_counters_are_pinned() {
         .into_iter()
         .map(|e| log.append(e))
         .collect();
-    let injector = FaultInjector::new(
-        FaultPlan {
-            seed: 316,
-            ..FaultPlan::none()
-        }
-        .with_stream(StreamFaults {
-            drop_prob: 0.10,
-            duplicate_prob: 0.10,
-            reorder_prob: 0.10,
-            stale_prob: 0.05,
-        }),
-    );
+    let injector = faulty_transport(316);
     let mut restored_gbps = 0u64;
     for batch in stamped.chunks(4) {
         restored_gbps += svc
