@@ -7,13 +7,12 @@
 //! over them. The output is byte-stable — the regeneration binary and
 //! the CI sweep gate diff the rendered surface verbatim.
 
-use flexwan_core::planning::PlannerConfig;
+use flexwan_core::planning::PlanCtx;
 use flexwan_core::scenario::{
     demand_scenarios, scenario_suite, AvailabilitySurface, EngineConfig, ScenarioEngine,
 };
 use flexwan_core::Scheme;
-use flexwan_topo::cache::RouteCache;
-use flexwan_topo::tbackbone::Backbone;
+use flexwan_topo::ip::IpTopology;
 
 /// Knobs for one availability sweep.
 #[derive(Debug, Clone)]
@@ -51,43 +50,30 @@ impl Default for AvailabilityConfig {
 
 /// Runs one availability sweep: suite generation, demand perturbation,
 /// engine evaluation. Deterministic for a given
-/// `(backbone, cfg, scheme, acfg)`; `cache` is shared memoization and
-/// never changes results.
+/// `(graph, cfg, ip, scheme, acfg)`; a cache shared on `ctx` is
+/// memoization and never changes results.
 pub fn availability_surface(
-    backbone: &Backbone,
-    cfg: &PlannerConfig,
+    ctx: &PlanCtx,
+    ip: &IpTopology,
     scheme: Scheme,
     acfg: &AvailabilityConfig,
-    cache: &RouteCache,
 ) -> AvailabilitySurface {
     let suite = scenario_suite(
-        &backbone.optical,
+        ctx.optical(),
         acfg.k_max,
         acfg.exhaustive_limit,
         acfg.samples,
         acfg.seed,
     );
-    let demands = demand_scenarios(
-        &backbone.ip,
-        acfg.demand_scenarios,
-        acfg.demand_spread,
-        acfg.seed,
-    );
-    ScenarioEngine::new(
-        scheme,
-        &backbone.optical,
-        &backbone.ip,
-        cfg,
-        cache,
-        acfg.engine.clone(),
-    )
-    .evaluate(&suite, &demands)
+    let demands = demand_scenarios(ip, acfg.demand_scenarios, acfg.demand_spread, acfg.seed);
+    ScenarioEngine::new(scheme, *ctx, ip, acfg.engine.clone()).evaluate(&suite, &demands)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexwan_topo::tbackbone::{t_backbone, TBackboneConfig};
+    use flexwan_core::planning::PlannerConfig;
+    use flexwan_topo::tbackbone::{t_backbone, Backbone, TBackboneConfig};
 
     fn small_backbone() -> Backbone {
         t_backbone(&TBackboneConfig {
@@ -114,11 +100,12 @@ mod tests {
             demand_scenarios: 1,
             ..AvailabilityConfig::default()
         };
-        let base = availability_surface(&b, &cfg, Scheme::FlexWan, &acfg, &RouteCache::new());
+        let ctx = PlanCtx::new(&b.optical, &cfg);
+        let base = availability_surface(&ctx, &b.ip, Scheme::FlexWan, &acfg);
         for threads in [1usize, 4] {
             let mut a2 = acfg.clone();
             a2.engine.threads = threads;
-            let s = availability_surface(&b, &cfg, Scheme::FlexWan, &a2, &RouteCache::new());
+            let s = availability_surface(&ctx, &b.ip, Scheme::FlexWan, &a2);
             assert_eq!(s.render(), base.render(), "threads={threads}");
         }
     }

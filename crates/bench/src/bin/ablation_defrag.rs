@@ -5,7 +5,7 @@
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::{max_feasible_scale, plan, PlannerConfig};
+use flexwan_core::planning::{PlanCtx, PlannerConfig};
 use flexwan_core::Scheme;
 
 fn main() {
@@ -14,10 +14,11 @@ fn main() {
         "FlexWAN max supported scale as the per-wavelength retune budget grows.",
     );
     let b = tbackbone_instance();
-    // Fragmentation arises under adversarial *arrival order* (incremental
-    // operation), not under batch most-constrained-first planning — so the
-    // ablation runs the planner in shortest-first order, the order that
-    // strands long links behind fragmented spectrum.
+    let cache = flexwan_topo::cache::RouteCache::new(); // routes depend on K only
+                                                        // Fragmentation arises under adversarial *arrival order* (incremental
+                                                        // operation), not under batch most-constrained-first planning — so the
+                                                        // ablation runs the planner in shortest-first order, the order that
+                                                        // strands long links behind fragmented spectrum.
     let rows: Vec<Vec<String>> = [0usize, 1, 2, 4]
         .iter()
         .map(|&moves| {
@@ -26,9 +27,10 @@ fn main() {
                 order: flexwan_core::planning::LinkOrder::ShortestFirst,
                 ..default_config()
             };
-            let p5 = plan(Scheme::FlexWan, &b.optical, &b.ip.scaled(5), &cfg);
-            let p6 = plan(Scheme::FlexWan, &b.optical, &b.ip.scaled(6), &cfg);
-            let maxs = max_feasible_scale(Scheme::FlexWan, &b.optical, &b.ip, &cfg, 12);
+            let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
+            let p5 = ctx.plan(Scheme::FlexWan, &b.ip.scaled(5));
+            let p6 = ctx.plan(Scheme::FlexWan, &b.ip.scaled(6));
+            let maxs = ctx.max_feasible_scale(Scheme::FlexWan, &b.ip, 12);
             vec![
                 moves.to_string(),
                 p5.unmet_gbps().to_string(),

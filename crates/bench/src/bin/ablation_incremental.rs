@@ -5,7 +5,7 @@
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::{plan, plan_incremental};
+use flexwan_core::planning::PlanCtx;
 use flexwan_core::Scheme;
 
 fn main() {
@@ -16,10 +16,11 @@ fn main() {
     let b = tbackbone_instance();
     let cfg = default_config();
 
-    let p1 = plan(Scheme::FlexWan, &b.optical, &b.ip, &cfg);
-    let p2 = plan_incremental(&p1, &b.optical, &b.ip.scaled(2), &cfg);
-    let p3 = plan_incremental(&p2, &b.optical, &b.ip.scaled(3), &cfg);
-    let fresh3 = plan(Scheme::FlexWan, &b.optical, &b.ip.scaled(3), &cfg);
+    let ctx = PlanCtx::new(&b.optical, &cfg);
+    let p1 = ctx.plan(Scheme::FlexWan, &b.ip);
+    let p2 = ctx.plan_incremental(&p1, &b.ip.scaled(2));
+    let p3 = ctx.plan_incremental(&p2, &b.ip.scaled(3));
+    let fresh3 = ctx.plan(Scheme::FlexWan, &b.ip.scaled(3));
 
     let rows = vec![
         vec![

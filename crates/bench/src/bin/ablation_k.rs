@@ -3,7 +3,7 @@
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::{max_feasible_scale, plan, PlannerConfig};
+use flexwan_core::planning::{PlanCtx, PlannerConfig};
 use flexwan_core::Scheme;
 
 fn main() {
@@ -12,6 +12,7 @@ fn main() {
         "FlexWAN cost at scale 1 and max supported scale as K grows.",
     );
     let b = tbackbone_instance();
+    let cache = flexwan_topo::cache::RouteCache::new(); // routes depend on K only
     let rows: Vec<Vec<String>> = [1usize, 2, 3, 5, 8]
         .iter()
         .map(|&k| {
@@ -19,8 +20,9 @@ fn main() {
                 k_paths: k,
                 ..default_config()
             };
-            let p = plan(Scheme::FlexWan, &b.optical, &b.ip, &cfg);
-            let maxs = max_feasible_scale(Scheme::FlexWan, &b.optical, &b.ip, &cfg, 12);
+            let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
+            let p = ctx.plan(Scheme::FlexWan, &b.ip);
+            let maxs = ctx.max_feasible_scale(Scheme::FlexWan, &b.ip, 12);
             vec![
                 k.to_string(),
                 p.transponder_count().to_string(),

@@ -3,7 +3,7 @@
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::{max_feasible_scale, plan, PlannerConfig};
+use flexwan_core::planning::{PlanCtx, PlannerConfig};
 use flexwan_core::Scheme;
 
 fn main() {
@@ -12,6 +12,7 @@ fn main() {
         "FlexWAN with coarser channel-start alignment (pixels of 12.5 GHz).",
     );
     let b = tbackbone_instance();
+    let cache = flexwan_topo::cache::RouteCache::new(); // routes depend on K only
     let rows: Vec<Vec<String>> = [1u32, 2, 4, 6]
         .iter()
         .map(|&align| {
@@ -19,8 +20,9 @@ fn main() {
                 min_alignment: align,
                 ..default_config()
             };
-            let p = plan(Scheme::FlexWan, &b.optical, &b.ip, &cfg);
-            let maxs = max_feasible_scale(Scheme::FlexWan, &b.optical, &b.ip, &cfg, 12);
+            let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
+            let p = ctx.plan(Scheme::FlexWan, &b.ip);
+            let maxs = ctx.max_feasible_scale(Scheme::FlexWan, &b.ip, 12);
             vec![
                 format!("{} GHz", f64::from(align) * 12.5),
                 p.transponder_count().to_string(),

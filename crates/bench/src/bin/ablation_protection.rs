@@ -5,9 +5,8 @@
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::plan_cached;
-use flexwan_core::protect::plan_protected_cached;
-use flexwan_core::restore::{conduit_cut_scenarios, restore_cached, restore_report};
+use flexwan_core::planning::PlanCtx;
+use flexwan_core::restore::{conduit_cut_scenarios, restore_report};
 use flexwan_core::Scheme;
 use flexwan_topo::cache::RouteCache;
 use flexwan_util::pool;
@@ -21,13 +20,12 @@ fn main() {
     let cfg = default_config();
     let scenarios = conduit_cut_scenarios(&b.optical);
     let cache = RouteCache::new();
+    let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
     let threads = pool::default_threads();
 
     // Restoration-based resilience (the paper's approach).
-    let p = plan_cached(Scheme::FlexWan, &b.optical, &b.ip, &cfg, &cache);
-    let restored = pool::par_map(&scenarios, threads, |s| {
-        restore_cached(&p, &b.optical, &b.ip, s, &[], &cfg, &cache)
-    });
+    let p = ctx.plan(Scheme::FlexWan, &b.ip);
+    let restored = pool::par_map(&scenarios, threads, |s| ctx.restore(&p, &b.ip, s, &[]));
     let results: Vec<_> = scenarios
         .iter()
         .map(|s| s.probability)
@@ -37,7 +35,7 @@ fn main() {
 
     // 1+1 protection (disjoint-pair search uses k ≥ 4, a distinct cache
     // key from the planner's k — safe to share one cache).
-    let pp = plan_protected_cached(Scheme::FlexWan, &b.optical, &b.ip, &cfg, &cache);
+    let pp = ctx.plan_protected(Scheme::FlexWan, &b.ip);
     let prot_cap: f64 = scenarios
         .iter()
         .map(|s| s.probability * pp.capability_under(&b.ip, s))

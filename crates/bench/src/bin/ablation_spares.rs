@@ -6,10 +6,9 @@
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::plan_cached;
+use flexwan_core::planning::PlanCtx;
 use flexwan_core::restore::{
-    choose_spare_pool, conduit_cut_scenarios, flexwan_plus_extra_spares, restore_cached,
-    restore_report,
+    choose_spare_pool, conduit_cut_scenarios, flexwan_plus_extra_spares, restore_report,
 };
 use flexwan_core::Scheme;
 use flexwan_solver::SolveOptions;
@@ -27,8 +26,9 @@ fn main() {
     // Detour routes depend only on the cut set, not on the spare pool, so
     // the first fraction row warms the cache for the remaining three.
     let cache = RouteCache::new();
+    let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
     let threads = pool::default_threads();
-    let p = plan_cached(Scheme::FlexWan, &b.optical, &ip5, &cfg, &cache);
+    let p = ctx.plan(Scheme::FlexWan, &ip5);
     let full = flexwan_plus_extra_spares(&b.optical, &ip5, &cfg);
     let scenarios = conduit_cut_scenarios(&b.optical);
     let rows: Vec<Vec<String>> = [0.0, 0.5, 1.0, 2.0]
@@ -38,9 +38,8 @@ fn main() {
                 .iter()
                 .map(|&s| (f64::from(s) * frac).round() as u32)
                 .collect();
-            let restored = pool::par_map(&scenarios, threads, |s| {
-                restore_cached(&p, &b.optical, &ip5, s, &spares, &cfg, &cache)
-            });
+            let restored =
+                pool::par_map(&scenarios, threads, |s| ctx.restore(&p, &ip5, s, &spares));
             let results: Vec<_> = scenarios
                 .iter()
                 .map(|s| s.probability)
@@ -68,9 +67,7 @@ fn main() {
     // transponder count; the chosen pool is never worse by construction.
     let choice = choose_spare_pool(&p, &b.optical, &ip5, &cfg, &SolveOptions::default());
     let eval = |spares: &[u32]| -> f64 {
-        let restored = pool::par_map(&scenarios, threads, |s| {
-            restore_cached(&p, &b.optical, &ip5, s, spares, &cfg, &cache)
-        });
+        let restored = pool::par_map(&scenarios, threads, |s| ctx.restore(&p, &ip5, s, spares));
         let results: Vec<_> = scenarios
             .iter()
             .map(|s| s.probability)

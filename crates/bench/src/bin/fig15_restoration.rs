@@ -4,8 +4,8 @@
 use flexwan_bench::experiments::{restoration_report, restoration_vs_scale};
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
+use flexwan_core::planning::PlanCtx;
 use flexwan_core::Scheme;
-use flexwan_topo::cache::RouteCache;
 use flexwan_util::pool;
 
 fn main() {
@@ -17,15 +17,8 @@ fn main() {
     let cfg = default_config();
     let threads = pool::default_threads();
 
-    let rep = restoration_report(
-        &b,
-        &cfg,
-        Scheme::FlexWan,
-        1,
-        false,
-        &RouteCache::new(),
-        threads,
-    );
+    let ctx = PlanCtx::new(&b.optical, &cfg);
+    let rep = restoration_report(&ctx, &b.ip, Scheme::FlexWan, 1, false, threads);
     println!(
         "(a) restored paths longer than original: {:.0}%  (paper: ≈90%)",
         100.0 * rep.fraction_longer()

@@ -5,7 +5,7 @@
 use flexwan_bench::experiments::restoration_report;
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::cdf;
+use flexwan_core::planning::{cdf, PlanCtx};
 use flexwan_core::Scheme;
 use flexwan_topo::cache::RouteCache;
 
@@ -17,6 +17,7 @@ fn main() {
     let b = tbackbone_instance();
     let cfg = default_config();
     let cache = RouteCache::new();
+    let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
     for scale in [1u64, 5] {
         println!("--- scale {scale}x ---");
         let mut rows = Vec::new();
@@ -26,7 +27,7 @@ fn main() {
             ("FlexWAN", Scheme::FlexWan, false),
             ("FlexWAN+", Scheme::FlexWan, true),
         ] {
-            let rep = restoration_report(&b, &cfg, scheme, scale, plus, &cache, 1);
+            let rep = restoration_report(&ctx, &b.ip, scheme, scale, plus, 1);
             let c = cdf(&rep.capabilities);
             let q = |q: f64| {
                 let idx = ((c.len() as f64 * q).ceil() as usize).clamp(1, c.len()) - 1;

@@ -13,10 +13,9 @@
 use flexwan_bench::availability::{availability_surface, AvailabilityConfig};
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::plan_cached;
-use flexwan_core::restore::{one_fiber_scenarios, restore_cached};
-use flexwan_core::scenario::{demand_scenarios, LEVEL_PROTECT};
-use flexwan_core::{plan_protected_cached, Scheme};
+use flexwan_core::planning::PlanCtx;
+use flexwan_core::scenario::{demand_scenarios, one_fiber_scenarios, LEVEL_PROTECT};
+use flexwan_core::Scheme;
 use flexwan_topo::cache::RouteCache;
 
 fn main() {
@@ -39,14 +38,15 @@ fn main() {
         ..AvailabilityConfig::default()
     };
     let cache = RouteCache::new();
+    let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
 
-    let surface = availability_surface(&b, &cfg, Scheme::FlexWan, &acfg, &cache);
+    let surface = availability_surface(&ctx, &b.ip, Scheme::FlexWan, &acfg);
 
     // Self-check 1: byte-identical at 1, 2 and 4 pool threads.
     for threads in [1usize, 2, 4] {
         let mut a = acfg.clone();
         a.engine.threads = threads;
-        let again = availability_surface(&b, &cfg, Scheme::FlexWan, &a, &cache);
+        let again = availability_surface(&ctx, &b.ip, Scheme::FlexWan, &a);
         assert_eq!(
             again.render(),
             surface.render(),
@@ -62,11 +62,11 @@ fn main() {
         let (mut survived, mut affected, mut restored) = (0u64, 0u64, 0u64);
         for d in &demands {
             let ip = d.apply(&b.ip);
-            let p = plan_cached(Scheme::FlexWan, &b.optical, &ip, &cfg, &cache);
-            let prot = plan_protected_cached(Scheme::FlexWan, &b.optical, &ip, &cfg, &cache);
+            let p = ctx.plan(Scheme::FlexWan, &ip);
+            let prot = ctx.plan_protected(Scheme::FlexWan, &ip);
             let spares = vec![budget; ip.num_links()];
             for s in one_fiber_scenarios(&b.optical) {
-                let r = restore_cached(&p, &b.optical, &ip, &s, &spares, &cfg, &cache);
+                let r = ctx.restore(&p, &ip, &s, &spares);
                 let mut got = r.restored_gbps;
                 if got < r.affected_gbps && prot.capability_under(&ip, &s) >= 1.0 {
                     got = r.affected_gbps;

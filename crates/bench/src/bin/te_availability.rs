@@ -10,8 +10,8 @@
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::plan_cached;
-use flexwan_core::restore::{conduit_cut_scenarios, restore_cached, Restoration};
+use flexwan_core::planning::PlanCtx;
+use flexwan_core::restore::{conduit_cut_scenarios, Restoration};
 use flexwan_core::te::{network_from_plan, route_traffic, TrafficDemand};
 use flexwan_core::Scheme;
 use flexwan_topo::cache::RouteCache;
@@ -47,11 +47,12 @@ fn main() {
     // scheme-independent; detours are keyed by cut set), scenarios fanned
     // out on the deterministic pool — output is thread-count-invariant.
     let cache = RouteCache::new();
+    let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
     let threads = pool::default_threads();
 
     let mut rows = Vec::new();
     for scheme in Scheme::ALL {
-        let p = plan_cached(scheme, &b.optical, &ip, &cfg, &cache);
+        let p = ctx.plan(scheme, &ip);
         let healthy = {
             let net = network_from_plan(b.optical.num_nodes(), &ip, &p, None);
             route_traffic(&net, &traffic, 2)
@@ -59,7 +60,7 @@ fn main() {
                 .carried_fraction()
         };
         let per_scenario = pool::par_map(&scenarios, threads, |s| {
-            let r = restore_cached(&p, &b.optical, &ip, s, &[], &cfg, &cache);
+            let r = ctx.restore(&p, &ip, s, &[]);
             let empty = Restoration {
                 restored: vec![],
                 ..r.clone()

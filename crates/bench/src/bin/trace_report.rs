@@ -15,8 +15,8 @@
 use std::sync::Arc;
 
 use flexwan_bench::table;
-use flexwan_core::observe::{plan_observed, record_opt_model, restore_observed};
-use flexwan_core::planning::{solve_exact, solve_exact_colgen, PlanModel, PlannerConfig};
+use flexwan_core::observe::record_opt_model;
+use flexwan_core::planning::{solve_exact, solve_exact_colgen, PlanCtx, PlanModel, PlannerConfig};
 use flexwan_core::restore::one_fiber_scenarios;
 use flexwan_core::Scheme;
 use flexwan_ctrl::recovery::recover_misconnection_observed;
@@ -76,15 +76,17 @@ fn run_scenario(obs: &Obs, manual: bool) {
 
     // 1. Planning: observed runs for two schemes under one root span.
     let planning = obs.span("report.planning");
-    let p = plan_observed(obs, Some(&planning), Scheme::FlexWan, &g, &ip, &cfg);
-    let _ = plan_observed(obs, Some(&planning), Scheme::Radwan, &g, &ip, &cfg);
+    let planner = PlanCtx::new(&g, &cfg).observed(obs, Some(&planning));
+    let p = planner.plan(Scheme::FlexWan, &ip);
+    let _ = planner.plan(Scheme::Radwan, &ip);
     planning.end();
     assert!(p.is_feasible(), "report backbone must plan cleanly");
 
     // 2. Restoration: every single-fiber scenario against the plan.
     let restoration = obs.span("report.restoration");
+    let restorer = PlanCtx::new(&g, &cfg).observed(obs, Some(&restoration));
     for scenario in &one_fiber_scenarios(&g) {
-        let _ = restore_observed(obs, Some(&restoration), &p, &g, &ip, scenario, &[], &cfg);
+        let _ = restorer.restore(&p, &ip, scenario, &[]);
     }
     restoration.end();
 

@@ -4,15 +4,16 @@
 
 use std::collections::HashSet;
 
-use flexwan_core::planning::{max_feasible_scale_cached, plan, plan_cached, PlannerConfig};
+use flexwan_core::planning::{plan, PlanCtx, PlannerConfig};
 use flexwan_core::restore::{
-    conduit_cut_scenarios, extra_spares, restore_cached, restore_report, Restoration, RestoreReport,
+    conduit_cut_scenarios, extra_spares, restore_report, Restoration, RestoreReport,
 };
 use flexwan_core::Scheme;
 use flexwan_optical::spectrum::PixelWidth;
 use flexwan_optical::transponder::{Bvt, FixedGrid100G, Svt, TransponderModel, SVT_TABLE};
 use flexwan_physim::testbed::Testbed;
 use flexwan_topo::cache::RouteCache;
+use flexwan_topo::ip::IpTopology;
 use flexwan_topo::ksp::shortest_path;
 use flexwan_topo::tbackbone::Backbone;
 use flexwan_util::pool;
@@ -32,24 +33,19 @@ pub struct SchemeCost {
     pub unmet_gbps: u64,
 }
 
-/// Plans all three schemes at `scale` × the demand set.
+/// Plans all three schemes at `scale` × the demand set `ip`.
 ///
 /// Candidate routes depend only on the optical graph and the IP link
-/// endpoints — not on the scheme or the demand scale — so they are
-/// enumerated once (first scheme) and reused (remaining schemes, and the
-/// caller's wider sweep) through `cache` instead of re-running Yen per
-/// scheme.
-pub fn plan_costs(
-    backbone: &Backbone,
-    cfg: &PlannerConfig,
-    scale: u64,
-    cache: &RouteCache,
-) -> Vec<SchemeCost> {
-    let ip = backbone.ip.scaled(scale);
+/// endpoints — not on the scheme or the demand scale — so with a cache
+/// shared on `ctx` they are enumerated once (first scheme) and reused
+/// (remaining schemes, and the caller's wider sweep) instead of
+/// re-running Yen per scheme.
+pub fn plan_costs(ctx: &PlanCtx, ip: &IpTopology, scale: u64) -> Vec<SchemeCost> {
+    let ip = ip.scaled(scale);
     Scheme::ALL
         .iter()
         .map(|&scheme| {
-            let p = plan_cached(scheme, &backbone.optical, &ip, cfg, cache);
+            let p = ctx.plan(scheme, &ip);
             SchemeCost {
                 scheme,
                 feasible: p.is_feasible(),
@@ -73,8 +69,9 @@ pub fn cost_vs_scale(
     threads: usize,
 ) -> Vec<(u64, Vec<SchemeCost>)> {
     let cache = RouteCache::new();
+    let ctx = PlanCtx::new(&backbone.optical, cfg).sharing(&cache);
     let scales: Vec<u64> = (1..=max_scale).collect();
-    let costs = pool::par_map(&scales, threads, |&s| plan_costs(backbone, cfg, s, &cache));
+    let costs = pool::par_map(&scales, threads, |&s| plan_costs(&ctx, &backbone.ip, s));
     scales.into_iter().zip(costs).collect()
 }
 
@@ -94,7 +91,8 @@ pub fn headline(backbone: &Backbone, cfg: &PlannerConfig, scale_cap: u64) -> Hea
     // Every planning run below shares one candidate-route set: routes are
     // scale- and scheme-independent, so the cache misses once per IP link.
     let cache = RouteCache::new();
-    let at1 = plan_costs(backbone, cfg, 1, &cache);
+    let ctx = PlanCtx::new(&backbone.optical, cfg).sharing(&cache);
+    let at1 = plan_costs(&ctx, &backbone.ip, 1);
     let find = |s: Scheme| {
         at1.iter()
             .find(|c| c.scheme == s)
@@ -104,8 +102,7 @@ pub fn headline(backbone: &Backbone, cfg: &PlannerConfig, scale_cap: u64) -> Hea
     let pct = |base: f64, ours: f64| 100.0 * (base - ours) / base;
     let fixed = find(Scheme::FixedGrid100G);
     let radwan = find(Scheme::Radwan);
-    let cap =
-        |s| max_feasible_scale_cached(s, &backbone.optical, &backbone.ip, cfg, scale_cap, &cache);
+    let cap = |s| ctx.max_feasible_scale(s, &backbone.ip, scale_cap);
     Headline {
         transponder_saving_pct: [
             pct(fixed.transponders as f64, flex.transponders as f64),
@@ -242,24 +239,22 @@ pub fn gap_and_sse(
     )
 }
 
-/// Runs every conduit-cut scenario against a scheme's plan at `scale` and
-/// reports. `plus` enables the FlexWAN+ spare pool (only meaningful for
-/// [`Scheme::FlexWan`]). The scenario sweep fans out on `threads` workers
-/// (0 = auto, 1 = serial), sharing `cache` across scenarios and with the
-/// caller's wider sweep. Restoration routes are keyed by the scenario's
-/// cut set, so a cut fiber can never be served a cached uncut route.
+/// Runs every conduit-cut scenario against a scheme's plan at `scale` ×
+/// `ip` and reports. `plus` enables the FlexWAN+ spare pool (only
+/// meaningful for [`Scheme::FlexWan`]). The scenario sweep fans out on
+/// `threads` workers (0 = auto, 1 = serial), sharing `ctx`'s cache across
+/// scenarios and with the caller's wider sweep. Restoration routes are
+/// keyed by the scenario's cut set, so a cut fiber can never be served a
+/// cached uncut route.
 pub fn restoration_report(
-    backbone: &Backbone,
-    cfg: &PlannerConfig,
+    ctx: &PlanCtx,
+    ip: &IpTopology,
     scheme: Scheme,
     scale: u64,
     plus: bool,
-    cache: &RouteCache,
     threads: usize,
 ) -> RestoreReport {
-    restore_report(&restoration_results(
-        backbone, cfg, scheme, scale, plus, cache, threads,
-    ))
+    restore_report(&restoration_results(ctx, ip, scheme, scale, plus, threads))
 }
 
 /// The per-scenario restorations behind [`restoration_report`]:
@@ -267,27 +262,24 @@ pub fn restoration_report(
 /// order, bit-identical at any `threads` count. Exposed so determinism
 /// tests can compare the full vectors, not just the aggregated report.
 pub fn restoration_results(
-    backbone: &Backbone,
-    cfg: &PlannerConfig,
+    ctx: &PlanCtx,
+    ip: &IpTopology,
     scheme: Scheme,
     scale: u64,
     plus: bool,
-    cache: &RouteCache,
     threads: usize,
 ) -> Vec<(f64, Restoration)> {
-    let ip = backbone.ip.scaled(scale);
-    let p = plan_cached(scheme, &backbone.optical, &ip, cfg, cache);
+    let ip = ip.scaled(scale);
+    let p = ctx.plan(scheme, &ip);
     // The FlexWAN+ pool is the A/B winner (dual-priced vs uniform, see
     // `restore::spares`).
     let extra = if plus {
-        extra_spares(&p, &backbone.optical, &ip, cfg, &Default::default())
+        extra_spares(&p, ctx.optical(), &ip, ctx.cfg(), &Default::default())
     } else {
         Vec::new()
     };
-    let scenarios = conduit_cut_scenarios(&backbone.optical);
-    let restored = pool::par_map(&scenarios, threads, |s| {
-        restore_cached(&p, &backbone.optical, &ip, s, &extra, cfg, cache)
-    });
+    let scenarios = conduit_cut_scenarios(ctx.optical());
+    let restored = pool::par_map(&scenarios, threads, |s| ctx.restore(&p, &ip, s, &extra));
     scenarios
         .iter()
         .map(|s| s.probability)
@@ -307,12 +299,12 @@ pub fn restoration_vs_scale(
     threads: usize,
 ) -> Vec<(u64, [f64; 3])> {
     let cache = RouteCache::new();
+    let ctx = PlanCtx::new(&backbone.optical, cfg).sharing(&cache);
     scales
         .iter()
         .map(|&s| {
             let report = |scheme| {
-                restoration_report(backbone, cfg, scheme, s, false, &cache, threads)
-                    .mean_capability()
+                restoration_report(&ctx, &backbone.ip, scheme, s, false, threads).mean_capability()
             };
             let caps = [
                 report(Scheme::FixedGrid100G),
@@ -410,7 +402,8 @@ mod tests {
         let b = tbackbone_instance();
         let cfg = default_config();
         let cache = RouteCache::new();
-        let cached = plan_costs(&b, &cfg, 1, &cache);
+        let ctx = PlanCtx::new(&b.optical, &cfg);
+        let cached = plan_costs(&ctx.sharing(&cache), &b.ip, 1);
         // The hoist: Yen runs once per distinct endpoint pair (parallel
         // IP links share a candidate-route set), everything else —
         // including schemes 2–3 wholesale — is a cache hit.
@@ -420,7 +413,7 @@ mod tests {
             (cache.hits() + cache.misses()) as usize,
             3 * b.ip.num_links()
         );
-        assert_eq!(cached, plan_costs(&b, &cfg, 1, &RouteCache::new()));
+        assert_eq!(cached, plan_costs(&ctx, &b.ip, 1));
     }
 
     #[test]

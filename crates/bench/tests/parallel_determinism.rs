@@ -7,6 +7,7 @@ use std::collections::HashSet;
 
 use flexwan_bench::experiments::{cost_vs_scale, restoration_report, restoration_results};
 use flexwan_bench::instances::{default_config, tbackbone_instance};
+use flexwan_core::planning::PlanCtx;
 use flexwan_core::restore::conduit_cut_scenarios;
 use flexwan_core::Scheme;
 use flexwan_topo::cache::RouteCache;
@@ -29,21 +30,14 @@ fn cost_vs_scale_is_bit_identical_across_thread_counts() {
 fn restoration_sweep_is_bit_identical_across_thread_counts() {
     let b = tbackbone_instance();
     let cfg = default_config();
-    let serial = restoration_results(&b, &cfg, Scheme::FlexWan, 2, false, &RouteCache::new(), 1);
+    let fresh = PlanCtx::new(&b.optical, &cfg);
+    let serial = restoration_results(&fresh, &b.ip, Scheme::FlexWan, 2, false, 1);
     assert!(
         !serial.is_empty(),
         "conduit-cut scenario set must not be empty"
     );
     for threads in [1, 2, 4] {
-        let par = restoration_results(
-            &b,
-            &cfg,
-            Scheme::FlexWan,
-            2,
-            false,
-            &RouteCache::new(),
-            threads,
-        );
+        let par = restoration_results(&fresh, &b.ip, Scheme::FlexWan, 2, false, threads);
         assert_eq!(
             serial, par,
             "Restoration vector diverged at {threads} threads"
@@ -51,10 +45,11 @@ fn restoration_sweep_is_bit_identical_across_thread_counts() {
     }
     // The aggregated report built from a shared warm cache agrees too.
     let cache = RouteCache::new();
-    let warm = restoration_report(&b, &cfg, Scheme::FlexWan, 2, false, &cache, 2);
-    let rewarmed = restoration_report(&b, &cfg, Scheme::FlexWan, 2, false, &cache, 4);
+    let shared = fresh.sharing(&cache);
+    let warm = restoration_report(&shared, &b.ip, Scheme::FlexWan, 2, false, 2);
+    let rewarmed = restoration_report(&shared, &b.ip, Scheme::FlexWan, 2, false, 4);
     assert_eq!(
-        restoration_report(&b, &cfg, Scheme::FlexWan, 2, false, &RouteCache::new(), 1),
+        restoration_report(&fresh, &b.ip, Scheme::FlexWan, 2, false, 1),
         warm
     );
     assert_eq!(warm, rewarmed, "a warm cache must not change the report");

@@ -1,89 +1,14 @@
-//! Observed entry points for planning and restoration.
+//! Gauge snapshots of the planner's standing state.
 //!
-//! Thin wrappers over [`plan`] and [`restore`] that record an end-to-end span
-//! (optionally nested under a caller-supplied parent), latency histograms
-//! and outcome gauges into an [`Obs`] bundle. The planners themselves stay
-//! untouched: observability is additive, never load-bearing — the
-//! deterministic outputs are bit-identical with and without it.
+//! Each `record_*` function copies one object's counters or shape into an
+//! [`Obs`] bundle as labeled gauges. Planning and restoration *runs* are
+//! recorded by an observed
+//! [`PlanCtx`](crate::planning::PlanCtx::observed). Observability is
+//! additive, never load-bearing — the deterministic outputs are
+//! bit-identical with and without it.
 
-use flexwan_obs::{Obs, Span};
+use flexwan_obs::Obs;
 use flexwan_topo::cache::RouteCache;
-use flexwan_topo::graph::Graph;
-use flexwan_topo::ip::IpTopology;
-
-use crate::planning::{plan, Plan, PlannerConfig};
-use crate::restore::{restore, FailureScenario, Restoration};
-use crate::scheme::Scheme;
-
-/// [`plan`] with the run recorded into `obs`: a `planning.plan` span
-/// (child of `parent` when given) carrying scheme/size/outcome fields, a
-/// `planning_plan_seconds` latency observation and outcome gauges.
-pub fn plan_observed(
-    obs: &Obs,
-    parent: Option<&Span>,
-    scheme: Scheme,
-    optical: &Graph,
-    ip: &IpTopology,
-    cfg: &PlannerConfig,
-) -> Plan {
-    let span = match parent {
-        Some(p) => p.child("planning.plan"),
-        None => obs.span("planning.plan"),
-    };
-    span.field("scheme", format!("{scheme:?}"));
-    span.field("ip_links", ip.num_links());
-    span.field("fibers", optical.num_edges());
-    let start = obs.now_ns();
-    let p = plan(scheme, optical, ip, cfg);
-    span.field("wavelengths", p.wavelengths.len());
-    span.field("unmet_gbps", p.unmet_gbps());
-    let reg = obs.registry();
-    let scheme_label = format!("{scheme:?}");
-    reg.counter_with("planning_runs_total", &[("scheme", &scheme_label)])
-        .inc();
-    reg.gauge_with("planning_wavelengths", &[("scheme", &scheme_label)])
-        .set(p.wavelengths.len() as f64);
-    reg.gauge_with("planning_unmet_gbps", &[("scheme", &scheme_label)])
-        .set(p.unmet_gbps() as f64);
-    obs.observe_since("planning_plan_seconds", start);
-    p
-}
-
-/// [`restore`] with the run recorded into `obs`: a `restore.scenario`
-/// span (child of `parent` when given) carrying cut/capability fields, a
-/// `restore_seconds` latency observation and the capability gauge.
-#[allow(clippy::too_many_arguments)]
-pub fn restore_observed(
-    obs: &Obs,
-    parent: Option<&Span>,
-    plan: &Plan,
-    optical: &Graph,
-    ip: &IpTopology,
-    scenario: &FailureScenario,
-    extra_spares: &[u32],
-    cfg: &PlannerConfig,
-) -> Restoration {
-    let span = match parent {
-        Some(p) => p.child("restore.scenario"),
-        None => obs.span("restore.scenario"),
-    };
-    span.field("scenario", scenario.id);
-    span.field("cuts", scenario.cuts.len());
-    let start = obs.now_ns();
-    let r = restore(plan, optical, ip, scenario, extra_spares, cfg);
-    span.field("affected_gbps", r.affected_gbps);
-    span.field("restored_gbps", r.restored_gbps);
-    span.field("capability", r.capability());
-    let reg = obs.registry();
-    reg.counter("restore_runs_total").inc();
-    reg.counter("restore_affected_gbps_total")
-        .add(r.affected_gbps);
-    reg.counter("restore_restored_gbps_total")
-        .add(r.restored_gbps);
-    reg.gauge("restore_capability").set(r.capability());
-    obs.observe_since("restore_seconds", start);
-    r
-}
 
 /// Snapshots `cache`'s counters into `obs` as gauges
 /// (`route_cache_{hits,misses,entries}` labeled by `name`): call at sweep
@@ -217,8 +142,11 @@ pub fn record_shard_plan(obs: &Obs, name: &str, sp: &crate::planning::ShardedPla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::restore::one_fiber_scenarios;
+    use crate::planning::{PlanCtx, PlannerConfig};
+    use crate::scheme::Scheme;
     use flexwan_optical::spectrum::SpectrumGrid;
+    use flexwan_topo::graph::Graph;
+    use flexwan_topo::ip::IpTopology;
 
     fn world() -> (Graph, IpTopology, PlannerConfig) {
         let mut g = Graph::new();
@@ -238,28 +166,13 @@ mod tests {
     }
 
     #[test]
-    fn observed_plan_matches_plain_plan_and_records() {
-        let (g, ip, cfg) = world();
-        let obs = Obs::default();
-        let observed = plan_observed(&obs, None, Scheme::FlexWan, &g, &ip, &cfg);
-        let plain = plan(Scheme::FlexWan, &g, &ip, &cfg);
-        assert_eq!(observed.wavelengths.len(), plain.wavelengths.len());
-        assert_eq!(observed.spectrum_usage_ghz(), plain.spectrum_usage_ghz());
-        let prom = obs.metrics_prometheus();
-        assert!(
-            prom.contains("planning_runs_total{scheme=\"FlexWan\"} 1"),
-            "{prom}"
-        );
-        assert!(obs.span_tree().contains("planning.plan"));
-    }
-
-    #[test]
     fn route_cache_gauges_track_counters() {
         let (g, ip, cfg) = world();
         let obs = Obs::default();
         let cache = RouteCache::new();
-        let _ = crate::planning::plan_cached(Scheme::FlexWan, &g, &ip, &cfg, &cache);
-        let _ = crate::planning::plan_cached(Scheme::Radwan, &g, &ip, &cfg, &cache);
+        let ctx = PlanCtx::new(&g, &cfg).sharing(&cache);
+        let _ = ctx.plan(Scheme::FlexWan, &ip);
+        let _ = ctx.plan(Scheme::Radwan, &ip);
         record_route_cache(&obs, "sweep", &cache);
         let prom = obs.metrics_prometheus();
         assert!(
@@ -368,21 +281,5 @@ mod tests {
                 || prom.contains("shard_region_ms{region=\"0\",plan=\"test\"}"),
             "{prom}"
         );
-    }
-
-    #[test]
-    fn observed_restore_nests_under_parent_span() {
-        let (g, ip, cfg) = world();
-        let obs = Obs::default();
-        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
-        let scenario = &one_fiber_scenarios(&g)[0];
-        let root = obs.span("drill");
-        let r = restore_observed(&obs, Some(&root), &p, &g, &ip, scenario, &[], &cfg);
-        root.end();
-        let plain = restore(&p, &g, &ip, scenario, &[], &cfg);
-        assert_eq!(r.restored_gbps, plain.restored_gbps);
-        let tree = obs.span_tree();
-        assert!(tree.contains("drill"), "{tree}");
-        assert!(tree.contains("  restore.scenario"), "{tree}");
     }
 }

@@ -49,10 +49,10 @@ use flexwan_topo::path::Path;
 
 use crate::master::{Outcome, Problem, RestrictedMaster, StopAt};
 use crate::opt::LazyWavelengthVarSpace;
+use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::select_formats;
 use crate::planning::heuristic::{plan, PlannerConfig};
 use crate::planning::mip::{solve_exact, ExactPlan};
-use crate::protect::plan_protected;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 
@@ -283,7 +283,7 @@ pub fn solve_exact_colgen(
     //    as optional extra columns (they may overlap working spectrum —
     //    the lazy conflict rows let the LP zero them).
     let heuristic = plan(scheme, optical, ip, cfg);
-    let protected = plan_protected(scheme, optical, ip, cfg);
+    let protected = PlanCtx::new(optical, cfg).plan_protected(scheme, ip);
     let slot_of: HashMap<_, _> = ip
         .links()
         .iter()

@@ -13,16 +13,15 @@
 //! as unmet — at scale sweeps this is what bounds each scheme's maximum
 //! supportable capacity (Figure 12).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use flexwan_optical::spectrum::{PixelWidth, SpectrumGrid};
 use flexwan_topo::cache::RouteCache;
-use flexwan_topo::graph::{EdgeId, Graph};
-use flexwan_topo::ip::{IpLink, IpLinkId, IpTopology};
-use flexwan_topo::ksp::DijkstraScratch;
-use flexwan_topo::route::{k_shortest_routes_scratch, Route};
+use flexwan_topo::graph::Graph;
+use flexwan_topo::ip::{IpLinkId, IpTopology};
+use flexwan_topo::route::Route;
 
+use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::select_formats;
 use crate::planning::spectrum::SpectrumState;
 use crate::scheme::Scheme;
@@ -78,8 +77,39 @@ impl Default for PlannerConfig {
     }
 }
 
+/// Why a [`PlannerConfig`] cannot be planned with (names the field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError(&'static str);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl PlannerConfig {
+    /// Checks the ranges every planner relies on. [`PlanCtx::new`] panics
+    /// on a configuration this rejects; validate operator input first.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.k_paths == 0 {
+            return Err(ConfigError(
+                "k_paths must be at least 1 (one candidate path)",
+            ));
+        }
+        if self.min_alignment == 0 {
+            return Err(ConfigError("min_alignment must be at least 1 pixel"));
+        }
+        if !(self.epsilon.is_finite() && self.epsilon >= 0.0) {
+            return Err(ConfigError("epsilon must be finite and >= 0"));
+        }
+        Ok(())
+    }
+}
+
 /// The outcome of planning one scheme over one backbone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// The scheme planned.
     pub scheme: Scheme,
@@ -136,43 +166,14 @@ impl Plan {
 /// (`routes[i]` serves `ip.links()[i]`).
 pub(crate) type LinkRoutes = Vec<Arc<Vec<Route>>>;
 
-/// Candidate node-distinct routes per link (parallel fibers become
-/// per-hop alternatives; see `flexwan_topo::route`), enumerated over one
-/// shared Dijkstra scratch arena.
-pub(crate) fn fresh_routes(optical: &Graph, ip: &IpTopology, k: usize) -> LinkRoutes {
-    let none = HashSet::new();
-    let mut scratch = DijkstraScratch::new();
-    let mut routes =
-        |l: &IpLink| k_shortest_routes_scratch(optical, l.src, l.dst, k, &none, &mut scratch);
-    ip.links().iter().map(|l| Arc::new(routes(l))).collect()
-}
-
-/// [`fresh_routes`] served by `cache`, avoiding `banned` fibers: the
-/// planner borrows the cache's own lists, it copies no route.
-pub(crate) fn cached_routes(
-    optical: &Graph,
-    ip: &IpTopology,
-    k: usize,
-    cache: &RouteCache,
-    banned: &HashSet<EdgeId>,
-) -> LinkRoutes {
-    ip.links()
-        .iter()
-        .map(|l| cache.routes(optical, l.src, l.dst, k, banned))
-        .collect()
-}
-
-/// Plans `scheme` over the backbone: the scalable counterpart of
-/// Algorithm 1 (validated against the exact MIP in tests).
+/// Plans `scheme` over the backbone: shorthand for
+/// `PlanCtx::new(optical, cfg).plan(scheme, ip)`.
 pub fn plan(scheme: Scheme, optical: &Graph, ip: &IpTopology, cfg: &PlannerConfig) -> Plan {
-    let routes = fresh_routes(optical, ip, cfg.k_paths);
-    plan_with_routes(scheme, optical, ip, cfg, &routes)
+    PlanCtx::new(optical, cfg).plan(scheme, ip)
 }
 
-/// [`plan`] with the candidate routes served by `cache`: routes depend
-/// only on the graph, endpoints and `k` — not on the scheme or the
-/// demand scale — so scheme/scale sweeps over one backbone enumerate
-/// each link's routes once. Output is bit-identical to [`plan`].
+/// Forward kept for the `benchmark/` workspace, which imports it by name.
+#[doc(hidden)]
 pub fn plan_cached(
     scheme: Scheme,
     optical: &Graph,
@@ -180,25 +181,7 @@ pub fn plan_cached(
     cfg: &PlannerConfig,
     cache: &RouteCache,
 ) -> Plan {
-    plan_cached_banned(scheme, optical, ip, cfg, cache, &HashSet::new())
-}
-
-/// [`plan_cached`] with candidate routes constrained to avoid `banned`
-/// fibers. This is how the sharding layer solves a region subproblem on
-/// the *full* graph — banning every fiber outside the region — so that
-/// one [`RouteCache`] serves every shard: the cache key is
-/// `(src, dst, k, banned)` over global ids, which stays collision-free
-/// where per-shard renumbered subgraphs would alias each other's keys.
-pub fn plan_cached_banned(
-    scheme: Scheme,
-    optical: &Graph,
-    ip: &IpTopology,
-    cfg: &PlannerConfig,
-    cache: &RouteCache,
-    banned: &HashSet<EdgeId>,
-) -> Plan {
-    let routes = cached_routes(optical, ip, cfg.k_paths, cache, banned);
-    plan_with_routes(scheme, optical, ip, cfg, &routes)
+    PlanCtx::new(optical, cfg).sharing(cache).plan(scheme, ip)
 }
 
 /// Link indices with the longest first route first, then the largest
@@ -217,34 +200,21 @@ pub(crate) fn most_constrained_first(ip: &IpTopology, routes: &LinkRoutes) -> Ve
     order
 }
 
-/// The planning pipeline proper, over pre-enumerated candidate routes.
-fn plan_with_routes(
-    scheme: Scheme,
-    optical: &Graph,
-    ip: &IpTopology,
-    cfg: &PlannerConfig,
-    routes: &LinkRoutes,
-) -> Plan {
-    assert!(cfg.k_paths >= 1, "need at least one candidate path");
-    assert!(cfg.min_alignment >= 1, "alignment is at least one pixel");
-    place_deficits(scheme, optical, ip, cfg, routes, cfg.order, Vec::new())
-}
-
 /// Phase 1 + 2 for every link, in `order`: covers what the `live`
 /// wavelengths leave unprovisioned of each link's demand, placing new
 /// wavelengths around them. The one placement loop of the fresh and the
 /// incremental planner.
 pub(crate) fn place_deficits(
+    ctx: &PlanCtx,
     scheme: Scheme,
-    optical: &Graph,
     ip: &IpTopology,
-    cfg: &PlannerConfig,
     routes: &LinkRoutes,
     order: LinkOrder,
     live: Vec<Wavelength>,
 ) -> Plan {
+    let (optical, cfg) = (ctx.optical(), ctx.cfg());
     let model = scheme.transponder();
-    let align = scheme.alignment_pixels().max(cfg.min_alignment);
+    let align = ctx.alignment(scheme);
 
     let mut links: Vec<usize> = (0..ip.num_links()).collect();
     match order {
@@ -342,45 +312,11 @@ pub(crate) fn place_deficits(
     }
 }
 
-/// Largest demand multiplier in `1..=max_scale` at which `scheme` still
-/// fully provisions the (scaled) demand set; 0 when even scale 1 is
-/// infeasible. The Figure 12 "maximum supported capacity scale".
-pub fn max_feasible_scale(
-    scheme: Scheme,
-    optical: &Graph,
-    ip: &IpTopology,
-    cfg: &PlannerConfig,
-    max_scale: u64,
-) -> u64 {
-    // One cache across the scale ladder: scaling demands leaves the
-    // links' endpoints (and hence their candidate routes) unchanged.
-    max_feasible_scale_cached(scheme, optical, ip, cfg, max_scale, &RouteCache::new())
-}
-
-/// [`max_feasible_scale`] sharing `cache` with the caller's wider sweep.
-pub fn max_feasible_scale_cached(
-    scheme: Scheme,
-    optical: &Graph,
-    ip: &IpTopology,
-    cfg: &PlannerConfig,
-    max_scale: u64,
-    cache: &RouteCache,
-) -> u64 {
-    let mut best = 0;
-    for s in 1..=max_scale {
-        if plan_cached(scheme, optical, &ip.scaled(s), cfg, cache).is_feasible() {
-            best = s;
-        } else {
-            break; // feasibility is monotone in the scale
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flexwan_optical::spectrum::PixelRange;
+    use flexwan_topo::graph::NodeId;
 
     /// Two-node backbone with two parallel fiber routes.
     fn two_node() -> (Graph, IpTopology) {
@@ -550,9 +486,10 @@ mod tests {
         // ordering).
         let (g, ip) = two_node();
         let cfg = small_cfg(48); // 600 GHz per fiber
-        let flex = max_feasible_scale(Scheme::FlexWan, &g, &ip, &cfg, 12);
-        let rad = max_feasible_scale(Scheme::Radwan, &g, &ip, &cfg, 12);
-        let fixed = max_feasible_scale(Scheme::FixedGrid100G, &g, &ip, &cfg, 12);
+        let ctx = PlanCtx::new(&g, &cfg);
+        let flex = ctx.max_feasible_scale(Scheme::FlexWan, &ip, 12);
+        let rad = ctx.max_feasible_scale(Scheme::Radwan, &ip, 12);
+        let fixed = ctx.max_feasible_scale(Scheme::FixedGrid100G, &ip, 12);
         assert!(flex > rad, "flex {flex} ≤ radwan {rad}");
         assert!(rad >= fixed, "radwan {rad} < fixed {fixed}");
     }
@@ -594,18 +531,159 @@ mod tests {
         assert_eq!(a.wavelengths, b.wavelengths);
     }
 
+    fn backbone() -> (Graph, IpTopology) {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let c = g.add_node("c");
+        g.add_edge(a, b, 150);
+        g.add_edge(b, c, 200);
+        g.add_edge(a, c, 500);
+        let mut ip = IpTopology::new();
+        ip.add_link(a, b, 400);
+        ip.add_link(b, c, 300);
+        (g, ip)
+    }
+
     #[test]
-    fn cached_plan_is_bit_identical_across_schemes() {
-        let (g, ip) = triangle();
-        let cache = RouteCache::new();
-        for scheme in Scheme::ALL {
-            let cached = plan_cached(scheme, &g, &ip, &small_cfg(64), &cache);
-            let plain = plan(scheme, &g, &ip, &small_cfg(64));
-            assert_eq!(cached.wavelengths, plain.wavelengths);
-            assert_eq!(cached.unmet, plain.unmet);
+    fn growth_adds_without_disturbing() {
+        let (g, ip) = backbone();
+        let base = plan(Scheme::FlexWan, &g, &ip, &small_cfg(96));
+        assert!(base.is_feasible());
+        let before: Vec<_> = base.wavelengths.clone();
+
+        // Demands double and a new link appears.
+        let mut grown = ip.scaled(2);
+        grown.add_link(NodeId(0), NodeId(2), 600);
+        let inc = PlanCtx::new(&g, &small_cfg(96)).plan_incremental(&base, &grown);
+        assert!(inc.is_feasible(), "unmet {:?}", inc.unmet);
+        // Every original wavelength survives untouched.
+        for (i, w) in before.iter().enumerate() {
+            assert_eq!(&inc.wavelengths[i], w, "wavelength {i} disturbed");
         }
-        // One link, one key: scheme 1 misses, schemes 2 and 3 hit.
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
+        // And the new demands are fully covered.
+        for l in grown.links() {
+            assert!(
+                inc.provisioned_gbps(l.id) >= l.demand_gbps,
+                "link {:?} under-provisioned",
+                l.id
+            );
+        }
+    }
+
+    #[test]
+    fn no_deficit_is_a_noop() {
+        let (g, ip) = backbone();
+        let base = plan(Scheme::FlexWan, &g, &ip, &small_cfg(96));
+        let inc = PlanCtx::new(&g, &small_cfg(96)).plan_incremental(&base, &ip);
+        assert_eq!(inc.wavelengths, base.wavelengths);
+        assert!(inc.is_feasible());
+    }
+
+    #[test]
+    fn incremental_reports_unmet_when_full() {
+        let (g, ip) = backbone();
+        let tight = PlannerConfig {
+            grid: SpectrumGrid::new(8),
+            ..Default::default()
+        };
+        let base = plan(Scheme::FlexWan, &g, &ip, &tight);
+        // Base fits (one 75 GHz channel per fiber); doubling cannot.
+        assert!(base.is_feasible());
+        let inc = PlanCtx::new(&g, &tight).plan_incremental(&base, &ip.scaled(3));
+        assert!(!inc.is_feasible());
+        // Base wavelengths still untouched even in failure.
+        for (i, w) in base.wavelengths.iter().enumerate() {
+            assert_eq!(&inc.wavelengths[i], w);
+        }
+    }
+
+    /// The planner skips a width that already failed on a route only when
+    /// nothing can free pixels. With a defrag budget every failed search
+    /// must still reach `make_room`: here both new 800 G wavelengths need
+    /// the same 9 px, neither fits the fragmented fiber as it stands, and
+    /// each is placed by retuning — the second would be lost if the first
+    /// failure had pruned it.
+    #[test]
+    fn a_defrag_budget_turns_the_failed_width_prune_off() {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let fiber = g.add_edge(a, b, 100);
+        let mut ip = IpTopology::new();
+        let link = ip.add_link(a, b, 100);
+        ip.add_link(a, b, 100);
+        let tight = PlannerConfig {
+            grid: SpectrumGrid::new(28),
+            ..Default::default()
+        };
+        // Two live 100 G channels at [6,10) and [16,20): free runs of 6, 6
+        // and 8 px, 20 px in all.
+        let mut base = plan(Scheme::FlexWan, &g, &ip, &tight);
+        assert_eq!(base.wavelengths.len(), 2);
+        for (w, start) in base.wavelengths.iter_mut().zip([6, 16]) {
+            assert_eq!(w.channel.width.pixels(), 4);
+            w.channel.start = start;
+        }
+        let mut grown = ip.clone();
+        grown.set_demand(link, 1700); // 100 live + 2 × 800 new
+        let stuck = PlanCtx::new(&g, &tight).plan_incremental(&base, &grown);
+        assert_eq!(stuck.unmet, vec![(link, 1600)], "no 9 px run is free");
+        let with = PlannerConfig {
+            defrag_moves: 2,
+            ..tight
+        };
+        let freed = PlanCtx::new(&g, &with).plan_incremental(&base, &grown);
+        assert!(freed.is_feasible(), "unmet {:?}", freed.unmet);
+        let new: Vec<_> = freed.wavelengths[2..].iter().collect();
+        assert_eq!(new.len(), 2);
+        for w in &new {
+            assert_eq!(w.channel.width.pixels(), 9);
+            assert_eq!(w.path.edges, vec![fiber]);
+        }
+        assert_ne!(freed.wavelengths[0].channel, base.wavelengths[0].channel);
+    }
+
+    #[test]
+    fn defrag_budget_enables_growth_with_bounded_retunes() {
+        // Fragment a single fiber, then grow a demand that only fits
+        // after a retune.
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        g.add_edge(a, b, 100);
+        let mut ip = IpTopology::new();
+        ip.add_link(a, b, 100); // 100 G → 50 GHz = 4 px
+        let tight = PlannerConfig {
+            grid: SpectrumGrid::new(20),
+            ..Default::default()
+        };
+        let without = PlannerConfig {
+            defrag_moves: 0,
+            ..tight.clone()
+        };
+        let with = PlannerConfig {
+            defrag_moves: 2,
+            ..tight
+        };
+        // The 4-px wavelength lands at [0,4), leaving a 16-px run where a
+        // 9-px 800 G channel fits without moves: pin it mid-band first.
+        let frag = plan(Scheme::FlexWan, &g, &ip, &with);
+        let mut pinned = frag.clone();
+        let w0 = &mut pinned.wavelengths[0];
+        pinned.spectrum.release(&w0.path, &w0.channel);
+        let mid = flexwan_optical::PixelRange::new(8, w0.channel.width);
+        pinned.spectrum.occupy_exact(&w0.path, &mid).unwrap();
+        w0.channel = mid;
+        // Now free runs are [0,8) and [12,20): a 9-px channel needs defrag.
+        let mut grown2 = IpTopology::new();
+        grown2.add_link(a, b, 900); // 100 existing + 800 new
+        let stuck = PlanCtx::new(&g, &without).plan_incremental(&pinned, &grown2);
+        assert!(!stuck.is_feasible(), "9 px must not fit while fragmented");
+        let freed = PlanCtx::new(&g, &with).plan_incremental(&pinned, &grown2);
+        assert!(freed.is_feasible(), "unmet {:?}", freed.unmet);
+        // The pinned wavelength was retuned (defrag) — but traffic-wise
+        // hitlessly, and only one move was needed.
+        assert_ne!(freed.wavelengths[0].channel, mid);
     }
 }

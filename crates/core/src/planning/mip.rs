@@ -42,7 +42,7 @@ use flexwan_topo::path::Path;
 
 use crate::opt::{GammaId, WavelengthVarSpace};
 use crate::planning::heuristic::PlannerConfig;
-use crate::restore::scenario::FailureScenario;
+use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 

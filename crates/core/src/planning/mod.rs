@@ -6,22 +6,22 @@
 //!   small instances to validate correctness;
 //! * [`heuristic`] — the scalable two-phase decomposition ([`format_dp`]
 //!   + [`spectrum`]) used on full evaluation topologies.
+//!
+//! The heuristic family (fresh, incremental and 1+1-protected plans, the
+//! scale ladder, §8 restoration) is asked for through a [`PlanCtx`].
 
 pub mod colgen;
+pub mod ctx;
 pub mod format_dp;
 pub mod heuristic;
-pub mod incremental;
 pub mod mip;
 pub mod report;
 pub mod shard;
 pub mod spectrum;
 
 pub use colgen::{canonical_objective, solve_exact_colgen, ColGenPlan, ColGenStats, PricingRound};
-pub use heuristic::{
-    max_feasible_scale, max_feasible_scale_cached, plan, plan_cached, plan_cached_banned,
-    LinkOrder, Plan, PlannerConfig,
-};
-pub use incremental::{plan_incremental, plan_incremental_cached};
+pub use ctx::PlanCtx;
+pub use heuristic::{plan, plan_cached, ConfigError, LinkOrder, Plan, PlannerConfig};
 pub use mip::{solve_exact, ExactPlan, MutatedRestoration, PlanModel};
 pub use report::{cdf, mean, percent_saved, report, PlanReport};
 pub use shard::{

@@ -54,7 +54,8 @@ use flexwan_topo::path::Path;
 use flexwan_util::pool;
 
 use crate::planning::colgen::{canonical_objective, solve_exact_colgen};
-use crate::planning::heuristic::{plan, plan_cached_banned, Plan, PlannerConfig};
+use crate::planning::ctx::PlanCtx;
+use crate::planning::heuristic::{plan, Plan, PlannerConfig};
 use crate::planning::mip::solve_exact;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
@@ -659,6 +660,7 @@ pub fn solve_sharded(
         .collect();
 
     // ---- Region fan-out + boundary coordination. ----
+    let regions = PlanCtx::new(optical, cfg).sharing(cache);
     type RegionOutcome = (ShardSolve, Vec<(usize, IpLinkId)>);
     let mut solved: Vec<Option<RegionOutcome>> = vec![None; part.regions];
     let mut per_region_ms = vec![0u64; part.regions];
@@ -673,7 +675,7 @@ pub fn solve_sharded(
             let (ip_r, tails) = region_demands(&part, ip, r, &target);
             let solve = match shard.region_solver {
                 ShardSolver::Heuristic => {
-                    let p = plan_cached_banned(scheme, optical, &ip_r, cfg, cache, &banned[r]);
+                    let p = regions.plan_avoiding(scheme, &ip_r, &banned[r]);
                     let lifted = p.wavelengths.clone();
                     finish_heuristic(p, ip_r.num_links(), cfg.epsilon, lifted, false)
                 }

@@ -16,7 +16,7 @@ use flexwan_topo::graph::EdgeId;
 use flexwan_topo::path::Path;
 
 /// Per-fiber spectrum occupancy for a whole optical topology.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpectrumState {
     grid: SpectrumGrid,
     masks: Vec<SpectrumMask>,

@@ -11,22 +11,20 @@
 //! and spectrum cost; restoration recovers more cheaply but is bounded by
 //! residual spectrum when the network runs hot.
 
-use flexwan_topo::cache::RouteCache;
-use flexwan_topo::graph::{Graph, NodeId};
+use flexwan_topo::graph::NodeId;
 use flexwan_topo::ip::{IpLinkId, IpTopology};
 use flexwan_topo::route::Route;
 
+use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::select_formats;
-use crate::planning::heuristic::{
-    cached_routes, fresh_routes, most_constrained_first, LinkRoutes, PlannerConfig,
-};
+use crate::planning::heuristic::{most_constrained_first, LinkRoutes};
 use crate::planning::spectrum::SpectrumState;
-use crate::restore::scenario::FailureScenario;
+use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 
 /// A 1+1-protected plan: working and protection copies of every demand.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtectedPlan {
     /// The scheme planned.
     pub scheme: Scheme,
@@ -126,42 +124,18 @@ fn conduit_disjoint(a: &Route, b: &Route) -> bool {
     (0..b.hops.len()).all(|h| !keys_a.contains(&conduit_key(&b.nodes, h)))
 }
 
-/// Plans 1+1 protection: per link, capacity provisioned on the shortest
-/// route and again on the shortest conduit-disjoint alternative.
-pub fn plan_protected(
+/// The 1+1 placement loop behind [`PlanCtx::plan_protected`]: per link,
+/// the full demand on the shortest route and again on the shortest
+/// conduit-disjoint alternative among `routes_per_link`.
+pub(crate) fn place_protected(
+    ctx: &PlanCtx,
     scheme: Scheme,
-    optical: &Graph,
     ip: &IpTopology,
-    cfg: &PlannerConfig,
-) -> ProtectedPlan {
-    let routes_per_link = fresh_routes(optical, ip, cfg.k_paths.max(4));
-    plan_protected_with_routes(scheme, optical, ip, cfg, &routes_per_link)
-}
-
-/// [`plan_protected`] with candidate routes served by `cache` (note the
-/// deeper `k_paths.max(4)` key, distinct from the unprotected planner's).
-/// Output is bit-identical to [`plan_protected`].
-pub fn plan_protected_cached(
-    scheme: Scheme,
-    optical: &Graph,
-    ip: &IpTopology,
-    cfg: &PlannerConfig,
-    cache: &RouteCache,
-) -> ProtectedPlan {
-    let none = std::collections::HashSet::new();
-    let routes_per_link = cached_routes(optical, ip, cfg.k_paths.max(4), cache, &none);
-    plan_protected_with_routes(scheme, optical, ip, cfg, &routes_per_link)
-}
-
-fn plan_protected_with_routes(
-    scheme: Scheme,
-    optical: &Graph,
-    ip: &IpTopology,
-    cfg: &PlannerConfig,
     routes_per_link: &LinkRoutes,
 ) -> ProtectedPlan {
+    let (optical, cfg) = (ctx.optical(), ctx.cfg());
     let model = scheme.transponder();
-    let align = scheme.alignment_pixels().max(cfg.min_alignment);
+    let align = ctx.alignment(scheme);
     let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
     let mut working = Vec::new();
     let mut protection = Vec::new();
@@ -225,8 +199,9 @@ fn plan_protected_with_routes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planning::PlannerConfig;
     use flexwan_optical::spectrum::SpectrumGrid;
-    use flexwan_topo::graph::EdgeId;
+    use flexwan_topo::graph::{EdgeId, Graph};
 
     /// Diamond: two fully disjoint routes between a and b.
     fn diamond() -> (Graph, IpTopology) {
@@ -254,7 +229,7 @@ mod tests {
     #[test]
     fn protection_doubles_hardware() {
         let (g, ip) = diamond();
-        let pp = plan_protected(Scheme::FlexWan, &g, &ip, &cfg());
+        let pp = PlanCtx::new(&g, &cfg()).plan_protected(Scheme::FlexWan, &ip);
         assert!(pp.is_fully_protected(), "unmet {:?}", pp.unmet);
         assert_eq!(pp.working.len(), 1);
         assert_eq!(pp.protection.len(), 1);
@@ -272,22 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_protection_matches_plain() {
-        let (g, ip) = diamond();
-        let cache = RouteCache::new();
-        let plain = plan_protected(Scheme::FlexWan, &g, &ip, &cfg());
-        let cached = plan_protected_cached(Scheme::FlexWan, &g, &ip, &cfg(), &cache);
-        assert_eq!(plain.working, cached.working);
-        assert_eq!(plain.protection, cached.protection);
-        assert_eq!(plain.unmet, cached.unmet);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
     fn any_single_conduit_cut_is_survived_instantly() {
         let (g, ip) = diamond();
-        let pp = plan_protected(Scheme::FlexWan, &g, &ip, &cfg());
-        for scenario in crate::restore::scenario::conduit_cut_scenarios(&g) {
+        let pp = PlanCtx::new(&g, &cfg()).plan_protected(Scheme::FlexWan, &ip);
+        for scenario in crate::scenario::conduit_cut_scenarios(&g) {
             let c = pp.capability_under(&ip, &scenario);
             assert!(
                 (c - 1.0).abs() < 1e-12,
@@ -300,7 +263,7 @@ mod tests {
     #[test]
     fn double_cut_hitting_both_copies_fails() {
         let (g, ip) = diamond();
-        let pp = plan_protected(Scheme::FlexWan, &g, &ip, &cfg());
+        let pp = PlanCtx::new(&g, &cfg()).plan_protected(Scheme::FlexWan, &ip);
         // Cut one fiber of each route.
         let cut_both = FailureScenario {
             id: 0,
@@ -321,7 +284,7 @@ mod tests {
         g.add_edge(b, c, 100);
         let mut ip = IpTopology::new();
         ip.add_link(a, c, 200);
-        let pp = plan_protected(Scheme::FlexWan, &g, &ip, &cfg());
+        let pp = PlanCtx::new(&g, &cfg()).plan_protected(Scheme::FlexWan, &ip);
         assert_eq!(pp.unprotectable, vec![flexwan_topo::ip::IpLinkId(0)]);
         assert!(pp.working.is_empty() && pp.protection.is_empty());
     }
@@ -336,7 +299,7 @@ mod tests {
         g.add_edge(a, b, 102);
         let mut ip = IpTopology::new();
         ip.add_link(a, b, 200);
-        let pp = plan_protected(Scheme::FlexWan, &g, &ip, &cfg());
+        let pp = PlanCtx::new(&g, &cfg()).plan_protected(Scheme::FlexWan, &ip);
         assert_eq!(pp.unprotectable.len(), 1);
     }
 
@@ -360,7 +323,7 @@ mod tests {
         };
         // 400 G at 400 km: 75 GHz = 6 px fits the grid; at 700 km it needs
         // 87.5 GHz = 7 px > grid → the backup copy stays unprovisioned.
-        let pp = plan_protected(Scheme::FlexWan, &g, &ip, &tight);
+        let pp = PlanCtx::new(&g, &tight).plan_protected(Scheme::FlexWan, &ip);
         assert_eq!(pp.working.len(), 1);
         assert!(pp.protection.is_empty());
         assert!(!pp.unmet.is_empty());

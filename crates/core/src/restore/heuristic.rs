@@ -18,18 +18,15 @@
 //! link back into the spare pool; see
 //! [`flexwan_plus_extra_spares`].
 
-use std::sync::Arc;
-
 use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::{IpLinkId, IpTopology};
-use flexwan_topo::ksp::DijkstraScratch;
-use flexwan_topo::route::{k_shortest_routes_scratch, Route};
 
+use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::{reachable_formats, select_formats};
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::planning::spectrum::SpectrumState;
-use crate::restore::scenario::FailureScenario;
+use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 
@@ -70,9 +67,8 @@ impl Restoration {
     }
 }
 
-/// Restores `scenario` against `plan`. `extra_spares[link.0]` adds spare
-/// transponders beyond the failed ones (all-zero slice = plain FlexWAN /
-/// baseline behaviour; see [`flexwan_plus_extra_spares`]).
+/// Restores `scenario` against `plan`: shorthand for
+/// `PlanCtx::new(optical, cfg).restore(plan, ip, scenario, extra_spares)`.
 pub fn restore(
     plan: &Plan,
     optical: &Graph,
@@ -81,14 +77,11 @@ pub fn restore(
     extra_spares: &[u32],
     cfg: &PlannerConfig,
 ) -> Restoration {
-    restore_impl(plan, optical, ip, scenario, extra_spares, cfg, None)
+    PlanCtx::new(optical, cfg).restore(plan, ip, scenario, extra_spares)
 }
 
-/// [`restore`] with the post-failure candidate routes served by `cache`.
-/// Restoration routes depend on the banned (cut) fiber set but not on the
-/// scheme or demand scale, so sweeping 3 schemes × N scales over the same
-/// scenario set re-enumerates nothing after the first pass. Output is
-/// bit-identical to [`restore`].
+/// Forward kept for the `benchmark/` workspace, which imports it by name.
+#[doc(hidden)]
 pub fn restore_cached(
     plan: &Plan,
     optical: &Graph,
@@ -98,21 +91,23 @@ pub fn restore_cached(
     cfg: &PlannerConfig,
     cache: &RouteCache,
 ) -> Restoration {
-    restore_impl(plan, optical, ip, scenario, extra_spares, cfg, Some(cache))
+    let ctx = PlanCtx::new(optical, cfg).sharing(cache);
+    ctx.restore(plan, ip, scenario, extra_spares)
 }
 
-fn restore_impl(
+/// The greedy revival loop behind [`PlanCtx::restore`], over each hit
+/// link's post-failure routes.
+pub(crate) fn revive(
+    ctx: &PlanCtx,
     plan: &Plan,
-    optical: &Graph,
     ip: &IpTopology,
     scenario: &FailureScenario,
     extra_spares: &[u32],
-    cfg: &PlannerConfig,
-    cache: Option<&RouteCache>,
 ) -> Restoration {
     assert!(extra_spares.is_empty() || extra_spares.len() >= ip.num_links());
+    let (optical, cfg) = (ctx.optical(), ctx.cfg());
     let banned = scenario.banned();
-    let align = plan.scheme.alignment_pixels();
+    let align = ctx.alignment(plan.scheme);
     let model = plan.scheme.transponder();
 
     // Partition wavelengths; rebuild surviving spectrum occupancy.
@@ -167,20 +162,9 @@ fn restore_impl(
     let mut restored: Vec<RestoredWavelength> = Vec::new();
     let mut per_link = Vec::new();
 
-    let mut scratch = DijkstraScratch::new();
-    for hit in &hits {
-        let link = ip.link(hit.link);
-        let routes: Arc<Vec<Route>> = match cache {
-            Some(c) => c.routes(optical, link.src, link.dst, cfg.k_paths, &banned),
-            None => Arc::new(k_shortest_routes_scratch(
-                optical,
-                link.src,
-                link.dst,
-                cfg.k_paths,
-                &banned,
-                &mut scratch,
-            )),
-        };
+    let hit_links = hits.iter().map(|h| ip.link(h.link));
+    let hit_routes = ctx.routes(hit_links, cfg.k_paths, &banned);
+    for (hit, routes) in hits.iter().zip(&hit_routes) {
         let mut remaining = hit.lost_gbps;
         let mut spares = hit.spares;
         'routes: for (k, route) in routes.iter().enumerate() {
@@ -319,34 +303,6 @@ mod tests {
         assert_eq!(r.restored_gbps, 300);
         assert!((r.capability() - 1.0).abs() < 1e-9);
         assert_eq!(r.restored[0].wavelength.format.spacing.ghz(), 87.5);
-    }
-
-    #[test]
-    fn cached_restore_is_bit_identical_and_keyed_by_cut_set() {
-        let (g, ip) = square();
-        let cache = RouteCache::new();
-        let p = plan(Scheme::FlexWan, &g, &ip, &cfg());
-        for cut_edge in [0u32, 1, 2] {
-            let cut = FailureScenario {
-                id: cut_edge as usize,
-                cuts: vec![EdgeId(cut_edge)],
-                probability: 1.0,
-            };
-            let plain = restore(&p, &g, &ip, &cut, &[], &cfg());
-            let cached = restore_cached(&p, &g, &ip, &cut, &[], &cfg(), &cache);
-            assert_eq!(plain, cached, "cut {cut_edge}");
-        }
-        // Repeating the sweep must be all hits, no recomputation.
-        let misses = cache.misses();
-        for cut_edge in [0u32, 1, 2] {
-            let cut = FailureScenario {
-                id: cut_edge as usize,
-                cuts: vec![EdgeId(cut_edge)],
-                probability: 1.0,
-            };
-            let _ = restore_cached(&p, &g, &ip, &cut, &[], &cfg(), &cache);
-        }
-        assert_eq!(cache.misses(), misses, "second sweep recomputed routes");
     }
 
     #[test]

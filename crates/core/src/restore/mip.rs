@@ -26,7 +26,7 @@ use crate::planning::colgen::ColGenStats;
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::planning::spectrum::SpectrumState;
 use crate::restore::heuristic::restore;
-use crate::restore::scenario::FailureScenario;
+use crate::scenario::FailureScenario;
 use crate::wavelength::Wavelength;
 
 /// An exact restoration optimum.

@@ -1,6 +1,5 @@
 //! Optical restoration (§8): maximize revived capacity after fiber cuts.
 //!
-//! * [`scenario`] — deterministic 1-failure and probabilistic cut sets;
 //! * [`heuristic`] — the scalable greedy restorer;
 //! * [`mip`] — the exact constraints-(7)–(13) formulation for validation;
 //! * [`report`] — restoration capability and path-stretch metrics
@@ -9,9 +8,12 @@
 pub mod heuristic;
 pub mod mip;
 pub mod report;
-pub mod scenario;
 pub mod spares;
 
+// The cut-set vocabulary lives in `crate::scenario`.
+pub use crate::scenario::{
+    conduit_cut_scenarios, one_fiber_scenarios, probabilistic_scenarios, FailureScenario,
+};
 pub use heuristic::{
     flexwan_plus_extra_spares, restore, restore_cached, Restoration, RestoredWavelength,
 };
@@ -20,7 +22,4 @@ pub use mip::{
     solve_exact_colgen as solve_restoration_exact_colgen, ExactRestoration, RestorationColGen,
 };
 pub use report::{report as restore_report, RestoreReport};
-pub use scenario::{
-    conduit_cut_scenarios, one_fiber_scenarios, probabilistic_scenarios, FailureScenario,
-};
 pub use spares::{choose_spare_pool, dual_priced_extra_spares, extra_spares, SparePoolChoice};

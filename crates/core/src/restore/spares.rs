@@ -24,7 +24,7 @@ use flexwan_topo::ip::IpTopology;
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::restore::heuristic::{flexwan_plus_extra_spares, restore};
 use crate::restore::mip::restoration_count_duals;
-use crate::restore::scenario::conduit_cut_scenarios;
+use crate::scenario::conduit_cut_scenarios;
 
 /// Both FlexWAN+ spare pools over the same budget, with their expected
 /// restored capacity on the single-conduit-cut suite.

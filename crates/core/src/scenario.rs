@@ -1,4 +1,7 @@
-//! Multi-failure × demand-uncertainty scenario engine (beyond the paper).
+//! The scenario vocabulary — fiber-cut sets ([`FailureScenario`]: §8's
+//! single/conduit/probabilistic cuts, k-cut enumeration and sampling) and
+//! demand perturbations ([`DemandScenario`]) — and the multi-failure ×
+//! demand-uncertainty scenario engine over it (beyond the paper).
 //!
 //! The paper (and the §8 evaluation) scores restoration against
 //! single-fiber cuts. This module sweeps *scenario sets* — every
@@ -16,7 +19,7 @@
 //! pin/ban/re-solve, attached via [`ScenarioEngine::attach_exact`];
 //! nominal demand only, since the standing model is built for the
 //! nominal demand set), falling back to the greedy §8 heuristic
-//! ([`restore_cached`]) and finally to pre-provisioned 1+1 protection
+//! ([`PlanCtx::restore`]) and finally to pre-provisioned 1+1 protection
 //! ([`ProtectedPlan::capability_under`]). The rung that produced each
 //! cell's outcome is recorded in its ladder histogram.
 //!
@@ -32,22 +35,45 @@
 //! seeded ([`ChaCha8Rng`]), and the evaluation fans out on the
 //! deterministic pool ([`flexwan_util::pool::par_map`]: fixed chunking,
 //! index-slot reassembly) over pure per-item work with a shared
-//! [`RouteCache`] that memoizes but never alters results. The surface
-//! is byte-identical at any thread count.
+//! [`RouteCache`](flexwan_topo::cache::RouteCache) that memoizes but
+//! never alters results. The surface is byte-identical at any thread count.
 
 use std::collections::HashSet;
 
 use flexwan_solver::SolveOptions;
-use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::IpTopology;
 use flexwan_util::pool;
 use flexwan_util::rng::ChaCha8Rng;
 
-use crate::planning::{plan_cached, Plan, PlanModel, PlannerConfig};
-use crate::protect::{plan_protected_cached, ProtectedPlan};
-use crate::restore::{restore_cached, FailureScenario};
+use crate::planning::{Plan, PlanCtx, PlanModel};
+use crate::protect::ProtectedPlan;
 use crate::scheme::Scheme;
+
+/// A fiber-cut scenario: the set of simultaneously cut fibers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FailureScenario {
+    /// Scenario index within its set.
+    pub id: usize,
+    /// The cut fibers.
+    pub cuts: Vec<EdgeId>,
+    /// Scenario probability (uniform for the deterministic 1-failure set;
+    /// length-weighted for the probabilistic set).
+    pub probability: f64,
+}
+
+impl FailureScenario {
+    /// Whether fiber `e` is cut in this scenario.
+    pub fn is_cut(&self, e: EdgeId) -> bool {
+        self.cuts.contains(&e)
+    }
+
+    /// The cut set as a hash set (the `banned` argument of the path
+    /// algorithms).
+    pub fn banned(&self) -> HashSet<EdgeId> {
+        self.cuts.iter().copied().collect()
+    }
+}
 
 /// Ladder rung 0: warm mutation of the standing exact model.
 pub const LEVEL_EXACT: usize = 0;
@@ -69,12 +95,84 @@ fn n_choose_k(n: usize, k: usize) -> u128 {
     acc
 }
 
+/// Every single-fiber-cut scenario (the deterministic k=1 failure model of
+/// \[40\]), uniformly weighted: [`k_cut_scenarios`] at `k = 1`, and empty
+/// on a graph with no fibers.
+pub fn one_fiber_scenarios(g: &Graph) -> Vec<FailureScenario> {
+    if g.num_edges() == 0 {
+        return Vec::new();
+    }
+    k_cut_scenarios(g, 1)
+}
+
+/// One scenario per *conduit*: parallel fibers between the same node pair
+/// share a physical conduit, so a backhoe severs them together. This is
+/// the failure set the §8 evaluation uses (a "fiber cut" takes out the
+/// whole cable, not one pair).
+pub fn conduit_cut_scenarios(g: &Graph) -> Vec<FailureScenario> {
+    let groups = flexwan_topo::route::conduits(g);
+    let n = groups.len();
+    groups
+        .into_iter()
+        .enumerate()
+        .map(|(id, cuts)| FailureScenario {
+            id,
+            cuts,
+            probability: 1.0 / n as f64,
+        })
+        .collect()
+}
+
+/// `n` probabilistic scenarios (the model of \[17\]): each scenario cuts one
+/// or (with probability `double_cut_prob`) two fibers, drawn with
+/// probability proportional to fiber length — long-haul fibers are cut
+/// more often (construction work scales with route length).
+pub fn probabilistic_scenarios(
+    g: &Graph,
+    n: usize,
+    double_cut_prob: f64,
+    seed: u64,
+) -> Vec<FailureScenario> {
+    assert!((0.0..=1.0).contains(&double_cut_prob));
+    assert!(g.num_edges() >= 2, "need at least two fibers");
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let total: u64 = g.edges().iter().map(|e| u64::from(e.length_km)).sum();
+    let draw = |rng: &mut ChaCha8Rng| -> EdgeId {
+        let mut t = rng.gen_range(0..total);
+        for e in g.edges() {
+            let l = u64::from(e.length_km);
+            if t < l {
+                return e.id;
+            }
+            t -= l;
+        }
+        g.edges().last().expect("non-empty").id
+    };
+    (0..n)
+        .map(|id| {
+            let first = draw(&mut rng);
+            let mut cuts = vec![first];
+            if rng.gen_f64() < double_cut_prob {
+                let mut second = draw(&mut rng);
+                while second == first {
+                    second = draw(&mut rng);
+                }
+                cuts.push(second);
+            }
+            FailureScenario {
+                id,
+                cuts,
+                probability: 1.0 / n as f64,
+            }
+        })
+        .collect()
+}
+
 /// Every exactly-`k`-fiber-cut scenario, in lexicographic fiber-index
-/// order, uniformly weighted. For `k = 1` this is exactly
-/// [`one_fiber_scenarios`](crate::restore::one_fiber_scenarios) — same
-/// ids, same cut sets, same probabilities — which is what lets the
-/// surface's k=1 column be cross-checked against the existing
-/// single-cut restoration sweep.
+/// order, uniformly weighted. `k = 1` is the single-cut set of the §8
+/// evaluation ([`one_fiber_scenarios`]), which is what lets the
+/// surface's k=1 column be cross-checked against a direct single-cut
+/// restoration sweep.
 pub fn k_cut_scenarios(g: &Graph, k: usize) -> Vec<FailureScenario> {
     let n = g.num_edges();
     assert!(k >= 1 && k <= n, "k must be in 1..=num_edges");
@@ -371,32 +469,24 @@ struct Outcome {
     restored_gbps: u64,
 }
 
-/// The scenario engine: a scheme + backbone + shared route cache, with
+/// The scenario engine: a scheme + planning context + demand set, with
 /// an optional standing exact model on top. See the module docs for
 /// the ladder and determinism contracts.
 pub struct ScenarioEngine<'a> {
     scheme: Scheme,
-    optical: &'a Graph,
+    ctx: PlanCtx<'a>,
     ip: &'a IpTopology,
-    cfg: &'a PlannerConfig,
-    cache: &'a RouteCache,
     config: EngineConfig,
     exact: Option<PlanModel>,
 }
 
 impl<'a> ScenarioEngine<'a> {
-    /// A new engine over `optical`/`ip` for `scheme`. Candidate routes
-    /// (planning and every cut set's detours) are served by `cache`,
-    /// shared freely with other sweeps — memoization never changes
-    /// results.
-    pub fn new(
-        scheme: Scheme,
-        optical: &'a Graph,
-        ip: &'a IpTopology,
-        cfg: &'a PlannerConfig,
-        cache: &'a RouteCache,
-        config: EngineConfig,
-    ) -> Self {
+    /// A new engine planning and restoring `scheme` over `ip` through
+    /// `ctx`. Give the context a shared cache
+    /// ([`PlanCtx::sharing`]): planning routes and every cut set's
+    /// detours repeat across demand scenarios and spare budgets, and
+    /// memoization never changes results.
+    pub fn new(scheme: Scheme, ctx: PlanCtx<'a>, ip: &'a IpTopology, config: EngineConfig) -> Self {
         assert!(
             !config.spare_budgets.is_empty()
                 && config.spare_budgets.windows(2).all(|w| w[0] < w[1]),
@@ -404,10 +494,8 @@ impl<'a> ScenarioEngine<'a> {
         );
         ScenarioEngine {
             scheme,
-            optical,
+            ctx,
             ip,
-            cfg,
-            cache,
             config,
             exact: None,
         }
@@ -441,7 +529,7 @@ impl<'a> ScenarioEngine<'a> {
         demands: &[DemandScenario],
     ) -> AvailabilitySurface {
         assert!(!demands.is_empty(), "need at least the nominal demand");
-        let (optical, cfg, cache) = (self.optical, self.cfg, self.cache);
+        let ctx = self.ctx;
         let budgets = self.config.spare_budgets.clone();
         let n_links = self.ip.num_links();
 
@@ -450,11 +538,11 @@ impl<'a> ScenarioEngine<'a> {
             .iter()
             .map(|d| {
                 let ip_d = d.apply(self.ip);
-                let plan_d = plan_cached(self.scheme, optical, &ip_d, cfg, cache);
+                let plan_d = ctx.plan(self.scheme, &ip_d);
                 let prot_d = self
                     .config
                     .protection
-                    .then(|| plan_protected_cached(self.scheme, optical, &ip_d, cfg, cache));
+                    .then(|| ctx.plan_protected(self.scheme, &ip_d));
                 (ip_d, plan_d, prot_d)
             })
             .collect();
@@ -479,7 +567,7 @@ impl<'a> ScenarioEngine<'a> {
                 let scen = &cut_sets[si].1[ci];
                 let (ip_d, plan_d, prot_d) = &worlds[di];
                 let extra = vec![budgets[bi]; n_links];
-                let r = restore_cached(plan_d, optical, ip_d, scen, &extra, cfg, cache);
+                let r = ctx.restore(plan_d, ip_d, scen, &extra);
                 let mut o = Outcome {
                     level: LEVEL_HEURISTIC,
                     affected_gbps: r.affected_gbps,
@@ -499,7 +587,8 @@ impl<'a> ScenarioEngine<'a> {
                 }
                 let scen = &cut_sets[si].1[ci];
                 let extra = vec![budgets[bi]; n_links];
-                if let Some(mr) = model.restore_after_cut(optical, scen, &extra, &self.config.solve)
+                if let Some(mr) =
+                    model.restore_after_cut(ctx.optical(), scen, &extra, &self.config.solve)
                 {
                     let o = &mut outcomes[pos];
                     *o = Outcome {
@@ -580,8 +669,9 @@ fn protect_rung(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::restore::one_fiber_scenarios;
+    use crate::planning::PlannerConfig;
     use flexwan_optical::spectrum::SpectrumGrid;
+    use flexwan_topo::cache::RouteCache;
 
     /// 4-node world with detour diversity (same shape as the churn
     /// soak backbone).
@@ -612,9 +702,15 @@ mod tests {
         let (g, _, _) = world();
         let s1 = k_cut_scenarios(&g, 1);
         assert_eq!(s1.len(), 5);
-        // k=1 must equal the §8 single-fiber set, element for element.
-        let base = one_fiber_scenarios(&g);
-        assert_eq!(s1, base);
+        // k=1 is the §8 single-fiber set, element for element: one
+        // scenario per fiber, id = fiber index, uniformly weighted.
+        for (i, s) in s1.iter().enumerate() {
+            assert_eq!(s.id, i);
+            assert_eq!(s.cuts, vec![EdgeId(i as u32)]);
+            assert_eq!(s.probability, 1.0 / 5.0);
+        }
+        assert_eq!(s1, one_fiber_scenarios(&g));
+        assert!(one_fiber_scenarios(&Graph::new()).is_empty());
         let s2 = k_cut_scenarios(&g, 2);
         assert_eq!(s2.len(), 10, "C(5,2)");
         for w in s2.windows(2) {
@@ -670,12 +766,11 @@ mod tests {
     fn k1_column_matches_direct_single_cut_sweep() {
         let (g, ip, cfg) = world();
         let cache = RouteCache::new();
+        let ctx = PlanCtx::new(&g, &cfg).sharing(&cache);
         let mut engine = ScenarioEngine::new(
             Scheme::FlexWan,
-            &g,
+            ctx,
             &ip,
-            &cfg,
-            &cache,
             EngineConfig {
                 spare_budgets: vec![0],
                 ..Default::default()
@@ -686,11 +781,11 @@ mod tests {
         let surface = engine.evaluate(&suite, &demands);
         let cell = surface.cell(1, 0).expect("k=1 cell");
 
-        let plan = plan_cached(Scheme::FlexWan, &g, &ip, &cfg, &cache);
+        let plan = ctx.plan(Scheme::FlexWan, &ip);
         let mut affected = 0u64;
         let mut restored = 0u64;
         for s in &one_fiber_scenarios(&g) {
-            let r = restore_cached(&plan, &g, &ip, s, &[], &cfg, &cache);
+            let r = ctx.restore(&plan, &ip, s, &[]);
             affected += r.affected_gbps;
             restored += r.restored_gbps;
         }
@@ -699,10 +794,8 @@ mod tests {
         // revived; with it disarmed the totals must match exactly.
         let mut bare = ScenarioEngine::new(
             Scheme::FlexWan,
-            &g,
+            ctx,
             &ip,
-            &cfg,
-            &cache,
             EngineConfig {
                 spare_budgets: vec![0],
                 protection: false,
@@ -720,15 +813,14 @@ mod tests {
     fn surface_is_thread_count_invariant_and_budget_monotone() {
         let (g, ip, cfg) = world();
         let cache = RouteCache::new();
+        let ctx = PlanCtx::new(&g, &cfg).sharing(&cache);
         let suite = scenario_suite(&g, 2, 16, 8, 3);
         let demands = demand_scenarios(&ip, 2, 0.25, 9);
         let render = |threads: usize| {
             let mut engine = ScenarioEngine::new(
                 Scheme::FlexWan,
-                &g,
+                ctx,
                 &ip,
-                &cfg,
-                &cache,
                 EngineConfig {
                     spare_budgets: vec![0, 1, 3],
                     threads,
@@ -743,10 +835,8 @@ mod tests {
         // Budget monotonicity (the allowance fold makes it structural).
         let mut engine = ScenarioEngine::new(
             Scheme::FlexWan,
-            &g,
+            ctx,
             &ip,
-            &cfg,
-            &cache,
             EngineConfig {
                 spare_budgets: vec![0, 1, 3],
                 ..Default::default()
@@ -770,12 +860,11 @@ mod tests {
     fn exact_rung_runs_on_nominal_demand_and_is_recorded() {
         let (g, ip, cfg) = world();
         let cache = RouteCache::new();
+        let ctx = PlanCtx::new(&g, &cfg).sharing(&cache);
         let mut engine = ScenarioEngine::new(
             Scheme::FlexWan,
-            &g,
+            ctx,
             &ip,
-            &cfg,
-            &cache,
             EngineConfig {
                 spare_budgets: vec![0],
                 protection: false,
@@ -804,5 +893,64 @@ mod tests {
         assert_eq!(n_choose_k(5, 5), 1);
         assert_eq!(n_choose_k(4, 5), 0);
         assert_eq!(n_choose_k(60, 3), 34220);
+    }
+
+    fn square() -> Graph {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let c = g.add_node("c");
+        let d = g.add_node("d");
+        g.add_edge(a, b, 100);
+        g.add_edge(b, c, 2000); // long fiber, cut often
+        g.add_edge(c, d, 100);
+        g.add_edge(d, a, 100);
+        g
+    }
+
+    #[test]
+    fn conduit_scenarios_group_parallels() {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let c = g.add_node("c");
+        g.add_edge(a, b, 100);
+        g.add_edge(a, b, 102); // same conduit
+        g.add_edge(b, c, 300);
+        let s = conduit_cut_scenarios(&g);
+        assert_eq!(s.len(), 2);
+        let ab = s.iter().find(|sc| sc.cuts.len() == 2).expect("a-b conduit");
+        assert!(ab.is_cut(EdgeId(0)) && ab.is_cut(EdgeId(1)));
+        let total_p: f64 = s.iter().map(|x| x.probability).sum();
+        assert!((total_p - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn probabilistic_weighted_by_length() {
+        let g = square();
+        let s = probabilistic_scenarios(&g, 400, 0.0, 5);
+        let long_cuts = s.iter().filter(|sc| sc.is_cut(EdgeId(1))).count();
+        // Fiber 1 carries 2000 of 2300 km → ~87 % of cuts.
+        assert!(long_cuts > 300, "long fiber cut only {long_cuts}/400 times");
+    }
+
+    #[test]
+    fn double_cuts_present_and_distinct() {
+        let g = square();
+        let s = probabilistic_scenarios(&g, 200, 0.5, 9);
+        let doubles: Vec<_> = s.iter().filter(|sc| sc.cuts.len() == 2).collect();
+        assert!(!doubles.is_empty());
+        for d in doubles {
+            assert_ne!(d.cuts[0], d.cuts[1]);
+        }
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let g = square();
+        assert_eq!(
+            probabilistic_scenarios(&g, 50, 0.3, 1),
+            probabilistic_scenarios(&g, 50, 0.3, 1)
+        );
     }
 }

@@ -32,8 +32,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use flexwan_core::planning::{plan, ExactPlan, Plan, PlanModel, PlannerConfig};
-use flexwan_core::protect::{plan_protected, ProtectedPlan};
+use flexwan_core::planning::{ExactPlan, Plan, PlanCtx, PlanModel, PlannerConfig};
+use flexwan_core::protect::ProtectedPlan;
 use flexwan_core::restore::{restore, FailureScenario};
 use flexwan_core::{Scheme, Wavelength};
 use flexwan_obs::{Obs, LATENCY_SECONDS_BUCKETS};
@@ -362,8 +362,9 @@ impl<'a> ChurnService<'a> {
     ) -> Option<Self> {
         let mut model = PlanModel::build_restorable(scheme, optical, ip, &cfg);
         let baseline = model.solve(&svc.solve)?;
-        let heuristic_plan = plan(scheme, optical, ip, &cfg);
-        let protected = plan_protected(scheme, optical, ip, &cfg);
+        let fallback = PlanCtx::new(optical, &cfg);
+        let heuristic_plan = fallback.plan(scheme, ip);
+        let protected = fallback.plan_protected(scheme, ip);
         let base_columns = model.space().gammas().len();
         Some(ChurnService {
             optical,
@@ -611,8 +612,9 @@ impl<'a> ChurnService<'a> {
         // condition reads only `demand_level`, which is journaled — so
         // replay refreshes on exactly the same ticks live did.
         if self.fallback_dirty && demand_level < LADDER_PROTECT {
-            self.heuristic_plan = plan(self.scheme, self.optical, &self.ip, &self.cfg);
-            self.protected = plan_protected(self.scheme, self.optical, &self.ip, &self.cfg);
+            let fallback = PlanCtx::new(self.optical, &self.cfg);
+            self.heuristic_plan = fallback.plan(self.scheme, &self.ip);
+            self.protected = fallback.plan_protected(self.scheme, &self.ip);
             self.fallback_dirty = false;
         }
 

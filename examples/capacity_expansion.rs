@@ -6,7 +6,7 @@
 //! cargo run --release --example capacity_expansion
 //! ```
 
-use flexwan::core::planning::{max_feasible_scale, plan, PlannerConfig};
+use flexwan::core::planning::{PlanCtx, PlannerConfig};
 use flexwan::core::Scheme;
 use flexwan::topo::tbackbone::{t_backbone, TBackboneConfig};
 
@@ -28,9 +28,10 @@ fn main() {
         "{:<10} {:>6} {:>14} {:>16} {:>10}",
         "scheme", "scale", "transponders", "spectrum (GHz)", "feasible"
     );
+    let ctx = PlanCtx::new(&backbone.optical, &cfg);
     for scheme in Scheme::ALL {
         for scale in [1u64, 3, 5] {
-            let p = plan(scheme, &backbone.optical, &backbone.ip.scaled(scale), &cfg);
+            let p = ctx.plan(scheme, &backbone.ip.scaled(scale));
             println!(
                 "{:<10} {:>5}x {:>14} {:>16.0} {:>10}",
                 scheme.name(),
@@ -40,7 +41,7 @@ fn main() {
                 p.is_feasible()
             );
         }
-        let max = max_feasible_scale(scheme, &backbone.optical, &backbone.ip, &cfg, 12);
+        let max = ctx.max_feasible_scale(scheme, &backbone.ip, 12);
         println!(
             "{:<10} supports up to {max}x the present-day demand\n",
             scheme.name()

@@ -7,7 +7,7 @@
 //! cargo run --example incremental_growth
 //! ```
 
-use flexwan::core::planning::{plan, plan_incremental, PlannerConfig};
+use flexwan::core::planning::{PlanCtx, PlannerConfig};
 use flexwan::core::Scheme;
 use flexwan::topo::graph::Graph;
 use flexwan::topo::ip::IpTopology;
@@ -26,7 +26,8 @@ fn main() {
     ip.add_link(fra, ams, 800);
     ip.add_link(ams, par, 400);
     let cfg = PlannerConfig::default();
-    let year1 = plan(Scheme::FlexWan, &optical, &ip, &cfg);
+    let ctx = PlanCtx::new(&optical, &cfg);
+    let year1 = ctx.plan(Scheme::FlexWan, &ip);
     println!(
         "year 1: {} wavelengths, {:.0} GHz",
         year1.transponder_count(),
@@ -37,7 +38,7 @@ fn main() {
     // provisions only the deficit.
     let mut ip2 = ip.scaled(2);
     ip2.add_link(fra, par, 600);
-    let year2 = plan_incremental(&year1, &optical, &ip2, &cfg);
+    let year2 = ctx.plan_incremental(&year1, &ip2);
     println!(
         "year 2: {} wavelengths (+{} new), {:.0} GHz, feasible: {}",
         year2.transponder_count(),

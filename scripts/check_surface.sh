@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Surface check for the heuristic planning API: one entry point
+# (`PlanCtx`), no sibling functions per route source.
+#
+# Fails if
+#   * crates/core/src defines any `fn <name>_(cached|banned|observed|with_routes)`
+#     other than the two `#[doc(hidden)]` forwards `plan_cached` and
+#     `restore_cached` that `benchmark/` still imports;
+#   * anything under crates/, src/, tests/ or examples/ calls
+#     `plan_cached(` / `restore_cached(`.
+#
+# Usage: scripts/check_surface.sh   (from the repository root)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+bad=0
+
+siblings=$(grep -rnE 'fn [a-z0-9_]+_(cached|banned|observed|with_routes)\b' \
+    --include='*.rs' crates/core/src |
+    grep -vE 'fn (plan|restore)_cached\b' || true)
+if [ -n "$siblings" ]; then
+    echo "sibling entry points under crates/core/src (use PlanCtx):"
+    echo "$siblings"
+    bad=1
+fi
+
+for f in plan_cached restore_cached; do
+    file=$(grep -rlE "pub fn $f\b" --include='*.rs' crates/core/src || true)
+    if [ "$(echo "$file" | grep -c .)" -ne 1 ] ||
+        ! grep -B1 -E "pub fn $f\b" "$file" | grep -q '#\[doc(hidden)\]'; then
+        echo "$f must be defined exactly once, as a #[doc(hidden)] forward"
+        bad=1
+    fi
+done
+
+callers=$(grep -rnE '\b(plan|restore)_cached\(' --include='*.rs' \
+    crates src tests examples | grep -vE 'pub fn (plan|restore)_cached\(' || true)
+if [ -n "$callers" ]; then
+    echo "callers of the hidden forwards (use PlanCtx::sharing):"
+    echo "$callers"
+    bad=1
+fi
+
+[ "$bad" -eq 0 ] && echo "planning surface ok"
+exit "$bad"

@@ -133,6 +133,7 @@ fn parse_config(opts: &Opts) -> Result<PlannerConfig, String> {
     if let Some(e) = opts.one("epsilon") {
         cfg.epsilon = e.parse().map_err(|_| format!("bad --epsilon {e}"))?;
     }
+    cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
 

@@ -18,10 +18,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use flexwan::core::planning::{percent_saved, plan, plan_cached, PlanModel, PlannerConfig};
+use flexwan::core::planning::{percent_saved, plan, PlanCtx, PlanModel, PlannerConfig};
 use flexwan::core::restore::{
-    choose_spare_pool, conduit_cut_scenarios, one_fiber_scenarios, restore, restore_cached,
-    restore_report,
+    choose_spare_pool, conduit_cut_scenarios, one_fiber_scenarios, restore, restore_report,
 };
 use flexwan::core::Scheme;
 use flexwan::optical::spectrum::SpectrumGrid;
@@ -161,15 +160,11 @@ fn headline_numbers_match_golden() {
     // (scale 1, FlexWAN). Plan and sweep share one route cache, whose
     // counters are pinned below.
     let cache = RouteCache::new();
-    let flex = plan_cached(Scheme::FlexWan, &b.optical, &b.ip, &cfg, &cache);
+    let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
+    let flex = ctx.plan(Scheme::FlexWan, &b.ip);
     let results: Vec<_> = scenarios
         .iter()
-        .map(|s| {
-            (
-                s.probability,
-                restore_cached(&flex, &b.optical, &b.ip, s, &[], &cfg, &cache),
-            )
-        })
+        .map(|s| (s.probability, ctx.restore(&flex, &b.ip, s, &[])))
         .collect();
     let rep = restore_report(&results);
     writeln!(
@@ -265,14 +260,8 @@ fn availability_surface_matches_golden() {
     let suite = scenario_suite(&b.optical, 3, 256, 16, 7);
     let demands = demand_scenarios(&ip5, 2, 0.2, 7);
     let cache = RouteCache::new();
-    let mut engine = ScenarioEngine::new(
-        Scheme::FlexWan,
-        &b.optical,
-        &ip5,
-        &cfg,
-        &cache,
-        EngineConfig::default(),
-    );
+    let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
+    let mut engine = ScenarioEngine::new(Scheme::FlexWan, ctx, &ip5, EngineConfig::default());
     let surface = engine.evaluate(&suite, &demands);
 
     let mut out = String::new();

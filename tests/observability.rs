@@ -6,10 +6,9 @@
 use std::sync::Arc;
 use std::thread;
 
-use flexwan::core::planning::PlannerConfig;
+use flexwan::core::planning::{PlanCtx, PlannerConfig};
 use flexwan::core::restore::one_fiber_scenarios;
 use flexwan::core::Scheme;
-use flexwan::core::{plan_observed, restore_observed};
 use flexwan::obs::{ManualClock, Obs};
 use flexwan::optical::spectrum::SpectrumGrid;
 use flexwan::topo::graph::Graph;
@@ -40,9 +39,10 @@ fn run_workload(obs: &Obs) {
         ..PlannerConfig::default()
     };
     let root = obs.span("workload");
-    let p = plan_observed(obs, Some(&root), Scheme::FlexWan, &g, &ip, &cfg);
+    let ctx = PlanCtx::new(&g, &cfg).observed(obs, Some(&root));
+    let p = ctx.plan(Scheme::FlexWan, &ip);
     for scenario in &one_fiber_scenarios(&g) {
-        let _ = restore_observed(obs, Some(&root), &p, &g, &ip, scenario, &[], &cfg);
+        let _ = ctx.restore(&p, &ip, scenario, &[]);
     }
     root.end();
 }

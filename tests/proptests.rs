@@ -555,7 +555,7 @@ fn k_cut_restoration_avoids_every_cut_fiber() {
 /// at 1, 2 and 4 pool threads.
 #[test]
 fn availability_surface_is_monotone_and_thread_invariant() {
-    use flexwan::core::planning::PlannerConfig;
+    use flexwan::core::planning::{PlanCtx, PlannerConfig};
     use flexwan::core::scenario::{demand_scenarios, scenario_suite, EngineConfig, ScenarioEngine};
     use flexwan::topo::cache::RouteCache;
 
@@ -575,14 +575,13 @@ fn availability_surface_is_monotone_and_thread_invariant() {
         let demands = demand_scenarios(&ip, 1, 0.2, 0xFEED);
         let budgets = vec![0u32, 1, 3];
         let cache = RouteCache::new();
+        let ctx = PlanCtx::new(&g, &cfg).sharing(&cache);
         let mut renders = Vec::new();
         for threads in [1usize, 2, 4] {
             let mut engine = ScenarioEngine::new(
                 Scheme::FlexWan,
-                &g,
+                ctx,
                 &ip,
-                &cfg,
-                &cache,
                 EngineConfig {
                     spare_budgets: budgets.clone(),
                     threads,

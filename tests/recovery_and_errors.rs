@@ -4,6 +4,7 @@
 
 use std::error::Error;
 
+use flexwan::core::planning::{ConfigError, PlannerConfig};
 use flexwan::ctrl::ha::ClusterError;
 use flexwan::ctrl::model::DeviceId;
 use flexwan::ctrl::{recover_misconnection, RecoveryOutcome, SessionError, TxError};
@@ -28,6 +29,14 @@ fn all_errors() -> Vec<Box<dyn Error>> {
             range: PixelRange::new(3, PixelWidth::new(6)),
         }),
         Box::new(LoadError::Invalid("no nodes".into())),
+        Box::new(
+            PlannerConfig {
+                k_paths: 0,
+                ..PlannerConfig::default()
+            }
+            .validate()
+            .unwrap_err(),
+        ),
     ]
 }
 
@@ -49,6 +58,7 @@ fn dyn_errors_downcast_to_their_concrete_types() {
     assert!(errs[3].downcast_ref::<ClusterError>().is_some());
     assert!(errs[4].downcast_ref::<OpticalError>().is_some());
     assert!(errs[5].downcast_ref::<LoadError>().is_some());
+    assert!(errs[6].downcast_ref::<ConfigError>().is_some());
     assert!(
         errs[0].downcast_ref::<TxError>().is_none(),
         "downcast is type-exact"
@@ -70,6 +80,24 @@ fn load_error_chains_its_json_source() {
     // Semantic errors have no upstream cause.
     let invalid: Box<dyn Error> = Box::new(LoadError::Invalid("empty".into()));
     assert!(invalid.source().is_none());
+}
+
+/// Operator input the planner cannot use is a normal CLI error, not a
+/// panic: `--k 0` used to reach the planner's assertion.
+#[test]
+fn cli_rejects_an_unusable_planner_config_without_panicking() {
+    for bad in [["--k", "0"], ["--epsilon", "-1"], ["--epsilon", "nan"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexwan"))
+            .args(["plan", "--builtin", "tbackbone"])
+            .args(bad)
+            .output()
+            .expect("flexwan binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{bad:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bad:?} printed a plan");
+    }
 }
 
 #[test]
