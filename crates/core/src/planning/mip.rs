@@ -21,7 +21,8 @@
 //! solve, a fiber-cut restoration (§8) is expressed as a **mutation** of
 //! the same model — surviving wavelengths pinned, cut-path candidates
 //! banned, the cut fiber's conflict rows and the affected links' capacity
-//! rows deactivated, restoration caps `c'_e`/`N_e` appended — and
+//! rows deactivated, each affected link's restoration cap pair
+//! `c'_e`/`N_e` rewritten in place — and
 //! re-solved warm from the planning basis via
 //! [`flexwan_solver::IncrementalSolver`]. `tests/restore_mutation.rs`
 //! cross-validates the mutated re-solve against a from-scratch build.
@@ -33,7 +34,7 @@
 
 use flexwan_solver::{
     Cmp, IncrementalSolver, LinExpr, Model, RowId, Sense, Solution, SolveOptions, SolverStats,
-    Status,
+    Status, Var,
 };
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::{IpLinkId, IpTopology};
@@ -102,6 +103,13 @@ pub struct PlanModel {
     /// into existing rows (cells empty at build time have no row until a
     /// generated column first occupies them).
     conflict_row_at: std::collections::HashMap<(EdgeId, u32), RowId>,
+    /// The one `(restore_rate, restore_count)` row pair each IP link
+    /// ever gets (same index as `capacity_rows`), allocated the first
+    /// time the link is affected and rewritten in place by every later
+    /// mutation: constraints (7)/(8) exist once per failed link, not
+    /// once per failure ever seen, so the standing model — and every
+    /// basis factorization over it — stays the size of what is live.
+    cap_rows: Vec<Option<(RowId, RowId)>>,
     link_ids: Vec<IpLinkId>,
     /// Endpoints per IP link, for re-deriving §8 restoration path sets.
     link_ends: Vec<(flexwan_topo::graph::NodeId, flexwan_topo::graph::NodeId)>,
@@ -237,6 +245,7 @@ impl PlanModel {
             capacity_rows,
             conflict_rows,
             conflict_row_at,
+            cap_rows: vec![None; ip.num_links()],
             link_ids: ip.links().iter().map(|l| l.id).collect(),
             link_ends: ip.links().iter().map(|l| (l.src, l.dst)).collect(),
             k_paths: cfg.k_paths,
@@ -427,8 +436,10 @@ impl PlanModel {
     /// 2. deactivates the affected links' `capacity` rows (their demand
     ///    can no longer be asserted) and the cut fibers' `conflict` rows
     ///    (that spectrum no longer exists);
-    /// 3. appends restoration caps per affected link: restored rate
-    ///    `≤ c'_e` (7) and restored count `≤ N_e` (+`extra_spares`) (8);
+    /// 3. arms the restoration caps of each affected link: restored rate
+    ///    `≤ c'_e` (7) and restored count `≤ N_e` (+`extra_spares`) (8),
+    ///    written into the link's one borrowed row pair (allocated on
+    ///    its first failure), so repeated mutations never grow the model;
     /// 4. flips the objective to maximize restored capacity and re-solves
     ///    **warm** from the planning basis.
     ///
@@ -456,6 +467,9 @@ impl PlanModel {
         opts: &SolveOptions,
     ) -> Option<MutatedRestoration> {
         let sol = self.solution.clone()?;
+        // Columns generated by an earlier mutation postdate the planning
+        // solution — they are unselected by construction.
+        let selected = |var: Var| var.0 < sol.values.len() && sol.value(var) > 0.5;
         let banned = scenario.banned();
         let crosses = |space: &WavelengthVarSpace, g: GammaId| {
             space
@@ -471,7 +485,7 @@ impl PlanModel {
         let mut lost: std::collections::HashMap<usize, (u64, u32)> =
             std::collections::HashMap::new();
         for (i, g) in self.space.gammas().iter().enumerate() {
-            if sol.value(g.var) > 0.5 && crosses(&self.space, GammaId(i)) {
+            if selected(g.var) && crosses(&self.space, GammaId(i)) {
                 let entry = lost.entry(g.slot).or_insert_with(|| {
                     lost_order.push(g.slot);
                     (0, 0)
@@ -529,12 +543,9 @@ impl PlanModel {
         let mut candidates: Vec<GammaId> = Vec::new();
         for (i, g) in self.space.gammas().iter().enumerate() {
             let id = GammaId(i);
-            // Columns generated above postdate the planning solution —
-            // they are unselected by construction.
-            let selected = g.var.0 < sol.values.len() && sol.value(g.var) > 0.5;
             if crosses(&self.space, id) {
                 self.solver.set_var_bounds(g.var, 0.0, 0.0);
-            } else if selected {
+            } else if selected(g.var) {
                 self.solver.set_var_bounds(g.var, 1.0, 1.0);
             } else if restore_paths
                 .get(&g.slot)
@@ -565,9 +576,11 @@ impl PlanModel {
             .collect();
         self.solver.deactivate_rows(&banned_rows);
 
-        // (3) append the §8 caps over the candidates of each affected
-        // link, under named groups on the standing model.
-        let mut added: Vec<RowId> = Vec::new();
+        // (3) write the §8 caps over the candidates of each affected
+        // link into its borrowed row pair; a link failing for the first
+        // time gets its pair appended first, under named groups on the
+        // standing model.
+        let mut caps: Vec<RowId> = Vec::new();
         for &slot in &lost_order {
             let (c, n) = lost[&slot];
             let cands: Vec<GammaId> = candidates
@@ -580,11 +593,18 @@ impl PlanModel {
                 f64::from(g.format.data_rate_gbps) * g.var
             }));
             let count = LinExpr::sum(cands.iter().map(|&id| 1.0 * self.space.get(id).var));
-            self.solver.model_mut().group("restore_rate");
-            added.push(self.solver.add_constraint(rate, Cmp::Le, c as f64));
-            self.solver.model_mut().group("restore_count");
-            added.push(self.solver.add_constraint(count, Cmp::Le, f64::from(n)));
-            self.solver.model_mut().end_group();
+            let solver = &mut self.solver;
+            let (rate_row, count_row) = *self.cap_rows[slot].get_or_insert_with(|| {
+                solver.model_mut().group("restore_rate");
+                let rate_row = solver.add_constraint(LinExpr::zero(), Cmp::Le, 0.0);
+                solver.model_mut().group("restore_count");
+                let count_row = solver.add_constraint(LinExpr::zero(), Cmp::Le, 0.0);
+                solver.model_mut().end_group();
+                (rate_row, count_row)
+            });
+            solver.rewrite_row(rate_row, rate, c as f64);
+            solver.rewrite_row(count_row, count, f64::from(n));
+            caps.extend([rate_row, count_row]);
         }
 
         // (4) maximize restored capacity, re-solve warm. The vanishing
@@ -604,16 +624,17 @@ impl PlanModel {
         let (rsol, stats) = self.solver.solve(opts);
 
         // Revert the mutation: the standing model is a planning model
-        // again (the appended caps stay allocated but inactive, keeping
-        // every RowId stable). Generated restoration-only columns go
-        // back to their pinned-zero rest state so the planning optimum
-        // is untouched by column generation.
+        // again (the cap pairs stay allocated but inactive until their
+        // link fails again, keeping every RowId stable). Generated
+        // restoration-only columns go back to their pinned-zero rest
+        // state so the planning optimum is untouched by column
+        // generation.
         for (i, g) in self.space.gammas().iter().enumerate() {
             let upper = if i < self.restore_only_from { 1.0 } else { 0.0 };
             self.solver.set_var_bounds(g.var, 0.0, upper);
         }
         self.solver.activate_rows(&banned_rows);
-        self.solver.deactivate_rows(&added);
+        self.solver.deactivate_rows(&caps);
         self.solver
             .set_objective(Sense::Minimize, self.objective.clone());
 
@@ -911,6 +932,11 @@ mod tests {
         assert_eq!(r.restored_gbps, f.restored_gbps);
         assert_eq!(r.affected_gbps, f.affected_gbps);
 
+        // Back to back, with no planning solve in between: the generated
+        // columns are past the end of the stored planning solution.
+        let r1 = pm.restore_after_cut(&g, &cut, &[], &opts()).unwrap();
+        assert_eq!((r1.added_columns, &r1.wavelengths), (0, &r.wavelengths));
+
         // Column generation must not disturb the standing planning
         // optimum: re-solving reproduces the original plan bit-for-bit.
         let again = pm.solve(&opts()).unwrap();
@@ -923,6 +949,73 @@ mod tests {
         assert_eq!(r2.added_columns, 0);
         assert_eq!(r2.restored_gbps, r.restored_gbps);
         assert_eq!(r2.wavelengths, r.wavelengths);
+    }
+
+    /// Constraints (7)/(8) exist once per failed link, not once per
+    /// failure ever seen: a standing model that restores scenario after
+    /// scenario keeps the size its first pass gave it, and what it
+    /// answers on the tenth pass is what a fresh model answers.
+    #[test]
+    fn repeated_restoration_borrows_its_cap_rows() {
+        // The churn drill backbone: two IP links, three routes each.
+        let mut g = Graph::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| g.add_node(n));
+        g.add_edge(a, b, 400);
+        g.add_edge(b, c, 400);
+        g.add_edge(a, c, 900);
+        g.add_edge(c, d, 400);
+        g.add_edge(a, d, 900);
+        let mut ip = IpTopology::new();
+        ip.add_link(a, c, 300);
+        ip.add_link(a, d, 200);
+        let scenarios: Vec<FailureScenario> = (0..5)
+            .map(|f| vec![EdgeId(f)])
+            .chain([[0, 1], [0, 2], [2, 4]].map(|p| p.map(EdgeId).to_vec()))
+            .enumerate()
+            .map(|(id, cuts)| FailureScenario {
+                id,
+                cuts,
+                probability: 1.0,
+            })
+            .collect();
+
+        let standing = || {
+            let mut pm = PlanModel::build_restorable(Scheme::FlexWan, &g, &ip, &cfg(8));
+            pm.solve(&opts()).unwrap();
+            pm
+        };
+        let mut pm = standing();
+        let mut rows_after_pass = Vec::new();
+        let mut last = Vec::new();
+        for _pass in 0..10 {
+            last = scenarios
+                .iter()
+                .map(|s| pm.restore_after_cut(&g, s, &[], &opts()).unwrap())
+                .collect();
+            rows_after_pass.push(pm.model().num_constraints());
+        }
+        assert_eq!(
+            rows_after_pass[0], rows_after_pass[9],
+            "{rows_after_pass:?}"
+        );
+        let mut cap_rows = 0;
+        for group in ["restore_rate", "restore_count"] {
+            let id = pm.model().find_group(group).unwrap();
+            let rows = pm.model().group_rows(id).len();
+            assert!(rows <= ip.num_links(), "{group}: {rows} rows");
+            cap_rows += rows;
+        }
+        assert_eq!(
+            pm.model().num_active_constraints(),
+            rows_after_pass[9] - cap_rows,
+            "between mutations only the cap rows rest inactive"
+        );
+        assert!(last.iter().any(|r| r.affected_gbps > 0));
+        for (s, tenth) in scenarios.iter().zip(&last) {
+            let fresh = standing().restore_after_cut(&g, s, &[], &opts()).unwrap();
+            assert_eq!(tenth.wavelengths, fresh.wavelengths, "cuts {:?}", s.cuts);
+            assert_eq!(tenth.objective.to_bits(), fresh.objective.to_bits());
+        }
     }
 
     #[test]

@@ -342,8 +342,9 @@ pub struct ChurnService<'a> {
     next_seq: u64,
     tick: u64,
     start_level: u8,
+    /// γ columns of the standing model as built; anything past this was
+    /// generated on demand by a restoration.
     base_columns: usize,
-    generated_columns: usize,
     scenario_counter: usize,
     journal: Vec<TickRecord>,
     stats: ServiceStats,
@@ -386,7 +387,6 @@ impl<'a> ChurnService<'a> {
             tick: 0,
             start_level: LADDER_WARM,
             base_columns,
-            generated_columns: 0,
             scenario_counter: 0,
             journal: Vec::new(),
             stats: ServiceStats::default(),
@@ -725,6 +725,15 @@ impl<'a> ChurnService<'a> {
                 .inc();
             reg.gauge("churn_ladder_level")
                 .set(f64::from(demand_level.max(restore_level)));
+            // What a warm tick costs is the size of the standing model:
+            // rows ever allocated, rows live, columns.
+            let model = self.model.model();
+            reg.gauge("churn_model_rows")
+                .set(model.num_constraints() as f64);
+            reg.gauge("churn_model_active_rows")
+                .set(model.num_active_constraints() as f64);
+            reg.gauge("churn_model_columns")
+                .set(model.num_vars() as f64);
             if deadline_blown {
                 reg.counter("churn_deadline_blown_total").inc();
             }
@@ -768,9 +777,11 @@ impl<'a> ChurnService<'a> {
     }
 
     /// Whether generated columns bloated the model past the compaction
-    /// threshold.
+    /// threshold. The count is read off the model, so columns added by a
+    /// mutation whose solve then failed are in it.
     fn should_rebuild(&self) -> bool {
-        self.generated_columns as f64 > self.svc.rebuild_column_factor * self.base_columns as f64
+        let generated = self.model.space().gammas().len() - self.base_columns;
+        generated as f64 > self.svc.rebuild_column_factor * self.base_columns as f64
     }
 
     /// Rebuilds the standing model from scratch over the current
@@ -778,7 +789,6 @@ impl<'a> ChurnService<'a> {
     fn rebuild(&mut self) {
         self.model = PlanModel::build_restorable(self.scheme, self.optical, &self.ip, &self.cfg);
         self.base_columns = self.model.space().gammas().len();
-        self.generated_columns = 0;
         self.demand_dirty = true;
     }
 
@@ -798,7 +808,6 @@ impl<'a> ChurnService<'a> {
         let r = self
             .model
             .restore_after_cut(self.optical, scenario, &[], &self.svc.solve)?;
-        self.generated_columns += r.added_columns;
         if let Some(obs) = &self.obs {
             record_solver_stats(obs.registry(), &r.stats);
         }
@@ -1095,6 +1104,108 @@ mod tests {
             "heuristic rung still revives capacity"
         );
         assert_eq!(svc.stats().level_ticks[LADDER_HEURISTIC as usize], 1);
+    }
+
+    /// A 5-node ring whose a–b link has a 2-hop and a 3-hop detour; with
+    /// `k_paths = 1` the standing space holds the primary and a–e–b only,
+    /// so cutting both at once generates the a–d–c–b columns on demand.
+    fn ring5() -> (Graph, IpTopology, PlannerConfig) {
+        let mut g = Graph::new();
+        let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| g.add_node(n));
+        g.add_edge(a, b, 300); // 0: primary
+        g.add_edge(a, e, 300); // 1
+        g.add_edge(e, b, 300); // 2
+        g.add_edge(a, d, 300); // 3
+        g.add_edge(d, c, 300); // 4
+        g.add_edge(c, b, 300); // 5
+        let mut ip = IpTopology::new();
+        ip.add_link(a, b, 300);
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(16),
+            k_paths: 1,
+            ..Default::default()
+        };
+        (g, ip, cfg)
+    }
+
+    #[test]
+    fn columns_of_a_failed_restoration_still_count_towards_rebuild() {
+        let (g, ip, cfg) = ring5();
+        let svc_cfg = ServiceConfig {
+            rebuild_column_factor: 0.0,
+            ..ServiceConfig::default()
+        };
+        let mut svc = ChurnService::new(&g, &ip, Scheme::FlexWan, cfg, svc_cfg).unwrap();
+        assert!(!svc.should_rebuild());
+        // Wedge the MIP: the mutation generates the detour's columns,
+        // then its solve finds no incumbent.
+        svc.svc.solve.max_nodes = 0;
+        let columns = svc.model.space().gammas().len();
+        let mut log = EventLog::new();
+        let ev = log.append(ChurnEvent::SimultaneousCuts(vec![EdgeId(0), EdgeId(1)]));
+        let rep = svc.deliver(&log, &[ev]);
+        assert_eq!(rep.restore_level, LADDER_HEURISTIC);
+        assert_eq!(rep.added_columns, 0, "a failed solve reports no columns");
+        assert!(svc.model.space().gammas().len() > columns);
+        assert!(svc.should_rebuild(), "the columns are in the model");
+    }
+
+    #[test]
+    fn generated_columns_past_the_factor_trip_a_rebuild() {
+        let (g, ip, cfg) = ring5();
+        let svc_cfg = ServiceConfig {
+            rebuild_column_factor: 0.0,
+            ..ServiceConfig::default()
+        };
+        let mut live =
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg.clone(), svc_cfg.clone()).unwrap();
+        let mut log = EventLog::new();
+        let cuts = log.append(ChurnEvent::SimultaneousCuts(vec![EdgeId(0), EdgeId(1)]));
+        let resize = log.append(ChurnEvent::DemandDelta {
+            link: IpLinkId(0),
+            demand_gbps: 500,
+        });
+        let rep = live.deliver(&log, std::slice::from_ref(&cuts));
+        assert!(rep.added_columns > 0 && !rep.rebuilt);
+        let rep = live.deliver(&log, std::slice::from_ref(&resize));
+        assert!(rep.rebuilt);
+        assert!(rep.added_columns > 0, "the fresh model regenerates them");
+        assert_eq!(live.stats().rebuilds, 1);
+        let journaled: Vec<bool> = live.journal().iter().map(|r| r.rebuilt).collect();
+        assert_eq!(journaled, [false, true]);
+
+        let replayed = ChurnService::replay(
+            &g,
+            &ip,
+            Scheme::FlexWan,
+            cfg.clone(),
+            svc_cfg,
+            &log,
+            live.journal(),
+        )
+        .unwrap();
+        assert_eq!(
+            replayed.state().canonical_json(),
+            live.state().canonical_json()
+        );
+
+        // A service stood up at the resized demand and fed the same log
+        // (the resize is then a no-op) never rebuilds and ends in the
+        // same state, tick for tick.
+        let mut ip_resized = ip.clone();
+        ip_resized.set_demand(IpLinkId(0), 500);
+        let mut fresh = ChurnService::new(
+            &g,
+            &ip_resized,
+            Scheme::FlexWan,
+            cfg,
+            ServiceConfig::default(),
+        )
+        .unwrap();
+        fresh.deliver(&log, &[cuts]);
+        fresh.deliver(&log, &[resize]);
+        assert_eq!(fresh.stats().rebuilds, 0);
+        assert_eq!(fresh.state(), live.state());
     }
 
     #[test]

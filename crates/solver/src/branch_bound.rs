@@ -16,24 +16,23 @@
 //!    `DIVE_CAP` consecutive branchings inside one `Ctx` — the
 //!    current factorization is reused verbatim (no basis copy at all) —
 //!    emitting the unexplored sibling of each dive step back to the heap.
-//! 3. **Deterministic parallelism.** Open nodes are popped in batches of
-//!    `BATCH` and processed on the `flexwan-util` worker pool. Each
-//!    node is evaluated against the *same* incumbent snapshot and
-//!    results are applied in pop order, so the search — and therefore
-//!    the reported solution — is identical for any thread count,
-//!    including 1.
+//! 3. **Rounds.** Open nodes are popped in rounds of `BATCH` and every
+//!    node of a round is evaluated against the *same* incumbent
+//!    snapshot, in pop order, on one `Ctx` that lives for the whole
+//!    solve. The rounds are what is left of a batch-parallel fan-out
+//!    that lost to its own spawn cost (DESIGN.md §3.4); the snapshot stays
+//!    because applying an incumbent inside a round prunes differently
+//!    and would move every pinned node count and tie-broken optimum.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use flexwan_util::pool;
-
 use crate::model::{Model, Sense, Solution, SolveOptions, SolverStats, Status, VarKind};
 use crate::simplex::{relax, solve_lp_collecting, BasisState, Ctx, Instance, LpOutcome};
 
-/// Nodes popped (and processed) per coordination round. Fixed regardless
-/// of thread count so the search tree does not depend on parallelism.
+/// Nodes popped (and processed) per round against one incumbent
+/// snapshot.
 const BATCH: usize = 8;
 /// Maximum consecutive in-`Ctx` branchings before a node returns its
 /// remaining frontier to the shared heap.
@@ -83,7 +82,7 @@ impl Ord for Prioritized {
     }
 }
 
-/// Everything a worker needs to evaluate a node, shared read-only.
+/// Everything needed to evaluate a node, read-only.
 struct Shared {
     inst: Arc<Instance>,
     int_vars: Vec<usize>,
@@ -140,8 +139,8 @@ fn merge_bounds(inst: &Instance, deltas: &[(usize, f64, f64)]) -> Option<Vec<(us
 /// Evaluates one popped node: solve its relaxation (warm from the parent
 /// basis when available), then dive best-guess-first up to [`DIVE_CAP`]
 /// branchings, emitting every unexplored sibling. Pure in
-/// `(node, incumbent snapshot)` — the `Ctx` is fully reset — which is
-/// what makes batch-parallel execution deterministic.
+/// `(node, incumbent snapshot)`: the `Ctx` is fully reset, so nothing
+/// carries over from the node it solved before.
 fn process_node(ctx: &mut Ctx, sh: &Shared, node: &Node, snapshot: Option<f64>) -> NodeResult {
     let mut res = NodeResult::default();
     ctx.stats = SolverStats::default();
@@ -180,13 +179,13 @@ fn process_node(ctx: &mut Ctx, sh: &Shared, node: &Node, snapshot: Option<f64>) 
             }
             LpOutcome::Optimal => {}
         }
-        let obj = ctx.objective();
+        let values = ctx.structural_values();
+        let obj = sh.inst.model_objective(&values);
         if let Some(b) = local_best {
             if !sh.better(obj, b) {
                 break;
             }
         }
-        let values = ctx.structural_values();
         // Most fractional integer variable (ties resolved identically to
         // the historical dense solver: the last maximum wins).
         let frac = sh
@@ -314,14 +313,6 @@ pub(crate) fn solve_mip_with_root(
         int_tol: opts.int_tol,
         minimize,
     };
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(4)
-    } else {
-        opts.threads
-    };
-
     let root = Node {
         bound: if minimize {
             f64::NEG_INFINITY
@@ -345,13 +336,14 @@ pub(crate) fn solve_mip_with_root(
         node: root,
     });
 
+    let mut ctx = Ctx::new(Arc::clone(&sh.inst));
     let mut incumbent: Option<Solution> = None;
     let mut nodes = 0u64;
     let mut limited = false;
     let mut errored = false;
 
     'search: while !heap.is_empty() {
-        // Pop a deterministic batch, pruning against the incumbent.
+        // Pop a round, pruning against the incumbent.
         let mut batch: Vec<Node> = Vec::with_capacity(BATCH);
         while batch.len() < BATCH {
             let Some(Prioritized { node, .. }) = heap.pop() else {
@@ -374,18 +366,8 @@ pub(crate) fn solve_mip_with_root(
         }
         let snapshot = incumbent.as_ref().map(|s| s.objective);
 
-        // One `Ctx` per worker, reused across the nodes it claims;
-        // `process_node` resets it fully, so which worker solved a node
-        // never shows in the result.
-        let (results, _) = pool::par_map_init(
-            &batch,
-            threads,
-            || Ctx::new(Arc::clone(&sh.inst)),
-            |ctx, _, node| process_node(ctx, &sh, node, snapshot),
-        );
-
-        // Apply results in pop order — identical to the sequential search.
-        for res in results {
+        for node in &batch {
+            let res = process_node(&mut ctx, &sh, node, snapshot);
             nodes += res.extra_nodes;
             stats.merge(&res.stats);
             if res.root_unbounded {
@@ -575,7 +557,7 @@ mod tests {
         assert_eq!(s.int_value(n4), 2);
     }
 
-    // --- warm starts + parallel determinism ---
+    // --- warm starts ---
 
     fn awkward_knapsack() -> Model {
         let mut m = Model::new();
@@ -587,25 +569,6 @@ mod tests {
         let ve = crate::expr::LinExpr::sum(xs.iter().zip(&v).map(|(&x, &vi)| vi * x));
         m.set_objective(Sense::Maximize, ve);
         m
-    }
-
-    #[test]
-    fn parallel_search_is_deterministic() {
-        let m = awkward_knapsack();
-        let one = m.solve_with(&SolveOptions {
-            threads: 1,
-            ..Default::default()
-        });
-        let four = m.solve_with(&SolveOptions {
-            threads: 4,
-            ..Default::default()
-        });
-        assert_eq!(one.status, Status::Optimal);
-        assert_eq!(four.status, Status::Optimal);
-        // Bit-identical, not merely within tolerance: the searches must
-        // have taken the same path.
-        assert_eq!(one.objective.to_bits(), four.objective.to_bits());
-        assert_eq!(one.values, four.values);
     }
 
     #[test]

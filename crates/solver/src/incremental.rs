@@ -5,6 +5,7 @@
 //! may be mutated through the row-stable primitives —
 //! [`add_constraint`](IncrementalSolver::add_constraint),
 //! [`deactivate_row`](IncrementalSolver::deactivate_row),
+//! [`rewrite_row`](IncrementalSolver::rewrite_row),
 //! [`change_rhs`](IncrementalSolver::change_rhs),
 //! [`set_var_bounds`](IncrementalSolver::set_var_bounds),
 //! [`set_objective`](IncrementalSolver::set_objective) — and the next
@@ -15,7 +16,10 @@
 //! The simplex standard form has one logical and one artificial pair per
 //! row, laid out `[0,n)` structural / `[n,n+m)` logical / `[n+m,n+3m)`
 //! artificial. Deactivating a row rebuilds it as the empty row `0 = 0`
-//! (its logical column sits happily at 0), changing an rhs or a bound
+//! (its logical column sits happily at 0), re-arming or rewriting such
+//! a row only adds entries to a row whose pivot is its own logical
+//! column — expand the determinant along that unit column and the rest
+//! of the basis matrix is untouched — changing an rhs or a bound
 //! only moves data the dual simplex is designed to chase, and appended
 //! rows get their own logical columns as basic variables
 //! (`BasisState::extended`) — an identity sub-basis that keeps the
@@ -42,7 +46,7 @@ use crate::expr::{LinExpr, Var};
 use crate::model::{
     Cmp, Model, RowId, Sense, Solution, SolveOptions, SolverStats, Status, VarKind,
 };
-use crate::simplex::{relax, BasisState, Ctx, Instance, LpOutcome};
+use crate::simplex::{BasisState, Ctx, Instance, LpOutcome};
 
 /// A model plus the basis of its last solve, re-solved warm after
 /// mutations. See the module docs for the validity argument.
@@ -115,6 +119,19 @@ impl IncrementalSolver {
     /// Re-arms a deactivated row (see [`Model::activate_row`]).
     pub fn activate_row(&mut self, row: RowId) {
         self.model.activate_row(row);
+    }
+
+    /// Rewrites a row's left-hand side and rhs in place and re-arms it
+    /// (see [`Model::rewrite_row`]): the way to reuse one slot for a
+    /// constraint that comes and goes with different coefficients, so
+    /// the standing model's row count — and with it every factorization
+    /// — stays the size of what is live. Rewriting a *deactivated* row
+    /// keeps the stored basis nonsingular by the same argument as
+    /// [`activate_row`](Self::activate_row) (module docs); rewriting a
+    /// live one is row data the warm start may or may not survive, and
+    /// degrades cold when it does not.
+    pub fn rewrite_row(&mut self, row: RowId, expr: impl Into<LinExpr>, rhs: f64) {
+        self.model.rewrite_row(row, expr, rhs);
     }
 
     /// Deactivates a batch of rows in one pass — the multi-row ban a
@@ -263,8 +280,7 @@ impl IncrementalSolver {
             stats.time_total = started.elapsed();
             return (sol, None, stats);
         }
-        let relaxed = relax(&self.model);
-        let inst = Arc::new(Instance::build(&relaxed));
+        let inst = Arc::new(Instance::build(&self.model));
         let mut ctx = Ctx::new(inst);
         let outcome = match self.prepared_basis() {
             Some(bs) => ctx.solve_warm(Some(&bs)),
@@ -308,7 +324,7 @@ impl IncrementalSolver {
             // Harvest a root-relaxation basis for future warm re-solves;
             // bookkeeping only, so its pivots stay out of the reported
             // stats and the solution above is untouched.
-            let inst = Arc::new(Instance::build(&relax(&self.model)));
+            let inst = Arc::new(Instance::build(&self.model));
             let mut ctx = Ctx::new(inst);
             self.basis = (ctx.solve_cold() == LpOutcome::Optimal).then(|| ctx.basis_state());
             return sol;
@@ -316,8 +332,7 @@ impl IncrementalSolver {
         // Refresh the root-relaxation basis first: it both proves the
         // relaxation is still optimizable from the stored basis and gives
         // branch & bound a root basis matching the *current* model.
-        let relaxed = relax(&self.model);
-        let inst = Arc::new(Instance::build(&relaxed));
+        let inst = Arc::new(Instance::build(&self.model));
         let mut ctx = Ctx::new(inst);
         let outcome = ctx.solve_warm(Some(&prepared));
         stats.merge(&ctx.stats);
@@ -425,6 +440,41 @@ mod tests {
         let mut orig = scratch;
         orig.activate_row(r1);
         assert_same_solution(&rearmed, &orig.solve());
+    }
+
+    #[test]
+    fn rewritten_row_matches_scratch_lp_warm_and_cold() {
+        // Borrow r1's slot for a different constraint. While it is
+        // deactivated its logical column is basic, so rewriting it
+        // leaves the stored basis nonsingular and the re-solve warm.
+        let (m, _, r1) = lp();
+        let (x, y) = (Var(0), Var(1));
+        let mut scratch = Model::new();
+        let sx = scratch.nonneg("x");
+        let sy = scratch.nonneg("y");
+        scratch.le(sx + sy, 4.0);
+        scratch.le(2.0 * sx + sy, 6.0);
+        scratch.set_objective(Sense::Maximize, 3.0 * sx + 2.0 * sy);
+        let expected = scratch.solve();
+        assert!((expected.objective - 10.0).abs() < 1e-9);
+
+        let mut inc = IncrementalSolver::new(m.clone());
+        inc.solve(&SolveOptions::default());
+        inc.deactivate_row(r1);
+        inc.solve(&SolveOptions::default());
+        inc.rewrite_row(r1, 2.0 * x + y, 6.0);
+        assert!(inc.model().row(r1).active, "rewriting re-arms the row");
+        assert_eq!(inc.model().num_constraints(), 2, "no row was appended");
+        let (warm, s) = inc.solve(&SolveOptions::default());
+        assert!(s.warm_solves > 0 && s.cold_solves == 0, "{s:?}");
+        assert_same_solution(&warm, &expected);
+
+        // Rewriting a live row, with no basis to start from.
+        let mut cold = IncrementalSolver::new(m);
+        cold.rewrite_row(r1, 2.0 * x + y, 6.0);
+        let (sol, s) = cold.solve(&SolveOptions::default());
+        assert!(s.cold_solves == 1 && s.warm_solves == 0, "{s:?}");
+        assert_same_solution(&sol, &expected);
     }
 
     #[test]

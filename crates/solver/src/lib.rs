@@ -13,11 +13,12 @@
 //!   basis updates, bounded variables, dual-simplex warm starts), with a
 //!   Dantzig→Bland pricing switch for guaranteed termination;
 //! * [`branch_bound`] — best-first branch & bound for MIPs on top of the
-//!   LP relaxation, with basis-inheriting warm starts, diving, and
-//!   deterministic batch-parallel node evaluation;
+//!   LP relaxation, with basis-inheriting warm starts and diving, on
+//!   the calling thread;
 //! * [`incremental`] — an [`IncrementalSolver`]
 //!   that re-solves a mutated model (rhs changes, row de/activation,
-//!   appended rows) warm from the previous basis instead of cold;
+//!   rewritten and appended rows) warm from the previous basis instead
+//!   of cold;
 //! * [`cuts`] — knapsack cover cuts separated at the branch & bound root
 //!   (cut-and-branch);
 //! * [`observe`] — bridge mirroring [`SolverStats`]

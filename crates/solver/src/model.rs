@@ -269,12 +269,11 @@ pub struct SolveOptions {
     pub int_tol: f64,
     /// Maximum branch & bound nodes explored.
     pub max_nodes: usize,
-    /// Worker threads for parallel branch & bound node exploration.
-    /// `0` picks a small default from the machine's parallelism. The
-    /// search is deterministic: any thread count returns the identical
-    /// solution (nodes are dispatched in fixed-size batches popped in a
-    /// deterministic best-bound order and their results applied in that
-    /// same order).
+    /// Ignored: branch & bound runs on the calling thread (the batch
+    /// fan-out it once selected lost to its own spawn cost, DESIGN.md
+    /// §3.4). The field survives only because `benchmark/` names it in two
+    /// literals; it goes when that package stops.
+    #[doc(hidden)]
     pub threads: usize,
 }
 
@@ -413,13 +412,7 @@ impl Model {
     /// The row is tagged into the current [group](Model::group), if one is
     /// open.
     pub fn add_constraint(&mut self, expr: LinExpr, cmp: Cmp, rhs: f64) -> RowId {
-        let e = expr.simplified();
-        for (v, _) in &e.terms {
-            assert!(
-                v.0 < self.vars.len(),
-                "constraint references unknown variable"
-            );
-        }
+        let e = self.row_expr(expr);
         let row = RowId(self.constraints.len());
         let group = self.current_group;
         if let Some(g) = group {
@@ -433,6 +426,19 @@ impl Model {
             active: true,
         });
         row
+    }
+
+    /// A left-hand side in stored form; panics on a variable the model
+    /// does not have.
+    fn row_expr(&self, expr: LinExpr) -> LinExpr {
+        let e = expr.simplified();
+        for (v, _) in &e.terms {
+            assert!(
+                v.0 < self.vars.len(),
+                "constraint references unknown variable"
+            );
+        }
+        e
     }
 
     /// Adds `expr ≤ rhs`.
@@ -524,6 +530,23 @@ impl Model {
         let expr = &mut self.constraints[row.0].expr;
         expr.add_term(v, coeff);
         *expr = expr.simplified();
+    }
+
+    /// Replaces a row's left-hand side and right-hand side in place and
+    /// re-arms it — the third row-stable mutation next to
+    /// [`change_rhs`](Model::change_rhs) and
+    /// [`deactivate_row`](Model::deactivate_row): a caller that needs "a
+    /// row like this one" again and again (the §8 restoration caps, one
+    /// pair per failed link per failure) borrows one slot instead of
+    /// appending a row per use. The row keeps its handle, index,
+    /// comparison, group tag and dual position. Non-finite data fails
+    /// closed at solve time like [`add_constraint`](Model::add_constraint)'s.
+    pub fn rewrite_row(&mut self, row: RowId, expr: impl Into<LinExpr>, rhs: f64) {
+        let e = self.row_expr(expr.into());
+        let c = &mut self.constraints[row.0];
+        c.expr = e;
+        c.rhs = rhs;
+        c.active = true;
     }
 
     /// Removes a row from the feasible-set definition without removing

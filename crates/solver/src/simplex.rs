@@ -232,6 +232,8 @@ pub(crate) struct Instance {
 }
 
 impl Instance {
+    /// Variable kinds are never read: any model builds as its own LP
+    /// relaxation.
     pub(crate) fn build(model: &Model) -> Instance {
         let n = model.vars.len();
         let m = model.constraints.len();
@@ -492,7 +494,7 @@ enum PrimalOutcome {
 /// Mutable solver state over a shared [`Instance`]: working bounds,
 /// basis, factorization, and counters. Reusable across B&B nodes — each
 /// [`Ctx::solve_cold`] / [`Ctx::solve_warm`] fully resets what it needs,
-/// so a worker thread can keep one `Ctx` hot for its whole lifetime.
+/// so branch & bound keeps one `Ctx` hot for a whole solve.
 pub(crate) struct Ctx {
     inst: Arc<Instance>,
     lo: Vec<f64>,
@@ -1141,6 +1143,7 @@ impl Ctx {
     }
 
     /// Objective of the current point, in the model's own sense.
+    #[cfg(test)]
     pub(crate) fn objective(&self) -> f64 {
         let x = self.structural_values();
         self.inst.model_objective(&x)

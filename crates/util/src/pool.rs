@@ -2,10 +2,9 @@
 //!
 //! The evaluation sweeps (schemes × scales × failure scenarios) are
 //! embarrassingly parallel, but the repo's contract — byte-identical
-//! output for any thread count, the same discipline as the solver's
-//! batch-parallel branch & bound — rules out naive work stealing with
-//! order-dependent reduction. [`par_map`], [`par_map_indexed`] and
-//! [`par_map_init`] give the safe shape:
+//! output for any thread count — rules out naive work stealing with
+//! order-dependent reduction. [`par_map`] and [`par_map_indexed`] give
+//! the safe shape:
 //!
 //! * work items are split into **fixed contiguous chunks** that workers
 //!   claim by index from one atomic counter;
@@ -78,26 +77,6 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_init(items, threads, || (), |(), i, item| f(i, item))
-}
-
-/// [`par_map_indexed`] with per-worker scratch state: every worker
-/// thread calls `init` once and hands the value to each of its `f`
-/// calls (the serial path makes one state for all items). `f` must
-/// return the same result whatever the state has been used for before,
-/// or the output stops being invariant to `threads`.
-pub fn par_map_init<T, S, R, I, F>(
-    items: &[T],
-    threads: usize,
-    init: I,
-    f: F,
-) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     let threads = if threads == 0 {
         default_threads()
     } else {
@@ -105,11 +84,10 @@ where
     };
     let workers = threads.min(items.len());
     if workers <= 1 {
-        let mut state = init();
         let out: Vec<R> = items
             .iter()
             .enumerate()
-            .map(|(i, item)| f(&mut state, i, item))
+            .map(|(i, item)| f(i, item))
             .collect();
         let stats = PoolStats {
             threads: 1,
@@ -135,7 +113,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = init();
                     let mut mapped = Vec::new();
                     loop {
                         let start = next.fetch_add(1, Ordering::Relaxed) * chunk;
@@ -144,7 +121,7 @@ where
                         }
                         let end = (start + chunk).min(items.len());
                         for (i, item) in (start..end).zip(&items[start..end]) {
-                            mapped.push((i, f(&mut state, i, item)));
+                            mapped.push((i, f(i, item)));
                         }
                     }
                 })
@@ -226,28 +203,6 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         assert_eq!(par_map(&items, 0, |&x| x + 1), (1..=10).collect::<Vec<_>>());
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn worker_state_is_made_once_per_worker_not_per_item() {
-        let items: Vec<u64> = (0..100).collect();
-        for threads in [1usize, 4] {
-            let inits = AtomicU64::new(0);
-            let (out, stats) = par_map_init(
-                &items,
-                threads,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::new()
-                },
-                |seen: &mut Vec<u64>, _, &x| {
-                    seen.push(x);
-                    x + 1
-                },
-            );
-            assert_eq!(out, (1..=100).collect::<Vec<_>>(), "threads={threads}");
-            assert_eq!(inits.load(Ordering::Relaxed), stats.threads as u64);
-        }
     }
 
     #[test]

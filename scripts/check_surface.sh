@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
-# Surface check for the heuristic planning API: one entry point
-# (`PlanCtx`), no sibling functions per route source.
+# Surface check: what survives only because `benchmark/` names it stays
+# unused everywhere else, and the heuristic planning API keeps one entry
+# point (`PlanCtx`), no sibling functions per route source.
 #
 # Fails if
 #   * crates/core/src defines any `fn <name>_(cached|banned|observed|with_routes)`
 #     other than the two `#[doc(hidden)]` forwards `plan_cached` and
 #     `restore_cached` that `benchmark/` still imports;
 #   * anything under crates/, src/, tests/ or examples/ calls
-#     `plan_cached(` / `restore_cached(`.
+#     `plan_cached(` / `restore_cached(`;
+#   * anything under those directories names `threads` in a
+#     `SolveOptions` literal or reads it off solve options — branch &
+#     bound ignores the field, which is `#[doc(hidden)]` in
+#     crates/solver/src/model.rs (the one file allowed to name it) until
+#     `benchmark/` drops its two literals.
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -38,6 +44,22 @@ callers=$(grep -rnE '\b(plan|restore)_cached\(' --include='*.rs' \
 if [ -n "$callers" ]; then
     echo "callers of the hidden forwards (use PlanCtx::sharing):"
     echo "$callers"
+    bad=1
+fi
+
+literals=$(grep -rlPz 'SolveOptions\s*\{[^}]*\bthreads\b' --include='*.rs' \
+    crates src tests examples | grep -vx 'crates/solver/src/model.rs' || true)
+if [ -n "$literals" ]; then
+    echo "SolveOptions literals naming the ignored \`threads\` field:"
+    echo "$literals"
+    bad=1
+fi
+
+reads=$(grep -rnE '\b(opts|options|solve)\.threads\b' --include='*.rs' \
+    crates src tests examples || true)
+if [ -n "$reads" ]; then
+    echo "reads of SolveOptions::threads (branch & bound ignores it):"
+    echo "$reads"
     bad=1
 fi
 

@@ -305,11 +305,17 @@ fn soak_bursts_replay_and_record_ladder_slos() {
 /// budget so nothing depends on the machine. A moved counter means
 /// event classification or the ladder changed; the failure prints the
 /// new tuple. Re-record only for a deliberate behaviour change.
+///
+/// The standing model the stream leaves behind is bounded by
+/// construction: restorations borrow one cap-row pair per IP link, so
+/// all that ever rests inactive is at most `2·links` rows.
 #[test]
 fn seeded_stream_work_counters_are_pinned() {
     let (g, ip, cfg) = backbone();
     let mut svc =
         ChurnService::new(&g, &ip, Scheme::FlexWan, cfg, ServiceConfig::default()).unwrap();
+    let obs = Obs::new();
+    svc.set_obs(obs.clone());
     let mut log = EventLog::new();
     let stamped: Vec<SeqEvent> = churn_stream(40, 7)
         .into_iter()
@@ -338,6 +344,53 @@ fn seeded_stream_work_counters_are_pinned() {
         (12, 41, 17, 0, [12, 0, 0], 2300),
         "(ticks, events applied, warm mutations, rebuilds, ticks per ladder level, Gbps restored)"
     );
+
+    let gauge = |name| obs.registry().gauge(name).get() as usize;
+    let (rows, active) = (gauge("churn_model_rows"), gauge("churn_model_active_rows"));
+    assert!(rows > active, "no restoration ever armed a cap row");
+    assert!(
+        rows <= active + 2 * ip.num_links(),
+        "{rows} rows standing, {active} of them active"
+    );
+}
+
+/// Growth is readable from one run: the service publishes the size of
+/// its standing model every tick, and past the first failures of a
+/// session the row count does not move.
+#[test]
+fn standing_model_rows_are_flat_once_every_link_has_failed() {
+    let (g, ip, mut cfg) = backbone();
+    cfg.grid = SpectrumGrid::new(8); // the benchmark's sizing: ~10× cheaper ticks
+    let mut svc =
+        ChurnService::new(&g, &ip, Scheme::FlexWan, cfg, ServiceConfig::default()).unwrap();
+    let obs = Obs::new();
+    svc.set_obs(obs.clone());
+    let mut log = EventLog::new();
+    let stamped: Vec<SeqEvent> = churn_stream(120, 7)
+        .into_iter()
+        .map(|e| log.append(e))
+        .collect();
+    let injector = faulty_transport(316);
+    let rows_now = || obs.registry().gauge("churn_model_rows").get();
+    let mut rows = Vec::new();
+    for batch in stamped.chunks(4) {
+        svc.deliver(&log, &injector.perturb_stream(batch));
+        rows.push(rows_now());
+    }
+    svc.flush(&log);
+    rows.push(rows_now());
+
+    let settled = &rows[rows.len() / 3..];
+    assert!(
+        settled.iter().all(|&r| r == settled[0]),
+        "churn_model_rows moved late in the session: {rows:?}"
+    );
+    let reg = obs.registry();
+    assert!(
+        reg.gauge("churn_model_active_rows").get() < settled[0],
+        "the stream never cut a lit fiber"
+    );
+    assert!(reg.gauge("churn_model_columns").get() > 0.0);
 }
 
 /// Simultaneous cuts must take the warm-mutation path of the standing
