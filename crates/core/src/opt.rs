@@ -80,10 +80,12 @@ pub struct WavelengthVarSpace {
 
 impl WavelengthVarSpace {
     /// Enumerates every admissible γ for `paths_per_slot` into `m`, in
-    /// slot-major order. For each slot's path `ki` and each reachable
-    /// format, aligned starts `q` walk the grid; `admit` filters starts
-    /// (planning admits everything; restoration pre-filters against the
-    /// residual spectrum — §8 constraint (9)). Variables are named
+    /// slot-major order: an empty space, then one
+    /// [`extend_slot`](Self::extend_slot) per slot. For each slot's path
+    /// `ki` and each reachable format, aligned starts `q` walk the grid;
+    /// `admit` filters starts (planning admits everything; restoration
+    /// pre-filters against the residual spectrum — §8 constraint (9)).
+    /// Variables are named
     /// `{prefix}{slot}_k{ki}_d{rate}_y{spacing_px}_q{q}`.
     pub fn enumerate(
         m: &mut Model,
@@ -94,67 +96,30 @@ impl WavelengthVarSpace {
         paths_per_slot: Vec<Vec<Path>>,
         mut admit: impl FnMut(&Path, &PixelRange) -> bool,
     ) -> WavelengthVarSpace {
-        let align = scheme.alignment_pixels();
-        let model_t = scheme.transponder();
         let mut space = WavelengthVarSpace {
             gammas: Vec::new(),
             by_slot: vec![Vec::new(); paths_per_slot.len()],
             by_fiber_pixel: vec![Vec::new(); num_fibers * pixels as usize],
             pixels,
-            paths_per_slot,
+            paths_per_slot: vec![Vec::new(); paths_per_slot.len()],
         };
-        for slot in 0..space.paths_per_slot.len() {
-            for ki in 0..space.paths_per_slot[slot].len() {
-                let path = &space.paths_per_slot[slot][ki];
-                for format in reachable_formats(model_t, path.length_km) {
-                    let w = u32::from(format.spacing.pixels());
-                    let mut q = 0u32;
-                    while q + w <= pixels {
-                        let range = PixelRange::new(q, format.spacing);
-                        if admit(path, &range) {
-                            let var = m.binary(format!(
-                                "{prefix}{slot}_k{ki}_d{}_y{}_q{q}",
-                                format.data_rate_gbps,
-                                format.spacing.pixels()
-                            ));
-                            let id = GammaId(space.gammas.len());
-                            space.by_slot[slot].push(id);
-                            for e in &path.edges {
-                                for px in q..q + w {
-                                    space.by_fiber_pixel
-                                        [e.0 as usize * pixels as usize + px as usize]
-                                        .push(id);
-                                }
-                            }
-                            space.gammas.push(GammaVar {
-                                slot,
-                                path_index: ki,
-                                format,
-                                start: q,
-                                var,
-                            });
-                        }
-                        q += align;
-                    }
-                }
-            }
+        for (slot, paths) in paths_per_slot.into_iter().enumerate() {
+            space.extend_slot(m, scheme, prefix, slot, paths, &mut admit);
         }
         space
     }
 
-    /// Appends extra candidate paths to `slot` after the initial
-    /// enumeration, enumerating their admissible γ columns into `m`
-    /// exactly as [`WavelengthVarSpace::enumerate`] would have (same
-    /// format walk, same aligned-start grid, same naming scheme, `ki`
-    /// continuing the slot's candidate numbering). Existing γ ids keep
-    /// their positions and every bucket grows strictly at its tail, so
-    /// the pinned enumeration-order contract over the original space is
-    /// untouched. Returns the new γ handles.
+    /// Appends candidate paths to `slot`, enumerating their admissible γ
+    /// columns into `m` (`ki` continuing the slot's candidate numbering)
+    /// — the one path × format × aligned-start walk of the space.
+    /// Existing γ ids keep their positions and every bucket grows
+    /// strictly at its tail, so the pinned enumeration-order contract
+    /// over the space so far is untouched. Returns the new γ handles.
     ///
-    /// This is the column-generation hook behind on-demand restoration
-    /// candidates: a simultaneous-cut scenario whose detours were not
-    /// pre-enumerated extends the standing space instead of rebuilding
-    /// it.
+    /// Beyond building the space, this is the column-generation hook
+    /// behind on-demand restoration candidates: a simultaneous-cut
+    /// scenario whose detours were not pre-enumerated extends the
+    /// standing space instead of rebuilding it.
     pub fn extend_slot(
         &mut self,
         m: &mut Model,
@@ -166,39 +131,23 @@ impl WavelengthVarSpace {
     ) -> Vec<GammaId> {
         let align = scheme.alignment_pixels();
         let model_t = scheme.transponder();
-        let pixels = self.pixels;
         let mut added = Vec::new();
         for path in new_paths {
             let ki = self.paths_per_slot[slot].len();
+            let length_km = path.length_km;
             self.paths_per_slot[slot].push(path);
-            let path = &self.paths_per_slot[slot][ki];
-            for format in reachable_formats(model_t, path.length_km) {
+            for format in reachable_formats(model_t, length_km) {
                 let w = u32::from(format.spacing.pixels());
                 let mut q = 0u32;
-                while q + w <= pixels {
+                while q + w <= self.pixels {
                     let range = PixelRange::new(q, format.spacing);
-                    if admit(path, &range) {
+                    if admit(&self.paths_per_slot[slot][ki], &range) {
                         let var = m.binary(format!(
                             "{prefix}{slot}_k{ki}_d{}_y{}_q{q}",
                             format.data_rate_gbps,
                             format.spacing.pixels()
                         ));
-                        let id = GammaId(self.gammas.len());
-                        self.by_slot[slot].push(id);
-                        for e in &path.edges {
-                            for px in q..q + w {
-                                self.by_fiber_pixel[e.0 as usize * pixels as usize + px as usize]
-                                    .push(id);
-                            }
-                        }
-                        self.gammas.push(GammaVar {
-                            slot,
-                            path_index: ki,
-                            format,
-                            start: q,
-                            var,
-                        });
-                        added.push(id);
+                        added.push(self.push_gamma_var(slot, ki, format, q, var));
                     }
                     q += align;
                 }
@@ -291,32 +240,13 @@ impl WavelengthVarSpace {
         out
     }
 
-    /// Appends one γ with an explicit `(slot, ki, format, start)` tuple —
-    /// the admission primitive of the column-generation masters. The
-    /// variable is named exactly as [`WavelengthVarSpace::enumerate`]
-    /// would name it, `ki` must reference an existing candidate path of
-    /// the slot, and every bucket grows at its tail (id order = admission
+    /// Appends one γ with an explicit `(slot, ki, format, start)` tuple
+    /// for a variable the caller already created — the admission
+    /// primitive of the column-generation masters, where the variable
+    /// must be born with its row entries in one [`IncrementalSolver`]
+    /// mutation. `ki` must reference an existing candidate path of the
+    /// slot, and every bucket grows at its tail (id order = admission
     /// order, the lazy space's enumeration-order contract).
-    pub fn push_gamma(
-        &mut self,
-        m: &mut Model,
-        prefix: &str,
-        slot: usize,
-        ki: usize,
-        format: TransponderFormat,
-        start: u32,
-    ) -> GammaId {
-        let var = m.binary(format!(
-            "{prefix}{slot}_k{ki}_d{}_y{}_q{start}",
-            format.data_rate_gbps,
-            format.spacing.pixels()
-        ));
-        self.push_gamma_var(slot, ki, format, start, var)
-    }
-
-    /// [`push_gamma`](Self::push_gamma) for a variable the caller already
-    /// created (an [`IncrementalSolver`] admission, where the variable
-    /// must be born with its row entries in the same mutation).
     ///
     /// [`IncrementalSolver`]: flexwan_solver::IncrementalSolver
     pub fn push_gamma_var(

@@ -151,11 +151,6 @@ impl Plan {
             .sum()
     }
 
-    /// The wavelengths provisioned for `link`.
-    pub fn wavelengths_of(&self, link: IpLinkId) -> impl Iterator<Item = &Wavelength> {
-        self.wavelengths.iter().filter(move |w| w.link == link)
-    }
-
     /// Total unmet demand, Gbps.
     pub fn unmet_gbps(&self) -> u64 {
         self.unmet.iter().map(|&(_, g)| g).sum()

@@ -43,6 +43,7 @@ use flexwan_topo::path::Path;
 
 use crate::opt::{GammaId, WavelengthVarSpace};
 use crate::planning::heuristic::PlannerConfig;
+use crate::restore::heuristic::check_extra_spares;
 use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
@@ -308,21 +309,34 @@ impl PlanModel {
         optical: &Graph,
         scenario: &FailureScenario,
     ) -> usize {
-        let slots: Vec<usize> = (0..self.link_ids.len()).collect();
-        self.ensure_columns_for(optical, &scenario.banned(), &slots)
+        let slots = 0..self.link_ids.len();
+        let wanted = self.restoration_paths(optical, &scenario.banned(), slots);
+        self.ensure_columns_for(&wanted)
     }
 
-    fn ensure_columns_for(
-        &mut self,
+    /// The §8 restoration path set `P'_{e,k}` of each slot: its K
+    /// shortest paths avoiding `banned`.
+    fn restoration_paths(
+        &self,
         optical: &Graph,
         banned: &std::collections::HashSet<EdgeId>,
-        slots: &[usize],
-    ) -> usize {
+        slots: impl Iterator<Item = usize>,
+    ) -> Vec<(usize, Vec<Path>)> {
+        slots
+            .map(|slot| {
+                let (src, dst) = self.link_ends[slot];
+                let paths = k_shortest_paths(optical, src, dst, self.k_paths, banned);
+                (slot, paths)
+            })
+            .collect()
+    }
+
+    /// Adds a γ column family for every wanted path its slot's standing
+    /// space lacks; returns the number of columns added.
+    fn ensure_columns_for(&mut self, wanted: &[(usize, Vec<Path>)]) -> usize {
         let mut total = 0usize;
         let mut new_cells: Vec<(EdgeId, u32)> = Vec::new();
-        for &slot in slots {
-            let (src, dst) = self.link_ends[slot];
-            let want = k_shortest_paths(optical, src, dst, self.k_paths, banned);
+        for &(slot, ref want) in wanted {
             let have: std::collections::HashSet<Vec<EdgeId>> = self
                 .space
                 .paths(slot)
@@ -330,8 +344,9 @@ impl PlanModel {
                 .map(|p| p.edges.clone())
                 .collect();
             let missing: Vec<Path> = want
-                .into_iter()
+                .iter()
                 .filter(|p| !have.contains(&p.edges))
+                .cloned()
                 .collect();
             if missing.is_empty() {
                 continue;
@@ -459,6 +474,9 @@ impl PlanModel {
     /// `optical` must be the graph the model was built on. The mutation
     /// is fully reverted before returning, leaving the standing model
     /// solvable as a planning model again.
+    ///
+    /// # Panics
+    /// If `extra_spares` is neither empty nor one entry per IP link.
     pub fn restore_after_cut(
         &mut self,
         optical: &Graph,
@@ -466,6 +484,7 @@ impl PlanModel {
         extra_spares: &[u32],
         opts: &SolveOptions,
     ) -> Option<MutatedRestoration> {
+        check_extra_spares(extra_spares, self.link_ids.len());
         let sol = self.solution.clone()?;
         // Columns generated by an earlier mutation postdate the planning
         // solution — they are unselected by construction.
@@ -511,31 +530,27 @@ impl PlanModel {
             }
         }
 
+        // §8 candidate paths per affected link: the K shortest paths
+        // avoiding the cut, computed once for the two uses below.
+        let wanted = self.restoration_paths(optical, &banned, lost_order.iter().copied());
+
         // On-demand banned-path columns: a simultaneous-cut scenario
         // whose detours were not pre-enumerated extends the standing
         // space here instead of forcing a from-scratch rebuild. The
         // layout change drops the basis (this solve runs cold) but
         // every row, group, and handle survives — still the mutation
         // path, and the refreshed basis re-warms the solve after next.
-        let added_columns = self.ensure_columns_for(optical, &banned, &lost_order);
+        let added_columns = self.ensure_columns_for(&wanted);
 
-        // §8 candidate paths per affected link: the K shortest paths
-        // avoiding the cut. Restricting the free variables to exactly
-        // this set is what makes the mutated model match the from-scratch
-        // build (which enumerates precisely these paths).
+        // Restricting the free variables to exactly the §8 path set is
+        // what makes the mutated model match the from-scratch build
+        // (which enumerates precisely these paths).
         let restore_paths: std::collections::HashMap<
             usize,
             std::collections::HashSet<Vec<EdgeId>>,
-        > = lost_order
-            .iter()
-            .map(|&slot| {
-                let (src, dst) = self.link_ends[slot];
-                let set = k_shortest_paths(optical, src, dst, self.k_paths, &banned)
-                    .into_iter()
-                    .map(|p| p.edges)
-                    .collect();
-                (slot, set)
-            })
+        > = wanted
+            .into_iter()
+            .map(|(slot, paths)| (slot, paths.into_iter().map(|p| p.edges).collect()))
             .collect();
 
         // (1) pin survivors; ban cut paths, unaffected non-selections and
@@ -850,6 +865,24 @@ mod tests {
         let again = pm.solve(&opts()).unwrap();
         assert_eq!(again.objective.to_bits(), plan.objective.to_bits());
         assert_eq!(again.wavelengths, plan.wavelengths);
+    }
+
+    #[test]
+    #[should_panic(expected = "extra_spares must be empty or hold one entry per IP link")]
+    fn mutation_refuses_short_extra_spares() {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let c = g.add_node("c");
+        g.add_edge(a, b, 600);
+        g.add_edge(a, c, 600);
+        g.add_edge(c, b, 600);
+        let mut ip = IpTopology::new();
+        ip.add_link(a, b, 300);
+        ip.add_link(a, c, 100);
+        let mut pm = PlanModel::build(Scheme::FlexWan, &g, &ip, &cfg(16));
+        pm.solve(&opts()).unwrap();
+        pm.restore_after_cuts(&g, &[EdgeId(0)], &[1], &opts());
     }
 
     #[test]

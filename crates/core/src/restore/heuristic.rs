@@ -95,6 +95,19 @@ pub fn restore_cached(
     ctx.restore(plan, ip, scenario, extra_spares)
 }
 
+/// The precondition every restorer (greedy, exact §8, standing-model
+/// mutation) puts on its `extra_spares` argument, checked before any
+/// work: empty (no pool beyond the failed wavelengths' own transponders)
+/// or one entry per IP link, indexed by link id.
+pub(crate) fn check_extra_spares(extra_spares: &[u32], num_links: usize) {
+    assert!(
+        extra_spares.is_empty() || extra_spares.len() >= num_links,
+        "extra_spares must be empty or hold one entry per IP link: got {} for {} links",
+        extra_spares.len(),
+        num_links
+    );
+}
+
 /// The greedy revival loop behind [`PlanCtx::restore`], over each hit
 /// link's post-failure routes.
 pub(crate) fn revive(
@@ -104,7 +117,7 @@ pub(crate) fn revive(
     scenario: &FailureScenario,
     extra_spares: &[u32],
 ) -> Restoration {
-    assert!(extra_spares.is_empty() || extra_spares.len() >= ip.num_links());
+    check_extra_spares(extra_spares, ip.num_links());
     let (optical, cfg) = (ctx.optical(), ctx.cfg());
     let banned = scenario.banned();
     let align = ctx.alignment(plan.scheme);
@@ -254,7 +267,7 @@ mod tests {
     use super::*;
     use crate::planning::heuristic::plan;
     use flexwan_optical::spectrum::SpectrumGrid;
-    use flexwan_topo::graph::EdgeId;
+    use flexwan_topo::graph::{EdgeId, NodeId};
 
     /// Square topology: the primary a–b fiber (600 km) plus a long detour
     /// a–c–b (1200 km), mirroring §3.3's restoration example.
@@ -276,6 +289,20 @@ mod tests {
             grid: SpectrumGrid::new(96),
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "extra_spares must be empty or hold one entry per IP link")]
+    fn short_extra_spares_is_refused_up_front() {
+        let (g, mut ip) = square();
+        ip.add_link(NodeId(0), NodeId(2), 100);
+        let cut = FailureScenario {
+            id: 0,
+            cuts: vec![EdgeId(0)],
+            probability: 1.0,
+        };
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg());
+        restore(&p, &g, &ip, &cut, &[1], &cfg());
     }
 
     #[test]
@@ -360,16 +387,8 @@ mod tests {
         // Now verify the conflict case: pre-occupy the detour by adding a
         // second link that lives there.
         let mut ip2 = IpTopology::new();
-        ip2.add_link(
-            flexwan_topo::graph::NodeId(0),
-            flexwan_topo::graph::NodeId(1),
-            300,
-        );
-        ip2.add_link(
-            flexwan_topo::graph::NodeId(0),
-            flexwan_topo::graph::NodeId(2),
-            300,
-        );
+        ip2.add_link(NodeId(0), NodeId(1), 300);
+        ip2.add_link(NodeId(0), NodeId(2), 300);
         let p2 = plan(Scheme::FlexWan, &g, &ip2, &tight);
         assert!(p2.is_feasible());
         let r2 = restore(&p2, &g, &ip2, &cut, &[], &tight);
@@ -420,11 +439,7 @@ mod tests {
         // A fat short link: 800 G at 600 km → RADWAN 3 (300+300+200),
         // FlexWAN 2 (400+400 @ 75)… savings 1 → ceil(1/2) = 1.
         let mut ip2 = IpTopology::new();
-        ip2.add_link(
-            flexwan_topo::graph::NodeId(0),
-            flexwan_topo::graph::NodeId(1),
-            800,
-        );
+        ip2.add_link(NodeId(0), NodeId(1), 800);
         let spares2 = flexwan_plus_extra_spares(&g, &ip2, &cfg());
         assert_eq!(spares2, vec![1]);
     }

@@ -25,7 +25,7 @@ use crate::opt::{LazyWavelengthVarSpace, WavelengthVarSpace};
 use crate::planning::colgen::ColGenStats;
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::planning::spectrum::SpectrumState;
-use crate::restore::heuristic::restore;
+use crate::restore::heuristic::{check_extra_spares, restore};
 use crate::scenario::FailureScenario;
 use crate::wavelength::Wavelength;
 
@@ -60,6 +60,7 @@ fn build_instance(
     extra_spares: &[u32],
     cfg: &PlannerConfig,
 ) -> RestorationInstance {
+    check_extra_spares(extra_spares, ip.num_links());
     let banned = scenario.banned();
     // Residual spectrum: surviving wavelengths only (constraint (9)'s φ_w).
     let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
@@ -393,7 +394,7 @@ mod tests {
     use crate::restore::heuristic::restore;
     use crate::scheme::Scheme;
     use flexwan_optical::spectrum::SpectrumGrid;
-    use flexwan_topo::graph::EdgeId;
+    use flexwan_topo::graph::{EdgeId, NodeId};
 
     fn square() -> (Graph, IpTopology) {
         let mut g = Graph::new();
@@ -443,6 +444,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One spare entry for two IP links: both exact restorers refuse it
+    /// before building anything (it used to be an index panic, and only
+    /// when the link past the slice's end was the one hit).
+    fn short_spares(colgen: bool) {
+        let (g, mut ip) = square();
+        ip.add_link(NodeId(0), NodeId(2), 100);
+        let c = cfg(16);
+        let p = plan(Scheme::FlexWan, &g, &ip, &c);
+        let cut = FailureScenario {
+            id: 0,
+            cuts: vec![EdgeId(0)],
+            probability: 1.0,
+        };
+        let opts = SolveOptions::default();
+        if colgen {
+            solve_exact_colgen(&p, &g, &ip, &cut, &[1], &c, &opts);
+        } else {
+            solve_exact(&p, &g, &ip, &cut, &[1], &c, &opts);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "extra_spares must be empty or hold one entry per IP link")]
+    fn enumerated_restorer_refuses_short_extra_spares() {
+        short_spares(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "extra_spares must be empty or hold one entry per IP link")]
+    fn colgen_restorer_refuses_short_extra_spares() {
+        short_spares(true);
     }
 
     #[test]

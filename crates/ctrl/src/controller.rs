@@ -180,28 +180,16 @@ impl ReconcileReport {
     }
 }
 
-/// Retry policy for device sends: capped exponential backoff with full
-/// jitter. Backoff only spends wall-clock time — it never changes *what*
-/// the controller sends, so seeded chaos runs stay deterministic.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts per send, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before the second attempt.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
+// Retry policy for device sends: capped exponential backoff with full
+// jitter. Backoff only spends wall-clock time — it never changes *what*
+// the controller sends, so seeded chaos runs stay deterministic.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(16),
-        }
-    }
-}
+/// Total attempts per send, including the first.
+const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the second attempt.
+const BASE_BACKOFF: Duration = Duration::from_millis(1);
+/// Backoff ceiling.
+const MAX_BACKOFF: Duration = Duration::from_millis(16);
 
 /// Consecutive failed *sends* (after internal retries) that open a
 /// device's circuit breaker.
@@ -300,7 +288,6 @@ pub struct Controller {
     degree_of: HashMap<(NodeId, EdgeId), u16>,
     revision: u64,
     journal: ConfigJournal,
-    retry: RetryPolicy,
     breakers: HashMap<DeviceId, Breaker>,
     backoff_rng: ChaCha8Rng,
     stats: CtrlStats,
@@ -347,7 +334,6 @@ impl Controller {
             degree_of,
             revision: 0,
             journal: ConfigJournal::new(),
-            retry: RetryPolicy::default(),
             breakers: HashMap::new(),
             backoff_rng: ChaCha8Rng::seed_from_u64(0x0C0FFEE),
             stats: CtrlStats::default(),
@@ -394,12 +380,6 @@ impl Controller {
                 .gauge_with("ctrl_breaker_state", &[("device", &device)])
                 .set(value);
         }
-    }
-
-    /// Replaces the retry policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        assert!(policy.max_attempts >= 1);
-        self.retry = policy;
     }
 
     /// Resilience counters.
@@ -458,12 +438,8 @@ impl Controller {
     /// Sleeps the jittered exponential backoff before retry `attempt`.
     fn backoff(&mut self, attempt: u32) {
         let shift = (attempt - 1).min(10);
-        let exp = self.retry.base_backoff.saturating_mul(1u32 << shift);
-        let capped = exp.min(self.retry.max_backoff);
-        let nanos = capped.as_nanos() as u64;
-        if nanos == 0 {
-            return;
-        }
+        let exp = BASE_BACKOFF.saturating_mul(1u32 << shift);
+        let nanos = exp.min(MAX_BACKOFF).as_nanos() as u64;
         // Full jitter over [nanos/2, nanos]: desynchronizes retry storms.
         let jittered = nanos / 2 + self.backoff_rng.gen_range(0..nanos / 2 + 1);
         std::thread::sleep(Duration::from_nanos(jittered));
@@ -531,7 +507,7 @@ impl Controller {
                 }
                 Err(e @ SessionError::Unreachable) => {
                     saw_timeout = true;
-                    if attempt >= self.retry.max_attempts {
+                    if attempt >= MAX_ATTEMPTS {
                         if self.breaker_fail(id) {
                             return Err((
                                 id,

@@ -136,11 +136,6 @@ impl ControllerCluster {
 }
 
 impl Replica {
-    /// Whether the replica is currently healthy.
-    pub fn is_healthy(&self) -> bool {
-        self.healthy
-    }
-
     /// The replicated log length.
     pub fn log_len(&self) -> usize {
         self.log.len()

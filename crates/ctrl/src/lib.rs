@@ -46,9 +46,7 @@ pub mod transaction;
 pub mod vendor;
 
 pub use config::{ConfigDocument, StandardConfig};
-pub use controller::{
-    ApplyReport, BreakerState, Controller, ConvergeReport, CtrlStats, DevMgr, RetryPolicy,
-};
+pub use controller::{ApplyReport, BreakerState, Controller, ConvergeReport, CtrlStats, DevMgr};
 pub use datastream::{FiberCutDetector, TelemetrySim, TelemetryStore};
 pub use device::{config_in_effect, spawn_device, DeviceHandle, DeviceState, Hardware};
 pub use faults::{

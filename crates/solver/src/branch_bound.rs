@@ -29,7 +29,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::model::{Model, Sense, Solution, SolveOptions, SolverStats, Status, VarKind};
-use crate::simplex::{relax, solve_lp_collecting, BasisState, Ctx, Instance, LpOutcome};
+use crate::simplex::{BasisState, Ctx, Instance, LpOutcome};
 
 /// Nodes popped (and processed) per round against one incumbent
 /// snapshot.
@@ -111,6 +111,9 @@ struct NodeResult {
     extra_nodes: u64,
     root_unbounded: bool,
     error: bool,
+    /// Optimal basis of the popped node's own LP when that LP was solved
+    /// cold — only the root of a solve that was given no starting basis.
+    cold_basis: Option<BasisState>,
     stats: SolverStats,
 }
 
@@ -154,7 +157,13 @@ fn process_node(ctx: &mut Ctx, sh: &Shared, node: &Node, snapshot: Option<f64>) 
         let outcome = if first {
             match &node.basis {
                 Some(bs) => ctx.solve_warm(Some(bs)),
-                None => ctx.solve_cold(),
+                None => {
+                    let cold = ctx.solve_cold();
+                    if cold == LpOutcome::Optimal {
+                        res.cold_basis = Some(ctx.basis_state());
+                    }
+                    cold
+                }
             }
         } else {
             // Dive continuation: the basis of the LP we just solved is
@@ -247,62 +256,24 @@ fn process_node(ctx: &mut Ctx, sh: &Shared, node: &Node, snapshot: Option<f64>) 
     res
 }
 
-/// Solves a MIP by branch & bound. Called through [`Model::solve_with`]
-/// when integer variables are present.
-pub fn solve_mip(model: &Model, opts: &SolveOptions) -> Solution {
-    let mut stats = SolverStats::default();
-    solve_mip_with_stats(model, opts, &mut stats)
-}
-
-/// [`solve_mip`] accumulating counters into `stats`.
-pub(crate) fn solve_mip_with_stats(
+/// Branch & bound over `inst`, the standard form the solve driver
+/// (`incremental::solve_from`, which documents the protocol) built from
+/// `model`; `model` is read for its integer kinds and sense only. The
+/// root node re-optimizes from `root_basis`, an optimal basis of this
+/// very `inst`; without one it is the solve's single cold LP, and the
+/// basis it ends on is returned next to the solution (`None` otherwise,
+/// or when the root relaxation has no optimum).
+pub(crate) fn branch_and_bound(
     model: &Model,
+    inst: Arc<Instance>,
     opts: &SolveOptions,
-    stats: &mut SolverStats,
-) -> Solution {
-    solve_mip_with_root(model, opts, stats, None)
-}
-
-/// [`solve_mip_with_stats`] with an optional root warm start: a basis
-/// captured on a previous solve of (a mutation of) the same model, which
-/// the root node re-optimizes with the dual simplex instead of a cold
-/// two-phase start. The basis is extended over any cover-cut rows added
-/// at the root (see [`BasisState::extended`]); a stale or singular basis
-/// degrades to a cold solve inside [`Ctx::solve_warm`], never to a wrong
-/// answer.
-pub(crate) fn solve_mip_with_root(
-    model: &Model,
-    opts: &SolveOptions,
-    stats: &mut SolverStats,
     root_basis: Option<&BasisState>,
-) -> Solution {
+    stats: &mut SolverStats,
+) -> (Solution, Option<BasisState>) {
     let n_model = model.num_vars();
-    if model.check_data().is_err() {
-        return Solution::sentinel(Status::Error, n_model);
-    }
     let minimize = model.sense != Some(Sense::Maximize);
-    // Work on the relaxation; integer kinds live in `model`.
-    let mut base = relax(model);
-
-    // Cut-and-branch: strengthen the root with violated knapsack cover
-    // cuts (valid for every integer point, so they apply to all nodes).
-    for _round in 0..4 {
-        let root = solve_lp_collecting(&base, stats, None);
-        if root.status != Status::Optimal {
-            break;
-        }
-        let cuts = crate::cuts::cover_cuts(model, &root, 16);
-        if cuts.is_empty() {
-            break;
-        }
-        stats.cuts += cuts.len() as u64;
-        for c in cuts {
-            base.le(c.expr, c.rhs);
-        }
-    }
-
     let sh = Shared {
-        inst: Arc::new(Instance::build(&base)),
+        inst,
         int_vars: model
             .vars
             .iter()
@@ -321,12 +292,7 @@ pub(crate) fn solve_mip_with_root(
         },
         bounds: Vec::new(),
         depth: 0,
-        // A caller-supplied basis only fits if it was captured with the
-        // model's current variable count; extend it over the cut rows
-        // appended to `base` above.
-        basis: root_basis
-            .filter(|bs| bs.num_structurals() == n_model && bs.num_rows() <= base.num_constraints())
-            .map(|bs| Arc::new(bs.extended(base.num_constraints()))),
+        basis: root_basis.map(|bs| Arc::new(bs.clone())),
     };
     let mut heap = BinaryHeap::new();
     let mut seq = 0u64;
@@ -338,6 +304,7 @@ pub(crate) fn solve_mip_with_root(
 
     let mut ctx = Ctx::new(Arc::clone(&sh.inst));
     let mut incumbent: Option<Solution> = None;
+    let mut cold_root: Option<BasisState> = None;
     let mut nodes = 0u64;
     let mut limited = false;
     let mut errored = false;
@@ -370,16 +337,9 @@ pub(crate) fn solve_mip_with_root(
             let res = process_node(&mut ctx, &sh, node, snapshot);
             nodes += res.extra_nodes;
             stats.merge(&res.stats);
+            cold_root = res.cold_basis.or(cold_root);
             if res.root_unbounded {
-                return Solution {
-                    status: Status::Unbounded,
-                    objective: if minimize {
-                        f64::NEG_INFINITY
-                    } else {
-                        f64::INFINITY
-                    },
-                    values: vec![f64::NAN; n_model],
-                };
+                return (ctx.extract_solution(LpOutcome::Unbounded), None);
             }
             if res.error {
                 errored = true;
@@ -411,20 +371,18 @@ pub(crate) fn solve_mip_with_root(
     }
 
     stats.nodes = nodes;
-    if limited {
-        return match incumbent {
-            Some(mut s) => {
+    let sol = match incumbent {
+        Some(mut s) => {
+            if limited {
                 s.status = Status::NodeLimit;
-                s
             }
-            None => Solution::sentinel(Status::NodeLimit, n_model),
-        };
-    }
-    match incumbent {
-        Some(s) => s,
+            s
+        }
+        None if limited => Solution::sentinel(Status::NodeLimit, n_model),
         None if errored => Solution::sentinel(Status::Error, n_model),
         None => Solution::sentinel(Status::Infeasible, n_model),
-    }
+    };
+    (sol, cold_root)
 }
 
 #[cfg(test)]

@@ -1,4 +1,12 @@
-//! Incremental re-solve driver: mutate a solved model, re-solve warm.
+//! The solve driver, and re-solving a mutated model warm.
+//!
+//! Every solve in the crate — [`Model::solve_with_stats`], the
+//! `solve_lp*` functions, [`IncrementalSolver`] — is one call of the
+//! private `solve_from`: build the standard form once, solve the
+//! relaxation from an optional starting basis, branch & bound on the
+//! same instance when the caller asked for integers, and hand back the
+//! basis the next solve should start from. The one-shot entry points
+//! pass no basis and drop the one they get.
 //!
 //! [`IncrementalSolver`] owns a [`Model`] plus the basis of its last
 //! successful LP (or MIP root-relaxation) solve. Between solves the model
@@ -41,7 +49,7 @@
 
 use std::sync::Arc;
 
-use crate::branch_bound::solve_mip_with_root;
+use crate::branch_bound::branch_and_bound;
 use crate::expr::{LinExpr, Var};
 use crate::model::{
     Cmp, Model, RowId, Sense, Solution, SolveOptions, SolverStats, Status, VarKind,
@@ -227,20 +235,34 @@ impl IncrementalSolver {
     /// next call. MIPs warm-start their root relaxation and hand the
     /// refreshed root basis to branch & bound.
     pub fn solve(&mut self, opts: &SolveOptions) -> (Solution, SolverStats) {
-        let mut stats = SolverStats {
-            columns_admitted: std::mem::take(&mut self.pending_columns),
-            ..Default::default()
-        };
-        let started = std::time::Instant::now();
-        let sol = if self.model.validate().is_err() {
-            Solution::sentinel(Status::Error, self.model.num_vars())
-        } else if self.model.is_mip() {
-            self.solve_mip(opts, &mut stats)
-        } else {
-            self.solve_lp(&mut stats)
-        };
-        stats.time_total = started.elapsed();
+        let (sol, _, stats) = self.run(self.model.is_mip().then_some(opts));
         (sol, stats)
+    }
+
+    /// Solves the LP *relaxation* of the current model (integer kinds
+    /// dropped) warm off the stored basis and returns the constraint
+    /// duals alongside the solution — the read a pricing oracle needs
+    /// between column admissions. Duals are `None` unless the relaxation
+    /// solved to optimality, and follow the sign convention of
+    /// [`crate::solve_lp_with_duals`] (`∂objective/∂rhs` in the model's
+    /// own sense; inactive rows get dual `0` via [`Model::group_duals`]).
+    /// The refreshed basis is stored, so the MIP solve that follows a
+    /// converged pricing loop warm-starts its root from this relaxation.
+    pub fn solve_relaxation_with_duals(&mut self) -> (Solution, Option<Vec<f64>>, SolverStats) {
+        self.run(None)
+    }
+
+    /// One [`solve_from`] off the stored basis; the basis it hands back
+    /// (none after a failed solve) replaces the stored one.
+    fn run(&mut self, mip: Option<&SolveOptions>) -> (Solution, Option<Vec<f64>>, SolverStats) {
+        let mut out = if self.model.sense.is_none() {
+            Solved::error(self.model.num_vars())
+        } else {
+            solve_from(&self.model, self.prepared_basis().as_ref(), mip)
+        };
+        out.stats.columns_admitted = std::mem::take(&mut self.pending_columns);
+        self.basis = out.basis;
+        (out.sol, out.duals, out.stats)
     }
 
     /// The stored basis re-targeted at the model's current shape —
@@ -259,97 +281,89 @@ impl IncrementalSolver {
                 .extended(self.model.num_constraints()),
         )
     }
+}
 
-    /// Solves the LP *relaxation* of the current model (integer kinds
-    /// dropped) warm off the stored basis and returns the constraint
-    /// duals alongside the solution — the read a pricing oracle needs
-    /// between column admissions. Duals are `None` unless the relaxation
-    /// solved to optimality, and follow the sign convention of
-    /// [`crate::solve_lp_with_duals`] (`∂objective/∂rhs` in the model's
-    /// own sense; inactive rows get dual `0` via [`Model::group_duals`]).
-    /// The refreshed basis is stored, so the MIP solve that follows a
-    /// converged pricing loop warm-starts its root from this relaxation.
-    pub fn solve_relaxation_with_duals(&mut self) -> (Solution, Option<Vec<f64>>, SolverStats) {
-        let mut stats = SolverStats {
-            columns_admitted: std::mem::take(&mut self.pending_columns),
-            ..Default::default()
-        };
-        let started = std::time::Instant::now();
-        if self.model.validate().is_err() {
-            let sol = Solution::sentinel(Status::Error, self.model.num_vars());
-            stats.time_total = started.elapsed();
-            return (sol, None, stats);
+/// What one [`solve_from`] produced.
+pub(crate) struct Solved {
+    pub(crate) sol: Solution,
+    /// Constraint duals; `Some` exactly when an LP (not a MIP) was solved
+    /// to optimality.
+    pub(crate) duals: Option<Vec<f64>>,
+    /// An optimal basis of the model's relaxation for the next solve of
+    /// (a mutation of) the model to start from; `None` when the
+    /// relaxation has no optimum.
+    pub(crate) basis: Option<BasisState>,
+    pub(crate) stats: SolverStats,
+}
+
+impl Solved {
+    /// A malformed model: [`Status::Error`], nothing to keep.
+    pub(crate) fn error(num_vars: usize) -> Solved {
+        Solved {
+            sol: Solution::sentinel(Status::Error, num_vars),
+            duals: None,
+            basis: None,
+            stats: SolverStats::default(),
         }
-        let inst = Arc::new(Instance::build(&self.model));
-        let mut ctx = Ctx::new(inst);
-        let outcome = match self.prepared_basis() {
-            Some(bs) => ctx.solve_warm(Some(&bs)),
+    }
+}
+
+/// The one solve driver every entry point of the crate goes through:
+/// builds the standard form of `model` once, solves its relaxation from
+/// `start` (a basis of exactly this shape; cold without one) and, when
+/// `mip` carries options, hands the same [`Instance`] to branch & bound.
+///
+/// A MIP takes one of two straight lines. With a starting basis the
+/// relaxation is refreshed first — which proves it still has an optimum
+/// reachable from `start` and is the basis kept for the next solve — and
+/// branch & bound's root node then re-solves it from the refreshed basis
+/// on its own `Ctx`. The two LPs are deliberately not merged: the dive
+/// below the root inherits the root node's factorization, so skipping
+/// its (usually zero-pivot) re-solve would change the eta history under
+/// every descendant and may move tie-broken optima. Without a starting
+/// basis the root node *is* the cold relaxation solve and its basis is
+/// the one kept.
+pub(crate) fn solve_from(
+    model: &Model,
+    start: Option<&BasisState>,
+    mip: Option<&SolveOptions>,
+) -> Solved {
+    let started = std::time::Instant::now();
+    let mut out = Solved::error(model.num_vars());
+    if model.check_data().is_err() {
+        return out;
+    }
+    let inst = Arc::new(Instance::build(model));
+    if let (Some(opts), None) = (mip, start) {
+        (out.sol, out.basis) = branch_and_bound(model, inst, opts, None, &mut out.stats);
+    } else {
+        let mut ctx = Ctx::new(Arc::clone(&inst));
+        let outcome = match start {
+            Some(bs) => ctx.solve_warm(Some(bs)),
             None => ctx.solve_cold(),
         };
-        stats.merge(&ctx.stats);
-        let duals = (outcome == LpOutcome::Optimal).then(|| ctx.duals());
+        out.stats = ctx.stats;
         if outcome == LpOutcome::Optimal {
-            self.basis = Some(ctx.basis_state());
-        } else {
-            self.basis = None;
+            out.basis = Some(ctx.basis_state());
         }
-        let sol = ctx.extract_solution(outcome);
-        stats.time_total = started.elapsed();
-        (sol, duals, stats)
-    }
-
-    fn solve_lp(&mut self, stats: &mut SolverStats) -> Solution {
-        let inst = Arc::new(Instance::build(&self.model));
-        let mut ctx = Ctx::new(inst);
-        let outcome = match self.prepared_basis() {
-            Some(bs) => ctx.solve_warm(Some(&bs)),
-            None => ctx.solve_cold(),
-        };
-        stats.merge(&ctx.stats);
-        if outcome == LpOutcome::Optimal {
-            self.basis = Some(ctx.basis_state());
-        } else {
-            self.basis = None;
-        }
-        ctx.extract_solution(outcome)
-    }
-
-    fn solve_mip(&mut self, opts: &SolveOptions, stats: &mut SolverStats) -> Solution {
-        let Some(prepared) = self.prepared_basis() else {
-            // No usable basis: take the exact same path as a plain
-            // `Model::solve_with_stats` so a fresh solver is bit-identical
-            // to the non-incremental API (a basis hint at the B&B root
-            // can legitimately steer the search to an alternate optimum).
-            let sol = solve_mip_with_root(&self.model, opts, stats, None);
-            // Harvest a root-relaxation basis for future warm re-solves;
-            // bookkeeping only, so its pivots stay out of the reported
-            // stats and the solution above is untouched.
-            let inst = Arc::new(Instance::build(&self.model));
-            let mut ctx = Ctx::new(inst);
-            self.basis = (ctx.solve_cold() == LpOutcome::Optimal).then(|| ctx.basis_state());
-            return sol;
-        };
-        // Refresh the root-relaxation basis first: it both proves the
-        // relaxation is still optimizable from the stored basis and gives
-        // branch & bound a root basis matching the *current* model.
-        let inst = Arc::new(Instance::build(&self.model));
-        let mut ctx = Ctx::new(inst);
-        let outcome = ctx.solve_warm(Some(&prepared));
-        stats.merge(&ctx.stats);
-        match outcome {
-            LpOutcome::Optimal => {
-                let bs = ctx.basis_state();
-                self.basis = Some(bs.clone());
-                solve_mip_with_root(&self.model, opts, stats, Some(&bs))
+        match mip {
+            Some(opts) if outcome == LpOutcome::Optimal => {
+                // Branch & bound factorizes on its own `Ctx`; release
+                // this one's dense LU before the tree allocates another.
+                drop(ctx);
+                let root = out.basis.as_ref();
+                out.sol = branch_and_bound(model, inst, opts, root, &mut out.stats).0;
             }
-            // Relaxation infeasible ⇒ MIP infeasible; relaxation
-            // unbounded / errored mirrors the cold B&B root outcomes.
+            // An LP — or a MIP whose relaxation is infeasible, unbounded
+            // or errored, which is then the MIP's own outcome.
             _ => {
-                self.basis = None;
-                ctx.extract_solution(outcome)
+                out.sol = ctx.extract_solution(outcome);
+                out.duals = (outcome == LpOutcome::Optimal).then(|| ctx.duals());
             }
         }
     }
+    out.stats.time_total = started.elapsed();
+    out
 }
 
 #[cfg(test)]
@@ -647,9 +661,8 @@ mod tests {
         assert_same_solution(&sol, &scratch.solve());
     }
 
-    /// MIP path: knapsack, then tighten the capacity and re-solve.
-    #[test]
-    fn warm_mip_matches_scratch() {
+    /// A six-item knapsack and its capacity row.
+    fn knapsack() -> (Model, RowId) {
         let mut m = Model::new();
         let items: Vec<_> = (0..6).map(|i| m.binary(format!("x{i}"))).collect();
         let w = [10.0, 20.0, 30.0, 14.0, 7.0, 11.0];
@@ -658,14 +671,21 @@ mod tests {
         let cap = m.le(we, 50.0);
         let ve = LinExpr::sum(items.iter().zip(&v).map(|(&x, &vi)| vi * x));
         m.set_objective(Sense::Maximize, ve);
+        (m, cap)
+    }
 
+    /// MIP path: knapsack, then tighten the capacity and re-solve.
+    #[test]
+    fn warm_mip_matches_scratch() {
+        let (m, cap) = knapsack();
         let mut inc = IncrementalSolver::new(m.clone());
-        let (first, _) = inc.solve(&SolveOptions::default());
+        let (first, s0) = inc.solve(&SolveOptions::default());
         assert_same_solution(&first, &m.solve());
+        assert_eq!(s0.cold_solves, 1, "the root node is the only cold LP");
 
         inc.change_rhs(cap, 31.0);
         let (warm, s) = inc.solve(&SolveOptions::default());
-        assert!(s.warm_solves > 0, "{s:?}");
+        assert!(s.warm_solves > 0 && s.cold_solves == 0, "{s:?}");
         let mut scratch = m;
         scratch.change_rhs(cap, 31.0);
         let cold = scratch.solve();
@@ -676,6 +696,20 @@ mod tests {
         assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
         assert!(scratch.is_feasible(&warm.values, 1e-6));
         assert!(scratch.is_feasible(&cold.values, 1e-6));
+    }
+
+    /// A fresh MIP solve keeps the basis its root node ended on: an
+    /// unchanged re-solve starts from it, never goes cold, and lands on
+    /// the same bits.
+    #[test]
+    fn fresh_mip_solve_stores_its_root_basis() {
+        let (m, _) = knapsack();
+        let mut inc = IncrementalSolver::new(m);
+        let (first, _) = inc.solve(&SolveOptions::default());
+        assert!(inc.has_basis());
+        let (again, s) = inc.solve(&SolveOptions::default());
+        assert!(s.warm_solves > 0 && s.cold_solves == 0, "{s:?}");
+        assert_same_solution(&again, &first);
     }
 
     #[test]

@@ -12,15 +12,15 @@
 //! * [`simplex`] — a sparse revised two-phase simplex (LU + eta-file
 //!   basis updates, bounded variables, dual-simplex warm starts), with a
 //!   Dantzig→Bland pricing switch for guaranteed termination;
-//! * [`branch_bound`] — best-first branch & bound for MIPs on top of the
+//! * `branch_bound` — best-first branch & bound for MIPs on top of the
 //!   LP relaxation, with basis-inheriting warm starts and diving, on
-//!   the calling thread;
-//! * [`incremental`] — an [`IncrementalSolver`]
-//!   that re-solves a mutated model (rhs changes, row de/activation,
-//!   rewritten and appended rows) warm from the previous basis instead
-//!   of cold;
-//! * [`cuts`] — knapsack cover cuts separated at the branch & bound root
-//!   (cut-and-branch);
+//!   the calling thread (reached through [`Model::solve_with`]);
+//! * [`incremental`] — the one solve driver every entry point goes
+//!   through (standard form built once, relaxation solved from an
+//!   optional starting basis, then branch & bound) and the
+//!   [`IncrementalSolver`] that keeps that basis between solves of a
+//!   mutated model (rhs changes, row de/activation, rewritten and
+//!   appended rows and columns);
 //! * [`observe`] — bridge mirroring [`SolverStats`]
 //!   into the `flexwan-obs` metrics registry.
 //!
@@ -31,8 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod branch_bound;
-pub mod cuts;
+mod branch_bound;
 pub mod expr;
 pub mod incremental;
 pub mod model;

@@ -3,11 +3,12 @@
 //! The stand-in for the Gurobi/JuMP modeling layer the paper uses (§7).
 //! A [`Model`] with only continuous variables is solved by the two-phase
 //! simplex ([`crate::simplex`]); models with integer or binary variables go
-//! through branch & bound ([`crate::branch_bound`]).
+//! through branch & bound (the private `branch_bound` module).
 
 use std::time::Duration;
 
 use crate::expr::{LinExpr, Var};
+use crate::incremental::{solve_from, Solved};
 
 /// Variable domain kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,8 +167,6 @@ pub struct SolverStats {
     pub warm_solves: u64,
     /// Branch & bound nodes explored (1 for a pure LP solve path).
     pub nodes: u64,
-    /// Knapsack cover cuts added at the branch & bound root.
-    pub cuts: u64,
     /// Column-generation pricing rounds driven over this model (a round =
     /// one LP re-solve of the restricted master followed by one pricing
     /// pass over the column universe). Zero outside a pricing loop.
@@ -217,7 +216,6 @@ impl SolverStats {
         self.cold_solves += other.cold_solves;
         self.warm_solves += other.warm_solves;
         self.nodes += other.nodes;
-        self.cuts += other.cuts;
         self.pricing_rounds += other.pricing_rounds;
         self.columns_admitted += other.columns_admitted;
         self.time_phase1 += other.time_phase1;
@@ -231,9 +229,8 @@ impl std::fmt::Display for SolverStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "nodes {:>8}  cuts {:>4}  warm {:>8}  cold {:>6}  hit-rate {:>5.1}%",
+            "nodes {:>8}  warm {:>8}  cold {:>6}  hit-rate {:>5.1}%",
             self.nodes,
-            self.cuts,
             self.warm_solves,
             self.cold_solves,
             100.0 * self.warm_start_hit_rate()
@@ -696,17 +693,12 @@ impl Model {
     /// [`SolverStats`] counter block (pivots, refactorizations, nodes,
     /// warm-start hit rate, per-phase wall time).
     pub fn solve_with_stats(&self, opts: &SolveOptions) -> (Solution, SolverStats) {
-        let mut stats = SolverStats::default();
-        let started = std::time::Instant::now();
-        let sol = if self.validate().is_err() {
-            Solution::sentinel(Status::Error, self.num_vars())
-        } else if self.is_mip() {
-            crate::branch_bound::solve_mip_with_stats(self, opts, &mut stats)
+        let out = if self.sense.is_none() {
+            Solved::error(self.num_vars())
         } else {
-            crate::simplex::solve_lp_collecting(self, &mut stats, None)
+            solve_from(self, None, self.is_mip().then_some(opts))
         };
-        stats.time_total = started.elapsed();
-        (sol, stats)
+        (out.sol, out.stats)
     }
 
     /// Checks whether `values` satisfies every constraint and bound within

@@ -41,7 +41,6 @@ pub fn record_solver_stats(registry: &Registry, stats: &SolverStats) {
         .counter_with("solver_solves_total", &[("start", "warm")])
         .add(stats.warm_solves);
     registry.counter("solver_nodes_total").add(stats.nodes);
-    registry.counter("solver_cuts_total").add(stats.cuts);
     registry
         .counter("solver_pricing_rounds_total")
         .add(stats.pricing_rounds);
@@ -83,7 +82,6 @@ mod tests {
             cold_solves: 1,
             warm_solves: 3,
             nodes: 9,
-            cuts: 4,
             pricing_rounds: 2,
             columns_admitted: 6,
             time_phase1: Duration::from_micros(10),

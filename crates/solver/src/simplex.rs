@@ -20,8 +20,8 @@
 //! iteration budget guarantees termination on degenerate problems; a hard
 //! iteration cap degrades to [`Status::Error`] instead of panicking.
 
+use crate::incremental::solve_from;
 use crate::model::{Cmp, Model, Sense, Solution, SolverStats, Status};
-use crate::VarKind;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,11 +35,9 @@ const MAX_ETAS: usize = 48;
 /// Phase-1 objective above this ⇒ infeasible.
 const PHASE1_TOL: f64 = 1e-6;
 
-/// Solves a pure-LP [`Model`] (integer kinds are relaxed if present; the
-/// MIP layer relies on this).
+/// Solves a pure-LP [`Model`] (integer kinds are relaxed if present).
 pub fn solve_lp(model: &Model) -> Solution {
-    let mut stats = SolverStats::default();
-    solve_lp_collecting(model, &mut stats, None)
+    solve_from(model, None, None).sol
 }
 
 /// Solves a pure LP and additionally returns the dual value (shadow
@@ -50,44 +48,14 @@ pub fn solve_lp(model: &Model) -> Solution {
 /// a non-negative dual (one more unit of requirement costs that much).
 /// `None` when the LP is not solved to optimality.
 pub fn solve_lp_with_duals(model: &Model) -> (Solution, Option<Vec<f64>>) {
-    let mut stats = SolverStats::default();
-    let mut duals = None;
-    let sol = solve_lp_collecting(model, &mut stats, Some(&mut duals));
-    (sol, duals)
+    let out = solve_from(model, None, None);
+    (out.sol, out.duals)
 }
 
 /// [`solve_lp`] that also reports the solve's [`SolverStats`].
 pub fn solve_lp_with_stats(model: &Model) -> (Solution, SolverStats) {
-    let mut stats = SolverStats::default();
-    let sol = solve_lp_collecting(model, &mut stats, None);
-    (sol, stats)
-}
-
-/// Internal LP entry point: solves `model` as an LP (relaxing integer
-/// kinds), accumulating counters into `stats` and optionally writing the
-/// constraint duals.
-pub(crate) fn solve_lp_collecting(
-    model: &Model,
-    stats: &mut SolverStats,
-    duals_out: Option<&mut Option<Vec<f64>>>,
-) -> Solution {
-    let n = model.vars.len();
-    if let Err(_e) = model.check_data() {
-        return Solution::sentinel(Status::Error, n);
-    }
-    let inst = Arc::new(Instance::build(model));
-    let mut ctx = Ctx::new(inst);
-    let outcome = ctx.solve_cold();
-    stats.merge(&ctx.stats);
-    let sol = ctx.extract_solution(outcome);
-    if let Some(out) = duals_out {
-        *out = if sol.status == Status::Optimal {
-            Some(ctx.duals())
-        } else {
-            None
-        };
-    }
-    sol
+    let out = solve_from(model, None, None);
+    (out.sol, out.stats)
 }
 
 /// Where a nonbasic variable currently rests.
@@ -1205,23 +1173,6 @@ enum DualOutcome {
     Feasible,
     Infeasible,
     GiveUp,
-}
-
-/// Relaxes integer/binary kinds to continuous (for LP relaxations).
-pub fn relax(model: &Model) -> Model {
-    let mut m = model.clone();
-    for v in &mut m.vars {
-        v.kind = VarKind::Continuous;
-    }
-    m
-}
-
-/// Convenience: the value of `v` rounded if its kind is integral.
-pub fn rounded_value(model: &Model, sol: &Solution, v: crate::expr::Var) -> f64 {
-    match model.vars[v.0].kind {
-        VarKind::Continuous => sol.value(v),
-        _ => sol.value(v).round(),
-    }
 }
 
 #[cfg(test)]

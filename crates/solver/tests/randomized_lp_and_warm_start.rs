@@ -60,8 +60,8 @@ fn randomized_lps_stay_feasible_and_consistent() {
 
 /// A strongly correlated two-row knapsack whose LP relaxation stays
 /// fractional through many branchings (≈200 nodes), so almost every node
-/// LP warm-starts from its parent basis; the only cold solves are the
-/// cut-and-branch root rounds plus the root node itself.
+/// LP warm-starts from its parent basis; the only cold solve is the root
+/// node itself.
 fn branching_knapsack() -> Model {
     let n = 14usize;
     let mut m = Model::new();
@@ -91,14 +91,14 @@ fn branch_and_bound_warm_starts_node_lps() {
     assert_eq!(sol.status, Status::Optimal);
     assert!(m.is_feasible(&sol.values, 1e-6));
 
-    // The cut rounds and root LP are cold solves; descendants reuse the
-    // parent basis.
+    // The root LP is the one cold solve; descendants reuse the parent
+    // basis.
     assert!(
         stats.nodes >= 20,
         "expected real branching, nodes = {}",
         stats.nodes
     );
-    assert!(stats.cold_solves >= 1, "root LP must be a cold solve");
+    assert_eq!(stats.cold_solves, 1, "the root LP is the only cold solve");
     assert!(
         stats.warm_solves >= 20,
         "descendant nodes must warm-start, stats: {stats}"
@@ -138,7 +138,6 @@ fn solver_stats_are_deterministic_and_merge_adds() {
             stats.cold_solves,
             stats.warm_solves,
             stats.nodes,
-            stats.cuts,
         )
     };
     let m = branching_knapsack();
