@@ -778,6 +778,41 @@ mod tests {
         assert!((exact.objective - 1.125).abs() < 1e-6);
     }
 
+    /// What makes an exact solve cheap per pivot: a FlexWAN basis is
+    /// mostly slack, so its LU factors hold a few entries per row. On the
+    /// 4-node ring-plus-chord grids of the benchmark's `exact_plan` table
+    /// a refactorization stores ≈ 2.7·m numbers; fill, or a dense path
+    /// coming back, shows here as a count before it shows as wall-clock.
+    #[test]
+    fn basis_factors_of_the_ring_instances_stay_sparse() {
+        let mut g = Graph::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| g.add_node(n));
+        g.add_edge(a, b, 420);
+        g.add_edge(b, c, 360);
+        g.add_edge(c, d, 510);
+        g.add_edge(d, a, 280);
+        g.add_edge(a, c, 760);
+        for (pixels, ab, ac) in [
+            (12, 400, 400),
+            (12, 100, 300),
+            (16, 400, 400),
+            (16, 200, 300),
+        ] {
+            let mut ip = IpTopology::new();
+            ip.add_link(a, b, ab);
+            ip.add_link(a, c, ac);
+            let mut pm = PlanModel::build(Scheme::FlexWan, &g, &ip, &cfg(pixels));
+            let m = pm.model().num_constraints() as u64;
+            let stats = pm.solve(&SolveOptions::default()).unwrap().stats;
+            assert!(stats.refactorizations > 0 && stats.nodes > 1, "{stats}");
+            assert!(
+                stats.factor_nonzeros >= m * stats.refactorizations
+                    && stats.factor_nonzeros <= 4 * m * stats.refactorizations,
+                "{pixels} px {ab}/{ac}: m = {m}\n{stats}"
+            );
+        }
+    }
+
     #[test]
     fn conflict_forces_second_fiber_or_infeasible() {
         // One 10-px fiber, two 800 G links over it at 200 km: each needs

@@ -349,7 +349,7 @@ pub(crate) fn solve_from(
         match mip {
             Some(opts) if outcome == LpOutcome::Optimal => {
                 // Branch & bound factorizes on its own `Ctx`; release
-                // this one's dense LU before the tree allocates another.
+                // this one's factors before the tree allocates another.
                 drop(ctx);
                 let root = out.basis.as_ref();
                 out.sol = branch_and_bound(model, inst, opts, root, &mut out.stats).0;

@@ -9,9 +9,12 @@
 //!   operator syntax;
 //! * [`model`] — a [`Model`] of variables (continuous,
 //!   integer, binary), linear constraints and a min/max objective;
-//! * [`simplex`] — a sparse revised two-phase simplex (LU + eta-file
-//!   basis updates, bounded variables, dual-simplex warm starts), with a
-//!   Dantzig→Bland pricing switch for guaranteed termination;
+//! * [`simplex`] — a sparse revised two-phase simplex (bounded
+//!   variables, dual-simplex warm starts), with a Dantzig→Bland pricing
+//!   switch for guaranteed termination;
+//! * `factor` — its basis inverse: sparse LU factors built left-looking
+//!   with partial pivoting, plus the eta file of product-form updates
+//!   between two refactorizations;
 //! * `branch_bound` — best-first branch & bound for MIPs on top of the
 //!   LP relaxation, with basis-inheriting warm starts and diving, on
 //!   the calling thread (reached through [`Model::solve_with`]);
@@ -33,6 +36,7 @@
 
 mod branch_bound;
 pub mod expr;
+mod factor;
 pub mod incremental;
 pub mod model;
 pub mod observe;

@@ -161,6 +161,11 @@ pub struct SolverStats {
     /// Basis refactorizations (LU from scratch; between two of these the
     /// basis inverse is maintained as an eta file).
     pub refactorizations: u64,
+    /// Stored non-zeros of the basis factors, summed over
+    /// refactorizations: `nnz(L) + nnz(U) + m` each (`m` for the diagonal).
+    /// Divided by `refactorizations` it is what one FTRAN / BTRAN walks; an
+    /// all-slack basis scores `m`, a dense one `m²`.
+    pub factor_nonzeros: u64,
     /// LP solves started from scratch (two-phase primal).
     pub cold_solves: u64,
     /// LP solves warm-started from an inherited basis (dual simplex).
@@ -213,6 +218,7 @@ impl SolverStats {
         self.dual_pivots += other.dual_pivots;
         self.bound_flips += other.bound_flips;
         self.refactorizations += other.refactorizations;
+        self.factor_nonzeros += other.factor_nonzeros;
         self.cold_solves += other.cold_solves;
         self.warm_solves += other.warm_solves;
         self.nodes += other.nodes;
@@ -237,12 +243,13 @@ impl std::fmt::Display for SolverStats {
         )?;
         writeln!(
             f,
-            "pivots: phase1 {:>8}  phase2 {:>8}  dual {:>8}  flips {:>6}  refactor {:>6}",
+            "pivots: phase1 {:>8}  phase2 {:>8}  dual {:>8}  flips {:>6}  refactor {:>6}  factor-nnz {:>8}",
             self.phase1_pivots,
             self.phase2_pivots,
             self.dual_pivots,
             self.bound_flips,
-            self.refactorizations
+            self.refactorizations,
+            self.factor_nonzeros
         )?;
         if self.pricing_rounds > 0 || self.columns_admitted > 0 {
             writeln!(

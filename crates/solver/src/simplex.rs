@@ -1,10 +1,10 @@
 //! Sparse revised simplex with native bounded variables.
 //!
 //! The constraint matrix is held column-wise as sparse `(row, coeff)`
-//! lists; the basis inverse is represented as a dense LU factorization
-//! (partial pivoting) composed with an *eta file* (product-form update),
-//! refactorized every `MAX_ETAS` pivots. Pivots therefore cost
-//! `O(m² + nnz)` instead of the dense tableau's `O(m·cols)` full-matrix
+//! lists; the basis inverse is the sparse LU factors and *eta file*
+//! (product-form update) of `crate::factor`, refactorized every
+//! `MAX_ETAS` pivots. A pivot therefore costs the non-zeros of the
+//! factors plus a pricing scan instead of the dense tableau's `O(m·cols)`
 //! sweep, and — crucially for branch & bound — a solved basis can be
 //! snapshotted (`BasisState`) and re-installed in a child node, where a
 //! **dual simplex** pass repairs the handful of bound violations the
@@ -20,6 +20,7 @@
 //! iteration budget guarantees termination on degenerate problems; a hard
 //! iteration cap degrades to [`Status::Error`] instead of panicking.
 
+use crate::factor::{EtaFile, Lu};
 use crate::incremental::solve_from;
 use crate::model::{Cmp, Model, Sense, Solution, SolverStats, Status};
 use std::sync::Arc;
@@ -315,150 +316,6 @@ impl Instance {
     }
 }
 
-/// Dense LU factorization of the basis matrix with partial pivoting:
-/// `P·B = L·U` with unit-diagonal `L` stored below the diagonal of `lu`
-/// and `U` on/above it; `piv[k]` records the row swapped with `k`.
-struct Lu {
-    m: usize,
-    lu: Vec<f64>,
-    piv: Vec<u32>,
-}
-
-impl Lu {
-    /// Factorizes the matrix whose `k`-th column is the sparse column
-    /// `cols[basis[k]]`. `None` when (numerically) singular.
-    fn factor(inst: &Instance, basis: &[u32]) -> Option<Lu> {
-        let m = inst.m;
-        let mut a = vec![0.0; m * m];
-        for (k, &b) in basis.iter().enumerate() {
-            for &(i, v) in &inst.cols[b as usize] {
-                a[i as usize * m + k] = v;
-            }
-        }
-        let mut piv = vec![0u32; m];
-        for k in 0..m {
-            let mut p = k;
-            let mut best = a[k * m + k].abs();
-            for i in k + 1..m {
-                let v = a[i * m + k].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best < 1e-10 {
-                return None;
-            }
-            piv[k] = p as u32;
-            if p != k {
-                for j in 0..m {
-                    a.swap(k * m + j, p * m + j);
-                }
-            }
-            let d = a[k * m + k];
-            for i in k + 1..m {
-                let l = a[i * m + k] / d;
-                if l != 0.0 {
-                    a[i * m + k] = l;
-                    for j in k + 1..m {
-                        a[i * m + j] -= l * a[k * m + j];
-                    }
-                } else {
-                    a[i * m + k] = 0.0;
-                }
-            }
-        }
-        Some(Lu { m, lu: a, piv })
-    }
-
-    /// Solves `B·x = v` in place.
-    fn ftran(&self, v: &mut [f64]) {
-        let m = self.m;
-        for k in 0..m {
-            let p = self.piv[k] as usize;
-            if p != k {
-                v.swap(k, p);
-            }
-        }
-        for k in 0..m {
-            let t = v[k];
-            if t != 0.0 {
-                for (i, vi) in v.iter_mut().enumerate().skip(k + 1) {
-                    *vi -= self.lu[i * m + k] * t;
-                }
-            }
-        }
-        for k in (0..m).rev() {
-            let t = v[k] / self.lu[k * m + k];
-            v[k] = t;
-            if t != 0.0 {
-                for (i, vi) in v.iter_mut().enumerate().take(k) {
-                    *vi -= self.lu[i * m + k] * t;
-                }
-            }
-        }
-    }
-
-    /// Solves `Bᵀ·y = v` in place.
-    fn btran(&self, v: &mut [f64]) {
-        let m = self.m;
-        for k in 0..m {
-            let mut t = v[k];
-            for (i, &vi) in v.iter().enumerate().take(k) {
-                t -= self.lu[i * m + k] * vi;
-            }
-            v[k] = t / self.lu[k * m + k];
-        }
-        for k in (0..m).rev() {
-            let mut t = v[k];
-            for (i, &vi) in v.iter().enumerate().skip(k + 1) {
-                t -= self.lu[i * m + k] * vi;
-            }
-            v[k] = t;
-        }
-        for k in (0..m).rev() {
-            let p = self.piv[k] as usize;
-            if p != k {
-                v.swap(k, p);
-            }
-        }
-    }
-}
-
-/// One product-form update: basis column `r` was replaced by a column
-/// whose FTRAN'd image was `w` (`wr = w[r]`, `rest` the other nonzeros).
-struct Eta {
-    r: u32,
-    wr: f64,
-    rest: Vec<(u32, f64)>,
-}
-
-impl Eta {
-    fn ftran(&self, v: &mut [f64]) {
-        let t = v[self.r as usize] / self.wr;
-        v[self.r as usize] = t;
-        if t != 0.0 {
-            for &(i, w) in &self.rest {
-                v[i as usize] -= w * t;
-            }
-        }
-    }
-
-    fn btran(&self, v: &mut [f64]) {
-        let mut t = v[self.r as usize];
-        for &(i, w) in &self.rest {
-            t -= w * v[i as usize];
-        }
-        v[self.r as usize] = t / self.wr;
-    }
-}
-
-enum PrimalOutcome {
-    Optimal,
-    Unbounded,
-    Error,
-}
-
 /// Mutable solver state over a shared [`Instance`]: working bounds,
 /// basis, factorization, and counters. Reusable across B&B nodes — each
 /// [`Ctx::solve_cold`] / [`Ctx::solve_warm`] fully resets what it needs,
@@ -471,12 +328,14 @@ pub(crate) struct Ctx {
     basis: Vec<u32>,
     /// Column → basis row (−1 when nonbasic).
     pos: Vec<i32>,
-    lu: Option<Lu>,
-    etas: Vec<Eta>,
+    lu: Lu,
+    etas: EtaFile,
     /// Values of the basic variables, row-aligned with `basis`.
     xb: Vec<f64>,
     scratch: Vec<f64>,
     ybuf: Vec<f64>,
+    /// Row `r` of `B⁻¹` (the dual simplex needs it next to `y` in `ybuf`).
+    rho: Vec<f64>,
     pub(crate) stats: SolverStats,
     /// Dantzig-iteration budget multiplier before switching to Bland's
     /// rule (test hook; production value 50).
@@ -495,11 +354,12 @@ impl Ctx {
             vstat: vec![VStat::Lower; total],
             basis: vec![0; m],
             pos: vec![-1; total],
-            lu: None,
-            etas: Vec::new(),
+            lu: Lu::default(),
+            etas: EtaFile::default(),
             xb: vec![0.0; m],
             scratch: vec![0.0; m],
             ybuf: vec![0.0; m],
+            rho: vec![0.0; m],
             stats: SolverStats::default(),
             dantzig_factor: 50,
             iter_cap_override: None,
@@ -530,22 +390,14 @@ impl Ctx {
 
     /// Full FTRAN: factorization then eta file in creation order.
     fn full_ftran(&self, v: &mut [f64]) {
-        if let Some(lu) = &self.lu {
-            lu.ftran(v);
-        }
-        for e in &self.etas {
-            e.ftran(v);
-        }
+        self.lu.ftran(v);
+        self.etas.ftran(v);
     }
 
     /// Full BTRAN: eta file in reverse order, then the factorization.
     fn full_btran(&self, v: &mut [f64]) {
-        for e in self.etas.iter().rev() {
-            e.btran(v);
-        }
-        if let Some(lu) = &self.lu {
-            lu.btran(v);
-        }
+        self.etas.btran(v);
+        self.lu.btran(v);
     }
 
     /// Scatters sparse column `j` into `out` and FTRANs it.
@@ -578,18 +430,15 @@ impl Ctx {
 
     /// Recomputes `xb = B⁻¹·(rhs − A_N·x_N)` from the current vstat.
     fn compute_xb(&mut self) {
-        // Deliberately a fresh allocation: this can run from `pivot` while
-        // a caller holds the shared scratch buffer.
-        let mut b = self.inst.rhs.clone();
+        // Built in `xb` itself, which nothing below reads: this can run
+        // from `pivot` while a caller holds the shared scratch buffer.
+        let mut b = std::mem::take(&mut self.xb);
+        b.copy_from_slice(&self.inst.rhs);
         for j in 0..self.inst.total {
             if self.vstat[j] == VStat::Basic {
                 continue;
             }
-            let v = match self.vstat[j] {
-                VStat::Lower => self.lo[j],
-                VStat::Upper => self.up[j],
-                VStat::Basic => unreachable!(),
-            };
+            let v = self.rest_value(j);
             if v != 0.0 {
                 for &(i, a) in &self.inst.cols[j] {
                     b[i as usize] -= a * v;
@@ -597,7 +446,7 @@ impl Ctx {
             }
         }
         self.full_ftran(&mut b);
-        self.xb.copy_from_slice(&b);
+        self.xb = b;
     }
 
     /// Rebuilds the LU from the current basis and clears the eta file.
@@ -605,16 +454,9 @@ impl Ctx {
     fn refactor(&mut self) -> bool {
         self.stats.refactorizations += 1;
         self.etas.clear();
-        match Lu::factor(&self.inst, &self.basis) {
-            Some(lu) => {
-                self.lu = Some(lu);
-                true
-            }
-            None => {
-                self.lu = None;
-                false
-            }
-        }
+        let ok = self.lu.factor(&self.inst.cols, &self.basis);
+        self.stats.factor_nonzeros += if ok { self.lu.nonzeros() as u64 } else { 0 };
+        ok
     }
 
     /// Applies a pivot: column `q` enters at basis row `r` with value
@@ -623,7 +465,10 @@ impl Ctx {
     /// the eta-cap refactorization below, whose `compute_xb` rebuilds the
     /// basic values from every nonbasic resting value and would otherwise
     /// still see the leaving variable as basic and drop its contribution.
-    fn pivot(&mut self, r: usize, q: usize, value: f64, w: &[f64], leaving_stat: VStat) {
+    /// `false` when that refactorization found the basis singular: nothing
+    /// is left to pivot on and the caller must stop.
+    #[must_use]
+    fn pivot(&mut self, r: usize, q: usize, value: f64, w: &[f64], leaving_stat: VStat) -> bool {
         let leaving = self.basis[r] as usize;
         self.pos[leaving] = -1;
         self.vstat[leaving] = leaving_stat;
@@ -631,25 +476,14 @@ impl Ctx {
         self.pos[q] = r as i32;
         self.vstat[q] = VStat::Basic;
         self.xb[r] = value;
-        let rest: Vec<(u32, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v.abs() > 1e-12)
-            .map(|(i, &v)| (i as u32, v))
-            .collect();
-        self.etas.push(Eta {
-            r: r as u32,
-            wr: w[r],
-            rest,
-        });
+        self.etas.push(r, w);
         if self.etas.len() >= MAX_ETAS {
-            // Refactorization failure after a legal pivot would mean the
-            // updated basis went numerically singular; recompute from the
-            // column data and keep going — primal/dual loops detect a
-            // truly broken factorization via their own safeguards.
-            let _ = self.refactor();
+            if !self.refactor() {
+                return false;
+            }
             self.compute_xb();
         }
+        true
     }
 
     /// Snaps a slightly out-of-bound basic value back to its bound.
@@ -694,7 +528,6 @@ impl Ctx {
                     return LpOutcome::Unbounded;
                 }
             }
-            self.lu = None;
             return LpOutcome::Optimal;
         }
 
@@ -702,11 +535,7 @@ impl Ctx {
         // artificial columns rest at 0, so only structurals contribute).
         let mut resid = self.inst.rhs.clone();
         for j in 0..inst.n {
-            let v = match self.vstat[j] {
-                VStat::Lower => self.lo[j],
-                VStat::Upper => self.up[j],
-                VStat::Basic => unreachable!(),
-            };
+            let v = self.rest_value(j);
             if v != 0.0 {
                 for &(i, a) in &inst.cols[j] {
                     resid[i as usize] -= a * v;
@@ -747,9 +576,8 @@ impl Ctx {
             p1cost[inst.art_start..].fill(1.0);
             let out = self.primal(&p1cost, true);
             self.stats.time_phase1 += t0.elapsed();
-            match out {
-                PrimalOutcome::Optimal => {}
-                PrimalOutcome::Unbounded | PrimalOutcome::Error => return LpOutcome::Error,
+            if out != LpOutcome::Optimal {
+                return LpOutcome::Error;
             }
             let mut infeas = 0.0;
             for (i, &b) in self.basis.iter().enumerate() {
@@ -765,30 +593,34 @@ impl Ctx {
             if infeas > PHASE1_TOL {
                 return LpOutcome::Infeasible;
             }
-            self.drive_out_artificials();
+            if !self.drive_out_artificials() {
+                return LpOutcome::Error;
+            }
         }
 
+        self.phase2()
+    }
+
+    /// Primal simplex on the instance's own cost, borrowed, not copied per LP.
+    fn phase2(&mut self) -> LpOutcome {
+        let inst = Arc::clone(&self.inst);
         let t0 = Instant::now();
-        let cost = inst.cost.clone();
-        let out = self.primal(&cost, false);
+        let out = self.primal(&inst.cost, false);
         self.stats.time_phase2 += t0.elapsed();
-        match out {
-            PrimalOutcome::Optimal => LpOutcome::Optimal,
-            PrimalOutcome::Unbounded => LpOutcome::Unbounded,
-            PrimalOutcome::Error => LpOutcome::Error,
-        }
+        out
     }
 
     /// After phase 1: pivot basic artificials out where possible (or
-    /// leave redundant rows harmlessly basic at zero).
-    fn drive_out_artificials(&mut self) {
+    /// leave redundant rows harmlessly basic at zero). `false` when a
+    /// pivot lost the factorization.
+    fn drive_out_artificials(&mut self) -> bool {
         let inst = Arc::clone(&self.inst);
         for r in 0..inst.m {
             if (self.basis[r] as usize) < inst.art_start {
                 continue;
             }
             // ρ = r-th row of B⁻¹; α_j = ρ·A_j is the pivot element.
-            let mut rho = std::mem::take(&mut self.ybuf);
+            let mut rho = std::mem::take(&mut self.rho);
             rho.fill(0.0);
             rho[r] = 1.0;
             self.full_btran(&mut rho);
@@ -806,23 +638,27 @@ impl Ctx {
                     break;
                 }
             }
-            self.ybuf = rho;
+            self.rho = rho;
             if let Some(q) = enter {
                 // Zero-step pivot: q becomes basic at its resting value.
                 let value = self.rest_value(q);
                 let mut w = std::mem::take(&mut self.scratch);
                 self.ftran_col(q, &mut w);
-                self.pivot(r, q, value, &w, VStat::Lower);
+                let ok = self.pivot(r, q, value, &w, VStat::Lower);
                 self.scratch = w;
+                if !ok {
+                    return false;
+                }
             }
         }
+        true
     }
 
     /// Bounded-variable primal simplex minimizing `cost`. Artificial
     /// columns never enter (phase 1 starts with them basic and only drives
     /// them out, which is safe because a feasible problem's restricted
     /// phase-1 optimum is still 0).
-    fn primal(&mut self, cost: &[f64], phase1: bool) -> PrimalOutcome {
+    fn primal(&mut self, cost: &[f64], phase1: bool) -> LpOutcome {
         let inst = Arc::clone(&self.inst);
         let m = inst.m;
         let budget_dantzig = self.dantzig_factor * (m + inst.ncols);
@@ -834,7 +670,7 @@ impl Ctx {
         loop {
             iters += 1;
             if iters >= hard_cap.max(1) {
-                return PrimalOutcome::Error;
+                return LpOutcome::Error;
             }
             let bland = iters > budget_dantzig;
 
@@ -862,7 +698,7 @@ impl Ctx {
                 }
             }
             let Some((q, dir)) = entering else {
-                return PrimalOutcome::Optimal;
+                return LpOutcome::Optimal;
             };
 
             let mut w = std::mem::take(&mut self.scratch);
@@ -899,7 +735,7 @@ impl Ctx {
             }
             if t_max.is_infinite() {
                 self.scratch = w;
-                return PrimalOutcome::Unbounded;
+                return LpOutcome::Unbounded;
             }
 
             match leave {
@@ -935,7 +771,10 @@ impl Ctx {
                             self.snap(i);
                         }
                     }
-                    self.pivot(r, q, value, &w, hit);
+                    if !self.pivot(r, q, value, &w, hit) {
+                        self.scratch = w;
+                        return LpOutcome::Error;
+                    }
                 }
             }
             self.scratch = w;
@@ -945,7 +784,7 @@ impl Ctx {
     /// Warm start: install `from` (or keep the current basis when `None`,
     /// the diving case), repair primal feasibility with the dual simplex,
     /// then run a phase-2 primal cleanup. Falls back to a cold solve when
-    /// the basis is singular or the dual budget runs out.
+    /// the basis is singular, the dual gives up or the cleanup errors.
     pub(crate) fn solve_warm(&mut self, from: Option<&BasisState>) -> LpOutcome {
         let inst = Arc::clone(&self.inst);
         if inst.m == 0 {
@@ -978,22 +817,14 @@ impl Ctx {
         let out = self.dual();
         self.stats.time_dual += t0.elapsed();
         let out = match out {
-            DualOutcome::Feasible => {
-                let t1 = Instant::now();
-                let cost = inst.cost.clone();
-                let o = self.primal(&cost, false);
-                self.stats.time_phase2 += t1.elapsed();
-                match o {
-                    PrimalOutcome::Optimal => LpOutcome::Optimal,
-                    PrimalOutcome::Unbounded => LpOutcome::Unbounded,
-                    PrimalOutcome::Error => LpOutcome::Error,
-                }
-            }
+            DualOutcome::Feasible => self.phase2(),
             DualOutcome::Infeasible => LpOutcome::Infeasible,
-            DualOutcome::GiveUp => return self.solve_cold(),
+            DualOutcome::GiveUp => LpOutcome::Error,
         };
-        if out == LpOutcome::Optimal || out == LpOutcome::Infeasible {
-            self.stats.warm_solves += 1;
+        match out {
+            LpOutcome::Error => return self.solve_cold(),
+            LpOutcome::Unbounded => {}
+            _ => self.stats.warm_solves += 1,
         }
         out
     }
@@ -1033,7 +864,8 @@ impl Ctx {
             self.stats.dual_pivots += 1;
 
             // ρ = r-th row of B⁻¹; y for reduced costs.
-            let mut rho = vec![0.0; m];
+            let mut rho = std::mem::take(&mut self.rho);
+            rho.fill(0.0);
             rho[r] = 1.0;
             self.full_btran(&mut rho);
             self.compute_y(cost);
@@ -1066,6 +898,7 @@ impl Ctx {
                     enter = Some((j, ratio));
                 }
             }
+            self.rho = rho;
             let Some((q, _)) = enter else {
                 // No column can absorb the violation: LP is infeasible.
                 return DualOutcome::Infeasible;
@@ -1075,10 +908,7 @@ impl Ctx {
             self.ftran_col(q, &mut w);
             if w[r].abs() <= EPS {
                 self.scratch = w;
-                if self.etas.is_empty() {
-                    return DualOutcome::GiveUp;
-                }
-                if !self.refactor() {
+                if self.etas.len() == 0 || !self.refactor() {
                     return DualOutcome::GiveUp;
                 }
                 self.compute_xb();
@@ -1093,14 +923,12 @@ impl Ctx {
                     self.xb[i] -= t * wi;
                 }
             }
-            self.pivot(
-                r,
-                q,
-                value,
-                &w,
-                if below { VStat::Lower } else { VStat::Upper },
-            );
+            let hit = if below { VStat::Lower } else { VStat::Upper };
+            let ok = self.pivot(r, q, value, &w, hit);
             self.scratch = w;
+            if !ok {
+                return DualOutcome::GiveUp;
+            }
         }
         DualOutcome::GiveUp
     }
@@ -1125,8 +953,8 @@ impl Ctx {
         if self.inst.m == 0 {
             return Vec::new();
         }
-        let cost = Arc::clone(&self.inst).cost.clone();
-        self.compute_y(&cost);
+        let inst = Arc::clone(&self.inst);
+        self.compute_y(&inst.cost);
         self.ybuf
             .iter()
             .map(|&y| if self.inst.negated { -y } else { y })
@@ -1660,6 +1488,63 @@ mod tests {
         let out = ctx.solve_cold();
         assert_eq!(out, LpOutcome::Error);
         assert_eq!(ctx.extract_solution(out).status, Status::Error);
+    }
+
+    // --- a singular eta-cap refactorization is surfaced ---
+
+    /// `min −x` over `x − w ≤ 4`, `y ≤ 5`, `z ≤ 6`, parked on its
+    /// all-slack basis (x held at 0 for the first solve), then left one
+    /// (identity) eta short of the cap with row 1's logical written over
+    /// row 2's: the next pivot — on row 0 — refactorizes a basis that
+    /// holds one column twice.
+    fn one_pivot_before_a_singular_refactor(x_lower: f64) -> Ctx {
+        let mut m = Model::new();
+        let x = m.continuous("x", 0.0, 10.0);
+        let w = m.continuous("w", 0.0, 10.0);
+        let y = m.continuous("y", 0.0, 10.0);
+        let z = m.continuous("z", 0.0, 10.0);
+        m.le(x - w, 4.0);
+        m.le(1.0 * y, 5.0);
+        m.le(1.0 * z, 6.0);
+        m.set_objective(Sense::Minimize, -1.0 * x);
+        let mut ctx = Ctx::new(Arc::new(Instance::build(&m)));
+        ctx.set_bounds(&[(0, 0.0, 0.0)]);
+        assert_eq!(ctx.solve_cold(), LpOutcome::Optimal);
+        assert_eq!(ctx.stats.total_pivots(), 0);
+        ctx.set_bounds(&[(0, x_lower, 10.0)]);
+        ctx.compute_xb();
+        while ctx.etas.len() < MAX_ETAS - 1 {
+            ctx.etas.push(0, &[1.0, 0.0, 0.0]);
+        }
+        ctx.basis[2] = ctx.basis[1];
+        ctx
+    }
+
+    #[test]
+    fn primal_stops_with_error_when_the_eta_cap_refactor_is_singular() {
+        // x enters, row 0's slack leaves.
+        let mut ctx = one_pivot_before_a_singular_refactor(0.0);
+        let cost = ctx.inst.cost.clone();
+        assert_eq!(ctx.primal(&cost, false), LpOutcome::Error);
+        assert_eq!(ctx.stats.phase2_pivots, 1, "it must not pivot on");
+        assert_eq!(ctx.extract_solution(LpOutcome::Error).status, Status::Error);
+        // Through the warm entry point the error is a cold re-solve.
+        let mut ctx = one_pivot_before_a_singular_refactor(0.0);
+        assert_eq!(ctx.solve_warm(None), LpOutcome::Optimal);
+        assert_eq!((ctx.stats.cold_solves, ctx.stats.warm_solves), (2, 0));
+        assert!((ctx.objective() + 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dual_gives_up_when_the_eta_cap_refactor_is_singular() {
+        // x ≥ 5 puts row 0's slack at −1; w enters to repair it.
+        let mut ctx = one_pivot_before_a_singular_refactor(5.0);
+        assert!(matches!(ctx.dual(), DualOutcome::GiveUp));
+        assert_eq!(ctx.stats.dual_pivots, 1, "it must not pivot on");
+        let mut ctx = one_pivot_before_a_singular_refactor(5.0);
+        assert_eq!(ctx.solve_warm(None), LpOutcome::Optimal);
+        assert_eq!((ctx.stats.cold_solves, ctx.stats.warm_solves), (2, 0));
+        assert!((ctx.objective() + 10.0).abs() < 1e-9);
     }
 
     // --- empty constraint rows (malformed-adjacent but legal) ---
