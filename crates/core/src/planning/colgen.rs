@@ -44,7 +44,7 @@ use flexwan_optical::spectrum::PixelRange;
 use flexwan_solver::{LinExpr, Model, Sense, SolveOptions};
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::IpTopology;
-use flexwan_topo::ksp::k_shortest_paths;
+use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
 use crate::master::{Outcome, Problem, RestrictedMaster, StopAt};
@@ -215,10 +215,9 @@ pub fn solve_exact_colgen(
 ) -> Option<ColGenPlan> {
     let pixels = cfg.grid.pixels();
     let none = HashSet::new();
-    let paths_per_link: Vec<Vec<Path>> = ip
-        .links()
-        .iter()
-        .map(|link| k_shortest_paths(optical, link.src, link.dst, cfg.k_paths, &none))
+    let mut scratch = DijkstraScratch::new();
+    let paths_per_link: Vec<Vec<Path>> = (ip.links().iter())
+        .map(|l| k_shortest_paths_scratch(optical, l.src, l.dst, cfg.k_paths, &none, &mut scratch))
         .collect();
     let model_t = scheme.transponder();
     let lazy = LazyWavelengthVarSpace::new(scheme, pixels, optical.num_edges(), paths_per_link);

@@ -38,7 +38,7 @@ use flexwan_solver::{
 };
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::{IpLinkId, IpTopology};
-use flexwan_topo::ksp::k_shortest_paths;
+use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
 use crate::opt::{GammaId, WavelengthVarSpace};
@@ -133,10 +133,11 @@ impl PlanModel {
     /// produces is identical to the pre-refactor `solve_exact` builder.
     pub fn build(scheme: Scheme, optical: &Graph, ip: &IpTopology, cfg: &PlannerConfig) -> Self {
         let none = std::collections::HashSet::new();
-        let paths_per_link: Vec<Vec<Path>> = ip
-            .links()
-            .iter()
-            .map(|link| k_shortest_paths(optical, link.src, link.dst, cfg.k_paths, &none))
+        let mut scratch = DijkstraScratch::new();
+        let paths_per_link: Vec<Vec<Path>> = (ip.links().iter())
+            .map(|l| {
+                k_shortest_paths_scratch(optical, l.src, l.dst, cfg.k_paths, &none, &mut scratch)
+            })
             .collect();
         Self::build_from_paths(scheme, optical, ip, cfg, paths_per_link)
     }
@@ -155,6 +156,11 @@ impl PlanModel {
         cfg: &PlannerConfig,
     ) -> Self {
         let none = std::collections::HashSet::new();
+        // One search arena for the whole (links × fibers) enumeration.
+        let mut scratch = DijkstraScratch::new();
+        let mut ksp = |l: &flexwan_topo::ip::IpLink, banned: &_| {
+            k_shortest_paths_scratch(optical, l.src, l.dst, cfg.k_paths, banned, &mut scratch)
+        };
         let paths_per_link: Vec<Vec<Path>> = ip
             .links()
             .iter()
@@ -169,16 +175,10 @@ impl PlanModel {
                         }
                     }
                 };
-                push_all(
-                    k_shortest_paths(optical, link.src, link.dst, cfg.k_paths, &none),
-                    &mut paths,
-                );
+                push_all(ksp(link, &none), &mut paths);
                 for fiber in optical.edges() {
                     let banned = std::collections::HashSet::from([fiber.id]);
-                    push_all(
-                        k_shortest_paths(optical, link.src, link.dst, cfg.k_paths, &banned),
-                        &mut paths,
-                    );
+                    push_all(ksp(link, &banned), &mut paths);
                 }
                 paths
             })
@@ -322,10 +322,12 @@ impl PlanModel {
         banned: &std::collections::HashSet<EdgeId>,
         slots: impl Iterator<Item = usize>,
     ) -> Vec<(usize, Vec<Path>)> {
+        let mut scratch = DijkstraScratch::new();
         slots
             .map(|slot| {
                 let (src, dst) = self.link_ends[slot];
-                let paths = k_shortest_paths(optical, src, dst, self.k_paths, banned);
+                let paths =
+                    k_shortest_paths_scratch(optical, src, dst, self.k_paths, banned, &mut scratch);
                 (slot, paths)
             })
             .collect()

@@ -17,7 +17,7 @@ use flexwan_optical::spectrum::PixelRange;
 use flexwan_solver::{LinExpr, Model, Sense, SolveOptions, SolverStats, Status};
 use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::IpTopology;
-use flexwan_topo::ksp::k_shortest_paths;
+use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
 use crate::master::{Problem, RestrictedMaster, StopAt};
@@ -93,11 +93,12 @@ fn build_instance(
             *n += extra_spares[*li];
         }
     }
+    let mut scratch = DijkstraScratch::new();
     let paths_per_slot: Vec<Vec<Path>> = per_link
         .iter()
         .map(|&(li, _, _)| {
-            let link = &ip.links()[li];
-            k_shortest_paths(optical, link.src, link.dst, cfg.k_paths, &banned)
+            let l = &ip.links()[li];
+            k_shortest_paths_scratch(optical, l.src, l.dst, cfg.k_paths, &banned, &mut scratch)
         })
         .collect();
     RestorationInstance {

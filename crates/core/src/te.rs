@@ -20,7 +20,7 @@ use std::collections::HashSet;
 
 use flexwan_solver::{Model, Sense, Status};
 use flexwan_topo::graph::{Graph, NodeId};
-use flexwan_topo::ksp::k_shortest_paths;
+use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
 use crate::opt::FlowVarSpace;
@@ -92,6 +92,18 @@ impl TeOutcome {
     }
 }
 
+/// The up-to-`k` shortest paths of every demand over one search arena;
+/// `None` when some demand has no path at all.
+fn candidate_paths(net: &IpNetwork, traffic: &[TrafficDemand], k: usize) -> Option<Vec<Vec<Path>>> {
+    let none = HashSet::new();
+    let mut scratch = DijkstraScratch::new();
+    let paths = |d: &TrafficDemand| {
+        let found = k_shortest_paths_scratch(&net.graph, d.src, d.dst, k, &none, &mut scratch);
+        (!found.is_empty()).then_some(found)
+    };
+    traffic.iter().map(paths).collect()
+}
+
 /// Routes `traffic` over `net` using up to `k` candidate paths per
 /// demand. Returns `None` when some demand has no path at all (the IP
 /// topology is partitioned for it).
@@ -105,15 +117,7 @@ pub fn route_traffic(net: &IpNetwork, traffic: &[TrafficDemand], k: usize) -> Op
             offered_gbps: 0.0,
         });
     }
-    let none = HashSet::new();
-    let mut paths_per_demand: Vec<Vec<Path>> = Vec::with_capacity(traffic.len());
-    for d in traffic {
-        let paths = k_shortest_paths(&net.graph, d.src, d.dst, k, &none);
-        if paths.is_empty() {
-            return None;
-        }
-        paths_per_demand.push(paths);
-    }
+    let paths_per_demand = candidate_paths(net, traffic, k)?;
 
     // --- Max concurrent flow: maximize α s.t. per-demand flow = α·d. ---
     let alpha = {
@@ -188,15 +192,7 @@ pub fn link_capacity_values(
     if traffic.is_empty() {
         return Some(vec![0.0; net.graph.num_edges()]);
     }
-    let none = HashSet::new();
-    let mut paths_per_demand: Vec<Vec<Path>> = Vec::with_capacity(traffic.len());
-    for d in traffic {
-        let paths = k_shortest_paths(&net.graph, d.src, d.dst, k, &none);
-        if paths.is_empty() {
-            return None;
-        }
-        paths_per_demand.push(paths);
-    }
+    let paths_per_demand = candidate_paths(net, traffic, k)?;
     let mut m = Model::new();
     let flows = FlowVarSpace::enumerate(&mut m, &paths_per_demand, net.graph.num_edges());
     m.group("demand");

@@ -4,9 +4,15 @@
 //! fibers with a physical length in km. The graph is append-only — failures
 //! are modeled by passing a set of banned edges to the path algorithms
 //! rather than by mutating the topology, which keeps failure-scenario
-//! evaluation cheap and side-effect free.
+//! evaluation cheap and side-effect free. Append-only also means "memo
+//! reset on append": what route enumeration derives from the graph (the
+//! [conduit view](crate::route)) is built on first use and kept until the
+//! next `add_node` / `add_edge`, the only two mutations there are.
 
 use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
+
+use crate::route::ConduitView;
 
 /// Identifier of a node (ROADM site / router).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,11 +61,21 @@ impl Edge {
 }
 
 /// An undirected weighted multigraph.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
     adjacency: Vec<Vec<EdgeId>>,
+    /// Memo of [`Graph::conduit_view`]: a function of the fields above, so
+    /// `==` ignores it, `clone` shares it and every append resets it.
+    conduits: OnceLock<Arc<ConduitView>>,
+}
+
+impl PartialEq for Graph {
+    /// Nodes and edges decide: `adjacency` and the memo are derived.
+    fn eq(&self, other: &Graph) -> bool {
+        self.nodes == other.nodes && self.edges == other.edges
+    }
 }
 
 impl Graph {
@@ -76,6 +92,7 @@ impl Graph {
             name: name.into(),
         });
         self.adjacency.push(Vec::new());
+        self.conduits = OnceLock::new();
         id
     }
 
@@ -95,7 +112,15 @@ impl Graph {
         });
         self.adjacency[a.0 as usize].push(id);
         self.adjacency[b.0 as usize].push(id);
+        self.conduits = OnceLock::new();
         id
+    }
+
+    /// The conduit-collapsed view of this graph that route enumeration
+    /// searches, built on first use (once, also under concurrent first
+    /// use) and kept until the next append.
+    pub(crate) fn conduit_view(&self) -> &ConduitView {
+        self.conduits.get_or_init(|| ConduitView::new(self).into())
     }
 
     /// Number of nodes.
@@ -243,5 +268,79 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_node("a");
         g.add_edge(a, a, 10);
+    }
+
+    /// a ==2 fibers== b ==1 fiber== c.
+    fn plant() -> (Graph, [NodeId; 3]) {
+        let mut g = Graph::new();
+        let [a, b, c] = ["a", "b", "c"].map(|n| g.add_node(n));
+        g.add_edge(a, b, 50);
+        g.add_edge(a, b, 52);
+        g.add_edge(b, c, 60);
+        (g, [a, b, c])
+    }
+
+    #[test]
+    fn conduit_view_is_built_once_and_shared() {
+        let (g, _) = plant();
+        assert!(std::ptr::eq(g.conduit_view(), g.conduit_view()));
+        // Concurrent first use: both threads leave the barrier together
+        // and must come back with the one allocation.
+        let (cold, _) = plant();
+        let barrier = std::sync::Barrier::new(2);
+        let first_use = || {
+            barrier.wait();
+            cold.conduit_view() as *const ConduitView as usize
+        };
+        let (x, y) = std::thread::scope(|s| {
+            let other = s.spawn(first_use);
+            (first_use(), other.join().ok())
+        });
+        assert_eq!(Some(x), y);
+        // A clone shares the memo instead of rebuilding it.
+        assert!(std::ptr::eq(g.clone().conduit_view(), g.conduit_view()));
+    }
+
+    #[test]
+    fn appends_reset_the_memo() {
+        use crate::route::k_shortest_routes;
+        let none = HashSet::new();
+        let (mut g, [a, b, c]) = plant();
+        let (mut fresh, _) = plant();
+        let routes = |g: &Graph, dst| k_shortest_routes(g, a, dst, 4, &none);
+        // Each append follows a query (so a stale memo would be consulted)
+        // and is compared against a graph that was never queried before.
+        assert_eq!(routes(&g, c).len(), 1);
+        for (x, y, km) in [(a, b, 51), (a, c, 400), (b, c, 75)] {
+            // A new parallel on a conduit, a new conduit, a new longest.
+            g.add_edge(x, y, km);
+            fresh.add_edge(x, y, km);
+            assert_eq!(routes(&g, c), routes(&fresh.clone(), c));
+        }
+        let got = routes(&g, c);
+        assert_eq!(got[0].hops[0], vec![EdgeId(0), EdgeId(3), EdgeId(1)]);
+        assert_eq!((got[0].length_km, got[1].length_km), (52 + 75, 400));
+        let d = g.add_node("d");
+        assert!(routes(&g, d).is_empty());
+        g.add_edge(c, d, 10);
+        assert_eq!(routes(&g, d)[0].length_km, 52 + 75 + 10);
+    }
+
+    #[test]
+    fn equality_ignores_the_memo_and_clones_are_independent() {
+        use crate::route::k_shortest_routes;
+        let none = HashSet::new();
+        let (g, [a, _, c]) = plant();
+        let cold = g.clone();
+        assert_eq!(g, cold);
+        let before = k_shortest_routes(&g, a, c, 4, &none);
+        assert_eq!(g, cold, "queried vs never queried");
+        assert_eq!(cold, g);
+        let mut grown = g.clone();
+        assert_eq!(g, grown, "both queried");
+        grown.add_edge(a, c, 70);
+        assert_ne!(g, grown);
+        assert_eq!(k_shortest_routes(&grown, a, c, 4, &none).len(), 2);
+        assert_eq!(k_shortest_routes(&g, a, c, 4, &none), before);
     }
 }

@@ -7,11 +7,19 @@
 //! parallels: it fixes the node sequence and records, per hop, *all*
 //! usable parallel fibers — the spectrum assigner then picks any free
 //! pair per hop.
+//!
+//! Routes are enumerated on the `ConduitView`: the optical graph with
+//! each conduit collapsed to one edge, built once and memoized on the
+//! graph. A ban never rebuilds it; it becomes per-query edge states on the
+//! caller's [`DijkstraScratch`] — a fully cut conduit is hidden, a partly
+//! cut one takes its longest survivor's length. Hiding keeps the relative
+//! order of the remaining edge ids, which is all the search's tie-breaks
+//! read, so the routes equal those of a graph rebuilt from the survivors.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use crate::graph::{EdgeId, Graph, NodeId};
-use crate::ksp::{k_shortest_paths_scratch, DijkstraScratch};
+use crate::graph::{Edge, EdgeId, Graph, NodeId};
+use crate::ksp::{yen, DijkstraScratch, HIDDEN};
 use crate::path::Path;
 
 /// A node-distinct route with the parallel-fiber alternatives per hop.
@@ -50,6 +58,48 @@ impl Route {
     }
 }
 
+/// An optical graph with every conduit — the parallel fibers between one
+/// unordered node pair — collapsed to one edge.
+#[derive(Debug)]
+pub(crate) struct ConduitView {
+    /// Same nodes; one edge per conduit, ids in sorted node-pair order,
+    /// length = the conduit's longest fiber (so route ordering matches
+    /// the conservative route length).
+    collapsed: Graph,
+    /// Per collapsed edge, its fibers by ascending `(length_km, id)`.
+    members: Vec<Vec<EdgeId>>,
+    /// Per fiber, its collapsed edge.
+    conduit_of: Vec<EdgeId>,
+}
+
+impl ConduitView {
+    /// Collapses `graph`; [`Graph::conduit_view`] is the memoized caller.
+    pub(crate) fn new(graph: &Graph) -> ConduitView {
+        let pair = |e: &Edge| (e.a.min(e.b), e.a.max(e.b));
+        let mut fibers: Vec<&Edge> = graph.edges().iter().collect();
+        fibers.sort_by_key(|e| (pair(e), e.length_km, e.id));
+        let mut view = ConduitView {
+            collapsed: Graph::new(),
+            members: Vec::new(),
+            conduit_of: vec![EdgeId(0); fibers.len()],
+        };
+        for _ in graph.nodes() {
+            view.collapsed.add_node(String::new());
+        }
+        for conduit in fibers.chunk_by(|x, y| pair(x) == pair(y)) {
+            // Chunks are non-empty and sorted by length: the last is longest.
+            let (a, b) = pair(conduit[0]);
+            let longest = conduit[conduit.len() - 1].length_km;
+            let id = view.collapsed.add_edge(a, b, longest);
+            for f in conduit {
+                view.conduit_of[f.id.0 as usize] = id;
+            }
+            view.members.push(conduit.iter().map(|f| f.id).collect());
+        }
+        view
+    }
+}
+
 /// The `k` shortest node-distinct routes from `src` to `dst`, avoiding
 /// `banned` fibers. Parallel fibers between the same node pair are
 /// collapsed into hop alternatives; route length (for ordering and for
@@ -64,10 +114,9 @@ pub fn k_shortest_routes(
     k_shortest_routes_scratch(graph, src, dst, k, banned, &mut DijkstraScratch::new())
 }
 
-/// [`k_shortest_routes`] over caller-owned Dijkstra scratch memory —
-/// callers that enumerate routes for many endpoint pairs on one graph
-/// (the planner's per-link loop, the route cache's miss path) reuse one
-/// arena instead of reallocating per call.
+/// [`k_shortest_routes`] over caller-owned search memory — callers that
+/// enumerate routes for many endpoint pairs (the planner's per-link loop,
+/// restoration's per-hit-link loop) reuse one arena across calls.
 pub fn k_shortest_routes_scratch(
     graph: &Graph,
     src: NodeId,
@@ -76,74 +125,59 @@ pub fn k_shortest_routes_scratch(
     banned: &HashSet<EdgeId>,
     scratch: &mut DijkstraScratch,
 ) -> Vec<Route> {
-    // Collapsed graph: one edge per unordered node pair, weight = max
-    // usable parallel length (so route ordering matches the conservative
-    // route length).
-    let mut groups: HashMap<(NodeId, NodeId), Vec<EdgeId>> = HashMap::new();
-    for e in graph.edges() {
-        if banned.contains(&e.id) {
-            continue;
+    let view = graph.conduit_view();
+    scratch.fit(&view.collapsed);
+    // Each conduit a banned fiber belongs to is examined once: hidden if
+    // no fiber survives, else given its longest survivor's length (set
+    // even when unchanged — a non-zero state is also what tells the hop
+    // lists below to filter). Ids past the end name no fiber: ignored.
+    let cut = banned
+        .iter()
+        .filter_map(|f| view.conduit_of.get(f.0 as usize));
+    for &c in cut {
+        if scratch.edge_state(c) == 0 {
+            let mut survivors = view.members[c.0 as usize].iter().rev();
+            let longest = survivors.find(|m| !banned.contains(m));
+            scratch.set_edge(c, longest.map_or(HIDDEN, |&m| graph.edge(m).length_km));
         }
-        let key = if e.a <= e.b { (e.a, e.b) } else { (e.b, e.a) };
-        groups.entry(key).or_default().push(e.id);
     }
-    let mut collapsed = Graph::new();
-    for n in graph.nodes() {
-        collapsed.add_node(n.name.clone());
-    }
-    // Map collapsed edge id → parallel group (sorted), in insertion order.
-    let mut group_of: Vec<Vec<EdgeId>> = Vec::new();
-    let mut keys: Vec<(NodeId, NodeId)> = groups.keys().copied().collect();
-    keys.sort();
-    for key in keys {
-        let mut members = groups.remove(&key).expect("key from map");
-        members.sort_by_key(|&e| (graph.edge(e).length_km, e));
-        let max_len = members
-            .iter()
-            .map(|&e| graph.edge(e).length_km)
-            .max()
-            .expect("non-empty group");
-        collapsed.add_edge(key.0, key.1, max_len);
-        group_of.push(members);
-    }
-
-    k_shortest_paths_scratch(&collapsed, src, dst, k, &HashSet::new(), scratch)
-        .into_iter()
+    let paths = yen(&view.collapsed, src, dst, k, scratch);
+    let hop = |&c: &EdgeId| {
+        let members = view.members[c.0 as usize].iter().copied();
+        match scratch.edge_state(c) {
+            0 => members.collect(),
+            _ => members.filter(|m| !banned.contains(m)).collect(),
+        }
+    };
+    let routes = (paths.into_iter())
         .map(|p| Route {
             length_km: p.length_km,
-            hops: p
-                .edges
-                .iter()
-                .map(|e| group_of[e.0 as usize].clone())
-                .collect(),
+            hops: p.edges.iter().map(hop).collect(),
             nodes: p.nodes,
         })
-        .collect()
+        .collect();
+    scratch.undo_edges(0);
+    routes
 }
 
 /// Groups fibers into conduits: parallel fibers between the same node
 /// pair share a physical conduit, so a backhoe severs them together.
 /// Returns the conduit members, deterministically ordered.
 pub fn conduits(graph: &Graph) -> Vec<Vec<EdgeId>> {
-    let mut groups: HashMap<(NodeId, NodeId), Vec<EdgeId>> = HashMap::new();
-    for e in graph.edges() {
-        let key = if e.a <= e.b { (e.a, e.b) } else { (e.b, e.a) };
-        groups.entry(key).or_default().push(e.id);
-    }
-    let mut keys: Vec<(NodeId, NodeId)> = groups.keys().copied().collect();
-    keys.sort();
-    keys.into_iter()
-        .map(|k| {
-            let mut v = groups.remove(&k).expect("key from map");
-            v.sort();
-            v
-        })
-        .collect()
+    let mut groups = graph.conduit_view().members.clone();
+    groups.iter_mut().for_each(|members| members.sort());
+    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cernet::cernet;
+    use crate::demand::ArrowDemandConfig;
+    use crate::ksp::{k_shortest_paths_scratch, oracle};
+    use crate::tbackbone::{t_backbone, Backbone, TBackboneConfig};
+    use flexwan_util::rng::ChaCha8Rng;
+    use std::collections::HashMap;
 
     /// a ==2 fibers== b ==2 fibers== c, plus a direct long a–c fiber.
     fn plant() -> (Graph, [NodeId; 3]) {
@@ -211,5 +245,161 @@ mod tests {
         assert!(routes[0].may_use(EdgeId(0)));
         assert!(routes[0].may_use(EdgeId(3)));
         assert!(!routes[0].may_use(EdgeId(4)));
+    }
+
+    /// The per-call rebuild this module used to run, verbatim: regroup the
+    /// surviving fibers, build a fresh collapsed `Graph`, run (the oracle)
+    /// Yen on it. The differential sweep compares every production route
+    /// against it.
+    fn oracle_routes(
+        graph: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        banned: &HashSet<EdgeId>,
+        scratch: &mut DijkstraScratch,
+    ) -> Vec<Route> {
+        // Collapsed graph: one edge per unordered node pair, weight = max
+        // usable parallel length (so route ordering matches the conservative
+        // route length).
+        let mut groups: HashMap<(NodeId, NodeId), Vec<EdgeId>> = HashMap::new();
+        for e in graph.edges() {
+            if banned.contains(&e.id) {
+                continue;
+            }
+            let key = if e.a <= e.b { (e.a, e.b) } else { (e.b, e.a) };
+            groups.entry(key).or_default().push(e.id);
+        }
+        let mut collapsed = Graph::new();
+        for n in graph.nodes() {
+            collapsed.add_node(n.name.clone());
+        }
+        // Map collapsed edge id → parallel group (sorted), in insertion order.
+        let mut group_of: Vec<Vec<EdgeId>> = Vec::new();
+        let mut keys: Vec<(NodeId, NodeId)> = groups.keys().copied().collect();
+        keys.sort();
+        for key in keys {
+            let mut members = groups.remove(&key).expect("key from map");
+            members.sort_by_key(|&e| (graph.edge(e).length_km, e));
+            let max_len = members
+                .iter()
+                .map(|&e| graph.edge(e).length_km)
+                .max()
+                .expect("non-empty group");
+            collapsed.add_edge(key.0, key.1, max_len);
+            group_of.push(members);
+        }
+
+        oracle::k_shortest_paths_scratch(&collapsed, src, dst, k, &HashSet::new(), scratch)
+            .into_iter()
+            .map(|p| Route {
+                length_km: p.length_km,
+                hops: p
+                    .edges
+                    .iter()
+                    .map(|e| group_of[e.0 as usize].clone())
+                    .collect(),
+                nodes: p.nodes,
+            })
+            .collect()
+    }
+
+    fn cut(fibers: &[&[EdgeId]]) -> HashSet<EdgeId> {
+        fibers.iter().flat_map(|f| f.iter().copied()).collect()
+    }
+
+    /// No ban, every conduit, every single fiber (a partial cut of its
+    /// conduit: the longest parallel either survives or is the one cut,
+    /// which changes that hop's weight), seeded two-fiber cuts in
+    /// different conduits, seeded two-conduit cuts, and the fibers around
+    /// the first link's source (which disconnects that link).
+    fn ban_sets(b: &Backbone, pairs: usize, rng: &mut ChaCha8Rng) -> Vec<HashSet<EdgeId>> {
+        let groups = conduits(&b.optical);
+        let mut sets = vec![HashSet::new()];
+        sets.extend(groups.iter().map(|c| cut(&[c])));
+        sets.extend(b.optical.edges().iter().map(|e| cut(&[&[e.id]])));
+        for _ in 0..pairs {
+            let x = rng.gen_range(0..groups.len());
+            let y = (x + rng.gen_range(1..groups.len())) % groups.len();
+            let (cx, cy) = (&groups[x], &groups[y]);
+            let fx = cx[rng.gen_range(0..cx.len())];
+            let fy = cy[rng.gen_range(0..cy.len())];
+            sets.push(cut(&[&[fx], &[fy]]));
+            sets.push(cut(&[cx, cy]));
+        }
+        sets.push(cut(&[b.optical.incident_edges(b.ip.links()[0].src)]));
+        sets
+    }
+
+    /// Compares production against the oracles for every ban set of
+    /// [`ban_sets`] — routes at k ∈ {1, 3, 5}, raw multigraph paths at
+    /// k = 4 — over one reused scratch. Release builds (the CI sweep gate)
+    /// run every IP link under every ban; debug builds run a seeded quarter
+    /// of the links whose shortest unbanned route crosses the cut (the
+    /// restoration query) and 1/64 of the rest.
+    /// Returns the number of queries compared.
+    fn differential_sweep(b: &Backbone, pairs: usize, seed: u64) -> usize {
+        let g = &b.optical;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut scratch = DijkstraScratch::new();
+        let none = HashSet::new();
+        let unbanned: Vec<Vec<Route>> = (b.ip.links().iter())
+            .map(|l| k_shortest_routes(g, l.src, l.dst, 5, &none))
+            .collect();
+        let mut compared = 0;
+        for banned in ban_sets(b, pairs, &mut rng) {
+            for (link, lit) in b.ip.links().iter().zip(&unbanned) {
+                let crosses = banned.iter().any(|&f| lit[0].may_use(f));
+                if cfg!(debug_assertions) && rng.gen_range(0..64) >= if crosses { 16 } else { 1 } {
+                    continue;
+                }
+                let (s, d) = (link.src, link.dst);
+                for k in [1, 3, 5] {
+                    assert_eq!(
+                        k_shortest_routes_scratch(g, s, d, k, &banned, &mut scratch),
+                        oracle_routes(g, s, d, k, &banned, &mut scratch),
+                        "routes {s:?}->{d:?} k={k} banned={banned:?}"
+                    );
+                }
+                assert_eq!(
+                    k_shortest_paths_scratch(g, s, d, 4, &banned, &mut scratch),
+                    oracle::k_shortest_paths_scratch(g, s, d, 4, &banned, &mut scratch),
+                    "paths {s:?}->{d:?} banned={banned:?}"
+                );
+                compared += 4;
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn differential_tbackbone_matches_the_per_call_rebuild() {
+        let b = t_backbone(&TBackboneConfig::default());
+        let compared = differential_sweep(&b, 48, 21);
+        assert!(compared > 1_000, "sweep too thin: {compared}");
+    }
+
+    #[test]
+    fn differential_cernet_matches_the_per_call_rebuild() {
+        let b = cernet(&ArrowDemandConfig::default());
+        let compared = differential_sweep(&b, 48, 22);
+        assert!(compared > 1_000, "sweep too thin: {compared}");
+    }
+
+    #[test]
+    fn disconnecting_ban_yields_no_route() {
+        let b = t_backbone(&TBackboneConfig::default());
+        let l = &b.ip.links()[0];
+        let banned = cut(&[b.optical.incident_edges(l.src)]);
+        assert!(k_shortest_routes(&b.optical, l.src, l.dst, 5, &banned).is_empty());
+        assert!(oracle_routes(
+            &b.optical,
+            l.src,
+            l.dst,
+            5,
+            &banned,
+            &mut DijkstraScratch::new()
+        )
+        .is_empty());
     }
 }

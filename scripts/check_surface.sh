@@ -13,7 +13,12 @@
 #     `SolveOptions` literal or reads it off solve options — branch &
 #     bound ignores the field, which is `#[doc(hidden)]` in
 #     crates/solver/src/model.rs (the one file allowed to name it) until
-#     `benchmark/` drops its two literals.
+#     `benchmark/` drops its two literals;
+#   * non-test crates/topo/src/route.rs constructs a `Graph` anywhere but
+#     in the one conduit-view builder (the per-query collapsed-graph
+#     rebuild must not grow back), or non-test crates/topo/src/ksp.rs
+#     names a `HashSet<NodeId>` (bans inside a search are marks on the
+#     scratch, not hash sets).
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -60,6 +65,23 @@ reads=$(grep -rnE '\b(opts|options|solve)\.threads\b' --include='*.rs' \
 if [ -n "$reads" ]; then
     echo "reads of SolveOptions::threads (branch & bound ignores it):"
     echo "$reads"
+    bad=1
+fi
+
+# Non-test part of a topo source file: everything above its first
+# top-level `#[cfg(test)]`.
+non_test() { awk '/^#\[cfg\(test\)\]/{exit} {print}' "crates/topo/src/$1"; }
+
+builder=$(non_test route.rs | awk '/^impl ConduitView /{on=1} on{print} /^}/{on=0}')
+if [ "$(non_test route.rs | grep -c 'Graph::new()')" -ne 1 ] ||
+    [ "$(echo "$builder" | grep -c 'Graph::new()')" -ne 1 ]; then
+    echo "crates/topo/src/route.rs must construct a Graph exactly once, in impl ConduitView:"
+    non_test route.rs | grep -n 'Graph::new()' || true
+    bad=1
+fi
+
+if non_test ksp.rs | grep -n 'HashSet<NodeId>'; then
+    echo "crates/topo/src/ksp.rs: node bans are marks on DijkstraScratch, not a HashSet<NodeId>"
     bad=1
 fi
 
