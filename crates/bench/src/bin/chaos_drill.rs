@@ -69,7 +69,7 @@ fn main() {
             ctrl.arm_faults(injector);
             let t0 = Instant::now();
             let _ = ctrl.apply_plan(&p, &g);
-            let report = ctrl.converge(&p, 64);
+            let report = ctrl.converge(64);
             let dt = t0.elapsed();
             assert!(
                 report.converged,

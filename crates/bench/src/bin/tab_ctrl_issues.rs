@@ -40,13 +40,14 @@ fn main() {
     // §9 zero-touch misconnection recovery.
     let channel = PixelRange::new(9, PixelWidth::new(6));
     let fixed = recover_misconnection(
+        None,
         WssKind::FixedGrid {
             spacing: PixelWidth::new(6),
         },
         4,
         channel,
     );
-    let sliced = recover_misconnection(WssKind::PixelWise, 4, channel);
+    let sliced = recover_misconnection(None, WssKind::PixelWise, 4, channel);
     println!("misconnection drill (transponder wired to the wrong MUX port):");
     println!(
         "  legacy fixed-grid OLS : {}",

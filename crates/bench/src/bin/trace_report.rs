@@ -19,7 +19,7 @@ use flexwan_core::observe::record_opt_model;
 use flexwan_core::planning::{solve_exact, solve_exact_colgen, PlanCtx, PlanModel, PlannerConfig};
 use flexwan_core::restore::one_fiber_scenarios;
 use flexwan_core::Scheme;
-use flexwan_ctrl::recovery::recover_misconnection_observed;
+use flexwan_ctrl::recovery::recover_misconnection;
 use flexwan_ctrl::{
     Controller, DeviceFaults, FaultInjector, FaultPlan, Orchestrator, TelemetrySim, TelemetryStore,
 };
@@ -103,7 +103,7 @@ fn run_scenario(obs: &Obs, manual: bool) {
     ctrl.arm_faults(Arc::new(FaultInjector::new(FaultPlan::uniform(7, faults))));
     let apply = ctrl.apply_plan(&p, &g);
     drill.field("apply_rejections", apply.rejections.len());
-    let report = ctrl.converge(&p, 64);
+    let report = ctrl.converge(64);
     assert!(report.converged, "drill plane must converge");
     drill.field("converge_passes", report.passes);
 
@@ -174,8 +174,8 @@ fn run_scenario(obs: &Obs, manual: bool) {
     for snr_db in [8.0, 12.0, 16.0, 20.0] {
         let _ = ber.evaluate(4.0, 10f64.powf(snr_db / 10.0), FecOverhead::LOW);
     }
-    let _ = recover_misconnection_observed(
-        obs,
+    let _ = recover_misconnection(
+        Some(obs),
         WssKind::PixelWise,
         9,
         PixelRange::new(12, PixelWidth::new(6)),

@@ -16,18 +16,18 @@ use flexwan_core::planning::Plan;
 use flexwan_core::Wavelength;
 use flexwan_obs::Obs;
 use flexwan_optical::devices::{Mux, Roadm};
-use flexwan_optical::spectrum::{PixelRange, SpectrumGrid};
+use flexwan_optical::spectrum::SpectrumGrid;
 use flexwan_optical::WssKind;
 use flexwan_topo::graph::{EdgeId, Graph, NodeId};
 use flexwan_util::rng::ChaCha8Rng;
 
 use crate::config::StandardConfig;
-use crate::device::{config_in_effect, spawn_device, DeviceHandle, Hardware};
+use crate::device::{config_in_effect, spawn_device, DeviceHandle, DeviceState, Hardware};
 use crate::faults::FaultInjector;
 use crate::journal::ConfigJournal;
 use crate::model::{DeviceDescriptor, DeviceId, DeviceKind, Vendor};
 use crate::netconf::SessionError;
-use crate::transaction::{Transaction, TxError};
+use crate::transaction::{Step, Transaction, TxError};
 use crate::vendor;
 
 /// Filter ports per site MUX.
@@ -37,9 +37,9 @@ const MUX_PORTS: u16 = 64;
 #[derive(Debug, Default)]
 pub struct DevMgr {
     /// Registered devices. The controller indexes this directly, but only
-    /// with ids it holds itself — site MUX/ROADM maps, live lightpath
-    /// allocations, breakers — and those are all dropped in the same step
-    /// that retires the device ([`Controller::retire`]).
+    /// with ids it holds itself — site MUX/ROADM maps, ledger footprints,
+    /// breakers — and those are all dropped in the same step that retires
+    /// the device ([`Controller::retire`]).
     devices: HashMap<DeviceId, DeviceHandle>,
     next_id: u32,
     injector: Option<Arc<FaultInjector>>,
@@ -170,14 +170,6 @@ impl ReconcileReport {
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty()
     }
-
-    /// Books the outcome of one repair send.
-    fn note(&mut self, sent: Result<(), (DeviceId, String)>) {
-        match sent {
-            Ok(()) => self.repaired += 1,
-            Err(e) => self.failures.push(e),
-        }
-    }
 }
 
 // Retry policy for device sends: capped exponential backoff with full
@@ -250,26 +242,19 @@ pub struct ConvergeReport {
     pub converged: bool,
 }
 
-/// The device-plane footprint of one applied wavelength, remembered so
-/// [`Controller::release_wavelength_atomic`] can undo exactly what the
-/// apply did (which transponders were spawned, which MUX ports were
-/// claimed — the ROADM expresses are re-derivable from the wavelength).
-#[derive(Debug, Clone, Default)]
-struct LightpathAlloc {
-    transponders: Vec<DeviceId>,
-    mux_ports: Vec<(NodeId, u16)>,
-}
-
-/// Identity of a lightpath on the device plane: same route + same
-/// spectrum ⇒ same footprint shape (allocations stack for duplicates).
-type LightpathKey = (Vec<EdgeId>, u32, u16);
-
-fn lightpath_key(w: &Wavelength) -> LightpathKey {
-    (
-        w.path.edges.clone(),
-        w.channel.start,
-        w.channel.width.pixels(),
-    )
+/// One entry of the controller's ledger of intent: a lightpath it was
+/// asked to light and the footprint it was given on the device plane, as
+/// the transaction that lights it — line-configs on the two transponders
+/// registered for it, the channel as passband on the filter port claimed
+/// on each endpoint MUX, one express per intermediate ROADM between the
+/// degrees the route enters and leaves by; each step's undo darkens the
+/// device again. "The same configuration parameters as the wavelength's
+/// spectrum" (§4.3), resolved once when the lightpath enters the ledger
+/// and read from there by release, audit and reconcile.
+#[derive(Debug)]
+struct Lightpath {
+    wavelength: Wavelength,
+    footprint: Transaction,
 }
 
 /// The centralized controller.
@@ -278,13 +263,16 @@ pub struct Controller {
     pub devmgr: DevMgr,
     mux_at: HashMap<NodeId, DeviceId>,
     roadm_at: HashMap<NodeId, DeviceId>,
-    next_port: HashMap<NodeId, u16>,
+    /// Per site MUX, the lowest filter port never handed out.
+    next_port: HashMap<DeviceId, u16>,
     /// Filter ports handed back by released lightpaths, reused before
     /// `next_port` grows — without this the monotonic counter exhausts
     /// the 64 ports of a site MUX under sustained cut/repair churn.
-    free_ports: HashMap<NodeId, Vec<u16>>,
-    /// Live lightpath footprints, keyed by route + spectrum.
-    live_paths: HashMap<LightpathKey, Vec<LightpathAlloc>>,
+    free_ports: HashMap<DeviceId, Vec<u16>>,
+    /// The ledger: every lightpath the controller was asked to light and
+    /// has not released, in the order lit (duplicates stack). What the
+    /// devices *should* hold is read from here and nowhere else.
+    live_paths: Vec<Lightpath>,
     degree_of: HashMap<(NodeId, EdgeId), u16>,
     revision: u64,
     journal: ConfigJournal,
@@ -330,7 +318,7 @@ impl Controller {
             roadm_at,
             next_port: HashMap::new(),
             free_ports: HashMap::new(),
-            live_paths: HashMap::new(),
+            live_paths: Vec::new(),
             degree_of,
             revision: 0,
             journal: ConfigJournal::new(),
@@ -445,23 +433,20 @@ impl Controller {
         std::thread::sleep(Duration::from_nanos(jittered));
     }
 
-    /// Claims a MUX filter port at `site`: lowest released port first
-    /// (deterministic), else the next never-used one.
-    fn alloc_port(&mut self, site: NodeId) -> u16 {
-        if let Some(free) = self.free_ports.get_mut(&site) {
+    /// Claims a filter port on site MUX `mux`: lowest released port first
+    /// (deterministic), else the next never-used one; `None` once all
+    /// [`MUX_PORTS`] are out.
+    fn alloc_port(&mut self, mux: DeviceId) -> Option<u16> {
+        if let Some(free) = self.free_ports.get_mut(&mux) {
             if let Some(pos) = (0..free.len()).min_by_key(|&i| free[i]) {
-                return free.swap_remove(pos);
+                return Some(free.swap_remove(pos));
             }
         }
-        let p = self.next_port.entry(site).or_insert(0);
-        let port = *p;
-        *p += 1;
-        port
-    }
-
-    /// Returns a filter port to `site`'s free list.
-    fn release_port(&mut self, site: NodeId, port: u16) {
-        self.free_ports.entry(site).or_default().push(port);
+        let next = self.next_port.entry(mux).or_insert(0);
+        (*next < MUX_PORTS).then(|| {
+            *next += 1;
+            *next - 1
+        })
     }
 
     fn send(&mut self, id: DeviceId, cfg: StandardConfig) -> Result<(), (DeviceId, String)> {
@@ -524,63 +509,69 @@ impl Controller {
         }
     }
 
-    /// Claims the per-lightpath resources of `w`: a transponder at each
-    /// end (vendor follows the site; registered up front, a rollback
-    /// disables it) and a filter port on each endpoint MUX.
-    fn claim_lightpath(&mut self, w: &Wavelength) -> LightpathAlloc {
-        let ends = [w.path.source(), w.path.destination()];
-        LightpathAlloc {
-            transponders: ends
-                .iter()
-                .map(|&site| {
-                    let vendor = Vendor::ALL[site.0 as usize % Vendor::ALL.len()];
-                    self.devmgr.register(
-                        vendor,
-                        DeviceKind::Transponder,
-                        site,
-                        Hardware::Transponder(None),
-                    )
-                })
-                .collect(),
-            mux_ports: ends
-                .iter()
-                .map(|&site| (site, self.alloc_port(site)))
-                .collect(),
+    /// Enters `w` into the device plane's books: registers a transponder
+    /// at each end (vendor follows the site), claims a filter port on each
+    /// endpoint MUX and resolves the footprint. This is the one place a
+    /// wavelength meets the topology the controller was built for — one
+    /// planned on another graph, or a site out of filter ports, is a
+    /// rejection naming the site or fiber, and whatever was claimed for
+    /// it is handed back.
+    fn admit_lightpath(&mut self, w: &Wavelength) -> Result<Lightpath, (DeviceId, String)> {
+        let mut lit = Lightpath {
+            wavelength: w.clone(),
+            footprint: Transaction::new(),
+        };
+        match self.claim_lightpath(w, &mut lit.footprint) {
+            Ok(()) => Ok(lit),
+            Err(rejection) => {
+                self.retire(lit);
+                Err(rejection)
+            }
         }
     }
 
-    /// The device-plane footprint of `w` over the resources in `alloc`,
-    /// in push order: line-configs on its transponders, the channel as
-    /// passband on its endpoint MUX ports, and one express per
-    /// intermediate ROADM between the degrees the route enters and leaves
-    /// by. Each step is the device, the config that lights it and the
-    /// config that darkens it again — "the same configuration parameters
-    /// as the wavelength's spectrum" (§4.3), written down once.
-    fn footprint(
-        &self,
+    /// The claiming itself, step by step into `tx` so that a rejection
+    /// half-way leaves behind exactly what [`Self::retire`] hands back.
+    fn claim_lightpath(
+        &mut self,
         w: &Wavelength,
-        alloc: &LightpathAlloc,
-    ) -> Vec<(DeviceId, StandardConfig, StandardConfig)> {
-        let mut steps = Vec::new();
-        for &t in &alloc.transponders {
+        tx: &mut Transaction,
+    ) -> Result<(), (DeviceId, String)> {
+        let ends = [w.path.source(), w.path.destination()];
+        for site in ends {
+            let vendor = Vendor::ALL[site.0 as usize % Vendor::ALL.len()];
+            let hw = Hardware::Transponder(None);
+            let device = self
+                .devmgr
+                .register(vendor, DeviceKind::Transponder, site, hw);
             let line = |enabled| StandardConfig::Transponder {
                 format: w.format,
                 channel: w.channel,
                 enabled,
             };
-            steps.push((t, line(true), line(false)));
+            tx.step(device, line(true), line(false));
         }
-        for &(site, port) in &alloc.mux_ports {
+        // A site the controller holds no devices for has nothing to blame
+        // but the transponder just stood up for it.
+        let blame = tx.steps()[0].device;
+        let foreign = |site| (blame, format!("no site {site:?} on this topology"));
+        for site in ends {
+            let device = *self.mux_at.get(&site).ok_or_else(|| foreign(site))?;
+            let port = self
+                .alloc_port(device)
+                .ok_or_else(|| (device, format!("site {site:?} out of filter ports")))?;
             let filter = |passband| StandardConfig::MuxPort { port, passband };
-            steps.push((self.mux_at[&site], filter(Some(w.channel)), filter(None)));
+            tx.step(device, filter(Some(w.channel)), filter(None));
         }
-        for i in 1..w.path.nodes.len().saturating_sub(1) {
-            let node = w.path.nodes[i];
-            let from_degree = self.degree_of[&(node, w.path.edges[i - 1])];
-            let to_degree = self.degree_of[&(node, w.path.edges[i])];
-            let passband = w.channel;
-            steps.push((
-                self.roadm_at[&node],
+        for (hop, &node) in w.path.edges.windows(2).zip(&w.path.nodes[1..]) {
+            let device = *self.roadm_at.get(&node).ok_or_else(|| foreign(node))?;
+            let degree = |fiber: EdgeId| {
+                let known = self.degree_of.get(&(node, fiber)).copied();
+                known.ok_or_else(|| (device, format!("no fiber {fiber:?} at site {node:?}")))
+            };
+            let (from_degree, to_degree, passband) = (degree(hop[0])?, degree(hop[1])?, w.channel);
+            tx.step(
+                device,
                 StandardConfig::RoadmExpress {
                     from_degree,
                     to_degree,
@@ -591,12 +582,35 @@ impl Controller {
                     to_degree,
                     passband,
                 },
-            ));
+            );
         }
-        steps
+        Ok(())
     }
 
-    /// Pushes every wavelength of `plan` to the device plane.
+    /// Hands back what [`Self::claim_lightpath`] claimed once the devices
+    /// hold nothing for the lightpath any more: the filter ports return to
+    /// their MUX's free list and the transponders leave the registry, with
+    /// their breakers — so nothing ever probes a retired id.
+    fn retire(&mut self, lit: Lightpath) {
+        for step in lit.footprint.steps() {
+            match step.apply {
+                StandardConfig::Transponder { .. } => {
+                    self.devmgr.devices.remove(&step.device);
+                    self.breakers.remove(&step.device);
+                }
+                StandardConfig::MuxPort { port, .. } => {
+                    self.free_ports.entry(step.device).or_default().push(port)
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Pushes every wavelength of `plan` to the device plane and enters
+    /// it into the ledger. A bulk commit is deliberately *not* atomic: it
+    /// keeps going past a rejected step and reports every one, and the
+    /// lightpath stays on the ledger either way — the intent stands, and
+    /// [`Self::reconcile`] re-sends exactly the steps that did not land.
     pub fn apply_plan(&mut self, plan: &Plan, _optical: &Graph) -> ApplyReport {
         let span = self.obs.as_ref().map(|o| {
             let s = o.span("ctrl.apply_plan");
@@ -606,25 +620,22 @@ impl Controller {
         let start = self.obs.as_ref().map(|o| o.now_ns());
         let mut report = ApplyReport::default();
         for w in &plan.wavelengths {
-            let alloc = self.claim_lightpath(w);
-            for (device, up, _) in self.footprint(w, &alloc) {
-                let configured = match up {
+            let claimed = self.admit_lightpath(w);
+            let Ok(lit) = claimed.map_err(|rejection| report.rejections.push(rejection)) else {
+                continue;
+            };
+            for step in lit.footprint.steps() {
+                let configured = match step.apply {
                     StandardConfig::Transponder { .. } => &mut report.transponders_configured,
-                    StandardConfig::MuxPort { port, .. } if port >= MUX_PORTS => {
-                        let site = self.devmgr.devices[&device].descriptor.site;
-                        report
-                            .rejections
-                            .push((device, format!("site {site:?} out of filter ports")));
-                        continue;
-                    }
                     StandardConfig::MuxPort { .. } => &mut report.mux_ports_configured,
                     _ => &mut report.expresses_configured,
                 };
-                match self.send(device, up) {
+                match self.send(step.device, step.apply.clone()) {
                     Ok(()) => *configured += 1,
                     Err(r) => report.rejections.push(r),
                 }
             }
+            self.live_paths.push(lit);
         }
         if let Some(s) = &span {
             s.field("rejections", report.rejections.len());
@@ -640,45 +651,25 @@ impl Controller {
 
     /// Applies one wavelength's configuration **atomically**: transponder
     /// line-configs, endpoint MUX passbands and intermediate ROADM
-    /// expresses either all land or none do (first rejection rolls the
-    /// applied prefix back). See [`crate::transaction`].
+    /// expresses either all land — and the lightpath enters the ledger —
+    /// or none do (first rejection rolls the applied prefix back). See
+    /// [`crate::transaction`].
     pub fn apply_wavelength_atomic(&mut self, w: &Wavelength) -> Result<usize, TxError> {
-        let alloc = self.claim_lightpath(w);
-        let mut tx = Transaction::new();
-        for (device, up, down) in self.footprint(w, &alloc) {
-            tx.step(device, up, down);
-        }
-        let result = self.execute(tx);
+        let lit = self
+            .admit_lightpath(w)
+            .map_err(|(device, cause)| TxError::before_send(device, cause))?;
+        let result = self.execute(&lit.footprint);
         match &result {
-            // Remember the footprint so the lightpath can be released.
-            Ok(_) => self
-                .live_paths
-                .entry(lightpath_key(w))
-                .or_default()
-                .push(alloc),
+            Ok(_) => self.live_paths.push(lit),
             // Rolled back: the rollback already darkened the devices.
-            Err(_) => self.retire(alloc),
+            Err(_) => self.retire(lit),
         }
         result
     }
 
-    /// Hands back what [`Self::claim_lightpath`] claimed once the devices
-    /// hold nothing for the lightpath any more: the filter ports return to
-    /// the site free lists and the transponders leave the registry, with
-    /// their breakers — so nothing ever probes a retired id.
-    fn retire(&mut self, alloc: LightpathAlloc) {
-        for (site, port) in alloc.mux_ports {
-            self.release_port(site, port);
-        }
-        for t in alloc.transponders {
-            self.devmgr.devices.remove(&t);
-            self.breakers.remove(&t);
-        }
-    }
-
     /// Runs `tx` against the device plane, every step through
     /// [`Self::send`].
-    fn execute(&mut self, tx: Transaction) -> Result<usize, TxError> {
+    fn execute(&mut self, tx: &Transaction) -> Result<usize, TxError> {
         let obs = self.obs.clone();
         tx.execute(obs.as_ref(), |d, cfg| {
             self.send(d, cfg.clone()).map_err(|(_, e)| e)
@@ -687,106 +678,111 @@ impl Controller {
 
     /// Tears one wavelength's configuration down **atomically**: disables
     /// its transponders, clears its endpoint MUX filter ports and releases
-    /// the intermediate ROADM expresses — the exact inverse of
-    /// [`apply_wavelength_atomic`](Self::apply_wavelength_atomic). A
-    /// mid-path rejection rolls the already-released prefix back, so the
-    /// lightpath is either fully up or fully down. On success the MUX
-    /// ports return to the site free list for reuse and the transponders
-    /// are retired. Releasing a wavelength this controller never applied
-    /// is a counted no-op.
+    /// the intermediate ROADM expresses — the inverse of the recorded
+    /// footprint of the most recently lit lightpath with `w`'s route and
+    /// spectrum, whether [`apply_plan`](Self::apply_plan) or
+    /// [`apply_wavelength_atomic`](Self::apply_wavelength_atomic) lit it.
+    /// A mid-path rejection rolls the already-released prefix back, so the
+    /// lightpath is either fully up or fully down. On success the entry
+    /// leaves the ledger, the MUX ports return to the free list for reuse
+    /// and the transponders are retired. Releasing a wavelength this
+    /// controller never applied is a counted no-op.
     pub fn release_wavelength_atomic(&mut self, w: &Wavelength) -> Result<usize, TxError> {
-        let key = lightpath_key(w);
-        let Some(alloc) = self.live_paths.get_mut(&key).and_then(|v| v.pop()) else {
+        let same = |l: &Lightpath| {
+            l.wavelength.channel == w.channel && l.wavelength.path.edges == w.path.edges
+        };
+        let Some(at) = self.live_paths.iter().rposition(same) else {
             self.count("ctrl_release_untracked_total");
             return Ok(0);
         };
-        let mut tx = Transaction::new();
-        // The apply's steps with the roles swapped: what darkens a device
-        // is the step, what lights it the undo, so a failed release rolls
-        // back to fully-applied.
-        for (device, up, down) in self.footprint(w, &alloc) {
-            tx.step(device, down, up);
-        }
-        let result = self.execute(tx);
+        let lit = self.live_paths.remove(at);
+        let result = self.execute(&lit.footprint.inverse());
         match &result {
             Ok(_) => {
-                self.retire(alloc);
+                self.retire(lit);
                 self.count("ctrl_releases_total");
             }
-            // Rolled back to fully-applied: the footprint is still live.
-            Err(_) => self.live_paths.entry(key).or_default().push(alloc),
+            // Rolled back to fully-applied: the entry is still live.
+            Err(_) => self.live_paths.insert(at, lit),
         }
         result
     }
 
-    /// Whether the MUX at `site` passes `channel` on any filter port.
-    fn mux_passes(&self, site: NodeId, channel: &PixelRange) -> Result<bool, SessionError> {
-        let state = self.devmgr.devices[&self.mux_at[&site]]
-            .session
-            .get_state()?;
-        Ok(matches!(state.hardware, Hardware::Mux(m)
-            if (0..MUX_PORTS).any(|p| m.passes(p, channel).unwrap_or(false))))
+    /// The wavelengths on the ledger, in the order they were lit.
+    pub fn lightpaths(&self) -> impl Iterator<Item = &Wavelength> {
+        self.live_paths.iter().map(|l| &l.wavelength)
     }
 
-    /// Repairs configuration drift: re-audits `plan` against live device
-    /// state and re-issues the missing passbands/expresses (e.g. after a
-    /// device was swapped for a factory-fresh unit in the field).
-    pub fn reconcile(&mut self, plan: &Plan) -> ReconcileReport {
-        let mut report = ReconcileReport::default();
-        for w in &plan.wavelengths {
-            // Which port an endpoint was given is not on record, so any
-            // port passing the channel will do; a missing passband is
-            // re-lit on a freshly claimed port.
-            for site in [w.path.source(), w.path.destination()] {
-                if self.mux_passes(site, &w.channel).unwrap_or(false) {
-                    continue;
-                }
-                let relit = LightpathAlloc {
-                    transponders: Vec::new(),
-                    mux_ports: vec![(site, self.alloc_port(site))],
-                };
-                if let Some((mux, up, _)) = self.footprint(w, &relit).into_iter().next() {
-                    report.note(self.send(mux, up));
+    /// Reads `id`'s state, asking again — as often as a send tries — when
+    /// the request is lost: a dropped read is no evidence of drift.
+    fn read_state(&self, id: DeviceId) -> Result<DeviceState, SessionError> {
+        let handle = self.devmgr.device(id).ok_or(SessionError::Unreachable)?;
+        let mut reads = (0..MAX_ATTEMPTS).map(|_| handle.session.get_state());
+        let answered = reads.find(Result::is_ok);
+        answered.unwrap_or(Err(SessionError::Unreachable))
+    }
+
+    /// The one drift traversal — drift is intent minus device state.
+    /// Walks the ledger from `cursor` (entry, step), in the order lit and
+    /// pushed, to the next step whose lighting config is not in effect
+    /// on its device; returns the entry's index, the step and the read
+    /// error if the device could not be asked. A device is read when its
+    /// step is reached, so a caller repairing as it goes sees its own
+    /// repairs. [`Self::audit_plan`] formats these, [`Self::reconcile`]
+    /// re-sends them.
+    fn next_drift(
+        &self,
+        cursor: &mut (usize, usize),
+    ) -> Option<(usize, Step, Option<SessionError>)> {
+        while let Some(lit) = self.live_paths.get(cursor.0) {
+            while let Some(step) = lit.footprint.steps().get(cursor.1) {
+                cursor.1 += 1;
+                match self.read_state(step.device) {
+                    Ok(state) if config_in_effect(&state, &step.apply) => {}
+                    read => return Some((cursor.0, step.clone(), read.err())),
                 }
             }
-            for (roadm, up, _) in self.footprint(w, &LightpathAlloc::default()) {
-                let expressed = self.devmgr.devices[&roadm].session.get_state();
-                if !expressed.is_ok_and(|state| config_in_effect(&state, &up)) {
-                    report.note(self.send(roadm, up));
-                }
+            *cursor = (cursor.0 + 1, 0);
+        }
+        None
+    }
+
+    /// Repairs configuration drift: re-issues every ledger step that is
+    /// not in effect (a device swapped for a factory-fresh unit in the
+    /// field, a step of [`Self::apply_plan`] that bounced) to the device
+    /// — transponder, filter port or express — it was recorded against.
+    pub fn reconcile(&mut self) -> ReconcileReport {
+        let mut report = ReconcileReport::default();
+        let mut cursor = (0, 0);
+        while let Some((_, step, _)) = self.next_drift(&mut cursor) {
+            match self.send(step.device, step.apply) {
+                Ok(()) => report.repaired += 1,
+                Err(e) => report.failures.push(e),
             }
         }
         report
     }
 
     /// End-to-end audit: re-reads device state and verifies that every
-    /// wavelength's channel is passed by its endpoint MUXes and expressed
-    /// by every intermediate ROADM (the §4.3 channel-consistency check).
-    pub fn audit_plan(&self, plan: &Plan) -> Vec<String> {
+    /// lightpath on the ledger is run by its transponders, passed by its
+    /// filter ports and expressed by every intermediate ROADM (the §4.3
+    /// channel-consistency check). A finding names the ledger position —
+    /// after one [`Self::apply_plan`], the plan's index.
+    pub fn audit_plan(&self) -> Vec<String> {
         let mut findings = Vec::new();
-        for (wi, w) in plan.wavelengths.iter().enumerate() {
-            for site in [w.path.source(), w.path.destination()] {
-                match self.mux_passes(site, &w.channel) {
-                    Ok(true) => {}
-                    Ok(false) => findings.push(format!(
-                        "wavelength {wi}: channel {} not passed by any filter port at {site:?} (channel inconsistency)",
-                        w.channel
-                    )),
-                    Err(e) => findings.push(format!("wavelength {wi}: mux at {site:?} unreachable: {e}")),
-                }
-            }
-            for (roadm, up, _) in self.footprint(w, &LightpathAlloc::default()) {
-                let handle = &self.devmgr.devices[&roadm];
-                let node = handle.descriptor.site;
-                match handle.session.get_state() {
-                    Ok(state) if config_in_effect(&state, &up) => {}
-                    Ok(_) => findings.push(format!(
-                        "wavelength {wi}: channel {} not expressed at {node:?} (channel inconsistency)",
-                        w.channel
-                    )),
-                    Err(_) => findings.push(format!("wavelength {wi}: roadm at {node:?} unreachable")),
-                }
-            }
+        let mut cursor = (0, 0);
+        while let Some((wi, step, unreachable)) = self.next_drift(&mut cursor) {
+            let channel = self.live_paths[wi].wavelength.channel;
+            let what = match step.apply {
+                StandardConfig::Transponder { .. } => "not run by transponder",
+                StandardConfig::MuxPort { .. } => "not passed by its filter port on",
+                _ => "not expressed by",
+            };
+            let why = unreachable.map_or("channel inconsistency".into(), |e| e.to_string());
+            let device = step.device;
+            findings.push(format!(
+                "wavelength {wi}: channel {channel} {what} {device:?} ({why})"
+            ));
         }
         findings
     }
@@ -841,9 +837,9 @@ impl Controller {
 
     /// The self-healing loop: repeatedly probes quarantined devices
     /// (restarting crashed ones and rolling them forward from the
-    /// journal), reconciles drift against `plan`, and audits — until the
-    /// plane is clean or `max_passes` passes have run.
-    pub fn converge(&mut self, plan: &Plan, max_passes: usize) -> ConvergeReport {
+    /// journal), reconciles drift against the ledger, and audits — until
+    /// the plane is clean or `max_passes` passes have run.
+    pub fn converge(&mut self, max_passes: usize) -> ConvergeReport {
         let span = self.obs.as_ref().map(|o| o.span("ctrl.converge"));
         let start = self.obs.as_ref().map(|o| o.now_ns());
         let mut report = ConvergeReport::default();
@@ -857,12 +853,12 @@ impl Controller {
             for id in self.quarantined() {
                 self.probe_quarantined(id, &mut report);
             }
-            let rec = self.reconcile(plan);
+            let rec = self.reconcile();
             report.repaired += rec.repaired;
             if let Some(p) = &pass_span {
                 p.field("repaired", rec.repaired);
             }
-            if rec.is_clean() && self.quarantined().is_empty() && self.audit_plan(plan).is_empty() {
+            if rec.is_clean() && self.quarantined().is_empty() && self.audit_plan().is_empty() {
                 report.converged = true;
                 break;
             }
@@ -904,6 +900,12 @@ mod tests {
         (g, ip)
     }
 
+    /// What device `id` holds right now.
+    fn hardware(ctrl: &Controller, id: DeviceId) -> Hardware {
+        let handle = ctrl.devmgr.device(id).expect("registered");
+        handle.session.get_state().expect("reachable").hardware
+    }
+
     #[test]
     fn plan_applies_cleanly_and_audits_consistent() {
         let (g, ip) = backbone();
@@ -919,7 +921,7 @@ mod tests {
         assert_eq!(report.transponders_configured, 2 * p.wavelengths.len());
         assert_eq!(report.mux_ports_configured, 2 * p.wavelengths.len());
         // §4.3's result: zero inconsistency under centralized control.
-        let findings = ctrl.audit_plan(&p);
+        let findings = ctrl.audit_plan();
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -935,7 +937,7 @@ mod tests {
         let mut ctrl = Controller::build(&g, Scheme::Radwan.wss(), cfg.grid);
         let report = ctrl.apply_plan(&p, &g);
         assert!(report.is_clean(), "rejections: {:?}", report.rejections);
-        assert!(ctrl.audit_plan(&p).is_empty());
+        assert!(ctrl.audit_plan().is_empty());
     }
 
     #[test]
@@ -1007,7 +1009,7 @@ mod tests {
             let steps = ctrl.apply_wavelength_atomic(w).unwrap();
             assert!(steps >= 4, "2 transponders + 2 mux ports at least");
         }
-        assert!(ctrl.audit_plan(&p).is_empty());
+        assert!(ctrl.audit_plan().is_empty());
     }
 
     #[test]
@@ -1020,18 +1022,78 @@ mod tests {
         let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
         let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
         assert!(ctrl.apply_plan(&p, &g).is_clean());
-        assert!(ctrl.audit_plan(&p).is_empty());
+        assert!(ctrl.audit_plan().is_empty());
         // A MUX is swapped for a factory-fresh unit: drift appears…
         let mux0 = ctrl.mux_at[&p.wavelengths[0].path.source()];
         ctrl.devmgr.reset_device(mux0).unwrap();
-        assert!(!ctrl.audit_plan(&p).is_empty(), "drift must be visible");
+        assert!(!ctrl.audit_plan().is_empty(), "drift must be visible");
         // …and reconcile repairs it.
-        let rep = ctrl.reconcile(&p);
+        let rep = ctrl.reconcile();
         assert!(rep.is_clean(), "{:?}", rep.failures);
         assert!(rep.repaired > 0);
-        assert!(ctrl.audit_plan(&p).is_empty(), "plane reconciled");
+        assert!(ctrl.audit_plan().is_empty(), "plane reconciled");
         // A second pass is a no-op (reconcile is idempotent).
-        assert_eq!(ctrl.reconcile(&p).repaired, 0);
+        assert_eq!(ctrl.reconcile().repaired, 0);
+    }
+
+    #[test]
+    fn reconcile_relights_the_recorded_ports_however_often_a_mux_is_swapped() {
+        // The MUX at site a terminates both lightpaths. Re-lighting drift
+        // on a freshly claimed port leaked two ports per swap and ran the
+        // 64-port MUX dry on the 32nd.
+        let (g, ip) = backbone();
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        assert!(ctrl.apply_plan(&p, &g).is_clean());
+        let mux = ctrl.mux_at[&NodeId(0)];
+        let lit = hardware(&ctrl, mux);
+        let claimed = ctrl.next_port.clone();
+        for swap in 0..100 {
+            ctrl.devmgr.reset_device(mux).unwrap();
+            let rep = ctrl.reconcile();
+            assert!(rep.is_clean(), "swap {swap}: {:?}", rep.failures);
+            assert_eq!(rep.repaired, 2, "swap {swap}");
+            assert!(ctrl.audit_plan().is_empty(), "swap {swap}");
+        }
+        assert_eq!(ctrl.next_port, claimed, "a repair claims no port");
+        assert!(ctrl.free_ports.is_empty());
+        assert_eq!(
+            hardware(&ctrl, mux),
+            lit,
+            "same passbands on the same ports"
+        );
+    }
+
+    #[test]
+    fn factory_reset_transponder_is_audited_and_reconciled() {
+        let (g, ip) = backbone();
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        let built = ctrl.devmgr.len() as u32;
+        assert!(ctrl.apply_plan(&p, &g).is_clean());
+        // The first device registered after the plane itself is the first
+        // wavelength's source transponder.
+        let transponder = DeviceId(built);
+        let running = hardware(&ctrl, transponder);
+        assert!(matches!(running, Hardware::Transponder(Some(_))));
+        ctrl.devmgr.reset_device(transponder).unwrap();
+        let findings = ctrl.audit_plan();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("wavelength 0:"), "{findings:?}");
+        assert!(findings[0].contains("transponder"), "{findings:?}");
+        let rep = ctrl.reconcile();
+        assert!(rep.is_clean(), "{:?}", rep.failures);
+        assert_eq!(rep.repaired, 1);
+        assert!(ctrl.audit_plan().is_empty());
+        assert_eq!(hardware(&ctrl, transponder), running);
     }
 
     #[test]
@@ -1074,17 +1136,140 @@ mod tests {
         for w in &p.wavelengths {
             ctrl.apply_wavelength_atomic(w).unwrap();
         }
-        assert!(ctrl.audit_plan(&p).is_empty());
+        assert!(ctrl.audit_plan().is_empty());
         let released = ctrl.release_wavelength_atomic(&p.wavelengths[0]).unwrap();
         assert!(released >= 4, "2 transponders + 2 mux ports at least");
-        // The released wavelength now audits as inconsistent; the rest of
-        // the plan is untouched.
-        let findings = ctrl.audit_plan(&p);
+        // The released wavelength left the ledger and the devices — it can
+        // be lit again on the spectrum it gave back — and the rest of the
+        // plan is untouched.
+        assert!(ctrl.lightpaths().eq(&p.wavelengths[1..]));
+        assert!(ctrl.audit_plan().is_empty());
+        ctrl.apply_wavelength_atomic(&p.wavelengths[0]).unwrap();
+        assert!(ctrl.audit_plan().is_empty());
+    }
+
+    #[test]
+    fn every_lightpath_of_apply_plan_is_on_the_ledger_and_releasable() {
+        // One way to light, one record: what `apply_plan` lit is released
+        // by the same call that releases an atomic apply, and the plane
+        // ends as it was built.
+        let (g, ip) = backbone();
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        let built = ctrl.devmgr.len();
+        let factory: Vec<_> = ctrl
+            .devmgr
+            .ids()
+            .into_iter()
+            .map(|id| hardware(&ctrl, id))
+            .collect();
+        assert!(ctrl.apply_plan(&p, &g).is_clean());
+        assert!(ctrl.lightpaths().eq(&p.wavelengths));
+        for w in &p.wavelengths {
+            let released = ctrl.release_wavelength_atomic(w).unwrap();
+            assert!(released >= 4, "an untracked release sends nothing");
+        }
+        assert_eq!(ctrl.lightpaths().count(), 0);
+        assert_eq!(ctrl.devmgr.len(), built, "transponders retired");
+        let dark: Vec<_> = ctrl
+            .devmgr
+            .ids()
+            .into_iter()
+            .map(|id| hardware(&ctrl, id))
+            .collect();
+        assert_eq!(dark, factory, "every passband and express taken back");
+    }
+
+    #[test]
+    fn foreign_wavelength_is_a_rejection_not_a_panic() {
+        // A wavelength planned on a bigger graph: site d and fiber c–d do
+        // not exist on the controller's three-node plane.
+        let (g, _) = backbone();
+        let mut big = g.clone();
+        let d = big.add_node("d");
+        big.add_edge(NodeId(2), d, 100);
+        big.add_edge(NodeId(1), d, 100);
+        let mut ip = IpTopology::new();
+        ip.add_link(NodeId(0), d, 100); // a–b–d: ends on an unknown site
+        ip.add_link(NodeId(0), NodeId(2), 100); // a–b–c, rerouted below
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        let mut p = plan(Scheme::FlexWan, &big, &ip, &cfg);
+        assert!(p.is_feasible());
+        // Second link: keep the known endpoints, swap the middle for the
+        // unknown site — a–b, b–d, d–c.
+        let via_d = p
+            .wavelengths
+            .iter_mut()
+            .find(|w| w.path.destination() == NodeId(2));
+        let via_d = via_d.expect("a–c is planned");
+        via_d.path.nodes = vec![NodeId(0), NodeId(1), d, NodeId(2)];
+        via_d.path.edges = vec![EdgeId(0), EdgeId(4), EdgeId(3)];
+
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        let built = ctrl.devmgr.len();
+        let report = ctrl.apply_plan(&p, &g);
+        assert_eq!(report.rejections.len(), p.wavelengths.len());
         assert!(
-            findings.iter().all(|f| f.starts_with("wavelength 0")),
-            "{findings:?}"
+            report
+                .rejections
+                .iter()
+                .any(|(_, cause)| cause.contains("no site NodeId(3)")),
+            "{:?}",
+            report.rejections
         );
-        assert!(!findings.is_empty());
+        assert!(
+            report
+                .rejections
+                .iter()
+                .any(|(_, cause)| cause.contains("no fiber EdgeId(4)")),
+            "{:?}",
+            report.rejections
+        );
+        for w in &p.wavelengths {
+            let err = ctrl.apply_wavelength_atomic(w).unwrap_err();
+            assert_eq!(err.rolled_back, 0, "{err}");
+        }
+        // Nothing was sent, nothing entered the ledger, nothing leaked.
+        assert_eq!(ctrl.stats().sends, 0);
+        assert_eq!(ctrl.lightpaths().count(), 0);
+        assert_eq!(ctrl.devmgr.len(), built);
+        assert!(ctrl.next_port.values().all(|&next| next <= 2));
+        let free: usize = ctrl.free_ports.values().map(Vec::len).sum();
+        assert_eq!(free, ctrl.next_port.values().map(|&n| n as usize).sum());
+    }
+
+    #[test]
+    fn a_site_out_of_filter_ports_rejects_before_sending() {
+        let (g, ip) = backbone();
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let w = &p.wavelengths[0];
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        // Hand out every port of the source MUX.
+        let mux = ctrl.mux_at[&w.path.source()];
+        while ctrl.alloc_port(mux).is_some() {}
+        let built = ctrl.devmgr.len();
+        let err = ctrl.apply_wavelength_atomic(w).unwrap_err();
+        assert_eq!(err.failed_device, mux);
+        assert!(err.cause.contains("out of filter ports"), "{err}");
+        let mut one = p.clone();
+        one.wavelengths.truncate(1);
+        let report = ctrl.apply_plan(&one, &g);
+        assert_eq!(report.rejections.len(), 1);
+        assert_eq!(report.rejections[0].0, mux);
+        assert_eq!(ctrl.stats().sends, 0);
+        assert_eq!(ctrl.devmgr.len(), built);
+        assert_eq!(ctrl.lightpaths().count(), 0);
     }
 
     #[test]
@@ -1107,7 +1292,8 @@ mod tests {
         }
         // Only the two endpoint ports were ever claimed.
         for site in [w.path.source(), w.path.destination()] {
-            assert!(ctrl.next_port[&site] <= 1, "ports leaked at {site:?}");
+            let mux = ctrl.mux_at[&site];
+            assert!(ctrl.next_port[&mux] <= 1, "ports leaked at {site:?}");
         }
     }
 

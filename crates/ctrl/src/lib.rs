@@ -59,7 +59,7 @@ pub use journal::{ConfigJournal, JournalEntry};
 pub use model::{DeviceDescriptor, DeviceId, DeviceKind, Vendor};
 pub use netconf::{NetconfSession, SessionError};
 pub use orchestrator::{Orchestrator, TickOutcome};
-pub use recovery::{recover_misconnection, recover_misconnection_observed, RecoveryOutcome};
+pub use recovery::{recover_misconnection, RecoveryOutcome};
 pub use service::{
     ChurnEvent, ChurnService, EventLog, SeqEvent, ServiceConfig, ServiceState, ServiceStats,
     TickRecord, TickReport, LADDER_HEURISTIC, LADDER_PROTECT, LADDER_WARM,

@@ -4,12 +4,14 @@
 //! "Once an optical failure happens, the optical TopoMgr will notify the
 //! optical restoration module to generate the optimal restoration plan."
 //! The [`Orchestrator`] owns that loop: each telemetry tick it runs the
-//! cut detector; on a new cut it computes the restoration plan (the §8
-//! algorithm over the live plan) and pushes the revived wavelengths to
-//! the device plane atomically; on fiber repair it retires the
-//! restoration wavelengths again.
+//! cut detector; whenever the set of cut fibers changes it computes the
+//! restoration wanted now (the §8 algorithm over the live plan and every
+//! fiber still cut; nothing once all are back) and moves the device
+//! plane from the restoration that is live to that one — releasing what
+//! left, lighting what arrived, atomically per wavelength, and leaving
+//! what stayed alone.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use flexwan_core::planning::{Plan, PlannerConfig};
 use flexwan_core::restore::{restore, FailureScenario};
@@ -21,32 +23,42 @@ use flexwan_topo::ip::IpTopology;
 use crate::controller::Controller;
 use crate::datastream::{FiberCutDetector, TelemetryStore};
 
-/// What the orchestrator did on one tick.
+/// What the orchestrator did on one tick. A tick that changes the cut
+/// set re-plans restoration for *every* fiber still cut and applies the
+/// difference to what is live, so when cuts overlap the capacity figures
+/// are totals over the standing cuts while the wavelength counts are what
+/// this tick moved.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TickOutcome {
     /// Telemetry healthy, nothing to do.
     Quiet,
-    /// New cuts detected and restoration applied.
+    /// New cuts detected (fibers repaired on the same tick, if any, are
+    /// not reported) and restoration applied.
     Restored {
         /// The newly cut fibers.
         cuts: Vec<EdgeId>,
-        /// Capacity lost and revived, Gbps.
+        /// Capacity down across every fiber cut now, Gbps — not only
+        /// this tick's `cuts`.
         lost_gbps: u64,
-        /// Capacity revived, Gbps.
+        /// Capacity the restoration plan revives across every fiber cut
+        /// now, Gbps, including what earlier ticks already lit.
         revived_gbps: u64,
-        /// Device-plane rejections during apply (should be none).
+        /// Wavelengths this tick tried to light that the device plane
+        /// rejected (should be none); what stayed live is not re-pushed.
         apply_rejections: usize,
     },
-    /// Previously cut fibers recovered; restoration wavelengths retired.
+    /// Previously cut fibers recovered and no new cut arrived.
     Repaired {
         /// The fibers that came back.
         fibers: Vec<EdgeId>,
-        /// Restoration wavelengths retired (released on the device
-        /// plane, spectrum and MUX ports returned).
+        /// Restoration wavelengths released on this tick (spectrum, MUX
+        /// ports and transponders returned): all of them on a full
+        /// repair, on a partial one those the surviving cuts' restoration
+        /// no longer contains.
         retired: usize,
-        /// Wavelengths re-applied for fibers still cut — a partial
-        /// repair retires everything and re-restores the remainder
-        /// rather than leaving surviving cuts unprotected.
+        /// Restoration wavelengths lit on this tick for fibers still cut.
+        /// Those that stayed live across a partial repair count in
+        /// neither field.
         re_restored: usize,
     },
 }
@@ -60,7 +72,7 @@ pub struct Orchestrator<'a> {
     detector: FiberCutDetector,
     extra_spares: Vec<u32>,
     /// Fibers currently believed cut.
-    active_cuts: HashSet<EdgeId>,
+    active_cuts: BTreeSet<EdgeId>,
     /// Restoration wavelengths currently live.
     restoration: Vec<Wavelength>,
     scenario_counter: usize,
@@ -83,7 +95,7 @@ impl<'a> Orchestrator<'a> {
             plan,
             detector: FiberCutDetector::default(),
             extra_spares,
-            active_cuts: HashSet::new(),
+            active_cuts: BTreeSet::new(),
             restoration: Vec::new(),
             scenario_counter: 0,
             obs: None,
@@ -103,7 +115,7 @@ impl<'a> Orchestrator<'a> {
     }
 
     /// Fibers currently believed cut.
-    pub fn active_cuts(&self) -> &HashSet<EdgeId> {
+    pub fn active_cuts(&self) -> &BTreeSet<EdgeId> {
         &self.active_cuts
     }
 
@@ -158,87 +170,78 @@ impl<'a> Orchestrator<'a> {
         controller: &mut Controller,
         span: Option<&flexwan_obs::Span>,
     ) -> TickOutcome {
-        let flagged: HashSet<EdgeId> = self.detector.scan(store).into_iter().collect();
-
-        let mut repaired: Vec<EdgeId> = self.active_cuts.difference(&flagged).copied().collect();
-        let mut new_cuts: Vec<EdgeId> = flagged.difference(&self.active_cuts).copied().collect();
-        repaired.sort();
-        new_cuts.sort();
+        let flagged: BTreeSet<EdgeId> = self.detector.scan(store).into_iter().collect();
+        let repaired: Vec<EdgeId> = self.active_cuts.difference(&flagged).copied().collect();
+        let new_cuts: Vec<EdgeId> = flagged.difference(&self.active_cuts).copied().collect();
         if repaired.is_empty() && new_cuts.is_empty() {
             return TickOutcome::Quiet;
         }
+        self.active_cuts = flagged;
 
-        // Repairs: release every live restoration wavelength through the
-        // device plane (spectrum and MUX ports return to the pool; the
-        // original plan's wavelengths resume on the repaired fibers). If
-        // any cut survives — a partial repair, or a repair landing on the
-        // same tick as a fresh cut — restoration for the surviving set is
-        // recomputed below instead of leaving it unprotected.
+        // The restoration wanted now: over every fiber still cut, or
+        // nothing once all are back (the plan's own wavelengths resume).
+        let wanted = (!self.active_cuts.is_empty()).then(|| {
+            self.scenario_counter += 1;
+            let scenario = FailureScenario {
+                id: self.scenario_counter,
+                cuts: self.active_cuts.iter().copied().collect(),
+                probability: 1.0,
+            };
+            let plan_span = span.map(|s| s.child("orch.restore_plan"));
+            let r = restore(
+                &self.plan,
+                self.optical,
+                self.ip,
+                &scenario,
+                &self.extra_spares,
+                &self.cfg,
+            );
+            if let Some(p) = &plan_span {
+                p.field("restored", r.restored.len());
+            }
+            r
+        });
+        let target: Vec<&Wavelength> = wanted
+            .iter()
+            .flat_map(|r| r.restored.iter().map(|rw| &rw.wavelength))
+            .collect();
+
+        // Live → wanted is one difference. Release what left first, so
+        // its spectrum and ports are free for what arrives…
         let mut retired = 0;
-        if !repaired.is_empty() {
-            for f in &repaired {
-                self.active_cuts.remove(f);
-            }
-            for w in std::mem::take(&mut self.restoration) {
-                // A failed release rolls back to fully-applied; dropping
-                // it from the live set anyway matches the recompute below
-                // (reconcile picks up any stragglers).
-                let _ = controller.release_wavelength_atomic(&w);
+        for w in std::mem::take(&mut self.restoration) {
+            if !target.contains(&&w) && controller.release_wavelength_atomic(&w).is_ok() {
                 retired += 1;
-            }
-        }
-        self.active_cuts.extend(new_cuts.iter().copied());
-
-        if self.active_cuts.is_empty() {
-            return TickOutcome::Repaired {
-                fibers: repaired,
-                retired,
-                re_restored: 0,
-            };
-        }
-
-        self.scenario_counter += 1;
-        let mut cuts: Vec<EdgeId> = self.active_cuts.iter().copied().collect();
-        cuts.sort();
-        let scenario = FailureScenario {
-            id: self.scenario_counter,
-            cuts,
-            probability: 1.0,
-        };
-        let plan_span = span.map(|s| s.child("orch.restore_plan"));
-        let r = restore(
-            &self.plan,
-            self.optical,
-            self.ip,
-            &scenario,
-            &self.extra_spares,
-            &self.cfg,
-        );
-        if let Some(p) = &plan_span {
-            p.field("restored", r.restored.len());
-        }
-        drop(plan_span);
-        let mut apply_rejections = 0;
-        for rw in &r.restored {
-            if controller.apply_wavelength_atomic(&rw.wavelength).is_err() {
-                apply_rejections += 1;
             } else {
-                self.restoration.push(rw.wavelength.clone());
+                // Stayed — or its release rolled back to fully lit, and
+                // the next tick that changes the cut set retries it.
+                self.restoration.push(w);
             }
         }
-        if new_cuts.is_empty() {
-            // Partial repair: cuts remain, restoration recomputed.
-            return TickOutcome::Repaired {
+        // …then light what arrived; what stayed is not sent again.
+        let stayed = self.restoration.len();
+        let mut apply_rejections = 0;
+        for w in target {
+            if self.restoration[..stayed].contains(w) {
+                continue;
+            }
+            match controller.apply_wavelength_atomic(w) {
+                Ok(_) => self.restoration.push(w.clone()),
+                Err(_) => apply_rejections += 1,
+            }
+        }
+        match wanted {
+            Some(r) if !new_cuts.is_empty() => TickOutcome::Restored {
+                cuts: new_cuts,
+                lost_gbps: r.affected_gbps,
+                revived_gbps: r.restored_gbps,
+                apply_rejections,
+            },
+            _ => TickOutcome::Repaired {
                 fibers: repaired,
                 retired,
-                re_restored: self.restoration.len(),
-            };
-        }
-        TickOutcome::Restored {
-            cuts: new_cuts,
-            lost_gbps: r.affected_gbps,
-            revived_gbps: r.restored_gbps,
-            apply_rejections,
+                re_restored: self.restoration.len() - stayed,
+            },
         }
     }
 }
@@ -454,6 +457,181 @@ mod tests {
         }
         assert_eq!(orch.active_cuts().len(), 1);
         assert!(orch.active_cuts().contains(&primary));
+    }
+
+    /// Two triangles that share nothing: link a–b detours over c, link
+    /// d–e over f.
+    fn two_islands() -> (Graph, IpTopology, PlannerConfig, [EdgeId; 2]) {
+        let mut g = Graph::new();
+        let n: Vec<_> = ["a", "b", "c", "d", "e", "f"].map(|s| g.add_node(s)).into();
+        let mut ip = IpTopology::new();
+        let mut primaries = [EdgeId(0); 2];
+        for (island, primary) in primaries.iter_mut().enumerate() {
+            let (x, y, z) = (n[3 * island], n[3 * island + 1], n[3 * island + 2]);
+            *primary = g.add_edge(x, y, 300);
+            g.add_edge(x, z, 300);
+            g.add_edge(z, y, 300);
+            ip.add_link(x, y, 300);
+        }
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        (g, ip, cfg, primaries)
+    }
+
+    /// Every MUX and ROADM of the plane with what it holds.
+    fn line_system(ctrl: &Controller) -> Vec<(crate::DeviceId, crate::Hardware)> {
+        let held = |id| {
+            let handle = ctrl.devmgr.device(id).expect("listed");
+            (id, handle.session.get_state().expect("unfaulted").hardware)
+        };
+        let all = ctrl.devmgr.ids().into_iter().map(held);
+        all.filter(|(_, hw)| !matches!(hw, crate::Hardware::Transponder(_)))
+            .collect()
+    }
+
+    #[test]
+    fn second_cut_lights_only_its_own_restoration() {
+        // A second cut arriving while the first is live used to re-push
+        // the first cut's restoration: its express at c bounced off
+        // itself (one rejection), and a detour without a ROADM on the way
+        // would have been lit twice.
+        let (g, ip, cfg, [ab, de]) = two_islands();
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        let built = ctrl.devmgr.len();
+        let mut orch = Orchestrator::new(&g, &ip, p, cfg, Vec::new());
+        let sim = TelemetrySim::new(&g);
+        let mut store = TelemetryStore::new(30);
+        sim.tick(&mut store, 0, &[]);
+        assert_eq!(orch.tick(&store, &mut ctrl), TickOutcome::Quiet);
+        sim.tick(&mut store, 1, &[ab]);
+        assert!(matches!(
+            orch.tick(&store, &mut ctrl),
+            TickOutcome::Restored {
+                apply_rejections: 0,
+                revived_gbps: 300,
+                ..
+            }
+        ));
+        assert_eq!(ctrl.devmgr.len(), built + 2);
+        let first = orch.live_restoration().to_vec();
+        let sends = ctrl.stats().sends;
+
+        sim.tick(&mut store, 2, &[ab, de]);
+        assert_eq!(
+            orch.tick(&store, &mut ctrl),
+            TickOutcome::Restored {
+                cuts: vec![de],
+                // Totals over both standing cuts.
+                lost_gbps: 600,
+                revived_gbps: 600,
+                apply_rejections: 0,
+            }
+        );
+        assert_eq!(
+            ctrl.devmgr.len(),
+            built + 4,
+            "two transponders per new restoration"
+        );
+        assert_eq!(
+            ctrl.stats().sends - sends,
+            5,
+            "2 line-configs, 2 ports, 1 express"
+        );
+        assert_eq!(orch.live_restoration().len(), 2);
+        assert_eq!(
+            orch.live_restoration()[..1],
+            first[..],
+            "the first stayed as it was"
+        );
+        // The ledger and the orchestrator agree, nothing is on it twice.
+        assert!(ctrl.lightpaths().eq(orch.live_restoration()));
+        assert_ne!(orch.live_restoration()[0], orch.live_restoration()[1]);
+        assert!(ctrl.audit_plan().is_empty());
+    }
+
+    #[test]
+    fn partial_repair_sends_nothing_for_restoration_that_stays() {
+        let (g, ip, cfg, [ab, de]) = two_islands();
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        let mut orch = Orchestrator::new(&g, &ip, p, cfg, Vec::new());
+        let sim = TelemetrySim::new(&g);
+        let mut store = TelemetryStore::new(30);
+        sim.tick(&mut store, 0, &[]);
+        assert_eq!(orch.tick(&store, &mut ctrl), TickOutcome::Quiet);
+        sim.tick(&mut store, 1, &[ab, de]);
+        assert!(matches!(
+            orch.tick(&store, &mut ctrl),
+            TickOutcome::Restored {
+                apply_rejections: 0,
+                ..
+            }
+        ));
+        let live = orch.live_restoration().to_vec();
+        assert_eq!(live.len(), 2);
+        let sends = ctrl.stats().sends;
+
+        // d–e comes back, a–b stays cut: one lightpath is released (five
+        // sends), the other is not touched — not released, not re-lit.
+        sim.tick(&mut store, 2, &[ab]);
+        assert_eq!(
+            orch.tick(&store, &mut ctrl),
+            TickOutcome::Repaired {
+                fibers: vec![de],
+                retired: 1,
+                re_restored: 0,
+            }
+        );
+        assert_eq!(ctrl.stats().sends - sends, 5);
+        let stayed: Vec<_> = live
+            .into_iter()
+            .filter(|w| !w.path.uses_edge(EdgeId(4)))
+            .collect();
+        assert_eq!(orch.live_restoration(), &stayed[..]);
+        assert!(ctrl.lightpaths().eq(orch.live_restoration()));
+    }
+
+    #[test]
+    fn cut_then_repair_leaves_the_plane_as_apply_plan_left_it() {
+        // The safety net for turning restoration into a retune (ROADMAP
+        // item 1): whatever a cut tick lights, the repair tick takes back
+        // — every MUX and ROADM holds exactly its post-`apply_plan` state
+        // and the ledger exactly the plan.
+        let (g, ip, cfg, [ab, _]) = two_islands();
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        assert!(ctrl.apply_plan(&p, &g).is_clean());
+        let committed = line_system(&ctrl);
+        let devices = ctrl.devmgr.len();
+        let mut orch = Orchestrator::new(&g, &ip, p.clone(), cfg, Vec::new());
+        let sim = TelemetrySim::new(&g);
+        let mut store = TelemetryStore::new(30);
+        sim.tick(&mut store, 0, &[]);
+        assert_eq!(orch.tick(&store, &mut ctrl), TickOutcome::Quiet);
+        sim.tick(&mut store, 1, &[ab]);
+        let cut = orch.tick(&store, &mut ctrl);
+        let landed = TickOutcome::Restored {
+            cuts: vec![ab],
+            lost_gbps: 300,
+            revived_gbps: 300,
+            apply_rejections: 0,
+        };
+        assert_eq!(cut, landed);
+        assert_ne!(
+            line_system(&ctrl),
+            committed,
+            "the restoration is on the devices"
+        );
+        sim.tick(&mut store, 2, &[]);
+        let repair = orch.tick(&store, &mut ctrl);
+        assert!(matches!(repair, TickOutcome::Repaired { .. }), "{repair:?}");
+        assert_eq!(line_system(&ctrl), committed);
+        assert_eq!(ctrl.devmgr.len(), devices);
+        assert!(ctrl.lightpaths().eq(&p.wavelengths));
+        assert!(ctrl.audit_plan().is_empty());
     }
 
     #[test]

@@ -36,12 +36,17 @@ pub enum RecoveryOutcome {
 /// AWG's physical wavelength ladder); recovery succeeds only in the lucky
 /// case where the channel happens to be exactly that slot. On a
 /// pixel-wise MUX any port can be retuned to any passband.
+///
+/// With an `obs` the outcome is recorded into it: zero-touch retunes and
+/// truck rolls are counted separately (per WSS kind), quantifying the §9
+/// operational claim.
 pub fn recover_misconnection(
+    obs: Option<&Obs>,
     wss: WssKind,
     actual_port: u16,
     channel: PixelRange,
 ) -> RecoveryOutcome {
-    match wss {
+    let outcome = match wss {
         WssKind::PixelWise => RecoveryOutcome::ZeroTouch {
             reconfigured_port: actual_port,
         },
@@ -59,28 +64,18 @@ pub fn recover_misconnection(
                 }
             }
         }
+    };
+    if let Some(obs) = obs {
+        let kind = match wss {
+            WssKind::PixelWise => "pixel_wise",
+            WssKind::FixedGrid { .. } => "fixed_grid",
+        };
+        let metric = match outcome {
+            RecoveryOutcome::ZeroTouch { .. } => "recovery_zero_touch_total",
+            RecoveryOutcome::ManualIntervention { .. } => "recovery_manual_total",
+        };
+        obs.registry().counter_with(metric, &[("wss", kind)]).inc();
     }
-}
-
-/// [`recover_misconnection`] with the outcome recorded into `obs`:
-/// zero-touch retunes and truck rolls are counted separately (per WSS
-/// kind), quantifying the §9 operational claim.
-pub fn recover_misconnection_observed(
-    obs: &Obs,
-    wss: WssKind,
-    actual_port: u16,
-    channel: PixelRange,
-) -> RecoveryOutcome {
-    let outcome = recover_misconnection(wss, actual_port, channel);
-    let kind = match wss {
-        WssKind::PixelWise => "pixel_wise",
-        WssKind::FixedGrid { .. } => "fixed_grid",
-    };
-    let metric = match outcome {
-        RecoveryOutcome::ZeroTouch { .. } => "recovery_zero_touch_total",
-        RecoveryOutcome::ManualIntervention { .. } => "recovery_manual_total",
-    };
-    obs.registry().counter_with(metric, &[("wss", kind)]).inc();
     outcome
 }
 
@@ -115,8 +110,12 @@ mod tests {
     #[test]
     fn pixel_wise_recovery_is_always_zero_touch() {
         for (start, width) in [(0u32, 6u16), (3, 7), (17, 10)] {
-            let out =
-                recover_misconnection(WssKind::PixelWise, 9, PixelRange::new(start, px(width)));
+            let out = recover_misconnection(
+                None,
+                WssKind::PixelWise,
+                9,
+                PixelRange::new(start, px(width)),
+            );
             assert_eq!(
                 out,
                 RecoveryOutcome::ZeroTouch {
@@ -130,10 +129,10 @@ mod tests {
     fn fixed_grid_misconnection_needs_truck_roll() {
         let wss = WssKind::FixedGrid { spacing: px(6) };
         // Channel sits in slot 2 but got wired to port 5.
-        let out = recover_misconnection(wss, 5, PixelRange::new(12, px(6)));
+        let out = recover_misconnection(None, wss, 5, PixelRange::new(12, px(6)));
         assert!(matches!(out, RecoveryOutcome::ManualIntervention { .. }));
         // Lucky case: wired to the port whose slot it occupies.
-        let out = recover_misconnection(wss, 2, PixelRange::new(12, px(6)));
+        let out = recover_misconnection(None, wss, 2, PixelRange::new(12, px(6)));
         assert!(matches!(out, RecoveryOutcome::ZeroTouch { .. }));
     }
 
@@ -141,8 +140,8 @@ mod tests {
     fn observed_recovery_counts_outcomes_per_wss_kind() {
         let obs = Obs::default();
         let ch = PixelRange::new(12, px(6));
-        recover_misconnection_observed(&obs, WssKind::PixelWise, 9, ch);
-        recover_misconnection_observed(&obs, WssKind::FixedGrid { spacing: px(6) }, 5, ch);
+        recover_misconnection(Some(&obs), WssKind::PixelWise, 9, ch);
+        recover_misconnection(Some(&obs), WssKind::FixedGrid { spacing: px(6) }, 5, ch);
         let prom = obs.metrics_prometheus();
         assert!(
             prom.contains("recovery_zero_touch_total{wss=\"pixel_wise\"} 1"),

@@ -35,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use flexwan_core::planning::{ExactPlan, Plan, PlanCtx, PlanModel, PlannerConfig};
 use flexwan_core::protect::ProtectedPlan;
 use flexwan_core::restore::{restore, FailureScenario};
+use flexwan_core::scenario::{LEVEL_EXACT, LEVEL_HEURISTIC, LEVEL_PROTECT};
 use flexwan_core::{Scheme, Wavelength};
 use flexwan_obs::{Obs, LATENCY_SECONDS_BUCKETS};
 use flexwan_solver::{record_solver_stats, SolveOptions};
@@ -117,12 +118,16 @@ impl EventLog {
     }
 }
 
+// The service's ladder is the scenario engine's, rung for rung
+// ([`flexwan_core::scenario`] numbers them once), as the `u8` the tick
+// reports carry.
+
 /// Degradation-ladder level 0: warm re-solve of the standing MIP.
-pub const LADDER_WARM: u8 = 0;
+pub const LADDER_WARM: u8 = LEVEL_EXACT as u8;
 /// Level 1: greedy §8 heuristic restoration over the heuristic baseline.
-pub const LADDER_HEURISTIC: u8 = 1;
+pub const LADDER_HEURISTIC: u8 = LEVEL_HEURISTIC as u8;
 /// Level 2: pre-provisioned 1+1 protection, zero computation.
-pub const LADDER_PROTECT: u8 = 2;
+pub const LADDER_PROTECT: u8 = LEVEL_PROTECT as u8;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -662,7 +667,7 @@ impl<'a> ChurnService<'a> {
                         self.optical,
                         &self.ip,
                         &scenario,
-                        &vec![0u32; self.ip.num_links()],
+                        &[],
                         &self.cfg,
                     );
                     affected = r.affected_gbps;

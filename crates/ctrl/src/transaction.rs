@@ -38,6 +38,19 @@ pub struct TxError {
     pub rollback_failures: Vec<(DeviceId, String)>,
 }
 
+impl TxError {
+    /// A transaction refused at `device` before any step was sent:
+    /// nothing was applied, so nothing was rolled back.
+    pub fn before_send(device: DeviceId, cause: String) -> TxError {
+        TxError {
+            failed_device: device,
+            cause,
+            rolled_back: 0,
+            rollback_failures: Vec::new(),
+        }
+    }
+}
+
 impl std::fmt::Display for TxError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -71,6 +84,25 @@ impl Transaction {
         });
     }
 
+    /// The steps, in execution order.
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// The transaction that takes back what this one puts in effect:
+    /// the same steps in the same order with `apply` and `undo` swapped,
+    /// so rolling *it* back restores what this one applied.
+    pub fn inverse(&self) -> Transaction {
+        let swap = |s: &Step| Step {
+            device: s.device,
+            apply: s.undo.clone(),
+            undo: s.apply.clone(),
+        };
+        Transaction {
+            steps: self.steps.iter().map(swap).collect(),
+        }
+    }
+
     /// Number of steps.
     pub fn len(&self) -> usize {
         self.steps.len()
@@ -86,7 +118,7 @@ impl Transaction {
     /// transaction lifecycle is recorded into it: a `tx.execute` span
     /// carrying the step count and outcome, plus commit/rollback counters
     /// — the §4.3 all-or-nothing guarantee made observable.
-    pub fn execute<F>(self, obs: Option<&Obs>, send: F) -> Result<usize, TxError>
+    pub fn execute<F>(&self, obs: Option<&Obs>, send: F) -> Result<usize, TxError>
     where
         F: FnMut(DeviceId, &StandardConfig) -> Result<(), String>,
     {
@@ -119,7 +151,7 @@ impl Transaction {
         result
     }
 
-    fn run<F>(self, mut send: F) -> Result<usize, TxError>
+    fn run<F>(&self, mut send: F) -> Result<usize, TxError>
     where
         F: FnMut(DeviceId, &StandardConfig) -> Result<(), String>,
     {

@@ -60,7 +60,7 @@ fn main() {
     );
 
     // Audit: read back device state and verify channel consistency.
-    let findings = ctrl.audit_plan(&p);
+    let findings = ctrl.audit_plan();
     if findings.is_empty() {
         println!("audit: zero channel inconsistency / conflict (§4.3)");
     } else {
@@ -81,7 +81,7 @@ fn main() {
         ),
         ("spectrum-sliced OLS", WssKind::PixelWise),
     ] {
-        match recover_misconnection(wss, 4, channel) {
+        match recover_misconnection(None, wss, 4, channel) {
             RecoveryOutcome::ZeroTouch { reconfigured_port } => {
                 println!("  {label}: zero-touch — port {reconfigured_port} retuned in software")
             }

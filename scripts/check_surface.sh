@@ -4,9 +4,10 @@
 # point (`PlanCtx`), no sibling functions per route source.
 #
 # Fails if
-#   * crates/core/src defines any `fn <name>_(cached|banned|observed|with_routes)`
-#     other than the two `#[doc(hidden)]` forwards `plan_cached` and
-#     `restore_cached` that `benchmark/` still imports;
+#   * crates/core/src or crates/ctrl/src defines any
+#     `fn <name>_(cached|banned|observed|with_routes)` other than the two
+#     `#[doc(hidden)]` forwards `plan_cached` and `restore_cached` that
+#     `benchmark/` still imports;
 #   * anything under crates/, src/, tests/ or examples/ calls
 #     `plan_cached(` / `restore_cached(`;
 #   * anything under those directories names `threads` in a
@@ -18,7 +19,11 @@
 #     in the one conduit-view builder (the per-query collapsed-graph
 #     rebuild must not grow back), or non-test crates/topo/src/ksp.rs
 #     names a `HashSet<NodeId>` (bans inside a search are marks on the
-#     scratch, not hash sets).
+#     scratch, not hash sets);
+#   * non-test crates/ctrl/src/controller.rs scans a MUX's ports
+#     (`(0..MUX_PORTS)`) or calls `alloc_port(` anywhere but once, in
+#     `claim_lightpath`: which port a lightpath was given is read off the
+#     ledger, and only a lightpath entering the ledger claims one.
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -27,10 +32,10 @@ cd "$(dirname "$0")/.."
 bad=0
 
 siblings=$(grep -rnE 'fn [a-z0-9_]+_(cached|banned|observed|with_routes)\b' \
-    --include='*.rs' crates/core/src |
+    --include='*.rs' crates/core/src crates/ctrl/src |
     grep -vE 'fn (plan|restore)_cached\b' || true)
 if [ -n "$siblings" ]; then
-    echo "sibling entry points under crates/core/src (use PlanCtx):"
+    echo "sibling entry points (use PlanCtx / an \`Option<&Obs>\` argument):"
     echo "$siblings"
     bad=1
 fi
@@ -68,9 +73,10 @@ if [ -n "$reads" ]; then
     bad=1
 fi
 
-# Non-test part of a topo source file: everything above its first
-# top-level `#[cfg(test)]`.
-non_test() { awk '/^#\[cfg\(test\)\]/{exit} {print}' "crates/topo/src/$1"; }
+# Non-test part of a source file: everything above its first top-level
+# `#[cfg(test)]`.
+non_test_of() { awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1"; }
+non_test() { non_test_of "crates/topo/src/$1"; }
 
 builder=$(non_test route.rs | awk '/^impl ConduitView /{on=1} on{print} /^}/{on=0}')
 if [ "$(non_test route.rs | grep -c 'Graph::new()')" -ne 1 ] ||
@@ -82,6 +88,19 @@ fi
 
 if non_test ksp.rs | grep -n 'HashSet<NodeId>'; then
     echo "crates/topo/src/ksp.rs: node bans are marks on DijkstraScratch, not a HashSet<NodeId>"
+    bad=1
+fi
+
+controller=crates/ctrl/src/controller.rs
+if non_test_of $controller | grep -n '(0\.\.MUX_PORTS)'; then
+    echo "$controller: no port scans — a lightpath's ports are on the ledger"
+    bad=1
+fi
+claimer=$(non_test_of $controller | awk '/^    fn claim_lightpath\(/{on=1} on{print} /^    }/{on=0}')
+if [ "$(non_test_of $controller | grep -c '\.alloc_port(')" -ne 1 ] ||
+    [ "$(echo "$claimer" | grep -c '\.alloc_port(')" -ne 1 ]; then
+    echo "$controller: alloc_port must have exactly one caller, claim_lightpath:"
+    non_test_of $controller | grep -n '\.alloc_port(' || true
     bad=1
 fi
 

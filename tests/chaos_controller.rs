@@ -132,7 +132,7 @@ fn chaos_run(seed: u64) -> (bool, usize, Vec<DeviceId>, CtrlStats, FaultStats, V
     ctrl.arm_faults(injector.clone());
 
     let _ = ctrl.apply_plan(&p, &g);
-    let report = ctrl.converge(&p, 64);
+    let report = ctrl.converge(64);
 
     // Invariants under fault: audited clean, no conflicts, no
     // inconsistencies against the live device state. The forensic reads
@@ -140,10 +140,7 @@ fn chaos_run(seed: u64) -> (bool, usize, Vec<DeviceId>, CtrlStats, FaultStats, V
     // (convergence itself ran entirely under fire).
     injector.lift();
     assert!(report.converged, "seed {seed}: did not converge");
-    assert!(
-        ctrl.audit_plan(&p).is_empty(),
-        "seed {seed}: audit findings"
-    );
+    assert!(ctrl.audit_plan().is_empty(), "seed {seed}: audit findings");
     let channels = channels_of(&p);
     assert!(
         find_conflicts(&channels).is_empty(),
@@ -233,7 +230,7 @@ fn empty_fault_plan_means_zero_retries() {
     let injector = Arc::new(FaultInjector::new(FaultPlan::none()));
     ctrl.arm_faults(injector.clone());
     assert!(ctrl.apply_plan(&p, &g).is_clean());
-    let report = ctrl.converge(&p, 8);
+    let report = ctrl.converge(8);
     assert!(report.converged);
     assert_eq!(report.passes, 1, "a healthy plane converges in one pass");
     assert_eq!(report.repaired, 0);
@@ -265,17 +262,17 @@ fn total_blackout_trips_breakers_and_heals_after_lift() {
 
     let report = ctrl.apply_plan(&p, &g);
     assert!(!report.is_clean(), "nothing gets through a total blackout");
-    let mid = ctrl.converge(&p, 2);
+    let mid = ctrl.converge(2);
     assert!(!mid.converged, "cannot converge while every request drops");
     assert!(!ctrl.quarantined().is_empty(), "breakers opened");
     assert!(ctrl.stats().breaker_trips > 0);
 
     // The outage clears; the self-healing loop finishes the job.
     injector.lift();
-    let after = ctrl.converge(&p, 64);
+    let after = ctrl.converge(64);
     assert!(after.converged, "plane heals once faults lift");
     assert!(ctrl.quarantined().is_empty());
-    assert!(ctrl.audit_plan(&p).is_empty());
+    assert!(ctrl.audit_plan().is_empty());
 }
 
 #[test]
@@ -302,13 +299,13 @@ fn applied_but_unacknowledged_config_converges_without_repair() {
     assert!(injector.stats().delayed_replies > 0);
 
     injector.lift();
-    let after = ctrl.converge(&p, 8);
+    let after = ctrl.converge(8);
     assert!(after.converged);
     assert_eq!(
         after.repaired, 0,
         "the express was already in effect: nothing to re-push"
     );
-    assert!(ctrl.audit_plan(&p).is_empty());
+    assert!(ctrl.audit_plan().is_empty());
 }
 
 #[test]
@@ -389,12 +386,14 @@ fn interleaved_chaos_run() -> String {
                 ..mixed.clone()
             },
         )
-        // …and MUX c after it already holds configuration, so the
-        // restart has journaled history to roll forward.
+        // …and MUX b — both ends of the cut fiber's restoration pass it,
+        // so its edits keep coming — after it already holds
+        // configuration, so the restart has journaled history to roll
+        // forward.
         .device(
-            DeviceId(4),
+            DeviceId(2),
             DeviceFaults {
-                crash_after: Some(3),
+                crash_after: Some(9),
                 ..mixed
             },
         );
@@ -402,7 +401,7 @@ fn interleaved_chaos_run() -> String {
     ctrl.arm_faults(injector.clone());
 
     let applied = ctrl.apply_plan(&p, &g);
-    let first = ctrl.converge(&p, 64);
+    let first = ctrl.converge(64);
 
     let mut orch = Orchestrator::new(&g, &ip, p.clone(), cfg.clone(), Vec::new());
     let mut store = TelemetryStore::new(30);
@@ -418,7 +417,7 @@ fn interleaved_chaos_run() -> String {
         sim.tick(&mut store, t, &cuts);
         ticks.push(orch.tick(&store, &mut ctrl));
     }
-    let second = ctrl.converge(&p, 64);
+    let second = ctrl.converge(64);
     // Read the plane back as it is, not as the injector would show it.
     injector.lift();
 
@@ -453,6 +452,13 @@ fn interleaved_chaos_run() -> String {
     for t in &ticks {
         writeln!(out, "tick {t:?}").unwrap();
     }
+    writeln!(
+        out,
+        "restoration live {} ledger {}",
+        orch.live_restoration().len(),
+        ctrl.lightpaths().count()
+    )
+    .unwrap();
     let mut live: Vec<(NodeId, Vec<(u32, u16)>)> = live_passbands(&ctrl)
         .into_iter()
         .map(|(site, pbs)| {
@@ -487,21 +493,27 @@ fn interleaved_verdicts_replay_the_pinned_run() {
     assert_eq!(run, PINNED_INTERLEAVED_RUN, "\n{run}");
 }
 
-/// What [`interleaved_chaos_run`] produced when it was recorded against
-/// the thread-per-device plane; any device-plane change must reproduce it.
+/// What [`interleaved_chaos_run`] produced when it was re-recorded for
+/// the lightpath ledger (reconcile re-lights recorded ports and repairs
+/// transponders, lost reads are asked again, the mid-life crash moved
+/// from MUX c to MUX b); any device-plane change must reproduce it. The
+/// last tick's release dies with MUX b and rolls back, so one restoration
+/// lightpath is still live — on the orchestrator's list and on the
+/// ledger — when the final converge heals the plane around it.
 const PINNED_INTERLEAVED_RUN: &str = "\
-ctrl CtrlStats { sends: 79, retries: 64, read_repairs: 3, breaker_trips: 2, devices_restarted: 2 }\n\
-faults FaultStats { delivered: 268, drops: 100, delayed_replies: 22, rejects: 2, crashes: 2, stale_reads: 39, events_dropped: 0, events_duplicated: 0, events_reordered: 0, events_stale: 0 }\n\
-journal len 62 last [(DeviceId(0), 141), (DeviceId(2), 132), (DeviceId(3), 143), (DeviceId(4), 90), (DeviceId(5), 134), (DeviceId(6), 137), (DeviceId(8), 1), (DeviceId(9), 4), (DeviceId(10), 8), (DeviceId(11), 9), (DeviceId(12), 16), (DeviceId(13), 18), (DeviceId(14), 117), (DeviceId(15), 116), (DeviceId(16), 128), (DeviceId(17), 129)]\n\
+ctrl CtrlStats { sends: 47, retries: 36, read_repairs: 2, breaker_trips: 2, devices_restarted: 3 }\n\
+faults FaultStats { delivered: 205, drops: 82, delayed_replies: 9, rejects: 2, crashes: 2, stale_reads: 35, events_dropped: 0, events_duplicated: 0, events_reordered: 0, events_stale: 0 }\n\
+journal len 32 last [(DeviceId(0), 28), (DeviceId(2), 58), (DeviceId(3), 34), (DeviceId(4), 11), (DeviceId(5), 60), (DeviceId(6), 59), (DeviceId(8), 1), (DeviceId(9), 4), (DeviceId(10), 8), (DeviceId(11), 9), (DeviceId(12), 16), (DeviceId(13), 18), (DeviceId(14), 47), (DeviceId(15), 48), (DeviceId(16), 68), (DeviceId(17), 67)]\n\
 apply transponders 6 mux 4 express 0 rejections [(DeviceId(0), \"injected fault: edit-config rejected\"), (DeviceId(3), \"device unreachable after 4 attempts\"), (DeviceId(0), \"injected fault: edit-config rejected\")]\n\
-converge passes 22 repaired 30 restarted [DeviceId(3), DeviceId(4)] converged true\n\
-converge passes 6 repaired 4 restarted [] converged true\n\
+converge passes 4 repaired 3 restarted [DeviceId(3)] converged true\n\
+converge passes 6 repaired 0 restarted [DeviceId(2), DeviceId(2)] converged true\n\
 tick Quiet\n\
-tick Restored { cuts: [EdgeId(4)], lost_gbps: 500, revived_gbps: 500, apply_rejections: 1 }\n\
-tick Repaired { fibers: [EdgeId(4)], retired: 0, re_restored: 0 }\n\
 tick Restored { cuts: [EdgeId(4)], lost_gbps: 500, revived_gbps: 500, apply_rejections: 0 }\n\
 tick Repaired { fibers: [EdgeId(4)], retired: 1, re_restored: 0 }\n\
-live [(NodeId(0), [(0, 8), (0, 8), (0, 8), (0, 8), (0, 8), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6)]), (NodeId(1), [(0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 8), (0, 8), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6), (8, 6)]), (NodeId(2), [(0, 8), (0, 8), (0, 8)]), (NodeId(3), [(0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 7), (0, 7)])]\n\
+tick Restored { cuts: [EdgeId(4)], lost_gbps: 500, revived_gbps: 500, apply_rejections: 0 }\n\
+tick Repaired { fibers: [EdgeId(4)], retired: 0, re_restored: 0 }\n\
+restoration live 1 ledger 4\n\
+live [(NodeId(0), [(0, 8), (8, 6)]), (NodeId(1), [(0, 7), (0, 8), (0, 8), (8, 6), (8, 7)]), (NodeId(2), [(0, 8), (8, 7), (8, 7)]), (NodeId(3), [(0, 7), (8, 7)])]\n\
 ";
 
 // ---- Cluster-level chaos: heartbeat loss and region partitions ----

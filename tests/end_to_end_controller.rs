@@ -42,7 +42,7 @@ fn full_lifecycle() {
     let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
     let report = ctrl.apply_plan(&p, &g);
     assert!(report.is_clean(), "{:?}", report.rejections);
-    assert!(ctrl.audit_plan(&p).is_empty());
+    assert!(ctrl.audit_plan().is_empty());
 
     // 2. A fiber cut appears in telemetry.
     let victim = p.wavelengths[0].path.edges[0];
@@ -81,7 +81,7 @@ fn full_lifecycle() {
     let mut ctrl2 = Controller::build(&g, WssKind::PixelWise, cfg.grid);
     let report2 = ctrl2.apply_plan(&survived, &g);
     assert!(report2.is_clean(), "{:?}", report2.rejections);
-    assert!(ctrl2.audit_plan(&survived).is_empty());
+    assert!(ctrl2.audit_plan().is_empty());
 }
 
 #[test]

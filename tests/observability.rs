@@ -155,7 +155,7 @@ fn chaos_drill_telemetry_is_deterministic() {
         };
         ctrl.arm_faults(Arc::new(FaultInjector::new(FaultPlan::uniform(7, faults))));
         ctrl.apply_plan(&p, &g);
-        let report = ctrl.converge(&p, 64);
+        let report = ctrl.converge(64);
         assert!(report.converged);
 
         let primary = p.wavelengths[0].path.edges[0];

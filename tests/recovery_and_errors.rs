@@ -120,6 +120,7 @@ fn pixel_wise_recovery_matrix_is_all_zero_touch() {
     for port in [0u16, 1, 13, 63] {
         for (start, width) in [(0u32, 4u16), (7, 6), (30, 8), (361, 9)] {
             let out = recover_misconnection(
+                None,
                 WssKind::PixelWise,
                 port,
                 PixelRange::new(start, PixelWidth::new(width)),
@@ -150,7 +151,7 @@ fn fixed_grid_recovery_matrix_matches_the_factory_ladder() {
                         u32::from(slot) * u32::from(spacing),
                         PixelWidth::new(width),
                     );
-                    let out = recover_misconnection(wss, port, channel);
+                    let out = recover_misconnection(None, wss, port, channel);
                     let lucky = slot == port && width == spacing;
                     match out {
                         RecoveryOutcome::ZeroTouch { reconfigured_port } => {
@@ -176,7 +177,8 @@ fn off_grid_channel_is_never_recoverable_on_fixed_grid() {
     // Starts that are not multiples of the spacing can match no port.
     for start in [1u32, 5, 7, 13] {
         for port in 0u16..8 {
-            let out = recover_misconnection(wss, port, PixelRange::new(start, PixelWidth::new(6)));
+            let out =
+                recover_misconnection(None, wss, port, PixelRange::new(start, PixelWidth::new(6)));
             assert!(matches!(out, RecoveryOutcome::ManualIntervention { .. }));
         }
     }
