@@ -143,17 +143,28 @@ fn merge_bounds(inst: &Instance, deltas: &[(usize, f64, f64)]) -> Option<Vec<(us
 /// basis when available), then dive best-guess-first up to [`DIVE_CAP`]
 /// branchings, emitting every unexplored sibling. Pure in
 /// `(node, incumbent snapshot)`: the `Ctx` is fully reset, so nothing
-/// carries over from the node it solved before.
-fn process_node(ctx: &mut Ctx, sh: &Shared, node: &Node, snapshot: Option<f64>) -> NodeResult {
+/// carries over from the node it solved before. The node's deltas are
+/// merged into the `Ctx`'s bounds once; each dive step then tightens the
+/// one column it branched on. `values` is scratch for the LP points.
+fn process_node(
+    ctx: &mut Ctx,
+    sh: &Shared,
+    node: &Node,
+    snapshot: Option<f64>,
+    values: &mut Vec<f64>,
+) -> NodeResult {
     let mut res = NodeResult::default();
     ctx.stats = SolverStats::default();
+    let Some(merged) = merge_bounds(&sh.inst, &node.bounds) else {
+        return res;
+    };
+    ctx.set_bounds(&merged);
     let mut bounds = node.bounds.clone();
     let mut depth = node.depth;
     let local_best = snapshot;
     let mut first = true;
     let mut dives = 0usize;
-    while let Some(merged) = merge_bounds(&sh.inst, &bounds) {
-        ctx.set_bounds(&merged);
+    loop {
         let outcome = if first {
             match &node.basis {
                 Some(bs) => ctx.solve_warm(Some(bs)),
@@ -188,8 +199,8 @@ fn process_node(ctx: &mut Ctx, sh: &Shared, node: &Node, snapshot: Option<f64>) 
             }
             LpOutcome::Optimal => {}
         }
-        let values = ctx.structural_values();
-        let obj = sh.inst.model_objective(&values);
+        ctx.read_values(values);
+        let obj = sh.inst.model_objective(values);
         if let Some(b) = local_best {
             if !sh.better(obj, b) {
                 break;
@@ -213,7 +224,7 @@ fn process_node(ctx: &mut Ctx, sh: &Shared, node: &Node, snapshot: Option<f64>) 
             });
         let Some((v, x, _)) = frac else {
             // Integral: round residue and record as candidate incumbent.
-            let mut vals = values;
+            let mut vals = values.clone();
             for &iv in &sh.int_vars {
                 vals[iv] = vals[iv].round();
             }
@@ -251,6 +262,9 @@ fn process_node(ctx: &mut Ctx, sh: &Shared, node: &Node, snapshot: Option<f64>) 
         });
         bounds.push(dive);
         depth += 1;
+        if !ctx.tighten(dive.0, dive.1, dive.2) {
+            break; // the branched column has no value left
+        }
     }
     res.stats = ctx.stats;
     res
@@ -303,6 +317,7 @@ pub(crate) fn branch_and_bound(
     });
 
     let mut ctx = Ctx::new(Arc::clone(&sh.inst));
+    let mut values = Vec::new();
     let mut incumbent: Option<Solution> = None;
     let mut cold_root: Option<BasisState> = None;
     let mut nodes = 0u64;
@@ -334,7 +349,7 @@ pub(crate) fn branch_and_bound(
         let snapshot = incumbent.as_ref().map(|s| s.objective);
 
         for node in &batch {
-            let res = process_node(&mut ctx, &sh, node, snapshot);
+            let res = process_node(&mut ctx, &sh, node, snapshot, &mut values);
             nodes += res.extra_nodes;
             stats.merge(&res.stats);
             cold_root = res.cold_basis.or(cold_root);
@@ -389,6 +404,7 @@ pub(crate) fn branch_and_bound(
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
+    use crate::simplex::tests::cover_model;
 
     #[test]
     fn integer_rounding_differs_from_lp() {
@@ -513,6 +529,97 @@ mod tests {
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 2.0).abs() < 1e-6, "obj={}", s.objective);
         assert_eq!(s.int_value(n4), 2);
+    }
+
+    // --- bounds down a dive ---
+
+    #[test]
+    fn bounds_carried_down_a_dive_equal_a_merge_from_scratch() {
+        use flexwan_util::rng::ChaCha8Rng;
+        let model = cover_model(3, Sense::Minimize);
+        let inst = Arc::new(Instance::build(&model));
+        let n = model.num_vars();
+        let mut ctx = Ctx::new(Arc::clone(&inst));
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let (mut emptied, mut repeated, mut compared) = (0, 0, 0);
+        for trial in 0..400 {
+            // A popped node's deltas (the root has none), then a dive.
+            // Few columns, so branchings repeat and domains run empty.
+            let mut deltas: Vec<(usize, f64, f64)> = Vec::new();
+            let draw = |rng: &mut ChaCha8Rng| {
+                let v = rng.gen_range(n - 60..n);
+                let x = rng.gen_range(0..2u32) as f64 * 0.5 + 0.25;
+                if rng.gen_bool(0.5) {
+                    (v, f64::NEG_INFINITY, x.floor())
+                } else {
+                    (v, x.ceil(), f64::INFINITY)
+                }
+            };
+            for _ in 0..trial % 5 {
+                deltas.push(draw(&mut rng));
+            }
+            let Some(merged) = merge_bounds(&inst, &deltas) else {
+                emptied += 1;
+                continue;
+            };
+            ctx.set_bounds(&merged);
+            for _ in 0..DIVE_CAP {
+                let dive = draw(&mut rng);
+                repeated += deltas.iter().any(|d| d.0 == dive.0) as u32;
+                deltas.push(dive);
+                let scratch = merge_bounds(&inst, &deltas);
+                assert_eq!(ctx.tighten(dive.0, dive.1, dive.2), scratch.is_some());
+                let Some(scratch) = scratch else {
+                    emptied += 1;
+                    break;
+                };
+                let (mut lo, mut up): (Vec<f64>, Vec<f64>) =
+                    (0..n).map(|j| (inst.base_lo(j), inst.base_up(j))).unzip();
+                for (j, l, u) in scratch {
+                    (lo[j], up[j]) = (l, u);
+                }
+                assert_eq!(ctx.structural_bounds(), (&lo[..], &up[..]), "{deltas:?}");
+                compared += 1;
+            }
+        }
+        assert!(
+            emptied >= 100 && repeated >= 100 && compared >= 2000,
+            "{emptied} / {repeated} / {compared}"
+        );
+    }
+
+    /// Nodes, pivots, dual pivots, refactorizations, objective bits and a
+    /// hash of the value bits, as recorded on the parent of the PR that
+    /// made pricing row-wise and bounds incremental (826b207).
+    #[test]
+    fn cover_models_replay_the_recorded_search() {
+        let search = |m: &Model| {
+            let (sol, st) = m.solve_with_stats(&SolveOptions::default());
+            assert_eq!(sol.status, Status::Optimal);
+            assert!(m.is_feasible(&sol.values, 1e-6));
+            let fnv = |h: u64, v: &f64| (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3);
+            let hash = sol.values.iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+            let pivots = (st.total_pivots(), st.dual_pivots, st.refactorizations);
+            (st.nodes, pivots, sol.objective.to_bits(), hash)
+        };
+        assert_eq!(
+            search(&cover_model(3, Sense::Minimize)),
+            (
+                3166,
+                (4713, 4510, 536),
+                0x404b_c49b_a5e3_53f6,
+                0x96c5_61b7_7786_e1da
+            )
+        );
+        assert_eq!(
+            search(&cover_model(5, Sense::Maximize)),
+            (
+                4463,
+                (2894, 2816, 642),
+                0x4067_49af_d5de_a599,
+                0x9d37_0b6f_6749_73a6
+            )
+        );
     }
 
     // --- warm starts ---

@@ -11,10 +11,11 @@
 //! dense code lives on below as the test oracle.
 
 /// Compressed sparse columns: column `k` is `ent[end[k - 1]..end[k]]`.
+/// (The simplex also keeps the *rows* of `A` in one, read sideways.)
 #[derive(Default)]
-struct Cols {
+pub(crate) struct Cols {
     end: Vec<u32>,
-    ent: Vec<(u32, f64)>,
+    pub(crate) ent: Vec<(u32, f64)>,
 }
 
 impl Cols {
@@ -24,11 +25,11 @@ impl Cols {
     }
 
     /// Ends the column under construction.
-    fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         self.end.push(self.ent.len() as u32);
     }
 
-    fn col(&self, k: usize) -> &[(u32, f64)] {
+    pub(crate) fn col(&self, k: usize) -> &[(u32, f64)] {
         let start = k.checked_sub(1).map_or(0, |j| self.end[j] as usize);
         &self.ent[start..self.end[k] as usize]
     }

@@ -166,6 +166,12 @@ pub struct SolverStats {
     /// Divided by `refactorizations` it is what one FTRAN / BTRAN walks; an
     /// all-slack basis scores `m`, a dense one `m²`.
     pub factor_nonzeros: u64,
+    /// Stored entries of `A` that pricing visited: the length of every row
+    /// walked because `ρ` (dual pricing) or `y` (primal pricing, the
+    /// optimality check after a dual pass included) was non-zero there.
+    /// Per pivot it is what a pricing call costs; walking every candidate
+    /// column instead would score their total length at each call.
+    pub priced_nonzeros: u64,
     /// LP solves started from scratch (two-phase primal).
     pub cold_solves: u64,
     /// LP solves warm-started from an inherited basis (dual simplex).
@@ -219,6 +225,7 @@ impl SolverStats {
         self.bound_flips += other.bound_flips;
         self.refactorizations += other.refactorizations;
         self.factor_nonzeros += other.factor_nonzeros;
+        self.priced_nonzeros += other.priced_nonzeros;
         self.cold_solves += other.cold_solves;
         self.warm_solves += other.warm_solves;
         self.nodes += other.nodes;
@@ -243,13 +250,14 @@ impl std::fmt::Display for SolverStats {
         )?;
         writeln!(
             f,
-            "pivots: phase1 {:>8}  phase2 {:>8}  dual {:>8}  flips {:>6}  refactor {:>6}  factor-nnz {:>8}",
+            "pivots: phase1 {:>8}  phase2 {:>8}  dual {:>8}  flips {:>6}  refactor {:>6}  factor-nnz {:>8}  priced-nnz {:>10}",
             self.phase1_pivots,
             self.phase2_pivots,
             self.dual_pivots,
             self.bound_flips,
             self.refactorizations,
-            self.factor_nonzeros
+            self.factor_nonzeros,
+            self.priced_nonzeros
         )?;
         if self.pricing_rounds > 0 || self.columns_admitted > 0 {
             writeln!(

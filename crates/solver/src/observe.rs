@@ -38,6 +38,9 @@ pub fn record_solver_stats(registry: &Registry, stats: &SolverStats) {
         .counter("solver_factor_nonzeros_total")
         .add(stats.factor_nonzeros);
     registry
+        .counter("solver_priced_nonzeros_total")
+        .add(stats.priced_nonzeros);
+    registry
         .counter_with("solver_solves_total", &[("start", "cold")])
         .add(stats.cold_solves);
     registry
@@ -83,6 +86,7 @@ mod tests {
             bound_flips: 2,
             refactorizations: 1,
             factor_nonzeros: 11,
+            priced_nonzeros: 13,
             cold_solves: 1,
             warm_solves: 3,
             nodes: 9,
@@ -105,6 +109,7 @@ mod tests {
         );
         assert!(prom.contains("solver_nodes_total 9"), "{prom}");
         assert!(prom.contains("solver_factor_nonzeros_total 11"), "{prom}");
+        assert!(prom.contains("solver_priced_nonzeros_total 13"), "{prom}");
         assert!(prom.contains("solver_warm_start_hit_rate 0.75"), "{prom}");
         // A second solve accumulates counters, overwrites the rate gauge.
         record_solver_stats(&reg, &stats);

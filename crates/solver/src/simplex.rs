@@ -1,14 +1,15 @@
 //! Sparse revised simplex with native bounded variables.
 //!
 //! The constraint matrix is held column-wise as sparse `(row, coeff)`
-//! lists; the basis inverse is the sparse LU factors and *eta file*
-//! (product-form update) of `crate::factor`, refactorized every
-//! `MAX_ETAS` pivots. A pivot therefore costs the non-zeros of the
-//! factors plus a pricing scan instead of the dense tableau's `O(m·cols)`
-//! sweep, and — crucially for branch & bound — a solved basis can be
-//! snapshotted (`BasisState`) and re-installed in a child node, where a
-//! **dual simplex** pass repairs the handful of bound violations the
-//! branching introduced instead of re-solving from scratch.
+//! lists, and once more row-wise for pricing, which walks only the rows
+//! where `ρ` / `y` is non-zero; the basis inverse is the sparse LU
+//! factors and *eta file* (product-form update) of `crate::factor`,
+//! refactorized every `MAX_ETAS` pivots. A pivot therefore costs the
+//! non-zeros of the factors and of those rows instead of the dense
+//! tableau's `O(m·cols)` sweep, and — crucially for branch & bound — a
+//! solved basis can be snapshotted (`BasisState`) and re-installed in a
+//! child node, where a **dual simplex** pass repairs the handful of bound
+//! violations the branching introduced instead of re-solving from scratch.
 //!
 //! Variables keep their native `[lo, up]` bounds (the *bounded-variable*
 //! technique: nonbasic columns rest at either bound, entering steps may
@@ -20,7 +21,7 @@
 //! iteration budget guarantees termination on degenerate problems; a hard
 //! iteration cap degrades to [`Status::Error`] instead of panicking.
 
-use crate::factor::{EtaFile, Lu};
+use crate::factor::{Cols, EtaFile, Lu};
 use crate::incremental::solve_from;
 use crate::model::{Cmp, Model, Sense, Solution, SolverStats, Status};
 use std::sync::Arc;
@@ -191,6 +192,9 @@ pub(crate) struct Instance {
     art_start: usize,
     total: usize,
     cols: Vec<Vec<(u32, f64)>>,
+    /// The structural and logical columns again, by row: row `i` holds
+    /// `(j, a_ij)` in ascending `j`, its logical last.
+    rows: Cols,
     lo: Vec<f64>,
     up: Vec<f64>,
     /// Phase-2 cost in the internal minimization sense (0 beyond `n`).
@@ -212,6 +216,9 @@ impl Instance {
         let total = n + 3 * m;
 
         let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); total];
+        let mut rows = Cols::default();
+        let terms = model.constraints.iter().map(|c| c.expr.terms.len());
+        rows.ent.reserve(terms.sum::<usize>() + m);
         let mut lo = vec![0.0; total];
         let mut up = vec![0.0; total];
         let mut rhs = vec![0.0; m];
@@ -248,11 +255,14 @@ impl Instance {
                 }
                 if k != 0.0 {
                     cols[j].push((i as u32, k));
+                    rows.ent.push((j as u32, k));
                 }
                 idx = next;
             }
             let li = n + i;
             cols[li].push((i as u32, 1.0));
+            rows.ent.push((li as u32, 1.0));
+            rows.close();
             let (l, u) = match c.cmp {
                 Cmp::Le => (0.0, f64::INFINITY),
                 Cmp::Ge => (f64::NEG_INFINITY, 0.0),
@@ -282,6 +292,7 @@ impl Instance {
             art_start,
             total,
             cols,
+            rows,
             lo,
             up,
             cost,
@@ -336,6 +347,12 @@ pub(crate) struct Ctx {
     ybuf: Vec<f64>,
     /// Row `r` of `B⁻¹` (the dual simplex needs it next to `y` in `ybuf`).
     rho: Vec<f64>,
+    /// What pricing last formed, per structural and logical column: the
+    /// pivot row `α = ρ·A` (dual) or the reduced costs `d = c − y·A`
+    /// (primal).
+    priced: Vec<f64>,
+    /// Columns whose working bounds may differ from the instance's.
+    tightened: Vec<usize>,
     pub(crate) stats: SolverStats,
     /// Dantzig-iteration budget multiplier before switching to Bland's
     /// rule (test hook; production value 50).
@@ -360,6 +377,8 @@ impl Ctx {
             scratch: vec![0.0; m],
             ybuf: vec![0.0; m],
             rho: vec![0.0; m],
+            priced: vec![0.0; inst.ncols],
+            tightened: Vec::new(),
             stats: SolverStats::default(),
             dantzig_factor: 50,
             iter_cap_override: None,
@@ -367,15 +386,35 @@ impl Ctx {
         }
     }
 
-    /// Resets working bounds to the instance's and applies the node's
-    /// tightenings. Artificial bounds always come back to `[0, 0]`.
+    /// Resets working bounds to the instance's — only the columns moved
+    /// since the last reset differ — and applies the node's tightenings.
+    /// (Artificial bounds are `[0, 0]` outside phase 1, which re-fixes
+    /// what it widens.)
     pub(crate) fn set_bounds(&mut self, changes: &[(usize, f64, f64)]) {
-        self.lo.copy_from_slice(&self.inst.lo);
-        self.up.copy_from_slice(&self.inst.up);
+        for j in self.tightened.drain(..) {
+            self.lo[j] = self.inst.lo[j];
+            self.up[j] = self.inst.up[j];
+        }
         for &(j, l, u) in changes {
             self.lo[j] = l;
             self.up[j] = u;
+            self.tightened.push(j);
         }
+    }
+
+    /// Intersects column `j`'s working bounds with `[lo, up]` — one more
+    /// branching on top of what [`Ctx::set_bounds`] installed. `false`,
+    /// bounds untouched, when that leaves the column no value.
+    #[must_use]
+    pub(crate) fn tighten(&mut self, j: usize, lo: f64, up: f64) -> bool {
+        let (l, u) = (self.lo[j].max(lo), self.up[j].min(up));
+        if l > u {
+            return false;
+        }
+        self.lo[j] = l;
+        self.up[j] = u;
+        self.tightened.push(j);
+        true
     }
 
     /// Nonbasic resting value of column `j` (callers guarantee the chosen
@@ -426,6 +465,39 @@ impl Ctx {
             d -= self.ybuf[i as usize] * v;
         }
         d
+    }
+
+    /// `α_j = ρ·A_j` of every structural and logical column into
+    /// `self.priced`, from the rows where `ρ` is non-zero. Rows go in
+    /// ascending order, so a column collects its terms in the order a
+    /// walk down the column would, less the exactly-zero ones.
+    fn price_alpha(&mut self, rho: &[f64]) {
+        self.priced.fill(0.0);
+        for (i, &p) in rho.iter().enumerate() {
+            if p != 0.0 {
+                let row = self.inst.rows.col(i);
+                self.stats.priced_nonzeros += row.len() as u64;
+                for &(j, a) in row {
+                    self.priced[j as usize] += p * a;
+                }
+            }
+        }
+    }
+
+    /// Reduced costs `d_j = cost_j − y·A_j` of the same columns into
+    /// `self.priced`, given `self.ybuf` holds `y`; rows as in
+    /// [`Ctx::price_alpha`].
+    fn price_costs(&mut self, cost: &[f64]) {
+        self.priced.copy_from_slice(&cost[..self.inst.ncols]);
+        for (i, &y) in self.ybuf.iter().enumerate() {
+            if y != 0.0 {
+                let row = self.inst.rows.col(i);
+                self.stats.priced_nonzeros += row.len() as u64;
+                for &(j, a) in row {
+                    self.priced[j as usize] -= y * a;
+                }
+            }
+        }
     }
 
     /// Recomputes `xb = B⁻¹·(rhs − A_N·x_N)` from the current vstat.
@@ -550,17 +622,13 @@ impl Ctx {
                 self.xb[i] = r.clamp(self.lo[li], self.up[li]);
                 li
             } else if r > 0.0 {
-                let aj = inst.art_start + 2 * i;
-                self.up[aj] = f64::INFINITY;
                 self.xb[i] = r;
                 need_phase1 = true;
-                aj
+                inst.art_start + 2 * i
             } else {
-                let aj = inst.art_start + 2 * i + 1;
-                self.up[aj] = f64::INFINITY;
                 self.xb[i] = -r;
                 need_phase1 = true;
-                aj
+                inst.art_start + 2 * i + 1
             };
             self.basis[i] = slot as u32;
             self.pos[slot] = i as i32;
@@ -574,7 +642,17 @@ impl Ctx {
             let t0 = Instant::now();
             let mut p1cost = vec![0.0; inst.total];
             p1cost[inst.art_start..].fill(1.0);
+            // The crashed-in artificials are free upwards while phase 1
+            // runs, and only then: whatever it returns they are re-fixed.
+            // Basic ones either carry the infeasibility (reported below)
+            // or sit harmlessly at ~0 on redundant rows.
+            for &b in &self.basis {
+                if b as usize >= inst.art_start {
+                    self.up[b as usize] = f64::INFINITY;
+                }
+            }
             let out = self.primal(&p1cost, true);
+            self.up[inst.art_start..].fill(0.0);
             self.stats.time_phase1 += t0.elapsed();
             if out != LpOutcome::Optimal {
                 return LpOutcome::Error;
@@ -584,11 +662,6 @@ impl Ctx {
                 if b as usize >= inst.art_start {
                     infeas += self.xb[i].max(0.0);
                 }
-            }
-            // Re-fix artificials; basic ones either carry the infeasibility
-            // (reported below) or sit harmlessly at ~0 on redundant rows.
-            for j in inst.art_start..inst.total {
-                self.up[j] = 0.0;
             }
             if infeas > PHASE1_TOL {
                 return LpOutcome::Infeasible;
@@ -624,20 +697,11 @@ impl Ctx {
             rho.fill(0.0);
             rho[r] = 1.0;
             self.full_btran(&mut rho);
-            let mut enter = None;
-            for j in 0..inst.ncols {
-                if self.vstat[j] == VStat::Basic {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                for &(i, v) in &inst.cols[j] {
-                    alpha += rho[i as usize] * v;
-                }
-                if alpha.abs() > PRICE_TOL {
-                    enter = Some(j);
-                    break;
-                }
-            }
+            self.price_alpha(&rho);
+            let enter = (0..inst.ncols)
+                .find(|&j| self.vstat[j] != VStat::Basic && self.priced[j].abs() > PRICE_TOL);
+            #[cfg(test)]
+            self.audit_drive_out(&rho, enter);
             self.rho = rho;
             if let Some(q) = enter {
                 // Zero-step pivot: q becomes basic at its resting value.
@@ -675,6 +739,7 @@ impl Ctx {
             let bland = iters > budget_dantzig;
 
             self.compute_y(cost);
+            self.price_costs(cost);
             // Entering: at-lower with d < 0 (increase) or at-upper with
             // d > 0 (decrease).
             let mut entering: Option<(usize, f64)> = None; // (col, direction)
@@ -683,7 +748,7 @@ impl Ctx {
                 if self.vstat[j] == VStat::Basic || self.lo[j] == self.up[j] {
                     continue;
                 }
-                let d = self.reduced_cost(cost, j);
+                let d = self.priced[j];
                 let (viol, dir) = match self.vstat[j] {
                     VStat::Lower => (-d, 1.0),
                     VStat::Upper => (d, -1.0),
@@ -697,6 +762,8 @@ impl Ctx {
                     best = viol;
                 }
             }
+            #[cfg(test)]
+            self.audit_primal(cost, bland, entering);
             let Some((q, dir)) = entering else {
                 return LpOutcome::Optimal;
             };
@@ -869,16 +936,14 @@ impl Ctx {
             rho[r] = 1.0;
             self.full_btran(&mut rho);
             self.compute_y(cost);
+            self.price_alpha(&rho);
 
             let mut enter: Option<(usize, f64)> = None; // (col, ratio)
             for j in 0..inst.ncols {
                 if self.vstat[j] == VStat::Basic || self.lo[j] == self.up[j] {
                     continue;
                 }
-                let mut alpha = 0.0;
-                for &(i, v) in &inst.cols[j] {
-                    alpha += rho[i as usize] * v;
-                }
+                let alpha = self.priced[j];
                 let eligible = if below {
                     (self.vstat[j] == VStat::Lower && alpha < -PRICE_TOL)
                         || (self.vstat[j] == VStat::Upper && alpha > PRICE_TOL)
@@ -898,6 +963,8 @@ impl Ctx {
                     enter = Some((j, ratio));
                 }
             }
+            #[cfg(test)]
+            self.audit_dual(&rho, below, enter);
             self.rho = rho;
             let Some((q, _)) = enter else {
                 // No column can absorb the violation: LP is infeasible.
@@ -935,7 +1002,15 @@ impl Ctx {
 
     /// Current structural values in model space.
     pub(crate) fn structural_values(&self) -> Vec<f64> {
-        (0..self.inst.n).map(|j| self.rest_value(j)).collect()
+        let mut values = Vec::new();
+        self.read_values(&mut values);
+        values
+    }
+
+    /// [`Ctx::structural_values`] into a buffer the caller keeps.
+    pub(crate) fn read_values(&self, values: &mut Vec<f64>) {
+        values.clear();
+        values.extend((0..self.inst.n).map(|j| self.rest_value(j)));
     }
 
     /// Objective of the current point, in the model's own sense.
@@ -1003,10 +1078,379 @@ enum DualOutcome {
     GiveUp,
 }
 
+/// The column-wise pricing loops the row-wise ones replaced, verbatim,
+/// as oracles. Every pricing call of every unit test of this crate goes
+/// through one: it prices the call's candidate columns again by walking
+/// them, and demands the same bits per candidate (zeros compared as
+/// zeros) and the same entering column.
 #[cfg(test)]
-mod tests {
+mod audit {
     use super::*;
-    use crate::model::{Model, Sense};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// What the oracles did on this thread: dual calls, primal calls,
+        /// stored entries their column walks visited.
+        pub(crate) static AUDITED: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    fn count(dual: u64, primal: u64, walked: usize) {
+        AUDITED.with(|c| {
+            let [d, p, w] = c.get();
+            c.set([d + dual, p + primal, w + walked as u64]);
+        });
+    }
+
+    #[track_caller]
+    fn same_bits(col: usize, oracle: f64, priced: f64) {
+        assert!(
+            oracle.to_bits() == priced.to_bits() || (oracle == 0.0 && priced == 0.0),
+            "column {col}: walking it gives {oracle:e}, the rows gave {priced:e}"
+        );
+    }
+
+    impl Ctx {
+        /// Working bounds of the structural columns.
+        pub(crate) fn structural_bounds(&self) -> (&[f64], &[f64]) {
+            (&self.lo[..self.inst.n], &self.up[..self.inst.n])
+        }
+
+        pub(super) fn audit_dual(&self, rho: &[f64], below: bool, chosen: Option<(usize, f64)>) {
+            let inst = &self.inst;
+            let cost = &inst.cost;
+            let mut walked = 0;
+            let mut enter: Option<(usize, f64)> = None; // (col, ratio)
+            for j in 0..inst.ncols {
+                if self.vstat[j] == VStat::Basic || self.lo[j] == self.up[j] {
+                    continue;
+                }
+                let mut alpha = 0.0;
+                for &(i, v) in &inst.cols[j] {
+                    alpha += rho[i as usize] * v;
+                }
+                walked += inst.cols[j].len();
+                same_bits(j, alpha, self.priced[j]);
+                let eligible = if below {
+                    (self.vstat[j] == VStat::Lower && alpha < -PRICE_TOL)
+                        || (self.vstat[j] == VStat::Upper && alpha > PRICE_TOL)
+                } else {
+                    (self.vstat[j] == VStat::Lower && alpha > PRICE_TOL)
+                        || (self.vstat[j] == VStat::Upper && alpha < -PRICE_TOL)
+                };
+                if !eligible {
+                    continue;
+                }
+                let ratio = self.reduced_cost(cost, j).abs() / alpha.abs();
+                let better = match enter {
+                    None => true,
+                    Some((_, br)) => ratio < br - EPS,
+                };
+                if better {
+                    enter = Some((j, ratio));
+                }
+            }
+            let bits = |e: Option<(usize, f64)>| e.map(|(j, ratio)| (j, ratio.to_bits()));
+            assert_eq!(bits(enter), bits(chosen), "dual entering column");
+            count(1, 0, walked);
+        }
+
+        pub(super) fn audit_primal(&self, cost: &[f64], bland: bool, chosen: Option<(usize, f64)>) {
+            let inst = &self.inst;
+            let mut walked = 0;
+            let mut entering: Option<(usize, f64)> = None; // (col, direction)
+            let mut best = PRICE_TOL;
+            for j in 0..inst.ncols {
+                if self.vstat[j] == VStat::Basic || self.lo[j] == self.up[j] {
+                    continue;
+                }
+                let d = self.reduced_cost(cost, j);
+                walked += inst.cols[j].len();
+                same_bits(j, d, self.priced[j]);
+                let (viol, dir) = match self.vstat[j] {
+                    VStat::Lower => (-d, 1.0),
+                    VStat::Upper => (d, -1.0),
+                    VStat::Basic => unreachable!(),
+                };
+                if viol > best {
+                    entering = Some((j, dir));
+                    if bland {
+                        break;
+                    }
+                    best = viol;
+                }
+            }
+            assert_eq!(entering, chosen, "primal entering column");
+            count(0, 1, walked);
+        }
+
+        pub(super) fn audit_drive_out(&self, rho: &[f64], chosen: Option<usize>) {
+            let inst = &self.inst;
+            let mut enter = None;
+            for j in 0..inst.ncols {
+                if self.vstat[j] == VStat::Basic {
+                    continue;
+                }
+                let mut alpha = 0.0;
+                for &(i, v) in &inst.cols[j] {
+                    alpha += rho[i as usize] * v;
+                }
+                same_bits(j, alpha, self.priced[j]);
+                if alpha.abs() > PRICE_TOL {
+                    enter = Some(j);
+                    break;
+                }
+            }
+            assert_eq!(enter, chosen, "column driving an artificial out");
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::expr::{LinExpr, Var};
+    use crate::model::{Model, Sense, SolveOptions};
+    use flexwan_util::rng::ChaCha8Rng;
+
+    /// A covering (`Minimize`) or packing (`Maximize`) MIP shaped like the
+    /// benchmark's ring instances: 45 rows — 6 demand rows, each over its
+    /// own sixth of the columns at one rate, and 39 capacity rows a column
+    /// crosses in a contiguous run — over 200 binaries of about nine
+    /// entries each, plus boxed and fixed continuous columns, rows of all
+    /// three comparisons, and coefficients that round (0.1, 1/3, 0.7·k)
+    /// next to the models' 1 and 100·k. Seeds 3 and 6 (covering) and 5
+    /// (packing) close in 850–4,500 nodes.
+    pub(crate) fn cover_model(seed: u64, sense: Sense) -> Model {
+        const DEMANDS: usize = 6;
+        const CAPS: usize = 39;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut m = Model::new();
+        let minimize = sense == Sense::Minimize;
+        let mut demand: Vec<Vec<(Var, f64)>> = vec![Vec::new(); DEMANDS];
+        let mut caps: Vec<Vec<(Var, f64)>> = vec![Vec::new(); CAPS];
+        let mut obj: Vec<(Var, f64)> = Vec::new();
+        let weight = |rng: &mut ChaCha8Rng| match rng.gen_range(0..5u32) {
+            0 => 1.0,
+            1 => rng.gen_range(2..=9u32) as f64,
+            2 => 0.1,
+            3 => 1.0 / 3.0,
+            _ => rng.gen_range(1..=12u32) as f64 * 0.7,
+        };
+        for j in 0..200 {
+            let x = m.binary(format!("x{j}"));
+            let rate = 100.0 * (1 + j % DEMANDS % 4) as f64;
+            demand[j % DEMANDS].push((x, rate));
+            let run = rng.gen_range(5..=11usize);
+            let start = rng.gen_range(0..=CAPS - run);
+            for cap in &mut caps[start..start + run] {
+                cap.push((x, weight(&mut rng)));
+            }
+            let per_rate = rng.gen_range(500..=3000u32) as f64 * 0.001;
+            obj.push((x, per_rate * rate / 100.0));
+        }
+        for j in 0..12 {
+            let lo = rng.gen_range(0..3u32) as f64 * 0.5;
+            // Every fourth one is fixed.
+            let width = (j % 4) as f64 * rng.gen_range(1..=6u32) as f64 * 0.7;
+            let c = m.continuous(format!("c{j}"), lo, lo + width);
+            let start = rng.gen_range(0..CAPS - 4);
+            for cap in &mut caps[start..start + 4] {
+                cap.push((c, weight(&mut rng)));
+            }
+            obj.push((c, 0.3));
+        }
+        let sum = |row: &[(Var, f64)]| LinExpr::sum(row.iter().map(|&(v, k)| k * v));
+        for (d, row) in demand.iter().enumerate() {
+            // A whole multiple of the row's rate, but for the first.
+            let off = if d == 0 { 50.0 } else { 0.0 };
+            let asked = row[0].1 * rng.gen_range(3..=8u32) as f64 - off;
+            if minimize {
+                m.ge(sum(row), asked);
+            } else {
+                m.le(sum(row), asked);
+            }
+        }
+        for (i, row) in caps.iter().enumerate() {
+            let total = row.iter().map(|&(_, k)| k).sum::<f64>();
+            let share = if minimize { 0.3 } else { 0.45 };
+            match i % 13 {
+                // An equality a boxed column absorbs.
+                3 => {
+                    let slack = m.continuous(format!("s{i}"), 0.0, total);
+                    m.eq(sum(row) + 1.0 * slack, (share * total).round());
+                }
+                // A floor under a packing.
+                7 if !minimize => {
+                    m.ge(sum(row), 1.0);
+                }
+                _ => {
+                    m.le(sum(row), (share * total).round());
+                }
+            }
+        }
+        m.set_objective(sense, sum(&obj));
+        m
+    }
+
+    /// The chain LPs of `tests/randomized_lp_and_warm_start.rs`.
+    fn chain_lp(k: usize, seed: u64) -> Model {
+        let mut m = Model::new();
+        let mut st = seed;
+        let mut rnd = move || {
+            st = st
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((st >> 33) % 5) as f64
+        };
+        let vars: Vec<_> = (0..k)
+            .map(|i| m.continuous(format!("x{i}"), 1.0, 3.0))
+            .collect();
+        for w in vars.windows(2) {
+            m.le(w[0] + w[1], 4.0 + rnd());
+        }
+        for w in vars.windows(4) {
+            m.le(w[0] + w[1] + (w[2] + w[3]), 9.0 + rnd());
+        }
+        let obj = vars.iter().enumerate();
+        let obj = obj.map(|(i, &v)| (1.0 + ((i * 7) % 5) as f64) * v);
+        m.set_objective(Sense::Maximize, LinExpr::sum(obj));
+        m
+    }
+
+    // --- row-wise pricing against the column-wise oracles ---
+
+    /// The oracles of `mod audit` run inside every pricing call; this
+    /// drives them over the shapes that matter — the chain LPs cold, warm
+    /// from a snapshot, down a dive and under Bland's rule, and whole
+    /// branch & bound solves of cover models in both senses — and pins
+    /// what the rows save on one of them.
+    #[test]
+    fn row_pricing_replays_the_column_oracle_at_every_call() {
+        let audited = || audit::AUDITED.with(|c| c.get());
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for seed in 0..6u64 {
+            let inst = Arc::new(Instance::build(&chain_lp(150, seed)));
+            let mut ctx = Ctx::new(Arc::clone(&inst));
+            ctx.dantzig_factor = if seed == 5 { 0 } else { 50 };
+            assert_eq!(ctx.solve_cold(), LpOutcome::Optimal);
+            let snapshot = ctx.basis_state();
+            for _ in 0..8 {
+                // A node three branchings deep, then two dive steps.
+                let node: Vec<_> = (0..3)
+                    .map(|_| (rng.gen_range(0..150usize), 1.0, 1.5 + rng.gen_f64()))
+                    .collect();
+                ctx.set_bounds(&node);
+                ctx.solve_warm(Some(&snapshot));
+                for _ in 0..2 {
+                    if ctx.tighten(rng.gen_range(0..150usize), 1.25 + rng.gen_f64(), 3.0) {
+                        ctx.solve_warm(None);
+                    }
+                }
+            }
+        }
+        let [dual, primal, _] = audited();
+        assert!(
+            dual >= 100 && primal >= 1_000,
+            "{dual} dual / {primal} primal"
+        );
+
+        let before = audited();
+        let m = cover_model(3, Sense::Minimize);
+        let (sol, stats) = m.solve_with_stats(&SolveOptions::default());
+        assert_eq!(sol.status, Status::Optimal);
+        let after = audited();
+        assert_eq!(after[0] - before[0], stats.dual_pivots);
+        // Stored entries visited: by the rows where ρ / y is non-zero,
+        // against a walk down every candidate column at every call.
+        assert_eq!(
+            (stats.priced_nonzeros, after[2] - before[2]),
+            (2_123_541, 11_184_222)
+        );
+
+        let m = cover_model(5, Sense::Maximize);
+        assert_eq!(m.solve().status, Status::Optimal);
+        let [dual, primal, _] = audited();
+        assert!(
+            dual >= 7_000 && primal >= 6_000,
+            "{dual} dual / {primal} primal"
+        );
+    }
+
+    // --- working bounds ---
+
+    #[test]
+    fn a_failed_phase_one_leaves_the_artificials_fixed() {
+        // x + y ≥ 6 is violated at the resting point: phase 1 runs, and
+        // the iteration cap stops it before its first pivot.
+        let mut m = Model::new();
+        let x = m.continuous("x", 0.0, 4.0);
+        let y = m.continuous("y", 0.0, 4.0);
+        let z = m.continuous("z", 0.0, 4.0);
+        m.ge(x + y, 6.0);
+        m.le(x + 2.0 * z, 7.0);
+        m.ge(y - z, -1.0);
+        m.set_objective(Sense::Minimize, x + 2.0 * y - 1.5 * z);
+        let inst = Arc::new(Instance::build(&m));
+        let mut fresh = Ctx::new(Arc::clone(&inst));
+        assert_eq!(fresh.solve_cold(), LpOutcome::Optimal);
+        let snapshot = fresh.basis_state();
+
+        let mut ctx = Ctx::new(Arc::clone(&inst));
+        ctx.iter_cap_override = Some(1);
+        assert_eq!(ctx.solve_cold(), LpOutcome::Error);
+        assert_eq!(ctx.stats.phase1_pivots, 0);
+        assert_eq!((&ctx.lo, &ctx.up), (&inst.lo, &inst.up));
+        ctx.iter_cap_override = None;
+
+        // The same child LP on the `Ctx` that failed and on a new one.
+        let mut other = Ctx::new(Arc::clone(&inst));
+        for c in [&mut ctx, &mut other] {
+            c.stats = SolverStats::default();
+            c.set_bounds(&[(0, 0.0, 2.5)]);
+            assert_eq!(c.solve_warm(Some(&snapshot)), LpOutcome::Optimal);
+        }
+        let bits = |c: &Ctx| -> Vec<u64> {
+            let values = c.structural_values();
+            values.iter().chain(&c.xb).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&ctx), bits(&other));
+        assert_eq!((&ctx.basis, &ctx.vstat), (&other.basis, &other.vstat));
+        assert_eq!(ctx.stats.total_pivots(), other.stats.total_pivots());
+        assert_eq!((&ctx.lo, &ctx.up), (&other.lo, &other.up));
+    }
+
+    #[test]
+    fn set_bounds_undoes_every_tightening() {
+        let inst = Arc::new(Instance::build(&cover_model(3, Sense::Minimize)));
+        let mut ctx = Ctx::new(Arc::clone(&inst));
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for round in 0..20 {
+            let node: Vec<_> = (0..round % 7)
+                .map(|_| (rng.gen_range(0..inst.n), 0.0, rng.gen_range(0..2u32) as f64))
+                .collect();
+            ctx.set_bounds(&node);
+            for &(j, l, u) in &node {
+                assert_eq!((ctx.lo[j], ctx.up[j]), (l, u));
+            }
+            for _ in 0..round % 5 {
+                let j = rng.gen_range(0..inst.n);
+                let (l, u) = (ctx.lo[j], ctx.up[j]);
+                // Refused exactly when the intersection is empty, and
+                // then nothing moves.
+                let ok = ctx.tighten(j, 1.0, f64::INFINITY);
+                assert_eq!(ok, u >= 1.0);
+                assert_eq!(
+                    (ctx.lo[j], ctx.up[j]),
+                    if ok { (l.max(1.0), u) } else { (l, u) }
+                );
+            }
+            if round % 3 == 0 {
+                ctx.solve_cold();
+            }
+            ctx.set_bounds(&[]);
+            assert_eq!((&ctx.lo, &ctx.up), (&inst.lo, &inst.up), "round {round}");
+        }
+    }
 
     #[test]
     fn textbook_max_lp() {

@@ -78,7 +78,8 @@ END {
     n = split("netconf_edit_attempts_total tx_commits_total ctrl_sends_total " \
               "orchestrator_restorations_total telemetry_samples_total " \
               "planning_runs_total restore_runs_total solver_pivots_total " \
-              "solver_factor_nonzeros_total physim_ber_evals_total", required, " ")
+              "solver_factor_nonzeros_total solver_priced_nonzeros_total " \
+              "physim_ber_evals_total", required, " ")
     for (i = 1; i <= n; i++)
         if (!(required[i] in seen)) {
             printf("missing required metric: %s\n", required[i]); bad = 1

@@ -23,7 +23,13 @@
 #   * non-test crates/ctrl/src/controller.rs scans a MUX's ports
 #     (`(0..MUX_PORTS)`) or calls `alloc_port(` anywhere but once, in
 #     `claim_lightpath`: which port a lightpath was given is read off the
-#     ledger, and only a lightpath entering the ledger claims one.
+#     ledger, and only a lightpath entering the ledger claims one;
+#   * crates/solver/src/simplex.rs resets working bounds by copying the
+#     instance's arrays (`copy_from_slice(&self.inst.lo`; `set_bounds`
+#     restores the columns it moved), or non-test
+#     crates/solver/src/branch_bound.rs calls `merge_bounds(` anywhere but
+#     once, in `process_node` (a popped node merges its deltas once; a
+#     dive step tightens the one column it branched on).
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -101,6 +107,20 @@ if [ "$(non_test_of $controller | grep -c '\.alloc_port(')" -ne 1 ] ||
     [ "$(echo "$claimer" | grep -c '\.alloc_port(')" -ne 1 ]; then
     echo "$controller: alloc_port must have exactly one caller, claim_lightpath:"
     non_test_of $controller | grep -n '\.alloc_port(' || true
+    bad=1
+fi
+
+if grep -n 'copy_from_slice(&self\.inst\.lo' crates/solver/src/simplex.rs; then
+    echo "crates/solver/src/simplex.rs: set_bounds restores what moved, it does not re-copy the bounds"
+    bad=1
+fi
+bnb=crates/solver/src/branch_bound.rs
+merges=$(non_test_of $bnb | grep -v 'fn merge_bounds(' | grep -c 'merge_bounds(' || true)
+in_node=$(non_test_of $bnb | awk '/^fn process_node\(/{on=1} on{print} /^}/{on=0}' |
+    grep -c 'merge_bounds(' || true)
+if [ "$merges" -ne 1 ] || [ "$in_node" -ne 1 ]; then
+    echo "$bnb: merge_bounds must be called exactly once, in process_node:"
+    non_test_of $bnb | grep -n 'merge_bounds(' || true
     bad=1
 fi
 
