@@ -101,8 +101,9 @@ impl<'a> PlanCtx<'a> {
     }
 
     /// Each link's `k` shortest node-distinct routes avoiding `banned`, in
-    /// `links` order: the cache's own lists when one is shared, otherwise
-    /// Yen over a scratch arena that lives for this call.
+    /// `links` order: the cache's own lists when one is shared — all of
+    /// them in one lookup — otherwise Yen over a scratch arena that lives
+    /// for this call.
     pub(crate) fn routes<'l>(
         &self,
         links: impl Iterator<Item = &'l IpLink>,
@@ -110,14 +111,14 @@ impl<'a> PlanCtx<'a> {
         banned: &HashSet<EdgeId>,
     ) -> LinkRoutes {
         let g = self.optical;
+        if let Some(cache) = self.cache {
+            let pairs: Vec<_> = links.map(|l| (l.src, l.dst)).collect();
+            return cache.routes_batch(g, &pairs, k, banned);
+        }
         let mut scratch = DijkstraScratch::new();
-        let mut fresh =
-            |l: &IpLink| k_shortest_routes_scratch(g, l.src, l.dst, k, banned, &mut scratch);
         links
-            .map(|l| match self.cache {
-                Some(c) => c.routes(g, l.src, l.dst, k, banned),
-                None => Arc::new(fresh(l)),
-            })
+            .map(|l| k_shortest_routes_scratch(g, l.src, l.dst, k, banned, &mut scratch))
+            .map(Arc::new)
             .collect()
     }
 

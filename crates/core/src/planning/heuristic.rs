@@ -15,7 +15,8 @@
 
 use std::sync::Arc;
 
-use flexwan_optical::spectrum::{PixelWidth, SpectrumGrid};
+use flexwan_optical::format::TransponderFormat;
+use flexwan_optical::spectrum::SpectrumGrid;
 use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::{IpLinkId, IpTopology};
@@ -23,7 +24,7 @@ use flexwan_topo::route::Route;
 
 use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::select_formats;
-use crate::planning::spectrum::SpectrumState;
+use crate::planning::spectrum::{RunScratch, SpectrumState};
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 
@@ -195,6 +196,94 @@ pub(crate) fn most_constrained_first(ip: &IpTopology, routes: &LinkRoutes) -> Ve
     order
 }
 
+/// What a placement loop carries through a plan: the spectrum it fills
+/// and the one way a format multiset is put on a route.
+pub(crate) struct Placement<'a> {
+    optical: &'a Graph,
+    align: u32,
+    defrag_moves: usize,
+    pub(crate) spectrum: SpectrumState,
+    scratch: RunScratch,
+}
+
+impl<'a> Placement<'a> {
+    /// An all-free spectrum for `scheme` under `ctx`; up to
+    /// `defrag_moves` retunes may make room for a channel that finds none.
+    pub(crate) fn new(ctx: &PlanCtx<'a>, scheme: Scheme, defrag_moves: usize) -> Self {
+        Placement {
+            optical: ctx.optical(),
+            align: ctx.alignment(scheme),
+            defrag_moves,
+            spectrum: SpectrumState::new(ctx.cfg().grid, ctx.optical().num_edges()),
+            scratch: RunScratch::default(),
+        }
+    }
+
+    /// Spectrum assignment of the multiset `formats` (widest spacing
+    /// first) on the `k`-th route of `link`, until `remaining` Gbps are
+    /// covered: each run of equal spacing is one [`SpectrumState::run`].
+    /// New wavelengths go on the end of `wavelengths`, which is also what
+    /// a retune may move. Returns what is still uncovered.
+    pub(crate) fn place(
+        &mut self,
+        wavelengths: &mut Vec<Wavelength>,
+        (link, k): (IpLinkId, usize),
+        route: &Route,
+        formats: &[TransponderFormat],
+        mut remaining: u64,
+    ) -> u64 {
+        for equal in formats.chunk_by(|a, b| a.spacing == b.spacing) {
+            if remaining == 0 {
+                break;
+            }
+            let width = equal[0].spacing;
+            let mut run = self
+                .spectrum
+                .run(&mut self.scratch, route, width, self.align);
+            for &format in equal {
+                if remaining == 0 {
+                    break;
+                }
+                let placed = match run.place(&mut self.spectrum) {
+                    Some((channel, chosen)) => Some((channel, route.realize(self.optical, chosen))),
+                    // Occupancy only grows: the rest of the run finds no
+                    // channel either. On to the narrower formats, then
+                    // the next candidate route.
+                    None if self.defrag_moves == 0 => break,
+                    None => {
+                        let made = crate::defrag::make_room(
+                            &mut self.spectrum,
+                            wavelengths,
+                            route,
+                            width,
+                            self.align,
+                            self.defrag_moves,
+                            self.optical,
+                        );
+                        // A retune frees pixels, which no patch follows.
+                        run.rebuild(&self.spectrum);
+                        made.map(|out| {
+                            let path = route.realize(self.optical, &out.chosen_fibers);
+                            (out.channel, path)
+                        })
+                    }
+                };
+                if let Some((channel, path)) = placed {
+                    remaining = remaining.saturating_sub(u64::from(format.data_rate_gbps));
+                    wavelengths.push(Wavelength {
+                        link,
+                        path_index: k,
+                        path,
+                        format,
+                        channel,
+                    });
+                }
+            }
+        }
+        remaining
+    }
+}
+
 /// Phase 1 + 2 for every link, in `order`: covers what the `live`
 /// wavelengths leave unprovisioned of each link's demand, placing new
 /// wavelengths around them. The one placement loop of the fresh and the
@@ -207,9 +296,8 @@ pub(crate) fn place_deficits(
     order: LinkOrder,
     live: Vec<Wavelength>,
 ) -> Plan {
-    let (optical, cfg) = (ctx.optical(), ctx.cfg());
+    let cfg = ctx.cfg();
     let model = scheme.transponder();
-    let align = ctx.alignment(scheme);
 
     let mut links: Vec<usize> = (0..ip.num_links()).collect();
     match order {
@@ -226,10 +314,11 @@ pub(crate) fn place_deficits(
     }
 
     // Replay the live spectrum and tally what it already provisions.
-    let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
+    let mut placement = Placement::new(ctx, scheme, cfg.defrag_moves);
     let mut provisioned = vec![0u64; ip.num_links()];
     for w in &live {
-        spectrum
+        placement
+            .spectrum
             .occupy_exact(&w.path, &w.channel)
             .expect("live wavelengths are conflict-free");
         if let Some(p) = provisioned.get_mut(w.link.0 as usize) {
@@ -250,49 +339,7 @@ pub(crate) fn place_deficits(
             else {
                 continue; // no format reaches over this route
             };
-            // Without defragmentation occupancy only grows during a plan,
-            // so once a width finds no channel on this route no width at
-            // least as large can: those searches are skipped. A retune
-            // frees pixels, so with a defrag budget nothing is skipped.
-            let mut failed: Option<PixelWidth> = None;
-            for format in formats {
-                if remaining == 0 {
-                    break;
-                }
-                if failed.is_some_and(|w| format.spacing >= w) {
-                    continue;
-                }
-                let placed = spectrum
-                    .allocate_route(route, format.spacing, align)
-                    .or_else(|| {
-                        if cfg.defrag_moves == 0 {
-                            failed = Some(format.spacing);
-                            return None;
-                        }
-                        crate::defrag::make_room(
-                            &mut spectrum,
-                            &mut wavelengths,
-                            route,
-                            format.spacing,
-                            align,
-                            cfg.defrag_moves,
-                            optical,
-                        )
-                        .map(|out| (out.channel, out.chosen_fibers))
-                    });
-                if let Some((channel, chosen)) = placed {
-                    remaining = remaining.saturating_sub(u64::from(format.data_rate_gbps));
-                    wavelengths.push(Wavelength {
-                        link: link.id,
-                        path_index: k,
-                        path: route.realize(optical, &chosen),
-                        format,
-                        channel,
-                    });
-                }
-                // On failure: try the remaining (narrower) formats of the
-                // multiset, then the next candidate route.
-            }
+            remaining = placement.place(&mut wavelengths, (link.id, k), route, &formats, remaining);
         }
         if remaining > 0 {
             unmet.push((link.id, remaining));
@@ -303,15 +350,17 @@ pub(crate) fn place_deficits(
         scheme,
         wavelengths,
         unmet,
-        spectrum,
+        spectrum: placement.spectrum,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexwan_optical::spectrum::PixelRange;
+    use flexwan_optical::spectrum::{PixelRange, PixelWidth};
     use flexwan_topo::graph::NodeId;
+    use flexwan_topo::tbackbone::{t_backbone, TBackboneConfig};
+    use std::collections::HashSet;
 
     /// Two-node backbone with two parallel fiber routes.
     fn two_node() -> (Graph, IpTopology) {
@@ -680,5 +729,307 @@ mod tests {
         // The pinned wavelength was retuned (defrag) — but traffic-wise
         // hitlessly, and only one move was needed.
         assert_ne!(freed.wavelengths[0].channel, mid);
+    }
+
+    /// The oracle: `place_deficits` as it stood before the run kernel
+    /// (fffc5f4), verbatim — one stateless `allocate_route` per channel,
+    /// every fiber's fit-starts bitmap rebuilt each time.
+    fn place_deficits_per_channel(
+        ctx: &PlanCtx,
+        scheme: Scheme,
+        ip: &IpTopology,
+        routes: &LinkRoutes,
+        order: LinkOrder,
+        live: Vec<Wavelength>,
+    ) -> Plan {
+        let (optical, cfg) = (ctx.optical(), ctx.cfg());
+        let model = scheme.transponder();
+        let align = ctx.alignment(scheme);
+
+        let mut links: Vec<usize> = (0..ip.num_links()).collect();
+        match order {
+            LinkOrder::MostConstrainedFirst => links = most_constrained_first(ip, routes),
+            LinkOrder::ShortestFirst => links.sort_by_key(|&i| {
+                let len = routes[i].first().map_or(u32::MAX, |p| p.length_km);
+                (len, ip.links()[i].demand_gbps, i)
+            }),
+            LinkOrder::InputOrder => {}
+            LinkOrder::Random(seed) => {
+                let mut rng = flexwan_util::rng::ChaCha8Rng::seed_from_u64(seed);
+                rng.shuffle(&mut links);
+            }
+        }
+
+        // Replay the live spectrum and tally what it already provisions.
+        let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
+        let mut provisioned = vec![0u64; ip.num_links()];
+        for w in &live {
+            spectrum
+                .occupy_exact(&w.path, &w.channel)
+                .expect("live wavelengths are conflict-free");
+            if let Some(p) = provisioned.get_mut(w.link.0 as usize) {
+                *p += u64::from(w.format.data_rate_gbps);
+            }
+        }
+        let mut wavelengths = live;
+        let mut unmet = Vec::new();
+
+        for i in links {
+            let link = &ip.links()[i];
+            let mut remaining = link.demand_gbps.saturating_sub(provisioned[i]);
+            for (k, route) in routes[i].iter().enumerate() {
+                if remaining == 0 {
+                    break;
+                }
+                let Some(formats) = select_formats(model, remaining, route.length_km, cfg.epsilon)
+                else {
+                    continue; // no format reaches over this route
+                };
+                // Without defragmentation occupancy only grows during a plan,
+                // so once a width finds no channel on this route no width at
+                // least as large can: those searches are skipped. A retune
+                // frees pixels, so with a defrag budget nothing is skipped.
+                let mut failed: Option<PixelWidth> = None;
+                for format in formats {
+                    if remaining == 0 {
+                        break;
+                    }
+                    if failed.is_some_and(|w| format.spacing >= w) {
+                        continue;
+                    }
+                    let placed = spectrum
+                        .allocate_route(route, format.spacing, align)
+                        .or_else(|| {
+                            if cfg.defrag_moves == 0 {
+                                failed = Some(format.spacing);
+                                return None;
+                            }
+                            crate::defrag::make_room(
+                                &mut spectrum,
+                                &mut wavelengths,
+                                route,
+                                format.spacing,
+                                align,
+                                cfg.defrag_moves,
+                                optical,
+                            )
+                            .map(|out| (out.channel, out.chosen_fibers))
+                        });
+                    if let Some((channel, chosen)) = placed {
+                        remaining = remaining.saturating_sub(u64::from(format.data_rate_gbps));
+                        wavelengths.push(Wavelength {
+                            link: link.id,
+                            path_index: k,
+                            path: route.realize(optical, &chosen),
+                            format,
+                            channel,
+                        });
+                    }
+                    // On failure: try the remaining (narrower) formats of the
+                    // multiset, then the next candidate route.
+                }
+            }
+            if remaining > 0 {
+                unmet.push((link.id, remaining));
+            }
+        }
+
+        Plan {
+            scheme,
+            wavelengths,
+            unmet,
+            spectrum,
+        }
+    }
+
+    /// Plans `ip` around `live` both ways and insists on one `Plan`:
+    /// wavelengths, unmet list and final spectrum.
+    fn both_ways(ctx: &PlanCtx, scheme: Scheme, ip: &IpTopology, live: &[Wavelength]) -> Plan {
+        let routes = ctx.routes(ip.links().iter(), ctx.cfg().k_paths, &HashSet::new());
+        let order = ctx.cfg().order;
+        let oracle = place_deficits_per_channel(ctx, scheme, ip, &routes, order, live.to_vec());
+        let plan = place_deficits(ctx, scheme, ip, &routes, order, live.to_vec());
+        // Not `assert_eq!`: two T-backbone plans are megabytes of `Debug`.
+        let differ = plan.wavelengths.iter().zip(&oracle.wavelengths);
+        let first = differ.take_while(|(a, b)| a == b).count();
+        assert!(
+            plan == oracle,
+            "{scheme}: wavelength {first} differs, or unmet or spectrum"
+        );
+        plan
+    }
+
+    fn t_backbone_k5() -> (flexwan_topo::tbackbone::Backbone, PlannerConfig) {
+        let cfg = PlannerConfig {
+            k_paths: 5,
+            ..Default::default()
+        };
+        (t_backbone(&TBackboneConfig::default()), cfg)
+    }
+
+    #[test]
+    fn runs_place_what_the_per_channel_loop_places() {
+        let (bb, cfg) = t_backbone_k5();
+        let coarse = PlannerConfig {
+            min_alignment: 6,
+            ..cfg.clone()
+        };
+        let mut feasible = 0;
+        for scheme in Scheme::ALL {
+            let ctx = PlanCtx::new(&bb.optical, &cfg);
+            let mut base = None;
+            for scale in 1..=6 {
+                let p = both_ways(&ctx, scheme, &bb.ip.scaled(scale), &[]);
+                feasible += usize::from(p.is_feasible());
+                base.get_or_insert(p);
+            }
+            // Growth around live wavelengths, and a coarser pixel grid.
+            let live = base.expect("scale 1 planned").wavelengths;
+            let grown = both_ways(&ctx, scheme, &bb.ip.scaled(3), &live);
+            assert_eq!(grown.wavelengths[..live.len()], live[..]);
+            assert!(grown.wavelengths.len() > live.len());
+            both_ways(
+                &PlanCtx::new(&bb.optical, &coarse),
+                scheme,
+                &bb.ip.scaled(2),
+                &[],
+            );
+        }
+        assert!((1..18).contains(&feasible), "{feasible} of 18 feasible");
+    }
+
+    /// A chain of conduits, fiber `f` of conduit `h` carrying a live 100 G
+    /// channel of 4 px at each of `starts[h][f]` that does not collide
+    /// with an earlier one, under a budget of two retunes; and the demand
+    /// set that keeps them and asks for 2400 G end to end — at this
+    /// length three 800 G wavelengths, one run of 9 px.
+    fn fragmented_chain(
+        pixels: u32,
+        starts: &[Vec<Vec<u32>>],
+    ) -> (Graph, PlannerConfig, IpTopology, Vec<Wavelength>) {
+        let mut g = Graph::new();
+        let nodes: Vec<NodeId> = (0..=starts.len())
+            .map(|i| g.add_node(format!("n{i}")))
+            .collect();
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(pixels),
+            defrag_moves: 2,
+            ..Default::default()
+        };
+        let mut spectrum = SpectrumState::new(cfg.grid, starts.iter().map(Vec::len).sum());
+        let mut ip = IpTopology::new();
+        let mut live = Vec::new();
+        let width = PixelWidth::new(4);
+        for (h, fibers) in starts.iter().enumerate() {
+            for (f, starts) in fibers.iter().enumerate() {
+                let (a, b) = (nodes[h], nodes[h + 1]);
+                let e = g.add_edge(a, b, 50 + f as u32);
+                let path = flexwan_topo::path::Path::new(&g, vec![a, b], vec![e]);
+                let channels: Vec<PixelRange> = (starts.iter())
+                    .map(|&start| PixelRange::new(start, width))
+                    .filter(|channel| spectrum.occupy_exact(&path, channel).is_ok())
+                    .collect();
+                let link = ip.add_link(a, b, 100 * channels.len() as u64);
+                live.extend(channels.into_iter().map(|channel| Wavelength {
+                    link,
+                    path_index: 0,
+                    path: path.clone(),
+                    format: TransponderFormat::derive(100, width, 3000),
+                    channel,
+                }));
+            }
+        }
+        ip.add_link(nodes[0], nodes[starts.len()], 2400);
+        (g, cfg, ip, live)
+    }
+
+    /// With a defrag budget a failed placement goes to `make_room`, which
+    /// frees pixels in the middle of a run: the bitmaps are rebuilt, not
+    /// patched. The first instance is one of the draws in ten thousand
+    /// where that shows in the plan (a retune leaves a free window for the
+    /// next channel, which stale bitmaps would send to `make_room` and a
+    /// lower window); the seeded draws after it count how often a retune
+    /// is followed by another channel of its run.
+    #[test]
+    fn a_retune_mid_run_changes_nothing() {
+        let pinned = [vec![vec![22, 34, 11, 27, 2, 16], vec![4, 8, 29]]];
+        let (g, cfg, ip, live) = fragmented_chain(40, &pinned);
+        let plan = both_ways(&PlanCtx::new(&g, &cfg), Scheme::FlexWan, &ip, &live);
+        let new = &plan.wavelengths[live.len()..];
+        let starts: Vec<u32> = new.iter().map(|w| w.channel.start).collect();
+        assert_eq!(starts, [12, 21, 30]);
+
+        let mut rng = flexwan_util::rng::ChaCha8Rng::seed_from_u64(0xDEF2);
+        let mut mid_run = 0;
+        for _case in 0..300 {
+            let pixels = rng.gen_range(40u32..64);
+            let starts: Vec<Vec<Vec<u32>>> = (0..rng.gen_range(1usize..3))
+                .map(|_hop| {
+                    (0..rng.gen_range(1usize..3))
+                        .map(|_fiber| {
+                            (0..rng.gen_range(1usize..9))
+                                .map(|_| rng.gen_range(0..pixels - 4))
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let (g, cfg, ip, live) = fragmented_chain(pixels, &starts);
+            let plan = both_ways(&PlanCtx::new(&g, &cfg), Scheme::FlexWan, &ip, &live);
+            let new = &plan.wavelengths[live.len()..];
+            assert!(new.iter().all(|w| w.channel.width.pixels() == 9));
+            let retuned = plan.wavelengths.iter().zip(&live).any(|(a, b)| a != b);
+            mid_run += usize::from(retuned && new.len() >= 2);
+        }
+        assert!(mid_run >= 30, "only {mid_run} draws retuned inside a run");
+    }
+
+    /// The mechanism, as work done: on the T-backbone's 100G-WAN plan at
+    /// scale 6 a link places dozens of identical 4-px channels on a route,
+    /// and the fit-starts bitmaps are built once per (link, route, width)
+    /// run where the per-channel loop builds them once per channel.
+    #[test]
+    fn a_run_builds_its_bitmaps_once() {
+        use crate::planning::spectrum::tally;
+        let (bb, cfg) = t_backbone_k5();
+        let ctx = PlanCtx::new(&bb.optical, &cfg);
+        let ip = bb.ip.scaled(6);
+        let routes = ctx.routes(ip.links().iter(), cfg.k_paths, &HashSet::new());
+        let scheme = Scheme::FixedGrid100G;
+
+        tally::take();
+        let plan = place_deficits(&ctx, scheme, &ip, &routes, cfg.order, Vec::new());
+        let runs = tally::take();
+        let oracle = place_deficits_per_channel(&ctx, scheme, &ip, &routes, cfg.order, Vec::new());
+        let per_channel = tally::take();
+        assert_eq!(plan, oracle);
+
+        // One format, so one run per (link, route tried): its fibers are
+        // built once where the per-channel loop builds them for every
+        // channel it places, plus the probe that finds the route full.
+        let (mut once, mut per_probe) = (0, 0);
+        for (link, routes) in ip.links().iter().zip(&routes) {
+            let mut remaining = link.demand_gbps;
+            for (k, route) in routes.iter().enumerate() {
+                let reach = scheme.transponder().formats_reaching(route.length_km);
+                if remaining == 0 || reach.is_empty() {
+                    continue;
+                }
+                let here = |w: &&Wavelength| w.link == link.id && w.path_index == k;
+                let placed = plan.wavelengths.iter().filter(here).count();
+                remaining -= 100 * placed as u64;
+                let fibers = tally::fibers(route);
+                once += fibers;
+                per_probe += fibers * (placed + usize::from(remaining > 0));
+            }
+        }
+        assert_eq!((runs.built, per_channel.stateless), (once, per_probe));
+        assert_eq!((once, per_probe), (3_334, 65_717));
+        let hops: usize = plan.wavelengths.iter().map(|w| w.path.edges.len()).sum();
+        assert_eq!((runs.patched, runs.stateless), (hops, 0));
+        assert_eq!((per_channel.built, per_channel.patched), (0, 0));
+        assert_eq!((plan.wavelengths.len(), hops), (7_568, 16_531));
+        // The scratch is sized by the largest route, not per run.
+        assert!(runs.grown <= 4, "scratch regrown {} times", runs.grown);
     }
 }

@@ -11,9 +11,10 @@
 //! * **grid discipline** — fixed-grid schemes only start channels on grid
 //!   boundaries (the `align` parameter).
 
-use flexwan_optical::spectrum::{PixelRange, PixelWidth, SpectrumGrid, SpectrumMask};
+use flexwan_optical::spectrum::{FitStarts, PixelRange, PixelWidth, SpectrumGrid, SpectrumMask};
 use flexwan_topo::graph::EdgeId;
 use flexwan_topo::path::Path;
+use flexwan_topo::route::Route;
 
 /// Per-fiber spectrum occupancy for a whole optical topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +100,7 @@ impl SpectrumState {
     /// the same pixel range must be free on one parallel of every hop.
     pub fn find_route(
         &self,
-        route: &flexwan_topo::route::Route,
+        route: &Route,
         width: PixelWidth,
         align: u32,
     ) -> Option<(PixelRange, Vec<EdgeId>)> {
@@ -107,6 +108,8 @@ impl SpectrumState {
             .hops
             .iter()
             .map(|hop| hop.iter().map(|&e| self.mask(e)));
+        #[cfg(test)]
+        tally::add(|t| t.stateless += tally::fibers(route));
         let range = SpectrumMask::first_fit_any_of_each(self.grid, hops, width, align)?;
         let chosen = route
             .hops
@@ -120,7 +123,7 @@ impl SpectrumState {
     /// [`SpectrumState::find_route`] + allocation on the chosen fibers.
     pub fn allocate_route(
         &mut self,
-        route: &flexwan_topo::route::Route,
+        route: &Route,
         width: PixelWidth,
         align: u32,
     ) -> Option<(PixelRange, Vec<EdgeId>)> {
@@ -131,6 +134,26 @@ impl SpectrumState {
                 .expect("found range is free");
         }
         Some((range, chosen))
+    }
+
+    /// Starts a run of `width`-wide channels on `route`: what repeated
+    /// [`allocate_route`](Self::allocate_route) calls place, from fit-starts
+    /// bitmaps built here once and kept current by [`Run::place`].
+    pub(crate) fn run<'a>(
+        &self,
+        scratch: &'a mut RunScratch,
+        route: &'a Route,
+        width: PixelWidth,
+        align: u32,
+    ) -> Run<'a> {
+        let mut run = Run {
+            scratch,
+            route,
+            width,
+            align,
+        };
+        run.rebuild(self);
+        run
     }
 
     /// Total occupied spectrum summed over fibers, GHz — the
@@ -145,6 +168,102 @@ impl SpectrumState {
             .iter()
             .map(|m| f64::from(m.occupied_pixels()) / f64::from(m.pixels()))
             .fold(0.0, f64::max)
+    }
+}
+
+/// The buffers of the run placement, reused from run to run; one lives
+/// for a plan. Not part of [`SpectrumState`], which is plan output
+/// (`Clone`, `PartialEq`).
+#[derive(Debug, Default)]
+pub(crate) struct RunScratch {
+    fits: FitStarts,
+    chosen: Vec<EdgeId>,
+}
+
+/// Equal-width channels being placed back to back on one route (see
+/// [`SpectrumState::run`]).
+pub(crate) struct Run<'a> {
+    scratch: &'a mut RunScratch,
+    route: &'a Route,
+    width: PixelWidth,
+    align: u32,
+}
+
+impl Run<'_> {
+    /// Re-reads `state`. Required after anything but [`Run::place`]
+    /// touched it: the bitmaps are patched for pixels this run occupies,
+    /// never for pixels anyone frees.
+    pub(crate) fn rebuild(&mut self, state: &SpectrumState) {
+        let hops = self.route.hops.iter();
+        let masks = hops.map(|hop| hop.iter().map(|&e| state.mask(e)));
+        #[cfg(test)]
+        let reserved = self.scratch.fits.reserved_words();
+        self.scratch.fits.build(state.grid, masks, self.width);
+        #[cfg(test)]
+        tally::add(|t| {
+            t.built += tally::fibers(self.route);
+            t.grown += usize::from(self.scratch.fits.reserved_words() != reserved);
+        });
+    }
+
+    /// [`SpectrumState::allocate_route`] for the next channel of the run:
+    /// the same channel on the same fibers, `None` (state unchanged) when
+    /// the route has no room left for this width.
+    pub(crate) fn place(&mut self, state: &mut SpectrumState) -> Option<(PixelRange, &[EdgeId])> {
+        let RunScratch { fits, chosen } = &mut *self.scratch;
+        let range = fits.first_fit(self.align)?;
+        chosen.clear();
+        for (h, hop) in self.route.hops.iter().enumerate() {
+            let fiber = fits
+                .take(h, &range)
+                .expect("a start in the set fits on one parallel of every hop");
+            state.masks[hop[fiber].0 as usize]
+                .occupy(&range)
+                .expect("found range is free");
+            chosen.push(hop[fiber]);
+        }
+        #[cfg(test)]
+        tally::add(|t| t.patched += chosen.len());
+        Some((range, chosen))
+    }
+}
+
+/// Test-only work counters of the two placement paths, per thread.
+#[cfg(test)]
+pub(crate) mod tally {
+    use std::cell::Cell;
+
+    /// Fit-starts bitmaps asked for since the last [`take`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Tally {
+        /// Built by [`super::Run::rebuild`].
+        pub built: usize,
+        /// Builds that had to grow the scratch.
+        pub grown: usize,
+        /// Patched by [`super::Run::place`].
+        pub patched: usize,
+        /// Handed to the stateless [`super::SpectrumState::find_route`].
+        pub stateless: usize,
+    }
+
+    thread_local!(static TALLY: Cell<Tally> = const { Cell::new(Tally { built: 0, grown: 0, patched: 0, stateless: 0 }) });
+
+    pub(crate) fn add(f: impl FnOnce(&mut Tally)) {
+        TALLY.with(|c| {
+            let mut t = c.get();
+            f(&mut t);
+            c.set(t);
+        });
+    }
+
+    /// One fit-starts bitmap per parallel fiber of every hop.
+    pub(crate) fn fibers(route: &super::Route) -> usize {
+        route.hops.iter().map(Vec::len).sum()
+    }
+
+    /// Reads the counters and zeroes them.
+    pub(crate) fn take() -> Tally {
+        TALLY.with(Cell::take)
     }
 }
 
@@ -359,6 +478,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The run kernel against the stateless search, channel by channel:
+    /// the same pixels on the same fibers after every placement, until
+    /// the route is full and both say so.
+    #[test]
+    fn a_run_places_what_repeated_find_route_finds() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x2A17);
+        let mut scratch = RunScratch::default();
+        let mut placed = 0;
+        for pixels in [8u32, 63, 64, 65, 100, 384, 400, 600] {
+            for _case in 0..12 {
+                let (start, route) = random_state_and_route(&mut rng, pixels);
+                // No hop constrains nothing: pixel 0 fits for ever.
+                let cap = if route.hops.is_empty() { 3 } else { usize::MAX };
+                for width in 1..=70u16 {
+                    for align in [1u32, 4, 6] {
+                        let (mut by_run, mut stateless) = (start.clone(), start.clone());
+                        let mut run = by_run.run(&mut scratch, &route, w(width), align);
+                        for nth in 0..cap {
+                            let expected = stateless.allocate_route(&route, w(width), align);
+                            let got = run.place(&mut by_run);
+                            assert_eq!(
+                                got.map(|(range, chosen)| (range, chosen.to_vec())),
+                                expected,
+                                "{pixels} px, hops {:?}, width {width}, align {align}, channel {nth}",
+                                route.hops
+                            );
+                            if expected.is_none() {
+                                break;
+                            }
+                            placed += 1;
+                        }
+                        assert_eq!(by_run, stateless);
+                    }
+                }
+            }
+        }
+        assert!(placed > 50_000, "{placed} channels placed");
     }
 
     /// What lets the planner skip a width at least as wide as one that

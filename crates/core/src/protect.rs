@@ -17,7 +17,7 @@ use flexwan_topo::route::Route;
 
 use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::select_formats;
-use crate::planning::heuristic::{most_constrained_first, LinkRoutes};
+use crate::planning::heuristic::{most_constrained_first, LinkRoutes, Placement};
 use crate::planning::spectrum::SpectrumState;
 use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
@@ -133,10 +133,10 @@ pub(crate) fn place_protected(
     ip: &IpTopology,
     routes_per_link: &LinkRoutes,
 ) -> ProtectedPlan {
-    let (optical, cfg) = (ctx.optical(), ctx.cfg());
+    let cfg = ctx.cfg();
     let model = scheme.transponder();
-    let align = ctx.alignment(scheme);
-    let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
+    // 1+1 plans from an empty network: there is nothing to retune.
+    let mut placement = Placement::new(ctx, scheme, 0);
     let mut working = Vec::new();
     let mut protection = Vec::new();
     let mut unprotectable = Vec::new();
@@ -159,27 +159,11 @@ pub(crate) fn place_protected(
         // Provision the full demand on each copy independently.
         let mut shortfall = 0u64;
         for (route, bucket) in [(primary, &mut working), (backup, &mut protection)] {
-            let mut remaining = link.demand_gbps;
-            if let Some(formats) = select_formats(model, remaining, route.length_km, cfg.epsilon) {
-                for format in formats {
-                    if remaining == 0 {
-                        break;
-                    }
-                    if let Some((channel, chosen)) =
-                        spectrum.allocate_route(route, format.spacing, align)
-                    {
-                        remaining = remaining.saturating_sub(u64::from(format.data_rate_gbps));
-                        bucket.push(Wavelength {
-                            link: link.id,
-                            path_index: 0,
-                            path: route.realize(optical, &chosen),
-                            format,
-                            channel,
-                        });
-                    }
-                }
-            }
-            shortfall += remaining;
+            let demand = link.demand_gbps;
+            shortfall += match select_formats(model, demand, route.length_km, cfg.epsilon) {
+                Some(formats) => placement.place(bucket, (link.id, 0), route, &formats, demand),
+                None => demand,
+            };
         }
         if shortfall > 0 {
             unmet.push((link.id, shortfall));
@@ -192,7 +176,7 @@ pub(crate) fn place_protected(
         protection,
         unprotectable,
         unmet,
-        spectrum,
+        spectrum: placement.spectrum,
     }
 }
 

@@ -181,14 +181,21 @@ pub(crate) fn revive(
         let mut remaining = hit.lost_gbps;
         let mut spares = hit.spares;
         'routes: for (k, route) in routes.iter().enumerate() {
+            // What reaches over this route, worked out when it is first
+            // needed: the route decides it, not the wavelength.
+            let mut reachable = None;
             loop {
                 if remaining < 100 || spares == 0 {
                     break 'routes;
                 }
                 // Highest revivable rate not overshooting c'_e, narrowest
                 // spacing first within a rate (constraint (7) + objective).
-                let mut candidates = reachable_formats(model, route.length_km);
-                candidates.retain(|f| u64::from(f.data_rate_gbps) <= remaining);
+                let mut candidates: Vec<_> = reachable
+                    .get_or_insert_with(|| reachable_formats(model, route.length_km))
+                    .iter()
+                    .filter(|f| u64::from(f.data_rate_gbps) <= remaining)
+                    .copied()
+                    .collect();
                 candidates.sort_by_key(|f| (std::cmp::Reverse(f.data_rate_gbps), f.spacing));
                 let mut placed = false;
                 for format in candidates {

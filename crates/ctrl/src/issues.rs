@@ -124,8 +124,8 @@ pub fn uncoordinated_assignment(
         let masks = per_vendor_masks
             .entry(*vendor)
             .or_insert_with(|| vec![SpectrumMask::new(grid); num_fibers]);
-        let views: Vec<&SpectrumMask> = path.edges.iter().map(|e| &masks[e.0 as usize]).collect();
-        let Some(range) = SpectrumMask::first_fit_joint(&views, *width) else {
+        let fibers = path.edges.iter().map(|e| [&masks[e.0 as usize]]);
+        let Some(range) = SpectrumMask::first_fit_any_of_each(grid, fibers, *width, 1) else {
             continue; // vendor-local spectrum exhausted; demand dropped
         };
         for e in &path.edges {
@@ -162,8 +162,8 @@ pub fn centralized_assignment(
     let mut channels = Vec::new();
     let mut passbands_at: HashMap<NodeId, Vec<PixelRange>> = HashMap::new();
     for (path, width, vendor) in demands {
-        let views: Vec<&SpectrumMask> = path.edges.iter().map(|e| &masks[e.0 as usize]).collect();
-        let Some(range) = SpectrumMask::first_fit_joint(&views, *width) else {
+        let fibers = path.edges.iter().map(|e| [&masks[e.0 as usize]]);
+        let Some(range) = SpectrumMask::first_fit_any_of_each(grid, fibers, *width, 1) else {
             continue;
         };
         for e in &path.edges {

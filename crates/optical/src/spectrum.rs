@@ -348,17 +348,7 @@ impl SpectrumMask {
                 return None;
             }
         }
-        for (i, &word) in route.iter().enumerate() {
-            let mut left = word;
-            while left != 0 {
-                let start = i as u32 * 64 + left.trailing_zeros();
-                if start.is_multiple_of(align) {
-                    return Some(PixelRange::new(start, width));
-                }
-                left &= left - 1;
-            }
-        }
-        None
+        first_aligned(route, width, align)
     }
 
     /// Writes this fiber's fit-starts bitmap for `width`: bit `i` of
@@ -423,10 +413,124 @@ impl SpectrumMask {
     }
 }
 
+/// The fit-starts bitmaps of a route's fibers for one width, kept current
+/// while channels of that width are placed on the route: what
+/// [`SpectrumMask::first_fit_any_of_each`] derives per call, built once
+/// and patched after each placement (DESIGN.md §3.2).
+///
+/// Valid only while pixels are *occupied* on the fibers it was built
+/// over, each occupation reported through [`FitStarts::take`]; after
+/// anything else — a release, an occupation made elsewhere —
+/// [`FitStarts::build`] it again. The buffers are reused across builds.
+#[derive(Debug, Clone, Default)]
+pub struct FitStarts {
+    /// Channel width in pixels; 0 until the first build.
+    width: u16,
+    pixels: u32,
+    /// Words per bitmap.
+    words: usize,
+    /// Per group, one past its last fiber.
+    ends: Vec<usize>,
+    /// The route's accumulator, then one bitmap per fiber in group order.
+    bits: Vec<u64>,
+}
+
+impl FitStarts {
+    /// Rebuilds the bitmaps for `width`-wide channels over `groups` — the
+    /// hops of a route, each the masks of that hop's parallel fibers.
+    ///
+    /// # Panics
+    /// When a mask is not over `grid`.
+    pub fn build<'a, G>(&mut self, grid: SpectrumGrid, groups: G, width: PixelWidth)
+    where
+        G: IntoIterator,
+        G::Item: IntoIterator<Item = &'a SpectrumMask>,
+    {
+        let n = grid.pixels.div_ceil(64) as usize;
+        (self.width, self.pixels, self.words) = (width.pixels(), grid.pixels, n);
+        self.ends.clear();
+        self.bits.clear();
+        self.bits.resize(n, 0);
+        for group in groups {
+            for mask in group {
+                assert_eq!(mask.pixels, grid.pixels, "masks must share a grid");
+                let at = self.bits.len();
+                self.bits.resize(at + n, 0);
+                mask.fit_starts(width, &mut self.bits[at..]);
+            }
+            self.ends.push(self.bits.len() / n - 1);
+        }
+    }
+
+    /// Words the bitmap buffer holds without reallocating: a caller that
+    /// keeps one `FitStarts` for many builds can pin that they reuse it.
+    pub fn reserved_words(&self) -> usize {
+        self.bits.capacity()
+    }
+
+    /// What [`SpectrumMask::first_fit_any_of_each`] answers on the masks
+    /// as they stand: fibers ORed within a group, groups ANDed, first
+    /// aligned bit.
+    pub fn first_fit(&mut self, align: u32) -> Option<PixelRange> {
+        assert!(align >= 1, "alignment must be at least one pixel");
+        if u32::from(self.width) > self.pixels {
+            return None;
+        }
+        let n = self.words;
+        let (route, fibers) = self.bits.split_at_mut(n);
+        route.fill(!0);
+        let mut from = 0;
+        for &end in &self.ends {
+            for (i, r) in route.iter_mut().enumerate() {
+                *r &= (from..end).fold(0, |hop, f| hop | fibers[f * n + i]);
+            }
+            from = end;
+        }
+        first_aligned(route, PixelWidth(self.width), align)
+    }
+
+    /// The first fiber of `group` (by position in it) on which `range`
+    /// fits, its bitmap brought up to date with `range` occupied there:
+    /// exactly the starts whose window meets `range`,
+    /// `(start − width, start + width)`, stop fitting.
+    pub fn take(&mut self, group: usize, range: &PixelRange) -> Option<usize> {
+        assert_eq!(range.width.pixels(), self.width, "one width per build");
+        let n = self.words;
+        let first = group.checked_sub(1).map_or(0, |g| self.ends[g]);
+        let (word, bit) = ((range.start / 64) as usize, 1u64 << (range.start % 64));
+        let fiber = (first..self.ends[group]).find(|f| self.bits[(1 + f) * n + word] & bit != 0)?;
+        let from = (range.start + 1).saturating_sub(u32::from(self.width));
+        for (i, m) in bit_spans(from, range.end()) {
+            self.bits[(1 + fiber) * n + i] &= !m;
+        }
+        Some(fiber - first)
+    }
+}
+
+/// The channel at the first set bit of the fit-starts bitmap `starts`
+/// that is a multiple of `align`.
+fn first_aligned(starts: &[u64], width: PixelWidth, align: u32) -> Option<PixelRange> {
+    for (i, &word) in starts.iter().enumerate() {
+        let mut left = word;
+        while left != 0 {
+            let start = i as u32 * 64 + left.trailing_zeros();
+            if start.is_multiple_of(align) {
+                return Some(PixelRange::new(start, width));
+            }
+            left &= left - 1;
+        }
+    }
+    None
+}
+
 /// The (word index, bit mask) pieces of `range` in a 64-pixels-per-word
 /// bitmap.
 fn spans(range: &PixelRange) -> impl Iterator<Item = (usize, u64)> {
-    let (start, end) = (range.start, range.end());
+    bit_spans(range.start, range.end())
+}
+
+/// The (word index, bit mask) pieces of bits `[start, end)`.
+fn bit_spans(start: u32, end: u32) -> impl Iterator<Item = (usize, u64)> {
     ((start / 64)..end.div_ceil(64)).map(move |w| {
         let lo = start.max(w * 64) - w * 64;
         let hi = end.min((w + 1) * 64) - w * 64;
@@ -722,6 +826,46 @@ mod tests {
                         && (i..i + u32::from(width)).all(|p| !m.is_occupied(p));
                     let bit = starts[(i / 64) as usize] >> (i % 64) & 1 == 1;
                     assert_eq!(bit, fits, "{pixels} px, width {width}, start {i}");
+                }
+            }
+        }
+    }
+
+    /// Placing through a `FitStarts` — first fit, take a fiber per group,
+    /// occupy it — leaves every bitmap as a build from the masks would
+    /// make it, so the next answer is `first_fit_any_of_each`'s.
+    #[test]
+    fn a_patched_fit_starts_equals_a_rebuilt_one() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9A7C);
+        let (mut kept, mut fresh) = (FitStarts::default(), FitStarts::default());
+        for pixels in GRIDS {
+            let grid = SpectrumGrid::new(pixels);
+            for _case in 0..8 {
+                let mut groups: Vec<Vec<SpectrumMask>> = (0..rng.gen_range(1usize..4))
+                    .map(|_| {
+                        let fibers = rng.gen_range(1usize..4);
+                        (0..fibers).map(|_| random_mask(&mut rng, pixels)).collect()
+                    })
+                    .collect();
+                let width = w([1u16, 2, 4, 9, 12, 63, 64, 65, 70][rng.gen_range(0usize..9)]);
+                let align = [1u32, 4, 6][rng.gen_range(0usize..3)];
+                kept.build(grid, &groups, width);
+                loop {
+                    let stateless =
+                        SpectrumMask::first_fit_any_of_each(grid, &groups, width, align);
+                    let range = kept.first_fit(align);
+                    assert_eq!(range, stateless, "{pixels} px, {width}, align {align}");
+                    let Some(range) = range else { break };
+                    for (g, group) in groups.iter_mut().enumerate() {
+                        let first_free = group.iter().position(|m| m.is_free(&range));
+                        let taken = kept.take(g, &range);
+                        assert_eq!(taken, first_free);
+                        group[taken.unwrap()].occupy(&range).unwrap();
+                    }
+                    fresh.build(grid, &groups, width);
+                    let n = kept.words;
+                    assert_eq!(kept.ends, fresh.ends);
+                    assert_eq!(kept.bits[n..], fresh.bits[n..], "after {range}");
                 }
             }
         }

@@ -19,7 +19,7 @@
 //! across mutations of one topology). The planners hold the cache only
 //! for the duration of a sweep over a fixed backbone.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -27,22 +27,20 @@ use crate::graph::{EdgeId, Graph, NodeId};
 use crate::ksp::DijkstraScratch;
 use crate::route::{k_shortest_routes_scratch, Route};
 
-/// A route query identity: endpoints, depth, and the banned fibers in
-/// canonical (sorted) order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    banned: Vec<EdgeId>,
-}
+/// The pairs asked for under one ban set: `(src, dst, k)` → routes. Ordered,
+/// not hashed: with the ban set hashed one level up, a few comparisons of
+/// three integers find a pair for less than a second SipHash would.
+type Pairs = BTreeMap<(NodeId, NodeId, usize), Arc<Vec<Route>>>;
 
 /// Thread-safe memoization of [`k_shortest_routes`] for one graph.
 ///
 /// [`k_shortest_routes`]: crate::route::k_shortest_routes
 #[derive(Debug, Default)]
 pub struct RouteCache {
-    map: Mutex<HashMap<Key, Arc<Vec<Route>>>>,
+    /// Keyed by the banned fibers in canonical (sorted) order, then by
+    /// pair: a caller with many pairs under one ban set — a plan, a
+    /// restoration — canonicalizes and hashes the set once.
+    map: Mutex<HashMap<Vec<EdgeId>, Pairs>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -66,32 +64,90 @@ impl RouteCache {
         k: usize,
         banned: &HashSet<EdgeId>,
     ) -> Arc<Vec<Route>> {
+        let mut one = [None];
+        self.fetch(graph, &[(src, dst)], k, banned, &mut one);
+        let [routes] = one;
+        routes.expect("fetch fills every slot")
+    }
+
+    /// [`routes`](Self::routes) for every pair of `pairs`, in order, in
+    /// one lookup: the very lists, hits and misses that many single calls
+    /// would return and count, with the ban set put in order once and the
+    /// lock taken once for all hits.
+    pub fn routes_batch(
+        &self,
+        graph: &Graph,
+        pairs: &[(NodeId, NodeId)],
+        k: usize,
+        banned: &HashSet<EdgeId>,
+    ) -> Vec<Arc<Vec<Route>>> {
+        let mut out = vec![None; pairs.len()];
+        self.fetch(graph, pairs, k, banned, &mut out);
+        let filled = out.into_iter();
+        filled.map(|r| r.expect("fetch fills every slot")).collect()
+    }
+
+    /// Fills `out[i]` with the routes of `pairs[i]`.
+    fn fetch(
+        &self,
+        graph: &Graph,
+        pairs: &[(NodeId, NodeId)],
+        k: usize,
+        banned: &HashSet<EdgeId>,
+        out: &mut [Option<Arc<Vec<Route>>>],
+    ) {
         let mut sorted: Vec<EdgeId> = banned.iter().copied().collect();
         sorted.sort_unstable();
-        let key = Key {
-            src,
-            dst,
-            k,
-            banned: sorted,
-        };
-        if let Some(found) = self.map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(found);
+        self.lookup(&sorted, pairs, k, out);
+        // The warm path returns here: setting up the miss path is a
+        // measurable part of a 50 ns hit.
+        if out.iter().all(Option::is_some) {
+            self.hits.fetch_add(pairs.len() as u64, Ordering::Relaxed);
+            return;
         }
-        // Compute outside the lock: a slow Yen run must not serialize
-        // every other thread's hits. Concurrent misses on the same key
-        // duplicate the (deterministic) work; the first insert wins.
-        let computed = Arc::new(k_shortest_routes_scratch(
-            graph,
-            src,
-            dst,
-            k,
-            banned,
-            &mut DijkstraScratch::new(),
-        ));
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        let fresh = compute(graph, pairs, k, banned, out);
+        self.hits
+            .fetch_add((pairs.len() - fresh.len()) as u64, Ordering::Relaxed);
+        self.misses.fetch_add(fresh.len() as u64, Ordering::Relaxed);
+        self.publish(sorted, pairs, k, &fresh, out);
+    }
+
+    /// Fills the slots of the pairs already cached under `sorted`, under
+    /// one lock.
+    fn lookup(
+        &self,
+        sorted: &[EdgeId],
+        pairs: &[(NodeId, NodeId)],
+        k: usize,
+        out: &mut [Option<Arc<Vec<Route>>>],
+    ) {
+        if let Some(known) = self.map.lock().unwrap().get(sorted) {
+            for (slot, &(src, dst)) in out.iter_mut().zip(pairs) {
+                *slot = known.get(&(src, dst, k)).cloned();
+            }
+        }
+    }
+
+    /// Fills the remaining slots: with what another thread inserted since
+    /// [`lookup`](Self::lookup) where one did — the first insert wins —
+    /// else with the list from `fresh`, which enters the cache.
+    fn publish(
+        &self,
+        sorted: Vec<EdgeId>,
+        pairs: &[(NodeId, NodeId)],
+        k: usize,
+        fresh: &Pairs,
+        out: &mut [Option<Arc<Vec<Route>>>],
+    ) {
         let mut map = self.map.lock().unwrap();
-        Arc::clone(map.entry(key).or_insert(computed))
+        let known = map.entry(sorted).or_default();
+        for (slot, &(src, dst)) in out.iter_mut().zip(pairs) {
+            if slot.is_none() {
+                let key = (src, dst, k);
+                let winner = known.entry(key).or_insert_with(|| Arc::clone(&fresh[&key]));
+                *slot = Some(Arc::clone(winner));
+            }
+        }
     }
 
     /// Queries answered from the cache so far.
@@ -107,7 +163,7 @@ impl RouteCache {
 
     /// Distinct keys currently cached.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
+        self.map.lock().unwrap().values().map(Pairs::len).sum()
     }
 
     /// Whether nothing has been cached yet.
@@ -122,6 +178,31 @@ impl RouteCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
+}
+
+/// Yen's algorithm for every pair whose slot is empty, each distinct pair
+/// once (a pair asked for twice in one batch hits the second time, as it
+/// would call by call). Takes no cache: a slow run must not serialize
+/// every other thread's hits, so it cannot hold the lock. Concurrent
+/// misses on one key duplicate the (deterministic) work.
+fn compute(
+    graph: &Graph,
+    pairs: &[(NodeId, NodeId)],
+    k: usize,
+    banned: &HashSet<EdgeId>,
+    out: &[Option<Arc<Vec<Route>>>],
+) -> Pairs {
+    let mut fresh = Pairs::new();
+    let mut scratch = DijkstraScratch::new();
+    for (slot, &(src, dst)) in out.iter().zip(pairs) {
+        if slot.is_none() {
+            fresh.entry((src, dst, k)).or_insert_with(|| {
+                let routes = k_shortest_routes_scratch(graph, src, dst, k, banned, &mut scratch);
+                Arc::new(routes)
+            });
+        }
+    }
+    fresh
 }
 
 #[cfg(test)]
@@ -189,6 +270,83 @@ mod tests {
         let y = cache.routes(&g, a, c, 5, &rev);
         assert!(Arc::ptr_eq(&x, &y));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        for set in [&fwd, &rev] {
+            let batch = cache.routes_batch(&g, &[(a, c)], 5, set);
+            assert!(Arc::ptr_eq(&x, &batch[0]));
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (3, 1, 1));
+    }
+
+    /// Every query of a small sweep — uncut and two cut sets, two depths,
+    /// a pair asked for twice — made call by call on one cache and as
+    /// batches on another: the same lists, the same counters after every
+    /// step, and on one cache the very same `Arc`s.
+    #[test]
+    fn a_batch_is_its_single_calls() {
+        let (g, [a, b, c]) = plant();
+        let bans: [HashSet<EdgeId>; 3] = [
+            HashSet::new(),
+            [EdgeId(0), EdgeId(1)].into_iter().collect(),
+            [EdgeId(4)].into_iter().collect(),
+        ];
+        let pairs = [(a, c), (a, b), (c, a), (a, c), (b, c)];
+        let (singly, batched) = (RouteCache::new(), RouteCache::new());
+        let counts = |c: &RouteCache| (c.hits(), c.misses(), c.len());
+        // Cold, then warm, then a deeper k under the same ban sets.
+        for k in [3, 3, 5] {
+            for banned in &bans {
+                let one_by_one: Vec<_> = pairs
+                    .iter()
+                    .map(|&(s, d)| singly.routes(&g, s, d, k, banned))
+                    .collect();
+                let batch = batched.routes_batch(&g, &pairs, k, banned);
+                assert_eq!(batch, one_by_one);
+                assert_eq!(counts(&batched), counts(&singly));
+                assert!(Arc::ptr_eq(&batch[0], &batch[3]), "one pair, one list");
+                for (&(s, d), from_batch) in pairs.iter().zip(&batch) {
+                    assert!(Arc::ptr_eq(
+                        from_batch,
+                        &batched.routes(&g, s, d, k, banned)
+                    ));
+                    let _ = singly.routes(&g, s, d, k, banned);
+                }
+            }
+        }
+        // 9 steps of 5 + 5 queries; 3 ban sets x 2 depths x 4 pairs miss.
+        assert_eq!(counts(&batched), (90 - 24, 24, 24));
+        assert_eq!(batched.routes_batch(&g, &[], 3, &bans[0]), vec![]);
+        assert_eq!(counts(&batched), counts(&singly));
+    }
+
+    /// The miss path in its three steps, with the race played by hand: a
+    /// batch looks up (all cold), computes without the cache, and before
+    /// it publishes another caller inserts one of its pairs. The batch
+    /// returns that caller's list for the pair — the first insert wins,
+    /// its own duplicate is dropped and still counts as a miss — and
+    /// inserts the rest.
+    #[test]
+    fn a_concurrent_duplicate_loses_to_the_first_insert() {
+        let (g, [a, b, c]) = plant();
+        let cache = RouteCache::new();
+        let none = HashSet::new();
+        let pairs = [(a, c), (a, b)];
+        let mut out = [None, None];
+        cache.lookup(&[], &pairs, 5, &mut out);
+        assert_eq!(out, [None, None]);
+        let fresh = compute(&g, &pairs, 5, &none, &out);
+        assert_eq!(
+            (fresh.len(), cache.len()),
+            (2, 0),
+            "computed, not yet cached"
+        );
+        let first = cache.routes(&g, a, c, 5, &none);
+        cache.publish(Vec::new(), &pairs, 5, &fresh, &mut out);
+        let [ac, ab] = out.map(Option::unwrap);
+        assert!(Arc::ptr_eq(&ac, &first));
+        assert!(!Arc::ptr_eq(&ac, &fresh[&(a, c, 5)]));
+        assert_eq!(*ac, *fresh[&(a, c, 5)], "the work is deterministic");
+        assert!(Arc::ptr_eq(&ab, &fresh[&(a, b, 5)]));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -214,12 +372,15 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..50 {
                         assert_eq!(*cache.routes(g, a, c, 5, none), *expected);
+                        let batch = cache.routes_batch(g, &[(c, a), (a, c)], 5, none);
+                        assert_eq!(*batch[1], *expected);
                     }
                 });
             }
         });
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.hits() + cache.misses(), 200);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.hits() + cache.misses(), 600);
+        assert!(cache.misses() <= 8, "{} misses", cache.misses());
     }
 
     #[test]

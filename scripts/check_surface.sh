@@ -29,7 +29,15 @@
 #     restores the columns it moved), or non-test
 #     crates/solver/src/branch_bound.rs calls `merge_bounds(` anywhere but
 #     once, in `process_node` (a popped node merges its deltas once; a
-#     dive step tightens the one column it branched on).
+#     dive step tightens the one column it branched on);
+#   * `Placement::place` or `place_protected` calls the stateless
+#     `allocate_route(` (a multiset goes on a route as runs over
+#     fit-starts bitmaps kept current; only restoration, which tries a
+#     different width per attempt, and the test oracle place channel by
+#     channel), `fn fit_starts` is defined anywhere but once, in
+#     crates/optical/src/spectrum.rs (one definition of a fit-start), or
+#     non-test crates/topo/src/cache.rs sorts a ban set more than once
+#     (a fetch canonicalizes its ban set once, whatever it fetches).
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -121,6 +129,26 @@ in_node=$(non_test_of $bnb | awk '/^fn process_node\(/{on=1} on{print} /^}/{on=0
 if [ "$merges" -ne 1 ] || [ "$in_node" -ne 1 ]; then
     echo "$bnb: merge_bounds must be called exactly once, in process_node:"
     non_test_of $bnb | grep -n 'merge_bounds(' || true
+    bad=1
+fi
+
+planning=crates/core/src/planning/heuristic.rs
+for f in $planning crates/core/src/protect.rs; do
+    if non_test_of $f | grep -n 'allocate_route('; then
+        echo "$f: a multiset is placed as runs (Placement::place), not by allocate_route per channel"
+        bad=1
+    fi
+done
+starts=$(grep -rn 'fn fit_starts\b' --include='*.rs' crates src || true)
+if [ "$(echo "$starts" | grep -c .)" -ne 1 ] ||
+    ! echo "$starts" | grep -q '^crates/optical/src/spectrum.rs:'; then
+    echo "fn fit_starts must be defined exactly once, in crates/optical/src/spectrum.rs:"
+    echo "$starts"
+    bad=1
+fi
+if [ "$(non_test cache.rs | grep -c 'sort_unstable')" -ne 1 ]; then
+    echo "crates/topo/src/cache.rs: a ban set is put in order once, in fetch:"
+    non_test cache.rs | grep -n 'sort_unstable' || true
     bad=1
 fi
 
