@@ -50,7 +50,7 @@ use flexwan_topo::path::Path;
 use crate::master::{Outcome, Problem, RestrictedMaster, StopAt};
 use crate::opt::LazyWavelengthVarSpace;
 use crate::planning::ctx::PlanCtx;
-use crate::planning::format_dp::select_formats;
+use crate::planning::format_dp::FormatTable;
 use crate::planning::heuristic::{plan, PlannerConfig};
 use crate::planning::mip::{solve_exact, ExactPlan};
 use crate::scheme::Scheme;
@@ -328,6 +328,8 @@ pub fn solve_exact_colgen(
 
     // Pass 2: greedy first-fit repair of under-covered links.
     let mut seed_feasible = true;
+    let mut table = FormatTable::new(model_t, cfg.epsilon);
+    let mut formats = Vec::new();
     // `covered[slot]` is mutated mid-iteration — an enumerate() borrow
     // would fight the seed/mark updates below.
     #[allow(clippy::needless_range_loop)]
@@ -338,10 +340,9 @@ pub fn solve_exact_colgen(
             let num_paths = master.lazy().space().paths(slot).len();
             for ki in 0..num_paths {
                 let path = &master.lazy().space().paths(slot)[ki];
-                let Some(formats) = select_formats(model_t, need, path.length_km, cfg.epsilon)
-                else {
+                if !table.select_into(need, path.length_km, &mut formats) {
                     continue;
-                };
+                }
                 let edges = path.edges.clone();
                 for f in &formats {
                     let w = u32::from(f.spacing.pixels());

@@ -10,6 +10,15 @@
 //! over residual demand units solves this *exactly* (it is an unbounded
 //! knapsack-cover). Tie-breaks are deterministic: lower cost, then fewer
 //! transponders, then narrower total spectrum.
+//!
+//! The DP depends on the path only through the formats that reach over it,
+//! and those are nested: a format reaching `d` km reaches every shorter
+//! path. So the distances fall into *reach classes* — the intervals between
+//! consecutive distinct reaches of the model — with one candidate list
+//! each, and `dp[t]` reads only `dp[<t]` and that list: a table solved to
+//! the largest demand asked answers every smaller one, cell for cell.
+//! `FormatTable` keeps one such table per class for as long as its owner
+//! (a plan) lives.
 
 use flexwan_optical::format::TransponderFormat;
 use flexwan_optical::transponder::TransponderModel;
@@ -20,91 +29,171 @@ fn format_cost(f: &TransponderFormat, epsilon: f64) -> f64 {
     1.0 + epsilon * f.spacing.ghz()
 }
 
+/// Demand units (of 100 Gbps) a format carries.
+fn rate_units(f: &TransponderFormat) -> u32 {
+    f.data_rate_gbps / 100
+}
+
+/// `dp[t]`: the cheapest multiset found covering ≥ `t` demand units.
+/// Tie-break order: cost, transponder count, total spectrum, total rate
+/// (prefer not overshooting the demand — matters to restoration, whose
+/// constraint (7) caps revived capacity at what was lost).
+#[derive(Clone, Copy)]
+struct Cell {
+    cost: f64,
+    count: u32,
+    spectrum_px: u32,
+    rate_units: u32,
+    /// Index of the last format added, into the class's candidates.
+    choice: usize,
+}
+
+impl Cell {
+    /// `dp[0]`: nothing to cover, nothing chosen.
+    const EMPTY: Cell = Cell {
+        cost: 0.0,
+        count: 0,
+        spectrum_px: 0,
+        rate_units: 0,
+        choice: usize::MAX,
+    };
+
+    fn better_than(&self, other: &Cell) -> bool {
+        if self.cost < other.cost - 1e-12 {
+            return true;
+        }
+        if (self.cost - other.cost).abs() > 1e-12 {
+            return false;
+        }
+        (self.count, self.spectrum_px, self.rate_units)
+            < (other.count, other.spectrum_px, other.rate_units)
+    }
+}
+
+/// One reach class: what reaches over its paths and the DP over it,
+/// solved as far as any demand has asked.
+struct Class {
+    candidates: Vec<TransponderFormat>,
+    dp: Vec<Option<Cell>>,
+}
+
+impl Class {
+    /// Solves `dp[t]` for every `t ≤ units` not solved yet. Each cell is
+    /// the one a table built for `units` from scratch would hold: it reads
+    /// only cells below it and the candidates, in the same order.
+    fn extend(&mut self, units: usize, epsilon: f64) {
+        for t in self.dp.len()..=units {
+            let mut best: Option<Cell> = None;
+            for (idx, f) in self.candidates.iter().enumerate() {
+                let rate = rate_units(f);
+                let Some(prev) = self.dp[t.saturating_sub(rate as usize)] else {
+                    continue;
+                };
+                let cand = Cell {
+                    cost: prev.cost + format_cost(f, epsilon),
+                    count: prev.count + 1,
+                    spectrum_px: prev.spectrum_px + u32::from(f.spacing.pixels()),
+                    rate_units: prev.rate_units + rate,
+                    choice: idx,
+                };
+                if best.is_none_or(|b| cand.better_than(&b)) {
+                    best = Some(cand);
+                }
+            }
+            self.dp.push(best);
+        }
+    }
+}
+
+/// The format DP of one (model, ε), solved once per reach class and
+/// extended lazily to the largest demand asked: the one DP in the tree
+/// ([`select_formats`] is a fresh table's answer).
+pub(crate) struct FormatTable<'m> {
+    model: &'m dyn TransponderModel,
+    epsilon: f64,
+    /// The model's distinct reaches, ascending. The class of a distance
+    /// is its partition point here: the formats reaching it are exactly
+    /// those reaching the first reach at or above it, and past the last
+    /// none reach.
+    reaches: Vec<u32>,
+    /// Per class, built on first use.
+    classes: Vec<Option<Class>>,
+}
+
+impl<'m> FormatTable<'m> {
+    /// An empty table for `model` under the objective's `epsilon`.
+    pub(crate) fn new(model: &'m dyn TransponderModel, epsilon: f64) -> Self {
+        let mut reaches: Vec<u32> = model.formats().iter().map(|f| f.reach_km).collect();
+        reaches.sort_unstable();
+        reaches.dedup();
+        FormatTable {
+            model,
+            epsilon,
+            classes: reaches.iter().map(|_| None).collect(),
+            reaches,
+        }
+    }
+
+    /// [`select_formats`] into `out` (cleared first): `false`, with `out`
+    /// empty, when no format reaches `distance_km`.
+    pub(crate) fn select_into(
+        &mut self,
+        demand_gbps: u64,
+        distance_km: u32,
+        out: &mut Vec<TransponderFormat>,
+    ) -> bool {
+        assert!(demand_gbps > 0, "demand must be positive");
+        assert!(
+            demand_gbps.is_multiple_of(100),
+            "demands are multiples of 100 Gbps"
+        );
+        out.clear();
+        let at = self.reaches.partition_point(|&r| r < distance_km);
+        let Some(slot) = self.classes.get_mut(at) else {
+            return false; // past the longest reach
+        };
+        let (model, reach) = (self.model, self.reaches[at]);
+        let class = slot.get_or_insert_with(|| Class {
+            candidates: reachable_formats(model, reach),
+            dp: vec![Some(Cell::EMPTY)],
+        });
+        let units = (demand_gbps / 100) as usize;
+        class.extend(units, self.epsilon);
+
+        let mut t = units;
+        while t > 0 {
+            let cell = class.dp[t].expect("dp[t] reachable when any format exists");
+            let f = class.candidates[cell.choice];
+            out.push(f);
+            t = t.saturating_sub(rate_units(&f) as usize);
+        }
+        out.sort_by_key(|f| std::cmp::Reverse((f.spacing, f.data_rate_gbps)));
+        true
+    }
+
+    /// Reach classes built so far.
+    #[cfg(test)]
+    fn classes_built(&self) -> usize {
+        self.classes.iter().flatten().count()
+    }
+}
+
 /// The exact optimal format multiset covering `demand_gbps` over a path of
 /// `distance_km`, or `None` when no format reaches that far.
 ///
 /// Returned formats are sorted widest-spacing first (the order the
-/// spectrum assigner wants to place them in).
+/// spectrum assigner wants to place them in). A caller asking many times
+/// for one model keeps a format table instead, as a plan does.
 pub fn select_formats(
     model: &dyn TransponderModel,
     demand_gbps: u64,
     distance_km: u32,
     epsilon: f64,
 ) -> Option<Vec<TransponderFormat>> {
-    assert!(demand_gbps > 0, "demand must be positive");
-    assert!(
-        demand_gbps.is_multiple_of(100),
-        "demands are multiples of 100 Gbps"
-    );
-    let candidates = reachable_formats(model, distance_km);
-    if candidates.is_empty() {
-        return None;
-    }
-    let units = (demand_gbps / 100) as usize;
-
-    // dp[t] = cheapest way to cover ≥ t demand units; dp[0] trivial.
-    // Tie-break order: cost, transponder count, total spectrum, total
-    // rate (prefer not overshooting the demand — matters to restoration,
-    // whose constraint (7) caps revived capacity at what was lost).
-    #[derive(Clone, Copy)]
-    struct Cell {
-        cost: f64,
-        count: u32,
-        spectrum_px: u32,
-        rate_units: u32,
-        choice: usize,
-    }
-    impl Cell {
-        fn better_than(&self, other: &Cell) -> bool {
-            if self.cost < other.cost - 1e-12 {
-                return true;
-            }
-            if (self.cost - other.cost).abs() > 1e-12 {
-                return false;
-            }
-            (self.count, self.spectrum_px, self.rate_units)
-                < (other.count, other.spectrum_px, other.rate_units)
-        }
-    }
-    let mut dp: Vec<Option<Cell>> = vec![None; units + 1];
-    dp[0] = Some(Cell {
-        cost: 0.0,
-        count: 0,
-        spectrum_px: 0,
-        rate_units: 0,
-        choice: usize::MAX,
-    });
-    for t in 1..=units {
-        let mut best: Option<Cell> = None;
-        for (idx, f) in candidates.iter().enumerate() {
-            let rate_units = f.data_rate_gbps / 100;
-            let prev_t = t.saturating_sub(rate_units as usize);
-            let Some(prev) = dp[prev_t] else { continue };
-            let cand = Cell {
-                cost: prev.cost + format_cost(f, epsilon),
-                count: prev.count + 1,
-                spectrum_px: prev.spectrum_px + u32::from(f.spacing.pixels()),
-                rate_units: prev.rate_units + rate_units,
-                choice: idx,
-            };
-            if best.is_none_or(|b| cand.better_than(&b)) {
-                best = Some(cand);
-            }
-        }
-        dp[t] = best;
-    }
-
-    // Reconstruct.
     let mut out = Vec::new();
-    let mut t = units;
-    while t > 0 {
-        let cell = dp[t].expect("dp[t] reachable when any format exists");
-        let f = candidates[cell.choice];
-        out.push(f);
-        t = t.saturating_sub((f.data_rate_gbps / 100) as usize);
-    }
-    out.sort_by_key(|f| std::cmp::Reverse((f.spacing, f.data_rate_gbps)));
-    Some(out)
+    FormatTable::new(model, epsilon)
+        .select_into(demand_gbps, distance_km, &mut out)
+        .then_some(out)
 }
 
 /// The formats of `model` whose reach covers `distance_km`, dominated
@@ -130,6 +219,96 @@ pub fn reachable_formats(model: &dyn TransponderModel, distance_km: u32) -> Vec<
 /// Total cost of a format multiset under the paper's objective.
 pub fn multiset_cost(formats: &[TransponderFormat], epsilon: f64) -> f64 {
     formats.iter().map(|f| format_cost(f, epsilon)).sum()
+}
+
+/// `select_formats` as it stood before the format table (f18df52),
+/// verbatim: a candidate list and a DP table per call. The table and the
+/// planner are compared against it.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) fn select_formats(
+        model: &dyn TransponderModel,
+        demand_gbps: u64,
+        distance_km: u32,
+        epsilon: f64,
+    ) -> Option<Vec<TransponderFormat>> {
+        assert!(demand_gbps > 0, "demand must be positive");
+        assert!(
+            demand_gbps.is_multiple_of(100),
+            "demands are multiples of 100 Gbps"
+        );
+        let candidates = reachable_formats(model, distance_km);
+        if candidates.is_empty() {
+            return None;
+        }
+        let units = (demand_gbps / 100) as usize;
+
+        // dp[t] = cheapest way to cover ≥ t demand units; dp[0] trivial.
+        // Tie-break order: cost, transponder count, total spectrum, total
+        // rate (prefer not overshooting the demand — matters to restoration,
+        // whose constraint (7) caps revived capacity at what was lost).
+        #[derive(Clone, Copy)]
+        struct Cell {
+            cost: f64,
+            count: u32,
+            spectrum_px: u32,
+            rate_units: u32,
+            choice: usize,
+        }
+        impl Cell {
+            fn better_than(&self, other: &Cell) -> bool {
+                if self.cost < other.cost - 1e-12 {
+                    return true;
+                }
+                if (self.cost - other.cost).abs() > 1e-12 {
+                    return false;
+                }
+                (self.count, self.spectrum_px, self.rate_units)
+                    < (other.count, other.spectrum_px, other.rate_units)
+            }
+        }
+        let mut dp: Vec<Option<Cell>> = vec![None; units + 1];
+        dp[0] = Some(Cell {
+            cost: 0.0,
+            count: 0,
+            spectrum_px: 0,
+            rate_units: 0,
+            choice: usize::MAX,
+        });
+        for t in 1..=units {
+            let mut best: Option<Cell> = None;
+            for (idx, f) in candidates.iter().enumerate() {
+                let rate_units = f.data_rate_gbps / 100;
+                let prev_t = t.saturating_sub(rate_units as usize);
+                let Some(prev) = dp[prev_t] else { continue };
+                let cand = Cell {
+                    cost: prev.cost + format_cost(f, epsilon),
+                    count: prev.count + 1,
+                    spectrum_px: prev.spectrum_px + u32::from(f.spacing.pixels()),
+                    rate_units: prev.rate_units + rate_units,
+                    choice: idx,
+                };
+                if best.is_none_or(|b| cand.better_than(&b)) {
+                    best = Some(cand);
+                }
+            }
+            dp[t] = best;
+        }
+
+        // Reconstruct.
+        let mut out = Vec::new();
+        let mut t = units;
+        while t > 0 {
+            let cell = dp[t].expect("dp[t] reachable when any format exists");
+            let f = candidates[cell.choice];
+            out.push(f);
+            t = t.saturating_sub((f.data_rate_gbps / 100) as usize);
+        }
+        out.sort_by_key(|f| std::cmp::Reverse((f.spacing, f.data_rate_gbps)));
+        Some(out)
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +436,48 @@ mod tests {
         let fs = select_formats(&Svt, 1100, 550, EPS).unwrap();
         for w in fs.windows(2) {
             assert!(w[0].spacing >= w[1].spacing);
+        }
+    }
+
+    /// One long-lived table per model answers what the per-call DP
+    /// answers, `Vec` for `Vec`: distances 0, every reach ± 1 and 6,000 km;
+    /// demands 100 … 20,000 Gbps in a seeded shuffle, so most queries
+    /// extend a class's table mid-stream and the rest read a prefix of
+    /// it. A class is built once for all the distances that share it.
+    #[test]
+    fn one_table_answers_what_the_per_call_dp_answers() {
+        let models: [&dyn TransponderModel; 3] = [&FixedGrid100G, &Bvt, &Svt];
+        let mut rng = flexwan_util::rng::ChaCha8Rng::seed_from_u64(0xF0D9);
+        for model in models {
+            let mut distances = vec![0, 6_000];
+            for f in model.formats() {
+                distances.extend([f.reach_km - 1, f.reach_km, f.reach_km + 1]);
+            }
+            let mut queries: Vec<(u64, u32)> = (1..=200u64)
+                .flat_map(|units| distances.iter().map(move |&d| (units * 100, d)))
+                .collect();
+            rng.shuffle(&mut queries);
+            let mut table = FormatTable::new(model, EPS);
+            let mut out = Vec::new();
+            let mut unreachable = 0;
+            for &(demand, distance) in &queries {
+                let want = oracle::select_formats(model, demand, distance, EPS);
+                let got = table.select_into(demand, distance, &mut out);
+                unreachable += usize::from(!got);
+                assert_eq!(
+                    got.then(|| out.clone()),
+                    want,
+                    "{}: {demand} G over {distance} km",
+                    model.name()
+                );
+            }
+            assert!(
+                unreachable > 0,
+                "{}: no distance out of reach",
+                model.name()
+            );
+            let reaches = table.reaches.len();
+            assert_eq!(table.classes_built(), reaches, "{}", model.name());
         }
     }
 }

@@ -23,7 +23,7 @@ use flexwan_topo::ip::{IpLinkId, IpTopology};
 use flexwan_topo::route::Route;
 
 use crate::planning::ctx::PlanCtx;
-use crate::planning::format_dp::select_formats;
+use crate::planning::format_dp::FormatTable;
 use crate::planning::spectrum::{RunScratch, SpectrumState};
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
@@ -196,14 +196,18 @@ pub(crate) fn most_constrained_first(ip: &IpTopology, routes: &LinkRoutes) -> Ve
     order
 }
 
-/// What a placement loop carries through a plan: the spectrum it fills
-/// and the one way a format multiset is put on a route.
+/// What a placement loop carries through a plan: the spectrum it fills,
+/// the format table it selects from and the one way a demand is put on a
+/// route.
 pub(crate) struct Placement<'a> {
     optical: &'a Graph,
     align: u32,
     defrag_moves: usize,
     pub(crate) spectrum: SpectrumState,
     scratch: RunScratch,
+    formats: FormatTable<'static>,
+    /// The multiset being placed, reused across demands.
+    multiset: Vec<TransponderFormat>,
 }
 
 impl<'a> Placement<'a> {
@@ -216,54 +220,69 @@ impl<'a> Placement<'a> {
             defrag_moves,
             spectrum: SpectrumState::new(ctx.cfg().grid, ctx.optical().num_edges()),
             scratch: RunScratch::default(),
+            formats: FormatTable::new(scheme.transponder(), ctx.cfg().epsilon),
+            multiset: Vec::new(),
         }
     }
 
-    /// Spectrum assignment of the multiset `formats` (widest spacing
-    /// first) on the `k`-th route of `link`, until `remaining` Gbps are
-    /// covered: each run of equal spacing is one [`SpectrumState::run`].
-    /// New wavelengths go on the end of `wavelengths`, which is also what
-    /// a retune may move. Returns what is still uncovered.
+    /// Covers `demand` Gbps on the `k`-th route of `link`: the exact
+    /// format multiset for the route's length (phase 1), then spectrum
+    /// assignment widest spacing first, each run of equal spacing one
+    /// [`SpectrumState::run`], until the demand is covered. New
+    /// wavelengths go on the end of `wavelengths`, which is also what a
+    /// retune may move. Returns what is still uncovered — all of it when
+    /// no format reaches over the route.
     pub(crate) fn place(
         &mut self,
         wavelengths: &mut Vec<Wavelength>,
         (link, k): (IpLinkId, usize),
         route: &Route,
-        formats: &[TransponderFormat],
-        mut remaining: u64,
+        demand: u64,
     ) -> u64 {
-        for equal in formats.chunk_by(|a, b| a.spacing == b.spacing) {
+        let Placement {
+            optical,
+            align,
+            defrag_moves,
+            spectrum,
+            scratch,
+            formats,
+            multiset,
+        } = self;
+        let (optical, align, defrag_moves) = (*optical, *align, *defrag_moves);
+        if !formats.select_into(demand, route.length_km, multiset) {
+            return demand;
+        }
+        let mut remaining = demand;
+        for equal in multiset.chunk_by(|a, b| a.spacing == b.spacing) {
             if remaining == 0 {
                 break;
             }
             let width = equal[0].spacing;
-            let mut run = self
-                .spectrum
-                .run(&mut self.scratch, route, width, self.align);
+            let mut run = spectrum.run(scratch, route, width, align);
             for &format in equal {
                 if remaining == 0 {
                     break;
                 }
-                let placed = match run.place(&mut self.spectrum) {
-                    Some((channel, chosen)) => Some((channel, route.realize(self.optical, chosen))),
+                let placed = match run.place(spectrum) {
+                    Some((channel, chosen)) => Some((channel, route.realize(optical, chosen))),
                     // Occupancy only grows: the rest of the run finds no
                     // channel either. On to the narrower formats, then
                     // the next candidate route.
-                    None if self.defrag_moves == 0 => break,
+                    None if defrag_moves == 0 => break,
                     None => {
                         let made = crate::defrag::make_room(
-                            &mut self.spectrum,
+                            spectrum,
                             wavelengths,
                             route,
                             width,
-                            self.align,
-                            self.defrag_moves,
-                            self.optical,
+                            align,
+                            defrag_moves,
+                            optical,
                         );
                         // A retune frees pixels, which no patch follows.
-                        run.rebuild(&self.spectrum);
+                        run.rebuild(spectrum);
                         made.map(|out| {
-                            let path = route.realize(self.optical, &out.chosen_fibers);
+                            let path = route.realize(optical, &out.chosen_fibers);
                             (out.channel, path)
                         })
                     }
@@ -296,9 +315,6 @@ pub(crate) fn place_deficits(
     order: LinkOrder,
     live: Vec<Wavelength>,
 ) -> Plan {
-    let cfg = ctx.cfg();
-    let model = scheme.transponder();
-
     let mut links: Vec<usize> = (0..ip.num_links()).collect();
     match order {
         LinkOrder::MostConstrainedFirst => links = most_constrained_first(ip, routes),
@@ -314,7 +330,7 @@ pub(crate) fn place_deficits(
     }
 
     // Replay the live spectrum and tally what it already provisions.
-    let mut placement = Placement::new(ctx, scheme, cfg.defrag_moves);
+    let mut placement = Placement::new(ctx, scheme, ctx.cfg().defrag_moves);
     let mut provisioned = vec![0u64; ip.num_links()];
     for w in &live {
         placement
@@ -335,11 +351,7 @@ pub(crate) fn place_deficits(
             if remaining == 0 {
                 break;
             }
-            let Some(formats) = select_formats(model, remaining, route.length_km, cfg.epsilon)
-            else {
-                continue; // no format reaches over this route
-            };
-            remaining = placement.place(&mut wavelengths, (link.id, k), route, &formats, remaining);
+            remaining = placement.place(&mut wavelengths, (link.id, k), route, remaining);
         }
         if remaining > 0 {
             unmet.push((link.id, remaining));
@@ -357,6 +369,7 @@ pub(crate) fn place_deficits(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planning::format_dp::oracle;
     use flexwan_optical::spectrum::{PixelRange, PixelWidth};
     use flexwan_topo::graph::NodeId;
     use flexwan_topo::tbackbone::{t_backbone, TBackboneConfig};
@@ -732,8 +745,10 @@ mod tests {
     }
 
     /// The oracle: `place_deficits` as it stood before the run kernel
-    /// (fffc5f4), verbatim — one stateless `allocate_route` per channel,
-    /// every fiber's fit-starts bitmap rebuilt each time.
+    /// (fffc5f4), verbatim but for the DP, which is the per-call one the
+    /// format table replaced ([`oracle::select_formats`]) — one stateless
+    /// `allocate_route` per channel, every fiber's fit-starts bitmap
+    /// rebuilt each time, every multiset solved from scratch.
     fn place_deficits_per_channel(
         ctx: &PlanCtx,
         scheme: Scheme,
@@ -781,7 +796,8 @@ mod tests {
                 if remaining == 0 {
                     break;
                 }
-                let Some(formats) = select_formats(model, remaining, route.length_km, cfg.epsilon)
+                let Some(formats) =
+                    oracle::select_formats(model, remaining, route.length_km, cfg.epsilon)
                 else {
                     continue; // no format reaches over this route
                 };
@@ -874,6 +890,10 @@ mod tests {
             min_alignment: 6,
             ..cfg.clone()
         };
+        let retuning = PlannerConfig {
+            defrag_moves: 2,
+            ..cfg.clone()
+        };
         let mut feasible = 0;
         for scheme in Scheme::ALL {
             let ctx = PlanCtx::new(&bb.optical, &cfg);
@@ -883,11 +903,20 @@ mod tests {
                 feasible += usize::from(p.is_feasible());
                 base.get_or_insert(p);
             }
-            // Growth around live wavelengths, and a coarser pixel grid.
+            // Growth around live wavelengths (what `plan_incremental`
+            // runs), and a coarser pixel grid.
             let live = base.expect("scale 1 planned").wavelengths;
             let grown = both_ways(&ctx, scheme, &bb.ip.scaled(3), &live);
             assert_eq!(grown.wavelengths[..live.len()], live[..]);
             assert!(grown.wavelengths.len() > live.len());
+            if scheme == Scheme::FlexWan {
+                // Outgrowing the spectrum with a retune budget: live
+                // wavelengths move. (The other two schemes' retune
+                // searches take minutes on this backbone.)
+                let retuning = PlanCtx::new(&bb.optical, &retuning);
+                let moved = both_ways(&retuning, scheme, &bb.ip.scaled(6), &live);
+                assert!(moved.wavelengths.iter().zip(&live).any(|(a, b)| a != b));
+            }
             both_ways(
                 &PlanCtx::new(&bb.optical, &coarse),
                 scheme,
@@ -896,6 +925,24 @@ mod tests {
             );
         }
         assert!((1..18).contains(&feasible), "{feasible} of 18 feasible");
+    }
+
+    /// A wavelength's path shares its route's nodes: no plan carries a
+    /// copy of them per wavelength.
+    #[test]
+    fn a_wavelength_shares_its_routes_nodes() {
+        let (bb, cfg) = t_backbone_k5();
+        let ctx = PlanCtx::new(&bb.optical, &cfg);
+        let ip = bb.ip.scaled(2);
+        let routes = ctx.routes(ip.links().iter(), cfg.k_paths, &HashSet::new());
+        for scheme in Scheme::ALL {
+            let plan = place_deficits(&ctx, scheme, &ip, &routes, cfg.order, Vec::new());
+            assert!(plan.wavelengths.len() > 100, "{scheme}");
+            for w in &plan.wavelengths {
+                let route = &routes[w.link.0 as usize][w.path_index];
+                assert!(Arc::ptr_eq(&w.path.nodes, &route.nodes), "{scheme}: {w}");
+            }
+        }
     }
 
     /// A chain of conduits, fiber `f` of conduit `h` carrying a live 100 G

@@ -456,7 +456,7 @@ fn lift_wavelengths(sub: &Subgraph, optical: &Graph, ws: &[Wavelength]) -> Vec<W
                     .nodes
                     .iter()
                     .map(|n| sub.to_global_node[n.0 as usize])
-                    .collect(),
+                    .collect::<std::sync::Arc<[_]>>(),
                 w.path
                     .edges
                     .iter()

@@ -16,7 +16,6 @@ use flexwan_topo::ip::{IpLinkId, IpTopology};
 use flexwan_topo::route::Route;
 
 use crate::planning::ctx::PlanCtx;
-use crate::planning::format_dp::select_formats;
 use crate::planning::heuristic::{most_constrained_first, LinkRoutes, Placement};
 use crate::planning::spectrum::SpectrumState;
 use crate::scenario::FailureScenario;
@@ -133,8 +132,6 @@ pub(crate) fn place_protected(
     ip: &IpTopology,
     routes_per_link: &LinkRoutes,
 ) -> ProtectedPlan {
-    let cfg = ctx.cfg();
-    let model = scheme.transponder();
     // 1+1 plans from an empty network: there is nothing to retune.
     let mut placement = Placement::new(ctx, scheme, 0);
     let mut working = Vec::new();
@@ -159,11 +156,7 @@ pub(crate) fn place_protected(
         // Provision the full demand on each copy independently.
         let mut shortfall = 0u64;
         for (route, bucket) in [(primary, &mut working), (backup, &mut protection)] {
-            let demand = link.demand_gbps;
-            shortfall += match select_formats(model, demand, route.length_km, cfg.epsilon) {
-                Some(formats) => placement.place(bucket, (link.id, 0), route, &formats, demand),
-                None => demand,
-            };
+            shortfall += placement.place(bucket, (link.id, 0), route, link.demand_gbps);
         }
         if shortfall > 0 {
             unmet.push((link.id, shortfall));

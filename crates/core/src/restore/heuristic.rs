@@ -23,7 +23,7 @@ use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::{IpLinkId, IpTopology};
 
 use crate::planning::ctx::PlanCtx;
-use crate::planning::format_dp::{reachable_formats, select_formats};
+use crate::planning::format_dp::{reachable_formats, FormatTable};
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::planning::spectrum::SpectrumState;
 use crate::scenario::FailureScenario;
@@ -181,24 +181,29 @@ pub(crate) fn revive(
         let mut remaining = hit.lost_gbps;
         let mut spares = hit.spares;
         'routes: for (k, route) in routes.iter().enumerate() {
-            // What reaches over this route, worked out when it is first
-            // needed: the route decides it, not the wavelength.
-            let mut reachable = None;
+            // What reaches over this route, highest rate first and
+            // narrowest spacing first within a rate (constraint (7) +
+            // objective), worked out when it is first needed: the route
+            // decides it, not the wavelength.
+            let mut by_rate = None;
             loop {
                 if remaining < 100 || spares == 0 {
                     break 'routes;
                 }
-                // Highest revivable rate not overshooting c'_e, narrowest
-                // spacing first within a rate (constraint (7) + objective).
-                let mut candidates: Vec<_> = reachable
-                    .get_or_insert_with(|| reachable_formats(model, route.length_km))
+                let by_rate = by_rate.get_or_insert_with(|| {
+                    let mut formats = reachable_formats(model, route.length_km);
+                    formats.sort_by_key(|f| (std::cmp::Reverse(f.data_rate_gbps), f.spacing));
+                    formats
+                });
+                // The highest revivable rate not overshooting c'_e. The
+                // sort is stable, so the formats that fit are in the order
+                // sorting just them would give.
+                let cap = remaining;
+                let fits = by_rate
                     .iter()
-                    .filter(|f| u64::from(f.data_rate_gbps) <= remaining)
-                    .copied()
-                    .collect();
-                candidates.sort_by_key(|f| (std::cmp::Reverse(f.data_rate_gbps), f.spacing));
+                    .filter(|f| u64::from(f.data_rate_gbps) <= cap);
                 let mut placed = false;
-                for format in candidates {
+                for &format in fits {
                     if let Some((channel, chosen)) =
                         spectrum.allocate_route(route, format.spacing, align)
                     {
@@ -246,22 +251,20 @@ pub fn flexwan_plus_extra_spares(
     cfg: &PlannerConfig,
 ) -> Vec<u32> {
     let none = std::collections::HashSet::new();
+    let mut radwan = FormatTable::new(Scheme::Radwan.transponder(), cfg.epsilon);
+    let mut flexwan = FormatTable::new(Scheme::FlexWan.transponder(), cfg.epsilon);
+    let mut formats = Vec::new();
     ip.links()
         .iter()
         .map(|l| {
             let Some(path) = flexwan_topo::ksp::shortest_path(optical, l.src, l.dst, &none) else {
                 return 0;
             };
-            let count = |scheme: Scheme| -> Option<u32> {
-                select_formats(
-                    scheme.transponder(),
-                    l.demand_gbps,
-                    path.length_km,
-                    cfg.epsilon,
-                )
-                .map(|v| v.len() as u32)
+            let mut count = |table: &mut FormatTable| -> Option<u32> {
+                (table.select_into(l.demand_gbps, path.length_km, &mut formats))
+                    .then_some(formats.len() as u32)
             };
-            match (count(Scheme::Radwan), count(Scheme::FlexWan)) {
+            match (count(&mut radwan), count(&mut flexwan)) {
                 (Some(rad), Some(flex)) if rad > flex => (rad - flex).div_ceil(2),
                 _ => 0,
             }

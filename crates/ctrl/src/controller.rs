@@ -1209,7 +1209,7 @@ mod tests {
             .iter_mut()
             .find(|w| w.path.destination() == NodeId(2));
         let via_d = via_d.expect("a–c is planned");
-        via_d.path.nodes = vec![NodeId(0), NodeId(1), d, NodeId(2)];
+        via_d.path.nodes = vec![NodeId(0), NodeId(1), d, NodeId(2)].into();
         via_d.path.edges = vec![EdgeId(0), EdgeId(4), EdgeId(3)];
 
         let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);

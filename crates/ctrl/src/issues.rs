@@ -84,7 +84,7 @@ pub fn find_inconsistencies(
 ) -> Vec<SpectrumIssue> {
     let mut issues = Vec::new();
     for (i, c) in channels.iter().enumerate() {
-        for node in &c.path.nodes {
+        for node in c.path.nodes.iter() {
             let ok = passbands_at
                 .get(node)
                 .map(|pbs| pbs.iter().any(|pb| pb.contains(&c.channel)))
@@ -135,7 +135,7 @@ pub fn uncoordinated_assignment(
             }
         }
         // Passbands only at sites this vendor owns.
-        for node in &path.nodes {
+        for node in path.nodes.iter() {
             if site_owner.get(node) == Some(vendor) {
                 passbands_at.entry(*node).or_default().push(range);
             }
@@ -169,7 +169,7 @@ pub fn centralized_assignment(
         for e in &path.edges {
             masks[e.0 as usize].occupy(&range).expect("jointly free");
         }
-        for node in &path.nodes {
+        for node in path.nodes.iter() {
             passbands_at.entry(*node).or_default().push(range);
         }
         channels.push(ConfiguredChannel {

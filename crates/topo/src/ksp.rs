@@ -8,6 +8,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::path::Path;
@@ -37,6 +38,10 @@ pub struct DijkstraScratch {
     edge_undo: Vec<(u32, u32)>,
     node_banned: Vec<bool>,
     node_undo: Vec<u32>,
+    /// A found path's `(edge, node before it)` pairs, destination first:
+    /// read back in order, each of the path's slices is built once at
+    /// its length.
+    trail: Vec<(EdgeId, NodeId)>,
 }
 
 impl DijkstraScratch {
@@ -104,7 +109,7 @@ impl DijkstraScratch {
     /// [`Path::new`] (which validates the hop sequence against `graph`)
     /// with the length summed over this query's edge lengths — the two
     /// differ only where the caller reweighted an edge.
-    fn path(&self, graph: &Graph, nodes: Vec<NodeId>, edges: Vec<EdgeId>) -> Path {
+    fn path(&self, graph: &Graph, nodes: Arc<[NodeId]>, edges: Vec<EdgeId>) -> Path {
         let mut path = Path::new(graph, nodes, edges);
         let length = |&e: &EdgeId| match self.edge_state(e) {
             0 => graph.edge(e).length_km,
@@ -194,17 +199,16 @@ fn search(graph: &Graph, src: NodeId, dst: NodeId, scratch: &mut DijkstraScratch
         return None;
     }
     // Reconstruct.
-    let mut nodes = vec![dst];
-    let mut edges = Vec::new();
+    scratch.trail.clear();
     let mut cur = dst;
     while cur != src {
-        let (e, p) = scratch.prev[cur.0 as usize].expect("reachable node has predecessor");
-        edges.push(e);
-        nodes.push(p);
-        cur = p;
+        let hop = scratch.prev[cur.0 as usize].expect("reachable node has predecessor");
+        scratch.trail.push(hop);
+        cur = hop.1;
     }
-    nodes.reverse();
-    edges.reverse();
+    let hops = scratch.trail.iter().rev();
+    let nodes = hops.clone().map(|&(_, n)| n).chain([dst]).collect();
+    let edges = hops.map(|&(e, _)| e).collect();
     Some(scratch.path(graph, nodes, edges))
 }
 
@@ -295,8 +299,8 @@ pub(crate) fn yen(
             scratch.undo_nodes(root);
             let edges = [&last.edges[..i], &spur.edges[..]].concat();
             if loopless && !result.iter().chain(&candidates).any(|p| p.edges == edges) {
-                let nodes = [&last.nodes[..i], &spur.nodes[..]].concat();
-                candidates.push(scratch.path(graph, nodes, edges));
+                let nodes = last.nodes[..i].iter().chain(&spur.nodes[..]).copied();
+                candidates.push(scratch.path(graph, nodes.collect(), edges));
             }
         }
         scratch.undo_nodes(0);
@@ -667,10 +671,7 @@ mod tests {
         assert!(k_shortest_routes_scratch(&island, c, lonely, 3, &real, &mut scratch).is_empty());
         let trivial = k_shortest_paths_scratch(&small, c, c, 3, &real, &mut scratch);
         assert_eq!(trivial.len(), 1);
-        assert_eq!(
-            (trivial[0].nodes.as_slice(), trivial[0].length_km),
-            (&[c][..], 0)
-        );
+        assert_eq!((&trivial[0].nodes[..], trivial[0].length_km), (&[c][..], 0));
         assert_eq!(
             k_shortest_routes_scratch(&small, c, c, 3, &real, &mut scratch).len(),
             1

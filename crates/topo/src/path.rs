@@ -1,5 +1,7 @@
 //! Optical paths: the sequence of fibers a wavelength traverses.
 
+use std::sync::Arc;
+
 use crate::graph::{EdgeId, Graph, NodeId};
 
 /// A loopless path through the optical topology.
@@ -9,8 +11,10 @@ use crate::graph::{EdgeId, Graph, NodeId};
 /// `|P_{e,k}|` of the paper's optical-reach constraint (2).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
-    /// Visited nodes, source first.
-    pub nodes: Vec<NodeId>,
+    /// Visited nodes, source first. Shared, not copied, by every path
+    /// realized from one [`Route`](crate::route::Route): the wavelengths
+    /// of a route differ only in their fibers.
+    pub nodes: Arc<[NodeId]>,
     /// Traversed edges, in order.
     pub edges: Vec<EdgeId>,
     /// Total physical length, km.
@@ -20,7 +24,8 @@ pub struct Path {
 impl Path {
     /// Builds a path from its node/edge sequence, validating consistency
     /// against `graph` and computing the length.
-    pub fn new(graph: &Graph, nodes: Vec<NodeId>, edges: Vec<EdgeId>) -> Self {
+    pub fn new(graph: &Graph, nodes: impl Into<Arc<[NodeId]>>, edges: Vec<EdgeId>) -> Self {
+        let nodes = nodes.into();
         assert_eq!(nodes.len(), edges.len() + 1, "path shape mismatch");
         let mut length: u32 = 0;
         for (i, &e) in edges.iter().enumerate() {

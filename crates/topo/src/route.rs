@@ -17,6 +17,7 @@
 //! read, so the routes equal those of a graph rebuilt from the survivors.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::graph::{Edge, EdgeId, Graph, NodeId};
 use crate::ksp::{yen, DijkstraScratch, HIDDEN};
@@ -25,8 +26,9 @@ use crate::path::Path;
 /// A node-distinct route with the parallel-fiber alternatives per hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
-    /// Visited nodes, source first.
-    pub nodes: Vec<NodeId>,
+    /// Visited nodes, source first; every path realized from the route
+    /// shares them.
+    pub nodes: Arc<[NodeId]>,
     /// For each hop, the usable parallel fibers (ascending length, then
     /// id — deterministic).
     pub hops: Vec<Vec<EdgeId>>,
@@ -46,10 +48,11 @@ impl Route {
         *self.nodes.last().expect("routes are non-empty")
     }
 
-    /// Materializes a [`Path`] from one chosen fiber per hop.
+    /// Materializes a [`Path`] from one chosen fiber per hop, sharing the
+    /// route's nodes.
     pub fn realize(&self, graph: &Graph, chosen: &[EdgeId]) -> Path {
         assert_eq!(chosen.len(), self.hops.len(), "one fiber per hop");
-        Path::new(graph, self.nodes.clone(), chosen.to_vec())
+        Path::new(graph, Arc::clone(&self.nodes), chosen.to_vec())
     }
 
     /// Whether any hop can use fiber `e`.
@@ -202,7 +205,7 @@ mod tests {
         assert_eq!(routes[0].nodes.len(), 3);
         assert_eq!(routes[0].length_km, 52 + 62, "max parallel lengths");
         assert_eq!(routes[0].hops[0], vec![EdgeId(0), EdgeId(1)]);
-        assert_eq!(routes[1].nodes, vec![a, c]);
+        assert_eq!(*routes[1].nodes, [a, c]);
         assert_eq!(routes[1].length_km, 400);
     }
 
@@ -216,7 +219,7 @@ mod tests {
         let banned: HashSet<_> = [EdgeId(0), EdgeId(1)].into_iter().collect();
         let routes = k_shortest_routes(&g, a, c, 5, &banned);
         assert_eq!(routes.len(), 1);
-        assert_eq!(routes[0].nodes, vec![a, c]);
+        assert_eq!(*routes[0].nodes, [a, c]);
     }
 
     #[test]

@@ -37,7 +37,11 @@
 #     channel), `fn fit_starts` is defined anywhere but once, in
 #     crates/optical/src/spectrum.rs (one definition of a fit-start), or
 #     non-test crates/topo/src/cache.rs sorts a ban set more than once
-#     (a fetch canonicalizes its ban set once, whatever it fetches).
+#     (a fetch canonicalizes its ban set once, whatever it fetches);
+#   * `fn better_than` is defined in non-test code anywhere but once, in
+#     crates/core/src/planning/format_dp.rs (one format DP, whoever asks),
+#     or `Route::realize` copies its nodes (`nodes.clone()` /
+#     `nodes.to_vec()`) instead of sharing them (`Arc::clone`).
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -149,6 +153,22 @@ fi
 if [ "$(non_test cache.rs | grep -c 'sort_unstable')" -ne 1 ]; then
     echo "crates/topo/src/cache.rs: a ban set is put in order once, in fetch:"
     non_test cache.rs | grep -n 'sort_unstable' || true
+    bad=1
+fi
+
+betters=$(grep -rlE 'fn better_than\b' --include='*.rs' crates | while read -r f; do
+    non_test_of "$f" | grep -nE 'fn better_than\b' | sed "s|^|$f:|" || true
+done)
+if [ "$(echo "$betters" | grep -c .)" -ne 1 ] ||
+    ! echo "$betters" | grep -q '^crates/core/src/planning/format_dp.rs:'; then
+    echo "fn better_than must be defined exactly once outside tests, in crates/core/src/planning/format_dp.rs:"
+    echo "$betters"
+    bad=1
+fi
+realize=$(non_test route.rs | awk '/^    pub fn realize\(/{on=1} on{print} /^    }/{on=0}')
+if echo "$realize" | grep -nE 'nodes\.(clone|to_vec)\(\)' ||
+    ! echo "$realize" | grep -q 'Arc::clone(&self\.nodes)'; then
+    echo "crates/topo/src/route.rs: realize shares the route's nodes (Arc::clone), it does not copy them"
     bad=1
 fi
 
