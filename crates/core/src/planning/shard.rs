@@ -14,20 +14,21 @@
 //!    to its hub, a hub-to-hub core segment, and a tail on the
 //!    destination side.
 //! 2. **Core first** — boundary demands are aggregated per hub pair and
-//!    solved on the core subgraph (exact MIP, column generation, or the
+//!    solved over the core fibers (exact MIP, column generation, or the
 //!    heuristic — [`ShardSolver`]). The resulting inter-hub wavelength
 //!    assignments are *frozen*: regions never touch core fibers, so the
 //!    realized hub-to-hub capacity becomes a boundary constraint
 //!    distributed to the boundary demands in input order.
 //! 3. **Region fan-out** — each region solves its owned links plus the
-//!    tail segments of its boundary demands. Heuristic region solves run
-//!    on the *full* graph with every non-region fiber banned, so one
-//!    shared [`RouteCache`] serves all shards (the cache key is global
-//!    `(src, dst, k, banned)` — renumbered subgraphs would alias).
-//!    Exact region solves run on a deterministically renumbered region
-//!    subgraph and their wavelengths are lifted back to global ids. The
-//!    fan-out runs on [`flexwan_util::pool`], whose in-order result
-//!    collection makes the outcome bit-identical at any thread count.
+//!    tail segments of its boundary demands. The core and the regions go
+//!    through one dispatch: a heuristic shard runs on the *full* graph
+//!    with every fiber outside it banned, so one shared [`RouteCache`]
+//!    serves all shards (the cache key is global `(src, dst, k, banned)`
+//!    — renumbered subgraphs would alias); an exact shard runs on a
+//!    deterministically renumbered subgraph and its wavelengths are
+//!    lifted back to global ids. The region fan-out runs on
+//!    [`flexwan_util::pool`], whose in-order result collection makes the
+//!    outcome bit-identical at any thread count.
 //! 4. **Boundary coordination** — a tail that realizes less capacity
 //!    than the frozen core granted re-prices the boundary demand down to
 //!    the end-to-end minimum of its segments, and every region holding a
@@ -55,7 +56,7 @@ use flexwan_util::pool;
 
 use crate::planning::colgen::{canonical_objective, solve_exact_colgen};
 use crate::planning::ctx::PlanCtx;
-use crate::planning::heuristic::{plan, Plan, PlannerConfig};
+use crate::planning::heuristic::{plan, PlannerConfig};
 use crate::planning::mip::solve_exact;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
@@ -225,13 +226,13 @@ impl Partition {
                 return Err(format!("region {r} is not connected over its own fibers"));
             }
         }
-        let core_set: HashSet<EdgeId> = self.core_fibers.iter().copied().collect();
+        let core = marks(optical.num_edges(), self.core_fibers.iter().map(|e| e.0));
         for b in &self.boundary {
             for hub in [b.core_pair.0, b.core_pair.1] {
                 let attached = optical
                     .incident_edges(hub)
                     .iter()
-                    .any(|e| core_set.contains(e));
+                    .any(|e| core[e.0 as usize]);
                 if !attached {
                     return Err(format!(
                         "hub {hub:?} carries boundary demand {:?} but touches no core fiber",
@@ -244,27 +245,38 @@ impl Partition {
     }
 }
 
+/// `len` flags, set at the `ids` below `len` (an id past the graph can
+/// match nothing in it).
+fn marks(len: usize, ids: impl Iterator<Item = u32>) -> Vec<bool> {
+    let mut marked = vec![false; len];
+    for id in ids {
+        if let Some(m) = marked.get_mut(id as usize) {
+            *m = true;
+        }
+    }
+    marked
+}
+
 /// Whether `nodes` form one connected component over `fibers` alone.
 fn connected_over(optical: &Graph, nodes: &[NodeId], fibers: &[EdgeId]) -> bool {
     let Some(&start) = nodes.first() else {
         return true;
     };
-    let allowed: HashSet<EdgeId> = fibers.iter().copied().collect();
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    seen.insert(start);
+    let allowed = marks(optical.num_edges(), fibers.iter().map(|e| e.0));
+    let mut seen = marks(optical.num_nodes(), std::iter::once(start.0));
     let mut stack = vec![start];
     while let Some(x) = stack.pop() {
         for &eid in optical.incident_edges(x) {
-            if !allowed.contains(&eid) {
+            if !allowed[eid.0 as usize] {
                 continue;
             }
             let other = optical.edges()[eid.0 as usize].other(x);
-            if seen.insert(other) {
+            if !std::mem::replace(&mut seen[other.0 as usize], true) {
                 stack.push(other);
             }
         }
     }
-    nodes.iter().all(|n| seen.contains(n))
+    nodes.iter().all(|n| seen.get(n.0 as usize) == Some(&true))
 }
 
 /// Which solver a shard uses.
@@ -477,64 +489,20 @@ fn per_link_provisioned(ws: &[Wavelength], num_links: usize) -> Vec<u64> {
     out
 }
 
-fn finish_heuristic(
-    p: Plan,
+/// A shard's outcome from its wavelengths in global ids.
+fn finish(
+    wavelengths: Vec<Wavelength>,
     num_links: usize,
     epsilon: f64,
-    lifted: Vec<Wavelength>,
+    unmet_gbps: u64,
     fell_back: bool,
 ) -> ShardSolve {
     ShardSolve {
-        provisioned: per_link_provisioned(&lifted, num_links),
-        unmet_gbps: p.unmet_gbps(),
-        objective: canonical_objective(&lifted, epsilon),
+        provisioned: per_link_provisioned(&wavelengths, num_links),
+        unmet_gbps,
+        objective: canonical_objective(&wavelengths, epsilon),
         fell_back,
-        wavelengths: lifted,
-    }
-}
-
-/// Solves one shard on its renumbered subgraph and lifts the result to
-/// global ids.
-fn solve_on_subgraph(
-    scheme: Scheme,
-    sub: &Subgraph,
-    optical: &Graph,
-    ip_local: &IpTopology,
-    cfg: &PlannerConfig,
-    kind: ShardSolver,
-    opts: &SolveOptions,
-) -> ShardSolve {
-    let exact = match kind {
-        ShardSolver::Heuristic => None,
-        ShardSolver::Exact => {
-            solve_exact(scheme, &sub.graph, ip_local, cfg, opts).map(|xp| (xp.wavelengths, false))
-        }
-        ShardSolver::ColGen => solve_exact_colgen(scheme, &sub.graph, ip_local, cfg, opts)
-            .map(|cg| (cg.plan.wavelengths, false)),
-    };
-    match (kind, exact) {
-        (ShardSolver::Heuristic, _) => {
-            let p = plan(scheme, &sub.graph, ip_local, cfg);
-            let lifted = lift_wavelengths(sub, optical, &p.wavelengths);
-            finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, false)
-        }
-        (_, Some((ws, _))) => {
-            let lifted = lift_wavelengths(sub, optical, &ws);
-            ShardSolve {
-                provisioned: per_link_provisioned(&lifted, ip_local.num_links()),
-                unmet_gbps: 0,
-                objective: canonical_objective(&lifted, cfg.epsilon),
-                fell_back: false,
-                wavelengths: lifted,
-            }
-        }
-        (_, None) => {
-            // No incumbent at this node budget: answer with the
-            // heuristic and flag the fallback.
-            let p = plan(scheme, &sub.graph, ip_local, cfg);
-            let lifted = lift_wavelengths(sub, optical, &p.wavelengths);
-            finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, true)
-        }
+        wavelengths,
     }
 }
 
@@ -601,29 +569,71 @@ pub fn solve_sharded(
         shard.threads
     };
 
+    // One dispatch for the core and every region: `ip` in global ids,
+    // the shard confined to `nodes` / `fibers`. A heuristic shard plans on
+    // the full graph with every other fiber `banned`, so one shared cache
+    // serves them all (keys over global ids stay collision-free where
+    // renumbered subgraphs would alias); an exact one on the renumbered
+    // subgraph, its wavelengths lifted back to global ids.
+    let ctx = PlanCtx::new(optical, cfg).sharing(cache);
+    let solve_shard = |kind: ShardSolver,
+                       nodes: &[NodeId],
+                       fibers: &[EdgeId],
+                       banned: &HashSet<EdgeId>,
+                       ip: &IpTopology| {
+        let n = ip.num_links();
+        if kind == ShardSolver::Heuristic {
+            let p = ctx.plan_avoiding(scheme, ip, banned);
+            let unmet = p.unmet_gbps();
+            return finish(p.wavelengths, n, cfg.epsilon, unmet, false);
+        }
+        let sub = subgraph(optical, nodes, fibers);
+        let mut local = IpTopology::new();
+        for l in ip.links() {
+            local.add_link(sub.local_of[&l.src], sub.local_of[&l.dst], l.demand_gbps);
+        }
+        let exact = if kind == ShardSolver::Exact {
+            solve_exact(scheme, &sub.graph, &local, cfg, &shard.solve).map(|xp| xp.wavelengths)
+        } else {
+            solve_exact_colgen(scheme, &sub.graph, &local, cfg, &shard.solve)
+                .map(|cg| cg.plan.wavelengths)
+        };
+        let (ws, unmet, fell_back) = match exact {
+            Some(ws) => (ws, 0, false),
+            None => {
+                // No incumbent at this node budget: answer with the
+                // heuristic and flag the fallback.
+                let p = plan(scheme, &sub.graph, &local, cfg);
+                let unmet = p.unmet_gbps();
+                (p.wavelengths, unmet, true)
+            }
+        };
+        let lifted = lift_wavelengths(&sub, optical, &ws);
+        finish(lifted, n, cfg.epsilon, unmet, fell_back)
+    };
+    // A fiber lies in region r iff both its ends do; every other fiber
+    // is a core fiber.
+    let region = |n: NodeId| region_of[n.0 as usize] as usize;
+
     // ---- Hub core: aggregate, solve, freeze. ----
     let core_t = Instant::now();
     let mut core_pairs: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
     for b in &part.boundary {
         *core_pairs.entry(ordered(b.core_pair)).or_default() += b.gbps;
     }
-    let core_sub = subgraph(optical, &part.core_nodes, &part.core_fibers);
-    let mut core_ip = IpTopology::new();
-    for (&(a, b), &gbps) in &core_pairs {
-        core_ip.add_link(core_sub.local_of[&a], core_sub.local_of[&b], gbps);
-    }
     let core = if part.boundary.is_empty() {
         ShardSolve::empty()
     } else {
-        solve_on_subgraph(
-            scheme,
-            &core_sub,
-            optical,
-            &core_ip,
-            cfg,
-            shard.core_solver,
-            &shard.solve,
-        )
+        let mut core_ip = IpTopology::new();
+        for (&(a, b), &gbps) in &core_pairs {
+            core_ip.add_link(a, b, gbps);
+        }
+        let banned: HashSet<EdgeId> = (optical.edges().iter())
+            .filter(|e| region(e.a) == region(e.b))
+            .map(|e| e.id)
+            .collect();
+        let (nodes, fibers) = (&part.core_nodes, &part.core_fibers);
+        solve_shard(shard.core_solver, nodes, fibers, &banned, &core_ip)
     };
     let core_ms = core_t.elapsed().as_millis() as u64;
 
@@ -649,18 +659,14 @@ pub fn solve_sharded(
     // shared-cache region solves to their own shard.
     let banned: Vec<HashSet<EdgeId>> = (0..part.regions)
         .map(|r| {
-            let own: HashSet<EdgeId> = part.region_fibers[r].iter().copied().collect();
-            optical
-                .edges()
-                .iter()
-                .filter(|e| !own.contains(&e.id))
+            (optical.edges().iter())
+                .filter(|e| region(e.a) != r || region(e.b) != r)
                 .map(|e| e.id)
                 .collect()
         })
         .collect();
 
     // ---- Region fan-out + boundary coordination. ----
-    let regions = PlanCtx::new(optical, cfg).sharing(cache);
     type RegionOutcome = (ShardSolve, Vec<(usize, IpLinkId)>);
     let mut solved: Vec<Option<RegionOutcome>> = vec![None; part.regions];
     let mut per_region_ms = vec![0u64; part.regions];
@@ -673,29 +679,8 @@ pub fn solve_sharded(
         let wave = pool::par_map(&to_solve, threads, |&r| {
             let rt = Instant::now();
             let (ip_r, tails) = region_demands(&part, ip, r, &target);
-            let solve = match shard.region_solver {
-                ShardSolver::Heuristic => {
-                    let p = regions.plan_avoiding(scheme, &ip_r, &banned[r]);
-                    let lifted = p.wavelengths.clone();
-                    finish_heuristic(p, ip_r.num_links(), cfg.epsilon, lifted, false)
-                }
-                _ => {
-                    let sub = subgraph(optical, &part.region_nodes[r], &part.region_fibers[r]);
-                    let mut local = IpTopology::new();
-                    for l in ip_r.links() {
-                        local.add_link(sub.local_of[&l.src], sub.local_of[&l.dst], l.demand_gbps);
-                    }
-                    solve_on_subgraph(
-                        scheme,
-                        &sub,
-                        optical,
-                        &local,
-                        cfg,
-                        shard.region_solver,
-                        &shard.solve,
-                    )
-                }
-            };
+            let (nodes, fibers) = (&part.region_nodes[r], &part.region_fibers[r]);
+            let solve = solve_shard(shard.region_solver, nodes, fibers, &banned[r], &ip_r);
             (solve, tails, rt.elapsed().as_millis() as u64)
         });
         for (&r, (solve, tails, ms)) in to_solve.iter().zip(wave) {
@@ -882,5 +867,355 @@ mod tests {
                 .map(|(b, &t)| b.gbps - t)
                 .sum::<u64>()
         );
+    }
+
+    /// Everything of a sharded plan but the wall-clock times, objective
+    /// bits included.
+    fn assert_same_plan(got: &ShardedPlan, want: &ShardedPlan, what: &str) {
+        assert_eq!(got.core, want.core, "{what}: core");
+        assert_eq!(got.regions, want.regions, "{what}: regions");
+        assert_eq!(got.boundary_target, want.boundary_target, "{what}");
+        assert_eq!(got.repriced_gbps, want.repriced_gbps, "{what}");
+        assert_eq!(got.unmet_gbps, want.unmet_gbps, "{what}");
+        assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{what}");
+        let objectives = |p: &ShardedPlan| -> Vec<u64> {
+            let shards = std::iter::once(&p.core).chain(&p.regions);
+            shards.map(|s| s.objective.to_bits()).collect()
+        };
+        assert_eq!(
+            objectives(got),
+            objectives(want),
+            "{what}: shard objectives"
+        );
+        let (g, w) = (&got.stats, &want.stats);
+        assert_eq!(
+            (g.regions, g.boundary_demands, g.coordination_rounds),
+            (w.regions, w.boundary_demands, w.coordination_rounds),
+            "{what}"
+        );
+        assert_eq!(
+            (g.region_solves, g.converged),
+            (w.region_solves, w.converged)
+        );
+    }
+
+    /// The heuristic core on the full graph under a ban, through the
+    /// shared cache, plans what the subgraph core planned: 3 instances
+    /// (the shrunk one, the smallest continental one, the 12 × 10 one the
+    /// benchmark plans) × k ∈ {2, 3, 5} × 3 schemes × demand scales 1..3,
+    /// each against a cold cache, the same cache warm, and a cache that
+    /// already holds the monolithic plan's keys, at 1 / 2 / 4 threads.
+    #[test]
+    fn the_full_graph_core_plans_what_the_subgraph_core_planned() {
+        let bench = ScaleParams {
+            regions: 12,
+            metros_per_region: 10,
+            ..ScaleParams::continental()
+        };
+        for (params, pixels) in [
+            (ScaleParams::shrunk(3), 64),
+            (ScaleParams::continental(), 96),
+            (bench, 384),
+        ] {
+            let c = continental(&params);
+            let g = &c.backbone.optical;
+            for k in [2, 3, 5] {
+                let cfg = small_cfg(pixels, k);
+                for scheme in Scheme::ALL {
+                    for scale in 1..=3 {
+                        let ip = c.backbone.ip.scaled(scale);
+                        let solve = |threads, cache: &RouteCache| {
+                            let shard = ShardConfig {
+                                threads,
+                                ..Default::default()
+                            };
+                            let (regions, hubs) = (&c.region_of, &c.hubs);
+                            solve_sharded(scheme, g, &ip, &cfg, regions, hubs, &shard, cache)
+                        };
+                        let want = oracle::solve_sharded(
+                            scheme,
+                            g,
+                            &ip,
+                            &cfg,
+                            &c.region_of,
+                            &c.hubs,
+                            &ShardConfig::default(),
+                            &RouteCache::new(),
+                        );
+                        let what = format!("{} regions, k {k}, {scheme}, ×{scale}", params.regions);
+                        let shared = RouteCache::new();
+                        assert_same_plan(&solve(1, &shared), &want, &format!("{what}, cold"));
+                        assert_same_plan(&solve(2, &shared), &want, &format!("{what}, warm"));
+                        let mono = RouteCache::new();
+                        let _ = PlanCtx::new(g, &cfg).sharing(&mono).plan(scheme, &ip);
+                        assert_same_plan(&solve(4, &mono), &want, &format!("{what}, monolithic"));
+                    }
+                }
+            }
+        }
+        // The exact arm of the same dispatch: the core's hub pairs, now
+        // in global ids, renumbered onto the subgraph as before.
+        let c = continental(&ScaleParams::parity());
+        let cfg = small_cfg(8, 2);
+        for core_solver in [ShardSolver::Exact, ShardSolver::ColGen] {
+            let shard = ShardConfig {
+                core_solver,
+                region_solver: ShardSolver::Exact,
+                ..Default::default()
+            };
+            let (g, ip) = (&c.backbone.optical, &c.backbone.ip);
+            let (regions, hubs) = (&c.region_of, &c.hubs);
+            let cache = RouteCache::new();
+            let got = solve_sharded(Scheme::FlexWan, g, ip, &cfg, regions, hubs, &shard, &cache);
+            let want =
+                oracle::solve_sharded(Scheme::FlexWan, g, ip, &cfg, regions, hubs, &shard, &cache);
+            assert_same_plan(&got, &want, &format!("parity, {core_solver:?} core"));
+            assert!(!got.core.wavelengths.is_empty());
+        }
+    }
+
+    /// The sharded solve as it stood with the core planned on its
+    /// renumbered subgraph, kept as the reference the one dispatch is
+    /// compared against.
+    mod oracle {
+        use super::super::*;
+        use crate::planning::heuristic::Plan;
+
+        fn finish_heuristic(
+            p: Plan,
+            num_links: usize,
+            epsilon: f64,
+            lifted: Vec<Wavelength>,
+            fell_back: bool,
+        ) -> ShardSolve {
+            ShardSolve {
+                provisioned: per_link_provisioned(&lifted, num_links),
+                unmet_gbps: p.unmet_gbps(),
+                objective: canonical_objective(&lifted, epsilon),
+                fell_back,
+                wavelengths: lifted,
+            }
+        }
+
+        fn solve_on_subgraph(
+            scheme: Scheme,
+            sub: &Subgraph,
+            optical: &Graph,
+            ip_local: &IpTopology,
+            cfg: &PlannerConfig,
+            kind: ShardSolver,
+            opts: &SolveOptions,
+        ) -> ShardSolve {
+            let exact = match kind {
+                ShardSolver::Heuristic => None,
+                ShardSolver::Exact => solve_exact(scheme, &sub.graph, ip_local, cfg, opts)
+                    .map(|xp| (xp.wavelengths, false)),
+                ShardSolver::ColGen => solve_exact_colgen(scheme, &sub.graph, ip_local, cfg, opts)
+                    .map(|cg| (cg.plan.wavelengths, false)),
+            };
+            match (kind, exact) {
+                (ShardSolver::Heuristic, _) => {
+                    let p = plan(scheme, &sub.graph, ip_local, cfg);
+                    let lifted = lift_wavelengths(sub, optical, &p.wavelengths);
+                    finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, false)
+                }
+                (_, Some((ws, _))) => {
+                    let lifted = lift_wavelengths(sub, optical, &ws);
+                    ShardSolve {
+                        provisioned: per_link_provisioned(&lifted, ip_local.num_links()),
+                        unmet_gbps: 0,
+                        objective: canonical_objective(&lifted, cfg.epsilon),
+                        fell_back: false,
+                        wavelengths: lifted,
+                    }
+                }
+                (_, None) => {
+                    let p = plan(scheme, &sub.graph, ip_local, cfg);
+                    let lifted = lift_wavelengths(sub, optical, &p.wavelengths);
+                    finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, true)
+                }
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn solve_sharded(
+            scheme: Scheme,
+            optical: &Graph,
+            ip: &IpTopology,
+            cfg: &PlannerConfig,
+            region_of: &[u32],
+            hubs: &[NodeId],
+            shard: &ShardConfig,
+            cache: &RouteCache,
+        ) -> ShardedPlan {
+            let part = partition(optical, ip, region_of, hubs);
+            part.validate(optical, ip).expect("partition invariant");
+            let threads = if shard.threads == 0 {
+                pool::default_threads()
+            } else {
+                shard.threads
+            };
+
+            let mut core_pairs: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+            for b in &part.boundary {
+                *core_pairs.entry(ordered(b.core_pair)).or_default() += b.gbps;
+            }
+            let core_sub = subgraph(optical, &part.core_nodes, &part.core_fibers);
+            let mut core_ip = IpTopology::new();
+            for (&(a, b), &gbps) in &core_pairs {
+                core_ip.add_link(core_sub.local_of[&a], core_sub.local_of[&b], gbps);
+            }
+            let core = if part.boundary.is_empty() {
+                ShardSolve::empty()
+            } else {
+                solve_on_subgraph(
+                    scheme,
+                    &core_sub,
+                    optical,
+                    &core_ip,
+                    cfg,
+                    shard.core_solver,
+                    &shard.solve,
+                )
+            };
+
+            let mut pair_cap: BTreeMap<(NodeId, NodeId), u64> = core_pairs
+                .keys()
+                .enumerate()
+                .map(|(i, &k)| (k, core.provisioned.get(i).copied().unwrap_or(0)))
+                .collect();
+            let mut target: Vec<u64> = part
+                .boundary
+                .iter()
+                .map(|b| {
+                    let cap = pair_cap.get_mut(&ordered(b.core_pair)).expect("aggregated");
+                    let grant = b.gbps.min(*cap);
+                    *cap -= grant;
+                    grant
+                })
+                .collect();
+
+            let banned: Vec<HashSet<EdgeId>> = (0..part.regions)
+                .map(|r| {
+                    let own: HashSet<EdgeId> = part.region_fibers[r].iter().copied().collect();
+                    optical
+                        .edges()
+                        .iter()
+                        .filter(|e| !own.contains(&e.id))
+                        .map(|e| e.id)
+                        .collect()
+                })
+                .collect();
+
+            let regions = PlanCtx::new(optical, cfg).sharing(cache);
+            type RegionOutcome = (ShardSolve, Vec<(usize, IpLinkId)>);
+            let mut solved: Vec<Option<RegionOutcome>> = vec![None; part.regions];
+            let mut to_solve: Vec<usize> = (0..part.regions).collect();
+            let mut rounds = 0usize;
+            let mut region_solves = 0usize;
+            while !to_solve.is_empty() && rounds < shard.max_rounds {
+                rounds += 1;
+                region_solves += to_solve.len();
+                let wave = pool::par_map(&to_solve, threads, |&r| {
+                    let (ip_r, tails) = region_demands(&part, ip, r, &target);
+                    let solve = match shard.region_solver {
+                        ShardSolver::Heuristic => {
+                            let p = regions.plan_avoiding(scheme, &ip_r, &banned[r]);
+                            let lifted = p.wavelengths.clone();
+                            finish_heuristic(p, ip_r.num_links(), cfg.epsilon, lifted, false)
+                        }
+                        _ => {
+                            let sub =
+                                subgraph(optical, &part.region_nodes[r], &part.region_fibers[r]);
+                            let mut local = IpTopology::new();
+                            for l in ip_r.links() {
+                                local.add_link(
+                                    sub.local_of[&l.src],
+                                    sub.local_of[&l.dst],
+                                    l.demand_gbps,
+                                );
+                            }
+                            solve_on_subgraph(
+                                scheme,
+                                &sub,
+                                optical,
+                                &local,
+                                cfg,
+                                shard.region_solver,
+                                &shard.solve,
+                            )
+                        }
+                    };
+                    (solve, tails)
+                });
+                for (&r, (solve, tails)) in to_solve.iter().zip(wave) {
+                    solved[r] = Some((solve, tails));
+                }
+                let mut shrunk: Vec<usize> = Vec::new();
+                for (bi, b) in part.boundary.iter().enumerate() {
+                    let mut end_to_end = target[bi];
+                    for side in [b.src_region, b.dst_region] {
+                        if let Some((solve, tails)) = &solved[side] {
+                            if let Some(&(_, lid)) = tails.iter().find(|&&(x, _)| x == bi) {
+                                end_to_end = end_to_end.min(solve.provisioned[lid.0 as usize]);
+                            }
+                        }
+                    }
+                    if end_to_end < target[bi] {
+                        target[bi] = end_to_end;
+                        shrunk.push(bi);
+                    }
+                }
+                to_solve = shrunk
+                    .iter()
+                    .flat_map(|&bi| {
+                        let b = &part.boundary[bi];
+                        [
+                            b.src_tail.is_some().then_some(b.src_region),
+                            b.dst_tail.is_some().then_some(b.dst_region),
+                        ]
+                    })
+                    .flatten()
+                    .collect();
+                to_solve.sort_unstable();
+                to_solve.dedup();
+            }
+            let converged = to_solve.is_empty();
+
+            let regions: Vec<ShardSolve> = solved
+                .into_iter()
+                .map(|o| o.expect("every region solved in round 1").0)
+                .collect();
+            let mut all = core.wavelengths.clone();
+            for r in &regions {
+                all.extend(r.wavelengths.iter().cloned());
+            }
+            let objective = canonical_objective(&all, cfg.epsilon);
+            let repriced_gbps = part
+                .boundary
+                .iter()
+                .zip(&target)
+                .map(|(b, &t)| b.gbps - t)
+                .sum();
+            let unmet_gbps = core.unmet_gbps + regions.iter().map(|r| r.unmet_gbps).sum::<u64>();
+            ShardedPlan {
+                stats: ShardStats {
+                    regions: part.regions,
+                    boundary_demands: part.boundary.len(),
+                    coordination_rounds: rounds.saturating_sub(1),
+                    region_solves,
+                    converged,
+                    core_ms: 0,
+                    per_region_ms: vec![0; part.regions],
+                    total_ms: 0,
+                },
+                core,
+                regions,
+                boundary_target: target,
+                repriced_gbps,
+                unmet_gbps,
+                objective,
+            }
+        }
     }
 }

@@ -348,7 +348,7 @@ impl SpectrumMask {
                 return None;
             }
         }
-        first_aligned(route, width, align)
+        first_aligned(route, 0, width, align)
     }
 
     /// Writes this fiber's fit-starts bitmap for `width`: bit `i` of
@@ -431,8 +431,11 @@ pub struct FitStarts {
     words: usize,
     /// Per group, one past its last fiber.
     ends: Vec<usize>,
-    /// The route's accumulator, then one bitmap per fiber in group order.
+    /// The route's accumulator — the AND over groups of each group's
+    /// fibers ORed — then one bitmap per fiber in group order.
     bits: Vec<u64>,
+    /// No start is set in an accumulator word below this one.
+    floor: usize,
 }
 
 impl FitStarts {
@@ -450,8 +453,12 @@ impl FitStarts {
         (self.width, self.pixels, self.words) = (width.pixels(), grid.pixels, n);
         self.ends.clear();
         self.bits.clear();
-        self.bits.resize(n, 0);
+        // Every start until a group says otherwise; with no group at all,
+        // pixel 0 — in band whenever the width is.
+        self.bits.resize(n, !0);
+        self.floor = 0;
         for group in groups {
+            let first = self.bits.len();
             for mask in group {
                 assert_eq!(mask.pixels, grid.pixels, "masks must share a grid");
                 let at = self.bits.len();
@@ -459,6 +466,11 @@ impl FitStarts {
                 mask.fit_starts(width, &mut self.bits[at..]);
             }
             self.ends.push(self.bits.len() / n - 1);
+            let (route, fibers) = self.bits.split_at_mut(n);
+            let group = &fibers[first - n..];
+            for (i, r) in route.iter_mut().enumerate() {
+                *r &= group.chunks_exact(n).fold(0, |hop, f| hop | f[i]);
+            }
         }
     }
 
@@ -470,47 +482,44 @@ impl FitStarts {
 
     /// What [`SpectrumMask::first_fit_any_of_each`] answers on the masks
     /// as they stand: fibers ORed within a group, groups ANDed, first
-    /// aligned bit.
+    /// aligned bit — read off the accumulator, from the floor up.
     pub fn first_fit(&mut self, align: u32) -> Option<PixelRange> {
         assert!(align >= 1, "alignment must be at least one pixel");
         if u32::from(self.width) > self.pixels {
             return None;
         }
-        let n = self.words;
-        let (route, fibers) = self.bits.split_at_mut(n);
-        route.fill(!0);
-        let mut from = 0;
-        for &end in &self.ends {
-            for (i, r) in route.iter_mut().enumerate() {
-                *r &= (from..end).fold(0, |hop, f| hop | fibers[f * n + i]);
-            }
-            from = end;
-        }
-        first_aligned(route, PixelWidth(self.width), align)
+        let route = &self.bits[..self.words];
+        self.floor += route[self.floor..].iter().take_while(|&&r| r == 0).count();
+        first_aligned(route, self.floor, PixelWidth(self.width), align)
     }
 
     /// The first fiber of `group` (by position in it) on which `range`
     /// fits, its bitmap brought up to date with `range` occupied there:
     /// exactly the starts whose window meets `range`,
-    /// `(start − width, start + width)`, stop fitting.
+    /// `(start − width, start + width)`, stop fitting. The accumulator
+    /// loses, on those words, what the group no longer offers.
     pub fn take(&mut self, group: usize, range: &PixelRange) -> Option<usize> {
         assert_eq!(range.width.pixels(), self.width, "one width per build");
         let n = self.words;
         let first = group.checked_sub(1).map_or(0, |g| self.ends[g]);
+        let (route, fibers) = self.bits.split_at_mut(n);
+        let fibers = &mut fibers[first * n..self.ends[group] * n];
         let (word, bit) = ((range.start / 64) as usize, 1u64 << (range.start % 64));
-        let fiber = (first..self.ends[group]).find(|f| self.bits[(1 + f) * n + word] & bit != 0)?;
+        let fiber = fibers.chunks_exact(n).position(|f| f[word] & bit != 0)?;
         let from = (range.start + 1).saturating_sub(u32::from(self.width));
         for (i, m) in bit_spans(from, range.end()) {
-            self.bits[(1 + fiber) * n + i] &= !m;
+            fibers[fiber * n + i] &= !m;
+            route[i] &= fibers.chunks_exact(n).fold(0, |hop, f| hop | f[i]);
         }
-        Some(fiber - first)
+        Some(fiber)
     }
 }
 
-/// The channel at the first set bit of the fit-starts bitmap `starts`
-/// that is a multiple of `align`.
-fn first_aligned(starts: &[u64], width: PixelWidth, align: u32) -> Option<PixelRange> {
-    for (i, &word) in starts.iter().enumerate() {
+/// The channel at the first set bit of the fit-starts bitmap `starts`, in
+/// word `from` or later, that is a multiple of `align`. The alignment
+/// test is on the absolute pixel index, whatever word the scan starts in.
+fn first_aligned(starts: &[u64], from: usize, width: PixelWidth, align: u32) -> Option<PixelRange> {
+    for (i, &word) in starts.iter().enumerate().skip(from) {
         let mut left = word;
         while left != 0 {
             let start = i as u32 * 64 + left.trailing_zeros();
@@ -831,9 +840,18 @@ mod tests {
         }
     }
 
+    /// What a `FitStarts` keeps between calls: the accumulator and the
+    /// fiber bitmaps, and the floor.
+    fn kept_state(f: &FitStarts) -> (Vec<usize>, Vec<u64>, usize) {
+        (f.ends.clone(), f.bits.clone(), f.floor)
+    }
+
     /// Placing through a `FitStarts` — first fit, take a fiber per group,
     /// occupy it — leaves every bitmap as a build from the masks would
-    /// make it, so the next answer is `first_fit_any_of_each`'s.
+    /// make it, so the next answer is `first_fit_any_of_each`'s: after
+    /// every take the accumulator and the fibers' bitmaps, after every
+    /// `first_fit` the floor too. Asking twice with nothing taken in
+    /// between changes nothing; no group at all leaves pixel 0 for ever.
     #[test]
     fn a_patched_fit_starts_equals_a_rebuilt_one() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x9A7C);
@@ -841,7 +859,7 @@ mod tests {
         for pixels in GRIDS {
             let grid = SpectrumGrid::new(pixels);
             for _case in 0..8 {
-                let mut groups: Vec<Vec<SpectrumMask>> = (0..rng.gen_range(1usize..4))
+                let mut groups: Vec<Vec<SpectrumMask>> = (0..rng.gen_range(0usize..4))
                     .map(|_| {
                         let fibers = rng.gen_range(1usize..4);
                         (0..fibers).map(|_| random_mask(&mut rng, pixels)).collect()
@@ -855,20 +873,55 @@ mod tests {
                         SpectrumMask::first_fit_any_of_each(grid, &groups, width, align);
                     let range = kept.first_fit(align);
                     assert_eq!(range, stateless, "{pixels} px, {width}, align {align}");
+                    let asked = kept_state(&kept);
+                    assert_eq!(kept.first_fit(align), range, "asked again");
+                    assert_eq!(kept_state(&kept), asked, "asked again");
+                    fresh.build(grid, &groups, width);
+                    assert_eq!(fresh.first_fit(align), range);
+                    assert_eq!(
+                        kept_state(&kept),
+                        kept_state(&fresh),
+                        "{pixels} px, {width}"
+                    );
                     let Some(range) = range else { break };
-                    for (g, group) in groups.iter_mut().enumerate() {
-                        let first_free = group.iter().position(|m| m.is_free(&range));
+                    if groups.is_empty() {
+                        assert_eq!(range.start, 0);
+                        break;
+                    }
+                    for g in 0..groups.len() {
+                        let first_free = groups[g].iter().position(|m| m.is_free(&range));
                         let taken = kept.take(g, &range);
                         assert_eq!(taken, first_free);
-                        group[taken.unwrap()].occupy(&range).unwrap();
+                        groups[g][taken.unwrap()].occupy(&range).unwrap();
+                        fresh.build(grid, &groups, width);
+                        assert_eq!(kept.bits, fresh.bits, "after {range}, hop {g}");
                     }
-                    fresh.build(grid, &groups, width);
-                    let n = kept.words;
-                    assert_eq!(kept.ends, fresh.ends);
-                    assert_eq!(kept.bits[n..], fresh.bits[n..], "after {range}");
                 }
             }
         }
+        // A channel across the word boundary at pixel 64 patches two
+        // words of the accumulator, and the next one starts past it.
+        let grid = SpectrumGrid::new(130);
+        let mut low = SpectrumMask::new(grid);
+        low.occupy(&PixelRange::new(0, w(60))).unwrap();
+        let mut groups = vec![vec![low], vec![SpectrumMask::new(grid)]];
+        kept.build(grid, &groups, w(8));
+        for start in [60, 68] {
+            let range = kept.first_fit(1).unwrap();
+            assert_eq!(range, PixelRange::new(start, w(8)));
+            for (g, group) in groups.iter_mut().enumerate() {
+                assert_eq!(kept.take(g, &range), Some(0));
+                group[0].occupy(&range).unwrap();
+            }
+        }
+        assert_eq!(kept.first_fit(1), Some(PixelRange::new(76, w(8))));
+        // No group: pixel 0 whenever the band holds the width.
+        let none: [&[SpectrumMask]; 0] = [];
+        kept.build(grid, none, w(130));
+        assert_eq!(kept.first_fit(1), Some(PixelRange::new(0, w(130))));
+        assert_eq!(kept.first_fit(6), Some(PixelRange::new(0, w(130))));
+        kept.build(grid, none, w(131));
+        assert_eq!(kept.first_fit(1), None);
     }
 
     #[test]

@@ -172,5 +172,21 @@ if echo "$realize" | grep -nE 'nodes\.(clone|to_vec)\(\)' ||
     bad=1
 fi
 
+optical=crates/optical/src/spectrum.rs
+kept_fit=$(non_test_of $optical | awk '/^    pub fn first_fit\(&mut self/{on=1} on{print} /^    }/{on=0}')
+if [ -z "$kept_fit" ] || echo "$kept_fit" | grep -n 'fill(!0)'; then
+    echo "$optical: FitStarts::first_fit reads the accumulator take keeps current, it does not rebuild it"
+    bad=1
+fi
+shard=crates/core/src/planning/shard.rs
+dispatch=$(non_test_of $shard | awk '/^    let solve_shard = /{on=1} on{print} /^    };/{on=0}')
+exact_arm=$(echo "$dispatch" | awk '/ShardSolver::Heuristic/{on=1} on&&/^        }/{on=2; next} on==2{print}')
+if [ "$(non_test_of $shard | grep -v 'fn subgraph(' | grep -c 'subgraph(')" -ne 1 ] ||
+    [ "$(echo "$exact_arm" | grep -c 'subgraph(')" -ne 1 ]; then
+    echo "$shard: only the exact arm of solve_shard renumbers a subgraph; a heuristic shard plans on the full graph:"
+    non_test_of $shard | grep -n 'subgraph(' || true
+    bad=1
+fi
+
 [ "$bad" -eq 0 ] && echo "planning surface ok"
 exit "$bad"
