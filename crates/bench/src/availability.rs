@@ -29,8 +29,7 @@ pub struct AvailabilityConfig {
     pub demand_scenarios: usize,
     /// Multiplicative demand spread (factors in `[1 − s, 1 + s]`).
     pub demand_spread: f64,
-    /// Engine knobs: spare budgets, threads, warm-solve options,
-    /// protection rung.
+    /// Engine knobs: spare budgets, threads.
     pub engine: EngineConfig,
 }
 

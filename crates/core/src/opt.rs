@@ -19,21 +19,44 @@
 //! linear in its nonzero count. [`FlowVarSpace`] does the same for the
 //! path-based multi-commodity-flow variables of `te`.
 //!
+//! The paths these spaces enumerate over come from one source,
+//! `candidate_paths`: K shortest paths per endpoint pair under a ban
+//! set, one search arena per call.
+//!
 //! The enumeration order (slot-major, then candidate path, then format,
 //! then aligned start pixel) and the diagnostic variable names are part of
 //! the contract: `tests/opt_roundtrip.rs` pins solver outputs against
 //! goldens blessed on the pre-refactor formulations.
 
+use std::collections::HashSet;
+
 use flexwan_optical::format::TransponderFormat;
 use flexwan_optical::spectrum::PixelRange;
 use flexwan_solver::{LinExpr, Model, RowId, Solution, Var};
-use flexwan_topo::graph::EdgeId;
+use flexwan_topo::graph::{EdgeId, Graph, NodeId};
 use flexwan_topo::ip::IpLinkId;
+use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
 use crate::planning::format_dp::reachable_formats;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
+
+/// The candidate paths of every exact formulation: for each
+/// `(src, dst, banned)` query, in order, the `k` shortest paths of `g`
+/// avoiding `banned` — Algorithm 1's `P_{e,k}` under no ban, §8's
+/// `P'_{e,k}` under a cut set — all over one search arena. Lazy, so a
+/// caller that folds many queries per slot never holds them all.
+pub(crate) fn candidate_paths<'a>(
+    g: &'a Graph,
+    k: usize,
+    queries: impl IntoIterator<Item = (NodeId, NodeId, &'a HashSet<EdgeId>)> + 'a,
+) -> impl Iterator<Item = Vec<Path>> + 'a {
+    let mut scratch = DijkstraScratch::new();
+    (queries.into_iter()).map(move |(src, dst, banned)| {
+        k_shortest_paths_scratch(g, src, dst, k, banned, &mut scratch)
+    })
+}
 
 /// Typed handle to one γ variable inside a [`WavelengthVarSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

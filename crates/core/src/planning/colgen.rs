@@ -44,11 +44,10 @@ use flexwan_optical::spectrum::PixelRange;
 use flexwan_solver::{LinExpr, Model, Sense, SolveOptions};
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::IpTopology;
-use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
 use crate::master::{Outcome, Problem, RestrictedMaster, StopAt};
-use crate::opt::LazyWavelengthVarSpace;
+use crate::opt::{candidate_paths, LazyWavelengthVarSpace};
 use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::FormatTable;
 use crate::planning::heuristic::{plan, PlannerConfig};
@@ -215,10 +214,8 @@ pub fn solve_exact_colgen(
 ) -> Option<ColGenPlan> {
     let pixels = cfg.grid.pixels();
     let none = HashSet::new();
-    let mut scratch = DijkstraScratch::new();
-    let paths_per_link: Vec<Vec<Path>> = (ip.links().iter())
-        .map(|l| k_shortest_paths_scratch(optical, l.src, l.dst, cfg.k_paths, &none, &mut scratch))
-        .collect();
+    let queries = ip.links().iter().map(|l| (l.src, l.dst, &none));
+    let paths_per_link = candidate_paths(optical, cfg.k_paths, queries).collect();
     let model_t = scheme.transponder();
     let lazy = LazyWavelengthVarSpace::new(scheme, pixels, optical.num_edges(), paths_per_link);
 

@@ -11,14 +11,11 @@
 //! and [`restore::heuristic`](crate::restore::heuristic).
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use flexwan_obs::{Obs, Span};
 use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::{IpLink, IpTopology};
-use flexwan_topo::ksp::DijkstraScratch;
-use flexwan_topo::route::k_shortest_routes_scratch;
 
 use crate::planning::heuristic::{place_deficits, LinkOrder, LinkRoutes, Plan, PlannerConfig};
 use crate::protect::{place_protected, ProtectedPlan};
@@ -101,25 +98,25 @@ impl<'a> PlanCtx<'a> {
     }
 
     /// Each link's `k` shortest node-distinct routes avoiding `banned`, in
-    /// `links` order: the cache's own lists when one is shared — all of
-    /// them in one lookup — otherwise Yen over a scratch arena that lives
-    /// for this call.
+    /// `links` order, in one lookup: from the shared cache, or else from
+    /// a cache that lives for this call (a pair asked twice is computed
+    /// once either way).
     pub(crate) fn routes<'l>(
         &self,
         links: impl Iterator<Item = &'l IpLink>,
         k: usize,
         banned: &HashSet<EdgeId>,
     ) -> LinkRoutes {
-        let g = self.optical;
-        if let Some(cache) = self.cache {
-            let pairs: Vec<_> = links.map(|l| (l.src, l.dst)).collect();
-            return cache.routes_batch(g, &pairs, k, banned);
-        }
-        let mut scratch = DijkstraScratch::new();
-        links
-            .map(|l| k_shortest_routes_scratch(g, l.src, l.dst, k, banned, &mut scratch))
-            .map(Arc::new)
-            .collect()
+        let pairs: Vec<_> = links.map(|l| (l.src, l.dst)).collect();
+        let own;
+        let cache = match self.cache {
+            Some(shared) => shared,
+            None => {
+                own = RouteCache::new();
+                &own
+            }
+        };
+        cache.routes_batch(self.optical, &pairs, k, banned)
     }
 
     /// Plans `scheme` over the backbone: the scalable counterpart of

@@ -32,18 +32,18 @@
 //! instances, and the validation tests live in
 //! `tests/planning_exact_vs_heuristic.rs`.
 
+use std::collections::{HashMap, HashSet};
+
 use flexwan_solver::{
     Cmp, IncrementalSolver, LinExpr, Model, RowId, Sense, Solution, SolveOptions, SolverStats,
     Status, Var,
 };
-use flexwan_topo::graph::{EdgeId, Graph};
+use flexwan_topo::graph::{EdgeId, Graph, NodeId};
 use flexwan_topo::ip::{IpLinkId, IpTopology};
-use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
-use crate::opt::{GammaId, WavelengthVarSpace};
+use crate::opt::{candidate_paths, GammaId, GammaVar, WavelengthVarSpace};
 use crate::planning::heuristic::PlannerConfig;
-use crate::restore::heuristic::check_extra_spares;
 use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
@@ -103,7 +103,7 @@ pub struct PlanModel {
     /// (fiber, pixel) → its conflict row, for entering on-demand columns
     /// into existing rows (cells empty at build time have no row until a
     /// generated column first occupies them).
-    conflict_row_at: std::collections::HashMap<(EdgeId, u32), RowId>,
+    conflict_row_at: HashMap<(EdgeId, u32), RowId>,
     /// The one `(restore_rate, restore_count)` row pair each IP link
     /// ever gets (same index as `capacity_rows`), allocated the first
     /// time the link is affected and rewritten in place by every later
@@ -113,7 +113,7 @@ pub struct PlanModel {
     cap_rows: Vec<Option<(RowId, RowId)>>,
     link_ids: Vec<IpLinkId>,
     /// Endpoints per IP link, for re-deriving §8 restoration path sets.
-    link_ends: Vec<(flexwan_topo::graph::NodeId, flexwan_topo::graph::NodeId)>,
+    link_ends: Vec<(NodeId, NodeId)>,
     k_paths: usize,
     /// The planning objective, kept to restore it after a mutation.
     objective: LinExpr,
@@ -132,13 +132,9 @@ impl PlanModel {
     /// paper's candidate-path set `P_{e,k}` (plain KSP). The model this
     /// produces is identical to the pre-refactor `solve_exact` builder.
     pub fn build(scheme: Scheme, optical: &Graph, ip: &IpTopology, cfg: &PlannerConfig) -> Self {
-        let none = std::collections::HashSet::new();
-        let mut scratch = DijkstraScratch::new();
-        let paths_per_link: Vec<Vec<Path>> = (ip.links().iter())
-            .map(|l| {
-                k_shortest_paths_scratch(optical, l.src, l.dst, cfg.k_paths, &none, &mut scratch)
-            })
-            .collect();
+        let none = HashSet::new();
+        let queries = ip.links().iter().map(|l| (l.src, l.dst, &none));
+        let paths_per_link = candidate_paths(optical, cfg.k_paths, queries).collect();
         Self::build_from_paths(scheme, optical, ip, cfg, paths_per_link)
     }
 
@@ -155,32 +151,18 @@ impl PlanModel {
         ip: &IpTopology,
         cfg: &PlannerConfig,
     ) -> Self {
-        let none = std::collections::HashSet::new();
-        // One search arena for the whole (links × fibers) enumeration.
-        let mut scratch = DijkstraScratch::new();
-        let mut ksp = |l: &flexwan_topo::ip::IpLink, banned: &_| {
-            k_shortest_paths_scratch(optical, l.src, l.dst, cfg.k_paths, banned, &mut scratch)
-        };
-        let paths_per_link: Vec<Vec<Path>> = ip
-            .links()
-            .iter()
-            .map(|link| {
-                let mut paths = Vec::new();
-                let mut seen: std::collections::HashSet<Vec<flexwan_topo::graph::EdgeId>> =
-                    std::collections::HashSet::new();
-                let mut push_all = |found: Vec<Path>, paths: &mut Vec<Path>| {
-                    for p in found {
-                        if seen.insert(p.edges.clone()) {
-                            paths.push(p);
-                        }
-                    }
-                };
-                push_all(ksp(link, &none), &mut paths);
-                for fiber in optical.edges() {
-                    let banned = std::collections::HashSet::from([fiber.id]);
-                    push_all(ksp(link, &banned), &mut paths);
-                }
-                paths
+        // Per link: no ban, then each fiber banned in fiber order, the
+        // union deduplicated by edge sequence in that order.
+        let single_cuts = optical.edges().iter().map(|f| HashSet::from([f.id]));
+        let bans: Vec<HashSet<EdgeId>> =
+            std::iter::once(HashSet::new()).chain(single_cuts).collect();
+        let queries = (ip.links().iter()).flat_map(|l| bans.iter().map(|b| (l.src, l.dst, b)));
+        let mut found = candidate_paths(optical, cfg.k_paths, queries);
+        let paths_per_link = (ip.links().iter())
+            .map(|_| {
+                let mut seen = HashSet::new();
+                let union = found.by_ref().take(bans.len()).flatten();
+                union.filter(|p| seen.insert(p.edges.clone())).collect()
             })
             .collect();
         Self::build_from_paths(scheme, optical, ip, cfg, paths_per_link)
@@ -227,7 +209,7 @@ impl PlanModel {
         // Re-derive the (fiber, pixel) → row map from the same walk
         // `conflict_rows` took: per fiber, pixels ascending, empty
         // buckets skipped (min_terms = 1).
-        let mut conflict_row_at = std::collections::HashMap::new();
+        let mut conflict_row_at = HashMap::new();
         for (fiber, rows) in &conflict_rows {
             let mut it = rows.iter();
             for px in 0..pixels {
@@ -288,58 +270,36 @@ impl PlanModel {
             .change_rhs(self.capacity_rows[slot], demand_gbps as f64);
     }
 
-    /// Generates any §8 restoration columns `scenario` needs that the
-    /// standing variable space lacks, across every IP link: for each
-    /// link, the K shortest paths avoiding the scenario's cut set are
-    /// recomputed and missing ones enter the model as on-demand γ
-    /// columns (capacity-row terms, conflict-row terms, fresh conflict
-    /// rows for previously-empty spectrum cells). Returns the number of
-    /// columns added — zero whenever the space already covers the
-    /// scenario, which [`build_restorable`](Self::build_restorable)
-    /// guarantees for single-fiber cuts.
+    /// The §8 restoration path set `P'_{e,k}` of each of `slots` — its
+    /// K shortest paths avoiding `banned` — with every path the standing
+    /// variable space lacks entered as on-demand γ columns
+    /// (capacity-row terms, conflict-row terms, fresh conflict rows for
+    /// previously-empty spectrum cells). Returns the number of columns
+    /// added — zero whenever the space already covers the cut, which
+    /// [`build_restorable`](Self::build_restorable) guarantees for
+    /// single-fiber cuts — and the path sets.
     ///
     /// Generated columns are *restoration-only*: pinned to 0 except
     /// while a mutation for a covering scenario is live, so planning
     /// optima (and their pinned goldens) never shift under column
-    /// generation. [`restore_after_cut`](Self::restore_after_cut) calls
-    /// this internally for the affected links; the public entry point
-    /// exists to pre-warm the space for anticipated scenarios.
-    pub fn ensure_restoration_columns(
+    /// generation.
+    fn ensure_restoration_columns(
         &mut self,
         optical: &Graph,
-        scenario: &FailureScenario,
-    ) -> usize {
-        let slots = 0..self.link_ids.len();
-        let wanted = self.restoration_paths(optical, &scenario.banned(), slots);
-        self.ensure_columns_for(&wanted)
-    }
-
-    /// The §8 restoration path set `P'_{e,k}` of each slot: its K
-    /// shortest paths avoiding `banned`.
-    fn restoration_paths(
-        &self,
-        optical: &Graph,
-        banned: &std::collections::HashSet<EdgeId>,
+        banned: &HashSet<EdgeId>,
         slots: impl Iterator<Item = usize>,
-    ) -> Vec<(usize, Vec<Path>)> {
-        let mut scratch = DijkstraScratch::new();
-        slots
-            .map(|slot| {
-                let (src, dst) = self.link_ends[slot];
-                let paths =
-                    k_shortest_paths_scratch(optical, src, dst, self.k_paths, banned, &mut scratch);
-                (slot, paths)
-            })
-            .collect()
-    }
-
-    /// Adds a γ column family for every wanted path its slot's standing
-    /// space lacks; returns the number of columns added.
-    fn ensure_columns_for(&mut self, wanted: &[(usize, Vec<Path>)]) -> usize {
+    ) -> (usize, Vec<(usize, Vec<Path>)>) {
+        let slots: Vec<usize> = slots.collect();
+        let queries = slots.iter().map(|&slot| {
+            let (src, dst) = self.link_ends[slot];
+            (src, dst, banned)
+        });
+        let found = candidate_paths(optical, self.k_paths, queries);
+        let wanted: Vec<(usize, Vec<Path>)> = slots.iter().copied().zip(found).collect();
         let mut total = 0usize;
         let mut new_cells: Vec<(EdgeId, u32)> = Vec::new();
-        for &(slot, ref want) in wanted {
-            let have: std::collections::HashSet<Vec<EdgeId>> = self
+        for &(slot, ref want) in &wanted {
+            let have: HashSet<Vec<EdgeId>> = self
                 .space
                 .paths(slot)
                 .iter()
@@ -407,7 +367,7 @@ impl PlanModel {
             }
             self.solver.model_mut().end_group();
         }
-        total
+        (total, wanted)
     }
 
     /// Solves (or re-solves) the standing planning model. Warm-starts
@@ -468,17 +428,21 @@ impl PlanModel {
     /// lacks — a simultaneous multi-fiber cut on any build, or any cut
     /// on a plain [`build`](Self::build) — are generated **on demand**
     /// as extra γ columns
-    /// ([`ensure_restoration_columns`](Self::ensure_restoration_columns))
     /// before the pins are placed, so the mutated model's feasible set
     /// always equals the from-scratch §8 model's and their optima
     /// coincide; with [`build_restorable`](Self::build_restorable) and a
     /// single-fiber cut nothing is missing and the solve stays warm.
     /// `optical` must be the graph the model was built on. The mutation
     /// is fully reverted before returning, leaving the standing model
-    /// solvable as a planning model again.
+    /// solvable as a planning model again. A multi-fiber scenario is one
+    /// mutation whatever the order of its cuts: restoring a k-cut as k
+    /// single-cut mutations would let the first open candidates on a
+    /// fiber the next one takes down (`tests/restore_mutation.rs` pins
+    /// the 2-cut case).
     ///
     /// # Panics
-    /// If `extra_spares` is neither empty nor one entry per IP link.
+    /// After a successful solve, if `extra_spares` is neither empty nor
+    /// one entry per IP link.
     pub fn restore_after_cut(
         &mut self,
         optical: &Graph,
@@ -486,36 +450,18 @@ impl PlanModel {
         extra_spares: &[u32],
         opts: &SolveOptions,
     ) -> Option<MutatedRestoration> {
-        check_extra_spares(extra_spares, self.link_ids.len());
         let sol = self.solution.clone()?;
         // Columns generated by an earlier mutation postdate the planning
         // solution — they are unselected by construction.
         let selected = |var: Var| var.0 < sol.values.len() && sol.value(var) > 0.5;
-        let banned = scenario.banned();
-        let crosses = |space: &WavelengthVarSpace, g: GammaId| {
-            space
-                .path_of(space.get(g))
-                .edges
-                .iter()
-                .any(|e| banned.contains(e))
-        };
+        let crosses = |space: &WavelengthVarSpace, g: &GammaVar| scenario.severs(space.path_of(g));
 
-        // Per affected link (first-seen order): lost capacity c'_e and
-        // spare transponders N_e.
-        let mut lost_order: Vec<usize> = Vec::new();
-        let mut lost: std::collections::HashMap<usize, (u64, u32)> =
-            std::collections::HashMap::new();
-        for (i, g) in self.space.gammas().iter().enumerate() {
-            if selected(g.var) && crosses(&self.space, GammaId(i)) {
-                let entry = lost.entry(g.slot).or_insert_with(|| {
-                    lost_order.push(g.slot);
-                    (0, 0)
-                });
-                entry.0 += u64::from(g.format.data_rate_gbps);
-                entry.1 += 1;
-            }
-        }
-        let affected_gbps: u64 = lost.values().map(|&(c, _)| c).sum();
+        // The selected γ in γ order: the affected links come out in the
+        // order their cap-row pairs are allocated below.
+        let lit = (self.space.gammas().iter().filter(|g| selected(g.var)))
+            .map(|g| (g.slot, g.format.data_rate_gbps, self.space.path_of(g)));
+        let ledger = scenario.assess(lit, extra_spares, self.link_ids.len());
+        let affected_gbps = ledger.affected_gbps;
         if affected_gbps == 0 {
             return Some(MutatedRestoration {
                 objective: 0.0,
@@ -526,31 +472,22 @@ impl PlanModel {
                 stats: SolverStats::default(),
             });
         }
-        if !extra_spares.is_empty() {
-            for (&slot, entry) in lost.iter_mut() {
-                entry.1 += extra_spares[slot];
-            }
-        }
 
-        // §8 candidate paths per affected link: the K shortest paths
-        // avoiding the cut, computed once for the two uses below.
-        let wanted = self.restoration_paths(optical, &banned, lost_order.iter().copied());
-
-        // On-demand banned-path columns: a simultaneous-cut scenario
-        // whose detours were not pre-enumerated extends the standing
-        // space here instead of forcing a from-scratch rebuild. The
-        // layout change drops the basis (this solve runs cold) but
-        // every row, group, and handle survives — still the mutation
-        // path, and the refreshed basis re-warms the solve after next.
-        let added_columns = self.ensure_columns_for(&wanted);
+        // §8 candidate paths per affected link, with on-demand
+        // banned-path columns: a simultaneous-cut scenario whose detours
+        // were not pre-enumerated extends the standing space here
+        // instead of forcing a from-scratch rebuild. The layout change
+        // drops the basis (this solve runs cold) but every row, group,
+        // and handle survives — still the mutation path, and the
+        // refreshed basis re-warms the solve after next.
+        let banned = scenario.banned();
+        let hit_slots = ledger.hit.iter().map(|h| h.link);
+        let (added_columns, wanted) = self.ensure_restoration_columns(optical, &banned, hit_slots);
 
         // Restricting the free variables to exactly the §8 path set is
         // what makes the mutated model match the from-scratch build
         // (which enumerates precisely these paths).
-        let restore_paths: std::collections::HashMap<
-            usize,
-            std::collections::HashSet<Vec<EdgeId>>,
-        > = wanted
+        let restore_paths: HashMap<usize, HashSet<Vec<EdgeId>>> = wanted
             .into_iter()
             .map(|(slot, paths)| (slot, paths.into_iter().map(|p| p.edges).collect()))
             .collect();
@@ -560,7 +497,7 @@ impl PlanModel {
         let mut candidates: Vec<GammaId> = Vec::new();
         for (i, g) in self.space.gammas().iter().enumerate() {
             let id = GammaId(i);
-            if crosses(&self.space, id) {
+            if crosses(&self.space, g) {
                 self.solver.set_var_bounds(g.var, 0.0, 0.0);
             } else if selected(g.var) {
                 self.solver.set_var_bounds(g.var, 1.0, 1.0);
@@ -581,9 +518,8 @@ impl PlanModel {
         // multi-row ban covering every affected capacity row and every
         // cut fiber's conflict rows, so a k-fiber scenario is a single
         // mutation, not k sequential ones.
-        let banned_rows: Vec<RowId> = lost_order
-            .iter()
-            .map(|&slot| self.capacity_rows[slot])
+        let banned_rows: Vec<RowId> = (ledger.hit.iter())
+            .map(|h| self.capacity_rows[h.link])
             .chain(
                 self.conflict_rows
                     .iter()
@@ -598,8 +534,8 @@ impl PlanModel {
         // time gets its pair appended first, under named groups on the
         // standing model.
         let mut caps: Vec<RowId> = Vec::new();
-        for &slot in &lost_order {
-            let (c, n) = lost[&slot];
+        for hit in &ledger.hit {
+            let slot = hit.link;
             let cands: Vec<GammaId> = candidates
                 .iter()
                 .copied()
@@ -619,8 +555,8 @@ impl PlanModel {
                 solver.model_mut().end_group();
                 (rate_row, count_row)
             });
-            solver.rewrite_row(rate_row, rate, c as f64);
-            solver.rewrite_row(count_row, count, f64::from(n));
+            solver.rewrite_row(rate_row, rate, hit.lost_gbps as f64);
+            solver.rewrite_row(count_row, count, f64::from(hit.spares));
             caps.extend([rate_row, count_row]);
         }
 
@@ -689,32 +625,6 @@ impl PlanModel {
             added_columns,
             stats,
         })
-    }
-
-    /// [`restore_after_cut`](Self::restore_after_cut) over a plain slice
-    /// of simultaneously cut fibers: the whole set is pinned/banned as
-    /// **one** mutation (duplicates ignored). Restoring a k-cut as k
-    /// sequential single-cut mutations is wrong — the first mutation's
-    /// candidates may ride a fiber the next cut takes down, stranding
-    /// "restored" wavelengths on dark fiber; the single multi-fiber
-    /// mutation bans every cut fiber before any candidate is opened
-    /// (`tests/restore_mutation.rs` pins the 2-cut ordering).
-    pub fn restore_after_cuts(
-        &mut self,
-        optical: &Graph,
-        cuts: &[EdgeId],
-        extra_spares: &[u32],
-        opts: &SolveOptions,
-    ) -> Option<MutatedRestoration> {
-        let mut sorted: Vec<EdgeId> = cuts.to_vec();
-        sorted.sort_unstable_by_key(|e| e.0);
-        sorted.dedup();
-        let scenario = FailureScenario {
-            id: 0,
-            cuts: sorted,
-            probability: 1.0,
-        };
-        self.restore_after_cut(optical, &scenario, extra_spares, opts)
     }
 }
 
@@ -919,7 +829,12 @@ mod tests {
         ip.add_link(a, c, 100);
         let mut pm = PlanModel::build(Scheme::FlexWan, &g, &ip, &cfg(16));
         pm.solve(&opts()).unwrap();
-        pm.restore_after_cuts(&g, &[EdgeId(0)], &[1], &opts());
+        let cut = FailureScenario {
+            id: 0,
+            cuts: vec![EdgeId(0)],
+            probability: 1.0,
+        };
+        pm.restore_after_cut(&g, &cut, &[1], &opts());
     }
 
     #[test]
@@ -1088,6 +1003,48 @@ mod tests {
         }
     }
 
+    /// A cut that hits two links for the first time allocates their cap
+    /// pairs in γ order — ascending slot — each carrying its link's
+    /// `c'_e`: the order fixes every later `RowId` and so the basis.
+    #[test]
+    fn first_cap_rows_are_allocated_in_gamma_order() {
+        let mut g = Graph::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| g.add_node(n));
+        g.add_edge(a, b, 400);
+        g.add_edge(b, c, 400);
+        g.add_edge(a, c, 900);
+        g.add_edge(c, d, 400);
+        g.add_edge(a, d, 900);
+        let mut ip = IpTopology::new();
+        ip.add_link(a, c, 300);
+        ip.add_link(a, d, 200);
+        let mut told_apart = 0;
+        for cut in crate::scenario::k_cut_scenarios(&g, 2) {
+            let mut pm = PlanModel::build_restorable(Scheme::FlexWan, &g, &ip, &cfg(8));
+            let plan = pm.solve(&opts()).unwrap();
+            pm.restore_after_cut(&g, &cut, &[], &opts()).unwrap();
+            // c'_e per link, ascending link index.
+            let lost: Vec<f64> = (0..ip.num_links())
+                .map(|slot| {
+                    let hit = plan.wavelengths.iter().filter(|w| {
+                        w.link.0 as usize == slot && cut.cuts.iter().any(|&e| w.path.uses_edge(e))
+                    });
+                    f64::from(hit.map(|w| w.format.data_rate_gbps).sum::<u32>())
+                })
+                .filter(|&gbps| gbps > 0.0)
+                .collect();
+            let rows = (pm.model().find_group("restore_rate"))
+                .map_or(&[][..], |id| pm.model().group_rows(id));
+            let rhs: Vec<f64> = rows.iter().map(|&row| pm.model().row(row).rhs).collect();
+            assert_eq!(rhs, lost, "cuts {:?}", cut.cuts);
+            told_apart += usize::from(lost.len() == 2 && lost[0] != lost[1]);
+        }
+        assert!(
+            told_apart > 0,
+            "no 2-cut hit both links with distinct losses"
+        );
+    }
+
     #[test]
     fn ensure_columns_prewarms_without_shifting_planning() {
         let (g, ip) = ring5();
@@ -1102,9 +1059,9 @@ mod tests {
             cuts: vec![EdgeId(0), EdgeId(1)],
             probability: 1.0,
         };
-        let added = pm.ensure_restoration_columns(&g, &cut);
-        assert!(added > 0);
-        assert_eq!(pm.ensure_restoration_columns(&g, &cut), 0, "idempotent");
+        let mut prewarm = || pm.ensure_restoration_columns(&g, &cut.banned(), 0..ip.num_links());
+        assert!(prewarm().0 > 0);
+        assert_eq!(prewarm().0, 0, "idempotent");
         // Pre-warmed columns stay pinned: planning is unchanged.
         let again = pm.solve(&opts()).unwrap();
         assert_eq!(again.objective.to_bits(), plan.objective.to_bits());

@@ -64,42 +64,29 @@ impl ProtectedPlan {
     /// link, surviving capacity is the max of its two copies' surviving
     /// rates (1+1 switches to whichever copy lives), capped at demand.
     pub fn capability_under(&self, ip: &IpTopology, scenario: &FailureScenario) -> f64 {
-        let banned = scenario.banned();
-        let alive = |w: &Wavelength| !w.path.edges.iter().any(|e| banned.contains(e));
-        let mut affected_total = 0u64;
-        let mut survived_total = 0u64;
-        for link in ip.links() {
-            let w_alive: u64 = self
-                .working
+        let assess = |copy: &[Wavelength]| {
+            let lit = copy
                 .iter()
-                .filter(|w| w.link == link.id && alive(w))
-                .map(|w| u64::from(w.format.data_rate_gbps))
-                .sum();
-            let p_alive: u64 = self
-                .protection
-                .iter()
-                .filter(|w| w.link == link.id && alive(w))
-                .map(|w| u64::from(w.format.data_rate_gbps))
-                .sum();
-            let w_total: u64 = self
-                .working
-                .iter()
-                .filter(|w| w.link == link.id)
-                .map(|w| u64::from(w.format.data_rate_gbps))
-                .sum();
-            if w_alive < w_total {
-                // The working copy took a hit: the lost portion is the
-                // affected capacity; the protection copy covers it iff it
-                // survived.
-                let lost = w_total - w_alive;
-                affected_total += lost;
-                survived_total += lost.min(p_alive);
+                .map(|w| (w.link.0 as usize, w.format.data_rate_gbps, &w.path));
+            scenario.assess(lit, &[], ip.num_links())
+        };
+        // The working copy's losses are the affected capacity; the
+        // protection copy covers each link's loss as far as it survived.
+        let lost = assess(&self.working);
+        let mut covering = vec![0u64; ip.num_links()];
+        for at in assess(&self.protection).survivors {
+            let w = &self.protection[at];
+            if let Some(gbps) = covering.get_mut(w.link.0 as usize) {
+                *gbps += u64::from(w.format.data_rate_gbps);
             }
         }
-        if affected_total == 0 {
+        let survived: u64 = (lost.hit.iter())
+            .map(|h| h.lost_gbps.min(covering.get(h.link).copied().unwrap_or(0)))
+            .sum();
+        if lost.affected_gbps == 0 {
             1.0
         } else {
-            survived_total as f64 / affected_total as f64
+            survived as f64 / lost.affected_gbps as f64
         }
     }
 }

@@ -22,11 +22,12 @@ use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::{IpLinkId, IpTopology};
 
+use crate::opt::candidate_paths;
 use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::{reachable_formats, FormatTable};
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::planning::spectrum::SpectrumState;
-use crate::scenario::FailureScenario;
+use crate::scenario::{FailureLedger, FailureScenario};
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 
@@ -95,17 +96,28 @@ pub fn restore_cached(
     ctx.restore(plan, ip, scenario, extra_spares)
 }
 
-/// The precondition every restorer (greedy, exact §8, standing-model
-/// mutation) puts on its `extra_spares` argument, checked before any
-/// work: empty (no pool beyond the failed wavelengths' own transponders)
-/// or one entry per IP link, indexed by link id.
-pub(crate) fn check_extra_spares(extra_spares: &[u32], num_links: usize) {
-    assert!(
-        extra_spares.is_empty() || extra_spares.len() >= num_links,
-        "extra_spares must be empty or hold one entry per IP link: got {} for {} links",
-        extra_spares.len(),
-        num_links
-    );
+/// What `scenario` takes from `plan` and the residual spectrum its
+/// surviving wavelengths still hold (§8's φ_w): where the greedy and
+/// the exact restorers start.
+pub(crate) fn assess_plan(
+    plan: &Plan,
+    optical: &Graph,
+    ip: &IpTopology,
+    scenario: &FailureScenario,
+    extra_spares: &[u32],
+    cfg: &PlannerConfig,
+) -> (FailureLedger, SpectrumState) {
+    let lit =
+        (plan.wavelengths.iter()).map(|w| (w.link.0 as usize, w.format.data_rate_gbps, &w.path));
+    let ledger = scenario.assess(lit, extra_spares, ip.num_links());
+    let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
+    for &at in &ledger.survivors {
+        let w = &plan.wavelengths[at];
+        spectrum
+            .occupy_exact(&w.path, &w.channel)
+            .expect("surviving plan channels are conflict-free");
+    }
+    (ledger, spectrum)
 }
 
 /// The greedy revival loop behind [`PlanCtx::restore`], over each hit
@@ -117,67 +129,22 @@ pub(crate) fn revive(
     scenario: &FailureScenario,
     extra_spares: &[u32],
 ) -> Restoration {
-    check_extra_spares(extra_spares, ip.num_links());
     let (optical, cfg) = (ctx.optical(), ctx.cfg());
-    let banned = scenario.banned();
     let align = ctx.alignment(plan.scheme);
     let model = plan.scheme.transponder();
 
-    // Partition wavelengths; rebuild surviving spectrum occupancy.
-    let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
-    let mut affected: Vec<&Wavelength> = Vec::new();
-    for w in &plan.wavelengths {
-        if w.path.edges.iter().any(|e| banned.contains(e)) {
-            affected.push(w);
-        } else {
-            spectrum
-                .occupy_exact(&w.path, &w.channel)
-                .expect("surviving plan channels are conflict-free");
-        }
-    }
-
-    // Per-link lost capacity, spare transponders and original path length.
-    struct Hit {
-        link: IpLinkId,
-        lost_gbps: u64,
-        spares: u32,
-        original_length_km: u32,
-    }
-    // Keyed accumulation (first-seen order, re-sorted below) instead of a
-    // per-wavelength linear scan.
-    let mut hits: Vec<Hit> = Vec::new();
-    let mut hit_index: std::collections::HashMap<IpLinkId, usize> =
-        std::collections::HashMap::new();
-    for w in &affected {
-        let at = *hit_index.entry(w.link).or_insert_with(|| {
-            hits.push(Hit {
-                link: w.link,
-                lost_gbps: 0,
-                spares: 0,
-                original_length_km: 0,
-            });
-            hits.len() - 1
-        });
-        let h = &mut hits[at];
-        h.lost_gbps += u64::from(w.format.data_rate_gbps);
-        h.spares += 1;
-        h.original_length_km = h.original_length_km.max(w.path.length_km);
-    }
-    for h in &mut hits {
-        if !extra_spares.is_empty() {
-            h.spares += extra_spares[h.link.0 as usize];
-        }
-    }
+    let (ledger, mut spectrum) = assess_plan(plan, optical, ip, scenario, extra_spares, cfg);
     // Most-affected links first (deterministic tie-break by link id).
+    let mut hits = ledger.hit;
     hits.sort_by_key(|h| (std::cmp::Reverse(h.lost_gbps), h.link));
 
-    let affected_gbps: u64 = hits.iter().map(|h| h.lost_gbps).sum();
     let mut restored: Vec<RestoredWavelength> = Vec::new();
     let mut per_link = Vec::new();
 
-    let hit_links = hits.iter().map(|h| ip.link(h.link));
-    let hit_routes = ctx.routes(hit_links, cfg.k_paths, &banned);
+    let hit_links = hits.iter().map(|h| &ip.links()[h.link]);
+    let hit_routes = ctx.routes(hit_links, cfg.k_paths, &scenario.banned());
     for (hit, routes) in hits.iter().zip(&hit_routes) {
+        let link = IpLinkId(hit.link as u32);
         let mut remaining = hit.lost_gbps;
         let mut spares = hit.spares;
         'routes: for (k, route) in routes.iter().enumerate() {
@@ -211,13 +178,13 @@ pub(crate) fn revive(
                         spares -= 1;
                         restored.push(RestoredWavelength {
                             wavelength: Wavelength {
-                                link: hit.link,
+                                link,
                                 path_index: k,
                                 path: route.realize(optical, &chosen),
                                 format,
                                 channel,
                             },
-                            original_length_km: hit.original_length_km,
+                            original_length_km: hit.longest_km,
                         });
                         placed = true;
                         break;
@@ -228,13 +195,13 @@ pub(crate) fn revive(
                 }
             }
         }
-        per_link.push((hit.link, hit.lost_gbps, hit.lost_gbps - remaining));
+        per_link.push((link, hit.lost_gbps, hit.lost_gbps - remaining));
     }
 
     let restored_gbps = per_link.iter().map(|&(_, _, r)| r).sum();
     Restoration {
         scenario_id: scenario.id,
-        affected_gbps,
+        affected_gbps: ledger.affected_gbps,
         restored_gbps,
         restored,
         per_link,
@@ -254,10 +221,10 @@ pub fn flexwan_plus_extra_spares(
     let mut radwan = FormatTable::new(Scheme::Radwan.transponder(), cfg.epsilon);
     let mut flexwan = FormatTable::new(Scheme::FlexWan.transponder(), cfg.epsilon);
     let mut formats = Vec::new();
-    ip.links()
-        .iter()
-        .map(|l| {
-            let Some(path) = flexwan_topo::ksp::shortest_path(optical, l.src, l.dst, &none) else {
+    let shortest = candidate_paths(optical, 1, ip.links().iter().map(|l| (l.src, l.dst, &none)));
+    (ip.links().iter().zip(shortest))
+        .map(|(l, mut found)| {
+            let Some(path) = found.pop() else {
                 return 0;
             };
             let mut count = |table: &mut FormatTable| -> Option<u32> {

@@ -10,24 +10,20 @@
 //! restorer on small instances; the *mutation* route to the same optimum
 //! lives on [`crate::planning::PlanModel`].
 
-use std::collections::HashMap;
-
 use flexwan_optical::format::TransponderFormat;
 use flexwan_optical::spectrum::PixelRange;
 use flexwan_solver::{LinExpr, Model, Sense, SolveOptions, SolverStats, Status};
 use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::IpTopology;
-use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
 use crate::master::{Problem, RestrictedMaster, StopAt};
-use crate::opt::{LazyWavelengthVarSpace, WavelengthVarSpace};
+use crate::opt::{candidate_paths, LazyWavelengthVarSpace, WavelengthVarSpace};
 use crate::planning::colgen::ColGenStats;
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::planning::spectrum::SpectrumState;
-use crate::restore::heuristic::{check_extra_spares, restore};
-use crate::scenario::FailureScenario;
-use crate::wavelength::Wavelength;
+use crate::restore::heuristic::{assess_plan, restore};
+use crate::scenario::{FailureScenario, LostLink};
 
 /// An exact restoration optimum.
 #[derive(Debug, Clone)]
@@ -43,11 +39,11 @@ pub struct ExactRestoration {
 
 /// The shared preamble of the enumerated and column-generation exact
 /// restorers: residual spectrum after reclaiming failed wavelengths,
-/// per-affected-link `(link idx, c'_e, N_e)` rows in first-seen order,
-/// and each slot's banned-aware candidate paths.
+/// the hit links in first-seen order (the slot order of the variable
+/// space), and each slot's banned-aware candidate paths.
 struct RestorationInstance {
     spectrum: SpectrumState,
-    per_link: Vec<(usize, u64, u32)>,
+    per_link: Vec<LostLink>,
     affected_gbps: u64,
     paths_per_slot: Vec<Vec<Path>>,
 }
@@ -60,51 +56,15 @@ fn build_instance(
     extra_spares: &[u32],
     cfg: &PlannerConfig,
 ) -> RestorationInstance {
-    check_extra_spares(extra_spares, ip.num_links());
+    let (ledger, spectrum) = assess_plan(plan, optical, ip, scenario, extra_spares, cfg);
     let banned = scenario.banned();
-    // Residual spectrum: surviving wavelengths only (constraint (9)'s φ_w).
-    let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
-    let mut affected: Vec<&Wavelength> = Vec::new();
-    for w in &plan.wavelengths {
-        if w.path.edges.iter().any(|e| banned.contains(e)) {
-            affected.push(w);
-        } else {
-            spectrum
-                .occupy_exact(&w.path, &w.channel)
-                .expect("surviving plan channels are conflict-free");
-        }
-    }
-    // Per affected link: c'_e and N_e, keyed accumulation in first-seen
-    // order (the deterministic slot order of the variable space).
-    let mut per_link: Vec<(usize, u64, u32)> = Vec::new(); // (link idx, c', N)
-    let mut slot_of: HashMap<usize, usize> = HashMap::new();
-    for w in &affected {
-        let li = w.link.0 as usize;
-        let slot = *slot_of.entry(li).or_insert_with(|| {
-            per_link.push((li, 0, 0));
-            per_link.len() - 1
-        });
-        per_link[slot].1 += u64::from(w.format.data_rate_gbps);
-        per_link[slot].2 += 1;
-    }
-    let affected_gbps: u64 = per_link.iter().map(|&(_, c, _)| c).sum();
-    for (li, _, n) in &mut per_link {
-        if !extra_spares.is_empty() {
-            *n += extra_spares[*li];
-        }
-    }
-    let mut scratch = DijkstraScratch::new();
-    let paths_per_slot: Vec<Vec<Path>> = per_link
-        .iter()
-        .map(|&(li, _, _)| {
-            let l = &ip.links()[li];
-            k_shortest_paths_scratch(optical, l.src, l.dst, cfg.k_paths, &banned, &mut scratch)
-        })
-        .collect();
+    let ends = ledger.hit.iter().map(|h| &ip.links()[h.link]);
+    let queries = ends.map(|l| (l.src, l.dst, &banned));
+    let paths_per_slot = candidate_paths(optical, cfg.k_paths, queries).collect();
     RestorationInstance {
         spectrum,
-        per_link,
-        affected_gbps,
+        per_link: ledger.hit,
+        affected_gbps: ledger.affected_gbps,
         paths_per_slot,
     }
 }
@@ -152,11 +112,11 @@ pub fn solve_exact(
     );
 
     // (7) restored ≤ c'_e and (8) transponders ≤ N_e, per affected link.
-    for (slot, &(_, c, n)) in per_link.iter().enumerate() {
+    for (slot, hit) in per_link.iter().enumerate() {
         m.group("restore_rate");
-        m.le(space.rate_expr(slot), c as f64);
+        m.le(space.rate_expr(slot), hit.lost_gbps as f64);
         m.group("restore_count");
-        m.le(space.count_expr(slot), f64::from(n));
+        m.le(space.count_expr(slot), f64::from(hit.spares));
         m.end_group();
     }
 
@@ -329,11 +289,11 @@ fn solve_impl(
     // interleaved per affected link.
     let mut m = Model::new();
     let (rate, count) = (m.group("restore_rate"), m.group("restore_count"));
-    for &(_, c, n) in &per_link {
+    for hit in &per_link {
         m.group("restore_rate");
-        m.le(LinExpr::zero(), c as f64);
+        m.le(LinExpr::zero(), hit.lost_gbps as f64);
         m.group("restore_count");
-        m.le(LinExpr::zero(), f64::from(n));
+        m.le(LinExpr::zero(), f64::from(hit.spares));
     }
     m.end_group();
     let lazy =
@@ -363,7 +323,7 @@ fn solve_impl(
     for r in &greedy.restored {
         let w = &r.wavelength;
         let li = w.link.0 as usize;
-        let Some(slot) = per_link.iter().position(|&(l, _, _)| l == li) else {
+        let Some(slot) = per_link.iter().position(|hit| hit.link == li) else {
             continue;
         };
         if let Some(ki) = master.lazy().unadmitted_column(slot, w) {
@@ -383,7 +343,7 @@ fn solve_impl(
         count_duals: per_link
             .iter()
             .zip(count_duals)
-            .map(|(&(li, _, _), (_, kappa))| (li, kappa))
+            .map(|(hit, (_, kappa))| (hit.link, kappa))
             .collect(),
     })
 }

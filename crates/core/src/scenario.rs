@@ -13,15 +13,13 @@
 //! cell, how many scenarios the backbone survived, how much capacity
 //! came back, and which rung of the degradation ladder delivered it.
 //!
-//! **Evaluation ladder.** Each scenario is scored exactly like a churn
-//! tick (DESIGN.md §10): the top rung is a warm mutation of a standing
-//! [`PlanModel`] ([`PlanModel::restore_after_cut`] — multi-fiber
-//! pin/ban/re-solve, attached via [`ScenarioEngine::attach_exact`];
-//! nominal demand only, since the standing model is built for the
-//! nominal demand set), falling back to the greedy §8 heuristic
-//! ([`PlanCtx::restore`]) and finally to pre-provisioned 1+1 protection
-//! ([`ProtectedPlan::capability_under`]). The rung that produced each
-//! cell's outcome is recorded in its ladder histogram.
+//! **Evaluation ladder.** Each scenario is scored by the greedy §8
+//! heuristic ([`PlanCtx::restore`]), falling back to pre-provisioned
+//! 1+1 protection ([`ProtectedPlan::capability_under`]) when the
+//! heuristic under-restores. The rung that produced each cell's outcome
+//! is recorded in its ladder histogram; the warm-mutation rung above
+//! them (DESIGN.md §10) runs in the churn service, not here, and its
+//! column stays 0.
 //!
 //! **Spare budgets are allowances, not obligations.** The cell at
 //! budget `s` reports the best outcome achievable with *at most* `s`
@@ -40,13 +38,13 @@
 
 use std::collections::HashSet;
 
-use flexwan_solver::SolveOptions;
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::IpTopology;
+use flexwan_topo::path::Path;
 use flexwan_util::pool;
 use flexwan_util::rng::ChaCha8Rng;
 
-use crate::planning::{Plan, PlanCtx, PlanModel};
+use crate::planning::{Plan, PlanCtx};
 use crate::protect::ProtectedPlan;
 use crate::scheme::Scheme;
 
@@ -73,6 +71,95 @@ impl FailureScenario {
     pub fn banned(&self) -> HashSet<EdgeId> {
         self.cuts.iter().copied().collect()
     }
+
+    /// Whether `path` crosses a cut fiber.
+    pub(crate) fn severs(&self, path: &Path) -> bool {
+        path.edges.iter().any(|e| self.cuts.contains(e))
+    }
+
+    /// What this failure takes from `lit` — `(link index, rate Gbps,
+    /// path)` items, link indices being IP link ids — for §8: each hit
+    /// link's lost capacity `c'_e`, its spare pool `N_e` (the failed
+    /// transponders plus `extra_spares[link]`) and its longest failed
+    /// path, in the order links are first hit; plus the positions of
+    /// the items no cut touches, whose spectrum stays occupied.
+    ///
+    /// # Panics
+    /// If `extra_spares` is neither empty nor one entry per IP link.
+    pub(crate) fn assess<'p>(
+        &self,
+        lit: impl IntoIterator<Item = (usize, u32, &'p Path)>,
+        extra_spares: &[u32],
+        num_links: usize,
+    ) -> FailureLedger {
+        check_extra_spares(extra_spares, num_links);
+        let mut ledger = FailureLedger::default();
+        // Link index → its entry in `hit`, `usize::MAX` until first hit.
+        let mut entry = vec![usize::MAX; num_links];
+        for (at, (link, rate, path)) in lit.into_iter().enumerate() {
+            if !self.severs(path) {
+                ledger.survivors.push(at);
+                continue;
+            }
+            if link >= entry.len() {
+                entry.resize(link + 1, usize::MAX);
+            }
+            if entry[link] == usize::MAX {
+                entry[link] = ledger.hit.len();
+                let spares = extra_spares.get(link).copied().unwrap_or(0);
+                ledger.hit.push(LostLink {
+                    link,
+                    lost_gbps: 0,
+                    spares,
+                    longest_km: 0,
+                });
+            }
+            let hit = &mut ledger.hit[entry[link]];
+            hit.lost_gbps += u64::from(rate);
+            hit.spares += 1;
+            hit.longest_km = hit.longest_km.max(path.length_km);
+            ledger.affected_gbps += u64::from(rate);
+        }
+        ledger
+    }
+}
+
+/// The precondition every restorer puts on its `extra_spares` argument:
+/// empty (no pool beyond the failed wavelengths' own transponders) or
+/// one entry per IP link, indexed by link id.
+fn check_extra_spares(extra_spares: &[u32], num_links: usize) {
+    assert!(
+        extra_spares.is_empty() || extra_spares.len() >= num_links,
+        "extra_spares must be empty or hold one entry per IP link: got {} for {} links",
+        extra_spares.len(),
+        num_links
+    );
+}
+
+/// What a failure takes from a set of lit wavelengths:
+/// [`FailureScenario::assess`]'s answer, the one input every restorer
+/// and the 1+1 capability read.
+#[derive(Debug, Default)]
+pub(crate) struct FailureLedger {
+    /// The hit links, in the order they were first hit.
+    pub(crate) hit: Vec<LostLink>,
+    /// `Σ c'_e` over the hit links, Gbps.
+    pub(crate) affected_gbps: u64,
+    /// Positions of the items no cut touches, ascending.
+    pub(crate) survivors: Vec<usize>,
+}
+
+/// One link a failure hit.
+#[derive(Debug)]
+pub(crate) struct LostLink {
+    /// The IP link index.
+    pub(crate) link: usize,
+    /// Capacity lost, Gbps (`c'_e`).
+    pub(crate) lost_gbps: u64,
+    /// Spare transponders (`N_e`): the failed ones plus the extras.
+    pub(crate) spares: u32,
+    /// Length of the longest failed path, km.
+    pub(crate) longest_km: u32,
 }
 
 /// Ladder rung 0: warm mutation of the standing exact model.
@@ -291,12 +378,6 @@ impl DemandScenario {
         }
     }
 
-    /// Whether every factor is exactly 1.0 (the exact rung only runs on
-    /// the nominal demand — the standing model was built for it).
-    pub fn is_nominal(&self) -> bool {
-        self.factors.iter().all(|&f| f == 1.0)
-    }
-
     /// The perturbed topology: each link's demand scaled by its factor
     /// and rounded to the planner's 100 Gbps demand grid (never below
     /// 100 — demands must stay positive multiples of 100).
@@ -337,11 +418,6 @@ pub struct EngineConfig {
     /// Pool workers for the scenario fan-out (0 = auto, 1 = serial).
     /// The surface is byte-identical at any value.
     pub threads: usize,
-    /// Options for every warm mutation on the attached exact model.
-    pub solve: SolveOptions,
-    /// Arm the 1+1 protection rung (a [`ProtectedPlan`] per demand
-    /// scenario, consulted when the upper rungs under-restore).
-    pub protection: bool,
 }
 
 impl Default for EngineConfig {
@@ -349,8 +425,6 @@ impl Default for EngineConfig {
         EngineConfig {
             spare_budgets: vec![0, 1, 2, 4],
             threads: 0,
-            solve: SolveOptions::default(),
-            protection: true,
         }
     }
 }
@@ -469,15 +543,13 @@ struct Outcome {
     restored_gbps: u64,
 }
 
-/// The scenario engine: a scheme + planning context + demand set, with
-/// an optional standing exact model on top. See the module docs for
-/// the ladder and determinism contracts.
+/// The scenario engine: a scheme + planning context + demand set. See
+/// the module docs for the ladder and determinism contracts.
 pub struct ScenarioEngine<'a> {
     scheme: Scheme,
     ctx: PlanCtx<'a>,
     ip: &'a IpTopology,
     config: EngineConfig,
-    exact: Option<PlanModel>,
 }
 
 impl<'a> ScenarioEngine<'a> {
@@ -497,25 +569,7 @@ impl<'a> ScenarioEngine<'a> {
             ctx,
             ip,
             config,
-            exact: None,
         }
-    }
-
-    /// Attaches a standing exact model (built on the *nominal* demand
-    /// set) as the ladder's top rung: each nominal-demand scenario is
-    /// first tried as a warm multi-fiber mutation
-    /// ([`PlanModel::restore_after_cut`]), falling back to the greedy
-    /// heuristic when the mutation fails. Perturbed-demand scenarios
-    /// stay on the heuristic rung — the standing model's demand rows
-    /// do not match theirs.
-    ///
-    /// The model must hold a solved baseline
-    /// ([`PlanModel::solve`](crate::planning::PlanModel::solve) has
-    /// succeeded): warm mutations pin survivors of the *standing*
-    /// solution, and with no incumbent every mutation fails back to
-    /// the heuristic rung.
-    pub fn attach_exact(&mut self, model: PlanModel) {
-        self.exact = Some(model);
     }
 
     /// Evaluates every (cut scenario × demand scenario × spare budget)
@@ -524,7 +578,7 @@ impl<'a> ScenarioEngine<'a> {
     /// one surface row per entry. Byte-identical at any
     /// [`EngineConfig::threads`] value.
     pub fn evaluate(
-        &mut self,
+        &self,
         cut_sets: &[(usize, Vec<FailureScenario>)],
         demands: &[DemandScenario],
     ) -> AvailabilitySurface {
@@ -534,15 +588,12 @@ impl<'a> ScenarioEngine<'a> {
         let n_links = self.ip.num_links();
 
         // One planned world per demand scenario (serial, order-fixed).
-        let worlds: Vec<(IpTopology, Plan, Option<ProtectedPlan>)> = demands
+        let worlds: Vec<(IpTopology, Plan, ProtectedPlan)> = demands
             .iter()
             .map(|d| {
                 let ip_d = d.apply(self.ip);
                 let plan_d = ctx.plan(self.scheme, &ip_d);
-                let prot_d = self
-                    .config
-                    .protection
-                    .then(|| ctx.plan_protected(self.scheme, &ip_d));
+                let prot_d = ctx.plan_protected(self.scheme, &ip_d);
                 (ip_d, plan_d, prot_d)
             })
             .collect();
@@ -561,7 +612,7 @@ impl<'a> ScenarioEngine<'a> {
             }
         }
 
-        // Pure rungs (heuristic, protection) fanned out on the pool.
+        // The ladder (heuristic, then protection) fanned out on the pool.
         let mut outcomes: Vec<Outcome> =
             pool::par_map(&items, self.config.threads, |&(si, ci, di, bi)| {
                 let scen = &cut_sets[si].1[ci];
@@ -573,34 +624,16 @@ impl<'a> ScenarioEngine<'a> {
                     affected_gbps: r.affected_gbps,
                     restored_gbps: r.restored_gbps,
                 };
-                protect_rung(&mut o, prot_d.as_ref(), ip_d, scen);
+                // When the heuristic under-restored and the 1+1 plan
+                // fully covers the working losses, the scenario survives
+                // on reserved capacity, like a churn tick landing on
+                // `LADDER_PROTECT`.
+                if o.restored_gbps < o.affected_gbps && prot_d.capability_under(ip_d, scen) >= 1.0 {
+                    o.level = LEVEL_PROTECT;
+                    o.restored_gbps = o.affected_gbps;
+                }
                 o
             });
-
-        // Exact rung: warm mutations of the standing model, serially
-        // (the model is mutated in place and fully reverted per
-        // scenario, so the order carries no state across items).
-        if let Some(model) = self.exact.as_mut() {
-            for (pos, &(si, ci, di, bi)) in items.iter().enumerate() {
-                if !demands[di].is_nominal() {
-                    continue;
-                }
-                let scen = &cut_sets[si].1[ci];
-                let extra = vec![budgets[bi]; n_links];
-                if let Some(mr) =
-                    model.restore_after_cut(ctx.optical(), scen, &extra, &self.config.solve)
-                {
-                    let o = &mut outcomes[pos];
-                    *o = Outcome {
-                        level: LEVEL_EXACT,
-                        affected_gbps: mr.affected_gbps,
-                        restored_gbps: mr.restored_gbps,
-                    };
-                    let (ip_d, _, prot_d) = &worlds[di];
-                    protect_rung(o, prot_d.as_ref(), ip_d, scen);
-                }
-            }
-        }
 
         // Budget-allowance fold: each contiguous run is one (scenario,
         // demand) across the ascending budgets; a smaller budget's
@@ -643,26 +676,6 @@ impl<'a> ScenarioEngine<'a> {
             }
         }
         AvailabilitySurface { budgets, cells }
-    }
-}
-
-/// The protection rung: when the selected rung under-restored and the
-/// 1+1 plan fully covers the scenario's working losses, the scenario
-/// survives on reserved capacity — no computation, like a churn tick
-/// landing on `LADDER_PROTECT`.
-fn protect_rung(
-    o: &mut Outcome,
-    prot: Option<&ProtectedPlan>,
-    ip: &IpTopology,
-    scen: &FailureScenario,
-) {
-    if o.restored_gbps < o.affected_gbps {
-        if let Some(p) = prot {
-            if p.capability_under(ip, scen) >= 1.0 {
-                o.level = LEVEL_PROTECT;
-                o.restored_gbps = o.affected_gbps;
-            }
-        }
     }
 }
 
@@ -751,10 +764,10 @@ mod tests {
         let (_, ip, _) = world();
         let d = demand_scenarios(&ip, 3, 0.2, 11);
         assert_eq!(d.len(), 4);
-        assert!(d[0].is_nominal());
+        assert_eq!(d[0], DemandScenario::nominal(&ip));
         assert_eq!(d[0].apply(&ip).links(), ip.links());
         for s in &d[1..] {
-            assert!(!s.is_nominal());
+            assert!(s.factors.iter().any(|&f| f != 1.0));
             for &f in &s.factors {
                 assert!((0.8..=1.2).contains(&f));
             }
@@ -767,7 +780,7 @@ mod tests {
         let (g, ip, cfg) = world();
         let cache = RouteCache::new();
         let ctx = PlanCtx::new(&g, &cfg).sharing(&cache);
-        let mut engine = ScenarioEngine::new(
+        let engine = ScenarioEngine::new(
             Scheme::FlexWan,
             ctx,
             &ip,
@@ -781,32 +794,27 @@ mod tests {
         let surface = engine.evaluate(&suite, &demands);
         let cell = surface.cell(1, 0).expect("k=1 cell");
 
+        // The same ladder by hand: restore, then 1+1 protection.
         let plan = ctx.plan(Scheme::FlexWan, &ip);
-        let mut affected = 0u64;
-        let mut restored = 0u64;
+        let prot = ctx.plan_protected(Scheme::FlexWan, &ip);
+        let (mut affected, mut restored, mut survived) = (0u64, 0u64, 0u64);
+        let mut levels = [0u64; 3];
         for s in &one_fiber_scenarios(&g) {
             let r = ctx.restore(&plan, &ip, s, &[]);
+            let mut got = r.restored_gbps;
+            let mut level = LEVEL_HEURISTIC;
+            if got < r.affected_gbps && prot.capability_under(&ip, s) >= 1.0 {
+                (got, level) = (r.affected_gbps, LEVEL_PROTECT);
+            }
             affected += r.affected_gbps;
-            restored += r.restored_gbps;
+            restored += got;
+            survived += u64::from(got == r.affected_gbps);
+            levels[level] += 1;
         }
         assert_eq!(cell.affected_gbps, affected);
-        // Protection can only hold *more* capacity than the heuristic
-        // revived; with it disarmed the totals must match exactly.
-        let mut bare = ScenarioEngine::new(
-            Scheme::FlexWan,
-            ctx,
-            &ip,
-            EngineConfig {
-                spare_budgets: vec![0],
-                protection: false,
-                ..Default::default()
-            },
-        );
-        let bare_cell_surface = bare.evaluate(&suite, &demands);
-        let bare_cell = bare_cell_surface.cell(1, 0).expect("k=1 cell");
-        assert_eq!(bare_cell.restored_gbps, restored);
-        assert_eq!(bare_cell.affected_gbps, affected);
-        assert!(cell.restored_gbps >= restored);
+        assert_eq!(cell.restored_gbps, restored);
+        assert_eq!(cell.survived, survived);
+        assert_eq!(cell.level_scenarios, levels);
     }
 
     #[test]
@@ -817,14 +825,13 @@ mod tests {
         let suite = scenario_suite(&g, 2, 16, 8, 3);
         let demands = demand_scenarios(&ip, 2, 0.25, 9);
         let render = |threads: usize| {
-            let mut engine = ScenarioEngine::new(
+            let engine = ScenarioEngine::new(
                 Scheme::FlexWan,
                 ctx,
                 &ip,
                 EngineConfig {
                     spare_budgets: vec![0, 1, 3],
                     threads,
-                    ..Default::default()
                 },
             );
             engine.evaluate(&suite, &demands).render()
@@ -833,7 +840,7 @@ mod tests {
         assert_eq!(one, render(2), "2 threads diverged");
         assert_eq!(one, render(4), "4 threads diverged");
         // Budget monotonicity (the allowance fold makes it structural).
-        let mut engine = ScenarioEngine::new(
+        let engine = ScenarioEngine::new(
             Scheme::FlexWan,
             ctx,
             &ip,
@@ -854,36 +861,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn exact_rung_runs_on_nominal_demand_and_is_recorded() {
-        let (g, ip, cfg) = world();
-        let cache = RouteCache::new();
-        let ctx = PlanCtx::new(&g, &cfg).sharing(&cache);
-        let mut engine = ScenarioEngine::new(
-            Scheme::FlexWan,
-            ctx,
-            &ip,
-            EngineConfig {
-                spare_budgets: vec![0],
-                protection: false,
-                ..Default::default()
-            },
-        );
-        let mut pm = PlanModel::build_restorable(Scheme::FlexWan, &g, &ip, &cfg);
-        pm.solve(&SolveOptions::default())
-            .expect("world is feasible");
-        engine.attach_exact(pm);
-        let suite = vec![(1, k_cut_scenarios(&g, 1))];
-        let demands = demand_scenarios(&ip, 1, 0.2, 5);
-        let surface = engine.evaluate(&suite, &demands);
-        let cell = surface.cell(1, 0).expect("cell");
-        // 5 nominal evaluations land on the exact rung, 5 perturbed on
-        // the heuristic rung.
-        assert_eq!(cell.level_scenarios[LEVEL_EXACT], 5);
-        assert_eq!(cell.level_scenarios[LEVEL_HEURISTIC], 5);
-        assert_eq!(cell.level_scenarios[LEVEL_PROTECT], 0);
     }
 
     #[test]

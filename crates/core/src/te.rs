@@ -20,10 +20,9 @@ use std::collections::HashSet;
 
 use flexwan_solver::{Model, Sense, Status};
 use flexwan_topo::graph::{Graph, NodeId};
-use flexwan_topo::ksp::{k_shortest_paths_scratch, DijkstraScratch};
 use flexwan_topo::path::Path;
 
-use crate::opt::FlowVarSpace;
+use crate::opt::{candidate_paths, FlowVarSpace};
 
 /// A traffic demand between two routers (distinct from an IP *link*
 /// demand: traffic may ride several IP links in sequence).
@@ -92,16 +91,15 @@ impl TeOutcome {
     }
 }
 
-/// The up-to-`k` shortest paths of every demand over one search arena;
-/// `None` when some demand has no path at all.
-fn candidate_paths(net: &IpNetwork, traffic: &[TrafficDemand], k: usize) -> Option<Vec<Vec<Path>>> {
+/// The up-to-`k` shortest paths of every demand; `None` when some demand
+/// has no path at all.
+fn demand_paths(net: &IpNetwork, traffic: &[TrafficDemand], k: usize) -> Option<Vec<Vec<Path>>> {
     let none = HashSet::new();
-    let mut scratch = DijkstraScratch::new();
-    let paths = |d: &TrafficDemand| {
-        let found = k_shortest_paths_scratch(&net.graph, d.src, d.dst, k, &none, &mut scratch);
-        (!found.is_empty()).then_some(found)
-    };
-    traffic.iter().map(paths).collect()
+    let queries = traffic.iter().map(|d| (d.src, d.dst, &none));
+    let found = candidate_paths(&net.graph, k, queries);
+    found
+        .map(|paths| (!paths.is_empty()).then_some(paths))
+        .collect()
 }
 
 /// Routes `traffic` over `net` using up to `k` candidate paths per
@@ -117,7 +115,7 @@ pub fn route_traffic(net: &IpNetwork, traffic: &[TrafficDemand], k: usize) -> Op
             offered_gbps: 0.0,
         });
     }
-    let paths_per_demand = candidate_paths(net, traffic, k)?;
+    let paths_per_demand = demand_paths(net, traffic, k)?;
 
     // --- Max concurrent flow: maximize α s.t. per-demand flow = α·d. ---
     let alpha = {
@@ -192,7 +190,7 @@ pub fn link_capacity_values(
     if traffic.is_empty() {
         return Some(vec![0.0; net.graph.num_edges()]);
     }
-    let paths_per_demand = candidate_paths(net, traffic, k)?;
+    let paths_per_demand = demand_paths(net, traffic, k)?;
     let mut m = Model::new();
     let flows = FlowVarSpace::enumerate(&mut m, &paths_per_demand, net.graph.num_edges());
     m.group("demand");

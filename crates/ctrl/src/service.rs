@@ -830,8 +830,13 @@ impl<'a> ChurnService<'a> {
                 net.cuts_added.remove(&f);
                 net.cuts_removed.insert(f);
             }
+            // A resize of a link the service does not have, or to zero
+            // (removing a link is not a resize), is malformed: dropped
+            // here, so replay drops it too.
             ChurnEvent::DemandDelta { link, demand_gbps } => {
-                net.demand.insert(link, demand_gbps);
+                if (link.0 as usize) < self.ip.num_links() && demand_gbps > 0 {
+                    net.demand.insert(link, demand_gbps);
+                }
             }
             ChurnEvent::TelemetryDrift { fiber, delta_db } => {
                 net.drift.push((fiber, delta_db));
@@ -1278,17 +1283,40 @@ mod tests {
 
     #[test]
     fn ignores_events_for_unknown_targets_gracefully() {
-        // A drift event for the highest fiber id and a demand event for
-        // the only link: the service stays healthy (no panics on edges
-        // that carry nothing).
+        // A resize of a link the service does not have, a resize to
+        // zero, and a cut of a fiber that carries nothing: the service
+        // stays healthy, and replay over the same log agrees.
         let (g, ip, cfg) = world();
+        let svc_cfg = ServiceConfig::default();
         let mut svc =
-            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg, ServiceConfig::default()).unwrap();
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg.clone(), svc_cfg.clone()).unwrap();
+        let before = svc.state();
         let mut log = EventLog::new();
+        let bad = [
+            ChurnEvent::DemandDelta {
+                link: IpLinkId(ip.num_links() as u32),
+                demand_gbps: 400,
+            },
+            ChurnEvent::DemandDelta {
+                link: IpLinkId(0),
+                demand_gbps: 0,
+            },
+        ];
+        let evs: Vec<SeqEvent> = bad.into_iter().map(|e| log.append(e)).collect();
+        let rep = svc.deliver(&log, &evs);
+        assert_eq!((rep.applied, rep.demand_level), (2, LADDER_WARM));
+        assert_eq!(svc.state().demands, before.demands);
+        assert_eq!(svc.stats().warm_mutations, 0);
+
         let ev = log.append(ChurnEvent::FiberCut(EdgeId(2))); // carries nothing
         let rep = svc.deliver(&log, &[ev]);
         assert_eq!(rep.affected_gbps, 0);
         assert_eq!(rep.restored_gbps, 0);
+
+        let replayed =
+            ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, svc.journal())
+                .unwrap();
+        assert_eq!(replayed.state(), svc.state());
     }
 
     #[test]

@@ -41,7 +41,17 @@
 #   * `fn better_than` is defined in non-test code anywhere but once, in
 #     crates/core/src/planning/format_dp.rs (one format DP, whoever asks),
 #     or `Route::realize` copies its nodes (`nodes.clone()` /
-#     `nodes.to_vec()`) instead of sharing them (`Arc::clone`).
+#     `nodes.to_vec()`) instead of sharing them (`Arc::clone`);
+#   * non-test crates/core/src calls `k_shortest_paths_scratch(` or
+#     constructs a `DijkstraScratch` other than once each (in
+#     `opt::candidate_paths`, the one exact path source), calls
+#     `k_shortest_routes_scratch(` at all (heuristic routes come off a
+#     `RouteCache`), or calls `check_extra_spares(` other than once (in
+#     `FailureScenario::assess`, the one failure ledger);
+#   * crates/core/src defines `attach_exact`, `restore_after_cuts` or a
+#     public `ensure_restoration_columns`, or `EngineConfig` grows back a
+#     `solve` / `protection` field (capabilities only their own tests
+#     reached).
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -185,6 +195,35 @@ if [ "$(non_test_of $shard | grep -v 'fn subgraph(' | grep -c 'subgraph(')" -ne 
     [ "$(echo "$exact_arm" | grep -c 'subgraph(')" -ne 1 ]; then
     echo "$shard: only the exact arm of solve_shard renumbers a subgraph; a heuristic shard plans on the full graph:"
     non_test_of $shard | grep -n 'subgraph(' || true
+    bad=1
+fi
+
+core_non_test() {
+    find crates/core/src -name '*.rs' | sort | while read -r f; do
+        non_test_of "$f" | sed "s|^|$f: |"
+    done
+}
+# expect_calls NAME COUNT FILE: non-test core calls NAME( COUNT times,
+# all of them in FILE.
+expect_calls() {
+    local calls
+    calls=$(core_non_test | grep -v "fn $1(" | grep "$1(" || true)
+    if [ "$(echo "$calls" | grep -c .)" -ne "$2" ] ||
+        echo "$calls" | grep -v "^crates/core/src/$3:" | grep -q .; then
+        echo "crates/core/src: $1( must be called $2 time(s), in $3:"
+        echo "$calls"
+        bad=1
+    fi
+}
+expect_calls k_shortest_paths_scratch 1 opt.rs
+expect_calls 'DijkstraScratch::new' 1 opt.rs
+expect_calls k_shortest_routes_scratch 0 opt.rs
+expect_calls check_extra_spares 1 scenario.rs
+removed=$(core_non_test | grep -E 'fn (attach_exact|restore_after_cuts)\b|pub fn ensure_restoration_columns\b' || true)
+engine=$(non_test_of crates/core/src/scenario.rs | awk '/^pub struct EngineConfig/{on=1} on{print} /^}/{on=0}')
+if [ -n "$removed" ] || echo "$engine" | grep -qE '^\s*pub (solve|protection):'; then
+    echo "crates/core/src: the engine's exact rung and protection switch, restore_after_cuts and a public ensure_restoration_columns stay deleted:"
+    echo "$removed"
     bad=1
 fi
 

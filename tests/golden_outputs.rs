@@ -261,7 +261,7 @@ fn availability_surface_matches_golden() {
     let demands = demand_scenarios(&ip5, 2, 0.2, 7);
     let cache = RouteCache::new();
     let ctx = PlanCtx::new(&b.optical, &cfg).sharing(&cache);
-    let mut engine = ScenarioEngine::new(Scheme::FlexWan, ctx, &ip5, EngineConfig::default());
+    let engine = ScenarioEngine::new(Scheme::FlexWan, ctx, &ip5, EngineConfig::default());
     let surface = engine.evaluate(&suite, &demands);
 
     let mut out = String::new();

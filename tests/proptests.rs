@@ -578,14 +578,13 @@ fn availability_surface_is_monotone_and_thread_invariant() {
         let ctx = PlanCtx::new(&g, &cfg).sharing(&cache);
         let mut renders = Vec::new();
         for threads in [1usize, 2, 4] {
-            let mut engine = ScenarioEngine::new(
+            let engine = ScenarioEngine::new(
                 Scheme::FlexWan,
                 ctx,
                 &ip,
                 EngineConfig {
                     spare_budgets: budgets.clone(),
                     threads,
-                    ..EngineConfig::default()
                 },
             );
             let surface = engine.evaluate(&suite, &demands);

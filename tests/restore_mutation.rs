@@ -9,11 +9,11 @@
 //!    model (`restore::solve_exact`) run against the same exact plan.
 
 use flexwan::core::planning::{Plan, PlanModel, PlannerConfig, SpectrumState};
-use flexwan::core::restore::{one_fiber_scenarios, solve_restoration_exact};
+use flexwan::core::restore::{one_fiber_scenarios, solve_restoration_exact, FailureScenario};
 use flexwan::core::{Scheme, Wavelength};
 use flexwan::optical::spectrum::SpectrumGrid;
 use flexwan::solver::SolveOptions;
-use flexwan::topo::graph::Graph;
+use flexwan::topo::graph::{EdgeId, Graph};
 use flexwan::topo::ip::IpTopology;
 use flexwan_util::rng::ChaCha8Rng;
 
@@ -230,8 +230,13 @@ fn two_cut_ban_is_batched_and_order_independent() {
     let mut cold_pm = PlanModel::build_restorable(Scheme::FlexWan, &g, &ip, &cfg);
     cold_pm.solve(&opts).expect("baseline plan is feasible");
 
+    let cut = |cuts: Vec<EdgeId>| FailureScenario {
+        id: 0,
+        cuts,
+        probability: 1.0,
+    };
     let warm = warm_pm
-        .restore_after_cuts(&g, &[e_ab, e_ad], &[], &opts)
+        .restore_after_cut(&g, &cut(vec![e_ab, e_ad]), &[], &opts)
         .expect("2-cut mutated re-solve found no incumbent");
     assert!(warm.affected_gbps > 0, "the 2-cut must hit the primary");
     assert_eq!(
@@ -246,7 +251,7 @@ fn two_cut_ban_is_batched_and_order_independent() {
 
     cold_pm.drop_basis();
     let cold = cold_pm
-        .restore_after_cuts(&g, &[e_ab, e_ad], &[], &opts)
+        .restore_after_cut(&g, &cut(vec![e_ab, e_ad]), &[], &opts)
         .expect("cold 2-cut mutated solve found no incumbent");
     assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
     assert_eq!(warm.restored_gbps, cold.restored_gbps);
@@ -255,9 +260,9 @@ fn two_cut_ban_is_batched_and_order_independent() {
         sorted(cold.wavelengths.clone())
     );
 
-    // Slice order is irrelevant: cuts are canonicalized before the ban.
+    // Cut order is irrelevant: the whole cut set is banned at once.
     let swapped = warm_pm
-        .restore_after_cuts(&g, &[e_ad, e_ab], &[], &opts)
+        .restore_after_cut(&g, &cut(vec![e_ad, e_ab]), &[], &opts)
         .expect("swapped-order 2-cut re-solve found no incumbent");
     assert_eq!(warm.objective.to_bits(), swapped.objective.to_bits());
     assert_eq!(
