@@ -3,7 +3,7 @@
 
 use flexwan_bench::instances::{default_config, tbackbone_instance};
 use flexwan_bench::table;
-use flexwan_core::planning::{plan, LinkOrder, PlannerConfig};
+use flexwan_core::planning::{plan, LinkOrder, PlannerConfig, SpectrumState};
 use flexwan_core::Scheme;
 
 fn main() {
@@ -28,11 +28,17 @@ fn main() {
                 ..default_config()
             };
             let p = plan(Scheme::FlexWan, &b.optical, &ip5, &cfg);
+            let mut spectrum = SpectrumState::new(cfg.grid, b.optical.num_edges());
+            for w in &p.wavelengths {
+                spectrum
+                    .occupy_exact(&w.path, &w.channel)
+                    .expect("planned wavelengths are conflict-free");
+            }
             vec![
                 name.to_string(),
                 p.transponder_count().to_string(),
                 p.unmet_gbps().to_string(),
-                format!("{:.2}", p.spectrum.peak_utilization()),
+                format!("{:.2}", spectrum.peak_utilization()),
             ]
         })
         .collect();

@@ -51,7 +51,7 @@ fn backbone() -> (Graph, IpTopology) {
 }
 
 /// A 4-node ring, small enough that the exact MIP stays sub-second in
-/// debug builds (the same instance the `solver_stats` binary reports on).
+/// debug builds.
 fn ring_instance() -> (Graph, IpTopology) {
     let mut g = Graph::new();
     let n: Vec<_> = ["a", "b", "c", "d"]

@@ -279,7 +279,7 @@ mod tests {
         let before_wl = wl.clone();
         assert!(make_room(&mut s, &mut wl, &route, w(13), 1, 4, &g).is_none());
         // State untouched on failure.
-        assert_eq!(s.total_occupied_ghz(), before_s.total_occupied_ghz());
+        assert_eq!(s, before_s);
         assert_eq!(wl, before_wl);
     }
 
@@ -306,10 +306,10 @@ mod tests {
         // restored bit for bit.
         let (g, mut s, mut wl, route) = fragmented();
         let orig: Vec<PixelRange> = wl.iter().map(|x| x.channel).collect();
-        let orig_occupied = s.total_occupied_ghz();
+        let orig_spectrum = s.clone();
         assert!(make_room(&mut s, &mut wl, &route, w(13), 1, 4, &g).is_none());
         let after: Vec<PixelRange> = wl.iter().map(|x| x.channel).collect();
         assert_eq!(orig, after);
-        assert_eq!(s.total_occupied_ghz(), orig_occupied);
+        assert_eq!(s, orig_spectrum);
     }
 }

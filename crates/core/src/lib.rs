@@ -15,9 +15,9 @@
 //!   demand-uncertainty engine with its availability surface;
 //! * [`te`] — IP-layer traffic engineering (path-based multi-commodity
 //!   flow) quantifying what planned/restored capacity means for traffic;
-//! * [`observe`] — gauge snapshots of caches, models, surfaces and
-//!   sharded plans (planning/restoration runs themselves are recorded by
-//!   an observed [`planning::PlanCtx`]).
+//! * [`observe`] — gauge snapshots of a standing exact model
+//!   (planning/restoration runs themselves are recorded by an observed
+//!   [`planning::PlanCtx`]).
 //!
 //! Everything is deterministic: same inputs ⇒ same plan, byte for byte.
 
@@ -36,9 +36,7 @@ pub mod scheme;
 pub mod te;
 pub mod wavelength;
 
-pub use observe::{
-    record_availability_surface, record_opt_model, record_route_cache, record_shard_plan,
-};
+pub use observe::record_opt_model;
 pub use opt::{
     FlowVarSpace, GammaId, GammaVar, LazyWavelengthVarSpace, PricedColumn, PricingScan,
     WavelengthVarSpace,

@@ -267,12 +267,13 @@ impl<P: Problem> RestrictedMaster<P> {
         }
         let n = cuts.len();
         if n > 0 {
-            self.inc.model_mut().group("conflict");
+            let model = self.inc.model_mut();
+            model.group("conflict");
             for (cell, expr) in cuts {
-                let row = self.inc.add_constraint(expr, Cmp::Le, 1.0);
+                let row = model.add_constraint(expr, Cmp::Le, 1.0);
                 self.cell_row.insert(cell, row);
             }
-            self.inc.model_mut().end_group();
+            model.end_group();
         }
         n
     }
@@ -280,7 +281,7 @@ impl<P: Problem> RestrictedMaster<P> {
     /// Re-asserts the objective over every admitted column.
     fn set_objective(&mut self) {
         let expr = LinExpr::sum(self.obj_terms.iter().map(|&(v, c)| c * v));
-        self.inc.set_objective(P::SENSE, expr);
+        self.inc.model_mut().set_objective(P::SENSE, expr);
     }
 
     /// One pricing scan under `duals` (indexed by `RowId`, straight from

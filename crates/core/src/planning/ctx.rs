@@ -146,7 +146,7 @@ impl<'a> PlanCtx<'a> {
     /// demand set: existing links, possibly with grown demands, plus any
     /// new links appended) without touching live traffic — production
     /// backbones are not re-planned from scratch (§4.4, §9). Replays the
-    /// base plan's spectrum occupation and runs the normal placement loop
+    /// base wavelengths' spectrum occupation and runs the normal placement loop
     /// for each link's deficit only, most-constrained first: the base
     /// wavelengths come back verbatim (or, with `cfg.defrag_moves > 0`,
     /// hitlessly retuned) followed by the new ones. `ablation_incremental`

@@ -119,8 +119,6 @@ pub struct Plan {
     /// Links whose demand could not be fully met, with the shortfall in
     /// Gbps.
     pub unmet: Vec<(IpLinkId, u64)>,
-    /// Final per-fiber spectrum occupancy.
-    pub spectrum: SpectrumState,
 }
 
 impl Plan {
@@ -362,7 +360,6 @@ pub(crate) fn place_deficits(
         scheme,
         wavelengths,
         unmet,
-        spectrum: placement.spectrum,
     }
 }
 
@@ -728,9 +725,7 @@ mod tests {
         let frag = plan(Scheme::FlexWan, &g, &ip, &with);
         let mut pinned = frag.clone();
         let w0 = &mut pinned.wavelengths[0];
-        pinned.spectrum.release(&w0.path, &w0.channel);
         let mid = flexwan_optical::PixelRange::new(8, w0.channel.width);
-        pinned.spectrum.occupy_exact(&w0.path, &mid).unwrap();
         w0.channel = mid;
         // Now free runs are [0,8) and [12,20): a 9-px channel needs defrag.
         let mut grown2 = IpTopology::new();
@@ -854,12 +849,11 @@ mod tests {
             scheme,
             wavelengths,
             unmet,
-            spectrum,
         }
     }
 
     /// Plans `ip` around `live` both ways and insists on one `Plan`:
-    /// wavelengths, unmet list and final spectrum.
+    /// wavelengths and unmet list.
     fn both_ways(ctx: &PlanCtx, scheme: Scheme, ip: &IpTopology, live: &[Wavelength]) -> Plan {
         let routes = ctx.routes(ip.links().iter(), ctx.cfg().k_paths, &HashSet::new());
         let order = ctx.cfg().order;
@@ -870,7 +864,7 @@ mod tests {
         let first = differ.take_while(|(a, b)| a == b).count();
         assert!(
             plan == oracle,
-            "{scheme}: wavelength {first} differs, or unmet or spectrum"
+            "{scheme}: wavelength {first} differs, or unmet"
         );
         plan
     }

@@ -267,6 +267,7 @@ impl PlanModel {
             .position(|&l| l == link)
             .expect("unknown IP link");
         self.solver
+            .model_mut()
             .change_rhs(self.capacity_rows[slot], demand_gbps as f64);
     }
 
@@ -321,11 +322,12 @@ impl PlanModel {
                 missing,
                 |_, _| true,
             );
+            let model = self.solver.model_mut();
             for &id in &added {
                 let g = self.space.get(id).clone();
                 // Restoration-only until a mutation frees it.
-                self.solver.set_var_bounds(g.var, 0.0, 0.0);
-                self.solver.add_term(
+                model.set_var_bounds(g.var, 0.0, 0.0);
+                model.add_term(
                     self.capacity_rows[slot],
                     g.var,
                     f64::from(g.format.data_rate_gbps),
@@ -335,7 +337,7 @@ impl PlanModel {
                 for e in edges {
                     for px in g.start..g.start + w {
                         match self.conflict_row_at.get(&(e, px)) {
-                            Some(&row) => self.solver.add_term(row, g.var, 1.0),
+                            Some(&row) => model.add_term(row, g.var, 1.0),
                             None => {
                                 if !new_cells.contains(&(e, px)) {
                                     new_cells.push((e, px));
@@ -350,7 +352,8 @@ impl PlanModel {
         // Spectrum cells first occupied by generated columns get fresh
         // conflict rows over their (generated-only) buckets.
         if !new_cells.is_empty() {
-            self.solver.model_mut().group("conflict");
+            let model = self.solver.model_mut();
+            model.group("conflict");
             for (fiber, px) in new_cells {
                 let expr = LinExpr::sum(
                     self.space
@@ -358,14 +361,14 @@ impl PlanModel {
                         .iter()
                         .map(|&id| 1.0 * self.space.get(id).var),
                 );
-                let row = self.solver.add_constraint(expr, Cmp::Le, 1.0);
+                let row = model.add_constraint(expr, Cmp::Le, 1.0);
                 self.conflict_row_at.insert((fiber, px), row);
                 match self.conflict_rows.iter_mut().find(|(f, _)| *f == fiber) {
                     Some((_, rows)) => rows.push(row),
                     None => self.conflict_rows.push((fiber, vec![row])),
                 }
             }
-            self.solver.model_mut().end_group();
+            model.end_group();
         }
         (total, wanted)
     }
@@ -495,22 +498,23 @@ impl PlanModel {
         // (1) pin survivors; ban cut paths, unaffected non-selections and
         // candidates outside the §8 restoration path set.
         let mut candidates: Vec<GammaId> = Vec::new();
+        let model = self.solver.model_mut();
         for (i, g) in self.space.gammas().iter().enumerate() {
             let id = GammaId(i);
             if crosses(&self.space, g) {
-                self.solver.set_var_bounds(g.var, 0.0, 0.0);
+                model.set_var_bounds(g.var, 0.0, 0.0);
             } else if selected(g.var) {
-                self.solver.set_var_bounds(g.var, 1.0, 1.0);
+                model.set_var_bounds(g.var, 1.0, 1.0);
             } else if restore_paths
                 .get(&g.slot)
                 .is_some_and(|set| set.contains(&self.space.path_of(g).edges))
             {
                 // Free: a restoration candidate (restoration-only
                 // columns arrive pinned to 0 and must be re-opened).
-                self.solver.set_var_bounds(g.var, 0.0, 1.0);
+                model.set_var_bounds(g.var, 0.0, 1.0);
                 candidates.push(id);
             } else {
-                self.solver.set_var_bounds(g.var, 0.0, 0.0);
+                model.set_var_bounds(g.var, 0.0, 0.0);
             }
         }
 
@@ -527,7 +531,9 @@ impl PlanModel {
                     .flat_map(|(_, rows)| rows.iter().copied()),
             )
             .collect();
-        self.solver.deactivate_rows(&banned_rows);
+        for &row in &banned_rows {
+            model.deactivate_row(row);
+        }
 
         // (3) write the §8 caps over the candidates of each affected
         // link into its borrowed row pair; a link failing for the first
@@ -546,17 +552,16 @@ impl PlanModel {
                 f64::from(g.format.data_rate_gbps) * g.var
             }));
             let count = LinExpr::sum(cands.iter().map(|&id| 1.0 * self.space.get(id).var));
-            let solver = &mut self.solver;
             let (rate_row, count_row) = *self.cap_rows[slot].get_or_insert_with(|| {
-                solver.model_mut().group("restore_rate");
-                let rate_row = solver.add_constraint(LinExpr::zero(), Cmp::Le, 0.0);
-                solver.model_mut().group("restore_count");
-                let count_row = solver.add_constraint(LinExpr::zero(), Cmp::Le, 0.0);
-                solver.model_mut().end_group();
+                model.group("restore_rate");
+                let rate_row = model.add_constraint(LinExpr::zero(), Cmp::Le, 0.0);
+                model.group("restore_count");
+                let count_row = model.add_constraint(LinExpr::zero(), Cmp::Le, 0.0);
+                model.end_group();
                 (rate_row, count_row)
             });
-            solver.rewrite_row(rate_row, rate, hit.lost_gbps as f64);
-            solver.rewrite_row(count_row, count, f64::from(hit.spares));
+            model.rewrite_row(rate_row, rate, hit.lost_gbps as f64);
+            model.rewrite_row(count_row, count, f64::from(hit.spares));
             caps.extend([rate_row, count_row]);
         }
 
@@ -573,7 +578,7 @@ impl PlanModel {
             let p = (pos + 1) as f64;
             (f64::from(g.format.data_rate_gbps) - 1e-6 * p * p) * g.var
         }));
-        self.solver.set_objective(Sense::Maximize, restore_obj);
+        model.set_objective(Sense::Maximize, restore_obj);
         let (rsol, stats) = self.solver.solve(opts);
 
         // Revert the mutation: the standing model is a planning model
@@ -582,14 +587,18 @@ impl PlanModel {
         // restoration-only columns go back to their pinned-zero rest
         // state so the planning optimum is untouched by column
         // generation.
+        let model = self.solver.model_mut();
         for (i, g) in self.space.gammas().iter().enumerate() {
             let upper = if i < self.restore_only_from { 1.0 } else { 0.0 };
-            self.solver.set_var_bounds(g.var, 0.0, upper);
+            model.set_var_bounds(g.var, 0.0, upper);
         }
-        self.solver.activate_rows(&banned_rows);
-        self.solver.deactivate_rows(&caps);
-        self.solver
-            .set_objective(Sense::Minimize, self.objective.clone());
+        for &row in &banned_rows {
+            model.activate_row(row);
+        }
+        for &row in &caps {
+            model.deactivate_row(row);
+        }
+        model.set_objective(Sense::Minimize, self.objective.clone());
 
         match rsol.status {
             Status::Optimal => {}

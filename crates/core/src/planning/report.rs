@@ -9,8 +9,6 @@ pub struct PlanReport {
     pub transponders: usize,
     /// Spectrum usage `Σ λ·Y`, GHz (Figure 12(b)).
     pub spectrum_ghz: f64,
-    /// Fiber-weighted occupied spectrum (Σ over fibers), GHz.
-    pub fiber_spectrum_ghz: f64,
     /// Per-wavelength reach gaps `optical reach − path length`, km
     /// (Figure 14(a)).
     pub gaps_km: Vec<i64>,
@@ -25,7 +23,6 @@ pub fn report(plan: &Plan) -> PlanReport {
     PlanReport {
         transponders: plan.transponder_count(),
         spectrum_ghz: plan.spectrum_usage_ghz(),
-        fiber_spectrum_ghz: plan.spectrum.total_occupied_ghz(),
         gaps_km: plan.wavelengths.iter().map(|w| w.reach_gap_km()).collect(),
         spectral_efficiency: plan
             .wavelengths
@@ -110,8 +107,6 @@ mod tests {
         let r = report(&p);
         assert_eq!(r.transponders, 4);
         assert_eq!(r.spectrum_ghz, 200.0);
-        // One fiber × 4 channels × 50 GHz.
-        assert_eq!(r.fiber_spectrum_ghz, 200.0);
         assert_eq!(r.unmet_gbps, 0);
         // 100G-WAN: SE fixed at 2 (Figure 14(b)).
         assert!(r.spectral_efficiency.iter().all(|&s| s == 2.0));

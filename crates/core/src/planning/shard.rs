@@ -34,8 +34,8 @@
 //!    the end-to-end minimum of its segments, and every region holding a
 //!    tail of a re-priced demand is re-solved against the new targets.
 //!    Targets are non-negative integers and strictly decrease whenever a
-//!    round re-solves anything, so coordination terminates; a
-//!    [`ShardConfig::max_rounds`] cap bounds the worst case.
+//!    round re-solves anything, so coordination terminates; a cap of
+//!    eight solve waves bounds the worst case.
 //!
 //! Determinism: the partition is a pure function of the inputs; RNG is
 //! never consulted; the pool returns results in input order; and every
@@ -60,6 +60,9 @@ use crate::planning::heuristic::{plan, PlannerConfig};
 use crate::planning::mip::solve_exact;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
+
+/// Cap on coordination solve waves (first wave included).
+const MAX_ROUNDS: usize = 8;
 
 /// One IP link whose endpoints lie in different regions, decomposed into
 /// its tail and core segments.
@@ -301,8 +304,6 @@ pub struct ShardConfig {
     pub region_solver: ShardSolver,
     /// Worker threads for the region fan-out (0 = the pool default).
     pub threads: usize,
-    /// Cap on coordination solve waves (first wave included).
-    pub max_rounds: usize,
     /// Options for exact / column-generation solves.
     pub solve: SolveOptions,
 }
@@ -313,7 +314,6 @@ impl Default for ShardConfig {
             core_solver: ShardSolver::Heuristic,
             region_solver: ShardSolver::Heuristic,
             threads: 0,
-            max_rounds: 8,
             solve: SolveOptions::default(),
         }
     }
@@ -355,8 +355,7 @@ impl ShardSolve {
     }
 }
 
-/// Counters of a sharded solve, surfaced through `flexwan-obs` and the
-/// bench harness.
+/// Counters of a sharded solve, surfaced through the bench harness.
 #[derive(Debug, Clone)]
 pub struct ShardStats {
     /// Number of region shards.
@@ -367,8 +366,8 @@ pub struct ShardStats {
     pub coordination_rounds: usize,
     /// Total region solves across all rounds.
     pub region_solves: usize,
-    /// Whether coordination reached a fixpoint within
-    /// [`ShardConfig::max_rounds`].
+    /// Whether coordination reached a fixpoint within the eight solve
+    /// waves it is allowed (first wave included).
     pub converged: bool,
     /// Wall time of the core solve, ms.
     pub core_ms: u64,
@@ -673,7 +672,7 @@ pub fn solve_sharded(
     let mut to_solve: Vec<usize> = (0..part.regions).collect();
     let mut rounds = 0usize;
     let mut region_solves = 0usize;
-    while !to_solve.is_empty() && rounds < shard.max_rounds {
+    while !to_solve.is_empty() && rounds < MAX_ROUNDS {
         rounds += 1;
         region_solves += to_solve.len();
         let wave = pool::par_map(&to_solve, threads, |&r| {
@@ -1113,7 +1112,7 @@ mod tests {
             let mut to_solve: Vec<usize> = (0..part.regions).collect();
             let mut rounds = 0usize;
             let mut region_solves = 0usize;
-            while !to_solve.is_empty() && rounds < shard.max_rounds {
+            while !to_solve.is_empty() && rounds < MAX_ROUNDS {
                 rounds += 1;
                 region_solves += to_solve.len();
                 let wave = pool::par_map(&to_solve, threads, |&r| {

@@ -17,7 +17,6 @@ use flexwan_topo::route::Route;
 
 use crate::planning::ctx::PlanCtx;
 use crate::planning::heuristic::{most_constrained_first, LinkRoutes, Placement};
-use crate::planning::spectrum::SpectrumState;
 use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
@@ -36,8 +35,6 @@ pub struct ProtectedPlan {
     pub unprotectable: Vec<IpLinkId>,
     /// Demand that could not be provisioned (on either copy), Gbps.
     pub unmet: Vec<(IpLinkId, u64)>,
-    /// Final spectrum occupancy.
-    pub spectrum: SpectrumState,
 }
 
 impl ProtectedPlan {
@@ -156,7 +153,6 @@ pub(crate) fn place_protected(
         protection,
         unprotectable,
         unmet,
-        spectrum: placement.spectrum,
     }
 }
 

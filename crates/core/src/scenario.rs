@@ -334,7 +334,8 @@ pub fn sampled_k_cut_scenarios(g: &Graph, k: usize, n: usize, seed: u64) -> Vec<
         .collect()
 }
 
-/// The scenario suite for a surface: per `k ∈ 1..=k_max`, the full
+/// The scenario suite for a surface: per `k ∈ 1..=min(k_max, num_edges)`
+/// (a cut set cannot hold more fibers than the graph has), the full
 /// lexicographic enumeration when `C(num_edges, k)` fits inside
 /// `exhaustive_limit`, otherwise `samples` seeded distinct k-cuts (the
 /// per-k seed is derived from `seed` so adding a k row never reshuffles
@@ -346,7 +347,7 @@ pub fn scenario_suite(
     samples: usize,
     seed: u64,
 ) -> Vec<(usize, Vec<FailureScenario>)> {
-    (1..=k_max)
+    (1..=k_max.min(g.num_edges()))
         .map(|k| {
             let set = if n_choose_k(g.num_edges(), k) <= exhaustive_limit as u128 {
                 k_cut_scenarios(g, k)
@@ -757,6 +758,18 @@ mod tests {
         assert_eq!(suite[0].1.len(), 5, "C(5,1)=5 <= 6: exhaustive");
         assert_eq!(suite[1].1.len(), 4, "C(5,2)=10 > 6: sampled");
         assert_eq!(suite[2].1.len(), 4, "C(5,3)=10 > 6: sampled");
+    }
+
+    #[test]
+    fn suite_stops_at_the_fiber_count() {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        g.add_edge(a, b, 100);
+        g.add_edge(a, b, 102);
+        let suite = scenario_suite(&g, 3, 16, 4, 7);
+        let rows: Vec<(usize, usize)> = suite.iter().map(|(k, set)| (*k, set.len())).collect();
+        assert_eq!(rows, [(1, 2), (2, 1)]);
     }
 
     #[test]

@@ -115,25 +115,6 @@ impl Obs {
     pub fn span_tree(&self) -> String {
         self.tracer.render_tree()
     }
-
-    /// Records one deterministic-pool run (`flexwan_util::pool`) under
-    /// the operation label `op`: worker/item/chunk gauges plus a
-    /// per-operation run counter. Utilization is `threads` vs the items
-    /// available — a sweep whose `pool_threads` sticks at 1 is telling
-    /// you its work items are too few or too lumpy to parallelize.
-    pub fn record_pool(&self, op: &str, stats: &flexwan_util::pool::PoolStats) {
-        let labels = [("op", op)];
-        self.registry.counter_with("pool_runs_total", &labels).inc();
-        self.registry
-            .gauge_with("pool_threads", &labels)
-            .set(stats.threads as f64);
-        self.registry
-            .gauge_with("pool_items", &labels)
-            .set(stats.items as f64);
-        self.registry
-            .gauge_with("pool_chunks", &labels)
-            .set(stats.chunks as f64);
-    }
 }
 
 impl Default for Obs {
@@ -161,28 +142,6 @@ mod tests {
             .histogram("op_seconds", LATENCY_SECONDS_BUCKETS);
         assert_eq!(h.count(), 1);
         assert!((h.sum() - 1.5e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pool_stats_surface_as_labeled_metrics() {
-        let obs = Obs::with_clock(Arc::new(ManualClock::new()));
-        let items: Vec<u32> = (0..16).collect();
-        let (out, stats) = flexwan_util::pool::par_map_indexed(&items, 2, |_, &x| x * 2);
-        assert_eq!(out[15], 30);
-        obs.record_pool("sweep.scales", &stats);
-        let prom = obs.metrics_prometheus();
-        assert!(
-            prom.contains("pool_runs_total{op=\"sweep.scales\"} 1"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("pool_threads{op=\"sweep.scales\"} 2"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("pool_items{op=\"sweep.scales\"} 16"),
-            "{prom}"
-        );
     }
 
     #[test]

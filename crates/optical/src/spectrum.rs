@@ -173,8 +173,8 @@ impl Default for SpectrumGrid {
 /// Per-fiber spectrum occupancy bitmap.
 ///
 /// Bit `i` set means pixel `i` is occupied by some wavelength. The planner
-/// allocates wavelengths with [`SpectrumMask::first_fit`] /
-/// [`SpectrumMask::first_fit_joint`], which by construction enforce the
+/// allocates wavelengths with [`SpectrumMask::first_fit_any_of_each`] (or
+/// the [`FitStarts`] it keeps current), which by construction enforces the
 /// paper's spectrum-conflict constraint (3) (each pixel used at most once
 /// per fiber) and — via the joint search — the spectrum-consistency
 /// constraint (4) (same pixels on every fiber of a path).
@@ -256,47 +256,15 @@ impl SpectrumMask {
         self.pixels - self.occupied_pixels()
     }
 
-    /// Occupied spectrum in GHz.
-    pub fn occupied_ghz(&self) -> f64 {
-        f64::from(self.occupied_pixels()) * PIXEL_GHZ
-    }
-
-    /// Lowest-starting contiguous free run of `width` pixels, if any.
-    pub fn first_fit(&self, width: PixelWidth) -> Option<PixelRange> {
-        Self::first_fit_joint(&[self], width)
-    }
-
-    /// Lowest-starting contiguous run of `width` pixels that is free in
-    /// **every** mask simultaneously.
-    ///
-    /// This is the allocation primitive for a wavelength whose optical path
-    /// traverses several fibers: the paper's spectrum-consistency constraint
-    /// requires the wavelength to occupy the *same* pixels on each fiber.
-    pub fn first_fit_joint(masks: &[&SpectrumMask], width: PixelWidth) -> Option<PixelRange> {
-        Self::first_fit_joint_aligned(masks, width, 1)
-    }
-
-    /// Like [`SpectrumMask::first_fit_joint`] but only considering start
-    /// pixels that are multiples of `align`.
+    /// Lowest `align`-aligned channel of `width` that, in every group of
+    /// `groups`, is free on at least one mask: the groups are the hops of a
+    /// route, the masks of a group that hop's parallel fibers. One mask
+    /// per group is the joint search along a path: the spectrum-consistency
+    /// constraint puts a wavelength on the *same* pixels of every fiber.
     ///
     /// `align = 1` is the pixel-wise WSS of FlexWAN; `align = grid width`
     /// models the rigid-grid OLS of the 100G-WAN and RADWAN baselines,
     /// where every passband must sit on the fixed grid.
-    ///
-    /// # Panics
-    /// When the masks do not share one grid.
-    pub fn first_fit_joint_aligned(
-        masks: &[&SpectrumMask],
-        width: PixelWidth,
-        align: u32,
-    ) -> Option<PixelRange> {
-        let grid = SpectrumGrid::new(masks.first()?.pixels);
-        Self::first_fit_any_of_each(grid, masks.iter().map(|&m| [m]), width, align)
-    }
-
-    /// Lowest `align`-aligned channel of `width` that, in every group of
-    /// `groups`, is free on at least one mask: the groups are the hops of a
-    /// route, the masks of a group that hop's parallel fibers.
     ///
     /// Works on whole bitmaps, 64 pixels a word: the fit-starts bitmaps of
     /// the masks (bit `i` set iff pixels `i..i + width` are free) are ORed
@@ -680,15 +648,21 @@ mod tests {
         ));
     }
 
+    /// The joint first fit along a path: one group per mask.
+    fn joint_fit(masks: &[&SpectrumMask], width: PixelWidth, align: u32) -> Option<PixelRange> {
+        let grid = SpectrumGrid::new(masks[0].pixels);
+        SpectrumMask::first_fit_any_of_each(grid, masks.iter().map(|&m| [m]), width, align)
+    }
+
     #[test]
     fn first_fit_finds_lowest_gap() {
         let mut m = SpectrumMask::new(SpectrumGrid::new(32));
         m.occupy(&PixelRange::new(0, w(4))).unwrap();
         m.occupy(&PixelRange::new(6, w(4))).unwrap();
         // Gap [4,6) is too small for 4 px; next free run starts at 10.
-        assert_eq!(m.first_fit(w(4)), Some(PixelRange::new(10, w(4))));
+        assert_eq!(joint_fit(&[&m], w(4), 1), Some(PixelRange::new(10, w(4))));
         // But a 2 px request fits in the gap.
-        assert_eq!(m.first_fit(w(2)), Some(PixelRange::new(4, w(2))));
+        assert_eq!(joint_fit(&[&m], w(2), 1), Some(PixelRange::new(4, w(2))));
     }
 
     #[test]
@@ -698,7 +672,7 @@ mod tests {
         for s in [2u32, 6, 10] {
             m.occupy(&PixelRange::new(s, w(2))).unwrap();
         }
-        assert!(m.first_fit(w(3)).is_none());
+        assert!(joint_fit(&[&m], w(3), 1).is_none());
         assert_eq!(m.largest_free_run(), 2);
     }
 
@@ -711,9 +685,9 @@ mod tests {
         b.occupy(&PixelRange::new(6, w(6))).unwrap();
         // Individually each has a 6 px run below 12, jointly only [12,16) —
         // too small for 6 px.
-        assert_eq!(SpectrumMask::first_fit_joint(&[&a, &b], w(6)), None);
+        assert_eq!(joint_fit(&[&a, &b], w(6), 1), None);
         assert_eq!(
-            SpectrumMask::first_fit_joint(&[&a, &b], w(4)),
+            joint_fit(&[&a, &b], w(4), 1),
             Some(PixelRange::new(12, w(4)))
         );
     }
@@ -724,7 +698,7 @@ mod tests {
         let mut a = SpectrumMask::new(grid);
         a.occupy(&PixelRange::new(0, PixelWidth::new(62))).unwrap();
         // Next fit must straddle the 64-bit word boundary at pixel 64.
-        assert_eq!(a.first_fit(w(6)), Some(PixelRange::new(62, w(6))));
+        assert_eq!(joint_fit(&[&a], w(6), 1), Some(PixelRange::new(62, w(6))));
     }
 
     #[test]
@@ -734,11 +708,8 @@ mod tests {
         // Occupy [0,3): a pixel-wise fit for 4 px starts at 3; a 4-aligned
         // fit must start at 4.
         m.occupy(&PixelRange::new(0, w(3))).unwrap();
-        assert_eq!(m.first_fit(w(4)), Some(PixelRange::new(3, w(4))));
-        assert_eq!(
-            SpectrumMask::first_fit_joint_aligned(&[&m], w(4), 4),
-            Some(PixelRange::new(4, w(4)))
-        );
+        assert_eq!(joint_fit(&[&m], w(4), 1), Some(PixelRange::new(3, w(4))));
+        assert_eq!(joint_fit(&[&m], w(4), 4), Some(PixelRange::new(4, w(4))));
     }
 
     #[test]
@@ -750,10 +721,7 @@ mod tests {
         m.occupy(&PixelRange::new(11, w(1))).unwrap();
         // 6-aligned, 6 wide: slot [0,6) blocked (pixel 0), [6,12) blocked
         // (pixel 11), so [12,18).
-        assert_eq!(
-            SpectrumMask::first_fit_joint_aligned(&[&m], w(6), 6),
-            Some(PixelRange::new(12, w(6)))
-        );
+        assert_eq!(joint_fit(&[&m], w(6), 6), Some(PixelRange::new(12, w(6))));
     }
 
     /// The per-pixel first-fit the bitmap kernel replaced, kept as the
@@ -811,7 +779,7 @@ mod tests {
                 for width in 1..=70u16 {
                     for align in [1u32, 4, 6] {
                         assert_eq!(
-                            SpectrumMask::first_fit_joint_aligned(&views, w(width), align),
+                            joint_fit(&views, w(width), align),
                             first_fit_reference(&views, w(width), align),
                             "{pixels} px, {} masks, width {width}, align {align}",
                             masks.len()
@@ -965,7 +933,7 @@ mod tests {
     fn joint_first_fit_refuses_mixed_grids() {
         let a = SpectrumMask::new(SpectrumGrid::new(128));
         let b = SpectrumMask::new(SpectrumGrid::new(64));
-        let _ = SpectrumMask::first_fit_joint(&[&a, &b], w(4));
+        let _ = joint_fit(&[&a, &b], w(4), 1);
     }
 
     #[test]

@@ -506,7 +506,7 @@ mod tests {
         let e = crate::expr::LinExpr::sum(xs.iter().zip(&w).map(|(&x, &wi)| wi * x));
         m.le(e.clone(), 40.0);
         m.set_objective(Sense::Maximize, e);
-        let s = m.solve_with(&SolveOptions {
+        let (s, _) = m.solve_with_stats(&SolveOptions {
             max_nodes: 0,
             ..Default::default()
         });

@@ -1,7 +1,8 @@
 //! The solve driver, and re-solving a mutated model warm.
 //!
-//! Every solve in the crate — [`Model::solve_with_stats`], the
-//! `solve_lp*` functions, [`IncrementalSolver`] — is one call of the
+//! Every solve in the crate — [`Model::solve_with_stats`],
+//! [`solve_lp_with_duals`](crate::solve_lp_with_duals),
+//! [`IncrementalSolver`] — is one call of the
 //! private `solve_from`: build the standard form once, solve the
 //! relaxation from an optional starting basis, branch & bound on the
 //! same instance when the caller asked for integers, and hand back the
@@ -10,13 +11,16 @@
 //!
 //! [`IncrementalSolver`] owns a [`Model`] plus the basis of its last
 //! successful LP (or MIP root-relaxation) solve. Between solves the model
-//! may be mutated through the row-stable primitives —
-//! [`add_constraint`](IncrementalSolver::add_constraint),
-//! [`deactivate_row`](IncrementalSolver::deactivate_row),
-//! [`rewrite_row`](IncrementalSolver::rewrite_row),
-//! [`change_rhs`](IncrementalSolver::change_rhs),
-//! [`set_var_bounds`](IncrementalSolver::set_var_bounds),
-//! [`set_objective`](IncrementalSolver::set_objective) — and the next
+//! may be mutated through [`model_mut`](IncrementalSolver::model_mut)
+//! with the row-stable primitives of [`Model`] —
+//! [`add_constraint`](Model::add_constraint),
+//! [`deactivate_row`](Model::deactivate_row) /
+//! [`activate_row`](Model::activate_row),
+//! [`rewrite_row`](Model::rewrite_row),
+//! [`change_rhs`](Model::change_rhs),
+//! [`add_term`](Model::add_term),
+//! [`set_var_bounds`](Model::set_var_bounds),
+//! [`set_objective`](Model::set_objective) — and the next
 //! [`solve`](IncrementalSolver::solve) starts the dual simplex from the
 //! stored basis instead of a cold two-phase start.
 //!
@@ -28,13 +32,16 @@
 //! a row only adds entries to a row whose pivot is its own logical
 //! column — expand the determinant along that unit column and the rest
 //! of the basis matrix is untouched — changing an rhs or a bound
-//! only moves data the dual simplex is designed to chase, and appended
-//! rows get their own logical columns as basic variables
-//! (`BasisState::extended`) — an identity sub-basis that keeps the
+//! only moves data the dual simplex is designed to chase, a changed
+//! objective leaves the point primal feasible for the phase-2 cleanup to
+//! re-optimize, and appended rows get their own logical columns as basic
+//! variables (`BasisState::extended`) — an identity sub-basis that keeps the
 //! basis matrix nonsingular. In every case the basis matrix of the
 //! mutated instance is structurally valid, merely (possibly) primal
-//! infeasible, which is exactly the dual simplex's job to repair. A
-//! basis the machinery cannot repair (singular refactorization, dual
+//! infeasible, which is exactly the dual simplex's job to repair.
+//! Rewriting a *live* row or appending a term to one changes entries of
+//! the basis matrix itself, which the warm start may or may not survive.
+//! A basis the machinery cannot repair (singular refactorization, dual
 //! budget exhausted) silently degrades to a cold solve — never to a
 //! wrong answer.
 //!
@@ -43,17 +50,15 @@
 //! it encodes are untouched (`BasisState::with_structurals` re-targets
 //! the snapshot at the widened layout) and the phase-2 primal cleanup
 //! prices the new columns in. This is what makes the column-generation
-//! loop's price→warm-re-solve iteration cheap: each
-//! [`add_columns`](IncrementalSolver::add_columns) batch re-solves from
-//! the standing optimal basis instead of from scratch.
+//! loop's price→warm-re-solve iteration cheap: each round's
+//! [`add_column`](IncrementalSolver::add_column)s re-solve from the
+//! standing optimal basis instead of from scratch.
 
 use std::sync::Arc;
 
 use crate::branch_bound::branch_and_bound;
-use crate::expr::{LinExpr, Var};
-use crate::model::{
-    Cmp, Model, RowId, Sense, Solution, SolveOptions, SolverStats, Status, VarKind,
-};
+use crate::expr::Var;
+use crate::model::{Model, RowId, Solution, SolveOptions, SolverStats, Status, VarKind};
 use crate::simplex::{BasisState, Ctx, Instance, LpOutcome};
 
 /// A model plus the basis of its last solve, re-solved warm after
@@ -65,22 +70,6 @@ pub struct IncrementalSolver {
     /// [`SolverStats::columns_admitted`] so a pricing loop's per-round
     /// stats carry the admission count of the round they priced.
     pending_columns: u64,
-}
-
-/// One column for [`IncrementalSolver::add_columns`]: a fresh variable
-/// plus the coefficients it enters existing rows with.
-#[derive(Debug, Clone)]
-pub struct NewColumn {
-    /// Variable name (must be unique in debug builds).
-    pub name: String,
-    /// Continuous / integer / binary.
-    pub kind: VarKind,
-    /// Lower bound.
-    pub lower: f64,
-    /// Upper bound.
-    pub upper: f64,
-    /// `(row, coefficient)` entries; rows must already exist.
-    pub entries: Vec<(RowId, f64)>,
 }
 
 impl IncrementalSolver {
@@ -99,79 +88,13 @@ impl IncrementalSolver {
         &self.model
     }
 
-    /// Mutable access to the wrapped model, for mutations beyond the
-    /// passthroughs below (opening groups, adding variables, …). Both
-    /// row-shaped mutations and appended variables keep the stored basis
-    /// (see the module docs); prefer [`add_column`](Self::add_column) for
-    /// new variables so the admission is counted in the solve stats.
+    /// Mutable access to the wrapped model: every mutation goes through
+    /// here. Both row-shaped mutations and appended variables keep the
+    /// stored basis (see the module docs); prefer
+    /// [`add_column`](Self::add_column) for new variables so the
+    /// admission is counted in the solve stats.
     pub fn model_mut(&mut self) -> &mut Model {
         &mut self.model
-    }
-
-    /// Appends a constraint (see [`Model::add_constraint`]); the stored
-    /// basis is extended over the new row at the next solve.
-    pub fn add_constraint(&mut self, expr: impl Into<LinExpr>, cmp: Cmp, rhs: f64) -> RowId {
-        self.model.add_constraint(expr.into(), cmp, rhs)
-    }
-
-    /// Replaces a row's right-hand side (see [`Model::change_rhs`]).
-    pub fn change_rhs(&mut self, row: RowId, rhs: f64) {
-        self.model.change_rhs(row, rhs);
-    }
-
-    /// Deactivates a row in place (see [`Model::deactivate_row`]).
-    pub fn deactivate_row(&mut self, row: RowId) {
-        self.model.deactivate_row(row);
-    }
-
-    /// Re-arms a deactivated row (see [`Model::activate_row`]).
-    pub fn activate_row(&mut self, row: RowId) {
-        self.model.activate_row(row);
-    }
-
-    /// Rewrites a row's left-hand side and rhs in place and re-arms it
-    /// (see [`Model::rewrite_row`]): the way to reuse one slot for a
-    /// constraint that comes and goes with different coefficients, so
-    /// the standing model's row count — and with it every factorization
-    /// — stays the size of what is live. Rewriting a *deactivated* row
-    /// keeps the stored basis nonsingular by the same argument as
-    /// [`activate_row`](Self::activate_row) (module docs); rewriting a
-    /// live one is row data the warm start may or may not survive, and
-    /// degrades cold when it does not.
-    pub fn rewrite_row(&mut self, row: RowId, expr: impl Into<LinExpr>, rhs: f64) {
-        self.model.rewrite_row(row, expr, rhs);
-    }
-
-    /// Deactivates a batch of rows in one pass — the multi-row ban a
-    /// simultaneous k-fiber cut issues (every conflict row of every cut
-    /// fiber plus the affected capacity rows). Semantically identical
-    /// to deactivating each row in turn; batching exists so callers ban
-    /// a whole cut set as one mutation instead of k sequential ones.
-    pub fn deactivate_rows(&mut self, rows: &[RowId]) {
-        for &r in rows {
-            self.model.deactivate_row(r);
-        }
-    }
-
-    /// Re-arms a batch of deactivated rows (the inverse of
-    /// [`deactivate_rows`](Self::deactivate_rows), used when a
-    /// multi-fiber mutation is reverted).
-    pub fn activate_rows(&mut self, rows: &[RowId]) {
-        for &r in rows {
-            self.model.activate_row(r);
-        }
-    }
-
-    /// Replaces a variable's bounds (see [`Model::set_var_bounds`]).
-    pub fn set_var_bounds(&mut self, v: Var, lower: f64, upper: f64) {
-        self.model.set_var_bounds(v, lower, upper);
-    }
-
-    /// Replaces the objective. The basis stays: a changed objective
-    /// leaves the point primal feasible and the phase-2 primal cleanup
-    /// re-optimizes from it.
-    pub fn set_objective(&mut self, sense: Sense, expr: impl Into<LinExpr>) {
-        self.model.set_objective(sense, expr);
     }
 
     /// Adds a fresh variable that enters the given existing rows with the
@@ -196,26 +119,6 @@ impl IncrementalSolver {
         }
         self.pending_columns += 1;
         v
-    }
-
-    /// Batch [`add_column`](Self::add_column): admits one pricing round's
-    /// worth of columns as a single mutation. Semantically identical to
-    /// adding each column in turn; the batch form exists so a pricing
-    /// loop admits a round atomically and the admission count lands in
-    /// one [`SolverStats::columns_admitted`] report.
-    pub fn add_columns(&mut self, columns: impl IntoIterator<Item = NewColumn>) -> Vec<Var> {
-        columns
-            .into_iter()
-            .map(|c| self.add_column(c.name, c.kind, c.lower, c.upper, &c.entries))
-            .collect()
-    }
-
-    /// Appends `coeff · v` to an existing row (see [`Model::add_term`]).
-    /// Row handles and the stored basis both survive: appending a term
-    /// for an existing variable is row data the dual simplex re-chases,
-    /// exactly like a changed rhs.
-    pub fn add_term(&mut self, row: RowId, v: Var, coeff: f64) {
-        self.model.add_term(row, v, coeff);
     }
 
     /// Discards the stored basis; the next solve is cold. Useful when a
@@ -369,7 +272,8 @@ pub(crate) fn solve_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VarKind;
+    use crate::expr::LinExpr;
+    use crate::model::{Cmp, Sense};
 
     fn assert_same_solution(a: &Solution, b: &Solution) {
         assert_eq!(a.status, b.status);
@@ -402,7 +306,7 @@ mod tests {
         assert_eq!(first.status, Status::Optimal);
         assert_eq!(s1.cold_solves, 1);
 
-        inc.change_rhs(r0, 2.0);
+        inc.model_mut().change_rhs(r0, 2.0);
         let (warm, s2) = inc.solve(&SolveOptions::default());
         assert!(s2.warm_solves > 0 && s2.cold_solves == 0, "{s2:?}");
 
@@ -418,7 +322,7 @@ mod tests {
         inc.solve(&SolveOptions::default());
 
         let x = Var(0);
-        inc.add_constraint(1.0 * x, Cmp::Le, 1.5);
+        inc.model_mut().add_constraint(1.0 * x, Cmp::Le, 1.5);
         let (warm, s) = inc.solve(&SolveOptions::default());
         assert!(s.warm_solves > 0 && s.cold_solves == 0, "{s:?}");
 
@@ -438,8 +342,9 @@ mod tests {
         inc.solve(&SolveOptions::default());
 
         let (x, y) = (Var(0), Var(1));
-        inc.deactivate_row(r1);
-        inc.set_objective(Sense::Maximize, 1.0 * x + 4.0 * y);
+        inc.model_mut().deactivate_row(r1);
+        inc.model_mut()
+            .set_objective(Sense::Maximize, 1.0 * x + 4.0 * y);
         let (warm, s) = inc.solve(&SolveOptions::default());
         assert!(s.cold_solves == 0, "{s:?}");
 
@@ -449,7 +354,7 @@ mod tests {
         assert_same_solution(&warm, &scratch.solve());
 
         // And back again.
-        inc.activate_row(r1);
+        inc.model_mut().activate_row(r1);
         let (rearmed, _) = inc.solve(&SolveOptions::default());
         let mut orig = scratch;
         orig.activate_row(r1);
@@ -474,9 +379,9 @@ mod tests {
 
         let mut inc = IncrementalSolver::new(m.clone());
         inc.solve(&SolveOptions::default());
-        inc.deactivate_row(r1);
+        inc.model_mut().deactivate_row(r1);
         inc.solve(&SolveOptions::default());
-        inc.rewrite_row(r1, 2.0 * x + y, 6.0);
+        inc.model_mut().rewrite_row(r1, 2.0 * x + y, 6.0);
         assert!(inc.model().row(r1).active, "rewriting re-arms the row");
         assert_eq!(inc.model().num_constraints(), 2, "no row was appended");
         let (warm, s) = inc.solve(&SolveOptions::default());
@@ -485,7 +390,7 @@ mod tests {
 
         // Rewriting a live row, with no basis to start from.
         let mut cold = IncrementalSolver::new(m);
-        cold.rewrite_row(r1, 2.0 * x + y, 6.0);
+        cold.model_mut().rewrite_row(r1, 2.0 * x + y, 6.0);
         let (sol, s) = cold.solve(&SolveOptions::default());
         assert!(s.cold_solves == 1 && s.warm_solves == 0, "{s:?}");
         assert_same_solution(&sol, &expected);
@@ -503,8 +408,11 @@ mod tests {
         // Minimize while both rows are down (maximizing over nonnegative
         // x, y with no rows left would be unbounded).
         let (x, y) = (Var(0), Var(1));
-        inc.deactivate_rows(&[r0, r1]);
-        inc.set_objective(Sense::Minimize, 1.0 * x + 1.0 * y);
+        for r in [r0, r1] {
+            inc.model_mut().deactivate_row(r);
+        }
+        inc.model_mut()
+            .set_objective(Sense::Minimize, 1.0 * x + 1.0 * y);
         let (banned, _) = inc.solve(&SolveOptions::default());
         let mut scratch = m.clone();
         scratch.deactivate_row(r0);
@@ -512,8 +420,11 @@ mod tests {
         scratch.set_objective(Sense::Minimize, 1.0 * x + 1.0 * y);
         assert_same_solution(&banned, &scratch.solve());
 
-        inc.activate_rows(&[r0, r1]);
-        inc.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
+        for r in [r0, r1] {
+            inc.model_mut().activate_row(r);
+        }
+        inc.model_mut()
+            .set_objective(Sense::Maximize, 3.0 * x + 2.0 * y);
         let (rearmed, _) = inc.solve(&SolveOptions::default());
         assert_same_solution(&rearmed, &m.clone().solve());
     }
@@ -528,7 +439,7 @@ mod tests {
         let mut inc = IncrementalSolver::new(m.clone());
         inc.solve(&SolveOptions::default());
 
-        inc.deactivate_row(r0);
+        inc.model_mut().deactivate_row(r0);
         let (resolved, _) = inc.solve(&SolveOptions::default());
         let mut scratch = m;
         scratch.deactivate_row(r0);
@@ -542,7 +453,8 @@ mod tests {
         inc.solve(&SolveOptions::default());
 
         let (x, y) = (Var(0), Var(1));
-        inc.set_objective(Sense::Minimize, 1.0 * x - 2.0 * y);
+        inc.model_mut()
+            .set_objective(Sense::Minimize, 1.0 * x - 2.0 * y);
         let (warm, s) = inc.solve(&SolveOptions::default());
         assert!(s.cold_solves == 0, "{s:?}");
 
@@ -557,7 +469,7 @@ mod tests {
         let mut inc = IncrementalSolver::new(m.clone());
         inc.solve(&SolveOptions::default());
 
-        inc.set_var_bounds(Var(0), 0.0, 1.0);
+        inc.model_mut().set_var_bounds(Var(0), 0.0, 1.0);
         let (warm, s) = inc.solve(&SolveOptions::default());
         assert!(s.warm_solves > 0 && s.cold_solves == 0, "{s:?}");
 
@@ -571,14 +483,14 @@ mod tests {
         let (m, r0, _) = lp();
         let mut inc = IncrementalSolver::new(m);
         inc.solve(&SolveOptions::default());
-        inc.change_rhs(r0, -1.0); // x + y ≤ −1 with x,y ≥ 0: infeasible
+        inc.model_mut().change_rhs(r0, -1.0); // x + y ≤ −1 with x,y ≥ 0: infeasible
         let (bad, _) = inc.solve(&SolveOptions::default());
         assert_eq!(bad.status, Status::Infeasible);
         assert!(
             !inc.has_basis(),
             "failed solve must not leave a stale basis"
         );
-        inc.change_rhs(r0, 4.0);
+        inc.model_mut().change_rhs(r0, 4.0);
         let (good, _) = inc.solve(&SolveOptions::default());
         assert_eq!(good.status, Status::Optimal);
         assert!((good.objective - 12.0).abs() < 1e-9);
@@ -594,7 +506,8 @@ mod tests {
         inc.solve(&SolveOptions::default());
         let z = inc.model_mut().add_var("z", VarKind::Continuous, 0.0, 2.0);
         let (x, y) = (Var(0), Var(1));
-        inc.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y + z);
+        inc.model_mut()
+            .set_objective(Sense::Maximize, 3.0 * x + 2.0 * y + z);
         let (sol, s) = inc.solve(&SolveOptions::default());
         assert_eq!(sol.status, Status::Optimal);
         assert!(s.cold_solves == 0, "appended var must stay warm, got {s:?}");
@@ -618,7 +531,8 @@ mod tests {
             &[(r0, 1.0), (r1, 1.0)],
         );
         let (x, y) = (Var(0), Var(1));
-        inc.set_objective(Sense::Maximize, 3.0 * x + 2.0 * y + 4.0 * z);
+        inc.model_mut()
+            .set_objective(Sense::Maximize, 3.0 * x + 2.0 * y + 4.0 * z);
         let (sol, s) = inc.solve(&SolveOptions::default());
         assert!(s.cold_solves == 0, "added column must stay warm, got {s:?}");
         assert_eq!(s.columns_admitted, 1, "{s:?}");
@@ -633,7 +547,7 @@ mod tests {
         assert_same_solution(&sol, &scratch.solve());
 
         // The refreshed basis covers the new layout: next solve is warm.
-        inc.change_rhs(r0, 3.0);
+        inc.model_mut().change_rhs(r0, 3.0);
         let (warm, s2) = inc.solve(&SolveOptions::default());
         assert!(s2.warm_solves > 0 && s2.cold_solves == 0, "{s2:?}");
         scratch.change_rhs(RowId(0), 3.0);
@@ -649,7 +563,7 @@ mod tests {
         let mut inc = IncrementalSolver::new(m.clone());
         inc.solve(&SolveOptions::default());
 
-        inc.add_term(r1, Var(0), 1.0); // x + 3y ≤ 6 becomes 2x + 3y ≤ 6
+        inc.model_mut().add_term(r1, Var(0), 1.0); // x + 3y ≤ 6 becomes 2x + 3y ≤ 6
         let (sol, _) = inc.solve(&SolveOptions::default());
 
         let mut scratch = Model::new();
@@ -683,7 +597,7 @@ mod tests {
         assert_same_solution(&first, &m.solve());
         assert_eq!(s0.cold_solves, 1, "the root node is the only cold LP");
 
-        inc.change_rhs(cap, 31.0);
+        inc.model_mut().change_rhs(cap, 31.0);
         let (warm, s) = inc.solve(&SolveOptions::default());
         assert!(s.warm_solves > 0 && s.cold_solves == 0, "{s:?}");
         let mut scratch = m;
@@ -726,25 +640,18 @@ mod tests {
         assert_same_solution(&sol0, &scratch0);
         assert_eq!(duals0.unwrap(), sd0.unwrap());
 
-        let vars = inc.add_columns(vec![
-            NewColumn {
-                name: "z".into(),
-                kind: VarKind::Continuous,
-                lower: 0.0,
-                upper: f64::INFINITY,
-                entries: vec![(r0, 1.0), (r1, 1.0)],
-            },
-            NewColumn {
-                name: "w".into(),
-                kind: VarKind::Continuous,
-                lower: 0.0,
-                upper: 1.0,
-                entries: vec![(r1, 2.0)],
-            },
-        ]);
-        assert_eq!(vars.len(), 2);
+        let vars = [
+            inc.add_column(
+                "z",
+                VarKind::Continuous,
+                0.0,
+                f64::INFINITY,
+                &[(r0, 1.0), (r1, 1.0)],
+            ),
+            inc.add_column("w", VarKind::Continuous, 0.0, 1.0, &[(r1, 2.0)]),
+        ];
         let (x, y) = (Var(0), Var(1));
-        inc.set_objective(
+        inc.model_mut().set_objective(
             Sense::Maximize,
             3.0 * x + 2.0 * y + 4.0 * vars[0] + 1.0 * vars[1],
         );
@@ -774,7 +681,7 @@ mod tests {
         let (m, r0, _) = lp();
         let mut inc = IncrementalSolver::new(m);
         inc.solve(&SolveOptions::default());
-        inc.change_rhs(r0, f64::NAN);
+        inc.model_mut().change_rhs(r0, f64::NAN);
         let (sol, _) = inc.solve(&SolveOptions::default());
         assert_eq!(sol.status, Status::Error);
     }

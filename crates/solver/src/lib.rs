@@ -17,7 +17,7 @@
 //!   between two refactorizations;
 //! * `branch_bound` — best-first branch & bound for MIPs on top of the
 //!   LP relaxation, with basis-inheriting warm starts and diving, on
-//!   the calling thread (reached through [`Model::solve_with`]);
+//!   the calling thread (reached through [`Model::solve_with_stats`]);
 //! * [`incremental`] — the one solve driver every entry point goes
 //!   through (standard form built once, relaxation solved from an
 //!   optional starting basis, then branch & bound) and the
@@ -43,9 +43,9 @@ pub mod observe;
 pub mod simplex;
 
 pub use expr::{LinExpr, Var};
-pub use incremental::{IncrementalSolver, NewColumn};
+pub use incremental::IncrementalSolver;
 pub use model::{
     Cmp, GroupId, Model, RowId, Sense, Solution, SolveOptions, SolverStats, Status, VarKind,
 };
 pub use observe::record_solver_stats;
-pub use simplex::{solve_lp, solve_lp_with_duals, solve_lp_with_stats};
+pub use simplex::solve_lp_with_duals;

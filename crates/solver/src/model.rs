@@ -141,7 +141,8 @@ impl Solution {
 
 /// Counters and phase timings collected by the simplex / branch & bound
 /// machinery during one solve. Returned by [`Model::solve_with_stats`] and
-/// surfaced through the bench harness (`solver_stats` binary) so warm-start
+/// mirrored into a metrics registry by
+/// [`record_solver_stats`](crate::record_solver_stats) so warm-start
 /// effectiveness and pivot counts are observable, as the paper observes
 /// Gurobi's node/iteration counts.
 ///
@@ -183,11 +184,10 @@ pub struct SolverStats {
     /// pass over the column universe). Zero outside a pricing loop.
     pub pricing_rounds: u64,
     /// Columns admitted into the model by a pricing loop
-    /// ([`IncrementalSolver::add_column`]/[`add_columns`]) and priced by
-    /// the solve that reports this stat.
+    /// ([`IncrementalSolver::add_column`]) and priced by the solve that
+    /// reports this stat.
     ///
     /// [`IncrementalSolver::add_column`]: crate::IncrementalSolver::add_column
-    /// [`add_columns`]: crate::IncrementalSolver::add_columns
     pub columns_admitted: u64,
     /// Wall time inside primal phase 1.
     pub time_phase1: Duration,
@@ -695,18 +695,13 @@ impl Model {
 
     /// Solves with default options.
     pub fn solve(&self) -> Solution {
-        self.solve_with(&SolveOptions::default())
+        self.solve_with_stats(&SolveOptions::default()).0
     }
 
-    /// Solves with explicit options: simplex for pure LPs, branch & bound
-    /// when integer variables are present.
-    pub fn solve_with(&self, opts: &SolveOptions) -> Solution {
-        self.solve_with_stats(opts).0
-    }
-
-    /// Like [`Model::solve_with`], additionally returning the
+    /// Solves with explicit options — simplex for pure LPs, branch & bound
+    /// when integer variables are present — and returns the
     /// [`SolverStats`] counter block (pivots, refactorizations, nodes,
-    /// warm-start hit rate, per-phase wall time).
+    /// warm-start hit rate, per-phase wall time) with the solution.
     pub fn solve_with_stats(&self, opts: &SolveOptions) -> (Solution, SolverStats) {
         let out = if self.sense.is_none() {
             Solved::error(self.num_vars())

@@ -37,11 +37,6 @@ const MAX_ETAS: usize = 48;
 /// Phase-1 objective above this ⇒ infeasible.
 const PHASE1_TOL: f64 = 1e-6;
 
-/// Solves a pure-LP [`Model`] (integer kinds are relaxed if present).
-pub fn solve_lp(model: &Model) -> Solution {
-    solve_from(model, None, None).sol
-}
-
 /// Solves a pure LP and additionally returns the dual value (shadow
 /// price) of every constraint: `∂objective/∂rhs` at the optimum, in the
 /// model's own sense. A maximization's binding `≤` capacity row gets a
@@ -52,12 +47,6 @@ pub fn solve_lp(model: &Model) -> Solution {
 pub fn solve_lp_with_duals(model: &Model) -> (Solution, Option<Vec<f64>>) {
     let out = solve_from(model, None, None);
     (out.sol, out.duals)
-}
-
-/// [`solve_lp`] that also reports the solve's [`SolverStats`].
-pub fn solve_lp_with_stats(model: &Model) -> (Solution, SolverStats) {
-    let out = solve_from(model, None, None);
-    (out.sol, out.stats)
 }
 
 /// Where a nonbasic variable currently rests.
@@ -2093,7 +2082,7 @@ pub(crate) mod tests {
                 .map(|(i, &v)| (1.0 + ((i * 7) % 5) as f64) * v),
         );
         m.set_objective(Sense::Maximize, obj);
-        let (s, stats) = solve_lp_with_stats(&m);
+        let (s, stats) = m.solve_with_stats(&crate::model::SolveOptions::default());
         assert_eq!(s.status, Status::Optimal);
         assert!(m.is_feasible(&s.values, 1e-6));
         // Cross-check against a fresh Dantzig-free (Bland) solve, which

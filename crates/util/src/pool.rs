@@ -3,8 +3,7 @@
 //! The evaluation sweeps (schemes × scales × failure scenarios) are
 //! embarrassingly parallel, but the repo's contract — byte-identical
 //! output for any thread count — rules out naive work stealing with
-//! order-dependent reduction. [`par_map`] and [`par_map_indexed`] give
-//! the safe shape:
+//! order-dependent reduction. [`par_map`] gives the safe shape:
 //!
 //! * work items are split into **fixed contiguous chunks** that workers
 //!   claim by index from one atomic counter;
@@ -44,18 +43,6 @@ pub fn default_threads() -> usize {
         .min(MAX_AUTO_THREADS)
 }
 
-/// How one [`par_map`] call used the pool — fodder for the
-/// pool-utilization gauges in `flexwan-obs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads that ran (1 = the call degenerated to serial).
-    pub threads: usize,
-    /// Items mapped.
-    pub items: usize,
-    /// Fixed contiguous chunks the items were split into.
-    pub chunks: usize,
-}
-
 /// Deterministic parallel map: `f` applied to every item, results in
 /// input order, output invariant to `threads` (`0` = auto; `1` = serial
 /// in-place). `f` must be pure per item for the contract to mean
@@ -66,17 +53,6 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, threads, |_, item| f(item)).0
-}
-
-/// [`par_map`] with the item index passed to `f`. Returns the mapped
-/// vector plus the [`PoolStats`] of the run.
-pub fn par_map_indexed<T, R, F>(items: &[T], threads: usize, f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let threads = if threads == 0 {
         default_threads()
     } else {
@@ -84,24 +60,13 @@ where
     };
     let workers = threads.min(items.len());
     if workers <= 1 {
-        let out: Vec<R> = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-        let stats = PoolStats {
-            threads: 1,
-            items: items.len(),
-            chunks: 1.min(items.len()),
-        };
-        return (out, stats);
+        return items.iter().map(f).collect();
     }
 
     // Fixed chunking: contiguous ranges of ~4 chunks per worker, so a
     // straggler chunk cannot idle the rest of the pool for long while
     // chunk boundaries stay cheap to coordinate.
     let chunk = items.len().div_ceil(workers * 4).max(1);
-    let chunks = items.len().div_ceil(chunk);
     // Workers claim chunk indices from this ticket counter. `Relaxed`
     // suffices: the counter publishes no data — the items are borrowed
     // from before the scope and results come back through `join`.
@@ -121,7 +86,7 @@ where
                         }
                         let end = (start + chunk).min(items.len());
                         for (i, item) in (start..end).zip(&items[start..end]) {
-                            mapped.push((i, f(i, item)));
+                            mapped.push((i, f(item)));
                         }
                     }
                 })
@@ -137,18 +102,10 @@ where
             }
         }
     });
-    let out = slots
+    slots
         .into_iter()
         .map(|s| s.expect("every item mapped exactly once"))
-        .collect();
-    (
-        out,
-        PoolStats {
-            threads: workers,
-            items: items.len(),
-            chunks,
-        },
-    )
+        .collect()
 }
 
 #[cfg(test)]
@@ -177,25 +134,19 @@ mod tests {
     fn every_item_mapped_exactly_once() {
         let calls = AtomicU64::new(0);
         let items: Vec<usize> = (0..33).collect();
-        let (out, stats) = par_map_indexed(&items, 4, |i, &x| {
+        let out = par_map(&items, 4, |&x| {
             calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(i, x);
-            i
+            x
         });
-        assert_eq!(out.len(), 33);
+        assert_eq!(out, items);
         assert_eq!(calls.load(Ordering::Relaxed), 33);
-        assert_eq!(stats.items, 33);
-        assert!(stats.chunks >= stats.threads.min(33));
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
         assert_eq!(par_map(&empty, 4, |&x| x), Vec::<u32>::new());
-        let one = vec![7u32];
-        let (out, stats) = par_map_indexed(&one, 4, |_, &x| x + 1);
-        assert_eq!(out, vec![8]);
-        assert_eq!(stats.threads, 1, "one item degenerates to serial");
+        assert_eq!(par_map(&[7u32], 4, |&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -203,19 +154,5 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         assert_eq!(par_map(&items, 0, |&x| x + 1), (1..=10).collect::<Vec<_>>());
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn serial_stats_report_one_thread() {
-        let items: Vec<u32> = (0..5).collect();
-        let (_, stats) = par_map_indexed(&items, 1, |_, &x| x);
-        assert_eq!(
-            stats,
-            PoolStats {
-                threads: 1,
-                items: 5,
-                chunks: 1
-            }
-        );
     }
 }

@@ -51,7 +51,16 @@
 #   * crates/core/src defines `attach_exact`, `restore_after_cuts` or a
 #     public `ensure_restoration_columns`, or `EngineConfig` grows back a
 #     `solve` / `protection` field (capabilities only their own tests
-#     reached).
+#     reached);
+#   * surface only its own tests reached comes back: the gauge bridges
+#     `record_route_cache` / `record_availability_surface` /
+#     `record_shard_plan` / `Obs::record_pool`, the one-shot
+#     `solve_lp` / `solve_lp_with_stats` / `Model::solve_with`,
+#     `NewColumn` or an `IncrementalSolver` method that forwards to the
+#     `Model` method of the same name (mutate through `model_mut`), the
+#     `SpectrumMask::first_fit` / `first_fit_joint*` wrappers, a
+#     `spectrum` field on `Plan` / `ProtectedPlan`, a `max_rounds` knob or
+#     the `solver_stats` binary.
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -224,6 +233,61 @@ engine=$(non_test_of crates/core/src/scenario.rs | awk '/^pub struct EngineConfi
 if [ -n "$removed" ] || echo "$engine" | grep -qE '^\s*pub (solve|protection):'; then
     echo "crates/core/src: the engine's exact rung and protection switch, restore_after_cuts and a public ensure_restoration_columns stay deleted:"
     echo "$removed"
+    bad=1
+fi
+
+# gone NAME PATTERN: nothing under crates/, src/, tests/ or examples/
+# matches PATTERN (extended regex).
+gone() {
+    local hits
+    hits=$(grep -rnE "$2" --include='*.rs' crates src tests examples || true)
+    if [ -n "$hits" ]; then
+        echo "$1 stays deleted:"
+        echo "$hits"
+        bad=1
+    fi
+}
+gone "gauge bridges only their own tests called" \
+    'fn (record_route_cache|record_availability_surface|record_shard_plan|record_pool)\b'
+gone "one-shot solves beside Model::solve / solve_with_stats / solve_lp_with_duals" \
+    'fn solve_lp\(|\bsolve_lp_with_stats\b|fn solve_with\('
+gone "IncrementalSolver's batch column type" 'struct NewColumn\b'
+gone "the coordination-round knob (a constant in shard.rs)" '\bmax_rounds\b'
+forwards=$(non_test_of crates/solver/src/incremental.rs | awk '
+    /^impl IncrementalSolver \{/ { on = 1 }
+    on && /^    (pub )?fn / {
+        match($0, /fn [a-z0-9_]+/)
+        name = substr($0, RSTART + 3, RLENGTH - 3)
+        base = name
+        sub(/s$/, "", base)
+    }
+    on && name != "" && (index($0, "self.model." name "(") || index($0, "self.model." base "(")) {
+        print name ": " $0
+    }
+    on && /^}/ { on = 0 }')
+if [ -n "$forwards" ]; then
+    echo "crates/solver/src/incremental.rs: IncrementalSolver forwards to Model (mutate through model_mut):"
+    echo "$forwards"
+    bad=1
+fi
+if grep -n 'fn first_fit_joint' $optical ||
+    [ "$(non_test_of $optical | grep -c 'fn first_fit(')" -ne 1 ]; then
+    echo "$optical: one first fit over masks (first_fit_any_of_each) and FitStarts::first_fit, no wrappers:"
+    non_test_of $optical | grep -n 'fn first_fit(' || true
+    bad=1
+fi
+while read -r ty file; do
+    if non_test_of "$file" | awk -v ty="$ty" '$0 ~ "^pub struct " ty " [{]" {on=1} on{print} /^}/{on=0}' |
+        grep -n 'pub spectrum:'; then
+        echo "$file: $ty holds what was decided; its spectrum is a function of the wavelengths"
+        bad=1
+    fi
+done <<'EOF'
+Plan crates/core/src/planning/heuristic.rs
+ProtectedPlan crates/core/src/protect.rs
+EOF
+if [ -e crates/bench/src/bin/solver_stats.rs ]; then
+    echo "crates/bench/src/bin/solver_stats.rs stays deleted (trace_report and benchmark report SolverStats)"
     bad=1
 fi
 

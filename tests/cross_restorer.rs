@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use flexwan::core::planning::{Plan, PlanCtx, PlanModel, PlannerConfig, SpectrumState};
+use flexwan::core::planning::{Plan, PlanCtx, PlanModel, PlannerConfig};
 use flexwan::core::protect::ProtectedPlan;
 use flexwan::core::restore::{
     one_fiber_scenarios, restore, solve_restoration_exact, solve_restoration_exact_colgen,
@@ -159,7 +159,6 @@ fn every_restorer_loses_what_the_cut_takes() {
             scheme: Scheme::FlexWan,
             wavelengths: exact_plan.wavelengths.clone(),
             unmet: Vec::new(),
-            spectrum: SpectrumState::new(cfg.grid, g.num_edges()),
         };
         let protected = PlanCtx::new(&g, &cfg).plan_protected(Scheme::FlexWan, &ip);
         let scenarios = one_fiber_scenarios(&g)

@@ -45,7 +45,7 @@ fn spectrum_mask_accounting() {
     }
 }
 
-/// first_fit always returns a free range, and there is no free run of
+/// First fit always returns a free range, and there is no free run of
 /// the requested width starting below it.
 #[test]
 fn first_fit_is_lowest() {
@@ -64,7 +64,7 @@ fn first_fit_is_lowest() {
         }
         let want = rng.gen_range(1u16..10);
         let w = PixelWidth::new(want);
-        match mask.first_fit(w) {
+        match SpectrumMask::first_fit_any_of_each(grid, [[&mask]], w, 1) {
             Some(hit) => {
                 assert!(mask.is_free(&hit));
                 for s in 0..hit.start {

@@ -8,7 +8,7 @@
 //! 2. the mutated optimum must equal the from-scratch §8 restoration
 //!    model (`restore::solve_exact`) run against the same exact plan.
 
-use flexwan::core::planning::{Plan, PlanModel, PlannerConfig, SpectrumState};
+use flexwan::core::planning::{Plan, PlanModel, PlannerConfig};
 use flexwan::core::restore::{one_fiber_scenarios, solve_restoration_exact, FailureScenario};
 use flexwan::core::{Scheme, Wavelength};
 use flexwan::optical::spectrum::SpectrumGrid;
@@ -161,7 +161,6 @@ fn mutation_agrees_with_exact_restoration_model() {
             scheme: Scheme::FlexWan,
             wavelengths: exact_plan.wavelengths.clone(),
             unmet: Vec::new(),
-            spectrum: SpectrumState::new(cfg.grid, g.num_edges()),
         };
         let spares = vec![1u32; ip.links().len()];
         for scenario in one_fiber_scenarios(&g) {

@@ -65,7 +65,6 @@ fn sharded_exact_matches_monolithic_exact_bitwise() {
         region_solver: ShardSolver::Exact,
         threads: 2,
         solve: opts(),
-        ..Default::default()
     };
     let sharded = solve_sharded(
         Scheme::FlexWan,
