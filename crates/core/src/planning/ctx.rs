@@ -62,9 +62,15 @@ impl<'a> PlanCtx<'a> {
     /// **One cache, one graph.** `RouteCache` keys are
     /// `(src, dst, k, banned)` over node and fiber ids; they do not
     /// identify the graph, so a cache shared across two graphs serves one
-    /// graph's routes to the other. A long-lived caller restoring under
-    /// ever-new cut sets (the `Orchestrator`) should share none: its keys
-    /// rarely repeat and the memo would grow without bound.
+    /// graph's routes to the other.
+    ///
+    /// Without a shared cache, [`restore`](Self::restore) still reads the
+    /// graph's own memo ([`Graph::detours`]) when the cut lies in one
+    /// conduit — §8's failure unit — so a long-lived restorer (the
+    /// `Orchestrator`, the churn service) runs Yen's algorithm for a
+    /// conduit cut once per graph. The memo is bounded by the conduits and
+    /// pairs asked for; cuts across conduits, whose keys rarely repeat,
+    /// stay call-local. A shared cache takes precedence over the memo.
     pub fn sharing(mut self, cache: &'a RouteCache) -> Self {
         self.cache = Some(cache);
         self
@@ -98,9 +104,12 @@ impl<'a> PlanCtx<'a> {
     }
 
     /// Each link's `k` shortest node-distinct routes avoiding `banned`, in
-    /// `links` order, in one lookup: from the shared cache, or else from
-    /// a cache that lives for this call (a pair asked twice is computed
-    /// once either way).
+    /// `links` order, in one lookup: from the shared cache, else from the
+    /// graph's detour memo when `banned` lies in one conduit
+    /// ([`Graph::detours`]; planning asks with nothing banned or shares a
+    /// cache, so only a restoration reaches it), else from a cache that
+    /// lives for this call (a pair asked twice is computed once either
+    /// way).
     pub(crate) fn routes<'l>(
         &self,
         links: impl Iterator<Item = &'l IpLink>,
@@ -109,8 +118,8 @@ impl<'a> PlanCtx<'a> {
     ) -> LinkRoutes {
         let pairs: Vec<_> = links.map(|l| (l.src, l.dst)).collect();
         let own;
-        let cache = match self.cache {
-            Some(shared) => shared,
+        let cache = match self.cache.or_else(|| self.optical.detours(banned)) {
+            Some(cache) => cache,
             None => {
                 own = RouteCache::new();
                 &own
@@ -193,7 +202,8 @@ impl<'a> PlanCtx<'a> {
     /// failed ones (empty or all-zero = plain FlexWAN / baseline; see
     /// [`flexwan_plus_extra_spares`](crate::restore::flexwan_plus_extra_spares)).
     /// Cached restoration routes are keyed by the scenario's cut set, so
-    /// a cut fiber is never served an uncut route.
+    /// a cut fiber is never served an uncut route; with no shared cache,
+    /// a cut inside one conduit reads the graph's detour memo.
     pub fn restore(
         &self,
         plan: &Plan,

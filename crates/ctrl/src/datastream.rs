@@ -6,7 +6,7 @@
 //! cable" — [`TelemetryStore`] keeps a bounded window of per-fiber receive
 //! power; [`FiberCutDetector`] flags fibers whose power fell off a cliff.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use flexwan_obs::Obs;
 use flexwan_topo::graph::{EdgeId, Graph};
@@ -26,7 +26,9 @@ pub struct TelemetrySample {
 #[derive(Debug, Clone)]
 pub struct TelemetryStore {
     window: usize,
-    series: HashMap<EdgeId, Vec<(u64, f64)>>,
+    /// Per fiber, its last `window` samples, oldest first: a ring, so an
+    /// ingest past the window drops the oldest in O(1).
+    series: HashMap<EdgeId, VecDeque<(u64, f64)>>,
     max_tick: u64,
     stale_dropped: u64,
     obs: Option<Obs>,
@@ -67,7 +69,7 @@ impl TelemetryStore {
                 .set((self.max_tick - s.tick) as f64);
         }
         let v = self.series.entry(s.fiber).or_default();
-        if v.last().is_some_and(|&(t, _)| s.tick <= t) {
+        if v.back().is_some_and(|&(t, _)| s.tick <= t) {
             self.stale_dropped += 1;
             if let Some(obs) = &self.obs {
                 obs.registry()
@@ -76,10 +78,10 @@ impl TelemetryStore {
             }
             return;
         }
-        v.push((s.tick, s.rx_power_dbm));
-        if v.len() > self.window {
-            v.remove(0);
+        if v.len() == self.window {
+            v.pop_front();
         }
+        v.push_back((s.tick, s.rx_power_dbm));
     }
 
     /// How many duplicate/out-of-order samples were dropped at ingest.
@@ -89,7 +91,7 @@ impl TelemetryStore {
 
     /// The most recent (tick, power) for `fiber`.
     pub fn latest(&self, fiber: EdgeId) -> Option<(u64, f64)> {
-        self.series.get(&fiber).and_then(|v| v.last().copied())
+        self.series.get(&fiber).and_then(|v| v.back().copied())
     }
 
     /// The sample immediately before the latest.
@@ -266,6 +268,37 @@ mod tests {
         for t in 1..5 {
             sim.tick(&mut store, t, &[EdgeId(0)]);
             assert!(det.is_cut(&store, EdgeId(0)), "tick {t}");
+        }
+    }
+
+    /// The ring keeps exactly the newest `window` samples, at the
+    /// smallest window and at an hour of one-second telemetry, and still
+    /// drops (and counts) what arrives stale or twice.
+    #[test]
+    fn the_ring_keeps_the_last_window_samples() {
+        for window in [2, 3600] {
+            let mut store = TelemetryStore::new(window);
+            let newest = 3 * window as u64;
+            for tick in 0..newest {
+                let power = -(tick as f64);
+                // The sample, a re-delivery and a stale one (at tick 0 a
+                // second re-delivery).
+                for t in [tick, tick, tick.saturating_sub(1)] {
+                    store.ingest(TelemetrySample {
+                        fiber: EdgeId(7),
+                        tick: t,
+                        rx_power_dbm: power,
+                    });
+                }
+            }
+            assert_eq!(store.stale_dropped(), 2 * newest, "window {window}");
+            let kept: Vec<_> = store.series[&EdgeId(7)].iter().copied().collect();
+            let want: Vec<_> = (newest - window as u64..newest)
+                .map(|t| (t, -(t as f64)))
+                .collect();
+            assert_eq!(kept, want, "window {window}");
+            assert_eq!(store.latest(EdgeId(7)), want.last().copied());
+            assert_eq!(store.previous(EdgeId(7)), Some(want[window - 2]));
         }
     }
 

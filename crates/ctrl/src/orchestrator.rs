@@ -659,4 +659,56 @@ mod tests {
         }
         assert!(orch.live_restoration().is_empty());
     }
+
+    /// Telemetry for a fiber the graph lacks is a cut like any other: the
+    /// tick restores around it (nothing is lost), alone or beside a real
+    /// cut, and repairs it, without a panic. Neither cut set is one
+    /// conduit of the graph, so neither enters its detour memo.
+    #[test]
+    fn a_cut_of_an_unknown_fiber_does_not_panic() {
+        use crate::datastream::TelemetrySample;
+        let (g, ip, cfg) = world();
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let primary = p.wavelengths[0].path.edges[0];
+        let ghost = EdgeId(g.num_edges() as u32 + 5);
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        assert!(ctrl.apply_plan(&p, &g).is_clean());
+        let mut orch = Orchestrator::new(&g, &ip, p, cfg, Vec::new());
+        let sim = TelemetrySim::new(&g);
+        let mut store = TelemetryStore::new(30);
+        let tick = |store: &mut TelemetryStore, t, cuts: &[EdgeId]| {
+            sim.tick(store, t, cuts);
+            let rx_power_dbm = if cuts.contains(&ghost) { -60.0 } else { -3.0 };
+            store.ingest(TelemetrySample {
+                fiber: ghost,
+                tick: t,
+                rx_power_dbm,
+            });
+        };
+        tick(&mut store, 0, &[]);
+        assert_eq!(orch.tick(&store, &mut ctrl), TickOutcome::Quiet);
+        tick(&mut store, 1, &[ghost]);
+        let nothing_lost = TickOutcome::Restored {
+            cuts: vec![ghost],
+            lost_gbps: 0,
+            revived_gbps: 0,
+            apply_rejections: 0,
+        };
+        assert_eq!(orch.tick(&store, &mut ctrl), nothing_lost);
+        tick(&mut store, 2, &[ghost, primary]);
+        match orch.tick(&store, &mut ctrl) {
+            TickOutcome::Restored {
+                cuts, lost_gbps, ..
+            } => assert_eq!((cuts, lost_gbps), (vec![primary], 300)),
+            other => panic!("expected restoration, got {other:?}"),
+        }
+        assert_eq!(orch.live_restoration().len(), 1);
+        tick(&mut store, 3, &[]);
+        let repair = orch.tick(&store, &mut ctrl);
+        assert!(
+            matches!(repair, TickOutcome::Repaired { retired: 1, .. }),
+            "{repair:?}"
+        );
+        assert!(g.detours(&[primary].into()).unwrap().is_empty());
+    }
 }

@@ -17,7 +17,10 @@
 //! One cache serves **one** graph: the key does not identify the graph,
 //! so callers must not share a cache across different topologies (or
 //! across mutations of one topology). The planners hold the cache only
-//! for the duration of a sweep over a fixed backbone.
+//! for the duration of a sweep over a fixed backbone. The one cache a
+//! graph owns — its [detour memo](Graph::detours), built with the
+//! conduit view and dropped with it on every append — is one cache, one
+//! graph by construction.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};

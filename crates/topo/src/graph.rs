@@ -6,12 +6,14 @@
 //! rather than by mutating the topology, which keeps failure-scenario
 //! evaluation cheap and side-effect free. Append-only also means "memo
 //! reset on append": what route enumeration derives from the graph (the
-//! [conduit view](crate::route)) is built on first use and kept until the
-//! next `add_node` / `add_edge`, the only two mutations there are.
+//! [conduit view](crate::route) and its [detour memo](Graph::detours)) is
+//! built on first use and kept until the next `add_node` / `add_edge`, the
+//! only two mutations there are.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
+use crate::cache::RouteCache;
 use crate::route::ConduitView;
 
 /// Identifier of a node (ROADM site / router).
@@ -121,6 +123,20 @@ impl Graph {
     /// use) and kept until the next append.
     pub(crate) fn conduit_view(&self) -> &ConduitView {
         self.conduits.get_or_init(|| ConduitView::new(self).into())
+    }
+
+    /// The graph's memo of single-conduit detours: a [`RouteCache`] for
+    /// the queries whose ban set is one conduit or some of its fibers —
+    /// §8's failure unit and its single-fiber subsets. A cut's detours
+    /// depend only on the graph and the cut, so whoever restores the same
+    /// cut again reads what the first restorer computed. Like the conduit
+    /// view it is filled on first use, shared by clones and dropped by
+    /// every append; it answers for this graph only.
+    ///
+    /// `None` — ask a cache of your own — for the empty set, a set that
+    /// spans conduits and a set naming a fiber the graph does not have.
+    pub fn detours(&self, banned: &HashSet<EdgeId>) -> Option<&RouteCache> {
+        self.conduit_view().detours(banned)
     }
 
     /// Number of nodes.
@@ -324,6 +340,43 @@ mod tests {
         assert!(routes(&g, d).is_empty());
         g.add_edge(c, d, 10);
         assert_eq!(routes(&g, d)[0].length_km, 52 + 75 + 10);
+    }
+
+    /// The detour memo takes a ban set inside one conduit and nothing
+    /// else, a refused set leaves it as it was, a hit is the very list a
+    /// fresh computation returns, and only an append drops it.
+    #[test]
+    fn detours_are_memoized_per_conduit_and_reset_on_append() {
+        use crate::route::k_shortest_routes;
+        let (g, [a, _, c]) = plant();
+        let ban = |ids: &[u32]| -> HashSet<EdgeId> { ids.iter().map(|&i| EdgeId(i)).collect() };
+        let memo = g.detours(&ban(&[0])).expect("one fiber of conduit a-b");
+        let counts = |m: &RouteCache| (m.len(), m.hits(), m.misses());
+        for accepted in [ban(&[1]), ban(&[0, 1]), ban(&[2])] {
+            assert!(std::ptr::eq(g.detours(&accepted).unwrap(), memo));
+        }
+        let conduit = ban(&[0, 1]);
+        let routes = memo.routes(&g, a, c, 3, &conduit);
+        assert_eq!(*routes, k_shortest_routes(&g, a, c, 3, &conduit));
+        assert!(Arc::ptr_eq(&routes, &memo.routes(&g, a, c, 3, &conduit)));
+        assert_eq!(counts(memo), (1, 1, 1));
+        // Empty, across conduits, a fiber the graph does not have (alone
+        // and beside a real one): refused, and nothing is recorded.
+        for refused in [ban(&[]), ban(&[0, 2]), ban(&[3]), ban(&[0, 99])] {
+            assert!(g.detours(&refused).is_none(), "{refused:?}");
+        }
+        assert_eq!(counts(memo), (1, 1, 1));
+        // A clone shares the memo until it grows; growing it leaves the
+        // original's memo alone.
+        let mut grown = g.clone();
+        assert!(std::ptr::eq(grown.detours(&conduit).unwrap(), memo));
+        grown.add_edge(a, c, 70);
+        assert!(grown.detours(&conduit).unwrap().is_empty());
+        assert!(
+            grown.detours(&ban(&[3])).is_some(),
+            "the new fiber is known"
+        );
+        assert_eq!(counts(g.detours(&conduit).unwrap()), (1, 1, 1));
     }
 
     #[test]

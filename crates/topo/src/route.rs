@@ -19,6 +19,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use crate::cache::RouteCache;
 use crate::graph::{Edge, EdgeId, Graph, NodeId};
 use crate::ksp::{yen, DijkstraScratch, HIDDEN};
 use crate::path::Path;
@@ -73,6 +74,11 @@ pub(crate) struct ConduitView {
     members: Vec<Vec<EdgeId>>,
     /// Per fiber, its collapsed edge.
     conduit_of: Vec<EdgeId>,
+    /// Routes under ban sets inside one conduit — §8's failure unit and
+    /// its single-fiber subsets — filled on first use: a cut seen before
+    /// is a lookup, a first-seen cut costs the Yen runs it always did
+    /// (see [`Graph::detours`]).
+    detours: RouteCache,
 }
 
 impl ConduitView {
@@ -85,6 +91,7 @@ impl ConduitView {
             collapsed: Graph::new(),
             members: Vec::new(),
             conduit_of: vec![EdgeId(0); fibers.len()],
+            detours: RouteCache::new(),
         };
         for _ in graph.nodes() {
             view.collapsed.add_node(String::new());
@@ -100,6 +107,14 @@ impl ConduitView {
             view.members.push(conduit.iter().map(|f| f.id).collect());
         }
         view
+    }
+
+    /// The detour memo when every fiber of `banned` — at least one — is
+    /// a fiber of one conduit; see [`Graph::detours`].
+    pub(crate) fn detours(&self, banned: &HashSet<EdgeId>) -> Option<&RouteCache> {
+        let mut conduits = banned.iter().map(|f| self.conduit_of.get(f.0 as usize));
+        let first = conduits.next()??;
+        conduits.all(|c| c == Some(first)).then_some(&self.detours)
     }
 }
 

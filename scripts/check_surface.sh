@@ -20,6 +20,11 @@
 #     rebuild must not grow back), or non-test crates/topo/src/ksp.rs
 #     names a `HashSet<NodeId>` (bans inside a search are marks on the
 #     scratch, not hash sets);
+#   * non-test crates/ctrl/src constructs a `RouteCache` (a restorer with
+#     no shared cache reads the graph's detour memo; no private
+#     orchestrator or service cache), or non-test crates/topo/src outside
+#     cache.rs constructs one anywhere but once, in `ConduitView::new`
+#     (the detour memo lives and dies with the conduit view);
 #   * non-test crates/ctrl/src/controller.rs scans a MUX's ports
 #     (`(0..MUX_PORTS)`) or calls `alloc_port(` anywhere but once, in
 #     `claim_lightpath`: which port a lightpath was given is read off the
@@ -125,6 +130,26 @@ fi
 
 if non_test ksp.rs | grep -n 'HashSet<NodeId>'; then
     echo "crates/topo/src/ksp.rs: node bans are marks on DijkstraScratch, not a HashSet<NodeId>"
+    bad=1
+fi
+
+new_cache='RouteCache::(new|default)\b'
+ctrl_caches=$(find crates/ctrl/src -name '*.rs' | sort | while read -r f; do
+    non_test_of "$f" | grep -nE "$new_cache" | sed "s|^|$f:|" || true
+done)
+if [ -n "$ctrl_caches" ]; then
+    echo "crates/ctrl/src: no RouteCache of its own (restore reads the graph's detour memo):"
+    echo "$ctrl_caches"
+    bad=1
+fi
+topo_caches=$(find crates/topo/src -name '*.rs' ! -name cache.rs | sort | while read -r f; do
+    non_test_of "$f" | grep -nE "$new_cache" | sed "s|^|$f:|" || true
+done)
+memo_builder=$(non_test route.rs | awk '/^impl ConduitView /{on=1} on&&/^    pub\(crate\) fn new\(/{fn=1} fn{print} fn&&/^    }/{fn=0}')
+if [ "$(echo "$topo_caches" | grep -c .)" -ne 1 ] ||
+    [ "$(echo "$memo_builder" | grep -cE "$new_cache")" -ne 1 ]; then
+    echo "crates/topo/src: the detour memo is the one RouteCache topo builds, in ConduitView::new:"
+    echo "$topo_caches"
     bad=1
 fi
 
