@@ -72,16 +72,18 @@ pub fn availability_surface(
 mod tests {
     use super::*;
     use flexwan_core::planning::PlannerConfig;
-    use flexwan_topo::tbackbone::{t_backbone, Backbone, TBackboneConfig};
+    use flexwan_topo::continental::ScaleParams;
+    use flexwan_topo::tbackbone::{t_backbone, Backbone};
 
     fn small_backbone() -> Backbone {
-        t_backbone(&TBackboneConfig {
+        t_backbone(&ScaleParams {
             regions: 2,
-            nodes_per_region: 3,
+            metros_per_region: 3,
             ip_links: 6,
             seed: 35,
             metro_fiber_pairs: 2,
-            longhaul_fiber_pairs: 2,
+            hub_fiber_pairs: 2,
+            ..ScaleParams::tbackbone()
         })
     }
 

@@ -7,6 +7,7 @@ use flexwan_bench::instances::{cernet_instance, default_config, tbackbone_instan
 use flexwan_bench::table;
 use flexwan_core::planning::mean;
 use flexwan_core::Scheme;
+use flexwan_topo::continental::{Family, ScaleParams};
 
 fn main() {
     table::banner(
@@ -14,10 +15,11 @@ fn main() {
         "Two topologies: path-length distribution and FlexWAN's gains on each.",
     );
     let cfg = default_config();
-    let nsfnet = flexwan_topo::nsfnet::nsfnet(&flexwan_topo::demand::ArrowDemandConfig {
+    let nsfnet = ScaleParams {
         ip_links: 80,
-        ..Default::default()
-    });
+        ..ScaleParams::nsfnet()
+    }
+    .build(Family::Nsfnet);
     for (name, b) in [
         ("T-backbone", tbackbone_instance()),
         ("Cernet", cernet_instance()),

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 use flexwan_core::planning::{plan, PlanCtx, PlannerConfig};
 use flexwan_core::restore::{
-    conduit_cut_scenarios, extra_spares, restore_report, Restoration, RestoreReport,
+    choose_spare_pool, conduit_cut_scenarios, restore_report, Restoration, RestoreReport,
 };
 use flexwan_core::Scheme;
 use flexwan_optical::spectrum::PixelWidth;
@@ -274,7 +274,9 @@ pub fn restoration_results(
     // The FlexWAN+ pool is the A/B winner (dual-priced vs uniform, see
     // `restore::spares`).
     let extra = if plus {
-        extra_spares(&p, ctx.optical(), &ip, ctx.cfg(), &Default::default())
+        choose_spare_pool(&p, ctx.optical(), &ip, ctx.cfg(), &Default::default())
+            .chosen()
+            .to_vec()
     } else {
         Vec::new()
     };

@@ -61,9 +61,8 @@ impl ScaleTier {
     }
 }
 
-/// The primary synthetic instance at the `FLEXWAN_SCALE` tier. At the
-/// default `full` tier this is byte-identical to the legacy
-/// `t_backbone(&TBackboneConfig::default())` instance.
+/// The primary synthetic instance at the `FLEXWAN_SCALE` tier (the
+/// default `full` tier is [`ScaleParams::tbackbone`]).
 pub fn tbackbone_instance() -> Backbone {
     tbackbone_instance_at(ScaleTier::from_env())
 }
@@ -142,8 +141,6 @@ pub fn default_config() -> PlannerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexwan_topo::demand::ArrowDemandConfig;
-    use flexwan_topo::tbackbone::{t_backbone, TBackboneConfig};
 
     #[test]
     fn instances_are_stable() {
@@ -152,18 +149,6 @@ mod tests {
         assert_eq!(a.optical, b.optical);
         let c = cernet_instance();
         assert_eq!(c.optical.num_nodes(), 35);
-    }
-
-    #[test]
-    fn full_tier_is_bitwise_the_legacy_instances() {
-        let legacy = t_backbone(&TBackboneConfig::default());
-        let now = tbackbone_instance_at(ScaleTier::Full);
-        assert_eq!(legacy.optical, now.optical);
-        assert_eq!(legacy.ip.links(), now.ip.links());
-        let legacy_c = flexwan_topo::cernet::cernet(&ArrowDemandConfig::default());
-        let now_c = cernet_instance();
-        assert_eq!(legacy_c.optical, now_c.optical);
-        assert_eq!(legacy_c.ip.links(), now_c.ip.links());
     }
 
     #[test]

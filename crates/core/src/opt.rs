@@ -479,19 +479,6 @@ impl LazyWavelengthVarSpace {
         &self.menus[slot][ki]
     }
 
-    /// Whether the column `(slot, ki, format, start)` is already admitted
-    /// (an off-menu format never is).
-    pub(crate) fn is_admitted(
-        &self,
-        slot: usize,
-        ki: usize,
-        format: TransponderFormat,
-        start: u32,
-    ) -> bool {
-        self.start_bits(slot, ki, format)
-            .is_some_and(|bits| bit(&self.admitted[bits], start))
-    }
-
     /// Index of the `(slot, ki, format)` admitted-start bitset; `None`
     /// for a format off the `(slot, ki)` menu.
     fn start_bits(&self, slot: usize, ki: usize, format: TransponderFormat) -> Option<usize> {

@@ -42,7 +42,7 @@ use std::collections::{HashMap, HashSet};
 use flexwan_optical::format::TransponderFormat;
 use flexwan_optical::spectrum::PixelRange;
 use flexwan_solver::{LinExpr, Model, Sense, SolveOptions};
-use flexwan_topo::graph::{EdgeId, Graph};
+use flexwan_topo::graph::Graph;
 use flexwan_topo::ip::IpTopology;
 use flexwan_topo::path::Path;
 
@@ -52,6 +52,7 @@ use crate::planning::ctx::PlanCtx;
 use crate::planning::format_dp::FormatTable;
 use crate::planning::heuristic::{plan, PlannerConfig};
 use crate::planning::mip::{solve_exact, ExactPlan};
+use crate::planning::spectrum::SpectrumState;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 
@@ -287,39 +288,27 @@ pub fn solve_exact_colgen(
         .map(|(i, l)| (l.id, i))
         .collect();
     let align = scheme.alignment_pixels();
-    let words = (pixels as usize).div_ceil(64);
-    // Occupancy of cells covered by pass-1/2 columns, per (fiber, px).
-    let mut occ = vec![0u64; optical.num_edges() * words];
-    let free = |occ: &[u64], edges: &[EdgeId], start: u32, w: u32| {
-        edges.iter().all(|e| {
-            (start..start + w)
-                .all(|px| occ[e.0 as usize * words + px as usize / 64] >> (px % 64) & 1 == 0)
-        })
-    };
-    let mark = |occ: &mut [u64], edges: &[EdgeId], start: u32, w: u32| {
-        for e in edges {
-            for px in start..start + w {
-                occ[e.0 as usize * words + px as usize / 64] |= 1 << (px % 64);
-            }
-        }
-    };
-    // Slot, candidate path and fibers of a wavelength that is a
+    // Spectrum every admitted column occupies on its own candidate path.
+    let mut state = SpectrumState::new(cfg.grid, optical.num_edges());
+    // Slot, candidate path and channel of a wavelength that is a
     // not-yet-admitted column of the master's universe.
     let member = |lazy: &LazyWavelengthVarSpace, w: &Wavelength| {
         let slot = *slot_of.get(&w.link)?;
         let ki = lazy.unadmitted_column(slot, w)?;
-        Some((slot, ki, lazy.space().paths(slot)[ki].edges.clone()))
+        let channel = PixelRange::new(w.channel.start, w.format.spacing);
+        Some((slot, ki, lazy.space().paths(slot)[ki].clone(), channel))
     };
     let mut covered = vec![0u64; ip.links().len()];
 
     // Pass 1: matched heuristic wavelengths.
     for w in &heuristic.wavelengths {
-        let Some((slot, ki, edges)) = member(master.lazy(), w) else {
+        let Some((slot, ki, path, channel)) = member(master.lazy(), w) else {
             continue;
         };
-        let width = u32::from(w.format.spacing.pixels());
-        master.seed(slot, ki, w.format, w.channel.start);
-        mark(&mut occ, &edges, w.channel.start, width);
+        master.seed(slot, ki, w.format, channel.start);
+        state
+            .occupy_exact(&path, &channel)
+            .expect("a heuristic plan's wavelengths never share a pixel of a fiber");
         covered[slot] += u64::from(w.format.data_rate_gbps);
     }
 
@@ -328,7 +317,7 @@ pub fn solve_exact_colgen(
     let mut table = FormatTable::new(model_t, cfg.epsilon);
     let mut formats = Vec::new();
     // `covered[slot]` is mutated mid-iteration — an enumerate() borrow
-    // would fight the seed/mark updates below.
+    // would fight the seed updates below.
     #[allow(clippy::needless_range_loop)]
     'slots: for slot in 0..ip.links().len() {
         let demand = ip.links()[slot].demand_gbps;
@@ -340,21 +329,13 @@ pub fn solve_exact_colgen(
                 if !table.select_into(need, path.length_km, &mut formats) {
                     continue;
                 }
-                let edges = path.edges.clone();
                 for f in &formats {
-                    let w = u32::from(f.spacing.pixels());
-                    if w > pixels {
-                        continue;
-                    }
-                    let mut q = 0u32;
-                    while q + w <= pixels {
-                        if free(&occ, &edges, q, w) && !master.lazy().is_admitted(slot, ki, *f, q) {
-                            master.seed(slot, ki, *f, q);
-                            mark(&mut occ, &edges, q, w);
-                            covered[slot] += u64::from(f.data_rate_gbps);
-                            continue 'cover;
-                        }
-                        q += align;
+                    // A free window is never an admitted column: every
+                    // column admitted so far occupies its own path.
+                    if let Some(channel) = state.allocate(path, f.spacing, align) {
+                        master.seed(slot, ki, *f, channel.start);
+                        covered[slot] += u64::from(f.data_rate_gbps);
+                        continue 'cover;
                     }
                 }
             }
@@ -372,15 +353,15 @@ pub fn solve_exact_colgen(
     // instances, materializing thousands of conflict rows that bloat the
     // very first RMP LP for columns the LP would zero anyway.
     for w in &protected.protection {
-        let Some((slot, ki, edges)) = member(master.lazy(), w) else {
+        let Some((slot, ki, path, channel)) = member(master.lazy(), w) else {
             continue;
         };
-        let width = u32::from(w.format.spacing.pixels());
-        if !free(&occ, &edges, w.channel.start, width) {
-            continue;
+        if path.edges.iter().all(|&e| state.mask(e).is_free(&channel)) {
+            master.seed(slot, ki, w.format, channel.start);
+            state
+                .occupy_exact(&path, &channel)
+                .expect("a window free on every fiber occupies cleanly");
         }
-        master.seed(slot, ki, w.format, w.channel.start);
-        mark(&mut occ, &edges, w.channel.start, width);
     }
 
     // A seed that could not certify coverage, or a solve that died on

@@ -368,8 +368,9 @@ mod tests {
     use super::*;
     use crate::planning::format_dp::oracle;
     use flexwan_optical::spectrum::{PixelRange, PixelWidth};
+    use flexwan_topo::continental::ScaleParams;
     use flexwan_topo::graph::NodeId;
-    use flexwan_topo::tbackbone::{t_backbone, TBackboneConfig};
+    use flexwan_topo::tbackbone::t_backbone;
     use std::collections::HashSet;
 
     /// Two-node backbone with two parallel fiber routes.
@@ -874,7 +875,7 @@ mod tests {
             k_paths: 5,
             ..Default::default()
         };
-        (t_backbone(&TBackboneConfig::default()), cfg)
+        (t_backbone(&ScaleParams::tbackbone()), cfg)
     }
 
     #[test]

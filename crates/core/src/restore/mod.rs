@@ -11,9 +11,7 @@ pub mod report;
 pub mod spares;
 
 // The cut-set vocabulary lives in `crate::scenario`.
-pub use crate::scenario::{
-    conduit_cut_scenarios, one_fiber_scenarios, probabilistic_scenarios, FailureScenario,
-};
+pub use crate::scenario::{conduit_cut_scenarios, one_fiber_scenarios, FailureScenario};
 pub use heuristic::{
     flexwan_plus_extra_spares, restore, restore_cached, Restoration, RestoredWavelength,
 };
@@ -22,4 +20,4 @@ pub use mip::{
     solve_exact_colgen as solve_restoration_exact_colgen, ExactRestoration, RestorationColGen,
 };
 pub use report::{report as restore_report, RestoreReport};
-pub use spares::{choose_spare_pool, dual_priced_extra_spares, extra_spares, SparePoolChoice};
+pub use spares::{choose_spare_pool, SparePoolChoice};

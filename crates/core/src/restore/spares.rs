@@ -61,7 +61,7 @@ impl SparePoolChoice {
 /// scenario makes them transponder-limited) get nothing; if *no* link
 /// prices positive the uniform pool comes back unchanged — there is no
 /// signal to act on.
-pub fn dual_priced_extra_spares(
+fn dual_priced_extra_spares(
     plan: &Plan,
     optical: &Graph,
     ip: &IpTopology,
@@ -92,22 +92,6 @@ pub fn dual_priced_extra_spares(
         alloc[best] += 1;
     }
     alloc
-}
-
-/// The production FlexWAN+ spare pool: the A/B winner from
-/// [`choose_spare_pool`] — dual-priced when it restores strictly more on
-/// the conduit-cut suite, the paper's uniform ⌈saved/2⌉ rule otherwise,
-/// so the result is never worse than uniform.
-pub fn extra_spares(
-    plan: &Plan,
-    optical: &Graph,
-    ip: &IpTopology,
-    cfg: &PlannerConfig,
-    opts: &SolveOptions,
-) -> Vec<u32> {
-    choose_spare_pool(plan, optical, ip, cfg, opts)
-        .chosen()
-        .to_vec()
 }
 
 /// Builds both pools and runs the A/B on the single-conduit-cut suite

@@ -210,51 +210,6 @@ pub fn conduit_cut_scenarios(g: &Graph) -> Vec<FailureScenario> {
         .collect()
 }
 
-/// `n` probabilistic scenarios (the model of \[17\]): each scenario cuts one
-/// or (with probability `double_cut_prob`) two fibers, drawn with
-/// probability proportional to fiber length — long-haul fibers are cut
-/// more often (construction work scales with route length).
-pub fn probabilistic_scenarios(
-    g: &Graph,
-    n: usize,
-    double_cut_prob: f64,
-    seed: u64,
-) -> Vec<FailureScenario> {
-    assert!((0.0..=1.0).contains(&double_cut_prob));
-    assert!(g.num_edges() >= 2, "need at least two fibers");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let total: u64 = g.edges().iter().map(|e| u64::from(e.length_km)).sum();
-    let draw = |rng: &mut ChaCha8Rng| -> EdgeId {
-        let mut t = rng.gen_range(0..total);
-        for e in g.edges() {
-            let l = u64::from(e.length_km);
-            if t < l {
-                return e.id;
-            }
-            t -= l;
-        }
-        g.edges().last().expect("non-empty").id
-    };
-    (0..n)
-        .map(|id| {
-            let first = draw(&mut rng);
-            let mut cuts = vec![first];
-            if rng.gen_f64() < double_cut_prob {
-                let mut second = draw(&mut rng);
-                while second == first {
-                    second = draw(&mut rng);
-                }
-                cuts.push(second);
-            }
-            FailureScenario {
-                id,
-                cuts,
-                probability: 1.0 / n as f64,
-            }
-        })
-        .collect()
-}
-
 /// Every exactly-`k`-fiber-cut scenario, in lexicographic fiber-index
 /// order, uniformly weighted. `k = 1` is the single-cut set of the §8
 /// evaluation ([`one_fiber_scenarios`]), which is what lets the
@@ -885,19 +840,6 @@ mod tests {
         assert_eq!(n_choose_k(60, 3), 34220);
     }
 
-    fn square() -> Graph {
-        let mut g = Graph::new();
-        let a = g.add_node("a");
-        let b = g.add_node("b");
-        let c = g.add_node("c");
-        let d = g.add_node("d");
-        g.add_edge(a, b, 100);
-        g.add_edge(b, c, 2000); // long fiber, cut often
-        g.add_edge(c, d, 100);
-        g.add_edge(d, a, 100);
-        g
-    }
-
     #[test]
     fn conduit_scenarios_group_parallels() {
         let mut g = Graph::new();
@@ -913,34 +855,5 @@ mod tests {
         assert!(ab.is_cut(EdgeId(0)) && ab.is_cut(EdgeId(1)));
         let total_p: f64 = s.iter().map(|x| x.probability).sum();
         assert!((total_p - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probabilistic_weighted_by_length() {
-        let g = square();
-        let s = probabilistic_scenarios(&g, 400, 0.0, 5);
-        let long_cuts = s.iter().filter(|sc| sc.is_cut(EdgeId(1))).count();
-        // Fiber 1 carries 2000 of 2300 km → ~87 % of cuts.
-        assert!(long_cuts > 300, "long fiber cut only {long_cuts}/400 times");
-    }
-
-    #[test]
-    fn double_cuts_present_and_distinct() {
-        let g = square();
-        let s = probabilistic_scenarios(&g, 200, 0.5, 9);
-        let doubles: Vec<_> = s.iter().filter(|sc| sc.cuts.len() == 2).collect();
-        assert!(!doubles.is_empty());
-        for d in doubles {
-            assert_ne!(d.cuts[0], d.cuts[1]);
-        }
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let g = square();
-        assert_eq!(
-            probabilistic_scenarios(&g, 50, 0.3, 1),
-            probabilistic_scenarios(&g, 50, 0.3, 1)
-        );
     }
 }

@@ -107,25 +107,17 @@ impl TelemetryStore {
     }
 }
 
-/// Threshold-rule fiber-cut detector.
-#[derive(Debug, Clone)]
-pub struct FiberCutDetector {
-    /// A drop of at least this many dB between consecutive samples flags a
-    /// cut.
-    pub drop_threshold_db: f64,
-    /// Any power below this floor flags a cut regardless of history (a
-    /// fiber cut leaves only receiver noise).
-    pub floor_dbm: f64,
-}
+/// A fiber that lost at least this many dB is cut: the detector's drop
+/// between consecutive samples, and the service's accumulated drift.
+pub(crate) const CUT_DROP_DB: f64 = 20.0;
+/// Any power below this floor is a cut regardless of history (a fiber cut
+/// leaves only receiver noise).
+const CUT_FLOOR_DBM: f64 = -40.0;
 
-impl Default for FiberCutDetector {
-    fn default() -> Self {
-        FiberCutDetector {
-            drop_threshold_db: 20.0,
-            floor_dbm: -40.0,
-        }
-    }
-}
+/// Threshold-rule fiber-cut detector: a fiber is cut once its power falls
+/// below −40 dBm or drops by 20 dB or more between consecutive samples.
+#[derive(Debug, Clone, Default)]
+pub struct FiberCutDetector;
 
 impl FiberCutDetector {
     /// Whether `fiber` currently looks cut.
@@ -133,11 +125,11 @@ impl FiberCutDetector {
         let Some((_, now)) = store.latest(fiber) else {
             return false;
         };
-        if now < self.floor_dbm {
+        if now < CUT_FLOOR_DBM {
             return true;
         }
         match store.previous(fiber) {
-            Some((_, before)) => before - now >= self.drop_threshold_db,
+            Some((_, before)) => before - now >= CUT_DROP_DB,
             None => false,
         }
     }
@@ -213,7 +205,7 @@ mod tests {
         for t in 0..30 {
             sim.tick(&mut store, t, &[]);
         }
-        assert!(FiberCutDetector::default().scan(&store).is_empty());
+        assert!(FiberCutDetector.scan(&store).is_empty());
     }
 
     #[test]
@@ -221,7 +213,7 @@ mod tests {
         let g = plant();
         let sim = TelemetrySim::new(&g);
         let mut store = TelemetryStore::new(60);
-        let det = FiberCutDetector::default();
+        let det = FiberCutDetector;
         for t in 0..10 {
             sim.tick(&mut store, t, &[]);
         }
@@ -236,7 +228,7 @@ mod tests {
         let g = plant();
         let sim = TelemetrySim::new(&g);
         let mut store = TelemetryStore::new(10);
-        let det = FiberCutDetector::default();
+        let det = FiberCutDetector;
         for t in 0..500 {
             sim.tick(&mut store, t, &[]);
             assert!(det.scan(&store).is_empty(), "false positive at tick {t}");
@@ -263,7 +255,7 @@ mod tests {
         let g = plant();
         let sim = TelemetrySim::new(&g);
         let mut store = TelemetryStore::new(60);
-        let det = FiberCutDetector::default();
+        let det = FiberCutDetector;
         sim.tick(&mut store, 0, &[]);
         for t in 1..5 {
             sim.tick(&mut store, t, &[EdgeId(0)]);
@@ -317,7 +309,7 @@ mod tests {
         assert_eq!(store.stale_dropped(), 2);
         assert_eq!(store.latest(EdgeId(0)), Some((6, -3.0)));
         assert_eq!(store.previous(EdgeId(0)), Some((5, -3.0)));
-        assert!(!FiberCutDetector::default().is_cut(&store, EdgeId(0)));
+        assert!(!FiberCutDetector.is_cut(&store, EdgeId(0)));
     }
 
     #[test]
@@ -325,7 +317,7 @@ mod tests {
         let g = plant();
         let sim = TelemetrySim::new(&g);
         let mut store = TelemetryStore::new(60);
-        let det = FiberCutDetector::default();
+        let det = FiberCutDetector;
         sim.tick(&mut store, 0, &[]);
         sim.tick(&mut store, 1, &[EdgeId(0)]);
         assert!(det.is_cut(&store, EdgeId(0)));

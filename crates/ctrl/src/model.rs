@@ -1,13 +1,11 @@
-//! The standard device model (§4.3).
+//! Device identity (§4.3): id, vendor, kind, management address and site.
 //!
 //! "We utilize a standard device model for each type of device so that the
 //! heterogeneous devices across vendors are uniformly abstracted into a
-//! group of logic components. Then, the device model provides the mapping
-//! of these abstracted logic components to specify the detailed workflow
-//! between them." — [`StandardDeviceModel`] is that abstraction: per
-//! device kind, the ordered logic components and the signal workflow
-//! between them. Vendor adapters ([`crate::vendor`]) translate standard
-//! configuration into native dialects, so the controller never speaks a
+//! group of logic components." The abstraction the controller exercises is
+//! the vendor-agnostic [`StandardConfig`](crate::config::StandardConfig)
+//! per device kind, which the vendor adapters ([`crate::vendor`])
+//! translate into native dialects, so the controller never speaks a
 //! vendor-specific language.
 
 use std::net::Ipv4Addr;
@@ -47,56 +45,6 @@ pub enum DeviceKind {
     Roadm,
     /// An inline EDFA amplifier.
     Amplifier,
-}
-
-/// A logic component inside a device, per the standard model (§4.2's
-/// transponder internals, §4.2's OLS internals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LogicComponent {
-    /// Forward-error-correction module (adjustable overhead in the SVT).
-    FecModule,
-    /// Digital signal processor (baud rate × modulation mesh).
-    Dsp,
-    /// Electro-optic modulator (channel spacing).
-    Eom,
-    /// A MUX filter port (one passband).
-    FilterPort,
-    /// A WSS switching module (pixel-wise or fixed-grid).
-    WssModule,
-    /// Gain block of an amplifier.
-    GainBlock,
-    /// The device's control unit (receives configuration parameters).
-    ControlUnit,
-}
-
-/// The standard model of one device kind: its logic components in signal
-/// order, i.e. the workflow mapping of §4.3.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StandardDeviceModel {
-    /// The device kind modeled.
-    pub kind: DeviceKind,
-    /// Components in signal-flow order (electrical → optical).
-    pub workflow: Vec<LogicComponent>,
-}
-
-impl StandardDeviceModel {
-    /// The standard model for `kind`.
-    pub fn for_kind(kind: DeviceKind) -> StandardDeviceModel {
-        use LogicComponent::*;
-        let workflow = match kind {
-            // Figure 7: control unit drives FEC → DSP → EOM.
-            DeviceKind::Transponder => vec![ControlUnit, FecModule, Dsp, Eom],
-            DeviceKind::Mux => vec![ControlUnit, FilterPort, WssModule],
-            DeviceKind::Roadm => vec![ControlUnit, WssModule],
-            DeviceKind::Amplifier => vec![ControlUnit, GainBlock],
-        };
-        StandardDeviceModel { kind, workflow }
-    }
-
-    /// Whether the model contains `component`.
-    pub fn has(&self, component: LogicComponent) -> bool {
-        self.workflow.contains(&component)
-    }
 }
 
 /// A device registered with the controller: identity, vendor, kind, its
@@ -146,35 +94,6 @@ impl FromJson for DeviceId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transponder_workflow_matches_figure7() {
-        let m = StandardDeviceModel::for_kind(DeviceKind::Transponder);
-        assert_eq!(
-            m.workflow,
-            vec![
-                LogicComponent::ControlUnit,
-                LogicComponent::FecModule,
-                LogicComponent::Dsp,
-                LogicComponent::Eom
-            ]
-        );
-        assert!(m.has(LogicComponent::Eom));
-        assert!(!m.has(LogicComponent::FilterPort));
-    }
-
-    #[test]
-    fn every_kind_has_control_unit_first() {
-        for kind in [
-            DeviceKind::Transponder,
-            DeviceKind::Mux,
-            DeviceKind::Roadm,
-            DeviceKind::Amplifier,
-        ] {
-            let m = StandardDeviceModel::for_kind(kind);
-            assert_eq!(m.workflow[0], LogicComponent::ControlUnit, "{kind:?}");
-        }
-    }
 
     #[test]
     fn mgmt_ips_unique() {

@@ -69,7 +69,6 @@ pub struct Orchestrator<'a> {
     ip: &'a IpTopology,
     cfg: PlannerConfig,
     plan: Plan,
-    detector: FiberCutDetector,
     extra_spares: Vec<u32>,
     /// Fibers currently believed cut.
     active_cuts: BTreeSet<EdgeId>,
@@ -93,7 +92,6 @@ impl<'a> Orchestrator<'a> {
             ip,
             cfg,
             plan,
-            detector: FiberCutDetector::default(),
             extra_spares,
             active_cuts: BTreeSet::new(),
             restoration: Vec::new(),
@@ -170,7 +168,7 @@ impl<'a> Orchestrator<'a> {
         controller: &mut Controller,
         span: Option<&flexwan_obs::Span>,
     ) -> TickOutcome {
-        let flagged: BTreeSet<EdgeId> = self.detector.scan(store).into_iter().collect();
+        let flagged: BTreeSet<EdgeId> = FiberCutDetector.scan(store).into_iter().collect();
         let repaired: Vec<EdgeId> = self.active_cuts.difference(&flagged).copied().collect();
         let new_cuts: Vec<EdgeId> = flagged.difference(&self.active_cuts).copied().collect();
         if repaired.is_empty() && new_cuts.is_empty() {

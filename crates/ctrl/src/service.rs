@@ -43,6 +43,8 @@ use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::{IpLinkId, IpTopology};
 use flexwan_util::json::{self, ToJson, Value};
 
+use crate::datastream::CUT_DROP_DB;
+
 /// One churn event entering the controller.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChurnEvent {
@@ -58,8 +60,8 @@ pub enum ChurnEvent {
         demand_gbps: u64,
     },
     /// Receive-power drift on a fiber (dB, signed). Monitored; the
-    /// accumulated drift escalates to a cut past
-    /// [`ServiceConfig::drift_cut_db`].
+    /// accumulated drift escalates to a cut at 20 dB, the drop that makes
+    /// the [`FiberCutDetector`](crate::FiberCutDetector) flag a cut.
     TelemetryDrift {
         /// The drifting fiber.
         fiber: EdgeId,
@@ -142,9 +144,6 @@ pub struct ServiceConfig {
     /// Rebuild the standing model once on-demand restoration columns
     /// exceed this fraction of the base enumeration (compaction).
     pub rebuild_column_factor: f64,
-    /// Accumulated telemetry drift (dB, absolute) at which a fiber is
-    /// treated as cut.
-    pub drift_cut_db: f64,
 }
 
 impl Default for ServiceConfig {
@@ -153,7 +152,6 @@ impl Default for ServiceConfig {
             tick_budget_ns: u64::MAX,
             solve: SolveOptions::default(),
             rebuild_column_factor: 0.5,
-            drift_cut_db: 20.0,
         }
     }
 }
@@ -545,7 +543,7 @@ impl<'a> ChurnService<'a> {
         for (fiber, delta) in &net.drift {
             let d = self.drift_db.entry(*fiber).or_insert(0.0);
             *d += *delta;
-            if d.abs() >= self.svc.drift_cut_db {
+            if d.abs() >= CUT_DROP_DB {
                 net.cuts_added.insert(*fiber);
             }
         }

@@ -33,8 +33,8 @@ pub use metrics::{
 };
 pub use trace::{Span, SpanRecord, Tracer};
 
-/// Default bounded span-ring capacity of [`Obs::new`].
-pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
+/// Bounded span-ring capacity of every [`Obs`] bundle.
+const SPAN_CAPACITY: usize = 4096;
 
 /// The observability bundle: one clock, one metrics registry, one span
 /// tracer. Cloning shares all three.
@@ -46,20 +46,15 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A wall-clock bundle with the default span capacity.
+    /// A wall-clock bundle.
     pub fn new() -> Obs {
         Obs::with_clock(Arc::new(WallClock::new()))
     }
 
     /// A bundle over an injected clock (e.g. [`ManualClock`] in tests).
     pub fn with_clock(clock: Arc<dyn Clock>) -> Obs {
-        Obs::with_clock_and_capacity(clock, DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// A bundle over an injected clock with an explicit span-ring size.
-    pub fn with_clock_and_capacity(clock: Arc<dyn Clock>, span_capacity: usize) -> Obs {
         let registry = Arc::new(Registry::new());
-        let tracer = Arc::new(Tracer::new(span_capacity, clock.clone()));
+        let tracer = Arc::new(Tracer::new(SPAN_CAPACITY, clock.clone()));
         Obs {
             clock,
             registry,

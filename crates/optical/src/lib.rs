@@ -8,8 +8,7 @@
 //!   masks. All planning arithmetic is integer pixel arithmetic; floating
 //!   point only appears at the GHz presentation boundary.
 //! * [`modulation`] — modulation formats (BPSK … 256QAM and probabilistic
-//!   constellation shaping), bits/symbol, and the Shannon-Hartley helpers
-//!   the paper's motivation section is built on.
+//!   constellation shaping) and their bits/symbol.
 //! * [`mod@format`] — a transponder *format*: one (data rate, channel spacing,
 //!   optical reach) operating point together with the internal component
 //!   settings (FEC overhead, baud rate, modulation) that realize it.

@@ -1,4 +1,4 @@
-//! Modulation formats and Shannon-Hartley helpers.
+//! Modulation formats.
 //!
 //! The paper's motivation (§3.1) rests on the Shannon-Hartley theorem
 //! `C = W·log2(1 + S/N)`: a wavelength's achievable data rate is bounded by
@@ -89,33 +89,6 @@ impl std::fmt::Display for Modulation {
     }
 }
 
-/// Shannon-Hartley capacity `C = W·log2(1 + SNR)` in Gbps for a channel of
-/// `spacing_ghz` GHz at linear signal-to-noise ratio `snr_linear`, per
-/// polarization. Multiply by 2 for dual-polarization coherent systems.
-pub fn shannon_capacity_gbps(spacing_ghz: f64, snr_linear: f64) -> f64 {
-    assert!(spacing_ghz > 0.0 && snr_linear >= 0.0);
-    spacing_ghz * (1.0 + snr_linear).log2()
-}
-
-/// Minimum linear SNR needed to carry `rate_gbps` over `spacing_ghz` GHz on
-/// a dual-polarization channel, from inverting Shannon-Hartley.
-pub fn shannon_required_snr(rate_gbps: f64, spacing_ghz: f64) -> f64 {
-    assert!(spacing_ghz > 0.0 && rate_gbps >= 0.0);
-    // Dual polarization: each polarization carries rate/2 over the spacing.
-    let se_per_pol = rate_gbps / (2.0 * spacing_ghz);
-    2f64.powf(se_per_pol) - 1.0
-}
-
-/// Converts a linear power ratio to decibels.
-pub fn to_db(linear: f64) -> f64 {
-    10.0 * linear.log10()
-}
-
-/// Converts decibels to a linear power ratio.
-pub fn from_db(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
 // ---- JSON wire encoding (externally tagged, as serde derived) ----
 
 use flexwan_util::json::{self, FromJson, ToJson, Value};
@@ -188,42 +161,5 @@ mod tests {
     fn names_render() {
         assert_eq!(Modulation::Qam8.name(), "8QAM");
         assert_eq!(Modulation::pcs(3.5).name(), "PCS-3.5b");
-    }
-
-    #[test]
-    fn shannon_capacity_monotonic_in_snr_and_width() {
-        let c1 = shannon_capacity_gbps(75.0, 3.0);
-        let c2 = shannon_capacity_gbps(75.0, 7.0);
-        let c3 = shannon_capacity_gbps(150.0, 3.0);
-        assert!(c2 > c1);
-        assert!((c3 - 2.0 * c1).abs() < 1e-9, "capacity linear in width");
-        // 75 GHz at SNR=3 (linear) → 75·log2(4) = 150 Gbps per polarization.
-        assert!((c1 - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shannon_inverse_round_trips() {
-        // 300 Gbps over 75 GHz dual-pol → 2 b/s/Hz/pol → SNR = 3.
-        let snr = shannon_required_snr(300.0, 75.0);
-        assert!((snr - 3.0).abs() < 1e-9);
-        let cap = 2.0 * shannon_capacity_gbps(75.0, snr);
-        assert!((cap - 300.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn paper_motivation_800g_needs_wider_spacing() {
-        // §3.1: 800 Gbps is not supportable at 75 GHz even with 256QAM
-        // (SE = 5.33 b/s/Hz/pol needs SNR ≈ 39 ⇒ ~16 dB + impairments),
-        // while at 112.5 GHz the required SNR drops by ~5 dB.
-        let snr_75 = shannon_required_snr(800.0, 75.0);
-        let snr_112 = shannon_required_snr(800.0, 112.5);
-        assert!(to_db(snr_75) - to_db(snr_112) > 4.0);
-    }
-
-    #[test]
-    fn db_round_trip() {
-        for v in [0.1, 1.0, 3.16, 100.0] {
-            assert!((from_db(to_db(v)) - v).abs() < 1e-9);
-        }
     }
 }

@@ -38,25 +38,6 @@ pub fn q_function(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
-/// Inverse of [`q_function`] by bisection on `[0, 40]`; accepts
-/// `p ∈ (0, 0.5]`.
-pub fn q_inverse(p: f64) -> f64 {
-    assert!(
-        p > 0.0 && p <= 0.5,
-        "Q⁻¹ defined here for p ∈ (0, 0.5], got {p}"
-    );
-    let (mut lo, mut hi) = (0.0f64, 40.0f64);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if q_function(mid) > p {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,14 +58,6 @@ mod tests {
         assert!((q_function(1.0) - 0.158655).abs() < 1e-4);
         assert!((q_function(2.0) - 0.022750).abs() < 1e-4);
         assert!((q_function(3.0) - 0.001350).abs() < 1e-4);
-    }
-
-    #[test]
-    fn q_inverse_round_trips() {
-        for p in [0.4, 0.1, 1e-2, 1e-3, 1e-6] {
-            let x = q_inverse(p);
-            assert!((q_function(x) - p).abs() / p < 1e-3, "p={p}");
-        }
     }
 
     #[test]

@@ -37,6 +37,8 @@ const BATCH: usize = 8;
 /// Maximum consecutive in-`Ctx` branchings before a node returns its
 /// remaining frontier to the shared heap.
 const DIVE_CAP: usize = 24;
+/// A value within this of an integer counts as integral.
+const INT_TOL: f64 = 1e-6;
 
 /// A search node: tightened bounds over the base model plus the parent's
 /// final basis for warm-starting.
@@ -86,7 +88,6 @@ impl Ord for Prioritized {
 struct Shared {
     inst: Arc<Instance>,
     int_vars: Vec<usize>,
-    int_tol: f64,
     minimize: bool,
 }
 
@@ -216,7 +217,7 @@ fn process_node(
                 let f = (x - x.round()).abs();
                 (v, x, f)
             })
-            .filter(|&(_, _, f)| f > sh.int_tol)
+            .filter(|&(_, _, f)| f > INT_TOL)
             .max_by(|a, b| {
                 let da = (a.2 - 0.5).abs();
                 let db = (b.2 - 0.5).abs();
@@ -295,7 +296,6 @@ pub(crate) fn branch_and_bound(
             .filter(|(_, v)| v.kind != VarKind::Continuous)
             .map(|(i, _)| i)
             .collect(),
-        int_tol: opts.int_tol,
         minimize,
     };
     let root = Node {

@@ -277,8 +277,6 @@ impl std::fmt::Display for SolverStats {
 /// Options controlling the solve.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
-    /// Integrality tolerance for branch & bound.
-    pub int_tol: f64,
     /// Maximum branch & bound nodes explored.
     pub max_nodes: usize,
     /// Ignored: branch & bound runs on the calling thread (the batch
@@ -292,7 +290,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            int_tol: 1e-6,
             max_nodes: 200_000,
             threads: 0,
         }

@@ -9,7 +9,8 @@
 //! construction is byte-for-byte the code each module previously inlined:
 //! goldens over either topology are unchanged.
 
-use crate::demand::{arrow_ip_topology, ArrowDemandConfig};
+use crate::continental::ScaleParams;
+use crate::demand::arrow_ip_topology;
 use crate::geo::fiber_km;
 use crate::graph::Graph;
 use crate::tbackbone::Backbone;
@@ -23,7 +24,7 @@ pub type GeoCity = (&'static str, f64, f64);
 /// from the endpoints' great-circle distance times the routing detour
 /// factor. `what` names the topology in panic messages for typos in the
 /// adjacency table.
-pub fn geo_graph(cities: &[GeoCity], edges: &[(&str, &str)], what: &str) -> Graph {
+fn geo_graph(cities: &[GeoCity], edges: &[(&str, &str)], what: &str) -> Graph {
     let mut g = Graph::new();
     for (name, _, _) in cities {
         g.add_node(*name);
@@ -43,13 +44,15 @@ pub fn geo_graph(cities: &[GeoCity], edges: &[(&str, &str)], what: &str) -> Grap
     g
 }
 
-/// [`geo_graph`] plus an ARROW-style IP topology and demand set over it:
+/// The optical topology of a city table and an adjacency table (nodes in
+/// table order, great-circle-derived fiber lengths) plus an ARROW-style
+/// IP topology and demand set over it (`cfg`'s IP link count and seed):
 /// the full [`Backbone`] the evaluation instances hand to the planner.
 pub fn geo_backbone(
     cities: &[GeoCity],
     edges: &[(&str, &str)],
     what: &str,
-    cfg: &ArrowDemandConfig,
+    cfg: &ScaleParams,
 ) -> Backbone {
     let optical = geo_graph(cities, edges, what);
     let ip = arrow_ip_topology(&optical, cfg);
@@ -75,9 +78,9 @@ mod tests {
     fn backbone_carries_arrow_demands() {
         let cities: &[GeoCity] = &[("A", 10.0, 20.0), ("B", 11.0, 21.0), ("C", 12.0, 22.0)];
         let edges = &[("A", "B"), ("B", "C"), ("A", "C")];
-        let cfg = ArrowDemandConfig {
+        let cfg = ScaleParams {
             ip_links: 5,
-            ..Default::default()
+            ..ScaleParams::cernet()
         };
         let b = geo_backbone(cities, edges, "test", &cfg);
         assert_eq!(b.ip.num_links(), 5);

@@ -8,9 +8,8 @@
 //! detour factor (see [`crate::geo`]). Its median path is much longer than
 //! the T-backbone's, reproducing Figure 13(a)'s contrast.
 
-use crate::builder::{geo_backbone, geo_graph, GeoCity};
-use crate::demand::ArrowDemandConfig;
-use crate::graph::Graph;
+use crate::builder::{geo_backbone, GeoCity};
+use crate::continental::ScaleParams;
 use crate::tbackbone::Backbone;
 
 /// CERNET POP cities with (latitude, longitude).
@@ -111,15 +110,10 @@ pub const CERNET_EDGES: &[(&str, &str)] = &[
     ("Lanzhou", "Urumqi"),
 ];
 
-/// Builds the CERNET optical topology.
-pub fn cernet_optical() -> Graph {
-    geo_graph(CERNET_CITIES, CERNET_EDGES, "CERNET")
-}
-
 /// Builds the CERNET backbone with an ARROW-style IP topology and demands,
 /// as the paper does ("use distributions in \[49\] to generate the IP
 /// topology and bandwidth capacity").
-pub fn cernet(cfg: &ArrowDemandConfig) -> Backbone {
+pub fn cernet(cfg: &ScaleParams) -> Backbone {
     geo_backbone(CERNET_CITIES, CERNET_EDGES, "CERNET", cfg)
 }
 
@@ -131,7 +125,7 @@ mod tests {
 
     #[test]
     fn topology_is_connected_and_sized() {
-        let g = cernet_optical();
+        let g = cernet(&ScaleParams::cernet()).optical;
         assert_eq!(g.num_nodes(), 35);
         assert_eq!(g.num_edges(), CERNET_EDGES.len());
         assert!(g.is_connected(&HashSet::new()));
@@ -139,7 +133,7 @@ mod tests {
 
     #[test]
     fn fiber_lengths_are_geographic() {
-        let g = cernet_optical();
+        let g = cernet(&ScaleParams::cernet()).optical;
         let bj = g.node_by_name("Beijing").unwrap();
         let sh = g.node_by_name("Shanghai").unwrap();
         let edge = g
@@ -157,7 +151,7 @@ mod tests {
 
     #[test]
     fn longest_shortest_path_spans_the_country() {
-        let g = cernet_optical();
+        let g = cernet(&ScaleParams::cernet()).optical;
         let harbin = g.node_by_name("Harbin").unwrap();
         let urumqi = g.node_by_name("Urumqi").unwrap();
         let p = shortest_path(&g, harbin, urumqi, &HashSet::new()).unwrap();
@@ -168,7 +162,7 @@ mod tests {
     fn median_path_longer_than_tbackbone() {
         // Figure 13(a): CERNET's median optical path is much longer than
         // T-backbone's.
-        use crate::tbackbone::{t_backbone, TBackboneConfig};
+        use crate::tbackbone::t_backbone;
         let none = HashSet::new();
         let median = |b: &crate::tbackbone::Backbone| -> u32 {
             let mut l: Vec<u32> =
@@ -183,8 +177,8 @@ mod tests {
             l.sort_unstable();
             l[l.len() / 2]
         };
-        let cer = cernet(&ArrowDemandConfig::default());
-        let tb = t_backbone(&TBackboneConfig::default());
+        let cer = cernet(&ScaleParams::cernet());
+        let tb = t_backbone(&ScaleParams::tbackbone());
         assert!(
             median(&cer) > 2 * median(&tb),
             "cernet median {} vs t-backbone {}",

@@ -1,6 +1,6 @@
-//! Continental-scale multi-region backbone generator, and the
-//! [`ScaleParams`] knob set that makes every evaluation instance
-//! scale-parametric (suite → full topology → continental).
+//! Continental-scale multi-region backbone generator, and
+//! [`ScaleParams`], the one parameter set every evaluation instance is
+//! built from (suite → full topology → continental).
 //!
 //! The paper's evaluation stops at the 40-node T-backbone and the 35-node
 //! CERNET; the ROADMAP north-star is a production-scale system planning a
@@ -27,28 +27,27 @@ use std::collections::BTreeMap;
 use flexwan_util::rng::ChaCha8Rng;
 
 use crate::cernet::cernet;
-use crate::demand::ArrowDemandConfig;
 use crate::geo::fiber_km;
 use crate::graph::{Graph, NodeId};
 use crate::ip::IpTopology;
 use crate::nsfnet::nsfnet;
-use crate::tbackbone::{t_backbone, Backbone, TBackboneConfig};
+use crate::tbackbone::{t_backbone, Backbone};
 
-/// One scale knob set for every instance family: the suite-scale and
-/// full-topology configurations the existing bins use, plus the
-/// continental tier this module generates. Converters reproduce the
-/// legacy per-family configs bitwise, so a bin moving from a hard-coded
-/// `TBackboneConfig`/`ArrowDemandConfig` to a `ScaleParams` preset keeps
-/// byte-identical output.
+/// The one parameter set of every instance family: each generator
+/// ([`t_backbone`], [`cernet`], [`nsfnet`], [`continental`]) takes it
+/// directly and reads the fields its family uses. The presets are the
+/// instances the tree evaluates: suite-scale and full-topology
+/// T-backbone, CERNET and NSFNET with ARROW demands, and the continental
+/// tiers this module generates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleParams {
-    /// Number of regions (continental/T-backbone families).
+    /// Number of regions (continental / T-backbone families).
     pub regions: usize,
     /// Metros (ROADM sites) per region; metro 0 is the region hub.
     pub metros_per_region: usize,
-    /// IP link count for the ARROW-demand families (T-backbone, CERNET,
-    /// NSFNET); the continental family derives its IP topology from the
-    /// gravity model instead.
+    /// IP link count for the T-backbone and the ARROW-demand families
+    /// (CERNET, NSFNET); the continental family derives its IP topology
+    /// from the gravity model instead.
     pub ip_links: usize,
     /// Served user population, millions (continental family).
     pub users_millions: f64,
@@ -131,8 +130,8 @@ impl ScaleParams {
         }
     }
 
-    /// The full-topology T-backbone tier: converts to
-    /// `TBackboneConfig::default()` exactly.
+    /// The full-topology T-backbone tier: 8 regions × 5 sites = 40
+    /// ROADMs and 140 IP links.
     pub fn tbackbone() -> Self {
         ScaleParams {
             regions: 8,
@@ -160,8 +159,8 @@ impl ScaleParams {
         }
     }
 
-    /// The full-topology CERNET tier: converts to
-    /// `ArrowDemandConfig::default()` exactly.
+    /// The full-topology CERNET tier: 150 ARROW-drawn IP links (seed 11)
+    /// over the embedded topology.
     pub fn cernet() -> Self {
         ScaleParams {
             ip_links: 150,
@@ -175,34 +174,12 @@ impl ScaleParams {
         ScaleParams::cernet()
     }
 
-    /// The legacy T-backbone generator config these params describe.
-    pub fn to_tbackbone(&self) -> TBackboneConfig {
-        TBackboneConfig {
-            regions: self.regions,
-            nodes_per_region: self.metros_per_region,
-            ip_links: self.ip_links,
-            seed: self.seed,
-            metro_fiber_pairs: self.metro_fiber_pairs,
-            longhaul_fiber_pairs: self.hub_fiber_pairs,
-        }
-    }
-
-    /// The ARROW demand config these params describe (demand bounds keep
-    /// the family defaults).
-    pub fn to_arrow(&self) -> ArrowDemandConfig {
-        ArrowDemandConfig {
-            ip_links: self.ip_links,
-            seed: self.seed,
-            ..ArrowDemandConfig::default()
-        }
-    }
-
     /// Builds the backbone of `family` at these params.
     pub fn build(&self, family: Family) -> Backbone {
         match family {
-            Family::TBackbone => t_backbone(&self.to_tbackbone()),
-            Family::Cernet => cernet(&self.to_arrow()),
-            Family::Nsfnet => nsfnet(&self.to_arrow()),
+            Family::TBackbone => t_backbone(self),
+            Family::Cernet => cernet(self),
+            Family::Nsfnet => nsfnet(self),
             Family::Continental => continental(self).backbone,
         }
     }
@@ -618,26 +595,5 @@ mod tests {
                 assert!(hubset.contains(&e.a) && hubset.contains(&e.b));
             }
         }
-    }
-
-    #[test]
-    fn presets_reproduce_legacy_configs() {
-        assert_eq!(
-            ScaleParams::tbackbone().to_tbackbone(),
-            TBackboneConfig::default()
-        );
-        assert_eq!(
-            ScaleParams::cernet().to_arrow(),
-            ArrowDemandConfig::default()
-        );
-        // And the built backbones match the legacy constructors bitwise.
-        let via_params = ScaleParams::tbackbone().build(Family::TBackbone);
-        let legacy = t_backbone(&TBackboneConfig::default());
-        assert_eq!(via_params.optical, legacy.optical);
-        assert_eq!(via_params.ip.links(), legacy.ip.links());
-        let via_params = ScaleParams::cernet().build(Family::Cernet);
-        let legacy = cernet(&ArrowDemandConfig::default());
-        assert_eq!(via_params.optical, legacy.optical);
-        assert_eq!(via_params.ip.links(), legacy.ip.links());
     }
 }

@@ -10,33 +10,15 @@
 
 use flexwan_util::rng::ChaCha8Rng;
 
+use crate::continental::ScaleParams;
 use crate::graph::{Graph, NodeId};
 use crate::ip::IpTopology;
 use crate::ksp::shortest_path;
 
-/// Configuration of the ARROW-style demand generator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrowDemandConfig {
-    /// Number of IP links to generate.
-    pub ip_links: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Minimum demand, Gbps (rounded to 100 G).
-    pub min_gbps: u64,
-    /// Maximum demand, Gbps (rounded to 100 G).
-    pub max_gbps: u64,
-}
-
-impl Default for ArrowDemandConfig {
-    fn default() -> Self {
-        ArrowDemandConfig {
-            ip_links: 150,
-            seed: 11,
-            min_gbps: 200,
-            max_gbps: 1600,
-        }
-    }
-}
+/// Smallest demand the generator draws, Gbps.
+const MIN_GBPS: u64 = 200;
+/// Largest demand the generator draws, Gbps.
+const MAX_GBPS: u64 = 1600;
 
 /// Hop count of the shortest path between two nodes, if connected.
 fn hop_distance(g: &Graph, a: NodeId, b: NodeId) -> Option<usize> {
@@ -45,12 +27,11 @@ fn hop_distance(g: &Graph, a: NodeId, b: NodeId) -> Option<usize> {
 
 /// Generates an ARROW-style IP topology over the optical graph `g`.
 ///
-/// Deterministic given the config. Pairs are sampled with locality bias
-/// (probability weight `1/(1+hops)²`) and demands log-uniformly between the
-/// configured bounds, rounded to 100 Gbps.
-pub fn arrow_ip_topology(g: &Graph, cfg: &ArrowDemandConfig) -> IpTopology {
+/// Draws `cfg.ip_links` links, deterministic given `cfg.seed`. Pairs are
+/// sampled with locality bias (probability weight `1/(1+hops)²`) and
+/// demands log-uniformly between 200 G and 1.6 T, rounded to 100 Gbps.
+pub fn arrow_ip_topology(g: &Graph, cfg: &ScaleParams) -> IpTopology {
     assert!(g.num_nodes() >= 2, "need at least two nodes");
-    assert!(cfg.min_gbps >= 100 && cfg.max_gbps >= cfg.min_gbps);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
     // Precompute pair weights once (the graph is small: tens of nodes).
@@ -85,11 +66,11 @@ pub fn arrow_ip_topology(g: &Graph, cfg: &ArrowDemandConfig) -> IpTopology {
         }
         let (a, b, _) = pairs[chosen];
         // Log-uniform demand rounded to 100 G.
-        let lo = (cfg.min_gbps as f64).ln();
-        let hi = (cfg.max_gbps as f64).ln();
+        let lo = (MIN_GBPS as f64).ln();
+        let hi = (MAX_GBPS as f64).ln();
         let d = (rng.gen_f64() * (hi - lo) + lo).exp();
         let demand = ((d / 100.0).round().max(1.0) as u64) * 100;
-        ip.add_link(a, b, demand.clamp(cfg.min_gbps, cfg.max_gbps));
+        ip.add_link(a, b, demand.clamp(MIN_GBPS, MAX_GBPS));
     }
     ip
 }
@@ -110,32 +91,32 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = line_graph(8);
-        let cfg = ArrowDemandConfig::default();
+        let cfg = ScaleParams::cernet();
         assert_eq!(arrow_ip_topology(&g, &cfg), arrow_ip_topology(&g, &cfg));
     }
 
     #[test]
     fn demands_in_bounds_and_rounded() {
         let g = line_graph(10);
-        let cfg = ArrowDemandConfig {
+        let cfg = ScaleParams {
             ip_links: 200,
-            ..Default::default()
+            ..ScaleParams::cernet()
         };
         let ip = arrow_ip_topology(&g, &cfg);
         assert_eq!(ip.num_links(), 200);
         for l in ip.links() {
             assert_eq!(l.demand_gbps % 100, 0);
-            assert!((cfg.min_gbps..=cfg.max_gbps).contains(&l.demand_gbps));
+            assert!((MIN_GBPS..=MAX_GBPS).contains(&l.demand_gbps));
         }
     }
 
     #[test]
     fn locality_bias_favours_near_pairs() {
         let g = line_graph(12);
-        let cfg = ArrowDemandConfig {
+        let cfg = ScaleParams {
             ip_links: 600,
             seed: 3,
-            ..Default::default()
+            ..ScaleParams::cernet()
         };
         let ip = arrow_ip_topology(&g, &cfg);
         let near = ip

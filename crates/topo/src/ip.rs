@@ -84,14 +84,18 @@ impl IpTopology {
 
     /// A copy with every demand multiplied by `scale` — the capacity-scale
     /// sweep of Figure 12 ("increasing the bandwidth capacity scale").
+    /// Panics on a zero scale or a demand that overflows `u64`.
     pub fn scaled(&self, scale: u64) -> IpTopology {
-        assert!(scale > 0);
+        assert!(scale > 0, "scale must be positive");
         IpTopology {
             links: self
                 .links
                 .iter()
                 .map(|l| IpLink {
-                    demand_gbps: l.demand_gbps * scale,
+                    demand_gbps: l
+                        .demand_gbps
+                        .checked_mul(scale)
+                        .expect("scaled demand overflows u64"),
                     ..*l
                 })
                 .collect(),

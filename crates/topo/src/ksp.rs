@@ -620,10 +620,11 @@ mod tests {
 
     #[test]
     fn one_scratch_survives_graph_changes_and_degenerate_queries() {
+        use crate::continental::ScaleParams;
         use crate::route::{k_shortest_routes, k_shortest_routes_scratch};
-        use crate::tbackbone::{t_backbone, TBackboneConfig};
+        use crate::tbackbone::t_backbone;
 
-        let big = t_backbone(&TBackboneConfig::default());
+        let big = t_backbone(&ScaleParams::tbackbone());
         let (g, links) = (&big.optical, big.ip.links());
         let (small, c, h) = sample();
         let mut island = small.clone();

@@ -29,13 +29,13 @@ pub mod path;
 pub mod route;
 pub mod tbackbone;
 
-pub use builder::{geo_backbone, geo_graph, GeoCity};
+pub use builder::{geo_backbone, GeoCity};
 pub use cache::RouteCache;
 pub use continental::{continental, Continental, Family, ScaleParams};
-pub use demand::{arrow_ip_topology, ArrowDemandConfig};
+pub use demand::arrow_ip_topology;
 pub use graph::{Edge, EdgeId, Graph, Node, NodeId};
 pub use ip::{IpLink, IpLinkId, IpTopology};
 pub use ksp::{k_shortest_paths, shortest_path, DijkstraScratch};
 pub use path::Path;
 pub use route::{conduits, k_shortest_routes, Route};
-pub use tbackbone::{t_backbone, Backbone, TBackboneConfig};
+pub use tbackbone::{t_backbone, Backbone};

@@ -4,9 +4,8 @@
 //! sits between the metro-heavy T-backbone and the continental CERNET in
 //! path-length profile).
 
-use crate::builder::{geo_backbone, geo_graph, GeoCity};
-use crate::demand::ArrowDemandConfig;
-use crate::graph::Graph;
+use crate::builder::{geo_backbone, GeoCity};
+use crate::continental::ScaleParams;
 use crate::tbackbone::Backbone;
 
 /// NSFNET node cities with (latitude, longitude).
@@ -52,14 +51,8 @@ pub const NSFNET_EDGES: &[(&str, &str)] = &[
     ("Atlanta", "CollegePark"),
 ];
 
-/// Builds the NSFNET optical topology with geographically derived fiber
-/// lengths.
-pub fn nsfnet_optical() -> Graph {
-    geo_graph(NSFNET_CITIES, NSFNET_EDGES, "NSFNET")
-}
-
 /// NSFNET with ARROW-style demands.
-pub fn nsfnet(cfg: &ArrowDemandConfig) -> Backbone {
+pub fn nsfnet(cfg: &ScaleParams) -> Backbone {
     geo_backbone(NSFNET_CITIES, NSFNET_EDGES, "NSFNET", cfg)
 }
 
@@ -71,7 +64,7 @@ mod tests {
 
     #[test]
     fn classic_shape() {
-        let g = nsfnet_optical();
+        let g = nsfnet(&ScaleParams::nsfnet()).optical;
         assert_eq!(g.num_nodes(), 14);
         assert_eq!(g.num_edges(), 21);
         assert!(g.is_connected(&HashSet::new()));
@@ -80,7 +73,7 @@ mod tests {
     #[test]
     fn survives_any_single_cut() {
         // NSFNET is 2-connected: restoration always has a detour.
-        let g = nsfnet_optical();
+        let g = nsfnet(&ScaleParams::nsfnet()).optical;
         for e in g.edges() {
             assert!(g.is_connected(&[e.id].into_iter().collect()));
         }
@@ -88,7 +81,7 @@ mod tests {
 
     #[test]
     fn coast_to_coast_distance() {
-        let g = nsfnet_optical();
+        let g = nsfnet(&ScaleParams::nsfnet()).optical;
         let sea = g.node_by_name("Seattle").unwrap();
         let pri = g.node_by_name("Princeton").unwrap();
         let p = shortest_path(&g, sea, pri, &HashSet::new()).unwrap();
@@ -98,10 +91,9 @@ mod tests {
 
     #[test]
     fn plannable() {
-        use crate::demand::ArrowDemandConfig;
-        let b = nsfnet(&ArrowDemandConfig {
+        let b = nsfnet(&ScaleParams {
             ip_links: 40,
-            ..Default::default()
+            ..ScaleParams::nsfnet()
         });
         assert_eq!(b.ip.num_links(), 40);
     }

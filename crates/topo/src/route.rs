@@ -191,9 +191,9 @@ pub fn conduits(graph: &Graph) -> Vec<Vec<EdgeId>> {
 mod tests {
     use super::*;
     use crate::cernet::cernet;
-    use crate::demand::ArrowDemandConfig;
+    use crate::continental::ScaleParams;
     use crate::ksp::{k_shortest_paths_scratch, oracle};
-    use crate::tbackbone::{t_backbone, Backbone, TBackboneConfig};
+    use crate::tbackbone::{t_backbone, Backbone};
     use flexwan_util::rng::ChaCha8Rng;
     use std::collections::HashMap;
 
@@ -392,21 +392,21 @@ mod tests {
 
     #[test]
     fn differential_tbackbone_matches_the_per_call_rebuild() {
-        let b = t_backbone(&TBackboneConfig::default());
+        let b = t_backbone(&ScaleParams::tbackbone());
         let compared = differential_sweep(&b, 48, 21);
         assert!(compared > 1_000, "sweep too thin: {compared}");
     }
 
     #[test]
     fn differential_cernet_matches_the_per_call_rebuild() {
-        let b = cernet(&ArrowDemandConfig::default());
+        let b = cernet(&ScaleParams::cernet());
         let compared = differential_sweep(&b, 48, 22);
         assert!(compared > 1_000, "sweep too thin: {compared}");
     }
 
     #[test]
     fn disconnecting_ban_yields_no_route() {
-        let b = t_backbone(&TBackboneConfig::default());
+        let b = t_backbone(&ScaleParams::tbackbone());
         let l = &b.ip.links()[0];
         let banned = cut(&[b.optical.incident_edges(l.src)]);
         assert!(k_shortest_routes(&b.optical, l.src, l.dst, 5, &banned).is_empty());

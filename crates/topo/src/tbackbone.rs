@@ -19,41 +19,9 @@
 
 use flexwan_util::rng::ChaCha8Rng;
 
+use crate::continental::ScaleParams;
 use crate::graph::{Graph, NodeId};
 use crate::ip::IpTopology;
-
-/// Configuration of the synthetic T-backbone generator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TBackboneConfig {
-    /// Number of metro regions.
-    pub regions: usize,
-    /// ROADM sites per region.
-    pub nodes_per_region: usize,
-    /// Number of IP links to generate.
-    pub ip_links: usize,
-    /// RNG seed (the generator is fully deterministic given the seed).
-    pub seed: u64,
-    /// Fiber pairs per metro span (metro conduits carry several pairs).
-    pub metro_fiber_pairs: usize,
-    /// Fiber pairs per long-haul route.
-    pub longhaul_fiber_pairs: usize,
-}
-
-impl Default for TBackboneConfig {
-    fn default() -> Self {
-        // 8 regions × 5 sites = 40 ROADMs; 280 IP links ⇒ "hundreds of
-        // optical paths" at K=3 candidate paths each, matching §3.1's
-        // description at our evaluation scale.
-        TBackboneConfig {
-            regions: 8,
-            nodes_per_region: 5,
-            ip_links: 140,
-            seed: 35,
-            metro_fiber_pairs: 4,
-            longhaul_fiber_pairs: 3,
-        }
-    }
-}
 
 /// A generated backbone: the optical fiber plant plus the IP-link demand
 /// set riding on it.
@@ -65,25 +33,29 @@ pub struct Backbone {
     pub ip: IpTopology,
 }
 
-/// Generates the synthetic T-backbone.
-pub fn t_backbone(cfg: &TBackboneConfig) -> Backbone {
-    assert!(cfg.regions >= 2 && cfg.nodes_per_region >= 2 && cfg.ip_links >= 1);
+/// Generates the synthetic T-backbone from `cfg`'s regions, metros per
+/// region, IP link count, seed and metro / hub fiber pairs.
+/// [`ScaleParams::tbackbone`] is the evaluation instance: 8 regions × 5
+/// sites = 40 ROADMs and 140 IP links, "hundreds of optical paths" at
+/// K=3 candidate paths each (§3.1).
+pub fn t_backbone(cfg: &ScaleParams) -> Backbone {
+    assert!(cfg.regions >= 2 && cfg.metros_per_region >= 2 && cfg.ip_links >= 1);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut g = Graph::new();
 
     // Region hubs are node index 0 of each region.
     let mut region_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(cfg.regions);
     for r in 0..cfg.regions {
-        let mut nodes = Vec::with_capacity(cfg.nodes_per_region);
-        for i in 0..cfg.nodes_per_region {
+        let mut nodes = Vec::with_capacity(cfg.metros_per_region);
+        for i in 0..cfg.metros_per_region {
             nodes.push(g.add_node(format!("r{r}n{i}")));
         }
         // Metro ring: 25–90 km spans, two fiber pairs per span (metro
         // conduits carry multiple pairs; the metro mileage is where the
         // demand concentrates).
-        for i in 0..cfg.nodes_per_region {
-            let j = (i + 1) % cfg.nodes_per_region;
-            if cfg.nodes_per_region == 2 && i == 1 {
+        for i in 0..cfg.metros_per_region {
+            let j = (i + 1) % cfg.metros_per_region;
+            if cfg.metros_per_region == 2 && i == 1 {
                 break; // avoid duplicating the single ring edge
             }
             let len = rng.gen_range(25u32..=90);
@@ -93,12 +65,12 @@ pub fn t_backbone(cfg: &TBackboneConfig) -> Backbone {
         }
         // One chord for intra-region diversity (restoration needs ≥2
         // disjoint paths).
-        if cfg.nodes_per_region >= 4 {
+        if cfg.metros_per_region >= 4 {
             let len = rng.gen_range(40u32..=120);
             for pair in 0..cfg.metro_fiber_pairs {
                 g.add_edge(
                     nodes[0],
-                    nodes[cfg.nodes_per_region / 2],
+                    nodes[cfg.metros_per_region / 2],
                     len + 2 * pair as u32,
                 );
             }
@@ -113,7 +85,7 @@ pub fn t_backbone(cfg: &TBackboneConfig) -> Backbone {
             break;
         }
         let len = rng.gen_range(350u32..=800);
-        for pair in 0..cfg.longhaul_fiber_pairs {
+        for pair in 0..cfg.hub_fiber_pairs {
             g.add_edge(
                 region_nodes[r][0],
                 region_nodes[next][0],
@@ -126,7 +98,7 @@ pub fn t_backbone(cfg: &TBackboneConfig) -> Backbone {
             let far = (r + cfg.regions / 2) % cfg.regions;
             if far != r {
                 let len = rng.gen_range(700u32..=1100);
-                for pair in 0..cfg.longhaul_fiber_pairs {
+                for pair in 0..cfg.hub_fiber_pairs {
                     g.add_edge(
                         region_nodes[r][0],
                         region_nodes[far][0],
@@ -140,14 +112,14 @@ pub fn t_backbone(cfg: &TBackboneConfig) -> Backbone {
     // Secondary egress per region: second metro node links to the next
     // region's hub, so regions stay connected under any single hub-adjacent
     // fiber cut.
-    if cfg.nodes_per_region >= 2 {
+    if cfg.metros_per_region >= 2 {
         for r in 0..cfg.regions {
             let next = (r + 1) % cfg.regions;
             if cfg.regions == 2 && r == 1 {
                 break;
             }
             let len = rng.gen_range(400u32..=900);
-            for pair in 0..cfg.longhaul_fiber_pairs {
+            for pair in 0..cfg.hub_fiber_pairs {
                 g.add_edge(
                     region_nodes[r][1],
                     region_nodes[next][0],
@@ -166,17 +138,17 @@ pub fn t_backbone(cfg: &TBackboneConfig) -> Backbone {
         let roll: f64 = rng.gen_f64();
         let (src, dst) = if roll < 0.58 {
             let r = rng.gen_range(0..cfg.regions);
-            let i = rng.gen_range(0..cfg.nodes_per_region);
-            let mut j = rng.gen_range(0..cfg.nodes_per_region);
+            let i = rng.gen_range(0..cfg.metros_per_region);
+            let mut j = rng.gen_range(0..cfg.metros_per_region);
             while j == i {
-                j = rng.gen_range(0..cfg.nodes_per_region);
+                j = rng.gen_range(0..cfg.metros_per_region);
             }
             (region_nodes[r][i], region_nodes[r][j])
         } else if roll < 0.85 {
             let r = rng.gen_range(0..cfg.regions);
             let next = (r + 1) % cfg.regions;
-            let i = rng.gen_range(0..cfg.nodes_per_region);
-            let j = rng.gen_range(0..cfg.nodes_per_region);
+            let i = rng.gen_range(0..cfg.metros_per_region);
+            let j = rng.gen_range(0..cfg.metros_per_region);
             (region_nodes[r][i], region_nodes[next][j])
         } else {
             let r = rng.gen_range(0..cfg.regions);
@@ -192,8 +164,8 @@ pub fn t_backbone(cfg: &TBackboneConfig) -> Backbone {
                     s = rng.gen_range(0..cfg.regions);
                 }
             }
-            let i = rng.gen_range(0..cfg.nodes_per_region);
-            let j = rng.gen_range(0..cfg.nodes_per_region);
+            let i = rng.gen_range(0..cfg.metros_per_region);
+            let j = rng.gen_range(0..cfg.metros_per_region);
             (region_nodes[r][i], region_nodes[s][j])
         };
         // Demands in 100 G multiples. Metro links are fat (large
@@ -221,7 +193,7 @@ mod tests {
 
     #[test]
     fn default_shape() {
-        let b = t_backbone(&TBackboneConfig::default());
+        let b = t_backbone(&ScaleParams::tbackbone());
         assert_eq!(b.optical.num_nodes(), 40);
         assert_eq!(b.ip.num_links(), 140);
         assert!(b.optical.is_connected(&HashSet::new()));
@@ -229,13 +201,13 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = t_backbone(&TBackboneConfig::default());
-        let b = t_backbone(&TBackboneConfig::default());
+        let a = t_backbone(&ScaleParams::tbackbone());
+        let b = t_backbone(&ScaleParams::tbackbone());
         assert_eq!(a.optical, b.optical);
         assert_eq!(a.ip, b.ip);
-        let c = t_backbone(&TBackboneConfig {
+        let c = t_backbone(&ScaleParams {
             seed: 8,
-            ..Default::default()
+            ..ScaleParams::tbackbone()
         });
         assert_ne!(a.optical, c.optical);
     }
@@ -243,7 +215,7 @@ mod tests {
     #[test]
     fn survives_any_single_fiber_cut() {
         // §8 needs restoration paths to exist for every 1-failure scenario.
-        let b = t_backbone(&TBackboneConfig::default());
+        let b = t_backbone(&ScaleParams::tbackbone());
         for e in b.optical.edges() {
             let banned: HashSet<_> = [e.id].into_iter().collect();
             assert!(
@@ -259,7 +231,7 @@ mod tests {
         // Figure 2(a): ≈50 % of optical paths are < 200 km, with a tail
         // beyond 2000 km. Allow generous tolerance — the claim is the
         // *shape*, not exact percentages.
-        let b = t_backbone(&TBackboneConfig::default());
+        let b = t_backbone(&ScaleParams::tbackbone());
         let none = HashSet::new();
         let lengths: Vec<u32> =
             b.ip.links()
@@ -283,7 +255,7 @@ mod tests {
 
     #[test]
     fn demands_are_100g_multiples() {
-        let b = t_backbone(&TBackboneConfig::default());
+        let b = t_backbone(&ScaleParams::tbackbone());
         for l in b.ip.links() {
             assert_eq!(l.demand_gbps % 100, 0);
             assert!(l.demand_gbps >= 300 && l.demand_gbps <= 2000);
@@ -292,13 +264,14 @@ mod tests {
 
     #[test]
     fn small_configs_work() {
-        let b = t_backbone(&TBackboneConfig {
+        let b = t_backbone(&ScaleParams {
             regions: 2,
-            nodes_per_region: 2,
+            metros_per_region: 2,
             ip_links: 4,
             seed: 1,
             metro_fiber_pairs: 1,
-            longhaul_fiber_pairs: 1,
+            hub_fiber_pairs: 1,
+            ..ScaleParams::tbackbone()
         });
         assert!(b.optical.is_connected(&HashSet::new()));
         assert_eq!(b.ip.num_links(), 4);

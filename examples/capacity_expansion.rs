@@ -8,10 +8,11 @@
 
 use flexwan::core::planning::{PlanCtx, PlannerConfig};
 use flexwan::core::Scheme;
-use flexwan::topo::tbackbone::{t_backbone, TBackboneConfig};
+use flexwan::topo::continental::ScaleParams;
+use flexwan::topo::tbackbone::t_backbone;
 
 fn main() {
-    let backbone = t_backbone(&TBackboneConfig::default());
+    let backbone = t_backbone(&ScaleParams::tbackbone());
     let cfg = PlannerConfig {
         k_paths: 5,
         ..PlannerConfig::default()

@@ -13,7 +13,8 @@ use flexwan::optical::spectrum::PixelWidth;
 use flexwan::physim::link::LinkDesign;
 use flexwan::physim::nonlinear::{optimize_launch, snr_db_at_launch, DEFAULT_ETA_PER_MW2};
 use flexwan::physim::testbed::{LineConfig, Testbed};
-use flexwan::topo::tbackbone::{t_backbone, TBackboneConfig};
+use flexwan::topo::continental::ScaleParams;
+use flexwan::topo::tbackbone::t_backbone;
 use flexwan::validate::validate_plan;
 
 fn main() {
@@ -62,7 +63,7 @@ fn main() {
     );
 
     // 4. Cross-layer audit of a full plan.
-    let b = t_backbone(&TBackboneConfig::default());
+    let b = t_backbone(&ScaleParams::tbackbone());
     let p = plan(
         Scheme::FlexWan,
         &b.optical,

@@ -32,7 +32,7 @@ fn main() {
     // --- Detection: the data-stream module watches per-fiber rx power. ---
     let sim = TelemetrySim::new(&optical);
     let mut store = TelemetryStore::new(60);
-    let detector = FiberCutDetector::default();
+    let detector = FiberCutDetector;
     for tick in 0..10 {
         sim.tick(&mut store, tick, &[]); // healthy seconds
     }

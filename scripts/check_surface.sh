@@ -65,7 +65,21 @@
 #     `Model` method of the same name (mutate through `model_mut`), the
 #     `SpectrumMask::first_fit` / `first_fit_joint*` wrappers, a
 #     `spectrum` field on `Plan` / `ProtectedPlan`, a `max_rounds` knob or
-#     the `solver_stats` binary.
+#     the `solver_stats` binary;
+#   * a second instance parameter set comes back (`TBackboneConfig`,
+#     `ArrowDemandConfig`, the `ScaleParams::to_*` converters or their
+#     field names: every generator takes `ScaleParams`), or an option only
+#     one value reached (`SolveOptions::int_tol`,
+#     `ServiceConfig::drift_cut_db`, the detector's threshold fields,
+#     `Obs::with_clock_and_capacity`) — each is a constant now, and
+#     `FiberCutDetector` stays a unit struct;
+#   * an item only its own tests reached comes back: `extra_spares`, a
+#     public `dual_priced_extra_spares`, `probabilistic_scenarios`,
+#     `cernet_optical` / `nsfnet_optical`, the Shannon / dB helpers of
+#     `optical::modulation`, `q_inverse`, `StandardDeviceModel` /
+#     `LogicComponent`;
+#   * non-test crates/core/src/planning/colgen.rs keeps a spectrum bitmap
+#     of its own: the seed tracks admitted columns in one `SpectrumState`.
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -313,6 +327,23 @@ ProtectedPlan crates/core/src/protect.rs
 EOF
 if [ -e crates/bench/src/bin/solver_stats.rs ]; then
     echo "crates/bench/src/bin/solver_stats.rs stays deleted (trace_report and benchmark report SolverStats)"
+    bad=1
+fi
+
+gone "a second instance parameter set (every generator takes ScaleParams)" \
+    '\b(TBackboneConfig|ArrowDemandConfig|to_tbackbone|to_arrow|nodes_per_region|longhaul_fiber_pairs|min_gbps|max_gbps)\b'
+gone "options one value reached (constants now)" \
+    '\b(int_tol|drift_cut_db|drop_threshold_db|floor_dbm|with_clock_and_capacity)\b'
+if ! grep -qx 'pub struct FiberCutDetector;' crates/ctrl/src/datastream.rs; then
+    echo "crates/ctrl/src/datastream.rs: FiberCutDetector stays a unit struct (its thresholds are constants)"
+    bad=1
+fi
+gone "public items only their own tests reached" \
+    'fn (extra_spares|probabilistic_scenarios|cernet_optical|nsfnet_optical|shannon_capacity_gbps|shannon_required_snr|to_db|from_db|q_inverse)\b|pub fn dual_priced_extra_spares\b|\b(StandardDeviceModel|LogicComponent)\b'
+colgen=crates/core/src/planning/colgen.rs
+if non_test_of $colgen | grep -nE 'let mut occ\b|let (free|mark) = |\* words\b' ||
+    [ "$(non_test_of $colgen | grep -c 'SpectrumState::new(')" -ne 1 ]; then
+    echo "$colgen: the seed's occupancy is one SpectrumState, not a private bitmap"
     bad=1
 fi
 

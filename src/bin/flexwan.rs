@@ -19,6 +19,8 @@ use flexwan::core::restore::{flexwan_plus_extra_spares, restore, FailureScenario
 use flexwan::core::Scheme;
 use flexwan::io::TopologyFile;
 use flexwan::optical::transponder::SVT_TABLE;
+use flexwan::topo::continental::{Family, ScaleParams};
+use flexwan::topo::ip::IpTopology;
 use flexwan::topo::tbackbone::Backbone;
 
 fn main() -> ExitCode {
@@ -107,8 +109,8 @@ fn load_backbone(opts: &Opts) -> Result<Backbone, String> {
 
 fn builtin_backbone(name: &str) -> Result<Backbone, String> {
     match name {
-        "tbackbone" => Ok(flexwan::topo::tbackbone::t_backbone(&Default::default())),
-        "cernet" => Ok(flexwan::topo::cernet::cernet(&Default::default())),
+        "tbackbone" => Ok(ScaleParams::tbackbone().build(Family::TBackbone)),
+        "cernet" => Ok(ScaleParams::cernet().build(Family::Cernet)),
         other => Err(format!("unknown builtin {other} (tbackbone|cernet)")),
     }
 }
@@ -137,16 +139,32 @@ fn parse_config(opts: &Opts) -> Result<PlannerConfig, String> {
     Ok(cfg)
 }
 
-fn cmd_plan(opts: &Opts) -> Result<(), String> {
-    let b = load_backbone(opts)?;
-    let scheme = parse_scheme(opts)?;
-    let cfg = parse_config(opts)?;
+/// `ip` with every demand multiplied by `--scale N` (default 1). A zero
+/// scale, or one that overflows a link's demand or the total, is an
+/// error.
+fn scaled_ip(opts: &Opts, ip: &IpTopology) -> Result<IpTopology, String> {
     let scale: u64 = opts
         .one("scale")
         .unwrap_or("1")
         .parse()
         .map_err(|_| "bad --scale")?;
-    let ip = b.ip.scaled(scale);
+    if scale == 0 {
+        return Err("--scale must be at least 1".into());
+    }
+    let total = ip.links().iter().try_fold(0u64, |total, l| {
+        l.demand_gbps.checked_mul(scale)?.checked_add(total)
+    });
+    if total.is_none() {
+        return Err(format!("--scale {scale} overflows the demand"));
+    }
+    Ok(ip.scaled(scale))
+}
+
+fn cmd_plan(opts: &Opts) -> Result<(), String> {
+    let b = load_backbone(opts)?;
+    let scheme = parse_scheme(opts)?;
+    let cfg = parse_config(opts)?;
+    let ip = scaled_ip(opts, &b.ip)?;
     let p = plan(scheme, &b.optical, &ip, &cfg);
     println!(
         "{}: {} wavelengths, {:.1} GHz spectrum, demand {} Gbps, unmet {} Gbps",
@@ -169,12 +187,7 @@ fn cmd_restore(opts: &Opts) -> Result<(), String> {
     let b = load_backbone(opts)?;
     let scheme = parse_scheme(opts)?;
     let cfg = parse_config(opts)?;
-    let scale: u64 = opts
-        .one("scale")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --scale")?;
-    let ip = b.ip.scaled(scale);
+    let ip = scaled_ip(opts, &b.ip)?;
     // Cuts are named A-B (all parallel fibers between A and B are cut).
     let mut cuts = Vec::new();
     for spec in opts.many("cut") {

@@ -101,11 +101,12 @@ mod tests {
     use super::*;
     use flexwan_core::planning::{plan, PlannerConfig};
     use flexwan_core::Scheme;
-    use flexwan_topo::tbackbone::{t_backbone, TBackboneConfig};
+    use flexwan_topo::continental::ScaleParams;
+    use flexwan_topo::tbackbone::t_backbone;
 
     #[test]
     fn planned_wavelengths_mostly_clear_physics() {
-        let b = t_backbone(&TBackboneConfig::default());
+        let b = t_backbone(&ScaleParams::tbackbone());
         let cfg = PlannerConfig {
             k_paths: 5,
             ..PlannerConfig::default()
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn shorter_paths_have_fatter_margins() {
-        let b = t_backbone(&TBackboneConfig::default());
+        let b = t_backbone(&ScaleParams::tbackbone());
         let cfg = PlannerConfig {
             k_paths: 5,
             ..PlannerConfig::default()

@@ -15,9 +15,10 @@ use flexwan::ctrl::controller::Controller;
 use flexwan::ctrl::datastream::{TelemetrySim, TelemetryStore};
 use flexwan::ctrl::orchestrator::{Orchestrator, TickOutcome};
 use flexwan::topo::cache::RouteCache;
+use flexwan::topo::continental::ScaleParams;
 use flexwan::topo::graph::{EdgeId, Graph};
 use flexwan::topo::ip::IpTopology;
-use flexwan::topo::tbackbone::{t_backbone, Backbone, TBackboneConfig};
+use flexwan::topo::tbackbone::{t_backbone, Backbone};
 use flexwan_util::rng::ChaCha8Rng;
 
 fn instance() -> (Backbone, PlannerConfig) {
@@ -25,7 +26,7 @@ fn instance() -> (Backbone, PlannerConfig) {
         k_paths: 5,
         ..PlannerConfig::default()
     };
-    (t_backbone(&TBackboneConfig::default()), cfg)
+    (t_backbone(&ScaleParams::tbackbone()), cfg)
 }
 
 /// The graph's one detour memo, reached through its first fiber.

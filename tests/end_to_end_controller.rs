@@ -52,7 +52,7 @@ fn full_lifecycle() {
         sim.tick(&mut store, t, &[]);
     }
     sim.tick(&mut store, 5, &[victim]);
-    let detected = FiberCutDetector::default().scan(&store);
+    let detected = FiberCutDetector.scan(&store);
     assert_eq!(detected, vec![victim]);
 
     // 3. Restore and verify the revived wavelengths avoid the cut.

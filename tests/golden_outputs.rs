@@ -26,13 +26,14 @@ use flexwan::core::Scheme;
 use flexwan::optical::spectrum::SpectrumGrid;
 use flexwan::solver::SolveOptions;
 use flexwan::topo::cache::RouteCache;
+use flexwan::topo::continental::ScaleParams;
 use flexwan::topo::graph::Graph;
 use flexwan::topo::ip::IpTopology;
-use flexwan::topo::tbackbone::{t_backbone, Backbone, TBackboneConfig};
+use flexwan::topo::tbackbone::{t_backbone, Backbone};
 
 fn instance() -> (Backbone, PlannerConfig) {
     (
-        t_backbone(&TBackboneConfig::default()),
+        t_backbone(&ScaleParams::tbackbone()),
         PlannerConfig {
             k_paths: 5,
             ..PlannerConfig::default()
@@ -319,11 +320,11 @@ fn reach_gap_and_spectral_efficiency_match_golden() {
 /// full-scale A/B lives in the release-built `ablation_spares` report).
 #[test]
 fn spare_pool_ab_matches_golden() {
-    let b = t_backbone(&TBackboneConfig {
+    let b = t_backbone(&ScaleParams {
         regions: 3,
-        nodes_per_region: 3,
+        metros_per_region: 3,
         ip_links: 24,
-        ..TBackboneConfig::default()
+        ..ScaleParams::tbackbone()
     });
     let cfg = PlannerConfig {
         k_paths: 5,

@@ -6,13 +6,14 @@
 use flexwan::core::planning::{mean, plan, PlannerConfig};
 use flexwan::core::restore::{conduit_cut_scenarios, restore, restore_report};
 use flexwan::core::Scheme;
+use flexwan::topo::continental::ScaleParams;
 use flexwan::topo::ksp::shortest_path;
-use flexwan::topo::tbackbone::{t_backbone, Backbone, TBackboneConfig};
+use flexwan::topo::tbackbone::{t_backbone, Backbone};
 use std::collections::HashSet;
 
 fn instance() -> (Backbone, PlannerConfig) {
     (
-        t_backbone(&TBackboneConfig::default()),
+        t_backbone(&ScaleParams::tbackbone()),
         PlannerConfig {
             k_paths: 5,
             ..PlannerConfig::default()

@@ -83,20 +83,29 @@ fn load_error_chains_its_json_source() {
 }
 
 /// Operator input the planner cannot use is a normal CLI error, not a
-/// panic: `--k 0` used to reach the planner's assertion.
+/// panic: `--k 0` used to reach the planner's assertion, `--scale 0`
+/// the demand scaler's, and a scale past `u64` wrapped every demand.
 #[test]
 fn cli_rejects_an_unusable_planner_config_without_panicking() {
-    for bad in [["--k", "0"], ["--epsilon", "-1"], ["--epsilon", "nan"]] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexwan"))
-            .args(["plan", "--builtin", "tbackbone"])
-            .args(bad)
-            .output()
-            .expect("flexwan binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{bad:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{bad:?} printed a plan");
+    for bad in [
+        ["--k", "0"],
+        ["--epsilon", "-1"],
+        ["--epsilon", "nan"],
+        ["--scale", "0"],
+        ["--scale", "18446744073709551615"],
+    ] {
+        for cmd in ["plan", "restore"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexwan"))
+                .args([cmd, "--builtin", "tbackbone"])
+                .args(bad)
+                .output()
+                .expect("flexwan binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {bad:?}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{cmd} {bad:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} {bad:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{cmd} {bad:?} printed a plan");
+        }
     }
 }
 
