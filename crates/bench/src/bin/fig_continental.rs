@@ -98,8 +98,7 @@ fn main() {
         &par.region_of,
         &par.hubs,
         &ShardConfig {
-            core_solver: ShardSolver::Exact,
-            region_solver: ShardSolver::Exact,
+            solver: ShardSolver::Exact,
             solve: opts,
             ..ShardConfig::default()
         },

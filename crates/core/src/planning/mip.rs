@@ -168,7 +168,9 @@ impl PlanModel {
         Self::build_from_paths(scheme, optical, ip, cfg, paths_per_link)
     }
 
-    fn build_from_paths(
+    /// The model over the given candidate paths, one list per IP link
+    /// (the sharded solve passes the paths a shard's ban set leaves).
+    pub(super) fn build_from_paths(
         scheme: Scheme,
         optical: &Graph,
         ip: &IpTopology,

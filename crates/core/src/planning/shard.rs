@@ -14,21 +14,20 @@
 //!    to its hub, a hub-to-hub core segment, and a tail on the
 //!    destination side.
 //! 2. **Core first** — boundary demands are aggregated per hub pair and
-//!    solved over the core fibers (exact MIP, column generation, or the
-//!    heuristic — [`ShardSolver`]). The resulting inter-hub wavelength
-//!    assignments are *frozen*: regions never touch core fibers, so the
-//!    realized hub-to-hub capacity becomes a boundary constraint
-//!    distributed to the boundary demands in input order.
+//!    solved over the core fibers (the heuristic or the exact MIP —
+//!    [`ShardSolver`]). The resulting inter-hub wavelength assignments
+//!    are *frozen*: regions never touch core fibers, so the realized
+//!    hub-to-hub capacity becomes a boundary constraint distributed to
+//!    the boundary demands in input order.
 //! 3. **Region fan-out** — each region solves its owned links plus the
 //!    tail segments of its boundary demands. The core and the regions go
-//!    through one dispatch: a heuristic shard runs on the *full* graph
-//!    with every fiber outside it banned, so one shared [`RouteCache`]
-//!    serves all shards (the cache key is global `(src, dst, k, banned)`
-//!    — renumbered subgraphs would alias); an exact shard runs on a
-//!    deterministically renumbered subgraph and its wavelengths are
-//!    lifted back to global ids. The region fan-out runs on
-//!    [`flexwan_util::pool`], whose in-order result collection makes the
-//!    outcome bit-identical at any thread count.
+//!    through one dispatch, and every shard plans on the *full* graph
+//!    with every fiber outside it banned: a heuristic shard through one
+//!    shared [`RouteCache`] (the cache key is global `(src, dst, k,
+//!    banned)`), an exact one over the candidate paths that ban set
+//!    leaves. The region fan-out runs on [`flexwan_util::pool`], whose
+//!    in-order result collection makes the outcome bit-identical at any
+//!    thread count.
 //! 4. **Boundary coordination** — a tail that realizes less capacity
 //!    than the frozen core granted re-prices the boundary demand down to
 //!    the end-to-end minimum of its segments, and every region holding a
@@ -51,13 +50,13 @@ use flexwan_solver::SolveOptions;
 use flexwan_topo::cache::RouteCache;
 use flexwan_topo::graph::{EdgeId, Graph, NodeId};
 use flexwan_topo::ip::{IpLinkId, IpTopology};
-use flexwan_topo::path::Path;
 use flexwan_util::pool;
 
-use crate::planning::colgen::{canonical_objective, solve_exact_colgen};
+use crate::opt::candidate_paths;
+use crate::planning::colgen::canonical_objective;
 use crate::planning::ctx::PlanCtx;
-use crate::planning::heuristic::{plan, PlannerConfig};
-use crate::planning::mip::solve_exact;
+use crate::planning::heuristic::PlannerConfig;
+use crate::planning::mip::PlanModel;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 
@@ -97,9 +96,6 @@ pub struct Partition {
     pub region_fibers: Vec<Vec<EdgeId>>,
     /// Fibers whose endpoints lie in different regions, ascending.
     pub core_fibers: Vec<EdgeId>,
-    /// Nodes of the core subproblem: every endpoint of a core fiber plus
-    /// every hub, ascending and deduplicated.
-    pub core_nodes: Vec<NodeId>,
     /// IP links owned by each region (both endpoints inside it), in
     /// input order.
     pub owned_links: Vec<Vec<IpLinkId>>,
@@ -155,17 +151,6 @@ pub fn partition(
             core_fibers.push(e.id);
         }
     }
-    let mut core_nodes: Vec<NodeId> = core_fibers
-        .iter()
-        .flat_map(|&eid| {
-            let e = &optical.edges()[eid.0 as usize];
-            [e.a, e.b]
-        })
-        .chain(hubs.iter().copied())
-        .collect();
-    core_nodes.sort_unstable();
-    core_nodes.dedup();
-
     let mut owned_links = vec![Vec::new(); regions];
     let mut boundary = Vec::new();
     for l in ip.links() {
@@ -189,7 +174,6 @@ pub fn partition(
         region_nodes,
         region_fibers,
         core_fibers,
-        core_nodes,
         owned_links,
         boundary,
     }
@@ -287,45 +271,41 @@ fn connected_over(optical: &Graph, nodes: &[NodeId], fibers: &[EdgeId]) -> bool 
 pub enum ShardSolver {
     /// The scalable two-phase heuristic.
     Heuristic,
-    /// The exact Algorithm 1 MIP ([`solve_exact`]); falls back to the
-    /// heuristic (flagged in [`ShardSolve::fell_back`]) when the solve
-    /// returns no incumbent.
+    /// The exact Algorithm 1 MIP ([`PlanModel`]) over the shard's
+    /// candidate paths; falls back to the heuristic (flagged in
+    /// [`ShardSolve::fell_back`]) when the solve returns no incumbent.
     Exact,
-    /// Column generation ([`solve_exact_colgen`]); same fallback.
-    ColGen,
 }
 
 /// Configuration of a sharded solve.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Solver for the hub-core subproblem.
-    pub core_solver: ShardSolver,
-    /// Solver for the region subproblems.
-    pub region_solver: ShardSolver,
+    /// Solver for the hub core and every region.
+    pub solver: ShardSolver,
     /// Worker threads for the region fan-out (0 = the pool default).
     pub threads: usize,
-    /// Options for exact / column-generation solves.
+    /// Options for exact solves.
     pub solve: SolveOptions,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
-            core_solver: ShardSolver::Heuristic,
-            region_solver: ShardSolver::Heuristic,
+            solver: ShardSolver::Heuristic,
             threads: 0,
             solve: SolveOptions::default(),
         }
     }
 }
 
-/// The outcome of one shard's solve. `wavelengths` carry paths in
-/// *global* node/edge ids; their `link` field indexes the shard's local
-/// demand set (owned links in input order, then tail links in boundary
-/// order — or aggregated hub pairs in canonical order for the core).
+/// The outcome of one shard's solve. `wavelengths` carry paths in the
+/// full graph's node/edge ids; their `link` field indexes the shard's
+/// local demand set (owned links in input order, then tail links in
+/// boundary order — or aggregated hub pairs in canonical order for the
+/// core).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSolve {
-    /// Provisioned wavelengths, paths lifted to global ids.
+    /// Provisioned wavelengths.
     pub wavelengths: Vec<Wavelength>,
     /// Capacity provisioned per local demand slot, Gbps.
     pub provisioned: Vec<u64>,
@@ -373,8 +353,6 @@ pub struct ShardStats {
     pub core_ms: u64,
     /// Wall time of each region's most recent solve, ms.
     pub per_region_ms: Vec<u64>,
-    /// End-to-end wall time, ms.
-    pub total_ms: u64,
 }
 
 /// A complete sharded plan: the frozen core, one solve per region, and
@@ -422,64 +400,6 @@ impl ShardedPlan {
     }
 }
 
-/// A deterministically renumbered subgraph: nodes added in ascending
-/// global order, fibers in ascending global order, with the maps to lift
-/// local ids back to global ones.
-struct Subgraph {
-    graph: Graph,
-    to_global_node: Vec<NodeId>,
-    to_global_edge: Vec<EdgeId>,
-    local_of: BTreeMap<NodeId, NodeId>,
-}
-
-fn subgraph(optical: &Graph, nodes: &[NodeId], fibers: &[EdgeId]) -> Subgraph {
-    let mut graph = Graph::new();
-    let mut local_of = BTreeMap::new();
-    let mut to_global_node = Vec::with_capacity(nodes.len());
-    for &nid in nodes {
-        let local = graph.add_node(optical.nodes()[nid.0 as usize].name.clone());
-        local_of.insert(nid, local);
-        to_global_node.push(nid);
-    }
-    let mut to_global_edge = Vec::with_capacity(fibers.len());
-    for &eid in fibers {
-        let e = &optical.edges()[eid.0 as usize];
-        graph.add_edge(local_of[&e.a], local_of[&e.b], e.length_km);
-        to_global_edge.push(eid);
-    }
-    Subgraph {
-        graph,
-        to_global_node,
-        to_global_edge,
-        local_of,
-    }
-}
-
-/// Lifts subgraph-local wavelength paths back to global node/edge ids.
-fn lift_wavelengths(sub: &Subgraph, optical: &Graph, ws: &[Wavelength]) -> Vec<Wavelength> {
-    ws.iter()
-        .map(|w| Wavelength {
-            link: w.link,
-            path_index: w.path_index,
-            path: Path::new(
-                optical,
-                w.path
-                    .nodes
-                    .iter()
-                    .map(|n| sub.to_global_node[n.0 as usize])
-                    .collect::<std::sync::Arc<[_]>>(),
-                w.path
-                    .edges
-                    .iter()
-                    .map(|e| sub.to_global_edge[e.0 as usize])
-                    .collect(),
-            ),
-            format: w.format,
-            channel: w.channel,
-        })
-        .collect()
-}
-
 fn per_link_provisioned(ws: &[Wavelength], num_links: usize) -> Vec<u64> {
     let mut out = vec![0u64; num_links];
     for w in ws {
@@ -488,7 +408,7 @@ fn per_link_provisioned(ws: &[Wavelength], num_links: usize) -> Vec<u64> {
     out
 }
 
-/// A shard's outcome from its wavelengths in global ids.
+/// A shard's outcome from its wavelengths.
 fn finish(
     wavelengths: Vec<Wavelength>,
     num_links: usize,
@@ -559,7 +479,6 @@ pub fn solve_sharded(
     shard: &ShardConfig,
     cache: &RouteCache,
 ) -> ShardedPlan {
-    let t0 = Instant::now();
     let part = partition(optical, ip, region_of, hubs);
     part.validate(optical, ip).expect("partition invariant");
     let threads = if shard.threads == 0 {
@@ -568,47 +487,28 @@ pub fn solve_sharded(
         shard.threads
     };
 
-    // One dispatch for the core and every region: `ip` in global ids,
-    // the shard confined to `nodes` / `fibers`. A heuristic shard plans on
-    // the full graph with every other fiber `banned`, so one shared cache
-    // serves them all (keys over global ids stay collision-free where
-    // renumbered subgraphs would alias); an exact one on the renumbered
-    // subgraph, its wavelengths lifted back to global ids.
+    // One dispatch for the core and every region: `ip` and the plan in
+    // the full graph's ids, the shard confined by banning every fiber
+    // outside it. One shared cache serves every heuristic shard (keys
+    // over global ids stay collision-free), and an exact shard's MIP is
+    // the one its renumbered subgraph would build (DESIGN.md §13).
     let ctx = PlanCtx::new(optical, cfg).sharing(cache);
-    let solve_shard = |kind: ShardSolver,
-                       nodes: &[NodeId],
-                       fibers: &[EdgeId],
-                       banned: &HashSet<EdgeId>,
-                       ip: &IpTopology| {
+    let exact = shard.solver == ShardSolver::Exact;
+    let solve_shard = |banned: &HashSet<EdgeId>, ip: &IpTopology| {
         let n = ip.num_links();
-        if kind == ShardSolver::Heuristic {
-            let p = ctx.plan_avoiding(scheme, ip, banned);
-            let unmet = p.unmet_gbps();
-            return finish(p.wavelengths, n, cfg.epsilon, unmet, false);
-        }
-        let sub = subgraph(optical, nodes, fibers);
-        let mut local = IpTopology::new();
-        for l in ip.links() {
-            local.add_link(sub.local_of[&l.src], sub.local_of[&l.dst], l.demand_gbps);
-        }
-        let exact = if kind == ShardSolver::Exact {
-            solve_exact(scheme, &sub.graph, &local, cfg, &shard.solve).map(|xp| xp.wavelengths)
-        } else {
-            solve_exact_colgen(scheme, &sub.graph, &local, cfg, &shard.solve)
-                .map(|cg| cg.plan.wavelengths)
-        };
-        let (ws, unmet, fell_back) = match exact {
-            Some(ws) => (ws, 0, false),
-            None => {
-                // No incumbent at this node budget: answer with the
-                // heuristic and flag the fallback.
-                let p = plan(scheme, &sub.graph, &local, cfg);
-                let unmet = p.unmet_gbps();
-                (p.wavelengths, unmet, true)
+        if exact {
+            let queries = ip.links().iter().map(|l| (l.src, l.dst, banned));
+            let paths = candidate_paths(optical, cfg.k_paths, queries).collect();
+            let mut model = PlanModel::build_from_paths(scheme, optical, ip, cfg, paths);
+            if let Some(xp) = model.solve(&shard.solve) {
+                return finish(xp.wavelengths, n, cfg.epsilon, 0, false);
             }
-        };
-        let lifted = lift_wavelengths(&sub, optical, &ws);
-        finish(lifted, n, cfg.epsilon, unmet, fell_back)
+        }
+        // The heuristic, or the fallback of an exact solve that found no
+        // incumbent at this node budget (flagged).
+        let p = ctx.plan_avoiding(scheme, ip, banned);
+        let unmet = p.unmet_gbps();
+        finish(p.wavelengths, n, cfg.epsilon, unmet, exact)
     };
     // A fiber lies in region r iff both its ends do; every other fiber
     // is a core fiber.
@@ -631,8 +531,7 @@ pub fn solve_sharded(
             .filter(|e| region(e.a) == region(e.b))
             .map(|e| e.id)
             .collect();
-        let (nodes, fibers) = (&part.core_nodes, &part.core_fibers);
-        solve_shard(shard.core_solver, nodes, fibers, &banned, &core_ip)
+        solve_shard(&banned, &core_ip)
     };
     let core_ms = core_t.elapsed().as_millis() as u64;
 
@@ -678,8 +577,7 @@ pub fn solve_sharded(
         let wave = pool::par_map(&to_solve, threads, |&r| {
             let rt = Instant::now();
             let (ip_r, tails) = region_demands(&part, ip, r, &target);
-            let (nodes, fibers) = (&part.region_nodes[r], &part.region_fibers[r]);
-            let solve = solve_shard(shard.region_solver, nodes, fibers, &banned[r], &ip_r);
+            let solve = solve_shard(&banned[r], &ip_r);
             (solve, tails, rt.elapsed().as_millis() as u64)
         });
         for (&r, (solve, tails, ms)) in to_solve.iter().zip(wave) {
@@ -744,7 +642,6 @@ pub fn solve_sharded(
             converged,
             core_ms,
             per_region_ms,
-            total_ms: t0.elapsed().as_millis() as u64,
         },
         core,
         regions,
@@ -898,14 +795,17 @@ mod tests {
         );
     }
 
-    /// The heuristic core on the full graph under a ban, through the
-    /// shared cache, plans what the subgraph core planned: 3 instances
+    /// Every shard on the full graph under a ban plans what it planned on
+    /// its renumbered subgraph. The heuristic arm, through the shared
+    /// cache: 3 instances
     /// (the shrunk one, the smallest continental one, the 12 × 10 one the
     /// benchmark plans) × k ∈ {2, 3, 5} × 3 schemes × demand scales 1..3,
     /// each against a cold cache, the same cache warm, and a cache that
     /// already holds the monolithic plan's keys, at 1 / 2 / 4 threads.
+    /// The exact arm, core and regions: the parity instance × k ∈ {2, 3}
+    /// × 3 schemes.
     #[test]
-    fn the_full_graph_core_plans_what_the_subgraph_core_planned() {
+    fn every_shard_on_the_full_graph_plans_what_its_subgraph_planned() {
         let bench = ScaleParams {
             regions: 12,
             metros_per_region: 10,
@@ -952,33 +852,104 @@ mod tests {
                 }
             }
         }
-        // The exact arm of the same dispatch: the core's hub pairs, now
-        // in global ids, renumbered onto the subgraph as before.
-        let c = continental(&ScaleParams::parity());
-        let cfg = small_cfg(8, 2);
-        for core_solver in [ShardSolver::Exact, ShardSolver::ColGen] {
-            let shard = ShardConfig {
-                core_solver,
-                region_solver: ShardSolver::Exact,
-                ..Default::default()
-            };
+        // The exact arm of the same dispatch: the core and every region
+        // confined by their ban sets, against each renumbered onto its
+        // subgraph as before. The parity instance is separable; with a
+        // second egress per region a shard's candidate paths would leave
+        // it but for its ban set.
+        let shard = ShardConfig {
+            solver: ShardSolver::Exact,
+            ..Default::default()
+        };
+        let egress = ScaleParams {
+            secondary_egress: true,
+            ..ScaleParams::parity()
+        };
+        for (what, params) in [("parity", ScaleParams::parity()), ("egress", egress)] {
+            let c = continental(&params);
             let (g, ip) = (&c.backbone.optical, &c.backbone.ip);
             let (regions, hubs) = (&c.region_of, &c.hubs);
-            let cache = RouteCache::new();
-            let got = solve_sharded(Scheme::FlexWan, g, ip, &cfg, regions, hubs, &shard, &cache);
-            let want =
-                oracle::solve_sharded(Scheme::FlexWan, g, ip, &cfg, regions, hubs, &shard, &cache);
-            assert_same_plan(&got, &want, &format!("parity, {core_solver:?} core"));
-            assert!(!got.core.wavelengths.is_empty());
+            for k in [2, 3] {
+                let cfg = small_cfg(8, k);
+                for scheme in Scheme::ALL {
+                    let cache = RouteCache::new();
+                    let got = solve_sharded(scheme, g, ip, &cfg, regions, hubs, &shard, &cache);
+                    let want =
+                        oracle::solve_sharded(scheme, g, ip, &cfg, regions, hubs, &shard, &cache);
+                    assert_same_plan(&got, &want, &format!("{what}, exact, k {k}, {scheme}"));
+                    assert!(!got.core.wavelengths.is_empty());
+                }
+            }
         }
     }
 
-    /// The sharded solve as it stood with the core planned on its
-    /// renumbered subgraph, kept as the reference the one dispatch is
-    /// compared against.
+    /// The sharded solve as it stood with the core, and every exact
+    /// shard, planned on its renumbered subgraph, kept as the reference
+    /// the one dispatch is compared against.
     mod oracle {
         use super::super::*;
-        use crate::planning::heuristic::Plan;
+        use crate::planning::heuristic::{plan, Plan};
+        use crate::planning::mip::solve_exact;
+        use flexwan_topo::path::Path;
+
+        /// A deterministically renumbered subgraph: nodes added in
+        /// ascending global order, fibers in ascending global order, with
+        /// the maps to lift local ids back to global ones.
+        struct Subgraph {
+            graph: Graph,
+            to_global_node: Vec<NodeId>,
+            to_global_edge: Vec<EdgeId>,
+            local_of: BTreeMap<NodeId, NodeId>,
+        }
+
+        fn subgraph(optical: &Graph, nodes: &[NodeId], fibers: &[EdgeId]) -> Subgraph {
+            let mut graph = Graph::new();
+            let mut local_of = BTreeMap::new();
+            let mut to_global_node = Vec::with_capacity(nodes.len());
+            for &nid in nodes {
+                let local = graph.add_node(optical.nodes()[nid.0 as usize].name.clone());
+                local_of.insert(nid, local);
+                to_global_node.push(nid);
+            }
+            let mut to_global_edge = Vec::with_capacity(fibers.len());
+            for &eid in fibers {
+                let e = &optical.edges()[eid.0 as usize];
+                graph.add_edge(local_of[&e.a], local_of[&e.b], e.length_km);
+                to_global_edge.push(eid);
+            }
+            Subgraph {
+                graph,
+                to_global_node,
+                to_global_edge,
+                local_of,
+            }
+        }
+
+        /// Lifts subgraph-local wavelength paths back to global node/edge
+        /// ids.
+        fn lift_wavelengths(sub: &Subgraph, optical: &Graph, ws: &[Wavelength]) -> Vec<Wavelength> {
+            ws.iter()
+                .map(|w| Wavelength {
+                    link: w.link,
+                    path_index: w.path_index,
+                    path: Path::new(
+                        optical,
+                        w.path
+                            .nodes
+                            .iter()
+                            .map(|n| sub.to_global_node[n.0 as usize])
+                            .collect::<std::sync::Arc<[_]>>(),
+                        w.path
+                            .edges
+                            .iter()
+                            .map(|e| sub.to_global_edge[e.0 as usize])
+                            .collect(),
+                    ),
+                    format: w.format,
+                    channel: w.channel,
+                })
+                .collect()
+        }
 
         fn finish_heuristic(
             p: Plan,
@@ -1007,19 +978,11 @@ mod tests {
         ) -> ShardSolve {
             let exact = match kind {
                 ShardSolver::Heuristic => None,
-                ShardSolver::Exact => solve_exact(scheme, &sub.graph, ip_local, cfg, opts)
-                    .map(|xp| (xp.wavelengths, false)),
-                ShardSolver::ColGen => solve_exact_colgen(scheme, &sub.graph, ip_local, cfg, opts)
-                    .map(|cg| (cg.plan.wavelengths, false)),
+                ShardSolver::Exact => solve_exact(scheme, &sub.graph, ip_local, cfg, opts),
             };
-            match (kind, exact) {
-                (ShardSolver::Heuristic, _) => {
-                    let p = plan(scheme, &sub.graph, ip_local, cfg);
-                    let lifted = lift_wavelengths(sub, optical, &p.wavelengths);
-                    finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, false)
-                }
-                (_, Some((ws, _))) => {
-                    let lifted = lift_wavelengths(sub, optical, &ws);
+            match exact {
+                Some(xp) => {
+                    let lifted = lift_wavelengths(sub, optical, &xp.wavelengths);
                     ShardSolve {
                         provisioned: per_link_provisioned(&lifted, ip_local.num_links()),
                         unmet_gbps: 0,
@@ -1028,14 +991,14 @@ mod tests {
                         wavelengths: lifted,
                     }
                 }
-                (_, None) => {
+                None => {
                     let p = plan(scheme, &sub.graph, ip_local, cfg);
                     let lifted = lift_wavelengths(sub, optical, &p.wavelengths);
-                    finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, true)
+                    let fell_back = kind == ShardSolver::Exact;
+                    finish_heuristic(p, ip_local.num_links(), cfg.epsilon, lifted, fell_back)
                 }
             }
         }
-
         #[allow(clippy::too_many_arguments)]
         pub(super) fn solve_sharded(
             scheme: Scheme,
@@ -1059,7 +1022,18 @@ mod tests {
             for b in &part.boundary {
                 *core_pairs.entry(ordered(b.core_pair)).or_default() += b.gbps;
             }
-            let core_sub = subgraph(optical, &part.core_nodes, &part.core_fibers);
+            // The core's nodes: every endpoint of a core fiber and every
+            // hub, ascending.
+            let mut nodes: Vec<NodeId> = (part.core_fibers.iter())
+                .flat_map(|&eid| {
+                    let e = &optical.edges()[eid.0 as usize];
+                    [e.a, e.b]
+                })
+                .chain(hubs.iter().copied())
+                .collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let core_sub = subgraph(optical, &nodes, &part.core_fibers);
             let mut core_ip = IpTopology::new();
             for (&(a, b), &gbps) in &core_pairs {
                 core_ip.add_link(core_sub.local_of[&a], core_sub.local_of[&b], gbps);
@@ -1073,7 +1047,7 @@ mod tests {
                     optical,
                     &core_ip,
                     cfg,
-                    shard.core_solver,
+                    shard.solver,
                     &shard.solve,
                 )
             };
@@ -1117,7 +1091,7 @@ mod tests {
                 region_solves += to_solve.len();
                 let wave = pool::par_map(&to_solve, threads, |&r| {
                     let (ip_r, tails) = region_demands(&part, ip, r, &target);
-                    let solve = match shard.region_solver {
+                    let solve = match shard.solver {
                         ShardSolver::Heuristic => {
                             let p = regions.plan_avoiding(scheme, &ip_r, &banned[r]);
                             let lifted = p.wavelengths.clone();
@@ -1140,7 +1114,7 @@ mod tests {
                                 optical,
                                 &local,
                                 cfg,
-                                shard.region_solver,
+                                shard.solver,
                                 &shard.solve,
                             )
                         }
@@ -1206,7 +1180,6 @@ mod tests {
                     converged,
                     core_ms: 0,
                     per_region_ms: vec![0; part.regions],
-                    total_ms: 0,
                 },
                 core,
                 regions,

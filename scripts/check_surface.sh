@@ -79,7 +79,12 @@
 #     `optical::modulation`, `q_inverse`, `StandardDeviceModel` /
 #     `LogicComponent`;
 #   * non-test crates/core/src/planning/colgen.rs keeps a spectrum bitmap
-#     of its own: the seed tracks admitted columns in one `SpectrumState`.
+#     of its own: the seed tracks admitted columns in one `SpectrumState`;
+#   * non-test crates/core/src/planning/shard.rs renumbers anything
+#     (`subgraph(`, `lift_wavelengths(`, `Graph::new()`: every shard plans
+#     on the full graph under its ban set), or a second way to pick a
+#     shard's solver comes back (`ShardSolver::ColGen`, `core_solver` /
+#     `region_solver`, `Partition::core_nodes`).
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -237,12 +242,8 @@ if [ -z "$kept_fit" ] || echo "$kept_fit" | grep -n 'fill(!0)'; then
     bad=1
 fi
 shard=crates/core/src/planning/shard.rs
-dispatch=$(non_test_of $shard | awk '/^    let solve_shard = /{on=1} on{print} /^    };/{on=0}')
-exact_arm=$(echo "$dispatch" | awk '/ShardSolver::Heuristic/{on=1} on&&/^        }/{on=2; next} on==2{print}')
-if [ "$(non_test_of $shard | grep -v 'fn subgraph(' | grep -c 'subgraph(')" -ne 1 ] ||
-    [ "$(echo "$exact_arm" | grep -c 'subgraph(')" -ne 1 ]; then
-    echo "$shard: only the exact arm of solve_shard renumbers a subgraph; a heuristic shard plans on the full graph:"
-    non_test_of $shard | grep -n 'subgraph(' || true
+if non_test_of $shard | grep -nE 'subgraph\(|lift_wavelengths\(|Graph::new\(\)'; then
+    echo "$shard: renumbers nothing; every shard plans on the full graph under its ban set"
     bad=1
 fi
 
@@ -292,6 +293,8 @@ gone "one-shot solves beside Model::solve / solve_with_stats / solve_lp_with_dua
     'fn solve_lp\(|\bsolve_lp_with_stats\b|fn solve_with\('
 gone "IncrementalSolver's batch column type" 'struct NewColumn\b'
 gone "the coordination-round knob (a constant in shard.rs)" '\bmax_rounds\b'
+gone "a second shard confinement (one solver option; every shard plans under a ban set)" \
+    'ShardSolver::ColGen\b|\b(core_solver|region_solver|core_nodes)\b'
 forwards=$(non_test_of crates/solver/src/incremental.rs | awk '
     /^impl IncrementalSolver \{/ { on = 1 }
     on && /^    (pub )?fn / {

@@ -186,6 +186,15 @@ impl TopologyFile {
             }
             g.add_edge(a, b, f.km);
         }
+        // A path sums its fiber lengths in u32 km and uses each fiber at
+        // most once, so a plant whose total fits cannot wrap any path.
+        let plant_km: u64 = self.fibers.iter().map(|f| u64::from(f.km)).sum();
+        if plant_km > u64::from(u32::MAX) {
+            return Err(LoadError::Invalid(format!(
+                "fiber plant totals {plant_km} km, more than the {} km a path length holds",
+                u32::MAX
+            )));
+        }
         let mut ip = IpTopology::new();
         for l in &self.links {
             let (src, dst) = (resolve(&l.src)?, resolve(&l.dst)?);
@@ -286,6 +295,31 @@ mod tests {
             "{\"a\": \"A\", \"b\": \"A\", \"km\": 100}",
         );
         assert!(TopologyFile::from_json(&selfloop).unwrap().build().is_err());
+    }
+
+    /// Two fibers of 2,147,483,700 km: a path over both would wrap to
+    /// 104 km in u32.
+    fn plant(ab_km: u32, bc_km: u32) -> TopologyFile {
+        let text = format!(
+            r#"{{"nodes": ["A", "B", "C"],
+                "fibers": [ {{"a": "A", "b": "B", "km": {ab_km}}},
+                            {{"a": "B", "b": "C", "km": {bc_km}}} ],
+                "links":  [ {{"src": "A", "dst": "C", "gbps": 400}} ] }}"#
+        );
+        TopologyFile::from_json(&text).unwrap()
+    }
+
+    #[test]
+    fn rejects_a_plant_whose_length_wraps_a_path() {
+        let err = plant(2_147_483_700, 2_147_483_700).build().unwrap_err();
+        assert!(matches!(err, LoadError::Invalid(_)));
+        assert!(err.to_string().contains("4294967400 km"), "{err}");
+    }
+
+    #[test]
+    fn builds_a_plant_of_exactly_u32_max_km() {
+        let b = plant(u32::MAX - 100, 100).build().unwrap();
+        assert_eq!(b.optical.num_edges(), 2);
     }
 
     #[test]

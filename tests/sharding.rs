@@ -61,8 +61,7 @@ fn sharded_exact_matches_monolithic_exact_bitwise() {
     )
     .expect("monolithic exact solve feasible on the parity instance");
     let shard = ShardConfig {
-        core_solver: ShardSolver::Exact,
-        region_solver: ShardSolver::Exact,
+        solver: ShardSolver::Exact,
         threads: 2,
         solve: opts(),
     };
@@ -95,38 +94,6 @@ fn sharded_exact_matches_monolithic_exact_bitwise() {
         mono_obj
     );
     assert_eq!(sharded.transponder_count(), mono.wavelengths.len());
-}
-
-#[test]
-fn sharded_colgen_core_matches_monolithic_exact_bitwise() {
-    let c = parity2();
-    let cfg = exact_cfg();
-    let mono = solve_exact(
-        Scheme::FlexWan,
-        &c.backbone.optical,
-        &c.backbone.ip,
-        &cfg,
-        &opts(),
-    )
-    .expect("feasible");
-    let shard = ShardConfig {
-        core_solver: ShardSolver::ColGen,
-        region_solver: ShardSolver::Exact,
-        solve: opts(),
-        ..Default::default()
-    };
-    let sharded = solve_sharded(
-        Scheme::FlexWan,
-        &c.backbone.optical,
-        &c.backbone.ip,
-        &cfg,
-        &c.region_of,
-        &c.hubs,
-        &shard,
-        &RouteCache::new(),
-    );
-    let mono_obj = canonical_objective(&mono.wavelengths, cfg.epsilon);
-    assert_eq!(sharded.objective.to_bits(), mono_obj.to_bits());
 }
 
 #[test]
