@@ -15,8 +15,9 @@
 use std::sync::Arc;
 
 use flexwan_bench::table;
-use flexwan_core::observe::record_opt_model;
-use flexwan_core::planning::{solve_exact, solve_exact_colgen, PlanCtx, PlanModel, PlannerConfig};
+use flexwan_core::planning::{
+    solve_exact, solve_exact_colgen, ColGenStats, PlanCtx, PlanModel, PlannerConfig,
+};
 use flexwan_core::restore::one_fiber_scenarios;
 use flexwan_core::Scheme;
 use flexwan_ctrl::recovery::recover_misconnection;
@@ -65,6 +66,42 @@ fn ring_instance() -> (Graph, IpTopology) {
     ip.add_link(n[0], n[2], 800);
     ip.add_link(n[1], n[3], 600);
     (g, ip)
+}
+
+/// Snapshots a standing [`PlanModel`]'s shape into `obs` as gauges
+/// (`opt_model_{gammas,rows,active_rows}` labeled by `model`).
+///
+/// When the model was solved by column generation, pass the run's
+/// [`ColGenStats`] to also emit the pricing-loop gauges
+/// `opt_model_columns_seeded`, `opt_model_columns_priced_in`,
+/// `opt_model_pricing_rounds` and `opt_model_reduced_cost_min` — together
+/// they show the loop converging: priced-in columns flatten and the most
+/// negative reduced cost climbs toward zero as rounds pass.
+fn record_opt_model(obs: &Obs, name: &str, model: &PlanModel, colgen: Option<&ColGenStats>) {
+    let reg = obs.registry();
+    reg.gauge_with("opt_model_gammas", &[("model", name)])
+        .set(model.space().gammas().len() as f64);
+    reg.gauge_with("opt_model_rows", &[("model", name)])
+        .set(model.model().num_constraints() as f64);
+    reg.gauge_with("opt_model_active_rows", &[("model", name)])
+        .set(model.model().num_active_constraints() as f64);
+    if let Some(cg) = colgen {
+        reg.gauge_with("opt_model_columns_seeded", &[("model", name)])
+            .set(cg.columns_seeded as f64);
+        reg.gauge_with("opt_model_columns_priced_in", &[("model", name)])
+            .set(cg.columns_priced_in as f64);
+        reg.gauge_with("opt_model_pricing_rounds", &[("model", name)])
+            .set(cg.pricing_rounds as f64);
+        // A run that never priced (seed already optimal) leaves the
+        // minimum at +∞; emit 0 so the exposition stays parseable.
+        let rc = if cg.reduced_cost_min.is_finite() {
+            cg.reduced_cost_min
+        } else {
+            0.0
+        };
+        reg.gauge_with("opt_model_reduced_cost_min", &[("model", name)])
+            .set(rc);
+    }
 }
 
 fn run_scenario(obs: &Obs, manual: bool) {
@@ -222,5 +259,77 @@ fn main() {
             println!("\n── metrics (Prometheus) ──");
         }
         print!("{}", obs.metrics_prometheus());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn world() -> (Graph, IpTopology, PlannerConfig) {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let c = g.add_node("c");
+        g.add_edge(a, b, 600);
+        g.add_edge(a, c, 600);
+        g.add_edge(c, b, 600);
+        let mut ip = IpTopology::new();
+        ip.add_link(a, b, 300);
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        (g, ip, cfg)
+    }
+
+    #[test]
+    fn opt_model_gauges_reflect_standing_shape() {
+        let (g, ip, cfg) = world();
+        let obs = Obs::default();
+        let pm = PlanModel::build(Scheme::FlexWan, &g, &ip, &cfg);
+        record_opt_model(&obs, "standing", &pm, None);
+        let prom = obs.metrics_prometheus();
+        let gammas = pm.space().gammas().len();
+        assert!(
+            prom.contains(&format!("opt_model_gammas{{model=\"standing\"}} {gammas}")),
+            "{prom}"
+        );
+        // No colgen stats passed: the pricing gauges must stay absent.
+        assert!(!prom.contains("opt_model_pricing_rounds"), "{prom}");
+        // Nothing deactivated yet: every row is active.
+        assert_eq!(
+            pm.model().num_constraints(),
+            pm.model().num_active_constraints()
+        );
+    }
+
+    #[test]
+    fn colgen_gauges_show_the_pricing_loop() {
+        let (g, ip, cfg) = world();
+        let obs = Obs::default();
+        let pm = PlanModel::build(Scheme::FlexWan, &g, &ip, &cfg);
+        let cg = solve_exact_colgen(Scheme::FlexWan, &g, &ip, &cfg, &SolveOptions::default())
+            .expect("tiny instance is feasible");
+        record_opt_model(&obs, "cg", &pm, Some(&cg.colgen));
+        let prom = obs.metrics_prometheus();
+        assert!(
+            prom.contains(&format!(
+                "opt_model_columns_seeded{{model=\"cg\"}} {}",
+                cg.colgen.columns_seeded
+            )),
+            "{prom}"
+        );
+        assert!(
+            prom.contains(&format!(
+                "opt_model_pricing_rounds{{model=\"cg\"}} {}",
+                cg.colgen.pricing_rounds
+            )),
+            "{prom}"
+        );
+        assert!(
+            prom.contains("opt_model_reduced_cost_min{model=\"cg\"}"),
+            "{prom}"
+        );
     }
 }

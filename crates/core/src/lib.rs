@@ -14,10 +14,10 @@
 //!   enumeration/sampling, demand perturbations) and the multi-failure ×
 //!   demand-uncertainty engine with its availability surface;
 //! * [`te`] — IP-layer traffic engineering (path-based multi-commodity
-//!   flow) quantifying what planned/restored capacity means for traffic;
-//! * [`observe`] — gauge snapshots of a standing exact model
-//!   (planning/restoration runs themselves are recorded by an observed
-//!   [`planning::PlanCtx`]).
+//!   flow) quantifying what planned/restored capacity means for traffic.
+//!
+//! Planning and restoration runs are recorded by an observed
+//! [`planning::PlanCtx`].
 //!
 //! Everything is deterministic: same inputs ⇒ same plan, byte for byte.
 
@@ -26,7 +26,6 @@
 
 pub mod defrag;
 mod master;
-pub mod observe;
 pub mod opt;
 pub mod planning;
 pub mod protect;
@@ -36,7 +35,6 @@ pub mod scheme;
 pub mod te;
 pub mod wavelength;
 
-pub use observe::record_opt_model;
 pub use opt::{
     FlowVarSpace, GammaId, GammaVar, LazyWavelengthVarSpace, PricedColumn, PricingScan,
     WavelengthVarSpace,

@@ -1,14 +1,15 @@
-//! Standard configuration documents (the "Yang file" of §4.4).
+//! The standard configuration payload (the "Yang file" of §4.4).
 //!
 //! The DevMgr "issues a Yang file containing detailed configuration
-//! parameters to configure the device through the Netconf protocol". Our
-//! stand-in keeps the semantics — structured, self-describing,
-//! serializable configuration documents — encoded with serde/JSON instead
-//! of YANG/XML (substitution recorded in DESIGN.md §1).
+//! parameters to configure the device through the Netconf protocol".
+//! [`StandardConfig`] is the vendor-agnostic payload the controller
+//! reasons about; its wire form is the device's vendor dialect, built by
+//! [`vendor::encode`](crate::vendor::encode) and read back by
+//! [`vendor::decode`](crate::vendor::decode) (substitution recorded in
+//! DESIGN.md §1).
 
 use flexwan_optical::format::TransponderFormat;
 use flexwan_optical::spectrum::PixelRange;
-use flexwan_util::json::{self, FromJson, ToJson, Value};
 
 /// A standard (vendor-agnostic) configuration payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,198 +54,4 @@ pub enum StandardConfig {
         /// Target gain, dB.
         gain_db: f64,
     },
-}
-
-/// The YANG-file stand-in: a named, versioned configuration document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigDocument {
-    /// Monotonic revision stamped by the controller.
-    pub revision: u64,
-    /// The configuration payload.
-    pub config: StandardConfig,
-}
-
-impl ConfigDocument {
-    /// Serializes to the wire form (JSON standing in for YANG/XML).
-    pub fn to_wire(&self) -> String {
-        json::to_string(self)
-    }
-
-    /// Parses the wire form.
-    pub fn from_wire(s: &str) -> Result<Self, json::Error> {
-        json::from_str(s)
-    }
-}
-
-// ---- JSON wire encoding (externally tagged, as serde derived) ----
-
-impl ToJson for StandardConfig {
-    fn to_json(&self) -> Value {
-        let (tag, body) = match self {
-            StandardConfig::Transponder {
-                format,
-                channel,
-                enabled,
-            } => (
-                "Transponder",
-                Value::obj([
-                    ("format", format.to_json()),
-                    ("channel", channel.to_json()),
-                    ("enabled", enabled.to_json()),
-                ]),
-            ),
-            StandardConfig::MuxPort { port, passband } => (
-                "MuxPort",
-                Value::obj([("port", port.to_json()), ("passband", passband.to_json())]),
-            ),
-            StandardConfig::RoadmExpress {
-                from_degree,
-                to_degree,
-                passband,
-            } => (
-                "RoadmExpress",
-                Value::obj([
-                    ("from_degree", from_degree.to_json()),
-                    ("to_degree", to_degree.to_json()),
-                    ("passband", passband.to_json()),
-                ]),
-            ),
-            StandardConfig::RoadmRelease {
-                from_degree,
-                to_degree,
-                passband,
-            } => (
-                "RoadmRelease",
-                Value::obj([
-                    ("from_degree", from_degree.to_json()),
-                    ("to_degree", to_degree.to_json()),
-                    ("passband", passband.to_json()),
-                ]),
-            ),
-            StandardConfig::AmplifierGain { gain_db } => (
-                "AmplifierGain",
-                Value::obj([("gain_db", gain_db.to_json())]),
-            ),
-        };
-        Value::obj([(tag, body)])
-    }
-}
-
-impl FromJson for StandardConfig {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        if let Some(b) = v.get("Transponder") {
-            return Ok(StandardConfig::Transponder {
-                format: b.field("format")?,
-                channel: b.field("channel")?,
-                enabled: b.field("enabled")?,
-            });
-        }
-        if let Some(b) = v.get("MuxPort") {
-            return Ok(StandardConfig::MuxPort {
-                port: b.field("port")?,
-                passband: b.field("passband")?,
-            });
-        }
-        if let Some(b) = v.get("RoadmExpress") {
-            return Ok(StandardConfig::RoadmExpress {
-                from_degree: b.field("from_degree")?,
-                to_degree: b.field("to_degree")?,
-                passband: b.field("passband")?,
-            });
-        }
-        if let Some(b) = v.get("RoadmRelease") {
-            return Ok(StandardConfig::RoadmRelease {
-                from_degree: b.field("from_degree")?,
-                to_degree: b.field("to_degree")?,
-                passband: b.field("passband")?,
-            });
-        }
-        if let Some(b) = v.get("AmplifierGain") {
-            return Ok(StandardConfig::AmplifierGain {
-                gain_db: b.field("gain_db")?,
-            });
-        }
-        Err(json::Error::new("unknown standard-config variant"))
-    }
-}
-
-impl ToJson for ConfigDocument {
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("revision", self.revision.to_json()),
-            ("config", self.config.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ConfigDocument {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        Ok(ConfigDocument {
-            revision: v.field("revision")?,
-            config: v.field("config")?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use flexwan_optical::spectrum::PixelWidth;
-
-    fn sample() -> ConfigDocument {
-        ConfigDocument {
-            revision: 7,
-            config: StandardConfig::Transponder {
-                format: TransponderFormat::derive(400, PixelWidth::new(8), 1500),
-                channel: PixelRange::new(16, PixelWidth::new(8)),
-                enabled: true,
-            },
-        }
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let doc = sample();
-        let wire = doc.to_wire();
-        assert!(wire.contains("\"revision\":7"));
-        let back = ConfigDocument::from_wire(&wire).unwrap();
-        assert_eq!(back, doc);
-    }
-
-    #[test]
-    fn malformed_wire_rejected() {
-        assert!(ConfigDocument::from_wire("{not yang}").is_err());
-    }
-
-    #[test]
-    fn all_variants_serialize() {
-        let r = PixelRange::new(0, PixelWidth::new(6));
-        for cfg in [
-            StandardConfig::MuxPort {
-                port: 3,
-                passband: Some(r),
-            },
-            StandardConfig::MuxPort {
-                port: 3,
-                passband: None,
-            },
-            StandardConfig::RoadmExpress {
-                from_degree: 0,
-                to_degree: 1,
-                passband: r,
-            },
-            StandardConfig::RoadmRelease {
-                from_degree: 0,
-                to_degree: 1,
-                passband: r,
-            },
-            StandardConfig::AmplifierGain { gain_db: 17.5 },
-        ] {
-            let doc = ConfigDocument {
-                revision: 1,
-                config: cfg,
-            };
-            assert_eq!(ConfigDocument::from_wire(&doc.to_wire()).unwrap(), doc);
-        }
-    }
 }

@@ -3,8 +3,8 @@
 //! The controller "is deployed in the cloud with multiple copies …
 //! deployed in multiple geo-disjoint areas". [`ControllerCluster`] models
 //! that: N replicas, a primary elected as the lowest-id healthy replica,
-//! heartbeat-driven failover, and operation replication so a promoted
-//! backup carries the full configuration history.
+//! heartbeat-driven failover, and replication of the revision log so a
+//! promoted backup carries every revision the primary committed.
 
 /// A geo-disjoint controller replica.
 #[derive(Debug, Clone)]

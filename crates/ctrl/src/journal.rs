@@ -1,15 +1,15 @@
-//! Configuration journal: the controller's audit trail.
+//! Configuration journal: the controller's roll-forward source and audit
+//! trail.
 //!
 //! Every acknowledged configuration is recorded with its revision stamp.
-//! Production controllers keep exactly this ledger: it answers "what was
-//! device X running at revision R?" during incident forensics, feeds the
-//! §4.4 fault-tolerance story (a promoted replica replays the journal),
-//! and gives [`ConfigJournal::config_at`]-style rollback a source of
-//! truth.
+//! [`Controller::converge`](crate::Controller::converge) reads a device's
+//! [`history`](ConfigJournal::history) and [`latest`](ConfigJournal::latest)
+//! entry to roll a drifted or rebooted device forward, and the ledger
+//! answers "what did device X acknowledge, and when?" during incident
+//! forensics.
 
 use crate::config::StandardConfig;
 use crate::model::DeviceId;
-use flexwan_util::json::{self, FromJson, ToJson, Value};
 
 /// One acknowledged configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,29 +63,6 @@ impl ConfigJournal {
         self.history(device).last()
     }
 
-    /// The configuration `device` was running at controller revision
-    /// `revision` (the last entry with revision ≤ the bound).
-    pub fn config_at(&self, device: DeviceId, revision: u64) -> Option<&StandardConfig> {
-        self.history(device)
-            .take_while(|e| e.revision <= revision)
-            .last()
-            .map(|e| &e.config)
-    }
-
-    /// Devices touched between two revisions (exclusive, inclusive) — the
-    /// change set a replica must replay to catch up from `from`.
-    pub fn changed_between(&self, from: u64, to: u64) -> Vec<DeviceId> {
-        let mut ids: Vec<DeviceId> = self
-            .entries
-            .iter()
-            .filter(|e| e.revision > from && e.revision <= to)
-            .map(|e| e.device)
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
-    }
-
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -94,42 +71,6 @@ impl ConfigJournal {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-// ---- JSON wire encoding ----
-
-impl ToJson for JournalEntry {
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("revision", self.revision.to_json()),
-            ("device", self.device.to_json()),
-            ("config", self.config.to_json()),
-        ])
-    }
-}
-
-impl FromJson for JournalEntry {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        Ok(JournalEntry {
-            revision: v.field("revision")?,
-            device: v.field("device")?,
-            config: v.field("config")?,
-        })
-    }
-}
-
-impl ToJson for ConfigJournal {
-    fn to_json(&self) -> Value {
-        Value::obj([("entries", self.entries.to_json())])
-    }
-}
-
-impl FromJson for ConfigJournal {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        Ok(ConfigJournal {
-            entries: v.field("entries")?,
-        })
     }
 }
 
@@ -155,41 +96,5 @@ mod tests {
         assert_eq!(j.history(DeviceId(0)).count(), 2);
         assert_eq!(j.latest(DeviceId(0)).unwrap().revision, 3);
         assert_eq!(j.latest(DeviceId(2)), None);
-    }
-
-    #[test]
-    fn config_at_picks_the_right_revision() {
-        let mut j = ConfigJournal::new();
-        j.record(5, DeviceId(7), cfg(0));
-        j.record(9, DeviceId(7), cfg(1));
-        assert_eq!(j.config_at(DeviceId(7), 4), None);
-        assert_eq!(j.config_at(DeviceId(7), 5), Some(&cfg(0)));
-        assert_eq!(j.config_at(DeviceId(7), 8), Some(&cfg(0)));
-        assert_eq!(j.config_at(DeviceId(7), 9), Some(&cfg(1)));
-        assert_eq!(j.config_at(DeviceId(7), 100), Some(&cfg(1)));
-    }
-
-    #[test]
-    fn change_sets() {
-        let mut j = ConfigJournal::new();
-        j.record(1, DeviceId(0), cfg(0));
-        j.record(2, DeviceId(1), cfg(1));
-        j.record(3, DeviceId(1), cfg(2));
-        j.record(4, DeviceId(2), cfg(3));
-        assert_eq!(j.changed_between(1, 3), vec![DeviceId(1)]);
-        assert_eq!(
-            j.changed_between(0, 4),
-            vec![DeviceId(0), DeviceId(1), DeviceId(2)]
-        );
-        assert!(j.changed_between(4, 4).is_empty());
-    }
-
-    #[test]
-    fn journal_serializes() {
-        let mut j = ConfigJournal::new();
-        j.record(1, DeviceId(3), cfg(9));
-        let s = json::to_string(&j);
-        let back: ConfigJournal = json::from_str(&s).unwrap();
-        assert_eq!(back.entries(), j.entries());
     }
 }

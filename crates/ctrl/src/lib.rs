@@ -2,8 +2,8 @@
 //!
 //! * [`model`] — the standard device model abstracting heterogeneous
 //!   vendor hardware into logic components;
-//! * [`config`] — standard configuration documents (the YANG-file
-//!   stand-in; see DESIGN.md §1);
+//! * [`config`] — the standard (vendor-agnostic) configuration payload;
+//!   its wire form is the device's vendor dialect (DESIGN.md §1);
 //! * [`vendor`] — lossless adapters to three distinct vendor dialects;
 //! * [`netconf`] — the edit-config/get-state session layer;
 //! * [`device`] — simulated devices: plain state behind a session,
@@ -45,7 +45,7 @@ pub mod service;
 pub mod transaction;
 pub mod vendor;
 
-pub use config::{ConfigDocument, StandardConfig};
+pub use config::StandardConfig;
 pub use controller::{ApplyReport, BreakerState, Controller, ConvergeReport, CtrlStats, DevMgr};
 pub use datastream::{FiberCutDetector, TelemetrySim, TelemetryStore};
 pub use device::{config_in_effect, spawn_device, DeviceHandle, DeviceState, Hardware};

@@ -74,23 +74,6 @@ impl DeviceDescriptor {
     }
 }
 
-// ---- JSON wire encoding ----
-
-use flexwan_util::json::{self, FromJson, ToJson, Value};
-
-impl ToJson for DeviceId {
-    fn to_json(&self) -> Value {
-        // Newtype struct: encodes as the bare inner number.
-        self.0.to_json()
-    }
-}
-
-impl FromJson for DeviceId {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        Ok(DeviceId(u32::from_json(v)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,7 +65,8 @@ pub enum ChurnEvent {
     TelemetryDrift {
         /// The drifting fiber.
         fiber: EdgeId,
-        /// Power change since the last sample, dB.
+        /// Power change since the last sample, dB. A NaN sample is
+        /// dropped at ingest.
         delta_db: f64,
     },
     /// Several fibers went dark at once (shared-risk event: a conduit
@@ -836,8 +837,13 @@ impl<'a> ChurnService<'a> {
                     net.demand.insert(link, demand_gbps);
                 }
             }
+            // A NaN sample would poison the fiber's accumulated drift
+            // for good (it never again crosses the cut threshold):
+            // dropped the same way. ±∞ stays — a loss of light reads −∞.
             ChurnEvent::TelemetryDrift { fiber, delta_db } => {
-                net.drift.push((fiber, delta_db));
+                if !delta_db.is_nan() {
+                    net.drift.push((fiber, delta_db));
+                }
             }
             ChurnEvent::SimultaneousCuts(fibers) => {
                 for f in fibers {
@@ -1057,6 +1063,43 @@ mod tests {
         });
         let rep = svc.deliver(&log, &[ev]);
         assert!(rep.restored_gbps > 0, "drift escalated to a cut");
+        assert!(svc.active_cuts().contains(&EdgeId(0)));
+    }
+
+    #[test]
+    fn a_nan_drift_sample_does_not_stop_a_later_cut() {
+        let (g, ip, cfg) = world();
+        let svc_cfg = ServiceConfig::default();
+        let mut live =
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg.clone(), svc_cfg.clone()).unwrap();
+        let mut log = EventLog::new();
+        for delta_db in [f64::NAN, -25.0] {
+            let ev = log.append(ChurnEvent::TelemetryDrift {
+                fiber: EdgeId(0),
+                delta_db,
+            });
+            live.deliver(&log, &[ev]);
+        }
+        assert!(live.active_cuts().contains(&EdgeId(0)), "drift escalated");
+        let state = live.state();
+        assert!(state.drift_db.iter().all(|(_, d)| !d.is_nan()), "{state:?}");
+        let replayed =
+            ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, live.journal())
+                .unwrap();
+        assert_eq!(state, replayed.state());
+    }
+
+    #[test]
+    fn a_loss_of_light_cuts_at_once() {
+        let (g, ip, cfg) = world();
+        let mut svc =
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg, ServiceConfig::default()).unwrap();
+        let mut log = EventLog::new();
+        let ev = log.append(ChurnEvent::TelemetryDrift {
+            fiber: EdgeId(0),
+            delta_db: f64::NEG_INFINITY,
+        });
+        svc.deliver(&log, &[ev]);
         assert!(svc.active_cuts().contains(&EdgeId(0)));
     }
 

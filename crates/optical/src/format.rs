@@ -156,52 +156,6 @@ impl std::fmt::Display for TransponderFormat {
     }
 }
 
-// ---- JSON wire encoding (same shapes the former serde derives produced) ----
-
-use flexwan_util::json::{self, FromJson, ToJson, Value};
-
-impl ToJson for FecOverhead {
-    fn to_json(&self) -> Value {
-        Value::obj([("percent", self.percent.to_json())])
-    }
-}
-
-impl FromJson for FecOverhead {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        let percent: u8 = v.field("percent")?;
-        if percent >= 100 {
-            return Err(json::Error::new("FEC overhead out of range"));
-        }
-        Ok(FecOverhead { percent })
-    }
-}
-
-impl ToJson for TransponderFormat {
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("data_rate_gbps", self.data_rate_gbps.to_json()),
-            ("spacing", self.spacing.to_json()),
-            ("reach_km", self.reach_km.to_json()),
-            ("modulation", self.modulation.to_json()),
-            ("baud_gbd", self.baud_gbd.to_json()),
-            ("fec", self.fec.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TransponderFormat {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        Ok(TransponderFormat {
-            data_rate_gbps: v.field("data_rate_gbps")?,
-            spacing: v.field("spacing")?,
-            reach_km: v.field("reach_km")?,
-            modulation: v.field("modulation")?,
-            baud_gbd: v.field("baud_gbd")?,
-            fec: v.field("fec")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -89,44 +89,6 @@ impl std::fmt::Display for Modulation {
     }
 }
 
-// ---- JSON wire encoding (externally tagged, as serde derived) ----
-
-use flexwan_util::json::{self, FromJson, ToJson, Value};
-
-impl ToJson for Modulation {
-    fn to_json(&self) -> Value {
-        match self {
-            Modulation::Pcs { decibits } => {
-                Value::obj([("Pcs", Value::obj([("decibits", decibits.to_json())]))])
-            }
-            unit => Value::String(format!("{unit:?}")),
-        }
-    }
-}
-
-impl FromJson for Modulation {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        if let Some(name) = v.as_str() {
-            return match name {
-                "Bpsk" => Ok(Modulation::Bpsk),
-                "Qpsk" => Ok(Modulation::Qpsk),
-                "Qam8" => Ok(Modulation::Qam8),
-                "Qam16" => Ok(Modulation::Qam16),
-                "Qam32" => Ok(Modulation::Qam32),
-                "Qam64" => Ok(Modulation::Qam64),
-                "Qam256" => Ok(Modulation::Qam256),
-                other => Err(json::Error::new(format!("unknown modulation `{other}`"))),
-            };
-        }
-        if let Some(pcs) = v.get("Pcs") {
-            return Ok(Modulation::Pcs {
-                decibits: pcs.field("decibits")?,
-            });
-        }
-        Err(json::Error::new("expected a modulation"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

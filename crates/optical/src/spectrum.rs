@@ -515,45 +515,6 @@ fn bit_spans(start: u32, end: u32) -> impl Iterator<Item = (usize, u64)> {
     })
 }
 
-// ---- JSON wire encoding (same shapes the former serde derives produced) ----
-
-use flexwan_util::json::{self, FromJson, ToJson, Value};
-
-impl ToJson for PixelWidth {
-    fn to_json(&self) -> Value {
-        // Newtype struct: encodes as the bare inner number.
-        self.0.to_json()
-    }
-}
-
-impl FromJson for PixelWidth {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        let px = u16::from_json(v)?;
-        if px == 0 {
-            return Err(json::Error::new("PixelWidth must be non-zero"));
-        }
-        Ok(PixelWidth(px))
-    }
-}
-
-impl ToJson for PixelRange {
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("start", self.start.to_json()),
-            ("width", self.width.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PixelRange {
-    fn from_json(v: &Value) -> Result<Self, json::Error> {
-        Ok(PixelRange {
-            start: v.field("start")?,
-            width: v.field("width")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -84,7 +84,17 @@
 #     (`subgraph(`, `lift_wavelengths(`, `Graph::new()`: every shard plans
 #     on the full graph under its ban set), or a second way to pick a
 #     shard's solver comes back (`ShardSolver::ColGen`, `core_solver` /
-#     `region_solver`, `Partition::core_nodes`).
+#     `region_solver`, `Partition::core_nodes`);
+#   * a second wire form of a device configuration comes back: the
+#     `ConfigDocument` JSON codec (`to_wire` / `from_wire`), the journal
+#     queries nothing asked (`config_at`, `changed_between`), or any
+#     `impl ToJson` / `impl FromJson` in non-test crates/optical/src or
+#     crates/ctrl/src other than `ServiceState`'s `ToJson` (the replay
+#     tests compare it) — a configuration's wire form is its vendor
+#     dialect, `vendor::encode`;
+#   * `core::observe` comes back: its one gauge snapshot,
+#     `record_opt_model`, lives in its one caller, the `trace_report`
+#     binary.
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -349,6 +359,24 @@ if non_test_of $colgen | grep -nE 'let mut occ\b|let (free|mark) = |\* words\b' 
     echo "$colgen: the seed's occupancy is one SpectrumState, not a private bitmap"
     bad=1
 fi
+
+gone "a second wire form of a device configuration (the vendor dialect is the wire)" \
+    '\b(ConfigDocument|to_wire|from_wire|config_at|changed_between)\b'
+codecs=$(find crates/optical/src crates/ctrl/src -name '*.rs' | sort | while read -r f; do
+    non_test_of "$f" | grep -nE 'impl (ToJson|FromJson) for' | sed "s|^|$f:|" || true
+done | grep -vE '^crates/ctrl/src/service\.rs:[0-9]+:impl ToJson for ServiceState \{' || true)
+if [ -n "$codecs" ]; then
+    echo "crates/{optical,ctrl}/src: no JSON codec but ServiceState's ToJson (a configuration's wire form is its vendor dialect):"
+    echo "$codecs"
+    bad=1
+fi
+if [ -e crates/core/src/observe.rs ] || [ -e crates/core/src/observe ] ||
+    grep -nE '\bmod observe\b' crates/core/src/lib.rs; then
+    echo "crates/core/src: core::observe stays deleted (record_opt_model lives in trace_report)"
+    bad=1
+fi
+gone "core::observe (record_opt_model lives in its one caller, trace_report)" \
+    '\b(flexwan_core|core)::(observe|record_opt_model)\b'
 
 [ "$bad" -eq 0 ] && echo "planning surface ok"
 exit "$bad"

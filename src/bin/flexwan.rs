@@ -20,6 +20,7 @@ use flexwan::core::Scheme;
 use flexwan::io::TopologyFile;
 use flexwan::optical::transponder::SVT_TABLE;
 use flexwan::topo::continental::{Family, ScaleParams};
+use flexwan::topo::graph::{Graph, NodeId};
 use flexwan::topo::ip::IpTopology;
 use flexwan::topo::tbackbone::Backbone;
 
@@ -191,17 +192,7 @@ fn cmd_restore(opts: &Opts) -> Result<(), String> {
     // Cuts are named A-B (all parallel fibers between A and B are cut).
     let mut cuts = Vec::new();
     for spec in opts.many("cut") {
-        let (a, b_name) = spec
-            .split_once('-')
-            .ok_or_else(|| format!("--cut wants SRC-DST, got {spec}"))?;
-        let na = b
-            .optical
-            .node_by_name(a)
-            .ok_or_else(|| format!("unknown node {a}"))?;
-        let nb = b
-            .optical
-            .node_by_name(b_name)
-            .ok_or_else(|| format!("unknown node {b_name}"))?;
+        let (na, nb) = parse_cut(&b.optical, spec)?;
         let members: Vec<_> = b
             .optical
             .edges()
@@ -210,7 +201,8 @@ fn cmd_restore(opts: &Opts) -> Result<(), String> {
             .map(|e| e.id)
             .collect();
         if members.is_empty() {
-            return Err(format!("no fiber between {a} and {b_name}"));
+            let (a, z) = (&b.optical.node(na).name, &b.optical.node(nb).name);
+            return Err(format!("no fiber between {a} and {z}"));
         }
         cuts.extend(members);
     }
@@ -240,6 +232,32 @@ fn cmd_restore(opts: &Opts) -> Result<(), String> {
         println!("  {}", rw.wavelength);
     }
     Ok(())
+}
+
+/// Reads a `--cut SRC-DST` spec. Node names may themselves contain `-`,
+/// so every split at a `-` is tried: exactly one must name two nodes.
+fn parse_cut(g: &Graph, spec: &str) -> Result<(NodeId, NodeId), String> {
+    let readings: Vec<(&str, &str, NodeId, NodeId)> = spec
+        .match_indices('-')
+        .filter_map(|(i, _)| {
+            let (a, b) = (&spec[..i], &spec[i + 1..]);
+            Some((a, b, g.node_by_name(a)?, g.node_by_name(b)?))
+        })
+        .collect();
+    match readings[..] {
+        [(_, _, a, b)] => Ok((a, b)),
+        [] => Err(format!(
+            "--cut {spec} does not split into two known nodes SRC-DST"
+        )),
+        _ => Err(format!(
+            "--cut {spec} is ambiguous: it reads as {}",
+            readings
+                .iter()
+                .map(|(a, b, ..)| format!("{a} / {b}"))
+                .collect::<Vec<_>>()
+                .join(" or ")
+        )),
+    }
 }
 
 fn cmd_export(opts: &Opts) -> Result<(), String> {

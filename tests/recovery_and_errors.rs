@@ -192,3 +192,59 @@ fn off_grid_channel_is_never_recoverable_on_fixed_grid() {
         }
     }
 }
+
+/// `--cut SRC-DST` splits at whichever `-` leaves two node names, so a
+/// node named `SFO-1` can be cut; a spec that reads two ways, or none,
+/// is an operator error that names what it could not resolve.
+#[test]
+fn cli_cut_spec_resolves_hyphenated_node_names() {
+    let topo = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("hyphenated_nodes.json");
+    std::fs::write(
+        &topo,
+        r#"{
+  "nodes": ["SFO-1", "SJC", "LAX", "A", "A-B", "B-C", "C"],
+  "fibers": [
+    {"a": "SFO-1", "b": "SJC", "km": 80},
+    {"a": "SJC", "b": "LAX", "km": 550},
+    {"a": "SFO-1", "b": "LAX", "km": 600},
+    {"a": "A", "b": "B-C", "km": 100},
+    {"a": "A-B", "b": "C", "km": 100}
+  ],
+  "links": [{"src": "SFO-1", "dst": "LAX", "gbps": 400}]
+}"#,
+    )
+    .unwrap();
+    let restore = |cut: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexwan"))
+            .args(["restore", "--topology"])
+            .arg(&topo)
+            .args(["--cut", cut])
+            .output()
+            .expect("flexwan binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{cut}: {stderr}");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            stderr,
+        )
+    };
+
+    let (code, stdout, stderr) = restore("SFO-1-LAX");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("affected 400 Gbps"), "{stdout}");
+
+    let (code, stdout, stderr) = restore("A-B-C");
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("ambiguous"), "{stderr}");
+    assert!(
+        stderr.contains("A / B-C") && stderr.contains("A-B / C"),
+        "{stderr}"
+    );
+
+    let (code, stdout, stderr) = restore("SFO-DEN");
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("SFO-DEN"), "{stderr}");
+}
