@@ -6,11 +6,11 @@
 //! per device and per request, drop a request on the floor, lose the
 //! reply to an edit-config the device applied, reject the first N
 //! edit-configs, crash the device outright, or serve stale state — all
-//! driven by a seeded [`ChaCha8Rng`] so every chaos run replays exactly. Two companion pieces cover the other layers:
-//! [`ClusterFaultSchedule`] scripts heartbeat loss and region partitions
-//! against [`crate::ha::ControllerCluster`], and [`PhysicalFault`] maps
-//! fiber cuts and amplifier failures through the `flexwan-physim` testbed
-//! into the [`FailureScenario`]s the restoration path consumes.
+//! driven by a seeded [`ChaCha8Rng`] so every chaos run replays exactly;
+//! [`FaultInjector::perturb_stream`] does the same to the churn event
+//! stream. The optical plant has no fault type here: a cut is a core
+//! `FailureScenario` or a [`crate::ChurnEvent::FiberCut`], amplifier
+//! degradation a [`crate::ChurnEvent::TelemetryDrift`].
 //!
 //! Faults are *verdicts*, not wall-clock sleeps: a "delayed" reply is
 //! delivered-then-discarded (the device applies the config, the controller
@@ -21,13 +21,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-use flexwan_core::restore::FailureScenario;
-use flexwan_physim::testbed::Testbed;
-use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_util::rng::ChaCha8Rng;
 
 use crate::device::DeviceState;
-use crate::ha::ControllerCluster;
 use crate::model::DeviceId;
 
 /// Fault rates and counters applied to one device's session.
@@ -378,146 +374,6 @@ impl FaultInjector {
     }
 }
 
-// ---- Cluster-level faults (heartbeat loss, region partition) ----
-
-#[derive(Debug, Clone)]
-enum ClusterFault {
-    /// One replica misses heartbeats in rounds `[from, until)`.
-    Silence {
-        replica: usize,
-        from: usize,
-        until: usize,
-    },
-    /// Every replica in a region is partitioned away in rounds
-    /// `[from, until)`.
-    Partition {
-        region: String,
-        from: usize,
-        until: usize,
-    },
-}
-
-/// A scripted schedule of cluster-level faults, indexed by heartbeat
-/// round. Drive it with [`ControllerCluster::heartbeat_round_faulted`].
-#[derive(Debug, Clone, Default)]
-pub struct ClusterFaultSchedule {
-    entries: Vec<ClusterFault>,
-}
-
-impl ClusterFaultSchedule {
-    /// An empty (fault-free) schedule.
-    pub fn new() -> Self {
-        ClusterFaultSchedule::default()
-    }
-
-    /// Builder: replica `replica` loses heartbeats in rounds
-    /// `[from, until)`.
-    pub fn silence(mut self, replica: usize, from: usize, until: usize) -> Self {
-        self.entries.push(ClusterFault::Silence {
-            replica,
-            from,
-            until,
-        });
-        self
-    }
-
-    /// Builder: region `region` is partitioned away in rounds
-    /// `[from, until)`.
-    pub fn partition(mut self, region: &str, from: usize, until: usize) -> Self {
-        self.entries.push(ClusterFault::Partition {
-            region: region.to_string(),
-            from,
-            until,
-        });
-        self
-    }
-
-    /// Whether `replica` (in `region`) answers the heartbeat of `round`.
-    pub fn responds(&self, round: usize, replica: usize, region: &str) -> bool {
-        !self.entries.iter().any(|f| match f {
-            ClusterFault::Silence {
-                replica: r,
-                from,
-                until,
-            } => *r == replica && (*from..*until).contains(&round),
-            ClusterFault::Partition {
-                region: reg,
-                from,
-                until,
-            } => reg == region && (*from..*until).contains(&round),
-        })
-    }
-
-    /// The replicas of `cluster` answering the heartbeat of `round`.
-    pub fn responding(&self, round: usize, cluster: &ControllerCluster) -> Vec<usize> {
-        cluster
-            .replicas()
-            .iter()
-            .filter(|r| self.responds(round, r.id, &r.region))
-            .map(|r| r.id)
-            .collect()
-    }
-}
-
-// ---- Physical-plant faults (fiber cut, amplifier failure) ----
-
-/// A physical failure in the optical plant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhysicalFault {
-    /// The fiber is severed (backhoe).
-    FiberCut(EdgeId),
-    /// An inline amplifier on the fiber fails: the light must cross the
-    /// whole fiber on launch power alone.
-    AmplifierFailure(EdgeId),
-}
-
-impl PhysicalFault {
-    /// The fiber the fault sits on.
-    pub fn fiber(&self) -> EdgeId {
-        match self {
-            PhysicalFault::FiberCut(e) | PhysicalFault::AmplifierFailure(e) => *e,
-        }
-    }
-}
-
-/// Maps physical faults into the [`FailureScenario`] the restoration path
-/// consumes. A cut always takes the fiber down; an amplifier failure takes
-/// it down only if the fiber is longer than one amplifier span of
-/// `testbed` (a single-span fiber has no inline EDFA to lose, so the
-/// signal survives).
-pub fn physical_scenario(
-    id: usize,
-    faults: &[PhysicalFault],
-    g: &Graph,
-    testbed: &Testbed,
-) -> FailureScenario {
-    let mut cuts: Vec<EdgeId> = Vec::new();
-    for f in faults {
-        let down = match f {
-            PhysicalFault::FiberCut(_) => true,
-            PhysicalFault::AmplifierFailure(e) => {
-                let length_km = g
-                    .edges()
-                    .iter()
-                    .find(|ed| ed.id == *e)
-                    .map(|ed| f64::from(ed.length_km))
-                    .unwrap_or(f64::INFINITY);
-                length_km > testbed.span_km
-            }
-        };
-        if down {
-            cuts.push(f.fiber());
-        }
-    }
-    cuts.sort();
-    cuts.dedup();
-    FailureScenario {
-        id,
-        cuts,
-        probability: 1.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,44 +467,6 @@ mod tests {
         inj.lift();
         assert_eq!(inj.on_edit_config(DeviceId(0)), EditVerdict::Deliver);
         assert_eq!(inj.stats().drops, 1);
-    }
-
-    #[test]
-    fn cluster_schedule_scripts_silence_and_partitions() {
-        let sched = ClusterFaultSchedule::new()
-            .silence(1, 2, 5)
-            .partition("west", 4, 6);
-        assert!(sched.responds(0, 1, "east"));
-        assert!(!sched.responds(2, 1, "east"));
-        assert!(!sched.responds(4, 0, "west"));
-        assert!(sched.responds(6, 0, "west"));
-    }
-
-    #[test]
-    fn amplifier_failure_spares_single_span_fiber() {
-        let mut g = Graph::new();
-        let a = g.add_node("a");
-        let b = g.add_node("b");
-        let c = g.add_node("c");
-        let short = g.add_edge(a, b, 60); // one span: no inline EDFA
-        let long = g.add_edge(b, c, 800); // many spans
-        let tb = Testbed::default(); // 80 km spans
-        let s = physical_scenario(
-            0,
-            &[
-                PhysicalFault::AmplifierFailure(short),
-                PhysicalFault::AmplifierFailure(long),
-            ],
-            &g,
-            &tb,
-        );
-        assert!(
-            !s.is_cut(short),
-            "single-span fiber survives an amp failure"
-        );
-        assert!(s.is_cut(long));
-        let s2 = physical_scenario(1, &[PhysicalFault::FiberCut(short)], &g, &tb);
-        assert!(s2.is_cut(short), "a cut always takes the fiber down");
     }
 
     #[test]

@@ -18,10 +18,8 @@
 //! * [`transaction`] — atomic multi-device configuration with rollback;
 //! * [`recovery`] — zero-touch misconnection recovery and the OLS
 //!   evolution cost model (§9);
-//! * [`ha`] — geo-replicated controller failover (§4.4 fault tolerance);
-//! * [`faults`] — the deterministic fault-injection harness (session,
-//!   cluster, physical-plant, and event-stream faults) driving the
-//!   chaos tests;
+//! * [`faults`] — the deterministic fault-injection harness (session
+//!   and event-stream faults) driving the chaos tests;
 //! * [`service`] — the always-on churn service: a deadline-budgeted
 //!   event loop with a graceful-degradation ladder over the standing
 //!   incremental planning model (DESIGN.md §10).
@@ -34,7 +32,6 @@ pub mod controller;
 pub mod datastream;
 pub mod device;
 pub mod faults;
-pub mod ha;
 pub mod issues;
 pub mod journal;
 pub mod model;
@@ -49,11 +46,7 @@ pub use config::StandardConfig;
 pub use controller::{ApplyReport, BreakerState, Controller, ConvergeReport, CtrlStats, DevMgr};
 pub use datastream::{FiberCutDetector, TelemetrySim, TelemetryStore};
 pub use device::{config_in_effect, spawn_device, DeviceHandle, DeviceState, Hardware};
-pub use faults::{
-    physical_scenario, ClusterFaultSchedule, DeviceFaults, FaultInjector, FaultPlan, FaultStats,
-    PhysicalFault,
-};
-pub use ha::{ControllerCluster, Replica};
+pub use faults::{DeviceFaults, FaultInjector, FaultPlan, FaultStats};
 pub use issues::{find_conflicts, find_inconsistencies, SpectrumIssue};
 pub use journal::{ConfigJournal, JournalEntry};
 pub use model::{DeviceDescriptor, DeviceId, DeviceKind, Vendor};

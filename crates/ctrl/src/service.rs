@@ -543,7 +543,11 @@ impl<'a> ChurnService<'a> {
         }
         for (fiber, delta) in &net.drift {
             let d = self.drift_db.entry(*fiber).or_insert(0.0);
-            *d += *delta;
+            // An infinite sum (a loss of light) holds until the repair
+            // clears it: adding the opposite infinity would make NaN.
+            if d.is_finite() {
+                *d += *delta;
+            }
             if d.abs() >= CUT_DROP_DB {
                 net.cuts_added.insert(*fiber);
             }
@@ -820,15 +824,20 @@ impl<'a> ChurnService<'a> {
     }
 
     fn coalesce(&self, net: &mut NetChange, ev: ChurnEvent) {
+        // An event naming a fiber the graph does not have is malformed:
+        // dropped here, so replay drops it too. A `SimultaneousCuts`
+        // loses only its unknown members.
+        let known = |f: &EdgeId| (f.0 as usize) < self.optical.num_edges();
         match ev {
-            ChurnEvent::FiberCut(f) => {
+            ChurnEvent::FiberCut(f) if known(&f) => {
                 net.cuts_removed.remove(&f);
                 net.cuts_added.insert(f);
             }
-            ChurnEvent::FiberRepair(f) => {
+            ChurnEvent::FiberRepair(f) if known(&f) => {
                 net.cuts_added.remove(&f);
                 net.cuts_removed.insert(f);
             }
+            ChurnEvent::FiberCut(_) | ChurnEvent::FiberRepair(_) => {}
             // A resize of a link the service does not have, or to zero
             // (removing a link is not a resize), is malformed: dropped
             // here, so replay drops it too.
@@ -841,12 +850,12 @@ impl<'a> ChurnService<'a> {
             // for good (it never again crosses the cut threshold):
             // dropped the same way. ±∞ stays — a loss of light reads −∞.
             ChurnEvent::TelemetryDrift { fiber, delta_db } => {
-                if !delta_db.is_nan() {
+                if known(&fiber) && !delta_db.is_nan() {
                     net.drift.push((fiber, delta_db));
                 }
             }
             ChurnEvent::SimultaneousCuts(fibers) => {
-                for f in fibers {
+                for f in fibers.into_iter().filter(known) {
                     net.cuts_removed.remove(&f);
                     net.cuts_added.insert(f);
                 }
@@ -1104,6 +1113,46 @@ mod tests {
     }
 
     #[test]
+    fn an_infinite_drift_holds_until_the_repair() {
+        let (g, ip, cfg) = world();
+        let svc_cfg = ServiceConfig::default();
+        let mut live =
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg.clone(), svc_cfg.clone()).unwrap();
+        let mut log = EventLog::new();
+        for delta_db in [f64::NEG_INFINITY, f64::INFINITY] {
+            let ev = log.append(ChurnEvent::TelemetryDrift {
+                fiber: EdgeId(0),
+                delta_db,
+            });
+            live.deliver(&log, &[ev]);
+        }
+        let state = live.state();
+        assert_eq!(state.drift_db, [(0, f64::NEG_INFINITY)]);
+        assert_eq!(state, live.state(), "a state equals itself");
+        assert!(live.active_cuts().contains(&EdgeId(0)), "still cut");
+        let replayed = ChurnService::replay(
+            &g,
+            &ip,
+            Scheme::FlexWan,
+            cfg.clone(),
+            svc_cfg.clone(),
+            &log,
+            live.journal(),
+        )
+        .unwrap();
+        assert_eq!(state, replayed.state());
+
+        let ev = log.append(ChurnEvent::FiberRepair(EdgeId(0)));
+        live.deliver(&log, &[ev]);
+        assert!(live.state().drift_db.is_empty(), "the repair clears it");
+        assert!(live.active_cuts().is_empty());
+        let replayed =
+            ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, live.journal())
+                .unwrap();
+        assert_eq!(live.state(), replayed.state());
+    }
+
+    #[test]
     fn replay_matches_live_bit_for_bit() {
         let (g, ip, cfg) = world();
         let svc_cfg = ServiceConfig::default();
@@ -1353,6 +1402,41 @@ mod tests {
         let rep = svc.deliver(&log, &[ev]);
         assert_eq!(rep.affected_gbps, 0);
         assert_eq!(rep.restored_gbps, 0);
+
+        let replayed =
+            ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, svc.journal())
+                .unwrap();
+        assert_eq!(replayed.state(), svc.state());
+    }
+
+    #[test]
+    fn events_for_an_unknown_fiber_are_dropped_at_ingest() {
+        let (g, ip, cfg) = world();
+        let svc_cfg = ServiceConfig::default();
+        let mut svc =
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg.clone(), svc_cfg.clone()).unwrap();
+        let before = svc.state();
+        let mut log = EventLog::new();
+        let ev = log.append(ChurnEvent::FiberCut(EdgeId(99)));
+        assert_eq!(svc.deliver(&log, &[ev]).applied, 1);
+        assert!(svc.active_cuts().is_empty());
+
+        let bad = [
+            ChurnEvent::TelemetryDrift {
+                fiber: EdgeId(99),
+                delta_db: f64::NEG_INFINITY,
+            },
+            ChurnEvent::FiberRepair(EdgeId(99)),
+        ];
+        let evs: Vec<SeqEvent> = bad.into_iter().map(|e| log.append(e)).collect();
+        assert_eq!(svc.deliver(&log, &evs).applied, 2);
+        assert!(svc.active_cuts().is_empty());
+        assert_eq!(svc.state().drift_db, before.drift_db);
+
+        // A shared-risk event keeps its known members.
+        let ev = log.append(ChurnEvent::SimultaneousCuts(vec![EdgeId(99), EdgeId(2)]));
+        svc.deliver(&log, &[ev]);
+        assert_eq!(svc.active_cuts().iter().collect::<Vec<_>>(), [&EdgeId(2)]);
 
         let replayed =
             ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, svc.journal())

@@ -94,7 +94,13 @@
 #     dialect, `vendor::encode`;
 #   * `core::observe` comes back: its one gauge snapshot,
 #     `record_opt_model`, lives in its one caller, the `trace_report`
-#     binary.
+#     binary;
+#   * a fault vocabulary no control loop reads comes back:
+#     crates/ctrl/src/ha.rs (`ControllerCluster`, its heartbeat and
+#     `HEARTBEAT_TOLERANCE`), the `ClusterFaultSchedule` that scripted
+#     it, or `PhysicalFault` / `physical_scenario` — a cut is a
+#     `FailureScenario` or a `ChurnEvent`, amplifier degradation a
+#     `TelemetryDrift`.
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -377,6 +383,13 @@ if [ -e crates/core/src/observe.rs ] || [ -e crates/core/src/observe ] ||
 fi
 gone "core::observe (record_opt_model lives in its one caller, trace_report)" \
     '\b(flexwan_core|core)::(observe|record_opt_model)\b'
+
+if [ -e crates/ctrl/src/ha.rs ]; then
+    echo "crates/ctrl/src/ha.rs stays deleted (no control loop reads a replicated revision counter)"
+    bad=1
+fi
+gone "fault vocabularies no control loop reads (cluster schedule, physical faults)" \
+    '\b(ControllerCluster|ClusterFaultSchedule|heartbeat_round|HEARTBEAT_TOLERANCE|PhysicalFault|physical_scenario)'
 
 [ "$bad" -eq 0 ] && echo "planning surface ok"
 exit "$bad"

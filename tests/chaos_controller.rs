@@ -1,6 +1,7 @@
 //! Chaos tests for the self-healing control plane: seeded fault injection
 //! at the session boundary, circuit breakers, journal roll-forward, and
-//! scripted cluster failures. Every test replays bit-identically — the
+//! orchestrator ticks over faulty telemetry delivery. Every test replays
+//! bit-identically — the
 //! injector's RNG is consumed in the controller's (single-threaded)
 //! request order.
 
@@ -10,13 +11,12 @@ use std::sync::Arc;
 use flexwan::core::planning::{plan, Plan, PlannerConfig};
 use flexwan::core::Scheme;
 use flexwan::ctrl::datastream::TelemetrySample;
-use flexwan::ctrl::ha::{ClusterError, ControllerCluster, HEARTBEAT_TOLERANCE};
 use flexwan::ctrl::issues::ConfiguredChannel;
 use flexwan::ctrl::model::Vendor;
 use flexwan::ctrl::{
-    find_conflicts, find_inconsistencies, BreakerState, ClusterFaultSchedule, Controller,
-    CtrlStats, DeviceFaults, DeviceId, FaultInjector, FaultPlan, FaultStats, Hardware,
-    Orchestrator, TelemetrySim, TelemetryStore, TickOutcome,
+    find_conflicts, find_inconsistencies, BreakerState, Controller, CtrlStats, DeviceFaults,
+    DeviceId, FaultInjector, FaultPlan, FaultStats, Hardware, Orchestrator, TelemetrySim,
+    TelemetryStore, TickOutcome,
 };
 use flexwan::optical::spectrum::{PixelRange, SpectrumGrid};
 use flexwan::optical::WssKind;
@@ -515,83 +515,6 @@ tick Repaired { fibers: [EdgeId(4)], retired: 0, re_restored: 0 }\n\
 restoration live 1 ledger 4\n\
 live [(NodeId(0), [(0, 8), (8, 6)]), (NodeId(1), [(0, 7), (0, 8), (0, 8), (8, 6), (8, 7)]), (NodeId(2), [(0, 8), (8, 7), (8, 7)]), (NodeId(3), [(0, 7), (8, 7)])]\n\
 ";
-
-// ---- Cluster-level chaos: heartbeat loss and region partitions ----
-
-#[test]
-fn failover_needs_exactly_heartbeat_tolerance_misses() {
-    let mut c = ControllerCluster::new(&["east", "west", "north"]);
-    let sched = ClusterFaultSchedule::new().silence(0, 0, HEARTBEAT_TOLERANCE as usize);
-    for round in 0..(HEARTBEAT_TOLERANCE as usize - 1) {
-        c.heartbeat_round_faulted(round, &sched);
-        assert_eq!(
-            c.primary(),
-            Ok(0),
-            "tolerance not yet exhausted at round {round}"
-        );
-    }
-    c.heartbeat_round_faulted(HEARTBEAT_TOLERANCE as usize - 1, &sched);
-    assert_eq!(
-        c.primary(),
-        Ok(1),
-        "exactly {HEARTBEAT_TOLERANCE} misses fail over"
-    );
-}
-
-#[test]
-fn promoted_backup_carries_full_log_across_failover() {
-    let mut c = ControllerCluster::new(&["east", "west", "north"]);
-    for _ in 0..5 {
-        c.submit().unwrap();
-    }
-    let sched = ClusterFaultSchedule::new().silence(0, 0, 10);
-    for round in 0..HEARTBEAT_TOLERANCE as usize {
-        c.heartbeat_round_faulted(round, &sched);
-    }
-    assert_eq!(c.primary(), Ok(1));
-    for _ in 0..3 {
-        c.submit().unwrap();
-    }
-    // No revision was lost in the failover: the promoted backup holds all
-    // 8, and the next revision continues the sequence.
-    assert_eq!(c.replicas()[1].log_len(), 8);
-    let (_, rev) = c.submit().unwrap();
-    assert_eq!(rev, 9);
-    // The silenced ex-primary rejoins and catches the full log up.
-    c.heartbeat_round_faulted(10, &sched);
-    assert_eq!(c.replicas()[0].log_len(), 9);
-    assert_eq!(c.primary(), Ok(0));
-}
-
-#[test]
-fn region_partition_fails_over_and_heals() {
-    let mut c = ControllerCluster::new(&["east", "east", "west"]);
-    let sched = ClusterFaultSchedule::new().partition("east", 0, HEARTBEAT_TOLERANCE as usize);
-    c.submit().unwrap();
-    for round in 0..HEARTBEAT_TOLERANCE as usize {
-        c.heartbeat_round_faulted(round, &sched);
-    }
-    // Both east replicas are gone; the west replica is primary.
-    assert_eq!(c.primary(), Ok(2));
-    c.submit().unwrap();
-    // Partition heals: east rejoins with the full log, lowest id leads.
-    c.heartbeat_round_faulted(HEARTBEAT_TOLERANCE as usize, &sched);
-    assert_eq!(c.primary(), Ok(0));
-    assert_eq!(c.replicas()[0].log_len(), 2);
-}
-
-#[test]
-fn losing_every_region_is_a_hard_error() {
-    let mut c = ControllerCluster::new(&["east", "west"]);
-    let sched = ClusterFaultSchedule::new()
-        .partition("east", 0, HEARTBEAT_TOLERANCE as usize)
-        .partition("west", 0, HEARTBEAT_TOLERANCE as usize);
-    for round in 0..HEARTBEAT_TOLERANCE as usize {
-        c.heartbeat_round_faulted(round, &sched);
-    }
-    assert_eq!(c.primary(), Err(ClusterError::NoHealthyReplica));
-    assert!(c.submit().is_err());
-}
 
 // ---------------------------------------------------------------------------
 // Orchestrator-tick idempotence under faulty telemetry delivery: the

@@ -1,20 +1,18 @@
-//! Chaos tests for the restoration path: physical-plant faults (fiber
-//! cuts, amplifier failures) mapped through the physim testbed into
-//! restoration scenarios, and the telemetry→restoration orchestrator
-//! driven against a faulted device plane.
+//! Chaos tests for the restoration path: a fiber-cut drill, compound
+//! fault reports on one fiber, and the telemetry→restoration
+//! orchestrator driven against a faulted device plane.
 
 use std::sync::Arc;
 
 use flexwan::core::planning::{plan, PlannerConfig};
-use flexwan::core::restore::restore;
+use flexwan::core::restore::{restore, FailureScenario};
 use flexwan::core::Scheme;
 use flexwan::ctrl::{
-    physical_scenario, Controller, DeviceFaults, FaultInjector, FaultPlan, Orchestrator,
-    PhysicalFault, TelemetrySim, TelemetryStore, TickOutcome,
+    ChurnEvent, ChurnService, Controller, DeviceFaults, EventLog, FaultInjector, FaultPlan,
+    Orchestrator, SeqEvent, ServiceConfig, TelemetrySim, TelemetryStore, TickOutcome,
 };
 use flexwan::optical::spectrum::SpectrumGrid;
 use flexwan::optical::WssKind;
-use flexwan::physim::testbed::Testbed;
 use flexwan::topo::graph::Graph;
 use flexwan::topo::ip::IpTopology;
 
@@ -41,10 +39,13 @@ fn fiber_cut_drill_restores_around_the_cut() {
     let (g, ip, cfg) = world();
     let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
     assert!(p.is_feasible());
-    let tb = Testbed::default();
     let primary = p.wavelengths[0].path.edges[0];
 
-    let scenario = physical_scenario(1, &[PhysicalFault::FiberCut(primary)], &g, &tb);
+    let scenario = FailureScenario {
+        id: 1,
+        cuts: vec![primary],
+        probability: 1.0,
+    };
     assert!(scenario.is_cut(primary));
     let r = restore(&p, &g, &ip, &scenario, &[], &cfg);
     assert_eq!(r.affected_gbps, 300);
@@ -59,57 +60,31 @@ fn fiber_cut_drill_restores_around_the_cut() {
 }
 
 #[test]
-fn amplifier_failure_on_long_haul_cuts_but_metro_span_survives() {
-    let mut g = Graph::new();
-    let a = g.add_node("a");
-    let b = g.add_node("b");
-    let c = g.add_node("c");
-    let metro = g.add_edge(a, b, 60); // single span: no inline EDFA
-    let haul = g.add_edge(b, c, 900); // many spans
-    let tb = Testbed::default();
-
-    let s = physical_scenario(
-        1,
-        &[
-            PhysicalFault::AmplifierFailure(metro),
-            PhysicalFault::AmplifierFailure(haul),
-        ],
-        &g,
-        &tb,
-    );
-    assert!(!s.is_cut(metro), "nothing to fail on a single-span fiber");
-    assert!(s.is_cut(haul));
-
-    // A drill against a plan using only the surviving metro fiber is a
-    // no-op: the amplifier failure did not touch its traffic.
-    let mut ip = IpTopology::new();
-    ip.add_link(a, b, 100);
-    let cfg = PlannerConfig {
-        grid: SpectrumGrid::new(96),
-        ..Default::default()
-    };
-    let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
-    let r = restore(&p, &g, &ip, &s, &[], &cfg);
-    assert_eq!(r.affected_gbps, 0);
-    assert_eq!(r.restored_gbps, 0);
-}
-
-#[test]
 fn compound_physical_faults_deduplicate_cuts() {
-    let (g, _, _) = world();
-    let tb = Testbed::default();
-    let e0 = g.edges()[0].id;
-    let s = physical_scenario(
-        3,
-        &[
-            PhysicalFault::FiberCut(e0),
-            PhysicalFault::AmplifierFailure(e0), // 600 km: also cuts — same fiber
-            PhysicalFault::FiberCut(g.edges()[1].id),
-        ],
-        &g,
-        &tb,
-    );
-    assert_eq!(s.cuts.len(), 2, "one fiber, one cut entry");
+    // A cut and an amplifier loss of light (a −∞ drift reading) on the
+    // same fiber, plus a cut elsewhere, in one batch: one cut entry per
+    // fiber, and one repair clears the doubly reported fiber.
+    let (g, ip, cfg) = world();
+    let mut svc =
+        ChurnService::new(&g, &ip, Scheme::FlexWan, cfg, ServiceConfig::default()).unwrap();
+    let (e0, e1) = (g.edges()[0].id, g.edges()[1].id);
+    let mut log = EventLog::new();
+    let batch: Vec<SeqEvent> = [
+        ChurnEvent::FiberCut(e0),
+        ChurnEvent::TelemetryDrift {
+            fiber: e0,
+            delta_db: f64::NEG_INFINITY,
+        },
+        ChurnEvent::FiberCut(e1),
+    ]
+    .into_iter()
+    .map(|e| log.append(e))
+    .collect();
+    svc.deliver(&log, &batch);
+    assert_eq!(svc.active_cuts().len(), 2, "one fiber, one cut entry");
+    let repair = log.append(ChurnEvent::FiberRepair(e0));
+    svc.deliver(&log, &[repair]);
+    assert_eq!(svc.active_cuts().iter().collect::<Vec<_>>(), [&e1]);
 }
 
 #[test]

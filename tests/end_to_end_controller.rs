@@ -8,7 +8,6 @@ use flexwan::core::restore::{restore, FailureScenario};
 use flexwan::core::Scheme;
 use flexwan::ctrl::controller::Controller;
 use flexwan::ctrl::datastream::{FiberCutDetector, TelemetrySim, TelemetryStore};
-use flexwan::ctrl::ha::ControllerCluster;
 use flexwan::optical::WssKind;
 use flexwan::topo::graph::Graph;
 use flexwan::topo::ip::IpTopology;
@@ -82,21 +81,4 @@ fn full_lifecycle() {
     let report2 = ctrl2.apply_plan(&survived, &g);
     assert!(report2.is_clean(), "{:?}", report2.rejections);
     assert!(ctrl2.audit_plan().is_empty());
-}
-
-#[test]
-fn controller_survives_replica_failure_mid_rollout() {
-    // The §4.4 fault-tolerance story: operations keep flowing across a
-    // primary failure, and the promoted replica holds the full log.
-    let mut cluster = ControllerCluster::new(&["east", "west", "north"]);
-    for _ in 0..10 {
-        cluster.submit().unwrap();
-    }
-    for _ in 0..3 {
-        cluster.heartbeat_round(&[1, 2]); // primary (0) goes dark
-    }
-    let (primary, rev) = cluster.submit().unwrap();
-    assert_eq!(primary, 1);
-    assert_eq!(rev, 11);
-    assert_eq!(cluster.replicas()[1].log_len(), 11);
 }

@@ -5,7 +5,6 @@
 use std::error::Error;
 
 use flexwan::core::planning::{ConfigError, PlannerConfig};
-use flexwan::ctrl::ha::ClusterError;
 use flexwan::ctrl::model::DeviceId;
 use flexwan::ctrl::{recover_misconnection, RecoveryOutcome, SessionError, TxError};
 use flexwan::io::LoadError;
@@ -24,7 +23,6 @@ fn all_errors() -> Vec<Box<dyn Error>> {
             rolled_back: 2,
             rollback_failures: Vec::new(),
         }),
-        Box::new(ClusterError::NoHealthyReplica),
         Box::new(OpticalError::SpectrumConflict {
             range: PixelRange::new(3, PixelWidth::new(6)),
         }),
@@ -55,10 +53,9 @@ fn dyn_errors_downcast_to_their_concrete_types() {
     let errs = all_errors();
     assert!(errs[0].downcast_ref::<SessionError>().is_some());
     assert!(errs[2].downcast_ref::<TxError>().is_some());
-    assert!(errs[3].downcast_ref::<ClusterError>().is_some());
-    assert!(errs[4].downcast_ref::<OpticalError>().is_some());
-    assert!(errs[5].downcast_ref::<LoadError>().is_some());
-    assert!(errs[6].downcast_ref::<ConfigError>().is_some());
+    assert!(errs[3].downcast_ref::<OpticalError>().is_some());
+    assert!(errs[4].downcast_ref::<LoadError>().is_some());
+    assert!(errs[5].downcast_ref::<ConfigError>().is_some());
     assert!(
         errs[0].downcast_ref::<TxError>().is_none(),
         "downcast is type-exact"
