@@ -39,8 +39,18 @@ fn main() {
             &rows
         )
     );
-    println!("finding: on the SVT capability table the transponder-count-minimal");
-    println!("solution is also spectrum-minimal (wide formats carry more bits per GHz),");
-    println!("so ε does not move the optimum — it matters only for transponder");
-    println!("inventories whose wide formats are relatively spectrum-inefficient.");
+    // The finding is read off the rows: the first ε whose optimum
+    // (transponders, GHz) differs from the ε = 0 one, if any.
+    let optimum = |row: &[String]| (row[1].clone(), row[2].clone());
+    let base = optimum(&rows[0]);
+    match rows.iter().find(|row| optimum(row) != base) {
+        Some(row) => println!(
+            "finding: ε = {} is the first ε that moves the optimum: {} -> {} transponders, {} -> {} GHz.",
+            row[0], base.0, row[1], base.1, row[2]
+        ),
+        None => println!(
+            "finding: no ε in the sweep moves the optimum off {} transponders / {} GHz.",
+            base.0, base.1
+        ),
+    }
 }

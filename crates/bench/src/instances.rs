@@ -1,76 +1,17 @@
 //! Canonical evaluation instances behind one scale-parametric surface:
-//! every experiment binary builds its topology through
-//! [`ScaleParams`], and the
-//! `FLEXWAN_SCALE` environment variable moves the whole experiment layer
-//! between three tiers without touching any binary:
-//!
-//! * `suite` — the shrunk 4×4 T-backbone, for fast local smoke runs;
-//! * `full` (default) — the paper's 8×5 T-backbone; committed
-//!   `results/` files are regenerated at this tier, so leaving the
-//!   variable unset keeps every output byte-identical;
-//! * `continental` — the 6-region × 7-metro continental instance from
-//!   the multi-region generator, the scale the sharded planner targets.
+//! every experiment binary builds its topology through [`ScaleParams`].
+//! The primary instance is the paper's 8×5 T-backbone
+//! ([`ScaleParams::tbackbone`]), the tier the committed `results/` files
+//! are regenerated at; CERNET, the continental instance and its parity
+//! shrink are the other families the experiments read.
 
 use flexwan_core::planning::PlannerConfig;
 use flexwan_topo::continental::{continental, Continental, Family, ScaleParams};
 use flexwan_topo::tbackbone::Backbone;
 
-/// The experiment scale tier selected by `FLEXWAN_SCALE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleTier {
-    /// Shrunk 4×4 T-backbone (`FLEXWAN_SCALE=suite`).
-    Suite,
-    /// The paper's 8×5 T-backbone (default).
-    Full,
-    /// The 6-region continental instance (`FLEXWAN_SCALE=continental`).
-    Continental,
-}
-
-impl ScaleTier {
-    /// Reads `FLEXWAN_SCALE` (`suite` | `full` | `continental`,
-    /// case-insensitive); unset or empty means [`ScaleTier::Full`].
-    pub fn from_env() -> Self {
-        match std::env::var("FLEXWAN_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "" | "full" => ScaleTier::Full,
-            "suite" => ScaleTier::Suite,
-            "continental" => ScaleTier::Continental,
-            other => panic!("FLEXWAN_SCALE must be suite|full|continental, got {other:?}"),
-        }
-    }
-
-    /// The generator parameters of the primary (synthetic) backbone at
-    /// this tier.
-    pub fn params(self) -> ScaleParams {
-        match self {
-            ScaleTier::Suite => ScaleParams::suite(),
-            ScaleTier::Full => ScaleParams::tbackbone(),
-            ScaleTier::Continental => ScaleParams::continental(),
-        }
-    }
-
-    /// The topology family the primary backbone belongs to at this tier.
-    pub fn family(self) -> Family {
-        match self {
-            ScaleTier::Suite | ScaleTier::Full => Family::TBackbone,
-            ScaleTier::Continental => Family::Continental,
-        }
-    }
-}
-
-/// The primary synthetic instance at the `FLEXWAN_SCALE` tier (the
-/// default `full` tier is [`ScaleParams::tbackbone`]).
+/// The primary synthetic instance: the paper's 8×5 T-backbone.
 pub fn tbackbone_instance() -> Backbone {
-    tbackbone_instance_at(ScaleTier::from_env())
-}
-
-/// The primary synthetic instance at an explicit tier.
-pub fn tbackbone_instance_at(tier: ScaleTier) -> Backbone {
-    let p = tier.params();
-    p.build(tier.family())
+    ScaleParams::tbackbone().build(Family::TBackbone)
 }
 
 /// The default CERNET instance with ARROW-style demands (embedded real
@@ -144,20 +85,10 @@ mod tests {
 
     #[test]
     fn instances_are_stable() {
-        let a = tbackbone_instance_at(ScaleTier::Full);
-        let b = tbackbone_instance_at(ScaleTier::Full);
+        let a = tbackbone_instance();
+        let b = tbackbone_instance();
         assert_eq!(a.optical, b.optical);
         let c = cernet_instance();
         assert_eq!(c.optical.num_nodes(), 35);
-    }
-
-    #[test]
-    fn tiers_scale_the_backbone() {
-        let suite = tbackbone_instance_at(ScaleTier::Suite);
-        let full = tbackbone_instance_at(ScaleTier::Full);
-        let cont = tbackbone_instance_at(ScaleTier::Continental);
-        assert!(suite.optical.num_nodes() < full.optical.num_nodes());
-        assert!(full.optical.num_nodes() < cont.optical.num_nodes());
-        assert_eq!(cont.optical.num_nodes(), 42);
     }
 }

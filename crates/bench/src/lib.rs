@@ -14,7 +14,4 @@ pub mod experiments;
 pub mod instances;
 pub mod table;
 
-pub use instances::{
-    cernet_instance, continental_instance, parity_instance, tbackbone_instance,
-    tbackbone_instance_at, ScaleTier,
-};
+pub use instances::{cernet_instance, continental_instance, parity_instance, tbackbone_instance};

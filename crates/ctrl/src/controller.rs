@@ -24,7 +24,6 @@ use flexwan_util::rng::ChaCha8Rng;
 use crate::config::StandardConfig;
 use crate::device::{config_in_effect, spawn_device, DeviceHandle, DeviceState, Hardware};
 use crate::faults::FaultInjector;
-use crate::journal::ConfigJournal;
 use crate::model::{DeviceDescriptor, DeviceId, DeviceKind, Vendor};
 use crate::netconf::SessionError;
 use crate::transaction::{Step, Transaction, TxError};
@@ -100,9 +99,10 @@ impl DevMgr {
 
     /// Simulates a field replacement: the device at `id` is swapped for a
     /// factory-fresh unit (same identity, empty configuration) — the
-    /// configuration-drift scenario [`Controller::reconcile`] repairs, and
-    /// how a crashed device comes back. An `id` nothing is registered
-    /// under is [`SessionError::Unreachable`]: there is no device to reset.
+    /// configuration-drift scenario [`Controller::reconcile`] repairs from
+    /// the ledger, and how [`Controller::converge`] brings a crashed device
+    /// back. An `id` nothing is registered under is
+    /// [`SessionError::Unreachable`]: there is no device to reset.
     pub fn reset_device(&mut self, id: DeviceId) -> Result<(), SessionError> {
         let handle = self.devices.get(&id).ok_or(SessionError::Unreachable)?;
         handle.session.factory_reset();
@@ -225,7 +225,7 @@ pub struct CtrlStats {
     pub read_repairs: u64,
     /// Circuit breakers opened.
     pub breaker_trips: u64,
-    /// Crashed devices replaced and rolled forward from the journal.
+    /// Silent quarantined devices replaced with a factory-fresh unit.
     pub devices_restarted: u64,
 }
 
@@ -236,7 +236,7 @@ pub struct ConvergeReport {
     pub passes: usize,
     /// Configurations re-issued by reconciliation across all passes.
     pub repaired: usize,
-    /// Devices replaced and rolled forward from the journal.
+    /// Devices replaced with a factory-fresh unit, once per restart.
     pub restarted: Vec<DeviceId>,
     /// Whether the plane reached the audited-clean fixed point.
     pub converged: bool,
@@ -274,8 +274,6 @@ pub struct Controller {
     /// devices *should* hold is read from here and nowhere else.
     live_paths: Vec<Lightpath>,
     degree_of: HashMap<(NodeId, EdgeId), u16>,
-    revision: u64,
-    journal: ConfigJournal,
     breakers: HashMap<DeviceId, Breaker>,
     backoff_rng: ChaCha8Rng,
     stats: CtrlStats,
@@ -320,18 +318,11 @@ impl Controller {
             free_ports: HashMap::new(),
             live_paths: Vec::new(),
             degree_of,
-            revision: 0,
-            journal: ConfigJournal::new(),
             breakers: HashMap::new(),
             backoff_rng: ChaCha8Rng::seed_from_u64(0x0C0FFEE),
             stats: CtrlStats::default(),
             obs: None,
         }
-    }
-
-    /// The controller's configuration audit trail.
-    pub fn journal(&self) -> &ConfigJournal {
-        &self.journal
     }
 
     /// Arms the whole device plane with a fault injector (chaos harness).
@@ -449,6 +440,20 @@ impl Controller {
         })
     }
 
+    /// Whether `cfg` is in effect on `id` after all, read back once.
+    /// After a lost reply an earlier attempt may have landed unheard, so
+    /// neither a timeout nor a rejection of a non-idempotent re-send (a
+    /// ROADM express self-conflicts) proves that the config did not.
+    fn read_repaired(&mut self, id: DeviceId, cfg: &StandardConfig) -> bool {
+        let state = self.devmgr.devices[&id].session.get_state();
+        let repaired = state.is_ok_and(|state| config_in_effect(&state, cfg));
+        if repaired {
+            self.stats.read_repairs += 1;
+            self.count("ctrl_read_repairs_total");
+        }
+        repaired
+    }
+
     fn send(&mut self, id: DeviceId, cfg: StandardConfig) -> Result<(), (DeviceId, String)> {
         self.stats.sends += 1;
         self.count("ctrl_sends_total");
@@ -459,40 +464,31 @@ impl Controller {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            self.revision += 1;
-            let revision = self.revision;
             let handle = &self.devmgr.devices[&id];
-            // The controller journals the standard document; the device
+            // The controller holds the standard document; the device
             // receives its native dialect.
             let native = vendor::encode(handle.descriptor.vendor, &cfg);
-            match handle.session.edit_config(revision, native) {
-                Ok(_) => {
-                    self.journal.record(revision, id, cfg);
+            match handle.session.edit_config(native) {
+                Ok(()) => {
                     self.breaker_ok(id);
                     return Ok(());
                 }
                 Err(SessionError::Rejected(cause)) => {
                     // The device answered: it is reachable.
                     self.breaker_ok(id);
-                    if saw_timeout {
-                        // An earlier attempt may have been applied with
-                        // its ack lost; re-sending a non-idempotent config
-                        // (ROADM express) then self-conflicts. Read the
-                        // state back before believing the rejection.
-                        if let Ok(state) = self.devmgr.devices[&id].session.get_state() {
-                            if config_in_effect(&state, &cfg) {
-                                self.stats.read_repairs += 1;
-                                self.count("ctrl_read_repairs_total");
-                                self.journal.record(revision, id, cfg);
-                                return Ok(());
-                            }
-                        }
+                    if saw_timeout && self.read_repaired(id, &cfg) {
+                        return Ok(());
                     }
                     return Err((id, cause));
                 }
                 Err(e @ SessionError::Unreachable) => {
                     saw_timeout = true;
                     if attempt >= MAX_ATTEMPTS {
+                        if self.read_repaired(id, &cfg) {
+                            // The state read answered: it is reachable.
+                            self.breaker_ok(id);
+                            return Ok(());
+                        }
                         if self.breaker_fail(id) {
                             return Err((
                                 id,
@@ -787,58 +783,26 @@ impl Controller {
         findings
     }
 
-    /// Re-pushes the journaled entries of `id` with revision strictly
-    /// greater than `after` — rolling a replaced or lagging device forward
-    /// to its journaled state. Returns false if any replay send failed
-    /// (the device stays quarantined for the next pass).
-    fn roll_forward(&self, id: DeviceId, after: u64) -> bool {
-        let handle = &self.devmgr.devices[&id];
-        // Replays go through the session directly: the entries are
-        // already journaled, so journaling them again would duplicate
-        // the ledger.
-        self.journal
-            .history(id)
-            .filter(|e| e.revision > after)
-            .all(|e| {
-                let native = vendor::encode(handle.descriptor.vendor, &e.config);
-                handle.session.edit_config(e.revision, native).is_ok()
-            })
-    }
-
-    /// Half-open probe of one quarantined device: if it answers, close the
-    /// breaker (rolling it forward if its revision lags the journal); if
-    /// it does not, assume it crashed, replace it with a factory-fresh
-    /// unit and replay its journaled history.
+    /// Half-open probe of one quarantined device: one that answers gets
+    /// its breaker closed; a silent one is assumed crashed, replaced with
+    /// a factory-fresh unit and then closed. Either way the
+    /// [`Self::reconcile`] that follows re-sends every ledger step that
+    /// is not in effect on it.
     fn probe_quarantined(&mut self, id: DeviceId, report: &mut ConvergeReport) {
         self.set_breaker(id, BreakerState::HalfOpen);
-        let latest = self.journal.latest(id).map_or(0, |e| e.revision);
-        let caught_up = match self.devmgr.devices[&id].session.get_state() {
-            Ok(state) => {
-                state.last_revision >= latest || self.roll_forward(id, state.last_revision)
-            }
-            Err(_) => {
-                // Dead or still unreachable: restart from the factory
-                // image and roll the whole journaled history forward.
-                let reset = self.devmgr.reset_device(id);
-                if reset.is_ok() {
-                    self.stats.devices_restarted += 1;
-                    self.count("ctrl_devices_restarted_total");
-                    report.restarted.push(id);
-                }
-                reset.is_ok() && self.roll_forward(id, 0)
-            }
-        };
-        if caught_up {
-            self.breaker_ok(id);
-        } else {
-            self.set_breaker(id, BreakerState::Open);
+        let silent = self.devmgr.devices[&id].session.get_state().is_err();
+        if silent && self.devmgr.reset_device(id).is_ok() {
+            self.stats.devices_restarted += 1;
+            self.count("ctrl_devices_restarted_total");
+            report.restarted.push(id);
         }
+        self.breaker_ok(id);
     }
 
     /// The self-healing loop: repeatedly probes quarantined devices
-    /// (restarting crashed ones and rolling them forward from the
-    /// journal), reconciles drift against the ledger, and audits — until
-    /// the plane is clean or `max_passes` passes have run.
+    /// (restarting silent ones), reconciles the device plane against the
+    /// ledger, and audits — until the plane is clean or `max_passes`
+    /// passes have run.
     pub fn converge(&mut self, max_passes: usize) -> ConvergeReport {
         let span = self.obs.as_ref().map(|o| o.span("ctrl.converge"));
         let start = self.obs.as_ref().map(|o| o.now_ns());
@@ -882,6 +846,8 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::TransponderState;
+    use crate::faults::{DeviceFaults, FaultPlan};
     use flexwan_core::planning::{plan, PlannerConfig};
     use flexwan_core::Scheme;
     use flexwan_topo::ip::IpTopology;
@@ -989,11 +955,20 @@ mod tests {
                 "transponder {id:?} outlived its rolled-back lightpath"
             );
         }
-        // …after being administratively downed again.
-        let downed = |e: &&crate::journal::JournalEntry| {
-            matches!(e.config, StandardConfig::Transponder { enabled: false, .. })
-        };
-        assert_eq!(ctrl.journal().entries().iter().filter(downed).count(), 2);
+        // …after being administratively downed again: the same
+        // transaction, read back before its transponders are retired.
+        let lit = ctrl.admit_lightpath(off_grid).unwrap();
+        assert!(ctrl.execute(&lit.footprint).is_err());
+        let downed = lit.footprint.steps().iter().filter(|step| {
+            let state = ctrl.devmgr.device(step.device).unwrap().session.get_state();
+            matches!(
+                state.unwrap().hardware,
+                Hardware::Transponder(Some(TransponderState { enabled: false, .. }))
+            )
+        });
+        assert_eq!(downed.count(), 2);
+        ctrl.retire(lit);
+        assert_eq!(ctrl.devmgr.len(), before_devices);
     }
 
     #[test]
@@ -1096,32 +1071,103 @@ mod tests {
         assert_eq!(hardware(&ctrl, transponder), running);
     }
 
+    /// Site b's ROADM: every site registers its MUX, then its ROADM.
+    const ROADM_B: DeviceId = DeviceId(3);
+
+    /// The plan's wavelength of link a–c: routed a–b–c, so [`ROADM_B`]
+    /// expresses it.
+    fn expressed(p: &Plan) -> &Wavelength {
+        let through_b = p.wavelengths.iter().find(|w| w.path.nodes.len() == 3);
+        through_b.expect("a–c routes a–b–c")
+    }
+
     #[test]
-    fn journal_records_acknowledged_configs_only() {
+    fn a_quarantined_device_that_holds_its_ledger_steps_heals_in_one_pass() {
+        // ROADM b's express lands with its reply lost and the retry is
+        // read-repaired. Three dropped sends later ROADM b is quarantined,
+        // then the faults lift: the device answers and holds every step
+        // the ledger asks of it, so the probe closes its breaker and
+        // nothing is re-sent. Replaying sends it already applied would
+        // bounce the express off itself and reopen the breaker on every
+        // pass.
         let (g, ip) = backbone();
         let cfg = PlannerConfig {
             grid: SpectrumGrid::new(96),
             ..Default::default()
         };
         let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let roadm_b = ROADM_B;
+        assert_eq!(expressed(&p).path.nodes[1], NodeId(1));
+        let lost_reply = DeviceFaults {
+            delay_reply_prob: 0.5,
+            ..Default::default()
+        };
+        let mut ctrl = (0..64)
+            .find_map(|seed| {
+                let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+                let faults = FaultPlan {
+                    seed,
+                    ..FaultPlan::none()
+                };
+                let faults = faults.device(roadm_b, lost_reply.clone());
+                ctrl.arm_faults(Arc::new(FaultInjector::new(faults)));
+                let clean = ctrl.apply_plan(&p, &g).is_clean();
+                (clean && ctrl.stats().read_repairs == 1).then_some(ctrl)
+            })
+            .expect("a seed whose express retry is read-repaired");
+        let blackout = FaultPlan::none().device(
+            roadm_b,
+            DeviceFaults {
+                drop_prob: 1.0,
+                ..Default::default()
+            },
+        );
+        let injector = Arc::new(FaultInjector::new(blackout));
+        ctrl.arm_faults(injector.clone());
+        for _ in 0..BREAKER_THRESHOLD {
+            ctrl.reconcile();
+        }
+        assert_eq!(ctrl.quarantined(), [roadm_b]);
+        injector.lift();
+        let healed = ctrl.converge(8);
+        assert!(healed.converged, "{healed:?}, {:?}", ctrl.quarantined());
+        assert_eq!((healed.passes, healed.repaired), (1, 0));
+        assert!(healed.restarted.is_empty());
+        assert!(ctrl.audit_plan().is_empty());
+    }
+
+    #[test]
+    fn an_atomic_apply_whose_every_reply_is_lost_keeps_what_landed() {
+        // Every reply from ROADM b is lost: the express lands on the first
+        // attempt and the retries bounce off it unheard. Read back, it is
+        // in effect, so the lightpath enters the ledger. Failing the apply
+        // would roll back only the prefix and leave an express no
+        // lightpath owns, occupying the channel for every later apply.
+        let (g, ip) = backbone();
+        let cfg = PlannerConfig {
+            grid: SpectrumGrid::new(96),
+            ..Default::default()
+        };
+        let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+        let w = expressed(&p);
         let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
-        let report = ctrl.apply_plan(&p, &g);
-        assert!(report.is_clean());
-        let total = report.transponders_configured
-            + report.mux_ports_configured
-            + report.expresses_configured;
-        assert_eq!(ctrl.journal().len(), total);
-        // Forensics: what was the first MUX's first port running?
-        let mux = ctrl.mux_at[&p.wavelengths[0].path.source()];
-        assert!(ctrl.journal().latest(mux).is_some());
-        // Rejected configs are absent: a legacy plane rejects everything
-        // off-grid and journals nothing for those sends.
-        let mut legacy = Controller::build(&g, Scheme::Radwan.wss(), cfg.grid);
-        let rep2 = legacy.apply_plan(&p, &g);
-        let total2 =
-            rep2.transponders_configured + rep2.mux_ports_configured + rep2.expresses_configured;
-        assert_eq!(legacy.journal().len(), total2);
-        assert!(legacy.journal().len() < ctrl.journal().len());
+        let lost_reply = FaultPlan::none().device(
+            ROADM_B,
+            DeviceFaults {
+                delay_reply_prob: 1.0,
+                ..Default::default()
+            },
+        );
+        let injector = Arc::new(FaultInjector::new(lost_reply));
+        ctrl.arm_faults(injector.clone());
+        ctrl.apply_wavelength_atomic(w).unwrap();
+        assert_eq!(ctrl.stats().read_repairs, 1);
+        assert!(ctrl.lightpaths().eq([w]));
+        injector.lift();
+        assert!(ctrl.audit_plan().is_empty());
+        ctrl.release_wavelength_atomic(w).unwrap();
+        ctrl.apply_wavelength_atomic(w).unwrap();
+        assert!(ctrl.audit_plan().is_empty());
     }
 
     #[test]

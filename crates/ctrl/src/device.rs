@@ -50,8 +50,6 @@ pub struct DeviceState {
     pub descriptor: DeviceDescriptor,
     /// Hardware state.
     pub hardware: Hardware,
-    /// Last acknowledged configuration revision (0 = factory).
-    pub last_revision: u64,
 }
 
 impl DeviceState {
@@ -231,13 +229,8 @@ mod tests {
                 channel: PixelRange::new(8, PixelWidth::new(8)),
                 enabled: true,
             };
-            let rev = h
-                .session
-                .edit_config(42, vendor::encode(vendor, &cfg))
-                .unwrap();
-            assert_eq!(rev, 42);
+            h.session.edit_config(vendor::encode(vendor, &cfg)).unwrap();
             let st = h.session.get_state().unwrap();
-            assert_eq!(st.last_revision, 42);
             match st.hardware {
                 Hardware::Transponder(Some(t)) => {
                     assert_eq!(t.format.data_rate_gbps, 400);
@@ -261,11 +254,11 @@ mod tests {
             passband: Some(PixelRange::new(0, PixelWidth::new(6))),
         };
         let foreign = vendor::encode(Vendor::VendorA, &cfg);
-        let err = h.session.edit_config(1, foreign).unwrap_err();
+        let err = h.session.edit_config(foreign).unwrap_err();
         assert!(matches!(err, crate::netconf::SessionError::Rejected(_)));
         // And accepts its own.
         h.session
-            .edit_config(2, vendor::encode(Vendor::VendorB, &cfg))
+            .edit_config(vendor::encode(Vendor::VendorB, &cfg))
             .unwrap();
     }
 
@@ -287,14 +280,14 @@ mod tests {
         };
         assert!(h
             .session
-            .edit_config(1, vendor::encode(Vendor::VendorA, &bad))
+            .edit_config(vendor::encode(Vendor::VendorA, &bad))
             .is_err());
         let good = StandardConfig::MuxPort {
             port: 0,
             passband: Some(PixelRange::new(6, PixelWidth::new(6))),
         };
         h.session
-            .edit_config(2, vendor::encode(Vendor::VendorA, &good))
+            .edit_config(vendor::encode(Vendor::VendorA, &good))
             .unwrap();
     }
 
@@ -316,7 +309,7 @@ mod tests {
         };
         assert!(h
             .session
-            .edit_config(1, vendor::encode(Vendor::VendorC, &cfg))
+            .edit_config(vendor::encode(Vendor::VendorC, &cfg))
             .is_err());
         // Degree 0 must have been rolled back.
         let st = h.session.get_state().unwrap();
@@ -334,22 +327,16 @@ mod tests {
         );
         assert!(h
             .session
-            .edit_config(
-                1,
-                vendor::encode(
-                    Vendor::VendorA,
-                    &StandardConfig::AmplifierGain { gain_db: 99.0 }
-                )
-            )
+            .edit_config(vendor::encode(
+                Vendor::VendorA,
+                &StandardConfig::AmplifierGain { gain_db: 99.0 }
+            ))
             .is_err());
         h.session
-            .edit_config(
-                2,
-                vendor::encode(
-                    Vendor::VendorA,
-                    &StandardConfig::AmplifierGain { gain_db: 21.0 },
-                ),
-            )
+            .edit_config(vendor::encode(
+                Vendor::VendorA,
+                &StandardConfig::AmplifierGain { gain_db: 21.0 },
+            ))
             .unwrap();
     }
 
@@ -365,7 +352,7 @@ mod tests {
         };
         assert!(h
             .session
-            .edit_config(1, vendor::encode(Vendor::VendorA, &cfg))
+            .edit_config(vendor::encode(Vendor::VendorA, &cfg))
             .is_err());
     }
 }

@@ -9,7 +9,9 @@
 //! * [`device`] — simulated devices: plain state behind a session,
 //!   validating configuration against their hardware models;
 //! * [`controller`] — global manager + DevMgr: pushes a plan to the
-//!   device plane and audits end-to-end channel consistency;
+//!   device plane, audits end-to-end channel consistency, and heals
+//!   drifted or restarted devices from its one record of intent, the
+//!   lightpath ledger;
 //! * [`issues`] — the spectrum-issue finders and the uncoordinated
 //!   multi-vendor counterfactual (Figure 5);
 //! * [`datastream`] — 1 s telemetry and real-time fiber-cut detection;
@@ -33,7 +35,6 @@ pub mod datastream;
 pub mod device;
 pub mod faults;
 pub mod issues;
-pub mod journal;
 pub mod model;
 pub mod netconf;
 pub mod orchestrator;
@@ -48,7 +49,6 @@ pub use datastream::{FiberCutDetector, TelemetrySim, TelemetryStore};
 pub use device::{config_in_effect, spawn_device, DeviceHandle, DeviceState, Hardware};
 pub use faults::{DeviceFaults, FaultInjector, FaultPlan, FaultStats};
 pub use issues::{find_conflicts, find_inconsistencies, SpectrumIssue};
-pub use journal::{ConfigJournal, JournalEntry};
 pub use model::{DeviceDescriptor, DeviceId, DeviceKind, Vendor};
 pub use netconf::{NetconfSession, SessionError};
 pub use orchestrator::{Orchestrator, TickOutcome};

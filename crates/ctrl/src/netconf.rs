@@ -7,7 +7,10 @@
 //! above the session, not a transport (DESIGN.md §1). The payload is the
 //! vendor-*native* document — translation to the standard model happens at
 //! the controller edge ([`crate::vendor`]), so a device only ever sees its
-//! own dialect, exactly as in a real multi-vendor backbone.
+//! own dialect, exactly as in a real multi-vendor backbone. A device
+//! holds its configuration and nothing else — no revision, no history:
+//! get-state is what is in effect, and what should be in effect is the
+//! controller's ledger.
 //!
 //! A session may be *armed* with a [`FaultInjector`]
 //! ([`crate::faults`]): every request then passes through the injector,
@@ -77,7 +80,6 @@ impl NetconfSession {
         let factory = DeviceState {
             descriptor,
             hardware,
-            last_revision: 0,
         };
         NetconfSession {
             state: Mutex::new(Some(factory.clone())),
@@ -87,8 +89,8 @@ impl NetconfSession {
         }
     }
 
-    /// Swaps the device for a factory-fresh unit (revision 0, no
-    /// configuration); a crashed device answers again.
+    /// Swaps the device for a factory-fresh unit (no configuration); a
+    /// crashed device answers again.
     pub(crate) fn factory_reset(&self) {
         *self.device_state() = Some(self.factory.clone());
     }
@@ -137,18 +139,18 @@ impl NetconfSession {
         }
     }
 
-    /// Sends a native configuration document; returns the acknowledged
-    /// revision.
-    pub fn edit_config(&self, revision: u64, native: Value) -> Result<u64, SessionError> {
+    /// Sends a native configuration document; `Ok` is the device's
+    /// acknowledgement that it is in effect.
+    pub fn edit_config(&self, native: Value) -> Result<(), SessionError> {
         self.count("netconf_edit_attempts_total");
-        let result = self.edit_config_inner(revision, &native);
+        let result = self.edit_config_inner(&native);
         if let Err(e) = &result {
             self.count_failure("netconf_edit_failures_total", e);
         }
         result
     }
 
-    fn edit_config_inner(&self, revision: u64, native: &Value) -> Result<u64, SessionError> {
+    fn edit_config_inner(&self, native: &Value) -> Result<(), SessionError> {
         if let Some(inj) = &self.injector {
             match inj.on_edit_config(self.device()) {
                 EditVerdict::Deliver => {}
@@ -161,7 +163,7 @@ impl NetconfSession {
                 EditVerdict::DelayReply => {
                     // The device applies the config, but the controller
                     // never sees the reply.
-                    let _ = self.deliver(revision, native);
+                    let _ = self.deliver(native);
                     return Err(SessionError::Unreachable);
                 }
                 EditVerdict::Crash => {
@@ -170,19 +172,17 @@ impl NetconfSession {
                 }
             }
         }
-        self.deliver(revision, native)
+        self.deliver(native)
     }
 
-    /// The device's side of an edit-config: decode its own dialect,
-    /// validate against the hardware, stamp the revision.
-    fn deliver(&self, revision: u64, native: &Value) -> Result<u64, SessionError> {
+    /// The device's side of an edit-config: decode its own dialect and
+    /// validate against the hardware.
+    fn deliver(&self, native: &Value) -> Result<(), SessionError> {
         let mut guard = self.device_state();
         let state = guard.as_mut().ok_or(SessionError::Unreachable)?;
         let cfg = vendor::decode(state.descriptor.vendor, native)
             .map_err(|e| SessionError::Rejected(error_chain(&e)))?;
-        state.apply(&cfg).map_err(SessionError::Rejected)?;
-        state.last_revision = revision;
-        Ok(revision)
+        state.apply(&cfg).map_err(SessionError::Rejected)
     }
 
     /// Reads the device state.

@@ -65,8 +65,8 @@ pub enum ChurnEvent {
     TelemetryDrift {
         /// The drifting fiber.
         fiber: EdgeId,
-        /// Power change since the last sample, dB. A NaN sample is
-        /// dropped at ingest.
+        /// Power change since the last sample, dB; a loss of light reads
+        /// −∞. A NaN or +∞ sample is dropped at ingest.
         delta_db: f64,
     },
     /// Several fibers went dark at once (shared-risk event: a conduit
@@ -847,10 +847,11 @@ impl<'a> ChurnService<'a> {
                 }
             }
             // A NaN sample would poison the fiber's accumulated drift
-            // for good (it never again crosses the cut threshold):
-            // dropped the same way. ±∞ stays — a loss of light reads −∞.
+            // for good (it never again crosses the cut threshold), and
+            // power cannot rise without bound (+∞ would cut the fiber it
+            // lit): both dropped the same way. −∞ stays — a loss of light.
             ChurnEvent::TelemetryDrift { fiber, delta_db } => {
-                if known(&fiber) && !delta_db.is_nan() {
+                if known(&fiber) && delta_db < f64::INFINITY {
                     net.drift.push((fiber, delta_db));
                 }
             }

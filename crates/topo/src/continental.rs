@@ -149,7 +149,7 @@ impl ScaleParams {
     }
 
     /// A suite-scale T-backbone: half the regions and a third of the IP
-    /// links, for quick iteration (`FLEXWAN_SCALE=suite`).
+    /// links, for quick iteration.
     pub fn suite() -> Self {
         ScaleParams {
             regions: 4,

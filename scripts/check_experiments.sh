@@ -1,0 +1,132 @@
+#!/usr/bin/env bash
+# Experiments gate: every number EXPERIMENTS.md claims as measured is
+# read off the results file its section names, so a regenerated figure
+# cannot leave a stale number behind in the prose.
+#
+# A section (`## ` heading) names its file in the paragraph from
+# `Source:` on — `results/<name>.txt`, or `results/<ablation>.txt` with a
+# placeholder, which means the file named in backticks in each table
+# row's first cell. Its claims are
+#   * every cell of a table column headed `measured`, and
+#   * every bold span (`**…**`) outside such a cell.
+# A claim is split into clauses at `;`. Each number in a clause (commas
+# between digits are thousands separators; code spans are skipped) must
+# occur as a number in the file. A derived clause states its formula
+# inline, `derived = formula`: the numbers left of the `=` are what it
+# derives, and only the formula's operands, right of it, must occur in
+# the file. Numbers are compared by value (0.50 matches 0.5).
+#
+# Usage: scripts/check_experiments.sh [FILE]   (default EXPERIMENTS.md)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# POSIX awk only (runs under mawk on CI): no 3-arg match, no length(array).
+awk '
+function trim(s) { gsub(/^[ \t]+|[ \t]+$/, "", s); return s }
+
+# The numbers of `s`, space-separated, by value. Code spans and digits
+# that end a word (`p10`, `fig12`) are names, not numbers.
+function numbers(s,    out, tok, named) {
+    gsub(/`[^`]*`/, " ", s)
+    while (match(s, /[0-9]+(,[0-9][0-9][0-9])*(\.[0-9]+)?/)) {
+        tok = substr(s, RSTART, RLENGTH)
+        named = RSTART > 1 && substr(s, RSTART - 1, 1) ~ /[A-Za-z_]/
+        s = substr(s, RSTART + RLENGTH)
+        if (named) continue
+        gsub(/,/, "", tok)
+        out = out " " (tok + 0)
+    }
+    return out
+}
+
+# Loads the numbers of results file `f` into have[f, value] once.
+function load(f,    line, n, i, v) {
+    if (f in loaded) return loaded[f]
+    loaded[f] = 0
+    while ((getline line < f) > 0) {
+        loaded[f] = 1
+        n = split(numbers(line), v, " ")
+        for (i = 1; i <= n; i++) have[f, v[i]] = 1
+    }
+    close(f)
+    return loaded[f]
+}
+
+function fail(msg) { printf("%s: %s\n  %s\n", title, msg, where); bad = 1 }
+
+# Checks one claim against results file `f`.
+function claim(text, f,    c, nc, i, eq, rhs, n, v, j) {
+    nc = split(text, c, ";")
+    for (i = 1; i <= nc; i++) {
+        eq = index(c[i], "=")
+        rhs = eq ? substr(c[i], eq + 1) : c[i]
+        n = split(numbers(rhs), v, " ")
+        if (n == 0) continue
+        if (f == "") { fail("a number in a section with no Source: results file"); return }
+        if (!load(f)) { fail("no results file " f); return }
+        for (j = 1; j <= n; j++)
+            if (!((f, v[j]) in have))
+                fail(v[j] " is not in " f (eq ? " (formula operand)" : ""))
+    }
+}
+
+# The bold spans of `s`, checked against `f`.
+function bold(s, f,    span) {
+    while (match(s, /\*\*[^*]+\*\*/)) {
+        span = substr(s, RSTART + 2, RLENGTH - 4)
+        s = substr(s, RSTART + RLENGTH)
+        claim(span, f)
+    }
+}
+
+function flush(    i, src, per_row, line, cells, nc, col, j, f, name) {
+    src = ""
+    for (i = 1; i <= n; i++) {
+        if (index(buf[i], "Source:")) {
+            src = substr(buf[i], index(buf[i], "Source:"))
+            for (j = i + 1; j <= n && buf[j] != ""; j++) src = src " " buf[j]
+            break
+        }
+    }
+    per_row = (src ~ /results\/<[^>]*>\.txt/)
+    f = ""
+    if (!per_row && match(src, /results\/[A-Za-z0-9_]+\.txt/))
+        f = substr(src, RSTART, RLENGTH)
+    col = 0
+    for (i = 1; i <= n; i++) {
+        line = buf[i]
+        where = line
+        if (line ~ /^\|/) {
+            nc = split(line, cells, "|")
+            if (i < n && buf[i + 1] ~ /^\|[-| :]+\|$/) {
+                col = 0
+                for (j = 2; j < nc; j++) if (trim(cells[j]) == "measured") col = j
+                continue
+            }
+            if (line ~ /^\|[-| :]+\|$/) continue
+            if (per_row) {
+                name = ""
+                if (match(cells[2], /`[A-Za-z0-9_]+`/))
+                    name = "results/" substr(cells[2], RSTART + 1, RLENGTH - 2) ".txt"
+                f = name
+            }
+            for (j = 2; j < nc; j++) {
+                if (j == col) claim(cells[j], f)
+                else bold(cells[j], f)
+            }
+            continue
+        }
+        col = 0
+        bold(line, f)
+    }
+    n = 0
+}
+
+/^## / { flush(); title = $0 }
+{ buf[++n] = $0 }
+END {
+    flush()
+    if (bad) exit 1
+    print "every measured number is in its results file"
+}
+' "${1:-EXPERIMENTS.md}"

@@ -16,9 +16,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The committed files are the default (`full`) tier.
-unset FLEXWAN_SCALE
-
 self_writing=" colgen_report fig_availability fig_continental "
 
 names=()

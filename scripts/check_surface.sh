@@ -100,7 +100,15 @@
 #     `HEARTBEAT_TOLERANCE`), the `ClusterFaultSchedule` that scripted
 #     it, or `PhysicalFault` / `physical_scenario` — a cut is a
 #     `FailureScenario` or a `ChurnEvent`, amplifier degradation a
-#     `TelemetryDrift`.
+#     `TelemetryDrift`;
+#   * a second record of intent comes back: crates/ctrl/src/journal.rs
+#     (`ConfigJournal`, `JournalEntry`), `roll_forward` or a device's
+#     `last_revision` — what the device plane should hold is the
+#     controller's lightpath ledger, and a restarted device is healed by
+#     `reconcile` from it;
+#   * an environment-selected instance tier comes back (`ScaleTier`,
+#     `tbackbone_instance_at`, `FLEXWAN_SCALE`): the primary instance is
+#     `ScaleParams::tbackbone()`.
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -390,6 +398,15 @@ if [ -e crates/ctrl/src/ha.rs ]; then
 fi
 gone "fault vocabularies no control loop reads (cluster schedule, physical faults)" \
     '\b(ControllerCluster|ClusterFaultSchedule|heartbeat_round|HEARTBEAT_TOLERANCE|PhysicalFault|physical_scenario)'
+
+if [ -e crates/ctrl/src/journal.rs ]; then
+    echo "crates/ctrl/src/journal.rs stays deleted (the lightpath ledger is the one record of intent)"
+    bad=1
+fi
+gone "a second record of intent (the lightpath ledger heals a device)" \
+    '\b(ConfigJournal|JournalEntry|roll_forward|last_revision)\b'
+gone "an environment-selected instance tier (the primary instance is ScaleParams::tbackbone)" \
+    '\b(ScaleTier|tbackbone_instance_at|FLEXWAN_SCALE)\b'
 
 [ "$bad" -eq 0 ] && echo "planning surface ok"
 exit "$bad"

@@ -1,11 +1,10 @@
 //! Chaos tests for the self-healing control plane: seeded fault injection
-//! at the session boundary, circuit breakers, journal roll-forward, and
-//! orchestrator ticks over faulty telemetry delivery. Every test replays
-//! bit-identically — the
-//! injector's RNG is consumed in the controller's (single-threaded)
-//! request order.
+//! at the session boundary, circuit breakers, restarts healed from the
+//! controller's ledger, and orchestrator ticks over faulty telemetry
+//! delivery. Every test replays bit-identically — the injector's RNG is
+//! consumed in the controller's (single-threaded) request order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use flexwan::core::planning::{plan, Plan, PlannerConfig};
@@ -100,7 +99,16 @@ fn channels_of(p: &Plan) -> Vec<ConfiguredChannel> {
 /// One full seeded chaos run: mixed drops, delayed replies, a rejecting
 /// boot on one MUX, and one device crash. Returns everything a
 /// determinism comparison needs.
-fn chaos_run(seed: u64) -> (bool, usize, Vec<DeviceId>, CtrlStats, FaultStats, Vec<u64>) {
+type ChaosRun = (
+    bool,
+    usize,
+    Vec<DeviceId>,
+    CtrlStats,
+    FaultStats,
+    HashMap<NodeId, Vec<PixelRange>>,
+);
+
+fn chaos_run(seed: u64) -> ChaosRun {
     let (g, ip, cfg) = backbone();
     let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
     assert!(p.is_feasible());
@@ -134,10 +142,11 @@ fn chaos_run(seed: u64) -> (bool, usize, Vec<DeviceId>, CtrlStats, FaultStats, V
     let _ = ctrl.apply_plan(&p, &g);
     let report = ctrl.converge(64);
 
-    // Invariants under fault: audited clean, no conflicts, no
-    // inconsistencies against the live device state. The forensic reads
-    // below must see the plane as it is, so lift the faults first
-    // (convergence itself ran entirely under fire).
+    // Invariants under fault: audited clean (every ledger step is in
+    // effect on its device), no conflicts, no inconsistencies against the
+    // live device state. The forensic reads below must see the plane as
+    // it is, so lift the faults first (convergence itself ran entirely
+    // under fire).
     injector.lift();
     assert!(report.converged, "seed {seed}: did not converge");
     assert!(ctrl.audit_plan().is_empty(), "seed {seed}: audit findings");
@@ -150,37 +159,6 @@ fn chaos_run(seed: u64) -> (bool, usize, Vec<DeviceId>, CtrlStats, FaultStats, V
         find_inconsistencies(&channels, &live_passbands(&ctrl)).is_empty(),
         "seed {seed}: inconsistencies"
     );
-    // No journal loss: revisions strictly increasing, and every device's
-    // journaled latest configuration is actually in effect on the device.
-    // (Revision numbers may skew under read-repair — the journal stamps
-    // the retry's revision while the device applied an earlier attempt —
-    // so the invariant is about configuration *content*.)
-    let revisions: Vec<u64> = ctrl
-        .journal()
-        .entries()
-        .iter()
-        .map(|e| e.revision)
-        .collect();
-    assert!(
-        revisions.windows(2).all(|w| w[0] < w[1]),
-        "journal out of order"
-    );
-    for e in ctrl.journal().entries() {
-        let state = ctrl
-            .devmgr
-            .device(e.device)
-            .expect("apply_plan retires nothing")
-            .session
-            .get_state()
-            .expect("converged plane");
-        let latest = ctrl.journal().latest(e.device).unwrap();
-        assert!(
-            flexwan::ctrl::config_in_effect(&state, &latest.config),
-            "seed {seed}: device {:?} lost journaled config {:?}",
-            e.device,
-            latest.config
-        );
-    }
     let stats = ctrl.stats().clone();
     (
         report.converged,
@@ -188,7 +166,7 @@ fn chaos_run(seed: u64) -> (bool, usize, Vec<DeviceId>, CtrlStats, FaultStats, V
         report.restarted,
         stats,
         injector.stats(),
-        revisions,
+        live_passbands(&ctrl),
     )
 }
 
@@ -279,8 +257,9 @@ fn total_blackout_trips_breakers_and_heals_after_lift() {
 fn applied_but_unacknowledged_config_converges_without_repair() {
     // Every reply from ROADM b is delayed past the session timeout: the
     // express lands on the device but the controller never hears the ack.
-    // Convergence must discover the config is already in effect instead of
-    // re-pushing (re-pushing a ROADM express self-conflicts).
+    // The send must discover the config is already in effect by reading
+    // it back instead of failing, and convergence must not re-push it
+    // (re-pushing a ROADM express self-conflicts).
     let (g, ip, cfg) = backbone();
     let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
     let roadm_b = DeviceId(3);
@@ -295,8 +274,17 @@ fn applied_but_unacknowledged_config_converges_without_repair() {
     ctrl.arm_faults(injector.clone());
 
     let report = ctrl.apply_plan(&p, &g);
-    assert!(!report.is_clean(), "acks to ROADM b are all lost");
-    assert!(injector.stats().delayed_replies > 0);
+    assert!(
+        injector.stats().delayed_replies > 0,
+        "acks to ROADM b are lost"
+    );
+    assert!(report.is_clean(), "{:?}", report.rejections);
+    assert!(report.expresses_configured > 0);
+    assert_eq!(
+        ctrl.stats().read_repairs,
+        report.expresses_configured as u64,
+        "every express was read back, none re-pushed"
+    );
 
     injector.lift();
     let after = ctrl.converge(8);
@@ -352,9 +340,8 @@ fn breaker_fast_fails_while_open() {
 /// [`FaultPlan`] — request drops, delayed replies, a rejecting boot, stale
 /// state reads, an immediate crash and a mid-life crash — through
 /// `apply_plan` → `converge` → a cut/repair cycle → `converge`, rendered
-/// as text: controller and injector counters, the journal's length and
-/// last revision per device, the apply report, every tick outcome and
-/// the passbands left on the devices. The other tests exercise each
+/// as text: controller and injector counters, the apply report, every
+/// tick outcome and the passbands left on the devices. The other tests exercise each
 /// verdict alone; this one pins their interleaving.
 fn interleaved_chaos_run() -> String {
     use std::fmt::Write;
@@ -388,8 +375,7 @@ fn interleaved_chaos_run() -> String {
         )
         // …and MUX b — both ends of the cut fiber's restoration pass it,
         // so its edits keep coming — after it already holds
-        // configuration, so the restart has journaled history to roll
-        // forward.
+        // configuration, so the restart has ledger steps to re-send.
         .device(
             DeviceId(2),
             DeviceFaults {
@@ -424,14 +410,6 @@ fn interleaved_chaos_run() -> String {
     let mut out = String::new();
     writeln!(out, "ctrl {:?}", ctrl.stats()).unwrap();
     writeln!(out, "faults {:?}", injector.stats()).unwrap();
-    let last: BTreeMap<DeviceId, u64> = ctrl
-        .journal()
-        .entries()
-        .iter()
-        .map(|e| (e.device, e.revision))
-        .collect();
-    let last: Vec<(DeviceId, u64)> = last.into_iter().collect();
-    writeln!(out, "journal len {} last {last:?}", ctrl.journal().len()).unwrap();
     writeln!(
         out,
         "apply transponders {} mux {} express {} rejections {:?}",
@@ -493,20 +471,20 @@ fn interleaved_verdicts_replay_the_pinned_run() {
     assert_eq!(run, PINNED_INTERLEAVED_RUN, "\n{run}");
 }
 
-/// What [`interleaved_chaos_run`] produced when it was re-recorded for
-/// the lightpath ledger (reconcile re-lights recorded ports and repairs
-/// transponders, lost reads are asked again, the mid-life crash moved
-/// from MUX c to MUX b); any device-plane change must reproduce it. The
+/// What [`interleaved_chaos_run`] produced with the lightpath ledger as
+/// the one record of intent: reconcile re-lights recorded ports and
+/// repairs transponders, lost reads are asked again, and a restarted
+/// device is re-lit by reconcile (the second converge restarts MUX b
+/// and repairs three steps); any device-plane change must reproduce it. The
 /// last tick's release dies with MUX b and rolls back, so one restoration
 /// lightpath is still live — on the orchestrator's list and on the
 /// ledger — when the final converge heals the plane around it.
 const PINNED_INTERLEAVED_RUN: &str = "\
-ctrl CtrlStats { sends: 47, retries: 36, read_repairs: 2, breaker_trips: 2, devices_restarted: 3 }\n\
-faults FaultStats { delivered: 205, drops: 82, delayed_replies: 9, rejects: 2, crashes: 2, stale_reads: 35, events_dropped: 0, events_duplicated: 0, events_reordered: 0, events_stale: 0 }\n\
-journal len 32 last [(DeviceId(0), 28), (DeviceId(2), 58), (DeviceId(3), 34), (DeviceId(4), 11), (DeviceId(5), 60), (DeviceId(6), 59), (DeviceId(8), 1), (DeviceId(9), 4), (DeviceId(10), 8), (DeviceId(11), 9), (DeviceId(12), 16), (DeviceId(13), 18), (DeviceId(14), 47), (DeviceId(15), 48), (DeviceId(16), 68), (DeviceId(17), 67)]\n\
+ctrl CtrlStats { sends: 44, retries: 36, read_repairs: 2, breaker_trips: 2, devices_restarted: 2 }\n\
+faults FaultStats { delivered: 141, drops: 58, delayed_replies: 8, rejects: 2, crashes: 2, stale_reads: 22, events_dropped: 0, events_duplicated: 0, events_reordered: 0, events_stale: 0 }\n\
 apply transponders 6 mux 4 express 0 rejections [(DeviceId(0), \"injected fault: edit-config rejected\"), (DeviceId(3), \"device unreachable after 4 attempts\"), (DeviceId(0), \"injected fault: edit-config rejected\")]\n\
 converge passes 4 repaired 3 restarted [DeviceId(3)] converged true\n\
-converge passes 6 repaired 0 restarted [DeviceId(2), DeviceId(2)] converged true\n\
+converge passes 2 repaired 3 restarted [DeviceId(2)] converged true\n\
 tick Quiet\n\
 tick Restored { cuts: [EdgeId(4)], lost_gbps: 500, revived_gbps: 500, apply_rejections: 0 }\n\
 tick Repaired { fibers: [EdgeId(4)], retired: 1, re_restored: 0 }\n\

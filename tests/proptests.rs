@@ -898,3 +898,131 @@ fn sharded_solve_is_thread_and_insertion_order_invariant() {
         assert_eq!(key(&part_a), key(&part_b));
     }
 }
+
+/// One adversarial churn event on `g` / `ip`: fiber and link ids past the
+/// graph's, zero-Gbps resizes, and ±∞ / NaN drift samples mixed in with
+/// well-formed events.
+fn adversarial_event(
+    rng: &mut ChaCha8Rng,
+    g: &Graph,
+    ip: &flexwan::topo::ip::IpTopology,
+) -> flexwan::ctrl::ChurnEvent {
+    use flexwan::ctrl::ChurnEvent;
+    use flexwan::topo::graph::EdgeId;
+    use flexwan::topo::ip::IpLinkId;
+
+    let fibers = g.num_edges() as u32;
+    let fiber = |rng: &mut ChaCha8Rng| EdgeId(rng.gen_range(0..fibers + 3));
+    match rng.gen_range(0..5u32) {
+        0 => ChurnEvent::FiberCut(fiber(rng)),
+        1 => ChurnEvent::FiberRepair(fiber(rng)),
+        2 => {
+            let n = rng.gen_range(0..4usize);
+            ChurnEvent::SimultaneousCuts((0..n).map(|_| fiber(rng)).collect())
+        }
+        3 => ChurnEvent::DemandDelta {
+            link: IpLinkId(rng.gen_range(0..ip.num_links() as u32 + 2)),
+            demand_gbps: 100 * rng.gen_range(0..4u64),
+        },
+        _ => {
+            let deltas = [
+                -25.0,
+                -0.5,
+                0.4,
+                25.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ];
+            ChurnEvent::TelemetryDrift {
+                fiber: fiber(rng),
+                delta_db: deltas[rng.gen_range(0..deltas.len())],
+            }
+        }
+    }
+}
+
+/// A churn service fed an adversarial stream — unknown fiber and link
+/// ids, ±∞ and NaN drift, duplicate, stale, skipped and not-yet-logged
+/// sequence numbers — never panics, believes only fibers the graph has
+/// cut, holds every accumulated drift finite or at a loss of light (−∞),
+/// and replaying its journal over the log reproduces its state.
+#[test]
+fn adversarial_churn_streams_replay_what_they_ran() {
+    use flexwan::ctrl::{ChurnService, EventLog, SeqEvent, ServiceConfig};
+
+    let mut g = Graph::new();
+    let a = g.add_node("a");
+    let b = g.add_node("b");
+    let c = g.add_node("c");
+    g.add_edge(a, b, 600);
+    g.add_edge(a, c, 600);
+    g.add_edge(c, b, 600);
+    let mut ip = flexwan::topo::ip::IpTopology::new();
+    ip.add_link(a, b, 300);
+    let cfg = flexwan::core::planning::PlannerConfig {
+        grid: SpectrumGrid::new(64),
+        k_paths: 2,
+        ..Default::default()
+    };
+    let svc_cfg = ServiceConfig::default();
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA00E);
+    let (mut duplicates, mut gap_fills) = (0, 0);
+    for case in 0..8 {
+        let mut live =
+            ChurnService::new(&g, &ip, Scheme::FlexWan, cfg.clone(), svc_cfg.clone()).unwrap();
+        let mut log = EventLog::new();
+        for _batch in 0..rng.gen_range(1..6usize) {
+            for _ in 0..rng.gen_range(0..5usize) {
+                log.append(adversarial_event(&mut rng, &g, &ip));
+            }
+            // The doorbell: a sample of the log with gaps and duplicates,
+            // sometimes a stale sequence number or one not logged yet.
+            let mut batch: Vec<SeqEvent> = Vec::new();
+            for seq in 0..log.len() {
+                let event = log.get(seq).unwrap().clone();
+                for _ in 0..rng.gen_range(0..3u32) {
+                    batch.push(SeqEvent {
+                        seq,
+                        event: event.clone(),
+                    });
+                }
+            }
+            if rng.gen_bool(0.2) {
+                let event = adversarial_event(&mut rng, &g, &ip);
+                let seq = log.len() + rng.gen_range(0..3u64);
+                batch.push(SeqEvent { seq, event });
+            }
+            rng.shuffle(&mut batch);
+            live.deliver(&log, &batch);
+            let state = live.state();
+            let fibers = g.num_edges() as u32;
+            assert!(
+                state.active_cuts.iter().all(|&f| f < fibers),
+                "case {case}: {state:?}"
+            );
+            assert!(
+                state
+                    .drift_db
+                    .iter()
+                    .all(|&(_, d)| d.is_finite() || d == f64::NEG_INFINITY),
+                "case {case}: {state:?}"
+            );
+        }
+        live.flush(&log);
+        duplicates += live.stats().duplicates_ignored;
+        gap_fills += live.stats().gap_fills;
+        let replayed = ChurnService::replay(
+            &g,
+            &ip,
+            Scheme::FlexWan,
+            cfg.clone(),
+            svc_cfg.clone(),
+            &log,
+            live.journal(),
+        )
+        .unwrap();
+        assert_eq!(live.state(), replayed.state(), "case {case}");
+    }
+    assert!(duplicates > 0 && gap_fills > 0, "{duplicates} {gap_fills}");
+}
