@@ -293,7 +293,7 @@ mod tests {
         assert_eq!(out.steps.len(), 2);
         assert_eq!(out.channel.width, w(12));
         // The fiber is now completely occupied and overlap-free.
-        assert_eq!(s.mask(flexwan_topo::graph::EdgeId(0)).free_pixels(), 0);
+        assert_eq!(s.mask(flexwan_topo::graph::EdgeId(0)).occupied_pixels(), 20);
         assert!(!wl[0].channel.overlaps(&wl[1].channel));
         assert!(!wl[0].channel.overlaps(&out.channel));
         assert!(!wl[1].channel.overlaps(&out.channel));

@@ -204,11 +204,6 @@ impl WavelengthVarSpace {
         &self.paths_per_slot[g.slot][g.path_index]
     }
 
-    /// γ handles of one slot, in enumeration order.
-    pub fn slot_gammas(&self, slot: usize) -> &[GammaId] {
-        &self.by_slot[slot]
-    }
-
     /// γ handles occupying `pixel` on `fiber`, in enumeration order.
     pub fn fiber_pixel_gammas(&self, fiber: EdgeId, pixel: u32) -> &[GammaId] {
         &self.by_fiber_pixel[fiber.0 as usize * self.pixels as usize + pixel as usize]
@@ -756,16 +751,18 @@ mod tests {
             |_, _| true,
         );
         assert!(!space.gammas().is_empty());
-        // Slot bucket == scan by slot.
-        let scan: Vec<usize> = space
-            .gammas()
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.slot == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let bucket: Vec<usize> = space.slot_gammas(0).iter().map(|id| id.0).collect();
-        assert_eq!(scan, bucket);
+        // Slot bucket == scan by slot, read through the rows it builds.
+        for slot in 0..space.num_slots() {
+            let scan: Vec<_> = space
+                .gammas()
+                .iter()
+                .filter(|g| g.slot == slot)
+                .map(|g| g.var)
+                .collect();
+            let vars = |e: LinExpr| e.terms.iter().map(|&(v, _)| v).collect::<Vec<_>>();
+            assert_eq!(scan, vars(space.count_expr(slot)), "count slot {slot}");
+            assert_eq!(scan, vars(space.rate_expr(slot)), "rate slot {slot}");
+        }
         // Fiber-pixel bucket == scan by coverage, for every (fiber, pixel).
         for fiber in g.edges() {
             for px in 0..12u32 {

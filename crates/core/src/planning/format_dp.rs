@@ -216,11 +216,6 @@ pub fn reachable_formats(model: &dyn TransponderModel, distance_km: u32) -> Vec<
     keep
 }
 
-/// Total cost of a format multiset under the paper's objective.
-pub fn multiset_cost(formats: &[TransponderFormat], epsilon: f64) -> f64 {
-    formats.iter().map(|f| format_cost(f, epsilon)).sum()
-}
-
 /// `select_formats` as it stood before the format table (f18df52),
 /// verbatim: a candidate list and a DP table per call. The table and the
 /// planner are compared against it.
@@ -425,9 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn multiset_cost_matches_objective() {
+    fn selected_formats_cost_the_objective() {
         let fs = select_formats(&Bvt, 600, 1000, EPS).unwrap();
-        let cost = multiset_cost(&fs, EPS);
+        let cost: f64 = fs.iter().map(|f| format_cost(f, EPS)).sum();
         assert!((cost - (2.0 + EPS * 150.0)).abs() < 1e-9); // 2×300G@75GHz
     }
 

@@ -52,11 +52,6 @@ impl ProtectedPlan {
             .sum()
     }
 
-    /// Whether every demand was provisioned on two disjoint routes.
-    pub fn is_fully_protected(&self) -> bool {
-        self.unprotectable.is_empty() && self.unmet.is_empty()
-    }
-
     /// Capability under `scenario` (instantaneous, no recomputation): per
     /// link, surviving capacity is the max of its two copies' surviving
     /// rates (1+1 switches to whichever copy lives), capped at demand.
@@ -190,7 +185,11 @@ mod tests {
     fn protection_doubles_hardware() {
         let (g, ip) = diamond();
         let pp = PlanCtx::new(&g, &cfg()).plan_protected(Scheme::FlexWan, &ip);
-        assert!(pp.is_fully_protected(), "unmet {:?}", pp.unmet);
+        assert!(
+            pp.unprotectable.is_empty() && pp.unmet.is_empty(),
+            "unmet {:?}",
+            pp.unmet
+        );
         assert_eq!(pp.working.len(), 1);
         assert_eq!(pp.protection.len(), 1);
         // The two copies ride disjoint routes.

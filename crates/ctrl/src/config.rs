@@ -49,9 +49,4 @@ pub enum StandardConfig {
         /// The passband to remove.
         passband: PixelRange,
     },
-    /// Set an amplifier's gain.
-    AmplifierGain {
-        /// Target gain, dB.
-        gain_db: f64,
-    },
 }

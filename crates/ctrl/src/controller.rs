@@ -106,9 +106,6 @@ impl DevMgr {
     pub fn reset_device(&mut self, id: DeviceId) -> Result<(), SessionError> {
         let handle = self.devices.get(&id).ok_or(SessionError::Unreachable)?;
         handle.session.factory_reset();
-        if let Some(inj) = &self.injector {
-            inj.device_restarted(id);
-        }
         Ok(())
     }
 

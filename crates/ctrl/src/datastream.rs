@@ -59,8 +59,15 @@ impl TelemetryStore {
     /// idempotence: a sample at or before the fiber's newest retained tick
     /// is a duplicate or stale re-delivery and is dropped (counted, never
     /// asserted on) rather than corrupting the time series the cut
-    /// detector differentiates.
+    /// detector differentiates. A NaN reading (no measurement) or a +∞
+    /// one (receive power is bounded) is dropped the same way, uncounted:
+    /// the detector's difference would turn the +∞ and the healthy
+    /// reading after it into a cut, and the NaN would hide the drop after
+    /// it. A −∞ reading is a loss of light and stays.
     pub fn ingest(&mut self, s: TelemetrySample) {
+        if s.rx_power_dbm.is_nan() || s.rx_power_dbm == f64::INFINITY {
+            return;
+        }
         self.max_tick = self.max_tick.max(s.tick);
         if let Some(obs) = &self.obs {
             let reg = obs.registry();
@@ -310,6 +317,29 @@ mod tests {
         assert_eq!(store.latest(EdgeId(0)), Some((6, -3.0)));
         assert_eq!(store.previous(EdgeId(0)), Some((5, -3.0)));
         assert!(!FiberCutDetector.is_cut(&store, EdgeId(0)));
+    }
+
+    /// A +∞ reading does not turn the healthy one after it into a cut,
+    /// and a NaN between a healthy reading and a 22 dB drop does not
+    /// hide the drop: neither is a measurement, both are dropped. A loss
+    /// of light (−∞) is a reading, and a cut.
+    #[test]
+    fn non_measurements_are_dropped_at_ingest() {
+        let run = |powers: &[f64]| {
+            let mut store = TelemetryStore::new(10);
+            for (tick, &rx_power_dbm) in powers.iter().enumerate() {
+                store.ingest(TelemetrySample {
+                    fiber: EdgeId(0),
+                    tick: tick as u64,
+                    rx_power_dbm,
+                });
+            }
+            assert_eq!(store.stale_dropped(), 0);
+            FiberCutDetector.is_cut(&store, EdgeId(0))
+        };
+        assert!(!run(&[-3.0, f64::INFINITY, -3.0]));
+        assert!(run(&[-3.0, f64::NAN, -25.0]));
+        assert!(run(&[-3.0, f64::NEG_INFINITY]));
     }
 
     #[test]

@@ -36,11 +36,6 @@ pub enum Hardware {
     Mux(Mux),
     /// A ROADM with its degrees.
     Roadm(Roadm),
-    /// An amplifier (gain only).
-    Amplifier {
-        /// Current gain, dB.
-        gain_db: f64,
-    },
 }
 
 /// A device's full state snapshot, as returned by get-state.
@@ -116,13 +111,6 @@ impl DeviceState {
                     .remove_passband(*to_degree, *passband)
                     .map_err(|e| e.to_string())
             }
-            (Hardware::Amplifier { gain_db }, StandardConfig::AmplifierGain { gain_db: g }) => {
-                if !(0.0..=40.0).contains(g) {
-                    return Err(format!("gain {g} dB outside the EDFA's 0–40 dB range"));
-                }
-                *gain_db = *g;
-                Ok(())
-            }
             (hw, cfg) => Err(format!("config {cfg:?} not applicable to {hw:?}")),
         }
     }
@@ -189,9 +177,6 @@ pub fn config_in_effect(state: &DeviceState, cfg: &StandardConfig) -> bool {
                     .unwrap_or(false)
             };
             released(*from_degree) && released(*to_degree)
-        }
-        (Hardware::Amplifier { gain_db }, StandardConfig::AmplifierGain { gain_db: g }) => {
-            (gain_db - g).abs() < 1e-9
         }
         _ => false,
     }
@@ -320,31 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn amplifier_gain_bounds() {
-        let h = spawn_device(
-            descriptor(DeviceKind::Amplifier, Vendor::VendorA),
-            Hardware::Amplifier { gain_db: 16.0 },
-        );
-        assert!(h
-            .session
-            .edit_config(vendor::encode(
-                Vendor::VendorA,
-                &StandardConfig::AmplifierGain { gain_db: 99.0 }
-            ))
-            .is_err());
-        h.session
-            .edit_config(vendor::encode(
-                Vendor::VendorA,
-                &StandardConfig::AmplifierGain { gain_db: 21.0 },
-            ))
-            .unwrap();
-    }
-
-    #[test]
     fn mismatched_config_kind_rejected() {
         let h = spawn_device(
-            descriptor(DeviceKind::Amplifier, Vendor::VendorA),
-            Hardware::Amplifier { gain_db: 16.0 },
+            descriptor(DeviceKind::Roadm, Vendor::VendorA),
+            Hardware::Roadm(Roadm::new(WssKind::PixelWise, SpectrumGrid::new(32), 2)),
         );
         let cfg = StandardConfig::MuxPort {
             port: 0,

@@ -164,6 +164,13 @@ pub enum StateVerdict {
 }
 
 /// Counters of every fault the injector actually fired.
+///
+/// They count the injector's decisions about *live* devices only: a
+/// session whose device is crashed answers `Unreachable` before it asks
+/// the injector, so its requests move no counter here and draw nothing
+/// from the RNG. Those requests are in the session's
+/// `netconf_edit_failures_total` / `netconf_get_state_failures_total`
+/// with `kind="unreachable"`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultStats {
     /// Requests delivered untouched.
@@ -196,8 +203,6 @@ struct Inner {
     attempts: HashMap<DeviceId, u32>,
     /// Injected rejections issued per device (drives `reject_first`).
     rejected: HashMap<DeviceId, u32>,
-    /// Devices we crashed and that have not been restarted.
-    crashed_pending: HashSet<DeviceId>,
     /// Devices that already consumed their one-shot crash.
     crash_done: HashSet<DeviceId>,
     /// Last state snapshot seen per device (source of stale reads).
@@ -226,7 +231,6 @@ impl FaultInjector {
                 rng,
                 attempts: HashMap::new(),
                 rejected: HashMap::new(),
-                crashed_pending: HashSet::new(),
                 crash_done: HashSet::new(),
                 snapshots: HashMap::new(),
                 stats: FaultStats::default(),
@@ -237,10 +241,6 @@ impl FaultInjector {
     /// Decides the fate of one edit-config request to `dev`.
     pub fn on_edit_config(&self, dev: DeviceId) -> EditVerdict {
         let mut g = self.inner.lock().expect("injector poisoned");
-        if g.crashed_pending.contains(&dev) {
-            // The device is already down; the request fails on its own.
-            return EditVerdict::Deliver;
-        }
         let faults = g.plan.faults_for(dev).clone();
         let attempt = {
             let a = g.attempts.entry(dev).or_insert(0);
@@ -249,7 +249,6 @@ impl FaultInjector {
         };
         if let Some(n) = faults.crash_after {
             if attempt > n && !g.crash_done.contains(&dev) {
-                g.crashed_pending.insert(dev);
                 g.crash_done.insert(dev);
                 g.stats.crashes += 1;
                 return EditVerdict::Crash;
@@ -275,9 +274,6 @@ impl FaultInjector {
     /// Decides the fate of one get-state request to `dev`.
     pub fn on_get_state(&self, dev: DeviceId) -> StateVerdict {
         let mut g = self.inner.lock().expect("injector poisoned");
-        if g.crashed_pending.contains(&dev) {
-            return StateVerdict::Deliver;
-        }
         let faults = g.plan.faults_for(dev).clone();
         if faults.drop_prob > 0.0 && g.rng.gen_f64() < faults.drop_prob {
             g.stats.drops += 1;
@@ -350,13 +346,6 @@ impl FaultInjector {
     pub fn record_state(&self, dev: DeviceId, state: DeviceState) {
         let mut g = self.inner.lock().expect("injector poisoned");
         g.snapshots.insert(dev, state);
-    }
-
-    /// Notes that the controller restarted `dev` (a crashed device was
-    /// replaced); the crash stays consumed — it is one-shot.
-    pub fn device_restarted(&self, dev: DeviceId) {
-        let mut g = self.inner.lock().expect("injector poisoned");
-        g.crashed_pending.remove(&dev);
     }
 
     /// Lifts every fault: the plan becomes fault-free (stats are kept).
@@ -443,10 +432,8 @@ mod tests {
         let inj = FaultInjector::new(plan);
         assert_eq!(inj.on_edit_config(DeviceId(3)), EditVerdict::Deliver);
         assert_eq!(inj.on_edit_config(DeviceId(3)), EditVerdict::Crash);
-        // Dead device: verdicts pass through until the restart is noted…
-        assert_eq!(inj.on_edit_config(DeviceId(3)), EditVerdict::Deliver);
-        inj.device_restarted(DeviceId(3));
-        // …and the crash never re-fires after the restart.
+        // The crash is one-shot: it never re-fires. (The dead device's
+        // session answers `Unreachable` without asking the injector.)
         for _ in 0..10 {
             assert_eq!(inj.on_edit_config(DeviceId(3)), EditVerdict::Deliver);
         }

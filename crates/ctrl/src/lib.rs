@@ -55,6 +55,6 @@ pub use orchestrator::{Orchestrator, TickOutcome};
 pub use recovery::{recover_misconnection, RecoveryOutcome};
 pub use service::{
     ChurnEvent, ChurnService, EventLog, SeqEvent, ServiceConfig, ServiceState, ServiceStats,
-    TickRecord, TickReport, LADDER_HEURISTIC, LADDER_PROTECT, LADDER_WARM,
+    TickReport, LADDER_HEURISTIC, LADDER_PROTECT, LADDER_WARM,
 };
 pub use transaction::{Transaction, TxError};

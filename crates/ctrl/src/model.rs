@@ -43,8 +43,6 @@ pub enum DeviceKind {
     Mux,
     /// A reconfigurable optical add-drop multiplexer.
     Roadm,
-    /// An inline EDFA amplifier.
-    Amplifier,
 }
 
 /// A device registered with the controller: identity, vendor, kind, its

@@ -151,6 +151,11 @@ impl NetconfSession {
     }
 
     fn edit_config_inner(&self, native: &Value) -> Result<(), SessionError> {
+        // A crashed device is down for every request: the injector only
+        // decides the fate of requests a live device could answer.
+        if self.device_state().is_none() {
+            return Err(SessionError::Unreachable);
+        }
         if let Some(inj) = &self.injector {
             match inj.on_edit_config(self.device()) {
                 EditVerdict::Deliver => {}
@@ -196,19 +201,16 @@ impl NetconfSession {
     }
 
     fn get_state_inner(&self) -> Result<DeviceState, SessionError> {
-        if let Some(inj) = &self.injector {
-            match inj.on_get_state(self.device()) {
-                StateVerdict::Deliver => {}
-                StateVerdict::Drop => return Err(SessionError::Unreachable),
-                StateVerdict::Stale(s) => return Ok(*s),
-            }
-        }
         let state = self
             .device_state()
             .clone()
             .ok_or(SessionError::Unreachable)?;
         if let Some(inj) = &self.injector {
-            inj.record_state(self.device(), state.clone());
+            match inj.on_get_state(self.device()) {
+                StateVerdict::Deliver => inj.record_state(self.device(), state.clone()),
+                StateVerdict::Drop => return Err(SessionError::Unreachable),
+                StateVerdict::Stale(s) => return Ok(*s),
+            }
         }
         Ok(state)
     }

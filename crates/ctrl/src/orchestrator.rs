@@ -168,7 +168,14 @@ impl<'a> Orchestrator<'a> {
         controller: &mut Controller,
         span: Option<&flexwan_obs::Span>,
     ) -> TickOutcome {
-        let flagged: BTreeSet<EdgeId> = FiberCutDetector.scan(store).into_iter().collect();
+        // Telemetry for a fiber the graph does not have is malformed, not
+        // a cut: dropped here, as the churn service drops it at ingest.
+        let known = |f: &EdgeId| (f.0 as usize) < self.optical.num_edges();
+        let flagged: BTreeSet<EdgeId> = FiberCutDetector
+            .scan(store)
+            .into_iter()
+            .filter(known)
+            .collect();
         let repaired: Vec<EdgeId> = self.active_cuts.difference(&flagged).copied().collect();
         let new_cuts: Vec<EdgeId> = flagged.difference(&self.active_cuts).copied().collect();
         if repaired.is_empty() && new_cuts.is_empty() {
@@ -658,10 +665,11 @@ mod tests {
         assert!(orch.live_restoration().is_empty());
     }
 
-    /// Telemetry for a fiber the graph lacks is a cut like any other: the
-    /// tick restores around it (nothing is lost), alone or beside a real
-    /// cut, and repairs it, without a panic. Neither cut set is one
-    /// conduit of the graph, so neither enters its detour memo.
+    /// Telemetry for a fiber the graph lacks is malformed, not a cut: a
+    /// ghost's loss of light alone leaves the tick quiet, beside a real
+    /// cut only the real fiber is restored around, and the repair retires
+    /// that restoration, without a panic. The cut set the restorer sees is
+    /// then one conduit of the graph, so its detours are memoized.
     #[test]
     fn a_cut_of_an_unknown_fiber_does_not_panic() {
         use crate::datastream::TelemetrySample;
@@ -686,13 +694,8 @@ mod tests {
         tick(&mut store, 0, &[]);
         assert_eq!(orch.tick(&store, &mut ctrl), TickOutcome::Quiet);
         tick(&mut store, 1, &[ghost]);
-        let nothing_lost = TickOutcome::Restored {
-            cuts: vec![ghost],
-            lost_gbps: 0,
-            revived_gbps: 0,
-            apply_rejections: 0,
-        };
-        assert_eq!(orch.tick(&store, &mut ctrl), nothing_lost);
+        assert_eq!(orch.tick(&store, &mut ctrl), TickOutcome::Quiet);
+        assert!(orch.active_cuts().is_empty());
         tick(&mut store, 2, &[ghost, primary]);
         match orch.tick(&store, &mut ctrl) {
             TickOutcome::Restored {
@@ -700,6 +703,7 @@ mod tests {
             } => assert_eq!((cuts, lost_gbps), (vec![primary], 300)),
             other => panic!("expected restoration, got {other:?}"),
         }
+        assert_eq!(orch.active_cuts(), &BTreeSet::from([primary]));
         assert_eq!(orch.live_restoration().len(), 1);
         tick(&mut store, 3, &[]);
         let repair = orch.tick(&store, &mut ctrl);
@@ -707,6 +711,6 @@ mod tests {
             matches!(repair, TickOutcome::Repaired { retired: 1, .. }),
             "{repair:?}"
         );
-        assert!(g.detours(&[primary].into()).unwrap().is_empty());
+        assert!(!g.detours(&[primary].into()).unwrap().is_empty());
     }
 }

@@ -41,7 +41,6 @@ use flexwan_obs::{Obs, LATENCY_SECONDS_BUCKETS};
 use flexwan_solver::{record_solver_stats, SolveOptions};
 use flexwan_topo::graph::{EdgeId, Graph};
 use flexwan_topo::ip::{IpLinkId, IpTopology};
-use flexwan_util::json::{self, ToJson, Value};
 
 use crate::datastream::CUT_DROP_DB;
 
@@ -157,11 +156,15 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What one service tick did.
+/// What one service tick did. The service journals every report: its
+/// watermark and ladder decisions are enough to re-execute the tick
+/// deterministically without a clock ([`ChurnService::replay`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TickReport {
     /// Tick number (1-based).
     pub tick: u64,
+    /// Canonical sequence watermark after the tick (`next_seq`).
+    pub upto_seq: u64,
     /// Canonical events applied this tick (including gap fills).
     pub applied: usize,
     /// Deliveries ignored as duplicate or stale.
@@ -171,8 +174,9 @@ pub struct TickReport {
     pub demand_level: u8,
     /// Ladder level the restoration reaction ran at.
     pub restore_level: u8,
-    /// Whether the tick overran its budget (the next tick starts
-    /// degraded).
+    /// Whether the tick overran its budget (the next tick starts one
+    /// rung degraded — replay reproduces the backpressure from this bit,
+    /// never from a clock).
     pub deadline_blown: bool,
     /// Whether the standing model was rebuilt from scratch.
     pub rebuilt: bool,
@@ -184,26 +188,6 @@ pub struct TickReport {
     pub added_columns: usize,
     /// Reaction time, ns (0 without an observability clock).
     pub reaction_ns: u64,
-}
-
-/// One journaled ladder decision: enough to re-execute the tick
-/// deterministically without a clock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TickRecord {
-    /// Tick number.
-    pub tick: u64,
-    /// Canonical sequence watermark after the tick (`next_seq`).
-    pub upto_seq: u64,
-    /// Ladder level of the planning reaction.
-    pub demand_level: u8,
-    /// Ladder level of the restoration reaction.
-    pub restore_level: u8,
-    /// Whether the standing model was rebuilt.
-    pub rebuilt: bool,
-    /// Whether the tick overran its budget (the next tick starts one
-    /// rung degraded — replay reproduces the backpressure from this
-    /// bit, never from a clock).
-    pub deadline_blown: bool,
 }
 
 /// Cumulative service counters.
@@ -226,8 +210,8 @@ pub struct ServiceStats {
 }
 
 /// Canonical service state: everything the control decisions depend on,
-/// in deterministic order. Two services whose canonical JSON matches
-/// byte-for-byte are in the same state.
+/// in deterministic order. Two services whose states are `==` are in the
+/// same state (no NaN reaches the drift: ingest drops it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceState {
     /// Ticks processed.
@@ -255,49 +239,6 @@ pub struct ServiceState {
     pub baseline: Vec<String>,
     /// Live restoration wavelengths, canonical keys, sorted.
     pub restoration: Vec<String>,
-}
-
-impl ToJson for ServiceState {
-    fn to_json(&self) -> Value {
-        Value::obj([
-            ("tick", self.tick.to_json()),
-            ("next_seq", self.next_seq.to_json()),
-            ("start_level", u64::from(self.start_level).to_json()),
-            ("demand_dirty", self.demand_dirty.to_json()),
-            ("fallback_dirty", self.fallback_dirty.to_json()),
-            ("protection_active", self.protection_active.to_json()),
-            ("demands", self.demands.to_json()),
-            (
-                "active_cuts",
-                self.active_cuts
-                    .iter()
-                    .map(|&c| u64::from(c))
-                    .collect::<Vec<_>>()
-                    .to_json(),
-            ),
-            (
-                "drift_db",
-                Value::Array(
-                    self.drift_db
-                        .iter()
-                        .map(|&(f, d)| {
-                            Value::obj([("fiber", u64::from(f).to_json()), ("db", d.to_json())])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("baseline_objective", self.baseline_objective.to_json()),
-            ("baseline", self.baseline.to_json()),
-            ("restoration", self.restoration.to_json()),
-        ])
-    }
-}
-
-impl ServiceState {
-    /// The canonical JSON encoding (byte-identical ⇔ same state).
-    pub fn canonical_json(&self) -> String {
-        json::to_string_pretty(self)
-    }
 }
 
 /// Canonical identity of a wavelength, independent of container order.
@@ -350,7 +291,7 @@ pub struct ChurnService<'a> {
     /// generated on demand by a restoration.
     base_columns: usize,
     scenario_counter: usize,
-    journal: Vec<TickRecord>,
+    journal: Vec<TickReport>,
     stats: ServiceStats,
     obs: Option<Obs>,
 }
@@ -423,8 +364,9 @@ impl<'a> ChurnService<'a> {
         &self.stats
     }
 
-    /// The journaled ladder decisions, in tick order.
-    pub fn journal(&self) -> &[TickRecord] {
+    /// The report of every tick, in tick order: the journal
+    /// [`ChurnService::replay`] re-executes.
+    pub fn journal(&self) -> &[TickReport] {
         &self.journal
     }
 
@@ -505,7 +447,7 @@ impl<'a> ChurnService<'a> {
         target: u64,
         duplicates: usize,
         delivered: Option<&BTreeSet<u64>>,
-        forced: Option<&TickRecord>,
+        forced: Option<&TickReport>,
     ) -> TickReport {
         self.tick += 1;
         let start = self.obs.as_ref().map(|o| o.now_ns());
@@ -715,14 +657,6 @@ impl<'a> ChurnService<'a> {
         if rebuilt {
             self.stats.rebuilds += 1;
         }
-        self.journal.push(TickRecord {
-            tick: self.tick,
-            upto_seq: self.next_seq,
-            demand_level,
-            restore_level,
-            rebuilt,
-            deadline_blown,
-        });
         if let Some(obs) = &self.obs {
             let reg = obs.registry();
             reg.counter("churn_events_applied_total")
@@ -756,8 +690,9 @@ impl<'a> ChurnService<'a> {
                 s.field("restored_gbps", restored);
             }
         }
-        TickReport {
+        let report = TickReport {
             tick: self.tick,
+            upto_seq: self.next_seq,
             applied,
             duplicates,
             demand_level,
@@ -768,7 +703,9 @@ impl<'a> ChurnService<'a> {
             restored_gbps: restored,
             added_columns,
             reaction_ns: elapsed,
-        }
+        };
+        self.journal.push(report.clone());
+        report
     }
 
     /// Budget check between ladder steps: elapsed past the budget drops
@@ -866,8 +803,8 @@ impl<'a> ChurnService<'a> {
 
     /// Reconstructs a service by rolling the journal forward over the
     /// canonical log: each journaled tick re-executes at its recorded
-    /// ladder levels (no clock, no budget measurement). The result is
-    /// bit-for-bit the live service's state. A record whose `upto_seq`
+    /// ladder levels (no clock, no budget measurement). The result's
+    /// `state()` is `==` the live service's. A report whose `upto_seq`
     /// outruns `log` replays as far as the log reaches.
     pub fn replay(
         optical: &'a Graph,
@@ -876,39 +813,13 @@ impl<'a> ChurnService<'a> {
         cfg: PlannerConfig,
         svc: ServiceConfig,
         log: &EventLog,
-        journal: &[TickRecord],
+        journal: &[TickReport],
     ) -> Option<Self> {
         let mut s = ChurnService::new(optical, ip, scheme, cfg, svc)?;
-        for rec in journal {
-            s.advance(log, rec.upto_seq, 0, None, Some(rec));
+        for report in journal {
+            s.advance(log, report.upto_seq, 0, None, Some(report));
         }
         Some(s)
-    }
-
-    /// The SLO summary (reaction-time quantiles and ladder distribution)
-    /// as pretty JSON. Requires an armed observability bundle for the
-    /// quantiles; without one they are reported as 0.
-    pub fn slo_json(&self) -> String {
-        let (p50, p99) = self
-            .obs
-            .as_ref()
-            .map(|o| {
-                let h = o
-                    .registry()
-                    .histogram("churn_reaction_seconds", LATENCY_SECONDS_BUCKETS);
-                (h.quantile(0.5), h.quantile(0.99))
-            })
-            .unwrap_or((0.0, 0.0));
-        let v = Value::obj([
-            ("reaction_p50_seconds", p50.to_json()),
-            ("reaction_p99_seconds", p99.to_json()),
-            ("ticks_level0", self.stats.level_ticks[0].to_json()),
-            ("ticks_level1", self.stats.level_ticks[1].to_json()),
-            ("ticks_level2", self.stats.level_ticks[2].to_json()),
-            ("deadline_blown", self.stats.deadline_blown.to_json()),
-            ("rebuilds", self.stats.rebuilds.to_json()),
-        ]);
-        json::to_string_pretty(&v)
     }
 }
 
@@ -1182,10 +1093,6 @@ mod tests {
             ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, live.journal())
                 .unwrap();
         assert_eq!(live.state(), replayed.state());
-        assert_eq!(
-            live.state().canonical_json(),
-            replayed.state().canonical_json()
-        );
     }
 
     #[test]
@@ -1285,10 +1192,7 @@ mod tests {
             live.journal(),
         )
         .unwrap();
-        assert_eq!(
-            replayed.state().canonical_json(),
-            live.state().canonical_json()
-        );
+        assert_eq!(replayed.state(), live.state());
 
         // A service stood up at the resized demand and fed the same log
         // (the resize is then a no-op) never rebuilds and ends in the

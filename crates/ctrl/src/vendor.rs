@@ -168,10 +168,6 @@ pub fn encode(vendor: Vendor, cfg: &StandardConfig) -> Value {
             "egress": to_degree,
             "passband": encode_range(vendor, passband),
         }),
-        StandardConfig::AmplifierGain { gain_db } => json!({
-            "op": "gain",
-            "gain_db": gain_db,
-        }),
     }
 }
 
@@ -230,9 +226,6 @@ pub fn decode(vendor: Vendor, v: &Value) -> Result<StandardConfig, DialectError>
                 }
             })
         }
-        "gain" => Ok(StandardConfig::AmplifierGain {
-            gain_db: get_f64(v, "gain_db")?,
-        }),
         other => Err(DialectError::new(format!("unknown op {other}"))),
     }
 }
@@ -268,7 +261,6 @@ mod tests {
                 to_degree: 2,
                 passband: r,
             },
-            StandardConfig::AmplifierGain { gain_db: 16.0 },
         ]
     }
 
@@ -350,7 +342,12 @@ mod tests {
 
     #[test]
     fn unknown_op_rejected() {
-        let bad = json!({ "op": "self-destruct" });
-        assert!(decode(Vendor::VendorB, &bad).is_err());
+        // No device kind speaks `gain`: an amplifier document is as
+        // unknown as any other.
+        for op in ["self-destruct", "gain"] {
+            let bad = json!({ "op": op, "gain_db": 16.0 });
+            let err = decode(Vendor::VendorB, &bad).unwrap_err();
+            assert!(err.message().contains("unknown op"), "{err}");
+        }
     }
 }

@@ -104,25 +104,6 @@ impl TransponderFormat {
         }
     }
 
-    /// Builds a format with explicitly chosen internal settings.
-    pub fn explicit(
-        data_rate_gbps: u32,
-        spacing: PixelWidth,
-        reach_km: u32,
-        modulation: Modulation,
-        baud_gbd: f64,
-        fec: FecOverhead,
-    ) -> Self {
-        TransponderFormat {
-            data_rate_gbps,
-            spacing,
-            reach_km,
-            modulation,
-            baud_gbd,
-            fec,
-        }
-    }
-
     /// Link spectral efficiency: data rate / spacing, in bit/s/Hz (§7.1).
     pub fn spectral_efficiency(&self) -> f64 {
         f64::from(self.data_rate_gbps) / self.spacing.ghz()

@@ -153,11 +153,6 @@ impl SpectrumGrid {
         self.pixels
     }
 
-    /// Total width of the band in GHz.
-    pub fn total_ghz(&self) -> f64 {
-        f64::from(self.pixels) * PIXEL_GHZ
-    }
-
     /// Whether `range` lies entirely within the band.
     pub fn contains(&self, range: &PixelRange) -> bool {
         range.end() <= self.pixels
@@ -249,11 +244,6 @@ impl SpectrumMask {
     /// Count of occupied pixels.
     pub fn occupied_pixels(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Count of free pixels.
-    pub fn free_pixels(&self) -> u32 {
-        self.pixels - self.occupied_pixels()
     }
 
     /// Lowest `align`-aligned channel of `width` that, in every group of
@@ -369,15 +359,6 @@ impl SpectrumMask {
             runs.push((s, self.pixels - s));
         }
         runs
-    }
-
-    /// Largest contiguous free run length, in pixels.
-    pub fn largest_free_run(&self) -> u32 {
-        self.free_runs()
-            .into_iter()
-            .map(|(_, len)| len)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -570,7 +551,6 @@ mod tests {
     #[test]
     fn c_band_has_384_pixels() {
         assert_eq!(SpectrumGrid::c_band().pixels(), 384);
-        assert_eq!(SpectrumGrid::c_band().total_ghz(), 4800.0);
     }
 
     #[test]
@@ -634,7 +614,7 @@ mod tests {
             m.occupy(&PixelRange::new(s, w(2))).unwrap();
         }
         assert!(joint_fit(&[&m], w(3), 1).is_none());
-        assert_eq!(m.largest_free_run(), 2);
+        assert_eq!(m.free_runs(), vec![(0, 2), (4, 2), (8, 2)]);
     }
 
     #[test]

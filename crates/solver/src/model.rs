@@ -492,11 +492,6 @@ impl Model {
         self.groups.iter().position(|(n, _)| n == name).map(GroupId)
     }
 
-    /// The name a group was created with.
-    pub fn group_name(&self, g: GroupId) -> &str {
-        &self.groups[g.0].0
-    }
-
     /// The rows tagged into `g`, in insertion order (including rows since
     /// deactivated).
     pub fn group_rows(&self, g: GroupId) -> &[RowId] {
@@ -593,11 +588,6 @@ impl Model {
         }
         self.vars[v.0].lower = lower;
         self.vars[v.0].upper = upper;
-    }
-
-    /// Left-hand-side value of a row under `values` (the row's activity).
-    pub fn row_activity(&self, row: RowId, values: &[f64]) -> f64 {
-        self.constraints[row.0].expr.eval(values)
     }
 
     /// Slack of a row under `values`: distance to the binding direction
@@ -868,7 +858,6 @@ mod tests {
         m.group("capacity"); // re-open
         let r3 = m.le(3.0 * y, 9.0);
         assert_eq!(m.find_group("capacity"), Some(cap));
-        assert_eq!(m.group_name(cap), "capacity");
         assert_eq!(m.group_rows(cap), &[r0, r1, r3]);
         assert_eq!(m.row(r2).group, None);
         assert_eq!(m.row(r0).group, Some(cap));
@@ -957,7 +946,6 @@ mod tests {
         let r1 = m.ge(1.0 * x, 1.0);
         m.end_group();
         let vals = [1.0, 2.0];
-        assert!((m.row_activity(r0, &vals) - 3.0).abs() < 1e-12);
         assert!((m.row_slack(r0, &vals) - 1.0).abs() < 1e-12);
         assert!((m.row_slack(r1, &vals) - 0.0).abs() < 1e-12);
         m.deactivate_row(r1);

@@ -213,11 +213,6 @@ impl Graph {
         }
         count == self.nodes.len()
     }
-
-    /// Total fiber kilometers in the graph.
-    pub fn total_fiber_km(&self) -> u64 {
-        self.edges.iter().map(|e| u64::from(e.length_km)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +239,6 @@ mod tests {
         assert_eq!(g.node_by_name("zzz"), None);
         assert_eq!(g.edge(ab).other(a), b);
         assert_eq!(g.edge(ab).other(b), a);
-        assert_eq!(g.total_fiber_km(), 600);
     }
 
     #[test]

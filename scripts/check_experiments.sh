@@ -1,24 +1,33 @@
 #!/usr/bin/env bash
-# Experiments gate: every number EXPERIMENTS.md claims as measured is
-# read off the results file its section names, so a regenerated figure
-# cannot leave a stale number behind in the prose.
+# Experiments gate: every number EXPERIMENTS.md claims as measured, and
+# every headline number of the README, is read off the results file its
+# section names, so a regenerated figure cannot leave a stale number
+# behind in the prose.
 #
 # A section (`## ` heading) names its file in the paragraph from
 # `Source:` on — `results/<name>.txt`, or `results/<ablation>.txt` with a
 # placeholder, which means the file named in backticks in each table
-# row's first cell. Its claims are
-#   * every cell of a table column headed `measured`, and
+# row's first cell. A list item (`* ` or `- ` and its continuation
+# lines) that names a `results/<name>.txt` is checked against that file
+# instead. Its claims are
+#   * every cell of a table column headed `measured`;
+#   * in a table with no `measured` column, in a section with one
+#     results file, every cell after the row label that is not under a
+#     column headed `paper`; and
 #   * every bold span (`**…**`) outside such a cell.
-# A claim is split into clauses at `;`. Each number in a clause (commas
+# Fenced code blocks are skipped. A claim is split into clauses at `;`. Each number in a clause (commas
 # between digits are thousands separators; code spans are skipped) must
 # occur as a number in the file. A derived clause states its formula
 # inline, `derived = formula`: the numbers left of the `=` are what it
 # derives, and only the formula's operands, right of it, must occur in
-# the file. Numbers are compared by value (0.50 matches 0.5).
+# the file; a formula with no numeric operand fails. Numbers are
+# compared by value (0.50 matches 0.5).
 #
-# Usage: scripts/check_experiments.sh [FILE]   (default EXPERIMENTS.md)
+# Usage: scripts/check_experiments.sh [FILE...]
+#        (default EXPERIMENTS.md README.md)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+[ $# -gt 0 ] || set -- EXPERIMENTS.md README.md
 
 # POSIX awk only (runs under mawk on CI): no 3-arg match, no length(array).
 awk '
@@ -61,6 +70,9 @@ function claim(text, f,    c, nc, i, eq, rhs, n, v, j) {
         eq = index(c[i], "=")
         rhs = eq ? substr(c[i], eq + 1) : c[i]
         n = split(numbers(rhs), v, " ")
+        if (n == 0 && eq && numbers(substr(c[i], 1, eq - 1)) != "") {
+            fail("a derived number whose formula has no operand"); continue
+        }
         if (n == 0) continue
         if (f == "") { fail("a number in a section with no Source: results file"); return }
         if (!load(f)) { fail("no results file " f); return }
@@ -79,7 +91,23 @@ function bold(s, f,    span) {
     }
 }
 
-function flush(    i, src, per_row, line, cells, nc, col, j, f, name) {
+# The results file each line of an item names, in item[], for the lines
+# of list items that name one.
+function items(    i, k, end, m) {
+    for (i = 1; i <= n; i++) item[i] = ""
+    for (i = 1; i <= n; i++) {
+        if (buf[i] !~ /^[*-] /) continue
+        for (end = i; end < n && buf[end + 1] != "" && buf[end + 1] !~ /^[*-] |^\|/; end++) ;
+        m = ""
+        for (k = i; k <= end && m == ""; k++)
+            if (match(buf[k], /results\/[A-Za-z0-9_]+\.txt/))
+                m = substr(buf[k], RSTART, RLENGTH)
+        for (k = i; k <= end; k++) item[k] = m
+        i = end
+    }
+}
+
+function flush(    i, src, per_row, line, cells, nc, col, paper, j, f, lf, name) {
     src = ""
     for (i = 1; i <= n; i++) {
         if (index(buf[i], "Source:")) {
@@ -92,6 +120,7 @@ function flush(    i, src, per_row, line, cells, nc, col, j, f, name) {
     f = ""
     if (!per_row && match(src, /results\/[A-Za-z0-9_]+\.txt/))
         f = substr(src, RSTART, RLENGTH)
+    items()
     col = 0
     for (i = 1; i <= n; i++) {
         line = buf[i]
@@ -100,7 +129,13 @@ function flush(    i, src, per_row, line, cells, nc, col, j, f, name) {
             nc = split(line, cells, "|")
             if (i < n && buf[i + 1] ~ /^\|[-| :]+\|$/) {
                 col = 0
-                for (j = 2; j < nc; j++) if (trim(cells[j]) == "measured") col = j
+                split("", paper)
+                for (j = 2; j < nc; j++) {
+                    if (trim(cells[j]) == "measured") col = j
+                    if (trim(cells[j]) == "paper") paper[j] = 1
+                }
+                # No `measured` column: every value cell is a claim.
+                if (col == 0 && !per_row && f != "") col = -1
                 continue
             }
             if (line ~ /^\|[-| :]+\|$/) continue
@@ -111,22 +146,26 @@ function flush(    i, src, per_row, line, cells, nc, col, j, f, name) {
                 f = name
             }
             for (j = 2; j < nc; j++) {
-                if (j == col) claim(cells[j], f)
+                if (j == col || (col < 0 && j > 2 && !(j in paper))) claim(cells[j], f)
                 else bold(cells[j], f)
             }
             continue
         }
         col = 0
-        bold(line, f)
+        lf = item[i] != "" ? item[i] : f
+        bold(line, lf)
     }
     n = 0
 }
 
-/^## / { flush(); title = $0 }
+FNR == 1 { flush(); fence = 0; title = FILENAME }
+/^```/ { fence = !fence; next }
+fence { next }
+/^## / { flush(); title = FILENAME ": " $0 }
 { buf[++n] = $0 }
 END {
     flush()
     if (bad) exit 1
     print "every measured number is in its results file"
 }
-' "${1:-EXPERIMENTS.md}"
+' "$@"

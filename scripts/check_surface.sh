@@ -89,9 +89,9 @@
 #     `ConfigDocument` JSON codec (`to_wire` / `from_wire`), the journal
 #     queries nothing asked (`config_at`, `changed_between`), or any
 #     `impl ToJson` / `impl FromJson` in non-test crates/optical/src or
-#     crates/ctrl/src other than `ServiceState`'s `ToJson` (the replay
-#     tests compare it) — a configuration's wire form is its vendor
-#     dialect, `vendor::encode`;
+#     crates/ctrl/src (the replay tests compare `ServiceState` with `==`)
+#     — a configuration's wire form is its vendor dialect,
+#     `vendor::encode`;
 #   * `core::observe` comes back: its one gauge snapshot,
 #     `record_opt_model`, lives in its one caller, the `trace_report`
 #     binary;
@@ -108,7 +108,19 @@
 #     `reconcile` from it;
 #   * an environment-selected instance tier comes back (`ScaleTier`,
 #     `tbackbone_instance_at`, `FLEXWAN_SCALE`): the primary instance is
-#     `ScaleParams::tbackbone()`.
+#     `ScaleParams::tbackbone()`;
+#   * control-plane state no loop sends or replays comes back: an
+#     amplifier device kind, hardware or config (`Amplifier` anywhere in
+#     crates/ctrl/src, its `"gain"` dialect op), `ServiceState`'s
+#     `canonical_json`, `ChurnService::slo_json`, a `TickRecord` beside
+#     the journaled `TickReport`, or the injector's crash mirror
+#     (`crashed_pending`, `device_restarted`: a crashed session answers
+#     `Unreachable` before it asks the injector);
+#   * a public helper only its own tests called comes back to its
+#     owner's file (`TransponderFormat::explicit`, `slot_gammas`,
+#     `multiset_cost`, `is_fully_protected`, `free_pixels`,
+#     `largest_free_run`, `total_ghz`, `group_name`, `row_activity`,
+#     `total_fiber_km`).
 #
 # Usage: scripts/check_surface.sh   (from the repository root)
 set -euo pipefail
@@ -300,13 +312,15 @@ if [ -n "$removed" ] || echo "$engine" | grep -qE '^\s*pub (solve|protection):';
     bad=1
 fi
 
-# gone NAME PATTERN: nothing under crates/, src/, tests/ or examples/
-# matches PATTERN (extended regex).
+# gone MESSAGE PATTERN [PATH...]: nothing under PATHs (default crates/,
+# src/, tests/ and examples/) matches PATTERN (extended regex).
 gone() {
-    local hits
-    hits=$(grep -rnE "$2" --include='*.rs' crates src tests examples || true)
+    local msg=$1 pat=$2 hits
+    shift 2
+    [ $# -gt 0 ] || set -- crates src tests examples
+    hits=$(grep -rnE "$pat" --include='*.rs' "$@" || true)
     if [ -n "$hits" ]; then
-        echo "$1 stays deleted:"
+        echo "$msg stays deleted:"
         echo "$hits"
         bad=1
     fi
@@ -378,9 +392,9 @@ gone "a second wire form of a device configuration (the vendor dialect is the wi
     '\b(ConfigDocument|to_wire|from_wire|config_at|changed_between)\b'
 codecs=$(find crates/optical/src crates/ctrl/src -name '*.rs' | sort | while read -r f; do
     non_test_of "$f" | grep -nE 'impl (ToJson|FromJson) for' | sed "s|^|$f:|" || true
-done | grep -vE '^crates/ctrl/src/service\.rs:[0-9]+:impl ToJson for ServiceState \{' || true)
+done)
 if [ -n "$codecs" ]; then
-    echo "crates/{optical,ctrl}/src: no JSON codec but ServiceState's ToJson (a configuration's wire form is its vendor dialect):"
+    echo "crates/{optical,ctrl}/src: no JSON codec (a configuration's wire form is its vendor dialect):"
     echo "$codecs"
     bad=1
 fi
@@ -407,6 +421,15 @@ gone "a second record of intent (the lightpath ledger heals a device)" \
     '\b(ConfigJournal|JournalEntry|roll_forward|last_revision)\b'
 gone "an environment-selected instance tier (the primary instance is ScaleParams::tbackbone)" \
     '\b(ScaleTier|tbackbone_instance_at|FLEXWAN_SCALE)\b'
+gone "control-plane state no loop sends or replays" \
+    '\b(TickRecord|AmplifierGain|canonical_json|slo_json|crashed_pending|device_restarted)\b'
+gone "an amplifier device in the control plane (it registers MUXes, ROADMs and transponders)" \
+    '\bAmplifier\b|"op": "gain"|"gain" =>' crates/ctrl/src
+gone "public helpers only their own tests called (in their owners' files)" \
+    'fn (explicit|slot_gammas|multiset_cost|is_fully_protected|free_pixels|largest_free_run|total_ghz|group_name|row_activity|total_fiber_km)\b' \
+    crates/optical/src/format.rs crates/optical/src/spectrum.rs crates/core/src/opt.rs \
+    crates/core/src/planning/format_dp.rs crates/core/src/protect.rs \
+    crates/solver/src/model.rs crates/topo/src/graph.rs
 
 [ "$bad" -eq 0 ] && echo "planning surface ok"
 exit "$bad"

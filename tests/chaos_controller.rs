@@ -13,12 +13,13 @@ use flexwan::ctrl::datastream::TelemetrySample;
 use flexwan::ctrl::issues::ConfiguredChannel;
 use flexwan::ctrl::model::Vendor;
 use flexwan::ctrl::{
-    find_conflicts, find_inconsistencies, BreakerState, Controller, CtrlStats, DeviceFaults,
-    DeviceId, FaultInjector, FaultPlan, FaultStats, Hardware, Orchestrator, TelemetrySim,
-    TelemetryStore, TickOutcome,
+    find_conflicts, find_inconsistencies, vendor, BreakerState, Controller, CtrlStats, DevMgr,
+    DeviceFaults, DeviceId, DeviceKind, FaultInjector, FaultPlan, FaultStats, Hardware,
+    Orchestrator, SessionError, StandardConfig, TelemetrySim, TelemetryStore, TickOutcome,
 };
+use flexwan::obs::Obs;
 use flexwan::optical::spectrum::{PixelRange, SpectrumGrid};
-use flexwan::optical::WssKind;
+use flexwan::optical::{Mux, WssKind};
 use flexwan::topo::graph::{Graph, NodeId};
 use flexwan::topo::ip::IpTopology;
 
@@ -334,6 +335,83 @@ fn breaker_fast_fails_while_open() {
         new_retries, 0,
         "open breaker must fast-fail without retrying"
     );
+}
+
+/// A crashed device's requests are session failures, not injector
+/// decisions: [`FaultStats`] counts only what the injector decided about
+/// live devices, the session's failure counters count the crashed
+/// device's requests as `kind="unreachable"`, and they draw nothing from
+/// the injector's RNG (the verdicts after the restart are those of a run
+/// that never sent them).
+#[test]
+fn a_crashed_devices_requests_are_unreachable_failures_not_faults() {
+    let faults = DeviceFaults {
+        crash_after: Some(0),
+        drop_prob: 0.5,
+        stale_state_prob: 0.5,
+        ..Default::default()
+    };
+    let clear = vendor::encode(
+        Vendor::VendorA,
+        &StandardConfig::MuxPort {
+            port: 0,
+            passband: None,
+        },
+    );
+    // Crash the MUX on its first edit-config, send `while_down` requests
+    // of each kind to the dead device, restart it, then send 20 more.
+    let run = |while_down: u64| {
+        let obs = Obs::new();
+        let injector = Arc::new(FaultInjector::new(FaultPlan::uniform(9, faults.clone())));
+        let mut devmgr = DevMgr::default();
+        devmgr.arm_obs(obs.clone());
+        devmgr.arm_faults(injector.clone());
+        let id = devmgr.register(
+            Vendor::VendorA,
+            DeviceKind::Mux,
+            NodeId(0),
+            Hardware::Mux(Mux::new(WssKind::PixelWise, SpectrumGrid::new(64), 4)),
+        );
+        let session = &devmgr.device(id).expect("registered").session;
+        assert_eq!(
+            session.edit_config(clear.clone()),
+            Err(SessionError::Unreachable)
+        );
+        let at_crash = injector.stats();
+        assert_eq!(at_crash.crashes, 1);
+        for _ in 0..while_down {
+            assert_eq!(
+                session.edit_config(clear.clone()),
+                Err(SessionError::Unreachable)
+            );
+            assert_eq!(session.get_state().err(), Some(SessionError::Unreachable));
+        }
+        assert_eq!(injector.stats(), at_crash, "a dead device moved FaultStats");
+        let device = id.0.to_string();
+        let unreachable = |metric: &str| {
+            obs.registry()
+                .counter_with(metric, &[("device", &device), ("kind", "unreachable")])
+                .get()
+        };
+        assert_eq!(unreachable("netconf_edit_failures_total"), 1 + while_down);
+        assert_eq!(unreachable("netconf_get_state_failures_total"), while_down);
+
+        devmgr.reset_device(id).expect("registered");
+        let session = &devmgr.device(id).expect("registered").session;
+        let verdicts: Vec<(bool, bool)> = (0..20)
+            .map(|_| {
+                (
+                    session.edit_config(clear.clone()).is_ok(),
+                    session.get_state().is_ok(),
+                )
+            })
+            .collect();
+        (verdicts, injector.stats())
+    };
+    let (verdicts, stats) = run(5);
+    assert_eq!((verdicts, stats.clone()), run(0));
+    assert_eq!(stats.crashes, 1, "the crash is one-shot");
+    assert!(stats.drops > 0, "the restarted device is faulted again");
 }
 
 /// One seeded run that mixes every device verdict in a single

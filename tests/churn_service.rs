@@ -225,24 +225,18 @@ fn soak_faulty_delivery_replays_bit_for_bit() {
         "faulty delivery converged to a different plan cost"
     );
 
-    // Journal roll-forward: bit-for-bit equality, including the JSON
-    // encoding (the strongest equality we can state).
+    // Journal roll-forward: the replayed state equals the live one.
     let replayed =
         ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, live.journal()).unwrap();
-    assert_eq!(replayed.state(), live.state());
-    assert_eq!(
-        replayed.state().canonical_json(),
-        live.state().canonical_json(),
-        "journal replay is not bit-identical"
-    );
+    assert_eq!(replayed.state(), live.state(), "journal replay diverged");
 }
 
 /// Simultaneous-cut bursts through a faulty transport: the multi-fiber
 /// [`ChurnEvent::SimultaneousCuts`] events coalesce into the same
 /// single-tick multi-cut restoration as per-fiber cuts, the journal
-/// roll-forward reproduces the live state bit-for-bit, and every tick's
-/// ladder decision lands in the per-level SLO counters (reported by
-/// `slo_json`).
+/// roll-forward reproduces the live state, and every tick's ladder
+/// decision lands in the per-level SLO counters of
+/// [`ChurnService::stats`].
 #[test]
 fn soak_bursts_replay_and_record_ladder_slos() {
     let (g, ip, cfg) = backbone();
@@ -271,8 +265,7 @@ fn soak_bursts_replay_and_record_ladder_slos() {
     assert_eq!(live.state().next_seq, log.len(), "no event left behind");
     assert!(live.active_cuts().is_empty(), "stream repairs every cut");
 
-    // Per-level SLOs: every tick is accounted to exactly one rung, and
-    // the counters surface in the SLO report.
+    // Per-level SLOs: every tick is accounted to exactly one rung.
     let stats = live.stats();
     let level_total: u64 = stats.level_ticks.iter().sum();
     assert_eq!(
@@ -284,20 +277,11 @@ fn soak_bursts_replay_and_record_ladder_slos() {
         stats.level_ticks[LADDER_WARM as usize] > 0,
         "no tick ever took the warm rung"
     );
-    let slo = live.slo_json();
-    for key in ["ticks_level0", "ticks_level1", "ticks_level2"] {
-        assert!(slo.contains(key), "slo_json lost {key}: {slo}");
-    }
 
-    // Journal roll-forward over the burst-bearing log: bit-for-bit.
+    // Journal roll-forward over the burst-bearing log.
     let replayed =
         ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, live.journal()).unwrap();
-    assert_eq!(replayed.state(), live.state());
-    assert_eq!(
-        replayed.state().canonical_json(),
-        live.state().canonical_json(),
-        "journal replay is not bit-identical"
-    );
+    assert_eq!(replayed.state(), live.state(), "journal replay diverged");
 }
 
 /// The work one seeded stream costs the service, exact: 40 canonical
@@ -504,10 +488,7 @@ fn deadline_blown_lands_on_documented_ladder_level() {
     // a clock-free replay still lands on the same bits.
     let replayed =
         ChurnService::replay(&g, &ip, Scheme::FlexWan, cfg, svc_cfg, &log, svc.journal()).unwrap();
-    assert_eq!(
-        replayed.state().canonical_json(),
-        svc.state().canonical_json()
-    );
+    assert_eq!(replayed.state(), svc.state());
 }
 
 /// A wedged solver (zero branch-and-bound nodes) must degrade to the

@@ -942,15 +942,13 @@ fn adversarial_event(
     }
 }
 
-/// A churn service fed an adversarial stream — unknown fiber and link
-/// ids, ±∞ and NaN drift, duplicate, stale, skipped and not-yet-logged
-/// sequence numbers — never panics, believes only fibers the graph has
-/// cut, holds every accumulated drift finite or at a loss of light (−∞),
-/// and replaying its journal over the log reproduces its state.
-#[test]
-fn adversarial_churn_streams_replay_what_they_ran() {
-    use flexwan::ctrl::{ChurnService, EventLog, SeqEvent, ServiceConfig};
-
+/// Three sites, three 600 km fibers, one 300 Gbps link a–b: every cut
+/// has a detour.
+fn triangle() -> (
+    Graph,
+    flexwan::topo::ip::IpTopology,
+    flexwan::core::planning::PlannerConfig,
+) {
     let mut g = Graph::new();
     let a = g.add_node("a");
     let b = g.add_node("b");
@@ -965,6 +963,19 @@ fn adversarial_churn_streams_replay_what_they_ran() {
         k_paths: 2,
         ..Default::default()
     };
+    (g, ip, cfg)
+}
+
+/// A churn service fed an adversarial stream — unknown fiber and link
+/// ids, ±∞ and NaN drift, duplicate, stale, skipped and not-yet-logged
+/// sequence numbers — never panics, believes only fibers the graph has
+/// cut, holds every accumulated drift finite or at a loss of light (−∞),
+/// and replaying its journal over the log reproduces its state.
+#[test]
+fn adversarial_churn_streams_replay_what_they_ran() {
+    use flexwan::ctrl::{ChurnService, EventLog, SeqEvent, ServiceConfig};
+
+    let (g, ip, cfg) = triangle();
     let svc_cfg = ServiceConfig::default();
     let mut rng = ChaCha8Rng::seed_from_u64(0xA00E);
     let (mut duplicates, mut gap_fills) = (0, 0);
@@ -1025,4 +1036,124 @@ fn adversarial_churn_streams_replay_what_they_ran() {
         assert_eq!(live.state(), replayed.state(), "case {case}");
     }
     assert!(duplicates > 0 && gap_fills > 0, "{duplicates} {gap_fills}");
+}
+
+/// The telemetry loop (`TelemetryStore` → `FiberCutDetector` →
+/// `Orchestrator::tick`) fed adversarial samples — fiber ids the graph
+/// lacks, NaN and ±∞ power, duplicates and stale re-deliveries shuffled
+/// into each tick — never panics, and after every tick the
+/// orchestrator's cut set is what the samples say. The reading here is
+/// written from the detector's contract, not its code: per fiber the
+/// graph has, a reading is kept when it is a measurement (not NaN, not
+/// +∞) newer than the fiber's newest kept one, and the fiber is cut when
+/// its newest reading is below −40 dBm or 20 dB or more below the one
+/// before it.
+#[test]
+fn adversarial_telemetry_cuts_only_what_the_samples_say() {
+    use std::collections::{BTreeSet, HashMap};
+
+    use flexwan::core::planning::plan;
+    use flexwan::ctrl::datastream::TelemetrySample;
+    use flexwan::ctrl::{Controller, Orchestrator, TelemetryStore};
+    use flexwan::optical::WssKind;
+    use flexwan::topo::graph::EdgeId;
+
+    const HEALTHY: f64 = -3.0;
+    // Healthy (weighted), a 22 dB drop above the −40 dBm floor, the noise
+    // floor, a loss of light, and two non-measurements.
+    let powers = [
+        HEALTHY,
+        HEALTHY,
+        HEALTHY,
+        -25.0,
+        -60.0,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    let measured = |p: f64| !p.is_nan() && p != f64::INFINITY;
+    let (g, ip, cfg) = triangle();
+    let fibers = g.num_edges() as u32;
+    let p = plan(Scheme::FlexWan, &g, &ip, &cfg);
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA00F);
+    let (mut inf_then_healthy, mut nan_then_drop, mut ghost_cuts) = (0, 0, 0);
+    for case in 0..48 {
+        let mut ctrl = Controller::build(&g, WssKind::PixelWise, cfg.grid);
+        assert!(ctrl.apply_plan(&p, &g).is_clean());
+        let mut orch = Orchestrator::new(&g, &ip, p.clone(), cfg.clone(), Vec::new());
+        let mut store = TelemetryStore::new(rng.gen_range(2..6usize));
+        // Per fiber id: the readings kept, and each tick's fresh sample.
+        let mut kept: HashMap<u32, Vec<(u64, f64)>> = HashMap::new();
+        let mut fresh: HashMap<u32, Vec<Option<f64>>> = HashMap::new();
+        for tick in 0..12u64 {
+            let mut batch = Vec::new();
+            for fiber in 0..fibers + 3 {
+                let history = fresh.entry(fiber).or_default();
+                if rng.gen_bool(0.15) {
+                    history.push(None);
+                    continue;
+                }
+                let power = powers[rng.gen_range(0..powers.len())];
+                history.push(Some(power));
+                let sample = TelemetrySample {
+                    fiber: EdgeId(fiber),
+                    tick,
+                    rx_power_dbm: power,
+                };
+                batch.push(sample);
+                if rng.gen_bool(0.3) {
+                    batch.push(sample);
+                }
+                if tick > 0 && rng.gen_bool(0.3) {
+                    batch.push(TelemetrySample {
+                        tick: tick - rng.gen_range(1..=tick.min(3)),
+                        rx_power_dbm: powers[rng.gen_range(0..powers.len())],
+                        ..sample
+                    });
+                }
+                match history.as_slice() {
+                    _ if fiber >= fibers => ghost_cuts += usize::from(power < -40.0),
+                    [.., Some(inf), Some(HEALTHY)] if *inf == f64::INFINITY => {
+                        inf_then_healthy += 1
+                    }
+                    [.., Some(HEALTHY), Some(nan), Some(drop)]
+                        if nan.is_nan() && *drop == -25.0 =>
+                    {
+                        nan_then_drop += 1
+                    }
+                    _ => {}
+                }
+            }
+            rng.shuffle(&mut batch);
+            for s in &batch {
+                store.ingest(*s);
+                let readings = kept.entry(s.fiber.0).or_default();
+                if measured(s.rx_power_dbm) && readings.last().is_none_or(|&(t, _)| s.tick > t) {
+                    readings.push((s.tick, s.rx_power_dbm));
+                }
+            }
+            orch.tick(&store, &mut ctrl);
+            let cut: BTreeSet<EdgeId> = kept
+                .iter()
+                .filter(|&(&f, readings)| {
+                    f < fibers
+                        && match readings.as_slice() {
+                            [.., (_, before), (_, now)] => *now < -40.0 || before - now >= 20.0,
+                            [(_, now)] => *now < -40.0,
+                            [] => false,
+                        }
+                })
+                .map(|(&f, _)| EdgeId(f))
+                .collect();
+            assert_eq!(
+                orch.active_cuts(),
+                &cut,
+                "case {case} tick {tick}: fresh samples {fresh:?}"
+            );
+        }
+    }
+    assert!(
+        inf_then_healthy > 0 && nan_then_drop > 0 && ghost_cuts > 0,
+        "{inf_then_healthy} {nan_then_drop} {ghost_cuts}"
+    );
 }
