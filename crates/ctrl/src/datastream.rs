@@ -108,9 +108,13 @@ impl TelemetryStore {
             .and_then(|v| v.len().checked_sub(2).map(|i| v[i]))
     }
 
-    /// Fibers with any data.
-    pub fn fibers(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.series.keys().copied()
+    /// Every fiber with data, with its latest power and the one before
+    /// it, read in one walk over the series.
+    fn last_two(&self) -> impl Iterator<Item = (EdgeId, f64, Option<f64>)> + '_ {
+        self.series.iter().filter_map(|(&fiber, v)| {
+            let mut newest = v.iter().rev().map(|&(_, p)| p);
+            Some((fiber, newest.next()?, newest.next()))
+        })
     }
 }
 
@@ -127,23 +131,25 @@ const CUT_FLOOR_DBM: f64 = -40.0;
 pub struct FiberCutDetector;
 
 impl FiberCutDetector {
+    /// The threshold rule on a fiber's latest power and the one before.
+    fn looks_cut(now: f64, before: Option<f64>) -> bool {
+        now < CUT_FLOOR_DBM || before.is_some_and(|before| before - now >= CUT_DROP_DB)
+    }
+
     /// Whether `fiber` currently looks cut.
     pub fn is_cut(&self, store: &TelemetryStore, fiber: EdgeId) -> bool {
-        let Some((_, now)) = store.latest(fiber) else {
-            return false;
-        };
-        if now < CUT_FLOOR_DBM {
-            return true;
-        }
-        match store.previous(fiber) {
-            Some((_, before)) => before - now >= CUT_DROP_DB,
-            None => false,
-        }
+        store.latest(fiber).is_some_and(|(_, now)| {
+            Self::looks_cut(now, store.previous(fiber).map(|(_, before)| before))
+        })
     }
 
     /// All fibers currently flagged.
     pub fn scan(&self, store: &TelemetryStore) -> Vec<EdgeId> {
-        let mut cut: Vec<EdgeId> = store.fibers().filter(|&f| self.is_cut(store, f)).collect();
+        let mut cut: Vec<EdgeId> = store
+            .last_two()
+            .filter(|&(_, now, before)| Self::looks_cut(now, before))
+            .map(|(fiber, ..)| fiber)
+            .collect();
         cut.sort();
         cut
     }
@@ -353,5 +359,36 @@ mod tests {
         assert!(det.is_cut(&store, EdgeId(0)));
         sim.tick(&mut store, 2, &[]);
         assert!(!det.is_cut(&store, EdgeId(0)), "repaired fiber must clear");
+    }
+
+    /// The one-pass scan flags exactly the fibers `is_cut` flags when
+    /// asked fiber by fiber: single-sample fibers, drops, the floor, a
+    /// loss of light and recoveries, over windows down to two samples.
+    #[test]
+    fn scan_flags_what_is_cut_flags_fiber_by_fiber() {
+        let mut rng = flexwan_util::rng::ChaCha8Rng::seed_from_u64(0xD5);
+        let powers = [-3.0, -3.0, -2.5, -25.0, -41.0, -60.0, f64::NEG_INFINITY];
+        let mut flagged = 0;
+        for case in 0..64 {
+            let mut store = TelemetryStore::new(2 + case % 4);
+            for tick in 0..rng.gen_range(1..8u64) {
+                for fiber in 0..12 {
+                    if rng.gen_bool(0.7) {
+                        store.ingest(TelemetrySample {
+                            fiber: EdgeId(fiber),
+                            tick,
+                            rx_power_dbm: powers[rng.gen_range(0..powers.len())],
+                        });
+                    }
+                }
+            }
+            let want: Vec<EdgeId> = (0..12)
+                .map(EdgeId)
+                .filter(|&f| FiberCutDetector.is_cut(&store, f))
+                .collect();
+            flagged += want.len();
+            assert_eq!(FiberCutDetector.scan(&store), want, "case {case}");
+        }
+        assert!(flagged > 0, "the cases flag some cut");
     }
 }

@@ -5,12 +5,12 @@
 //! session owns: a request is a synchronous call on the controller's
 //! thread, because what this crate reproduces is the coordination logic
 //! above the session, not a transport (DESIGN.md §1). The payload is the
-//! vendor-*native* document — translation to the standard model happens at
-//! the controller edge ([`crate::vendor`]), so a device only ever sees its
-//! own dialect, exactly as in a real multi-vendor backbone. A device
-//! holds its configuration and nothing else — no revision, no history:
-//! get-state is what is in effect, and what should be in effect is the
-//! controller's ledger.
+//! vendor-*native* document, a typed [`Native`] record — translation to
+//! the standard model happens at the controller edge ([`crate::vendor`]),
+//! so a device only ever sees its own dialect, exactly as in a real
+//! multi-vendor backbone. A device holds its configuration and nothing
+//! else — no revision, no history: get-state is what is in effect, and
+//! what should be in effect is the controller's ledger.
 //!
 //! A session may be *armed* with a [`FaultInjector`]
 //! ([`crate::faults`]): every request then passes through the injector,
@@ -20,12 +20,11 @@
 use std::sync::{Arc, Mutex};
 
 use flexwan_obs::Obs;
-use flexwan_util::json::Value;
 
 use crate::device::{DeviceState, Hardware};
 use crate::faults::{EditVerdict, FaultInjector, StateVerdict};
 use crate::model::{DeviceDescriptor, DeviceId};
-use crate::vendor;
+use crate::vendor::{self, Native};
 
 /// Session errors at the controller edge.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,7 +140,7 @@ impl NetconfSession {
 
     /// Sends a native configuration document; `Ok` is the device's
     /// acknowledgement that it is in effect.
-    pub fn edit_config(&self, native: Value) -> Result<(), SessionError> {
+    pub fn edit_config(&self, native: Native) -> Result<(), SessionError> {
         self.count("netconf_edit_attempts_total");
         let result = self.edit_config_inner(&native);
         if let Err(e) = &result {
@@ -150,7 +149,7 @@ impl NetconfSession {
         result
     }
 
-    fn edit_config_inner(&self, native: &Value) -> Result<(), SessionError> {
+    fn edit_config_inner(&self, native: &Native) -> Result<(), SessionError> {
         // A crashed device is down for every request: the injector only
         // decides the fate of requests a live device could answer.
         if self.device_state().is_none() {
@@ -182,7 +181,7 @@ impl NetconfSession {
 
     /// The device's side of an edit-config: decode its own dialect and
     /// validate against the hardware.
-    fn deliver(&self, native: &Value) -> Result<(), SessionError> {
+    fn deliver(&self, native: &Native) -> Result<(), SessionError> {
         let mut guard = self.device_state();
         let state = guard.as_mut().ok_or(SessionError::Unreachable)?;
         let cfg = vendor::decode(state.descriptor.vendor, native)

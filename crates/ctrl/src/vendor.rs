@@ -3,13 +3,17 @@
 //!
 //! Every vendor ships a different management encoding — units, field
 //! names, even how spectrum is addressed — which is exactly the
-//! fragmentation the centralized controller hides. The adapters are
-//! deliberately lossless: `decode(encode(c)) == c` for every standard
-//! config, proven by round-trip and property tests.
+//! fragmentation the centralized controller hides. A dialect document is
+//! a typed record ([`Native`]): the op and its fields, with spectrum in
+//! the vendor's own [`Address`] form, which is what differs between
+//! vendors. A device decodes its own dialect with its own unit arithmetic
+//! and grid checks and rejects another vendor's addressing; the record
+//! prints as the JSON the device's management interface shows. The
+//! adapters are deliberately lossless: `decode(encode(c)) == c` for every
+//! standard config, proven by round-trip and property tests.
 
-use flexwan_util::json;
-use flexwan_util::json::Value;
-
+use flexwan_optical::format::TransponderFormat;
+use flexwan_optical::modulation::Modulation;
 use flexwan_optical::spectrum::{PixelRange, PixelWidth, PIXEL_GHZ};
 use flexwan_optical::OpticalError;
 
@@ -65,175 +69,329 @@ impl std::error::Error for DialectError {
     }
 }
 
-/// Encodes a pixel range in the vendor's native spectrum addressing.
-fn encode_range(vendor: Vendor, r: &PixelRange) -> Value {
-    match vendor {
-        // Vendor A: GHz offsets from band start.
-        Vendor::VendorA => json!({
-            "low_ghz": r.low_ghz(),
-            "high_ghz": r.high_ghz(),
-        }),
-        // Vendor B: 12.5 GHz slice indices, inclusive start, exclusive end.
-        Vendor::VendorB => json!({
-            "slice_start": r.start,
-            "slice_count": r.width.pixels(),
-        }),
-        // Vendor C: MHz integers with its own field names.
-        Vendor::VendorC => json!({
-            "f_min_mhz": (r.low_ghz() * 1000.0) as u64,
-            "f_max_mhz": (r.high_ghz() * 1000.0) as u64,
-        }),
+/// A spectrum address in one vendor's own form. Each vendor addresses
+/// spectrum its own way, and a device reads only its vendor's form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Address {
+    /// Vendor A: GHz offsets from band start.
+    Ghz {
+        /// `low_ghz`: lower edge.
+        low_ghz: f64,
+        /// `high_ghz`: upper edge.
+        high_ghz: f64,
+    },
+    /// Vendor B: 12.5 GHz slice indices, inclusive start and a count.
+    Slices {
+        /// `slice_start`: first slice.
+        slice_start: u64,
+        /// `slice_count`: number of slices.
+        slice_count: u64,
+    },
+    /// Vendor C: MHz integers.
+    Mhz {
+        /// `f_min_mhz`: lower edge.
+        f_min_mhz: u64,
+        /// `f_max_mhz`: upper edge.
+        f_max_mhz: u64,
+    },
+}
+
+impl Address {
+    /// A pixel range in `vendor`'s addressing.
+    fn encode(vendor: Vendor, r: &PixelRange) -> Address {
+        match vendor {
+            Vendor::VendorA => Address::Ghz {
+                low_ghz: r.low_ghz(),
+                high_ghz: r.high_ghz(),
+            },
+            Vendor::VendorB => Address::Slices {
+                slice_start: u64::from(r.start),
+                slice_count: u64::from(r.width.pixels()),
+            },
+            Vendor::VendorC => Address::Mhz {
+                f_min_mhz: (r.low_ghz() * 1000.0) as u64,
+                f_max_mhz: (r.high_ghz() * 1000.0) as u64,
+            },
+        }
+    }
+
+    /// Reads the address back to pixels as a `vendor` device does. An
+    /// address in another vendor's form lacks this dialect's first field.
+    fn decode(self, vendor: Vendor) -> Result<PixelRange, DialectError> {
+        let (low_ghz, width_ghz) = match (vendor, self) {
+            (Vendor::VendorA, Address::Ghz { low_ghz, high_ghz }) => (low_ghz, high_ghz - low_ghz),
+            (
+                Vendor::VendorB,
+                Address::Slices {
+                    slice_start,
+                    slice_count,
+                },
+            ) => (
+                slice_start as f64 * PIXEL_GHZ,
+                slice_count as f64 * PIXEL_GHZ,
+            ),
+            (
+                Vendor::VendorC,
+                Address::Mhz {
+                    f_min_mhz,
+                    f_max_mhz,
+                },
+            ) => {
+                let low = f_min_mhz as f64 / 1000.0;
+                (low, f_max_mhz as f64 / 1000.0 - low)
+            }
+            (Vendor::VendorA, _) => return Err(DialectError::new("missing numeric field low_ghz")),
+            (Vendor::VendorB, _) => {
+                return Err(DialectError::new("missing integer field slice_start"))
+            }
+            (Vendor::VendorC, _) => {
+                return Err(DialectError::new("missing integer field f_min_mhz"))
+            }
+        };
+        let width = PixelWidth::from_ghz(width_ghz).map_err(|e| {
+            DialectError::with_source(format!("native width {width_ghz} GHz is off-grid"), e)
+        })?;
+        let start = low_ghz / PIXEL_GHZ;
+        if (start - start.round()).abs() > 1e-6 || start < 0.0 {
+            return Err(DialectError::new(format!(
+                "native start {low_ghz} GHz off-grid"
+            )));
+        }
+        Ok(PixelRange::new(start.round() as u32, width))
     }
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64, DialectError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| DialectError::new(format!("missing integer field {key}")))
+/// A vendor-native configuration document: the dialect's op with its
+/// fields, spectrum in the vendor's own [`Address`] form. It is plain
+/// data — encoding and sending one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Native {
+    /// `line-config`: a transponder's line side. The device re-derives
+    /// the internal settings from rate, reach and spectrum width, as
+    /// [`TransponderFormat::derive`] does.
+    LineConfig {
+        /// `rate_gbps`: net data rate.
+        rate_gbps: u32,
+        /// `reach_km`: the reach the format is engineered for.
+        reach_km: u32,
+        /// `fec_overhead_pct`: FEC overhead (informational).
+        fec_overhead_pct: u8,
+        /// `baud_gbd`: symbol rate (informational).
+        baud_gbd: f64,
+        /// `modulation`: DSP modulation (informational).
+        modulation: Modulation,
+        /// `spectrum`: the channel the line occupies.
+        spectrum: Address,
+        /// `admin_up`: administrative state.
+        admin_up: bool,
+    },
+    /// `filter-port`: one MUX filter port's passband; `None` clears it.
+    FilterPort {
+        /// `port`: the faceplate port.
+        port: u16,
+        /// `passband`: the port's passband (`null` clears it).
+        passband: Option<Address>,
+    },
+    /// `express-add`: a ROADM express passband between two degrees.
+    ExpressAdd {
+        /// `ingress`: ingress degree.
+        ingress: u16,
+        /// `egress`: egress degree.
+        egress: u16,
+        /// `passband`: the expressed passband.
+        passband: Address,
+    },
+    /// `express-del`: removes a ROADM express passband.
+    ExpressDel {
+        /// `ingress`: ingress degree.
+        ingress: u16,
+        /// `egress`: egress degree.
+        egress: u16,
+        /// `passband`: the expressed passband.
+        passband: Address,
+    },
 }
 
-fn get_f64(v: &Value, key: &str) -> Result<f64, DialectError> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| DialectError::new(format!("missing numeric field {key}")))
-}
+/// A number the way the dialect writes a float: always with a fraction
+/// (`125.0`), and `null` when not finite.
+struct Float(f64);
 
-/// Decodes a vendor-native spectrum address back to pixels.
-fn decode_range(vendor: Vendor, v: &Value) -> Result<PixelRange, DialectError> {
-    let (low_ghz, width_ghz) = match vendor {
-        Vendor::VendorA => {
-            let low = get_f64(v, "low_ghz")?;
-            (low, get_f64(v, "high_ghz")? - low)
+impl std::fmt::Display for Float {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            x if !x.is_finite() => f.write_str("null"),
+            x if x.fract() == 0.0 => write!(f, "{x}.0"),
+            x => write!(f, "{x}"),
         }
-        Vendor::VendorB => {
-            let start = get_u64(v, "slice_start")? as f64 * PIXEL_GHZ;
-            (start, get_u64(v, "slice_count")? as f64 * PIXEL_GHZ)
-        }
-        Vendor::VendorC => {
-            let low = get_u64(v, "f_min_mhz")? as f64 / 1000.0;
-            (low, get_u64(v, "f_max_mhz")? as f64 / 1000.0 - low)
-        }
-    };
-    let width = PixelWidth::from_ghz(width_ghz).map_err(|e| {
-        DialectError::with_source(format!("native width {width_ghz} GHz is off-grid"), e)
-    })?;
-    let start = low_ghz / PIXEL_GHZ;
-    if (start - start.round()).abs() > 1e-6 || start < 0.0 {
-        return Err(DialectError::new(format!(
-            "native start {low_ghz} GHz off-grid"
-        )));
     }
-    Ok(PixelRange::new(start.round() as u32, width))
+}
+
+impl std::fmt::Display for Address {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Address::Ghz { low_ghz, high_ghz } => write!(
+                f,
+                r#"{{"high_ghz":{},"low_ghz":{}}}"#,
+                Float(high_ghz),
+                Float(low_ghz)
+            ),
+            Address::Slices {
+                slice_start,
+                slice_count,
+            } => write!(
+                f,
+                r#"{{"slice_count":{slice_count},"slice_start":{slice_start}}}"#
+            ),
+            Address::Mhz {
+                f_min_mhz,
+                f_max_mhz,
+            } => write!(f, r#"{{"f_max_mhz":{f_max_mhz},"f_min_mhz":{f_min_mhz}}}"#),
+        }
+    }
+}
+
+/// The document as the device's management interface shows it: compact
+/// JSON with the dialect's field names, keys in order.
+impl std::fmt::Display for Native {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Native::LineConfig {
+                rate_gbps,
+                reach_km,
+                fec_overhead_pct,
+                baud_gbd,
+                modulation,
+                spectrum,
+                admin_up,
+            } => write!(
+                f,
+                r#"{{"admin_up":{admin_up},"baud_gbd":{},"fec_overhead_pct":{fec_overhead_pct},"modulation":"{modulation}","op":"line-config","rate_gbps":{rate_gbps},"reach_km":{reach_km},"spectrum":{spectrum}}}"#,
+                Float(baud_gbd)
+            ),
+            Native::FilterPort { port, passband } => {
+                f.write_str(r#"{"op":"filter-port","passband":"#)?;
+                match passband {
+                    Some(a) => write!(f, "{a}")?,
+                    None => f.write_str("null")?,
+                }
+                write!(f, r#","port":{port}}}"#)
+            }
+            Native::ExpressAdd {
+                ingress,
+                egress,
+                passband,
+            }
+            | Native::ExpressDel {
+                ingress,
+                egress,
+                passband,
+            } => {
+                let op = match self {
+                    Native::ExpressAdd { .. } => "express-add",
+                    _ => "express-del",
+                };
+                write!(
+                    f,
+                    r#"{{"egress":{egress},"ingress":{ingress},"op":"{op}","passband":{passband}}}"#
+                )
+            }
+        }
+    }
 }
 
 /// Encodes a standard config into the vendor's native document.
-pub fn encode(vendor: Vendor, cfg: &StandardConfig) -> Value {
+pub fn encode(vendor: Vendor, cfg: &StandardConfig) -> Native {
     match cfg {
         StandardConfig::Transponder {
             format,
             channel,
             enabled,
-        } => json!({
-            "op": "line-config",
-            "rate_gbps": format.data_rate_gbps,
-            "reach_km": format.reach_km,
-            "fec_overhead_pct": format.fec.percent(),
-            "baud_gbd": format.baud_gbd,
-            "modulation": format.modulation.name(),
-            "spectrum": encode_range(vendor, channel),
-            "admin_up": enabled,
-        }),
-        StandardConfig::MuxPort { port, passband } => json!({
-            "op": "filter-port",
-            "port": port,
-            "passband": passband.as_ref().map(|r| encode_range(vendor, r)),
-        }),
+        } => Native::LineConfig {
+            rate_gbps: format.data_rate_gbps,
+            reach_km: format.reach_km,
+            fec_overhead_pct: format.fec.percent(),
+            baud_gbd: format.baud_gbd,
+            modulation: format.modulation,
+            spectrum: Address::encode(vendor, channel),
+            admin_up: *enabled,
+        },
+        StandardConfig::MuxPort { port, passband } => Native::FilterPort {
+            port: *port,
+            passband: passband.as_ref().map(|r| Address::encode(vendor, r)),
+        },
         StandardConfig::RoadmExpress {
             from_degree,
             to_degree,
             passband,
-        } => json!({
-            "op": "express-add",
-            "ingress": from_degree,
-            "egress": to_degree,
-            "passband": encode_range(vendor, passband),
-        }),
+        } => Native::ExpressAdd {
+            ingress: *from_degree,
+            egress: *to_degree,
+            passband: Address::encode(vendor, passband),
+        },
         StandardConfig::RoadmRelease {
             from_degree,
             to_degree,
             passband,
-        } => json!({
-            "op": "express-del",
-            "ingress": from_degree,
-            "egress": to_degree,
-            "passband": encode_range(vendor, passband),
-        }),
+        } => Native::ExpressDel {
+            ingress: *from_degree,
+            egress: *to_degree,
+            passband: Address::encode(vendor, passband),
+        },
     }
 }
 
-/// Decodes a vendor-native document back into standard form. (Devices use
-/// this to apply configs; the controller uses it in audits.)
-pub fn decode(vendor: Vendor, v: &Value) -> Result<StandardConfig, DialectError> {
-    let op = v
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| DialectError::new("missing op"))?;
-    match op {
-        "line-config" => {
-            let channel = decode_range(
-                vendor,
-                v.get("spectrum")
-                    .ok_or_else(|| DialectError::new("missing spectrum"))?,
-            )?;
-            let rate = get_u64(v, "rate_gbps")? as u32;
-            let reach = get_u64(v, "reach_km")? as u32;
-            let format =
-                flexwan_optical::format::TransponderFormat::derive(rate, channel.width, reach);
-            let enabled = v.get("admin_up").and_then(Value::as_bool).unwrap_or(false);
-            Ok(StandardConfig::Transponder {
-                format,
+/// Decodes a vendor-native document back into standard form, as a device
+/// of `vendor` reads it before applying it.
+pub fn decode(vendor: Vendor, native: &Native) -> Result<StandardConfig, DialectError> {
+    Ok(match *native {
+        Native::LineConfig {
+            rate_gbps,
+            reach_km,
+            spectrum,
+            admin_up,
+            ..
+        } => {
+            let channel = spectrum.decode(vendor)?;
+            StandardConfig::Transponder {
+                format: TransponderFormat::derive(rate_gbps, channel.width, reach_km),
                 channel,
-                enabled,
-            })
+                enabled: admin_up,
+            }
         }
-        "filter-port" => {
-            let port = get_u64(v, "port")? as u16;
-            let passband = match v.get("passband") {
-                None | Some(Value::Null) => None,
-                Some(pb) => Some(decode_range(vendor, pb)?),
-            };
-            Ok(StandardConfig::MuxPort { port, passband })
-        }
-        "express-add" | "express-del" => {
-            let from_degree = get_u64(v, "ingress")? as u16;
-            let to_degree = get_u64(v, "egress")? as u16;
-            let passband = decode_range(
-                vendor,
-                v.get("passband")
-                    .ok_or_else(|| DialectError::new("missing passband"))?,
-            )?;
-            Ok(if op == "express-add" {
-                StandardConfig::RoadmExpress {
-                    from_degree,
-                    to_degree,
-                    passband,
-                }
-            } else {
-                StandardConfig::RoadmRelease {
-                    from_degree,
-                    to_degree,
-                    passband,
-                }
-            })
-        }
-        other => Err(DialectError::new(format!("unknown op {other}"))),
-    }
+        Native::FilterPort { port, passband } => StandardConfig::MuxPort {
+            port,
+            passband: passband.map(|a| a.decode(vendor)).transpose()?,
+        },
+        Native::ExpressAdd {
+            ingress,
+            egress,
+            passband,
+        } => StandardConfig::RoadmExpress {
+            from_degree: ingress,
+            to_degree: egress,
+            passband: passband.decode(vendor)?,
+        },
+        Native::ExpressDel {
+            ingress,
+            egress,
+            passband,
+        } => StandardConfig::RoadmRelease {
+            from_degree: ingress,
+            to_degree: egress,
+            passband: passband.decode(vendor)?,
+        },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexwan_optical::format::TransponderFormat;
+    use crate::device::{spawn_device, DeviceHandle, Hardware};
+    use crate::model::{DeviceDescriptor, DeviceId, DeviceKind};
+    use crate::netconf::SessionError;
+    use flexwan_optical::spectrum::SpectrumGrid;
+    use flexwan_optical::{Mux, WssKind};
+    use flexwan_topo::graph::NodeId;
 
     fn sample_configs() -> Vec<StandardConfig> {
         let r = PixelRange::new(10, PixelWidth::new(7));
@@ -315,39 +473,128 @@ mod tests {
     }
 
     #[test]
+    fn documents_print_as_the_management_interface_shows_them() {
+        let port = StandardConfig::MuxPort {
+            port: 0,
+            passband: Some(PixelRange::new(4, PixelWidth::new(6))),
+        };
+        assert_eq!(
+            encode(Vendor::VendorA, &port).to_string(),
+            r#"{"op":"filter-port","passband":{"high_ghz":125.0,"low_ghz":50.0},"port":0}"#
+        );
+        assert_eq!(
+            encode(Vendor::VendorB, &port).to_string(),
+            r#"{"op":"filter-port","passband":{"slice_count":6,"slice_start":4},"port":0}"#
+        );
+        assert_eq!(
+            encode(Vendor::VendorC, &port).to_string(),
+            r#"{"op":"filter-port","passband":{"f_max_mhz":125000,"f_min_mhz":50000},"port":0}"#
+        );
+        assert_eq!(
+            encode(Vendor::VendorA, &sample_configs()[0]).to_string(),
+            r#"{"admin_up":true,"baud_gbd":75.0,"fec_overhead_pct":15,"modulation":"PCS-3.8b","op":"line-config","rate_gbps":500,"reach_km":600,"spectrum":{"high_ghz":212.5,"low_ghz":125.0}}"#
+        );
+        assert_eq!(
+            encode(Vendor::VendorB, &sample_configs()[2]).to_string(),
+            r#"{"op":"filter-port","passband":null,"port":6}"#
+        );
+        assert_eq!(
+            encode(Vendor::VendorC, &sample_configs()[4]).to_string(),
+            r#"{"egress":2,"ingress":1,"op":"express-del","passband":{"f_max_mhz":212500,"f_min_mhz":125000}}"#
+        );
+    }
+
+    /// A Vendor A filter-port document whose passband is 55 GHz wide: not
+    /// a pixel multiple.
+    fn off_grid_width() -> Native {
+        Native::FilterPort {
+            port: 1,
+            passband: Some(Address::Ghz {
+                low_ghz: 0.0,
+                high_ghz: 55.0,
+            }),
+        }
+    }
+
+    #[test]
     fn off_grid_native_rejected() {
         // 55 GHz is not a pixel multiple: VendorA document must not decode.
-        let bad = json!({
-            "op": "filter-port",
-            "port": 1,
-            "passband": json!({ "low_ghz": 0.0, "high_ghz": 55.0 }),
-        });
-        assert!(decode(Vendor::VendorA, &bad).is_err());
+        assert!(decode(Vendor::VendorA, &off_grid_width()).is_err());
+        // Nor does a start between two pixels.
+        let off_start = Native::ExpressAdd {
+            ingress: 0,
+            egress: 1,
+            passband: Address::Mhz {
+                f_min_mhz: 6_000,
+                f_max_mhz: 81_000,
+            },
+        };
+        let err = decode(Vendor::VendorC, &off_start).unwrap_err();
+        assert_eq!(err.message(), "native start 6 GHz off-grid");
     }
 
     #[test]
     fn off_grid_width_preserves_optical_source() {
         // The width is off the 12.5 GHz grid, so the optical layer is the
         // root cause and must survive the translation into DialectError.
-        let bad = json!({
-            "op": "filter-port",
-            "port": 1,
-            "passband": json!({ "low_ghz": 0.0, "high_ghz": 55.0 }),
-        });
-        let err = decode(Vendor::VendorA, &bad).unwrap_err();
+        let err = decode(Vendor::VendorA, &off_grid_width()).unwrap_err();
         assert!(err.message().contains("off-grid"), "{err}");
         let source = std::error::Error::source(&err).expect("optical cause preserved");
         assert!(source.to_string().contains("12.5"), "root cause: {source}");
     }
 
+    /// A factory-fresh MUX of `vendor`. A document is decoded before it
+    /// is applied, so a dialect error is the answer whatever the kind.
+    fn mux(vendor: Vendor) -> DeviceHandle {
+        spawn_device(
+            DeviceDescriptor {
+                id: DeviceId(1),
+                vendor,
+                kind: DeviceKind::Mux,
+                mgmt_ip: DeviceDescriptor::mgmt_ip_for(DeviceId(1)),
+                site: NodeId(0),
+            },
+            Hardware::Mux(Mux::new(WssKind::PixelWise, SpectrumGrid::new(64), 8)),
+        )
+    }
+
     #[test]
-    fn unknown_op_rejected() {
-        // No device kind speaks `gain`: an amplifier document is as
-        // unknown as any other.
-        for op in ["self-destruct", "gain"] {
-            let bad = json!({ "op": op, "gain_db": 16.0 });
-            let err = decode(Vendor::VendorB, &bad).unwrap_err();
-            assert!(err.message().contains("unknown op"), "{err}");
+    fn foreign_addressing_rejected_with_the_dialects_message() {
+        // A device reads only its own vendor's spectrum addressing: a
+        // document of any other vendor lacks the dialect's first field,
+        // and the device answers with a typed rejection naming it.
+        let missing = |v: Vendor| match v {
+            Vendor::VendorA => "missing numeric field low_ghz",
+            Vendor::VendorB => "missing integer field slice_start",
+            Vendor::VendorC => "missing integer field f_min_mhz",
+        };
+        for from in Vendor::ALL {
+            for to in Vendor::ALL.into_iter().filter(|&to| to != from) {
+                for cfg in sample_configs() {
+                    let native = encode(from, &cfg);
+                    let addressed = !matches!(native, Native::FilterPort { passband: None, .. });
+                    let sent = mux(to).session.edit_config(native);
+                    if addressed {
+                        assert_eq!(
+                            decode(to, &native).unwrap_err().message(),
+                            missing(to),
+                            "{from:?} -> {to:?}: {native}"
+                        );
+                        assert_eq!(
+                            sent,
+                            Err(SessionError::Rejected(format!(
+                                "vendor dialect error: {}",
+                                missing(to)
+                            ))),
+                            "{from:?} -> {to:?}: {native}"
+                        );
+                    } else {
+                        // A cleared port carries no address: any vendor
+                        // reads it.
+                        assert_eq!(sent, Ok(()), "{from:?} -> {to:?}: {native}");
+                    }
+                }
+            }
         }
     }
 }

@@ -9,7 +9,10 @@
 # placeholder, which means the file named in backticks in each table
 # row's first cell. A list item (`* ` or `- ` and its continuation
 # lines) that names a `results/<name>.txt` is checked against that file
-# instead. Its claims are
+# instead. A file name followed by `, line \`text\`` (the name in
+# backticks too, on the same line) names the results line a claim
+# quotes: its numbers are then checked against the first line of the
+# file containing `text`, not the whole file. Its claims are
 #   * every cell of a table column headed `measured`;
 #   * in a table with no `measured` column, in a section with one
 #     results file, every cell after the row label that is not under a
@@ -48,16 +51,47 @@ function numbers(s,    out, tok, named) {
     return out
 }
 
-# Loads the numbers of results file `f` into have[f, value] once.
-function load(f,    line, n, i, v) {
+# The results source `s` names: its first `results/<name>.txt`, and
+# when a `, line \`text\`` follows it, the text of the line it quotes,
+# as `file SUBSEP text`; "" when it names none.
+function source(s,    f, rest) {
+    if (!match(s, /results\/[A-Za-z0-9_]+\.txt/)) return ""
+    f = substr(s, RSTART, RLENGTH)
+    rest = substr(s, RSTART + RLENGTH)
+    if (match(rest, /^`?, line `[^`]+`/)) {
+        rest = substr(rest, RSTART, RLENGTH)
+        sub(/^`?, line `/, "", rest)
+        sub(/`$/, "", rest)
+        f = f SUBSEP rest
+    }
+    return f
+}
+
+# A source as the reader wrote it.
+function shown(f,    k) {
+    k = index(f, SUBSEP)
+    return k ? substr(f, 1, k - 1) ", line `" substr(f, k + 1) "`" : f
+}
+
+# Loads the numbers of source `f` into have[f, value] once: every line
+# of its file, or only the first line containing its quoted text.
+function load(f,    file, text, k, line, n, i, v) {
     if (f in loaded) return loaded[f]
+    file = f
+    text = ""
+    k = index(f, SUBSEP)
+    if (k) {
+        file = substr(f, 1, k - 1)
+        text = substr(f, k + 1)
+    }
     loaded[f] = 0
-    while ((getline line < f) > 0) {
+    while ((getline line < file) > 0) {
+        if (text != "" && (loaded[f] || !index(line, text))) continue
         loaded[f] = 1
         n = split(numbers(line), v, " ")
         for (i = 1; i <= n; i++) have[f, v[i]] = 1
     }
-    close(f)
+    close(file)
     return loaded[f]
 }
 
@@ -75,10 +109,10 @@ function claim(text, f,    c, nc, i, eq, rhs, n, v, j) {
         }
         if (n == 0) continue
         if (f == "") { fail("a number in a section with no Source: results file"); return }
-        if (!load(f)) { fail("no results file " f); return }
+        if (!load(f)) { fail("no results file or line " shown(f)); return }
         for (j = 1; j <= n; j++)
             if (!((f, v[j]) in have))
-                fail(v[j] " is not in " f (eq ? " (formula operand)" : ""))
+                fail(v[j] " is not in " shown(f) (eq ? " (formula operand)" : ""))
     }
 }
 
@@ -100,8 +134,7 @@ function items(    i, k, end, m) {
         for (end = i; end < n && buf[end + 1] != "" && buf[end + 1] !~ /^[*-] |^\|/; end++) ;
         m = ""
         for (k = i; k <= end && m == ""; k++)
-            if (match(buf[k], /results\/[A-Za-z0-9_]+\.txt/))
-                m = substr(buf[k], RSTART, RLENGTH)
+            m = source(buf[k])
         for (k = i; k <= end; k++) item[k] = m
         i = end
     }
@@ -118,8 +151,8 @@ function flush(    i, src, per_row, line, cells, nc, col, paper, j, f, lf, name)
     }
     per_row = (src ~ /results\/<[^>]*>\.txt/)
     f = ""
-    if (!per_row && match(src, /results\/[A-Za-z0-9_]+\.txt/))
-        f = substr(src, RSTART, RLENGTH)
+    if (!per_row)
+        f = source(src)
     items()
     col = 0
     for (i = 1; i <= n; i++) {

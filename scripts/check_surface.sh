@@ -116,6 +116,10 @@
 #     the journaled `TickReport`, or the injector's crash mirror
 #     (`crashed_pending`, `device_restarted`: a crashed session answers
 #     `Unreachable` before it asks the injector);
+#   * a send builds a JSON tree again: non-test
+#     crates/ctrl/src/{vendor,netconf,controller}.rs names
+#     `flexwan_util::json` or `json!(` (a dialect document is a typed
+#     `vendor::Native` record, and the send path allocates nothing for it);
 #   * a public helper only its own tests called comes back to its
 #     owner's file (`TransponderFormat::explicit`, `slot_gammas`,
 #     `multiset_cost`, `is_fully_protected`, `free_pixels`,
@@ -425,6 +429,14 @@ gone "control-plane state no loop sends or replays" \
     '\b(TickRecord|AmplifierGain|canonical_json|slo_json|crashed_pending|device_restarted)\b'
 gone "an amplifier device in the control plane (it registers MUXes, ROADMs and transponders)" \
     '\bAmplifier\b|"op": "gain"|"gain" =>' crates/ctrl/src
+wire_json=$(for f in crates/ctrl/src/vendor.rs crates/ctrl/src/netconf.rs crates/ctrl/src/controller.rs; do
+    non_test_of "$f" | grep -nE 'flexwan_util::json|json!\(' | sed "s|^|$f:|" || true
+done)
+if [ -n "$wire_json" ]; then
+    echo "crates/ctrl/src: a send builds no JSON tree (a dialect document is a typed vendor::Native):"
+    echo "$wire_json"
+    bad=1
+fi
 gone "public helpers only their own tests called (in their owners' files)" \
     'fn (explicit|slot_gammas|multiset_cost|is_fully_protected|free_pixels|largest_free_run|total_ghz|group_name|row_activity|total_fiber_km)\b' \
     crates/optical/src/format.rs crates/optical/src/spectrum.rs crates/core/src/opt.rs \

@@ -373,17 +373,11 @@ fn a_crashed_devices_requests_are_unreachable_failures_not_faults() {
             Hardware::Mux(Mux::new(WssKind::PixelWise, SpectrumGrid::new(64), 4)),
         );
         let session = &devmgr.device(id).expect("registered").session;
-        assert_eq!(
-            session.edit_config(clear.clone()),
-            Err(SessionError::Unreachable)
-        );
+        assert_eq!(session.edit_config(clear), Err(SessionError::Unreachable));
         let at_crash = injector.stats();
         assert_eq!(at_crash.crashes, 1);
         for _ in 0..while_down {
-            assert_eq!(
-                session.edit_config(clear.clone()),
-                Err(SessionError::Unreachable)
-            );
+            assert_eq!(session.edit_config(clear), Err(SessionError::Unreachable));
             assert_eq!(session.get_state().err(), Some(SessionError::Unreachable));
         }
         assert_eq!(injector.stats(), at_crash, "a dead device moved FaultStats");
@@ -401,7 +395,7 @@ fn a_crashed_devices_requests_are_unreachable_failures_not_faults() {
         let verdicts: Vec<(bool, bool)> = (0..20)
             .map(|_| {
                 (
-                    session.edit_config(clear.clone()).is_ok(),
+                    session.edit_config(clear).is_ok(),
                     session.get_state().is_ok(),
                 )
             })

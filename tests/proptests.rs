@@ -10,6 +10,7 @@ use flexwan::ctrl::model::Vendor;
 use flexwan::ctrl::vendor;
 use flexwan::ctrl::StandardConfig;
 use flexwan::optical::spectrum::{PixelRange, PixelWidth, SpectrumGrid, SpectrumMask};
+use flexwan::optical::TransponderFormat;
 use flexwan::solver::{LinExpr, Model, Sense, Status};
 use flexwan::topo::graph::Graph;
 use flexwan::topo::ksp::k_shortest_paths;
@@ -195,23 +196,55 @@ fn mip_matches_bruteforce_knapsack() {
     }
 }
 
-/// Vendor adapters are lossless for arbitrary MUX-port configs.
+/// Vendor adapters are lossless for arbitrary configs of every kind —
+/// transponder line, MUX port (set or cleared), ROADM express add and
+/// delete — in every vendor's dialect.
 #[test]
 fn vendor_dialects_round_trip() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA006);
+    let range = |rng: &mut ChaCha8Rng, min_width: u16| {
+        PixelRange::new(
+            rng.gen_range(0u32..370),
+            PixelWidth::new(rng.gen_range(min_width..13)),
+        )
+    };
     for _case in 0..128 {
         let port = rng.gen_range(0u16..64);
         let clear = rng.gen_bool(0.5);
-        let passband = (!clear).then(|| {
-            PixelRange::new(
-                rng.gen_range(0u32..370),
-                PixelWidth::new(rng.gen_range(1u16..13)),
-            )
-        });
-        let cfg = StandardConfig::MuxPort { port, passband };
-        for v in Vendor::ALL {
-            let back = vendor::decode(v, &vendor::encode(v, &cfg)).unwrap();
-            assert_eq!(back, cfg);
+        let passband = (!clear).then(|| range(&mut rng, 1));
+        // A transponder's spacing must exceed the one-pixel guard band.
+        let channel = range(&mut rng, 2);
+        let format = TransponderFormat::derive(
+            rng.gen_range(1u32..1200),
+            channel.width,
+            rng.gen_range(1u32..6000),
+        );
+        let (from_degree, to_degree) = (rng.gen_range(0u16..8), rng.gen_range(0u16..8));
+        let express = range(&mut rng, 1);
+        let configs = [
+            StandardConfig::Transponder {
+                format,
+                channel,
+                enabled: rng.gen_bool(0.5),
+            },
+            StandardConfig::MuxPort { port, passband },
+            StandardConfig::RoadmExpress {
+                from_degree,
+                to_degree,
+                passband: express,
+            },
+            StandardConfig::RoadmRelease {
+                from_degree,
+                to_degree,
+                passband: express,
+            },
+        ];
+        for cfg in configs {
+            for v in Vendor::ALL {
+                let native = vendor::encode(v, &cfg);
+                let back = vendor::decode(v, &native).unwrap();
+                assert_eq!(back, cfg, "{v:?}: {native}");
+            }
         }
     }
 }
