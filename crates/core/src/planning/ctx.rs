@@ -19,6 +19,7 @@ use flexwan_topo::ip::{IpLink, IpTopology};
 
 use crate::planning::heuristic::{place_deficits, LinkOrder, LinkRoutes, Plan, PlannerConfig};
 use crate::protect::{place_protected, ProtectedPlan};
+use crate::restore::footprint::Footprint;
 use crate::restore::heuristic::{revive, Restoration};
 use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
@@ -77,7 +78,8 @@ impl<'a> PlanCtx<'a> {
     }
 
     /// Records every `plan` / `plan_incremental` as a `planning.plan` span
-    /// and every `restore` as a `restore.scenario` span in `obs` (children
+    /// and every `restore` / `restore_against` as a `restore.scenario`
+    /// span in `obs` (children
     /// of `parent` when given), with their counters, gauges and latency
     /// histograms; `plan_protected` has no metric and records nothing.
     /// Outputs are bit-identical with and without it.
@@ -204,6 +206,15 @@ impl<'a> PlanCtx<'a> {
     /// Cached restoration routes are keyed by the scenario's cut set, so
     /// a cut fiber is never served an uncut route; with no shared cache,
     /// a cut inside one conduit reads the graph's detour memo.
+    ///
+    /// Builds `plan`'s [`Footprint`] and restores once against it: a
+    /// restorer that meets many cuts of one plan keeps the footprint and
+    /// calls [`restore_against`](Self::restore_against).
+    ///
+    /// # Panics
+    /// If two of `plan`'s wavelengths share a pixel of a fiber (such a
+    /// plan is refused), or if `extra_spares` is neither empty nor one
+    /// entry per IP link.
     pub fn restore(
         &self,
         plan: &Plan,
@@ -211,13 +222,35 @@ impl<'a> PlanCtx<'a> {
         scenario: &FailureScenario,
         extra_spares: &[u32],
     ) -> Restoration {
+        let mut footprint = Footprint::new(plan, self.optical, self.cfg);
+        self.restore_against(&mut footprint, plan, ip, scenario, extra_spares)
+    }
+
+    /// [`restore`](Self::restore) against `footprint`, the standing
+    /// footprint of `plan` (built by [`Footprint::new`] from the same
+    /// plan, graph and grid): the cut costs the wavelengths it severs,
+    /// and `footprint` is left as it was found.
+    ///
+    /// # Panics
+    /// If `footprint` was built from a plan with another wavelength
+    /// count, or if `extra_spares` is neither empty nor one entry per IP
+    /// link.
+    pub fn restore_against(
+        &self,
+        footprint: &mut Footprint,
+        plan: &Plan,
+        ip: &IpTopology,
+        scenario: &FailureScenario,
+        extra_spares: &[u32],
+    ) -> Restoration {
+        let run = |fp: &mut Footprint| revive(self, fp, plan, ip, scenario, extra_spares);
         let Some((obs, span)) = self.span("restore.scenario") else {
-            return revive(self, plan, ip, scenario, extra_spares);
+            return run(footprint);
         };
         span.field("scenario", scenario.id);
         span.field("cuts", scenario.cuts.len());
         let start = obs.now_ns();
-        let r = revive(self, plan, ip, scenario, extra_spares);
+        let r = run(footprint);
         span.field("affected_gbps", r.affected_gbps);
         span.field("restored_gbps", r.restored_gbps);
         span.field("capability", r.capability());

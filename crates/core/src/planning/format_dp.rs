@@ -148,17 +148,12 @@ impl<'m> FormatTable<'m> {
             "demands are multiples of 100 Gbps"
         );
         out.clear();
-        let at = self.reaches.partition_point(|&r| r < distance_km);
-        let Some(slot) = self.classes.get_mut(at) else {
+        let epsilon = self.epsilon;
+        let Some(class) = self.class(distance_km) else {
             return false; // past the longest reach
         };
-        let (model, reach) = (self.model, self.reaches[at]);
-        let class = slot.get_or_insert_with(|| Class {
-            candidates: reachable_formats(model, reach),
-            dp: vec![Some(Cell::EMPTY)],
-        });
         let units = (demand_gbps / 100) as usize;
-        class.extend(units, self.epsilon);
+        class.extend(units, epsilon);
 
         let mut t = units;
         while t > 0 {
@@ -169,6 +164,25 @@ impl<'m> FormatTable<'m> {
         }
         out.sort_by_key(|f| std::cmp::Reverse((f.spacing, f.data_rate_gbps)));
         true
+    }
+
+    /// [`reachable_formats`] over `distance_km`, ascending by rate then
+    /// spacing: the candidate list of the distance's reach class, built
+    /// once per class. Empty past the longest reach.
+    pub(crate) fn candidates(&mut self, distance_km: u32) -> &[TransponderFormat] {
+        self.class(distance_km)
+            .map_or(&[], |class| class.candidates.as_slice())
+    }
+
+    /// The reach class of `distance_km`, built on first use; `None` past
+    /// the longest reach.
+    fn class(&mut self, distance_km: u32) -> Option<&mut Class> {
+        let at = self.reaches.partition_point(|&r| r < distance_km);
+        let (model, reach) = (self.model, *self.reaches.get(at)?);
+        Some(self.classes[at].get_or_insert_with(|| Class {
+            candidates: reachable_formats(model, reach),
+            dp: vec![Some(Cell::EMPTY)],
+        }))
     }
 
     /// Reach classes built so far.
@@ -438,7 +452,8 @@ mod tests {
     /// answers, `Vec` for `Vec`: distances 0, every reach ± 1 and 6,000 km;
     /// demands 100 … 20,000 Gbps in a seeded shuffle, so most queries
     /// extend a class's table mid-stream and the rest read a prefix of
-    /// it. A class is built once for all the distances that share it.
+    /// it. A class is built once for all the distances that share it, and
+    /// its candidates are the formats reaching any distance in it.
     #[test]
     fn one_table_answers_what_the_per_call_dp_answers() {
         let models: [&dyn TransponderModel; 3] = [&FixedGrid100G, &Bvt, &Svt];
@@ -473,6 +488,16 @@ mod tests {
             );
             let reaches = table.reaches.len();
             assert_eq!(table.classes_built(), reaches, "{}", model.name());
+            // A class's candidates are what reaches over any distance in
+            // it: the restorer's revival formats.
+            for &distance in &distances {
+                assert_eq!(
+                    table.candidates(distance),
+                    reachable_formats(model, distance).as_slice(),
+                    "{}: {distance} km",
+                    model.name()
+                );
+            }
         }
     }
 }

@@ -24,10 +24,10 @@ use flexwan_topo::ip::{IpLinkId, IpTopology};
 
 use crate::opt::candidate_paths;
 use crate::planning::ctx::PlanCtx;
-use crate::planning::format_dp::{reachable_formats, FormatTable};
+use crate::planning::format_dp::FormatTable;
 use crate::planning::heuristic::{Plan, PlannerConfig};
-use crate::planning::spectrum::SpectrumState;
-use crate::scenario::{FailureLedger, FailureScenario};
+use crate::restore::footprint::Footprint;
+use crate::scenario::FailureScenario;
 use crate::scheme::Scheme;
 use crate::wavelength::Wavelength;
 
@@ -96,34 +96,13 @@ pub fn restore_cached(
     ctx.restore(plan, ip, scenario, extra_spares)
 }
 
-/// What `scenario` takes from `plan` and the residual spectrum its
-/// surviving wavelengths still hold (§8's φ_w): where the greedy and
-/// the exact restorers start.
-pub(crate) fn assess_plan(
-    plan: &Plan,
-    optical: &Graph,
-    ip: &IpTopology,
-    scenario: &FailureScenario,
-    extra_spares: &[u32],
-    cfg: &PlannerConfig,
-) -> (FailureLedger, SpectrumState) {
-    let lit =
-        (plan.wavelengths.iter()).map(|w| (w.link.0 as usize, w.format.data_rate_gbps, &w.path));
-    let ledger = scenario.assess(lit, extra_spares, ip.num_links());
-    let mut spectrum = SpectrumState::new(cfg.grid, optical.num_edges());
-    for &at in &ledger.survivors {
-        let w = &plan.wavelengths[at];
-        spectrum
-            .occupy_exact(&w.path, &w.channel)
-            .expect("surviving plan channels are conflict-free");
-    }
-    (ledger, spectrum)
-}
-
-/// The greedy revival loop behind [`PlanCtx::restore`], over each hit
-/// link's post-failure routes.
+/// The greedy revival loop behind [`PlanCtx::restore_against`], over
+/// each hit link's post-failure routes: what the cut takes and the
+/// residual spectrum come off `footprint`, which the loop leaves as it
+/// found it.
 pub(crate) fn revive(
     ctx: &PlanCtx,
+    footprint: &mut Footprint,
     plan: &Plan,
     ip: &IpTopology,
     scenario: &FailureScenario,
@@ -131,9 +110,8 @@ pub(crate) fn revive(
 ) -> Restoration {
     let (optical, cfg) = (ctx.optical(), ctx.cfg());
     let align = ctx.alignment(plan.scheme);
-    let model = plan.scheme.transponder();
 
-    let (ledger, mut spectrum) = assess_plan(plan, optical, ip, scenario, extra_spares, cfg);
+    let ledger = footprint.sever(plan, scenario, extra_spares, ip.num_links());
     // Most-affected links first (deterministic tie-break by link id).
     let mut hits = ledger.hit;
     hits.sort_by_key(|h| (std::cmp::Reverse(h.lost_gbps), h.link));
@@ -148,31 +126,27 @@ pub(crate) fn revive(
         let mut remaining = hit.lost_gbps;
         let mut spares = hit.spares;
         'routes: for (k, route) in routes.iter().enumerate() {
-            // What reaches over this route, highest rate first and
-            // narrowest spacing first within a rate (constraint (7) +
-            // objective), worked out when it is first needed: the route
-            // decides it, not the wavelength.
-            let mut by_rate = None;
             loop {
                 if remaining < 100 || spares == 0 {
                     break 'routes;
                 }
-                let by_rate = by_rate.get_or_insert_with(|| {
-                    let mut formats = reachable_formats(model, route.length_km);
-                    formats.sort_by_key(|f| (std::cmp::Reverse(f.data_rate_gbps), f.spacing));
-                    formats
-                });
-                // The highest revivable rate not overshooting c'_e. The
-                // sort is stable, so the formats that fit are in the order
-                // sorting just them would give.
+                // What reaches over this route (its reach class's
+                // candidates, ascending by rate then spacing), highest
+                // rate first and narrowest spacing first within a rate
+                // (constraint (7) + objective), not overshooting c'_e.
                 let cap = remaining;
-                let fits = by_rate
-                    .iter()
-                    .filter(|f| u64::from(f.data_rate_gbps) <= cap);
+                let candidates = footprint.formats.candidates(route.length_km);
+                let by_rate = candidates
+                    .chunk_by(|a, b| a.data_rate_gbps == b.data_rate_gbps)
+                    .rev()
+                    .flatten();
+                let fits = by_rate.filter(|f| u64::from(f.data_rate_gbps) <= cap);
                 let mut placed = false;
                 for &format in fits {
                     if let Some((channel, chosen)) =
-                        spectrum.allocate_route(route, format.spacing, align)
+                        footprint
+                            .spectrum
+                            .allocate_route(route, format.spacing, align)
                     {
                         remaining -= u64::from(format.data_rate_gbps);
                         spares -= 1;
@@ -197,6 +171,7 @@ pub(crate) fn revive(
         }
         per_link.push((link, hit.lost_gbps, hit.lost_gbps - remaining));
     }
+    footprint.heal(plan, &restored);
 
     let restored_gbps = per_link.iter().map(|&(_, _, r)| r).sum();
     Restoration {

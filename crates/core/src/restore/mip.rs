@@ -22,7 +22,8 @@ use crate::opt::{candidate_paths, LazyWavelengthVarSpace, WavelengthVarSpace};
 use crate::planning::colgen::ColGenStats;
 use crate::planning::heuristic::{Plan, PlannerConfig};
 use crate::planning::spectrum::SpectrumState;
-use crate::restore::heuristic::{assess_plan, restore};
+use crate::restore::footprint::Footprint;
+use crate::restore::heuristic::restore;
 use crate::scenario::{FailureScenario, LostLink};
 
 /// An exact restoration optimum.
@@ -56,13 +57,14 @@ fn build_instance(
     extra_spares: &[u32],
     cfg: &PlannerConfig,
 ) -> RestorationInstance {
-    let (ledger, spectrum) = assess_plan(plan, optical, ip, scenario, extra_spares, cfg);
+    let mut footprint = Footprint::new(plan, optical, cfg);
+    let ledger = footprint.sever(plan, scenario, extra_spares, ip.num_links());
     let banned = scenario.banned();
     let ends = ledger.hit.iter().map(|h| &ip.links()[h.link]);
     let queries = ends.map(|l| (l.src, l.dst, &banned));
     let paths_per_slot = candidate_paths(optical, cfg.k_paths, queries).collect();
     RestorationInstance {
-        spectrum,
+        spectrum: footprint.spectrum,
         per_link: ledger.hit,
         affected_gbps: ledger.affected_gbps,
         paths_per_slot,

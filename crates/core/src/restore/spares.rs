@@ -81,14 +81,16 @@ fn dual_priced_extra_spares(
     }
     let mut alloc = vec![0u32; ip.num_links()];
     for _ in 0..budget {
-        let best = (0..price.len())
+        // Every bid is a positive price over a positive count, on which
+        // `total_cmp` orders as `partial_cmp` does. Ties go to the lower
+        // link index — deterministic.
+        let bid = |i: usize| price[i] / f64::from(alloc[i] + 1);
+        let Some(best) = (0..price.len())
             .filter(|&i| price[i] > 0.0)
-            .max_by(|&a, &b| {
-                let bid = |i: usize| price[i] / f64::from(alloc[i] + 1);
-                // Ties go to the lower link index — deterministic.
-                bid(a).partial_cmp(&bid(b)).unwrap().then(b.cmp(&a))
-            })
-            .expect("some link priced positive");
+            .max_by(|&a, &b| bid(a).total_cmp(&bid(b)).then(b.cmp(&a)))
+        else {
+            break;
+        };
         alloc[best] += 1;
     }
     alloc

@@ -10,11 +10,17 @@
 //! plane from the restoration that is live to that one — releasing what
 //! left, lighting what arrived, atomically per wavelength, and leaving
 //! what stayed alone.
+//!
+//! The plan an orchestrator guards never changes, so it builds the plan's
+//! restoration [`Footprint`] once, in [`Orchestrator::new`]: every tick
+//! restores against it ([`PlanCtx::restore_against`]) and a cut costs
+//! the wavelengths it severs, not a rescan of the plan and a rebuild of
+//! its spectrum.
 
 use std::collections::BTreeSet;
 
-use flexwan_core::planning::{Plan, PlannerConfig};
-use flexwan_core::restore::{restore, FailureScenario};
+use flexwan_core::planning::{Plan, PlanCtx, PlannerConfig};
+use flexwan_core::restore::{FailureScenario, Footprint};
 use flexwan_core::Wavelength;
 use flexwan_obs::Obs;
 use flexwan_topo::graph::{EdgeId, Graph};
@@ -69,6 +75,8 @@ pub struct Orchestrator<'a> {
     ip: &'a IpTopology,
     cfg: PlannerConfig,
     plan: Plan,
+    /// What a cut can take from `plan`, built once.
+    footprint: Footprint,
     extra_spares: Vec<u32>,
     /// Fibers currently believed cut.
     active_cuts: BTreeSet<EdgeId>,
@@ -80,6 +88,10 @@ pub struct Orchestrator<'a> {
 
 impl<'a> Orchestrator<'a> {
     /// An orchestrator guarding `plan`.
+    ///
+    /// # Panics
+    /// As [`Footprint::new`]: if two of `plan`'s wavelengths share a
+    /// pixel of a fiber.
     pub fn new(
         optical: &'a Graph,
         ip: &'a IpTopology,
@@ -90,6 +102,7 @@ impl<'a> Orchestrator<'a> {
         Orchestrator {
             optical,
             ip,
+            footprint: Footprint::new(&plan, optical, &cfg),
             cfg,
             plan,
             extra_spares,
@@ -193,13 +206,12 @@ impl<'a> Orchestrator<'a> {
                 probability: 1.0,
             };
             let plan_span = span.map(|s| s.child("orch.restore_plan"));
-            let r = restore(
+            let r = PlanCtx::new(self.optical, &self.cfg).restore_against(
+                &mut self.footprint,
                 &self.plan,
-                self.optical,
                 self.ip,
                 &scenario,
                 &self.extra_spares,
-                &self.cfg,
             );
             if let Some(p) = &plan_span {
                 p.field("restored", r.restored.len());

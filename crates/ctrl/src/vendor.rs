@@ -352,6 +352,19 @@ pub fn decode(vendor: Vendor, native: &Native) -> Result<StandardConfig, Dialect
             ..
         } => {
             let channel = spectrum.decode(vendor)?;
+            // What `TransponderFormat::derive` asserts: a symbol rate
+            // left past the one-pixel guard band, and a line that carries
+            // data. A device answers a document without them, it does
+            // not panic on it.
+            if channel.width.pixels() < 2 {
+                return Err(DialectError::new(format!(
+                    "line-config spectrum of {} GHz leaves no symbol rate past the 12.5 GHz guard band",
+                    channel.width.ghz()
+                )));
+            }
+            if rate_gbps == 0 {
+                return Err(DialectError::new("line-config rate_gbps must be positive"));
+            }
             StandardConfig::Transponder {
                 format: TransponderFormat::derive(rate_gbps, channel.width, reach_km),
                 channel,
@@ -541,6 +554,61 @@ mod tests {
         assert!(err.message().contains("off-grid"), "{err}");
         let source = std::error::Error::source(&err).expect("optical cause preserved");
         assert!(source.to_string().contains("12.5"), "root cause: {source}");
+    }
+
+    /// A line the format derivation cannot build — one pixel wide, or
+    /// carrying 0 Gbps — is a typed rejection at every vendor's
+    /// transponder, and the device still answers afterwards: the
+    /// derivation's `assert!` used to fire inside the session's device
+    /// lock and poison it.
+    #[test]
+    fn underivable_line_configs_rejected_and_the_device_still_answers() {
+        let line = |width: u16, rate_gbps: u32| {
+            let format = TransponderFormat::derive(400, PixelWidth::new(6), 600);
+            let cfg = StandardConfig::Transponder {
+                format,
+                channel: PixelRange::new(10, PixelWidth::new(width)),
+                enabled: true,
+            };
+            (cfg, rate_gbps)
+        };
+        for vendor in Vendor::ALL {
+            let device = spawn_device(
+                DeviceDescriptor {
+                    id: DeviceId(2),
+                    vendor,
+                    kind: DeviceKind::Transponder,
+                    mgmt_ip: DeviceDescriptor::mgmt_ip_for(DeviceId(2)),
+                    site: NodeId(0),
+                },
+                Hardware::Transponder(None),
+            );
+            for ((cfg, rate), why) in [
+                (line(1, 400), "no symbol rate past the 12.5 GHz guard band"),
+                (line(6, 0), "rate_gbps must be positive"),
+            ] {
+                let mut native = encode(vendor, &cfg);
+                if let Native::LineConfig { rate_gbps, .. } = &mut native {
+                    *rate_gbps = rate;
+                }
+                match device.session.edit_config(native) {
+                    Err(SessionError::Rejected(msg)) => assert!(msg.contains(why), "{msg}"),
+                    other => panic!("{vendor:?}: {native} answered {other:?}"),
+                }
+                let state = device
+                    .session
+                    .get_state()
+                    .expect("the device still answers");
+                assert!(matches!(state.hardware, Hardware::Transponder(None)));
+            }
+            let (valid, _) = line(6, 400);
+            assert_eq!(device.session.edit_config(encode(vendor, &valid)), Ok(()));
+            let state = device
+                .session
+                .get_state()
+                .expect("the device still answers");
+            assert!(matches!(state.hardware, Hardware::Transponder(Some(_))));
+        }
     }
 
     /// A factory-fresh MUX of `vendor`. A document is decoded before it

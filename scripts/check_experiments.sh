@@ -12,11 +12,16 @@
 # instead. A file name followed by `, line \`text\`` (the name in
 # backticks too, on the same line) names the results line a claim
 # quotes: its numbers are then checked against the first line of the
-# file containing `text`, not the whole file. Its claims are
+# file containing `text`, not the whole file; `, line \`text\` after
+# \`anchor\`` names the first line containing `text` below the first
+# line containing `anchor` (a table printed once per scale, say). A
+# table with a column headed `source` names each row's results line in
+# that column; the row's claims are checked against it, and a row that
+# names none fails. Its claims are
 #   * every cell of a table column headed `measured`;
 #   * in a table with no `measured` column, in a section with one
-#     results file, every cell after the row label that is not under a
-#     column headed `paper`; and
+#     results file or with a `source` column, every cell after the row
+#     label that is not under a column headed `paper` or `source`; and
 #   * every bold span (`**…**`) outside such a cell.
 # Fenced code blocks are skipped. A claim is split into clauses at `;`. Each number in a clause (commas
 # between digits are thousands separators; code spans are skipped) must
@@ -52,40 +57,51 @@ function numbers(s,    out, tok, named) {
 }
 
 # The results source `s` names: its first `results/<name>.txt`, and
-# when a `, line \`text\`` follows it, the text of the line it quotes,
-# as `file SUBSEP text`; "" when it names none.
-function source(s,    f, rest) {
+# when a `, line \`text\`` follows it, the text of the line it quotes
+# and the anchor it is quoted below (maybe ""), as
+# `file SUBSEP text SUBSEP anchor`; "" when it names none.
+function source(s,    f, rest, text, anchor) {
     if (!match(s, /results\/[A-Za-z0-9_]+\.txt/)) return ""
     f = substr(s, RSTART, RLENGTH)
     rest = substr(s, RSTART + RLENGTH)
     if (match(rest, /^`?, line `[^`]+`/)) {
-        rest = substr(rest, RSTART, RLENGTH)
-        sub(/^`?, line `/, "", rest)
-        sub(/`$/, "", rest)
-        f = f SUBSEP rest
+        text = substr(rest, RSTART, RLENGTH)
+        rest = substr(rest, RSTART + RLENGTH)
+        sub(/^`?, line `/, "", text)
+        sub(/`$/, "", text)
+        anchor = ""
+        if (match(rest, /^ after `[^`]+`/))
+            anchor = substr(rest, RSTART + 8, RLENGTH - 9)
+        f = f SUBSEP text SUBSEP anchor
     }
     return f
 }
 
 # A source as the reader wrote it.
-function shown(f,    k) {
-    k = index(f, SUBSEP)
-    return k ? substr(f, 1, k - 1) ", line `" substr(f, k + 1) "`" : f
+function shown(f,    p) {
+    if (split(f, p, SUBSEP) < 3) return f
+    return p[1] ", line `" p[2] "`" (p[3] != "" ? " after `" p[3] "`" : "")
 }
 
 # Loads the numbers of source `f` into have[f, value] once: every line
-# of its file, or only the first line containing its quoted text.
-function load(f,    file, text, k, line, n, i, v) {
+# of its file, or only the first line containing its quoted text (below
+# the first line containing its anchor, when it names one).
+function load(f,    p, file, text, armed, line, n, i, v) {
     if (f in loaded) return loaded[f]
     file = f
     text = ""
-    k = index(f, SUBSEP)
-    if (k) {
-        file = substr(f, 1, k - 1)
-        text = substr(f, k + 1)
+    armed = 1
+    if (split(f, p, SUBSEP) == 3) {
+        file = p[1]
+        text = p[2]
+        armed = p[3] == ""
     }
     loaded[f] = 0
     while ((getline line < file) > 0) {
+        if (!armed) {
+            armed = index(line, p[3]) > 0
+            continue
+        }
         if (text != "" && (loaded[f] || !index(line, text))) continue
         loaded[f] = 1
         n = split(numbers(line), v, " ")
@@ -140,7 +156,7 @@ function items(    i, k, end, m) {
     }
 }
 
-function flush(    i, src, per_row, line, cells, nc, col, paper, j, f, lf, name) {
+function flush(    i, src, per_row, line, cells, nc, col, paper, j, f, lf, name, src_col, rf) {
     src = ""
     for (i = 1; i <= n; i++) {
         if (index(buf[i], "Source:")) {
@@ -162,13 +178,15 @@ function flush(    i, src, per_row, line, cells, nc, col, paper, j, f, lf, name)
             nc = split(line, cells, "|")
             if (i < n && buf[i + 1] ~ /^\|[-| :]+\|$/) {
                 col = 0
+                src_col = 0
                 split("", paper)
                 for (j = 2; j < nc; j++) {
                     if (trim(cells[j]) == "measured") col = j
                     if (trim(cells[j]) == "paper") paper[j] = 1
+                    if (trim(cells[j]) == "source") src_col = j
                 }
                 # No `measured` column: every value cell is a claim.
-                if (col == 0 && !per_row && f != "") col = -1
+                if (col == 0 && (src_col || (!per_row && f != ""))) col = -1
                 continue
             }
             if (line ~ /^\|[-| :]+\|$/) continue
@@ -178,13 +196,20 @@ function flush(    i, src, per_row, line, cells, nc, col, paper, j, f, lf, name)
                     name = "results/" substr(cells[2], RSTART + 1, RLENGTH - 2) ".txt"
                 f = name
             }
+            rf = f
+            if (src_col) {
+                rf = source(cells[src_col])
+                if (rf == "") { fail("a row whose source names no results file"); continue }
+            }
             for (j = 2; j < nc; j++) {
-                if (j == col || (col < 0 && j > 2 && !(j in paper))) claim(cells[j], f)
-                else bold(cells[j], f)
+                if (j == src_col) continue
+                if (j == col || (col < 0 && j > 2 && !(j in paper))) claim(cells[j], rf)
+                else bold(cells[j], rf)
             }
             continue
         }
         col = 0
+        src_col = 0
         lf = item[i] != "" ? item[i] : f
         bold(line, lf)
     }

@@ -4,10 +4,16 @@
 # point (`PlanCtx`), no sibling functions per route source.
 #
 # Fails if
-#   * crates/core/src or crates/ctrl/src defines any
+#   * non-test code under crates/*/src or src defines any
 #     `fn <name>_(cached|banned|observed|with_routes)` other than the two
 #     `#[doc(hidden)]` forwards `plan_cached` and `restore_cached` that
 #     `benchmark/` still imports;
+#   * a cut rebuilds what the committed plan's standing footprint holds:
+#     non-test crates/core/src names `assess_plan` (the per-cut rescan
+#     of every wavelength and rebuild of the survivors' spectrum), or
+#     `revive` in crates/core/src/restore/heuristic.rs builds a
+#     `SpectrumState` or a `Footprint` of its own (it reads the one it is
+#     handed);
 #   * anything under crates/, src/, tests/ or examples/ calls
 #     `plan_cached(` / `restore_cached(`;
 #   * anything under those directories names `threads` in a
@@ -132,12 +138,33 @@ cd "$(dirname "$0")/.."
 
 bad=0
 
-siblings=$(grep -rnE 'fn [a-z0-9_]+_(cached|banned|observed|with_routes)\b' \
-    --include='*.rs' crates/core/src crates/ctrl/src |
-    grep -vE 'fn (plan|restore)_cached\b' || true)
+# Non-test part of a source file: everything above its first top-level
+# `#[cfg(test)]`.
+non_test_of() { awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1"; }
+non_test() { non_test_of "crates/topo/src/$1"; }
+
+siblings=$(find crates/*/src src -name '*.rs' | sort | while read -r f; do
+    non_test_of "$f" | grep -nE 'fn [a-z0-9_]+_(cached|banned|observed|with_routes)\b' |
+        grep -vE 'fn (plan|restore)_cached\b' | sed "s|^|$f:|" || true
+done)
 if [ -n "$siblings" ]; then
     echo "sibling entry points (use PlanCtx / an \`Option<&Obs>\` argument):"
     echo "$siblings"
+    bad=1
+fi
+
+rescans=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+    non_test_of "$f" | grep -n '\bassess_plan\b' | sed "s|^|$f:|" || true
+done)
+if [ -n "$rescans" ]; then
+    echo "crates/core/src: assess_plan stays deleted (a cut reads the plan's standing Footprint):"
+    echo "$rescans"
+    bad=1
+fi
+reviver=$(non_test_of crates/core/src/restore/heuristic.rs |
+    awk '/^pub\(crate\) fn revive\(/{on=1} on{print} on&&/^}/{on=0}')
+if [ -z "$reviver" ] || echo "$reviver" | grep -nE 'SpectrumState|Footprint::new\('; then
+    echo "crates/core/src/restore/heuristic.rs: revive restores against the footprint it is handed, it builds no spectrum of its own"
     bad=1
 fi
 
@@ -173,11 +200,6 @@ if [ -n "$reads" ]; then
     echo "$reads"
     bad=1
 fi
-
-# Non-test part of a source file: everything above its first top-level
-# `#[cfg(test)]`.
-non_test_of() { awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1"; }
-non_test() { non_test_of "crates/topo/src/$1"; }
 
 builder=$(non_test route.rs | awk '/^impl ConduitView /{on=1} on{print} /^}/{on=0}')
 if [ "$(non_test route.rs | grep -c 'Graph::new()')" -ne 1 ] ||

@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=98
+CEILING=96
 
 count=$(find crates/*/src src -name '*.rs' | sort | while read -r f; do
     awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
