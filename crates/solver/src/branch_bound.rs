@@ -118,17 +118,24 @@ struct NodeResult {
     stats: SolverStats,
 }
 
-/// Effective absolute bounds for the node's delta list, or `None` when a
-/// variable's domain became empty (infeasible branch).
-fn merge_bounds(inst: &Instance, deltas: &[(usize, f64, f64)]) -> Option<Vec<(usize, f64, f64)>> {
+/// Effective absolute bounds for the node's delta list, in first-seen
+/// order, or `None` when a variable's domain became empty (infeasible
+/// branch). `slot[v]` is where variable `v` sits in the list; it is never
+/// reset, since a stale entry points at a different variable or past the end.
+fn merge_bounds(
+    inst: &Instance,
+    deltas: &[(usize, f64, f64)],
+    slot: &mut [usize],
+) -> Option<Vec<(usize, f64, f64)>> {
     let mut merged: Vec<(usize, f64, f64)> = Vec::with_capacity(deltas.len());
     for &(v, lo, hi) in deltas {
-        match merged.iter_mut().find(|e| e.0 == v) {
+        match merged.get_mut(slot[v]).filter(|e| e.0 == v) {
             Some(e) => {
                 e.1 = e.1.max(lo);
                 e.2 = e.2.min(hi);
             }
             None => {
+                slot[v] = merged.len();
                 merged.push((v, inst.base_lo(v).max(lo), inst.base_up(v).min(hi)));
             }
         }
@@ -146,17 +153,19 @@ fn merge_bounds(inst: &Instance, deltas: &[(usize, f64, f64)]) -> Option<Vec<(us
 /// `(node, incumbent snapshot)`: the `Ctx` is fully reset, so nothing
 /// carries over from the node it solved before. The node's deltas are
 /// merged into the `Ctx`'s bounds once; each dive step then tightens the
-/// one column it branched on. `values` is scratch for the LP points.
+/// one column it branched on. `values` is scratch for the LP points,
+/// `slot` the per-solve position array of [`merge_bounds`].
 fn process_node(
     ctx: &mut Ctx,
     sh: &Shared,
     node: &Node,
     snapshot: Option<f64>,
     values: &mut Vec<f64>,
+    slot: &mut [usize],
 ) -> NodeResult {
     let mut res = NodeResult::default();
     ctx.stats = SolverStats::default();
-    let Some(merged) = merge_bounds(&sh.inst, &node.bounds) else {
+    let Some(merged) = merge_bounds(&sh.inst, &node.bounds, slot) else {
         return res;
     };
     ctx.set_bounds(&merged);
@@ -318,6 +327,7 @@ pub(crate) fn branch_and_bound(
 
     let mut ctx = Ctx::new(Arc::clone(&sh.inst));
     let mut values = Vec::new();
+    let mut slot = vec![0; n_model];
     let mut incumbent: Option<Solution> = None;
     let mut cold_root: Option<BasisState> = None;
     let mut nodes = 0u64;
@@ -349,7 +359,7 @@ pub(crate) fn branch_and_bound(
         let snapshot = incumbent.as_ref().map(|s| s.objective);
 
         for node in &batch {
-            let res = process_node(&mut ctx, &sh, node, snapshot, &mut values);
+            let res = process_node(&mut ctx, &sh, node, snapshot, &mut values, &mut slot);
             nodes += res.extra_nodes;
             stats.merge(&res.stats);
             cold_root = res.cold_basis.or(cold_root);
@@ -533,6 +543,54 @@ mod tests {
 
     // --- bounds down a dive ---
 
+    /// `merge_bounds` as it was before the position array: a linear
+    /// `find` per delta.
+    fn merge_bounds_oracle(
+        inst: &Instance,
+        deltas: &[(usize, f64, f64)],
+    ) -> Option<Vec<(usize, f64, f64)>> {
+        let mut merged: Vec<(usize, f64, f64)> = Vec::with_capacity(deltas.len());
+        for &(v, lo, hi) in deltas {
+            match merged.iter_mut().find(|e| e.0 == v) {
+                Some(e) => {
+                    e.1 = e.1.max(lo);
+                    e.2 = e.2.min(hi);
+                }
+                None => {
+                    merged.push((v, inst.base_lo(v).max(lo), inst.base_up(v).min(hi)));
+                }
+            }
+        }
+        if merged.iter().any(|&(_, lo, hi)| lo > hi) {
+            None
+        } else {
+            Some(merged)
+        }
+    }
+
+    /// The one-pass merge against the oracle, compared bit for bit and in
+    /// order; `slot` is shared across calls, so stale entries are in play.
+    fn merge(
+        inst: &Instance,
+        deltas: &[(usize, f64, f64)],
+        slot: &mut [usize],
+    ) -> Option<Vec<(usize, f64, f64)>> {
+        let merged = merge_bounds(inst, deltas, slot);
+        let bits = |m: &Option<Vec<(usize, f64, f64)>>| {
+            m.as_ref().map(|m| {
+                m.iter()
+                    .map(|&(v, l, u)| (v, l.to_bits(), u.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(
+            bits(&merged),
+            bits(&merge_bounds_oracle(inst, deltas)),
+            "{deltas:?}"
+        );
+        merged
+    }
+
     #[test]
     fn bounds_carried_down_a_dive_equal_a_merge_from_scratch() {
         use flexwan_util::rng::ChaCha8Rng;
@@ -541,6 +599,7 @@ mod tests {
         let n = model.num_vars();
         let mut ctx = Ctx::new(Arc::clone(&inst));
         let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut slot = vec![0; n];
         let (mut emptied, mut repeated, mut compared) = (0, 0, 0);
         for trial in 0..400 {
             // A popped node's deltas (the root has none), then a dive.
@@ -558,7 +617,7 @@ mod tests {
             for _ in 0..trial % 5 {
                 deltas.push(draw(&mut rng));
             }
-            let Some(merged) = merge_bounds(&inst, &deltas) else {
+            let Some(merged) = merge(&inst, &deltas, &mut slot) else {
                 emptied += 1;
                 continue;
             };
@@ -567,7 +626,7 @@ mod tests {
                 let dive = draw(&mut rng);
                 repeated += deltas.iter().any(|d| d.0 == dive.0) as u32;
                 deltas.push(dive);
-                let scratch = merge_bounds(&inst, &deltas);
+                let scratch = merge(&inst, &deltas, &mut slot);
                 assert_eq!(ctx.tighten(dive.0, dive.1, dive.2), scratch.is_some());
                 let Some(scratch) = scratch else {
                     emptied += 1;

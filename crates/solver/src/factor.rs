@@ -2,13 +2,14 @@
 //! eta file of product-form updates applied since the last factorization.
 //!
 //! Nine basis columns in ten of a FlexWAN model are a single `±1`, so the
-//! factors are compressed columns and FTRAN / BTRAN cost the stored
-//! non-zeros, not `m²`. The factorization is left-looking, one basis
-//! column at a time, yet replays the row-swapping dense elimination with
-//! partial pivoting it replaced operation for operation (DESIGN.md §3.4):
-//! only exactly-zero terms are dropped, so every pivot, stored number and
-//! FTRAN / BTRAN result is the dense code's up to the sign of a zero. That
-//! dense code lives on below as the test oracle.
+//! factors are compressed columns, and FTRAN / BTRAN skip each position
+//! whose step is an identity: they cost the stored non-zeros, not `m²`.
+//! The factorization is left-looking, one basis column at a time, yet
+//! replays the row-swapping dense elimination with partial pivoting it
+//! replaced operation for operation (DESIGN.md §3.4): only exactly-zero
+//! terms are dropped, so every pivot, stored number and FTRAN / BTRAN
+//! result is the dense code's up to the sign of a zero. That dense code
+//! lives on below as the test oracle.
 
 /// Compressed sparse columns: column `k` is `ent[end[k - 1]..end[k]]`.
 /// (The simplex also keeps the *rows* of `A` in one, read sideways.)
@@ -48,6 +49,11 @@ pub(crate) struct Lu {
     diag: Vec<f64>,
     l: Cols,
     u: Cols,
+    /// The positions FTRAN / BTRAN visit, ascending: row swaps with
+    /// `piv[k] != k`, non-empty `L` columns, and non-empty `U` columns or
+    /// pivots `!= 1.0`. Any other step is `swap(k, k)`, `x − Σ∅` or `x / 1.0`,
+    /// an exact identity. Filled on success only, so empty with `piv`.
+    steps: [Vec<usize>; 3],
     /// The column being eliminated, by original row; zero between columns.
     work: Vec<f64>,
     /// Position → original row, and its inverse.
@@ -64,6 +70,7 @@ impl Lu {
         self.diag.clear();
         self.l.clear();
         self.u.clear();
+        self.steps.iter_mut().for_each(Vec::clear);
         self.work.clear();
         self.work.resize(m, 0.0);
         self.perm.clear();
@@ -92,6 +99,10 @@ impl Lu {
             self.l.ent[start..end as usize].sort_unstable_by_key(|e| e.0);
             start = end as usize;
         }
+        let [swaps, ls, us] = &mut self.steps;
+        swaps.extend((0..m).filter(|&k| self.piv[k] as usize != k));
+        ls.extend((0..m).filter(|&k| !self.l.col(k).is_empty()));
+        us.extend((0..m).filter(|&k| !self.u.col(k).is_empty() || self.diag[k] != 1.0));
         true
     }
 
@@ -152,12 +163,13 @@ impl Lu {
         self.l.ent.len() + self.u.ent.len() + self.piv.len()
     }
 
-    /// Solves `B·x = v` in place.
+    /// Solves `B·x = v` in place, visiting only the `steps`.
     pub(crate) fn ftran(&self, v: &mut [f64]) {
-        for k in 0..self.piv.len() {
+        let [swaps, ls, us] = &self.steps;
+        for &k in swaps {
             v.swap(k, self.piv[k] as usize);
         }
-        for k in 0..self.piv.len() {
+        for &k in ls {
             let t = v[k];
             if t != 0.0 {
                 for &(i, l) in self.l.col(k) {
@@ -165,7 +177,7 @@ impl Lu {
                 }
             }
         }
-        for k in (0..self.piv.len()).rev() {
+        for &k in us.iter().rev() {
             let t = v[k] / self.diag[k];
             v[k] = t;
             if t != 0.0 {
@@ -176,23 +188,24 @@ impl Lu {
         }
     }
 
-    /// Solves `Bᵀ·y = v` in place.
+    /// Solves `Bᵀ·y = v` in place, visiting only the `steps`.
     pub(crate) fn btran(&self, v: &mut [f64]) {
-        for k in 0..self.piv.len() {
+        let [swaps, ls, us] = &self.steps;
+        for &k in us {
             let mut t = v[k];
             for &(i, u) in self.u.col(k) {
                 t -= u * v[i as usize];
             }
             v[k] = t / self.diag[k];
         }
-        for k in (0..self.piv.len()).rev() {
+        for &k in ls.iter().rev() {
             let mut t = v[k];
             for &(i, l) in self.l.col(k) {
                 t -= l * v[i as usize];
             }
             v[k] = t;
         }
-        for k in (0..self.piv.len()).rev() {
+        for &k in swaps.iter().rev() {
             v.swap(k, self.piv[k] as usize);
         }
     }
@@ -255,6 +268,57 @@ impl EtaFile {
 mod tests {
     use super::*;
     use flexwan_util::rng::ChaCha8Rng;
+
+    /// FTRAN / BTRAN over every position, skipping nothing: the oracle
+    /// the `steps` walks must replay bit for bit.
+    impl Lu {
+        fn ftran_full(&self, v: &mut [f64]) {
+            for k in 0..self.piv.len() {
+                v.swap(k, self.piv[k] as usize);
+            }
+            for k in 0..self.piv.len() {
+                let t = v[k];
+                if t != 0.0 {
+                    for &(i, l) in self.l.col(k) {
+                        v[i as usize] -= l * t;
+                    }
+                }
+            }
+            for k in (0..self.piv.len()).rev() {
+                let t = v[k] / self.diag[k];
+                v[k] = t;
+                if t != 0.0 {
+                    for &(i, u) in self.u.col(k) {
+                        v[i as usize] -= u * t;
+                    }
+                }
+            }
+        }
+
+        fn btran_full(&self, v: &mut [f64]) {
+            for k in 0..self.piv.len() {
+                let mut t = v[k];
+                for &(i, u) in self.u.col(k) {
+                    t -= u * v[i as usize];
+                }
+                v[k] = t / self.diag[k];
+            }
+            for k in (0..self.piv.len()).rev() {
+                let mut t = v[k];
+                for &(i, l) in self.l.col(k) {
+                    t -= l * v[i as usize];
+                }
+                v[k] = t;
+            }
+            for k in (0..self.piv.len()).rev() {
+                v.swap(k, self.piv[k] as usize);
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     /// The dense LU this module replaced, kept verbatim as the oracle
     /// (only the signature changed: columns and basis instead of the
@@ -384,7 +448,8 @@ mod tests {
 
     /// Columns in the instance layout: `n` sparse structurals (1–12
     /// non-zeros), then a `+1` logical per row, then the `±1` artificial
-    /// pair of each row.
+    /// pair of each row; last, a singleton of a drawn coefficient per row
+    /// (a pivot that is neither `1` nor `−1` with an empty `U` column).
     fn columns(m: usize, n: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<(u32, f64)>> {
         let mut cols = Vec::with_capacity(n + 3 * m);
         let mut rows: Vec<u32> = (0..m as u32).collect();
@@ -400,12 +465,14 @@ mod tests {
             cols.push(vec![(i, 1.0)]);
             cols.push(vec![(i, -1.0)]);
         }
+        cols.extend((0..m as u32).map(|i| vec![(i, coeff(rng))]));
         cols
     }
 
     /// Factors `basis` both ways and compares verdict, `piv` and the
     /// FTRAN / BTRAN images of dense, sparse and unit right-hand sides
-    /// element by element. Returns whether the basis was nonsingular.
+    /// element by element, and the skip-list solves with the full walks
+    /// bit for bit. Returns whether the basis was nonsingular.
     fn check(lu: &mut Lu, cols: &[Vec<(u32, f64)>], basis: &[u32], rng: &mut ChaCha8Rng) -> bool {
         let m = basis.len();
         let oracle = Dense::factor(cols, basis);
@@ -413,10 +480,12 @@ mod tests {
         assert_eq!(ok, oracle.is_some(), "singular verdict, basis {basis:?}");
         let Some(oracle) = oracle else {
             // A refused factorization must leave the identity behind.
-            let mut v = vec![1.5; m];
-            lu.ftran(&mut v);
-            lu.btran(&mut v);
-            assert_eq!(v, vec![1.5; m]);
+            let v: Vec<f64> = (0..m).map(|_| coeff(rng)).collect();
+            let (mut a, mut b) = (v.clone(), v.clone());
+            lu.ftran(&mut a);
+            lu.btran(&mut b);
+            assert_eq!((bits(&a), bits(&b)), (bits(&v), bits(&v)));
+            assert!(lu.steps.iter().all(Vec::is_empty));
             return false;
         };
         assert_eq!(lu.piv, oracle.piv, "basis {basis:?}");
@@ -434,14 +503,26 @@ mod tests {
             rhs.push(unit);
         }
         for v in rhs {
-            let (mut a, mut b) = (v.clone(), v.clone());
+            let (mut a, mut b, mut c) = (v.clone(), v.clone(), v.clone());
             lu.ftran(&mut a);
             oracle.ftran(&mut b);
+            lu.ftran_full(&mut c);
             assert_eq!(a, b, "ftran of {v:?}, basis {basis:?}");
-            let (mut a, mut b) = (v.clone(), v.clone());
+            assert_eq!(
+                bits(&a),
+                bits(&c),
+                "skipped ftran of {v:?}, basis {basis:?}"
+            );
+            let (mut a, mut b, mut c) = (v.clone(), v.clone(), v.clone());
             lu.btran(&mut a);
             oracle.btran(&mut b);
+            lu.btran_full(&mut c);
             assert_eq!(a, b, "btran of {v:?}, basis {basis:?}");
+            assert_eq!(
+                bits(&a),
+                bits(&c),
+                "skipped btran of {v:?}, basis {basis:?}"
+            );
         }
         true
     }
@@ -470,6 +551,9 @@ mod tests {
                     } else if rng.gen_bool(0.15) {
                         // The row's artificial, either sign.
                         *slot = (n + m + 2 * i + rng.gen_range(0..2usize)) as u32;
+                    } else if rng.gen_bool(0.15) {
+                        // The row's singleton of a drawn coefficient.
+                        *slot = (n + 3 * m + i) as u32;
                     }
                 }
                 if trial % 3 != 0 {

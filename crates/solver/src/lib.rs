@@ -13,8 +13,9 @@
 //!   variables, dual-simplex warm starts), with a Dantzig→Bland pricing
 //!   switch for guaranteed termination;
 //! * `factor` — its basis inverse: sparse LU factors built left-looking
-//!   with partial pivoting, plus the eta file of product-form updates
-//!   between two refactorizations;
+//!   with partial pivoting, whose FTRAN / BTRAN visit only the positions
+//!   that swap a row or hold an `L` / `U` entry or a non-unit pivot, plus
+//!   the eta file of product-form updates between two refactorizations;
 //! * `branch_bound` — best-first branch & bound for MIPs on top of the
 //!   LP relaxation, with basis-inheriting warm starts and diving, on
 //!   the calling thread (reached through [`Model::solve_with_stats`]);

@@ -186,6 +186,9 @@ pub(crate) struct Instance {
     rows: Cols,
     lo: Vec<f64>,
     up: Vec<f64>,
+    /// Structural and logical columns with a bound that is not finite,
+    /// ascending: branching only narrows, so no other column can rest on one.
+    unbounded: Vec<usize>,
     /// Phase-2 cost in the internal minimization sense (0 beyond `n`).
     cost: Vec<f64>,
     rhs: Vec<f64>,
@@ -282,6 +285,9 @@ impl Instance {
             total,
             cols,
             rows,
+            unbounded: (0..ncols)
+                .filter(|&j| !(lo[j].is_finite() && up[j].is_finite()))
+                .collect(),
             lo,
             up,
             cost,
@@ -340,6 +346,9 @@ pub(crate) struct Ctx {
     /// pivot row `α = ρ·A` (dual) or the reduced costs `d = c − y·A`
     /// (primal).
     priced: Vec<f64>,
+    /// The columns the last [`Ctx::price_alpha`] reached, one bit each: every
+    /// other `α_j` is exactly 0 and cannot enter.
+    touched: Vec<u64>,
     /// Columns whose working bounds may differ from the instance's.
     tightened: Vec<usize>,
     pub(crate) stats: SolverStats,
@@ -367,6 +376,7 @@ impl Ctx {
             ybuf: vec![0.0; m],
             rho: vec![0.0; m],
             priced: vec![0.0; inst.ncols],
+            touched: vec![0; inst.ncols.div_ceil(64)],
             tightened: Vec::new(),
             stats: SolverStats::default(),
             dantzig_factor: 50,
@@ -462,12 +472,14 @@ impl Ctx {
     /// walk down the column would, less the exactly-zero ones.
     fn price_alpha(&mut self, rho: &[f64]) {
         self.priced.fill(0.0);
+        self.touched.fill(0);
         for (i, &p) in rho.iter().enumerate() {
             if p != 0.0 {
                 let row = self.inst.rows.col(i);
                 self.stats.priced_nonzeros += row.len() as u64;
                 for &(j, a) in row {
                     self.priced[j as usize] += p * a;
+                    self.touched[j as usize / 64] |= 1 << (j % 64);
                 }
             }
         }
@@ -489,13 +501,17 @@ impl Ctx {
         }
     }
 
-    /// Recomputes `xb = B⁻¹·(rhs − A_N·x_N)` from the current vstat.
+    /// Recomputes `xb = B⁻¹·(rhs − A_N·x_N)` from the current vstat. A
+    /// nonbasic artificial rests at 0 (its bounds are `[0, 0]`, and phase 1
+    /// only widens crashed-in ones upward), so only `0..ncols` contribute.
     fn compute_xb(&mut self) {
+        #[cfg(test)]
+        self.audit_artificials_rest();
         // Built in `xb` itself, which nothing below reads: this can run
         // from `pivot` while a caller holds the shared scratch buffer.
         let mut b = std::mem::take(&mut self.xb);
         b.copy_from_slice(&self.inst.rhs);
-        for j in 0..self.inst.total {
+        for j in 0..self.inst.ncols {
             if self.vstat[j] == VStat::Basic {
                 continue;
             }
@@ -738,11 +754,8 @@ impl Ctx {
                     continue;
                 }
                 let d = self.priced[j];
-                let (viol, dir) = match self.vstat[j] {
-                    VStat::Lower => (-d, 1.0),
-                    VStat::Upper => (d, -1.0),
-                    VStat::Basic => unreachable!(),
-                };
+                let lower = self.vstat[j] == VStat::Lower;
+                let (viol, dir) = if lower { (-d, 1.0) } else { (d, -1.0) };
                 if viol > best {
                     entering = Some((j, dir));
                     if bland {
@@ -804,11 +817,8 @@ impl Ctx {
                             self.snap(i);
                         }
                     }
-                    self.vstat[q] = match self.vstat[q] {
-                        VStat::Lower => VStat::Upper,
-                        VStat::Upper => VStat::Lower,
-                        VStat::Basic => unreachable!(),
-                    };
+                    let lower = self.vstat[q] == VStat::Lower;
+                    self.vstat[q] = if lower { VStat::Upper } else { VStat::Lower };
                 }
                 Some((r, hit)) => {
                     if phase1 {
@@ -816,10 +826,11 @@ impl Ctx {
                     } else {
                         self.stats.phase2_pivots += 1;
                     }
-                    let value = match self.vstat[q] {
-                        VStat::Lower => self.lo[q] + t_max,
-                        VStat::Upper => self.up[q] - t_max,
-                        VStat::Basic => unreachable!(),
+                    let lower = self.vstat[q] == VStat::Lower;
+                    let value = if lower {
+                        self.lo[q] + t_max
+                    } else {
+                        self.up[q] - t_max
                     };
                     for (i, &wi) in w.iter().enumerate() {
                         if i != r && wi != 0.0 {
@@ -859,14 +870,17 @@ impl Ctx {
         }
         // A parent basis can leave a variable nonbasic on a bound the
         // child no longer has (branching replaced ∞ by a finite bound, or
-        // vice versa the rest state references a bound that moved).
-        for j in 0..inst.ncols {
+        // vice versa the rest state references a bound that moved). Only a
+        // column whose base bound is not finite can rest on such a bound.
+        for &j in &inst.unbounded {
             match self.vstat[j] {
                 VStat::Lower if !self.lo[j].is_finite() => self.vstat[j] = VStat::Upper,
                 VStat::Upper if !self.up[j].is_finite() => self.vstat[j] = VStat::Lower,
                 _ => {}
             }
         }
+        #[cfg(test)]
+        self.audit_rest_bounds();
         self.compute_xb();
 
         let t0 = Instant::now();
@@ -927,29 +941,27 @@ impl Ctx {
             self.compute_y(cost);
             self.price_alpha(&rho);
 
+            // Only the columns pricing reached, ascending: the rest have
+            // `α_j == 0` and fail `|α| > PRICE_TOL`.
             let mut enter: Option<(usize, f64)> = None; // (col, ratio)
-            for j in 0..inst.ncols {
-                if self.vstat[j] == VStat::Basic || self.lo[j] == self.up[j] {
-                    continue;
-                }
-                let alpha = self.priced[j];
-                let eligible = if below {
-                    (self.vstat[j] == VStat::Lower && alpha < -PRICE_TOL)
-                        || (self.vstat[j] == VStat::Upper && alpha > PRICE_TOL)
-                } else {
-                    (self.vstat[j] == VStat::Lower && alpha > PRICE_TOL)
-                        || (self.vstat[j] == VStat::Upper && alpha < -PRICE_TOL)
-                };
-                if !eligible {
-                    continue;
-                }
-                let ratio = self.reduced_cost(cost, j).abs() / alpha.abs();
-                let better = match enter {
-                    None => true,
-                    Some((_, br)) => ratio < br - EPS,
-                };
-                if better {
-                    enter = Some((j, ratio));
+            for (word, mut bits) in self.touched.iter().copied().enumerate() {
+                while bits != 0 {
+                    let j = 64 * word + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.vstat[j] == VStat::Basic || self.lo[j] == self.up[j] {
+                        continue;
+                    }
+                    // α signed so that it is positive when `j` can push
+                    // the leaving variable toward its violated bound.
+                    let alpha = self.priced[j];
+                    let lower = self.vstat[j] == VStat::Lower;
+                    let toward = if below == lower { -alpha } else { alpha };
+                    if toward > PRICE_TOL {
+                        let ratio = self.reduced_cost(cost, j).abs() / alpha.abs();
+                        if enter.is_none_or(|(_, br)| ratio < br - EPS) {
+                            enter = Some((j, ratio));
+                        }
+                    }
                 }
             }
             #[cfg(test)]
@@ -1170,6 +1182,30 @@ mod audit {
             }
             assert_eq!(entering, chosen, "primal entering column");
             count(0, 1, walked);
+        }
+
+        /// The parent's `compute_xb` walked the artificials too; each
+        /// nonbasic one must rest at exactly 0 for skipping it to be exact.
+        pub(super) fn audit_artificials_rest(&self) {
+            for j in self.inst.art_start..self.inst.total {
+                if self.vstat[j] != VStat::Basic {
+                    assert_eq!(self.rest_value(j), 0.0, "artificial {j}");
+                }
+            }
+        }
+
+        /// After the warm start's fix-up over `Instance::unbounded`, the
+        /// parent's walk over every column would move nothing.
+        pub(super) fn audit_rest_bounds(&self) {
+            for j in 0..self.inst.ncols {
+                let stuck = match self.vstat[j] {
+                    VStat::Lower => !self.lo[j].is_finite(),
+                    VStat::Upper => !self.up[j].is_finite(),
+                    VStat::Basic => false,
+                };
+                let listed = self.inst.unbounded.binary_search(&j).is_ok();
+                assert!(!stuck || listed, "column {j} rests on a bound that moved");
+            }
         }
 
         pub(super) fn audit_drive_out(&self, rho: &[f64], chosen: Option<usize>) {
